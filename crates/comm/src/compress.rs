@@ -40,6 +40,12 @@
 //! escapes any chunk containing a non-finite value (or whose range
 //! degenerates) to a raw `f32` run, propagating every bit pattern
 //! exactly.
+//!
+//! The per-element loops of [`Dense32`] and [`Uniform8Bit`] live in
+//! [`crate::kernels`], which also states the rule they obey: codec bytes
+//! are bit-identical on every host and kernel arm.
+
+use crate::kernels::{extend_le_f32s, quant_kernels, read_le_f32s, QuantKernels};
 
 /// Decode failure of a codec payload. Mirrors the shape of
 /// `fda_core::wire::DecodeError` (comm sits below core, so the net layer
@@ -66,6 +72,12 @@ impl std::error::Error for CodecError {}
 
 /// A lossy vector codec over real byte buffers, with exact wire-size
 /// accounting and hostile-input-safe decoding.
+///
+/// Each direction comes in two forms with identical bytes and bits: the
+/// allocating [`Codec::encode`] / [`Codec::decode`], and
+/// [`Codec::encode_into`] / [`Codec::decode_into`] over caller-owned
+/// buffers, which is what every round loop (socket and simulator) uses so
+/// that steady-state rounds allocate nothing payload-sized.
 pub trait Codec: Send {
     /// Codec name for reports.
     fn name(&self) -> &'static str;
@@ -86,6 +98,18 @@ pub trait Codec: Send {
     /// `n` elements is ever allocated. `n` is caller knowledge (the
     /// expected vector length), never taken from the untrusted buffer.
     fn decode(&self, buf: &[u8], n: usize) -> Result<Vec<f32>, CodecError>;
+
+    /// Decodes a payload into a caller-owned slice whose length is the
+    /// expected element count — the allocation-free twin of
+    /// [`Codec::decode`] (bit-identical result, same totality), so a
+    /// round loop can reconstruct into round-persistent scratch or
+    /// straight into its destination. On error `out` holds unspecified
+    /// (but initialized) values. Every codec in this module overrides the
+    /// default, which decodes into a temporary.
+    fn decode_into(&self, buf: &[u8], out: &mut [f32]) -> Result<(), CodecError> {
+        out.copy_from_slice(&self.decode(buf, out.len())?);
+        Ok(())
+    }
 
     /// Exact encoded size in bytes for this input — equal to
     /// `encode(v).len()` (the property suite asserts it). Codecs with a
@@ -113,6 +137,23 @@ pub trait Codec: Send {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Dense32;
 
+impl Dense32 {
+    /// The buffer must be exactly `n` floats — checked before anything is
+    /// sized from `n`.
+    fn check_len(buf: &[u8], n: usize) -> Result<(), CodecError> {
+        let want = n
+            .checked_mul(4)
+            .ok_or(CodecError::Malformed("length overflow"))?;
+        match buf.len().cmp(&want) {
+            std::cmp::Ordering::Less => Err(CodecError::Truncated),
+            std::cmp::Ordering::Greater => {
+                Err(CodecError::Malformed("trailing bytes after dense run"))
+            }
+            std::cmp::Ordering::Equal => Ok(()),
+        }
+    }
+}
+
 impl Codec for Dense32 {
     fn name(&self) -> &'static str {
         "dense-f32"
@@ -125,27 +166,20 @@ impl Codec for Dense32 {
     }
 
     fn encode_into(&self, v: &[f32], out: &mut Vec<u8>) {
-        out.reserve(v.len() * 4);
-        for &x in v {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
+        extend_le_f32s(out, v);
     }
 
     fn decode(&self, buf: &[u8], n: usize) -> Result<Vec<f32>, CodecError> {
-        let want = n
-            .checked_mul(4)
-            .ok_or(CodecError::Malformed("length overflow"))?;
-        if buf.len() < want {
-            return Err(CodecError::Truncated);
-        }
-        if buf.len() > want {
-            return Err(CodecError::Malformed("trailing bytes after dense run"));
-        }
-        let mut out = Vec::with_capacity(n);
-        for c in buf.chunks_exact(4) {
-            out.push(f32::from_le_bytes(c.try_into().expect("len 4")));
-        }
+        Dense32::check_len(buf, n)?;
+        let mut out = vec![0.0f32; n];
+        read_le_f32s(buf, &mut out);
         Ok(out)
+    }
+
+    fn decode_into(&self, buf: &[u8], out: &mut [f32]) -> Result<(), CodecError> {
+        Dense32::check_len(buf, out.len())?;
+        read_le_f32s(buf, out);
+        Ok(())
     }
 
     fn encoded_bytes(&self, v: &[f32]) -> u64 {
@@ -206,43 +240,19 @@ impl Uniform8Bit {
         self.chunk
     }
 
-    /// The value level `q` decodes to. Shared by the decoder and the
-    /// encoder's idempotence certification so they cannot drift.
-    fn level(lo: f32, hi: f32, scale: f32, q: u8) -> f32 {
-        match q {
-            0 => lo,
-            255 => hi,
-            q => (lo + q as f32 * scale).clamp(lo, hi),
-        }
-    }
-
-    /// Quantizes one value to its level byte.
-    fn quantize(lo: f32, scale: f32, x: f32) -> u8 {
-        if scale > 0.0 {
-            ((x - lo) / scale).round().clamp(0.0, 255.0) as u8
-        } else {
-            0
-        }
-    }
-
     /// Decides how a chunk travels. Quantized only when every value is
     /// finite, the scale is usable, and all 256 levels re-quantize to
-    /// themselves (the byte-idempotence certificate).
-    fn plan(chunk: &[f32]) -> ChunkPlan {
-        if chunk.iter().any(|x| !x.is_finite()) {
+    /// themselves (the byte-idempotence certificate — run through the same
+    /// two kernels the encoder and decoder use, so they cannot drift).
+    fn plan(k: &QuantKernels, chunk: &[f32]) -> ChunkPlan {
+        let Some((lo, hi)) = (k.range)(chunk) else {
             return ChunkPlan::Raw;
-        }
-        let mut lo = f32::INFINITY;
-        let mut hi = f32::NEG_INFINITY;
-        for &x in chunk {
-            lo = lo.min(x);
-            hi = hi.max(x);
-        }
+        };
         if hi == lo {
             // Constant chunk: every level byte is 0 and decodes to `lo`
-            // exactly. `hi` is normalized to `lo`'s bit pattern (they can
-            // differ across ±0.0) so re-encoding the reconstruction emits
-            // an identical header.
+            // exactly. `hi` is normalized to `lo`'s bit pattern (they
+            // differ on a chunk mixing ±0.0) so re-encoding the
+            // reconstruction emits an identical header.
             return ChunkPlan::Quantized {
                 lo,
                 hi: lo,
@@ -253,14 +263,117 @@ impl Uniform8Bit {
         if !scale.is_finite() || scale <= 0.0 {
             return ChunkPlan::Raw;
         }
-        for q in 0..=255u8 {
-            if Self::quantize(lo, scale, Self::level(lo, hi, scale, q)) != q {
-                return ChunkPlan::Raw;
-            }
+        let mut levels = [0.0f32; 256];
+        (k.dequantize)(lo, hi, scale, &ALL_LEVELS, &mut levels);
+        let mut requantized = [0u8; 256];
+        (k.quantize)(lo, scale, &levels, &mut requantized);
+        if requantized != ALL_LEVELS {
+            return ChunkPlan::Raw;
         }
         ChunkPlan::Quantized { lo, hi, scale }
     }
+
+    /// [`Codec::encode_into`] on an explicit kernel arm — the dispatched
+    /// one in production, each supported one in the differential tests.
+    fn encode_with(&self, k: &QuantKernels, v: &[f32], out: &mut Vec<u8>) {
+        out.reserve(v.len() + v.len().div_ceil(self.chunk) * 8);
+        for chunk in v.chunks(self.chunk) {
+            match Uniform8Bit::plan(k, chunk) {
+                ChunkPlan::Quantized { lo, hi, scale } => {
+                    out.extend_from_slice(&lo.to_le_bytes());
+                    out.extend_from_slice(&hi.to_le_bytes());
+                    let start = out.len();
+                    out.resize(start + chunk.len(), 0);
+                    // A constant chunk (scale 0) is all level 0 already.
+                    if scale > 0.0 {
+                        (k.quantize)(lo, scale, chunk, &mut out[start..]);
+                    }
+                }
+                ChunkPlan::Raw => {
+                    out.extend_from_slice(&ESCAPE_BITS.to_le_bytes());
+                    out.extend_from_slice(&ESCAPE_BITS.to_le_bytes());
+                    extend_le_f32s(out, chunk);
+                }
+            }
+        }
+    }
+
+    /// [`Codec::decode_into`] on an explicit kernel arm.
+    fn decode_with(&self, k: &QuantKernels, buf: &[u8], out: &mut [f32]) -> Result<(), CodecError> {
+        self.check_floor(buf, out.len())?;
+        let mut off = 0usize;
+        for dst in out.chunks_mut(self.chunk) {
+            if buf.len() - off < 8 {
+                return Err(CodecError::Truncated);
+            }
+            let lo = f32::from_le_bytes(buf[off..off + 4].try_into().expect("len 4"));
+            let hi = f32::from_le_bytes(buf[off + 4..off + 8].try_into().expect("len 4"));
+            off += 8;
+            if lo.is_nan() {
+                // Escaped chunk: raw f32 bit patterns.
+                let want = dst.len() * 4;
+                if buf.len() - off < want {
+                    return Err(CodecError::Truncated);
+                }
+                read_le_f32s(&buf[off..off + want], dst);
+                off += want;
+            } else {
+                if !lo.is_finite() || !hi.is_finite() || hi < lo {
+                    return Err(CodecError::Malformed("degenerate quantizer chunk header"));
+                }
+                if buf.len() - off < dst.len() {
+                    return Err(CodecError::Truncated);
+                }
+                let scale = (hi - lo) / 255.0;
+                (k.dequantize)(lo, hi, scale, &buf[off..off + dst.len()], dst);
+                off += dst.len();
+            }
+        }
+        if off != buf.len() {
+            return Err(CodecError::Malformed(
+                "trailing bytes after quantizer chunks",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Every chunk costs an 8-byte header plus at least one byte per
+    /// element, so any buffer below that floor cannot encode `n` elements.
+    /// Rejecting here bounds every allocation sized from `n` by the buffer
+    /// that claims to back it (saturating: a hostile `n` must not overflow
+    /// its own guard).
+    fn check_floor(&self, buf: &[u8], n: usize) -> Result<(), CodecError> {
+        let floor = n.div_ceil(self.chunk).saturating_mul(8).saturating_add(n);
+        if buf.len() < floor {
+            return Err(CodecError::Truncated);
+        }
+        Ok(())
+    }
+
+    /// [`Codec::encoded_bytes`] on an explicit kernel arm.
+    fn encoded_bytes_with(&self, k: &QuantKernels, v: &[f32]) -> u64 {
+        let mut total = 0u64;
+        for chunk in v.chunks(self.chunk) {
+            total += 8 + match Uniform8Bit::plan(k, chunk) {
+                ChunkPlan::Quantized { .. } => chunk.len() as u64,
+                ChunkPlan::Raw => chunk.len() as u64 * 4,
+            };
+        }
+        total
+    }
 }
+
+/// The identity level run `0, 1, …, 255` the certificate pushes through
+/// dequantize → quantize.
+const ALL_LEVELS: [u8; 256] = {
+    let mut levels = [0u8; 256];
+    let mut q = 0usize;
+    while q < 256 {
+        levels[q] = q as u8;
+        q += 1;
+    }
+    levels
+};
 
 impl Default for Uniform8Bit {
     fn default() -> Self {
@@ -274,89 +387,28 @@ impl Codec for Uniform8Bit {
     }
 
     fn encode(&self, v: &[f32]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(v.len() + v.len().div_ceil(self.chunk) * 8);
-        for chunk in v.chunks(self.chunk) {
-            match Uniform8Bit::plan(chunk) {
-                ChunkPlan::Quantized { lo, hi, scale } => {
-                    out.extend_from_slice(&lo.to_le_bytes());
-                    out.extend_from_slice(&hi.to_le_bytes());
-                    for &x in chunk {
-                        out.push(Uniform8Bit::quantize(lo, scale, x));
-                    }
-                }
-                ChunkPlan::Raw => {
-                    out.extend_from_slice(&f32::from_bits(ESCAPE_BITS).to_le_bytes());
-                    out.extend_from_slice(&f32::from_bits(ESCAPE_BITS).to_le_bytes());
-                    for &x in chunk {
-                        out.extend_from_slice(&x.to_le_bytes());
-                    }
-                }
-            }
-        }
+        let mut out = Vec::new();
+        self.encode_into(v, &mut out);
         out
     }
 
+    fn encode_into(&self, v: &[f32], out: &mut Vec<u8>) {
+        self.encode_with(quant_kernels(), v, out);
+    }
+
     fn decode(&self, buf: &[u8], n: usize) -> Result<Vec<f32>, CodecError> {
-        // Every chunk costs an 8-byte header plus at least one byte per
-        // element, so any buffer below that floor cannot encode `n`
-        // elements. Rejecting here bounds the allocation below by the
-        // buffer that claims to back it (saturating: a hostile `n` must
-        // not overflow its own guard).
-        let floor = n.div_ceil(self.chunk).saturating_mul(8).saturating_add(n);
-        if buf.len() < floor {
-            return Err(CodecError::Truncated);
-        }
-        let mut out = Vec::with_capacity(n);
-        let mut off = 0usize;
-        while out.len() < n {
-            let len = self.chunk.min(n - out.len());
-            if buf.len() - off < 8 {
-                return Err(CodecError::Truncated);
-            }
-            let lo = f32::from_le_bytes(buf[off..off + 4].try_into().expect("len 4"));
-            let hi = f32::from_le_bytes(buf[off + 4..off + 8].try_into().expect("len 4"));
-            off += 8;
-            if lo.is_nan() {
-                // Escaped chunk: raw f32 bit patterns.
-                let want = len * 4;
-                if buf.len() - off < want {
-                    return Err(CodecError::Truncated);
-                }
-                for c in buf[off..off + want].chunks_exact(4) {
-                    out.push(f32::from_le_bytes(c.try_into().expect("len 4")));
-                }
-                off += want;
-            } else {
-                if !lo.is_finite() || !hi.is_finite() || hi < lo {
-                    return Err(CodecError::Malformed("degenerate quantizer chunk header"));
-                }
-                if buf.len() - off < len {
-                    return Err(CodecError::Truncated);
-                }
-                let scale = (hi - lo) / 255.0;
-                for &q in &buf[off..off + len] {
-                    out.push(Uniform8Bit::level(lo, hi, scale, q));
-                }
-                off += len;
-            }
-        }
-        if off != buf.len() {
-            return Err(CodecError::Malformed(
-                "trailing bytes after quantizer chunks",
-            ));
-        }
+        self.check_floor(buf, n)?;
+        let mut out = vec![0.0f32; n];
+        self.decode_with(quant_kernels(), buf, &mut out)?;
         Ok(out)
     }
 
+    fn decode_into(&self, buf: &[u8], out: &mut [f32]) -> Result<(), CodecError> {
+        self.decode_with(quant_kernels(), buf, out)
+    }
+
     fn encoded_bytes(&self, v: &[f32]) -> u64 {
-        let mut total = 0u64;
-        for chunk in v.chunks(self.chunk) {
-            total += 8 + match Uniform8Bit::plan(chunk) {
-                ChunkPlan::Quantized { .. } => chunk.len() as u64,
-                ChunkPlan::Raw => chunk.len() as u64 * 4,
-            };
-        }
-        total
+        self.encoded_bytes_with(quant_kernels(), v)
     }
 }
 
@@ -377,6 +429,14 @@ fn encode_pairs(v: &[f32], keep: &[usize]) -> Vec<u8> {
 /// the canonical form `encode_pairs` emits — so decode→encode is
 /// byte-identical and duplicates cannot double-write.
 fn decode_pairs(buf: &[u8], n: usize) -> Result<Vec<f32>, CodecError> {
+    let mut out = vec![0.0f32; n];
+    decode_pairs_into(buf, &mut out)?;
+    Ok(out)
+}
+
+/// [`decode_pairs`] into a caller-owned slice (zero-filled first).
+fn decode_pairs_into(buf: &[u8], out: &mut [f32]) -> Result<(), CodecError> {
+    let n = out.len();
     if !buf.len().is_multiple_of(8) {
         return Err(CodecError::Malformed("pair run not a multiple of 8 bytes"));
     }
@@ -384,7 +444,7 @@ fn decode_pairs(buf: &[u8], n: usize) -> Result<Vec<f32>, CodecError> {
     if count > n {
         return Err(CodecError::Malformed("more pairs than vector elements"));
     }
-    let mut out = vec![0.0f32; n];
+    out.fill(0.0);
     let mut prev: Option<u32> = None;
     for pair in buf.chunks_exact(8) {
         let idx = u32::from_le_bytes(pair[0..4].try_into().expect("len 4"));
@@ -400,7 +460,7 @@ fn decode_pairs(buf: &[u8], n: usize) -> Result<Vec<f32>, CodecError> {
         prev = Some(idx);
         out[idx as usize] = val;
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Magnitude top-k sparsification: keeps up to `k` largest-|·| entries,
@@ -486,6 +546,10 @@ impl Codec for TopK {
     fn decode(&self, buf: &[u8], n: usize) -> Result<Vec<f32>, CodecError> {
         decode_pairs(buf, n)
     }
+
+    fn decode_into(&self, buf: &[u8], out: &mut [f32]) -> Result<(), CodecError> {
+        decode_pairs_into(buf, out)
+    }
 }
 
 /// Drift-threshold selective masking (Ji et al. 2020 composed with FDA):
@@ -541,6 +605,10 @@ impl Codec for DriftMask {
         decode_pairs(buf, n)
     }
 
+    fn decode_into(&self, buf: &[u8], out: &mut [f32]) -> Result<(), CodecError> {
+        decode_pairs_into(buf, out)
+    }
+
     fn encoded_bytes(&self, v: &[f32]) -> u64 {
         self.keep(v).len() as u64 * 8
     }
@@ -575,6 +643,12 @@ impl Codec for Instrumented {
         let _span = fda_obs::histogram!("codec_decode_us").span();
         fda_obs::counter!("codec_decoded_bytes").add(buf.len() as u64);
         self.0.decode(buf, n)
+    }
+
+    fn decode_into(&self, buf: &[u8], out: &mut [f32]) -> Result<(), CodecError> {
+        let _span = fda_obs::histogram!("codec_decode_us").span();
+        fda_obs::counter!("codec_decoded_bytes").add(buf.len() as u64);
+        self.0.decode_into(buf, out)
     }
 
     fn encoded_bytes(&self, v: &[f32]) -> u64 {
@@ -757,12 +831,35 @@ impl DownlinkSpec {
 /// Panics only if the codec fails to decode its own encoding — an
 /// internal bug, not an input condition.
 pub fn delta_downlink(prev: &[f32], mean: &[f32], codec: &dyn Codec) -> (Vec<u8>, Vec<f32>) {
-    assert_eq!(prev.len(), mean.len(), "delta downlink length mismatch");
-    let delta: Vec<f32> = prev.iter().zip(mean).map(|(p, m)| m - p).collect();
-    let payload = codec.encode(&delta);
-    let recon =
-        apply_delta_downlink(prev, &payload, codec).expect("codec decodes its own encoding");
+    let (mut payload, mut recon) = (Vec::new(), Vec::new());
+    delta_downlink_into(prev, mean, codec, &mut payload, &mut recon);
     (payload, recon)
+}
+
+/// [`delta_downlink`] into caller-owned buffers, both overwritten: the
+/// payload is *appended* to `payload` (so a caller may lead with its own
+/// header) and `recon` is replaced by the reconstruction. A round loop that
+/// keeps the two across syncs allocates nothing here in steady state.
+/// `recon` doubles as the delta scratch, so the float path is still
+/// `prev + decode(encode(mean − prev))` through
+/// [`apply_delta_downlink_into`] — one code path with every receiver.
+///
+/// # Panics
+/// As [`delta_downlink`].
+pub fn delta_downlink_into(
+    prev: &[f32],
+    mean: &[f32],
+    codec: &dyn Codec,
+    payload: &mut Vec<u8>,
+    recon: &mut Vec<f32>,
+) {
+    assert_eq!(prev.len(), mean.len(), "delta downlink length mismatch");
+    recon.clear();
+    recon.extend(prev.iter().zip(mean).map(|(p, m)| m - p));
+    let start = payload.len();
+    codec.encode_into(recon, payload);
+    apply_delta_downlink_into(prev, &payload[start..], codec, recon)
+        .expect("codec decodes its own encoding");
 }
 
 /// Reconstructs the consensus model from a delta-downlink payload:
@@ -774,8 +871,28 @@ pub fn apply_delta_downlink(
     payload: &[u8],
     codec: &dyn Codec,
 ) -> Result<Vec<f32>, CodecError> {
-    let delta = codec.decode(payload, prev.len())?;
-    Ok(prev.iter().zip(&delta).map(|(p, d)| p + d).collect())
+    let mut out = Vec::new();
+    apply_delta_downlink_into(prev, payload, codec, &mut out)?;
+    Ok(out)
+}
+
+/// [`apply_delta_downlink`] into a caller-owned buffer, which is resized to
+/// `prev.len()` and overwritten (unspecified contents on error). Decodes
+/// the delta in place and adds `prev` over it — the same two float
+/// operations per element, in the same order, as the allocating form.
+pub fn apply_delta_downlink_into(
+    prev: &[f32],
+    payload: &[u8],
+    codec: &dyn Codec,
+    out: &mut Vec<f32>,
+) -> Result<(), CodecError> {
+    out.resize(prev.len(), 0.0);
+    codec.decode_into(payload, out)?;
+    for (slot, &p) in out.iter_mut().zip(prev) {
+        let delta = *slot;
+        *slot = p + delta;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -880,6 +997,176 @@ mod tests {
         let w = vec![lo, lo + 2.0, lo, lo + 2.0];
         let r = codec.roundtrip(&w);
         assert_eq!(r, w, "sub-resolution chunk ships raw");
+    }
+
+    /// Every kernel arm the host supports, by `FDA_FORCE_KERNEL` name.
+    fn quant_arms() -> Vec<(&'static str, &'static QuantKernels)> {
+        fda_tensor::simd::all_supported()
+            .into_iter()
+            .map(|k| (k.name(), crate::kernels::quant_kernels_for(k.isa)))
+            .collect()
+    }
+
+    /// The vectors the differential suite sweeps: each stresses one way the
+    /// wide kernels could part from the scalar reference.
+    fn differential_inputs() -> Vec<(&'static str, Vec<f32>)> {
+        let n = 2 * 1024 + 37; // ragged against every chunk length below
+        let normal = sample(n, 31);
+        let tiny = f32::MIN_POSITIVE; // smallest normal; fractions of it are denormal
+        let mut zero_min = normal.iter().map(|x| x.abs()).collect::<Vec<_>>();
+        let mut zero_max = normal.iter().map(|x| -x.abs()).collect::<Vec<_>>();
+        for i in (0..n).step_by(5) {
+            // Both zeros in every chunk, +0.0 first in some and −0.0 first
+            // in others, so a scan-order-dependent tie rule would show.
+            let (a, b) = if (i / 5) % 2 == 0 {
+                (0.0, -0.0)
+            } else {
+                (-0.0, 0.0)
+            };
+            zero_min[i] = a;
+            zero_max[i] = a;
+            if i + 2 < n {
+                zero_min[i + 2] = b;
+                zero_max[i + 2] = b;
+            }
+        }
+        let mut non_finite = normal.clone();
+        non_finite[3] = f32::from_bits(0x7fc1_2345);
+        non_finite[700] = f32::INFINITY;
+        non_finite[1500] = f32::NEG_INFINITY;
+        non_finite[n - 1] = f32::from_bits(0xffc0_0001);
+        let mut overflow = normal.clone();
+        for i in (0..n).step_by(3) {
+            overflow[i] = if i % 2 == 0 { f32::MAX } else { -f32::MAX };
+        }
+        vec![
+            ("normal", normal.clone()),
+            ("denormal", normal.iter().map(|x| x * tiny / 64.0).collect()),
+            ("zero-tied-min", zero_min),
+            ("zero-tied-max", zero_max),
+            ("constant", vec![3.25; n]),
+            (
+                "constant-mixed-zero",
+                (0..n)
+                    .map(|i| if i % 3 == 0 { -0.0 } else { 0.0 })
+                    .collect(),
+            ),
+            ("non-finite", non_finite),
+            ("all-nan", vec![f32::NAN; n]),
+            ("overflowing-range", overflow),
+            (
+                "huge-offset",
+                (0..n)
+                    .map(|i| 16_777_216.0 + 2.0 * (i % 7) as f32)
+                    .collect(),
+            ),
+            (
+                "half-ties",
+                (0..n).map(|i| (i % 511) as f32 * 0.5).collect(),
+            ),
+        ]
+    }
+
+    /// The wide kernels against the retained scalar reference: encode byte
+    /// for byte, decode bit for bit, `encoded_bytes` exactly — for every
+    /// supported arm, chunk length and input class. This is what lets a
+    /// coordinator and a worker on different arms share a wire.
+    #[test]
+    fn uniform8_arms_agree_with_the_scalar_reference() {
+        let reference = crate::kernels::quant_kernels_for(fda_tensor::simd::Isa::Scalar);
+        for chunk in [1usize, 7, 256, 1024] {
+            let codec = Uniform8Bit::new(chunk);
+            for (class, v) in differential_inputs() {
+                let mut want = Vec::new();
+                codec.encode_with(reference, &v, &mut want);
+                let mut want_dec = vec![0.0f32; v.len()];
+                codec.decode_with(reference, &want, &mut want_dec).unwrap();
+                for (arm, k) in quant_arms() {
+                    let ctx = format!("{class}, chunk {chunk}, arm {arm}");
+                    let mut got = vec![0xAA]; // append semantics: prefix survives
+                    codec.encode_with(k, &v, &mut got);
+                    assert_eq!(&got[1..], &want[..], "encode bytes: {ctx}");
+                    assert_eq!(
+                        codec.encoded_bytes_with(k, &v),
+                        want.len() as u64,
+                        "encoded_bytes: {ctx}"
+                    );
+                    let mut dec = vec![f32::NAN; v.len()];
+                    codec.decode_with(k, &want, &mut dec).unwrap();
+                    for (i, (a, b)) in dec.iter().zip(&want_dec).enumerate() {
+                        assert_eq!(a.to_bits(), b.to_bits(), "decode element {i}: {ctx}");
+                    }
+                    // One encode reaches the fixed point on this arm too.
+                    let mut again = Vec::new();
+                    codec.encode_with(k, &dec, &mut again);
+                    assert_eq!(again, want, "byte idempotence: {ctx}");
+                }
+            }
+        }
+    }
+
+    /// The header tie rule, pinned by bit pattern: a chunk holding both
+    /// zeros reports `lo = −0.0` when zero is its minimum and `hi = +0.0`
+    /// when zero is its maximum, whatever order they were scanned in;
+    /// non-finite and overflowing chunks escape.
+    #[test]
+    fn uniform8_headers_follow_the_total_order() {
+        let header = |bytes: &[u8]| {
+            (
+                u32::from_le_bytes(bytes[0..4].try_into().unwrap()),
+                u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
+            )
+        };
+        let codec = Uniform8Bit::new(8);
+        for (_, k) in quant_arms() {
+            for zeros in [[0.0f32, -0.0], [-0.0, 0.0]] {
+                let mut out = Vec::new();
+                codec.encode_with(k, &[1.0, zeros[0], 2.0, zeros[1]], &mut out);
+                assert_eq!(header(&out), ((-0.0f32).to_bits(), 2.0f32.to_bits()));
+                out.clear();
+                codec.encode_with(k, &[-1.0, zeros[0], -2.0, zeros[1]], &mut out);
+                assert_eq!(header(&out), ((-2.0f32).to_bits(), 0.0f32.to_bits()));
+                // Constant across ±0.0: `hi` takes `lo`'s bit pattern.
+                out.clear();
+                codec.encode_with(k, &zeros, &mut out);
+                assert_eq!(header(&out), ((-0.0f32).to_bits(), (-0.0f32).to_bits()));
+            }
+            for raw in [
+                vec![1.0, f32::NAN],
+                vec![f32::INFINITY, 0.0],
+                vec![f32::MAX, -f32::MAX],
+            ] {
+                let mut out = Vec::new();
+                codec.encode_with(k, &raw, &mut out);
+                assert_eq!(header(&out), (ESCAPE_BITS, ESCAPE_BITS));
+                assert_eq!(out.len(), 8 + raw.len() * 4);
+            }
+        }
+    }
+
+    /// `decode_into` is `decode` without the allocation, for every codec:
+    /// same bits on success, same error on hostile input.
+    #[test]
+    fn decode_into_matches_decode_for_every_codec() {
+        let mut v = sample(700, 23);
+        v[9] = f32::NAN;
+        for codec in all_codecs() {
+            let enc = codec.encode(&v);
+            let want = codec.decode(&enc, v.len()).unwrap();
+            let mut got = vec![7.0f32; v.len()]; // stale contents must not leak
+            codec.decode_into(&enc, &mut got).unwrap();
+            for (a, b) in got.iter().zip(&want) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{}", codec.name());
+            }
+            for cut in [0, 1, enc.len() / 2, enc.len().saturating_sub(1)] {
+                assert_eq!(
+                    codec.decode_into(&enc[..cut], &mut got).err(),
+                    codec.decode(&enc[..cut], v.len()).err(),
+                    "{} cut at {cut}",
+                    codec.name()
+                );
+            }
+        }
     }
 
     /// Regression (pre-fix: `partial_cmp(..).expect("finite magnitudes")`

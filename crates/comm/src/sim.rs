@@ -93,9 +93,8 @@ impl SimNetwork {
             fda_tensor::vector::add_assign(first, b);
         }
         fda_tensor::vector::scale(first, inv_k);
-        let mean = first.clone();
         for b in rest.iter_mut() {
-            b.copy_from_slice(&mean);
+            b.copy_from_slice(first);
         }
         self.charge_per_worker(payloads);
     }

@@ -212,6 +212,19 @@ pub struct Cluster {
     step_results: Vec<(f32, usize, usize)>,
     /// Reused output buffer for the pooled model average.
     avg_buf: Vec<f32>,
+    /// Round-persistent scratch of the coded model AllReduce: one encoded
+    /// upload at a time, the per-worker charged sizes, and the slots the
+    /// workers' parameter buffers are lent to for the reduce.
+    coded: CodedScratch,
+}
+
+/// Scratch of [`Cluster::allreduce_models_coded`], kept across rounds so
+/// the coded sync allocates nothing `d`-sized in steady state.
+#[derive(Default)]
+struct CodedScratch {
+    enc: Vec<u8>,
+    payloads: Vec<u64>,
+    bufs: Vec<Vec<f32>>,
 }
 
 impl Cluster {
@@ -246,6 +259,7 @@ impl Cluster {
             net: SimNetwork::new(config.workers),
             step_results: vec![(0.0, 0, 0); config.workers],
             avg_buf: Vec::new(),
+            coded: CodedScratch::default(),
             pool,
             config,
             dataset,
@@ -460,24 +474,46 @@ impl Cluster {
     /// Panics if the codec fails to decode its own output (a codec
     /// contract violation, not an input condition).
     pub fn allreduce_models_coded(&mut self, codec: &dyn fda_comm::Codec) -> Vec<f32> {
-        let k = self.workers.len();
-        let mut bufs: Vec<Vec<f32>> = Vec::with_capacity(k);
-        let mut payloads: Vec<u64> = Vec::with_capacity(k);
-        for w in &self.workers {
-            let params = w.model.params_flat();
-            let enc = codec.encode(&params);
+        let mut global = Vec::new();
+        self.allreduce_models_coded_into(codec, &mut global);
+        global
+    }
+
+    /// [`Cluster::allreduce_models_coded`] writing the new global model
+    /// into a caller-owned buffer. Each worker's parameter scratch is
+    /// encoded, reconstructed in place, lent to the reduce and handed
+    /// back, so a strategy that keeps `global` across rounds syncs without
+    /// allocating a `d`-sized buffer.
+    pub(crate) fn allreduce_models_coded_into(
+        &mut self,
+        codec: &dyn fda_comm::Codec,
+        global: &mut Vec<f32>,
+    ) {
+        let CodedScratch {
+            enc,
+            payloads,
+            bufs,
+        } = &mut self.coded;
+        payloads.clear();
+        bufs.clear();
+        for w in &mut self.workers {
+            let mut params = std::mem::take(&mut w.params_buf);
+            w.model.copy_params_to(&mut params);
+            enc.clear();
+            codec.encode_into(&params, enc);
             payloads.push(enc.len() as u64);
-            bufs.push(
-                codec
-                    .decode(&enc, params.len())
-                    .expect("codec decodes own output"),
-            );
+            codec
+                .decode_into(enc, &mut params)
+                .expect("codec decodes own output");
+            bufs.push(params);
         }
-        self.net.allreduce_mean_with(&mut bufs, &payloads);
-        for (w, buf) in self.workers.iter_mut().zip(&bufs) {
-            w.model.load_params(buf);
+        self.net.allreduce_mean_with(bufs, payloads);
+        global.clear();
+        global.extend_from_slice(&bufs[0]);
+        for (w, buf) in self.workers.iter_mut().zip(bufs.drain(..)) {
+            w.model.load_params(&buf);
+            w.params_buf = buf;
         }
-        bufs.into_iter().next().expect("k >= 1")
     }
 
     /// The average of the current worker models **without** any

@@ -123,6 +123,19 @@ impl FdaConfig {
     }
 }
 
+/// Scratch of the coded uplink / delta downlink mirror in [`Fda::step`].
+#[derive(Default)]
+struct SyncScratch {
+    /// One encoded payload at a time (a state summary, then the delta).
+    enc: Vec<u8>,
+    /// Charged bytes per worker for the round's state deposit.
+    payloads: Vec<u64>,
+    /// The AllReduce mean; swapped into `w_sync` on a dense downlink.
+    mean: Vec<f32>,
+    /// The delta-downlink reconstruction; swapped into `w_sync`.
+    recon: Vec<f32>,
+}
+
 /// The FDA strategy (Algorithm 1) over a simulated cluster.
 pub struct Fda {
     cluster: Cluster,
@@ -149,6 +162,9 @@ pub struct Fda {
     /// Built downlink delta codec — `None` on the dense downlink, which
     /// broadcasts the AllReduce mean bit-exactly as it always did.
     downlink_impl: Option<Box<dyn Codec>>,
+    /// Round-persistent scratch of the coded paths, so a coded step
+    /// allocates nothing `d`-sized in steady state.
+    coded: SyncScratch,
     /// Per-round JSONL telemetry, `None` unless attached.
     telemetry: Option<TelemetrySession>,
 }
@@ -185,6 +201,7 @@ impl Fda {
             codec_impl: None,
             downlink: DownlinkSpec::Dense,
             downlink_impl: None,
+            coded: SyncScratch::default(),
             telemetry: None,
         }
     }
@@ -208,6 +225,7 @@ impl Fda {
             codec_impl: None,
             downlink: DownlinkSpec::Dense,
             downlink_impl: None,
+            coded: SyncScratch::default(),
             telemetry: None,
         }
     }
@@ -453,16 +471,17 @@ impl Strategy for Fda {
                 // encoded deposit — and charge exactly the emitted bytes
                 // plus the raw 4-byte drift scalar (the codec covers the
                 // summary only).
-                let mut payloads = Vec::with_capacity(self.states.len());
+                let SyncScratch { enc, payloads, .. } = &mut self.coded;
+                payloads.clear();
                 for s in &mut self.states {
-                    let enc = codec.encode(s.summary_slice());
+                    enc.clear();
+                    codec.encode_into(s.summary_slice(), enc);
                     payloads.push(4 + enc.len() as u64);
-                    let dec = codec
-                        .decode(&enc, s.summary_slice().len())
+                    codec
+                        .decode_into(enc, s.summary_slice_mut())
                         .expect("codec decodes own output");
-                    s.summary_slice_mut().copy_from_slice(&dec);
                 }
-                self.cluster.net_mut().charge_per_worker(&payloads);
+                self.cluster.net_mut().charge_per_worker(payloads);
             } else {
                 let state_bytes = self.monitor.state_bytes();
                 self.cluster.net_mut().charge_allreduce(state_bytes);
@@ -476,23 +495,39 @@ impl Strategy for Fda {
         {
             let _span = fda_obs::histogram!(HIST_ALLREDUCE_US).span();
             if estimate > self.theta {
-                let w_prev = std::mem::take(&mut self.w_sync);
-                let mut w_new = match &self.codec_impl {
-                    Some(codec) => self.cluster.allreduce_models_coded(codec.as_ref()),
-                    None => self.cluster.allreduce_models(),
-                };
-                if let Some(delta_codec) = &self.downlink_impl {
-                    // Delta downlink mirror: the consensus every worker
-                    // ends the round with is the reconstruction of the
-                    // coded delta against the previous consensus — load
-                    // it uncharged, exactly like the transport does.
-                    let (_, recon) =
-                        fda_comm::compress::delta_downlink(&w_prev, &w_new, delta_codec.as_ref());
-                    self.cluster.load_global(&recon);
-                    w_new = recon;
+                // `w_new` ends up in one of the scratch slots and is then
+                // swapped with `w_sync`, so the previous consensus becomes
+                // next round's scratch.
+                let SyncScratch {
+                    enc, mean, recon, ..
+                } = &mut self.coded;
+                match &self.codec_impl {
+                    Some(codec) => self
+                        .cluster
+                        .allreduce_models_coded_into(codec.as_ref(), mean),
+                    None => *mean = self.cluster.allreduce_models(),
                 }
-                self.monitor.on_sync(&w_new, &w_prev);
-                self.w_sync = w_new;
+                let w_new = match &self.downlink_impl {
+                    Some(delta_codec) => {
+                        // Delta downlink mirror: the consensus every worker
+                        // ends the round with is the reconstruction of the
+                        // coded delta against the previous consensus — load
+                        // it uncharged, exactly like the transport does.
+                        enc.clear();
+                        fda_comm::compress::delta_downlink_into(
+                            &self.w_sync,
+                            mean,
+                            delta_codec.as_ref(),
+                            enc,
+                            recon,
+                        );
+                        self.cluster.load_global(recon);
+                        recon
+                    }
+                    None => mean,
+                };
+                std::mem::swap(&mut self.w_sync, w_new);
+                self.monitor.on_sync(&self.w_sync, w_new);
                 self.syncs += 1;
                 synced = true;
             }

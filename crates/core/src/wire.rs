@@ -27,6 +27,7 @@ use crate::cluster::ClusterConfig;
 use crate::fda::{FdaConfig, FdaVariant};
 use crate::monitor::{LocalState, StateSummary};
 use fda_comm::compress::{Codec, CodecError, CodecSpec, DownlinkSpec};
+use fda_comm::kernels::read_le_f32s;
 use fda_data::synth::SynthSpec;
 use fda_data::Partition;
 use fda_nn::zoo::ModelId;
@@ -136,16 +137,18 @@ fn get_bool(buf: &[u8], off: &mut usize) -> Result<bool, DecodeError> {
     }
 }
 
-/// Verifies that `count` little-endian `f32`s actually remain in the
-/// buffer **before** any allocation is sized from a decoded length header
-/// — a hostile `rows`/`cols`/`len` field must fail with
-/// [`DecodeError::Truncated`], not trigger a multi-gigabyte allocation.
-fn check_f32_run(buf: &[u8], off: usize, count: usize) -> Result<(), DecodeError> {
+/// Takes the next `count` little-endian `f32`s off the buffer as a byte
+/// run, advancing `*off` past them. Callers check this **before** sizing
+/// any allocation from a decoded length header — a hostile
+/// `rows`/`cols`/`len` field must fail with [`DecodeError::Truncated`],
+/// not trigger a multi-gigabyte allocation — and then bulk-copy the run
+/// with [`read_le_f32s`].
+fn get_f32_run<'a>(buf: &'a [u8], off: &mut usize, count: usize) -> Result<&'a [u8], DecodeError> {
     let need = count.checked_mul(4).ok_or(DecodeError::Truncated)?;
-    if buf.len().saturating_sub(off) < need {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(())
+    let end = off.checked_add(need).ok_or(DecodeError::Truncated)?;
+    let run = buf.get(*off..end).ok_or(DecodeError::Truncated)?;
+    *off = end;
+    Ok(run)
 }
 
 /// Encodes a local state into bytes — the dense layout, i.e.
@@ -169,24 +172,20 @@ pub fn decode_state(buf: &[u8]) -> Result<LocalState, DecodeError> {
         1 => {
             let rows = get_u16(buf, &mut off)? as usize;
             let cols = get_u16(buf, &mut off)? as usize;
-            check_f32_run(
+            let run = get_f32_run(
                 buf,
-                off,
+                &mut off,
                 rows.checked_mul(cols).ok_or(DecodeError::Truncated)?,
             )?;
             let mut sk = AmsSketch::zeros(rows, cols);
-            for v in sk.as_mut_slice() {
-                *v = get_f32(buf, &mut off)?;
-            }
+            read_le_f32s(run, sk.as_mut_slice());
             StateSummary::Sketch(sk)
         }
         2 => {
             let len = get_u32(buf, &mut off)? as usize;
-            check_f32_run(buf, off, len)?;
+            let run = get_f32_run(buf, &mut off, len)?;
             let mut v = vec![0.0f32; len];
-            for x in &mut v {
-                *x = get_f32(buf, &mut off)?;
-            }
+            read_le_f32s(run, &mut v);
             StateSummary::Exact(v)
         }
         other => return Err(DecodeError::BadTag(other)),
@@ -217,11 +216,9 @@ pub fn encode_vector(v: &[f32]) -> Vec<u8> {
 /// allocation.
 pub fn decode_vector_at(buf: &[u8], off: &mut usize) -> Result<Vec<f32>, DecodeError> {
     let len = get_u32(buf, off)? as usize;
-    check_f32_run(buf, *off, len)?;
+    let run = get_f32_run(buf, off, len)?;
     let mut v = vec![0.0f32; len];
-    for x in &mut v {
-        *x = get_f32(buf, off)?;
-    }
+    read_le_f32s(run, &mut v);
     Ok(v)
 }
 
@@ -313,8 +310,9 @@ pub fn decode_state_coded(
     let drift_sq_norm = get_f32(buf, &mut off)?;
     let summary = match (&expected.summary, tag) {
         (StateSummary::Linear(_), 0) => {
-            let values = codec.decode(&buf[off..], 1)?;
-            StateSummary::Linear(values[0])
+            let mut proj = [0.0f32];
+            codec.decode_into(&buf[off..], &mut proj)?;
+            StateSummary::Linear(proj[0])
         }
         (StateSummary::Sketch(want), 1) => {
             let rows = get_u16(buf, &mut off)? as usize;
@@ -322,9 +320,8 @@ pub fn decode_state_coded(
             if rows != want.rows() || cols != want.cols() {
                 return Err(DecodeError::Malformed("sketch shape mismatch"));
             }
-            let values = codec.decode(&buf[off..], rows * cols)?;
             let mut sk = AmsSketch::zeros(rows, cols);
-            sk.as_mut_slice().copy_from_slice(&values);
+            codec.decode_into(&buf[off..], sk.as_mut_slice())?;
             StateSummary::Sketch(sk)
         }
         (StateSummary::Exact(want), 2) => {

@@ -37,9 +37,11 @@
 //! ([`RoundPolicy::admissions`]) via the versioned `Resume` handoff. The
 //! full argument lives in DESIGN.md § "Failure model".
 
-use crate::frame::{write_frame, CountingStream, FrameKind, NetError, PROTOCOL_VERSION};
+use crate::frame::{
+    write_frame, write_frame_with, CountingStream, FrameHead, FrameKind, NetError, PROTOCOL_VERSION,
+};
 use crate::protocol::{recv_at_epoch, recv_frame_at_epoch_into, Msg};
-use fda_comm::{delta_downlink, AccountingMode, SimNetwork};
+use fda_comm::{delta_downlink_into, AccountingMode, SimNetwork};
 use fda_core::monitor::LocalState;
 use fda_core::wire::{
     decode_state_coded, decode_vector_coded, encode_state_into, encode_vector, encode_vector_into,
@@ -201,6 +203,13 @@ impl Conn {
     fn send_raw(&mut self, epoch: u32, kind: FrameKind, payload: &[u8]) -> Result<(), NetError> {
         self.epoch = epoch;
         write_frame(&mut self.stream, epoch, kind, payload)
+    }
+
+    /// One target of an encode-once broadcast: `head` was composed (and
+    /// `payload` checksummed) once for the whole fan-out.
+    fn send_with(&mut self, head: &FrameHead, payload: &[u8]) -> Result<(), NetError> {
+        self.epoch = head.epoch();
+        write_frame_with(&mut self.stream, head, payload)
     }
 
     fn recv_current(&mut self) -> Result<Msg, NetError> {
@@ -471,9 +480,9 @@ impl Coordinator {
         let mut downlink_model_bytes = 0u64;
 
         // Round-persistent scratch: the broadcast payload is encoded once
-        // per round into `bcast` and fanned out as a borrowed slice to
-        // every worker (the frame layer stamps each header separately and
-        // never copies the payload), and the per-worker deposit slots are
+        // per round into `bcast`, its frame head (checksum included) is
+        // composed once, and both are fanned out as borrowed slices to
+        // every worker, and the per-worker deposit slots are
         // reset in place — the steady-state round loop performs a small
         // constant number of allocations.
         let mut bcast: Vec<u8> = Vec::new();
@@ -656,10 +665,11 @@ impl Coordinator {
             bcast.clear();
             bcast.push(sync as u8);
             encode_state_into(&avg, &mut bcast);
+            let head = FrameHead::new(epoch, FrameKind::AvgState, &bcast)?;
             let mut drops: Vec<(usize, DropReason)> = Vec::new();
             for &id in &alive {
                 let conn = conns[id].as_mut().expect("alive");
-                if let Err(e) = conn.send_raw(epoch, FrameKind::AvgState, &bcast) {
+                if let Err(e) = conn.send_with(&head, &bcast) {
                     drops.push((id, drop_reason(&e)));
                 }
             }
@@ -732,9 +742,15 @@ impl Coordinator {
                 bcast.clear();
                 let (kind, consensus) = match &downlink_codec {
                     Some(dc) => {
-                        let (payload, recon) = delta_downlink(&resume_model, &mean, dc.as_ref());
                         bcast.extend_from_slice(&(dim as u32).to_le_bytes());
-                        bcast.extend_from_slice(&payload);
+                        let mut recon = Vec::new();
+                        delta_downlink_into(
+                            &resume_model,
+                            &mean,
+                            dc.as_ref(),
+                            &mut bcast,
+                            &mut recon,
+                        );
                         (FrameKind::AvgModelDelta, recon)
                     }
                     None => {
@@ -742,10 +758,11 @@ impl Coordinator {
                         (FrameKind::AvgModel, mean)
                     }
                 };
+                let head = FrameHead::new(epoch, kind, &bcast)?;
                 let mut drops: Vec<(usize, DropReason)> = Vec::new();
                 for &id in &alive {
                     let conn = conns[id].as_mut().expect("alive");
-                    match conn.send_raw(epoch, kind, &bcast) {
+                    match conn.send_with(&head, &bcast) {
                         Ok(()) => downlink_model_bytes += bcast.len() as u64,
                         Err(e) => drops.push((id, drop_reason(&e))),
                     }
@@ -824,8 +841,9 @@ impl Coordinator {
             &mut raw_retired,
         );
         quorum(survivors.len(), spec.steps)?;
+        let head = FrameHead::new(epoch, FrameKind::Shutdown, &[])?;
         for conn in conns.iter_mut().flatten() {
-            conn.send_raw(epoch, FrameKind::Shutdown, &[])?;
+            conn.send_with(&head, &[])?;
             conn.stream.flush()?;
         }
 

@@ -14,15 +14,27 @@
 //!
 //! * **typing and length** — plus a size cap so a corrupt or hostile
 //!   length header cannot make the receiver allocate unboundedly;
-//! * **integrity** — `crc` is an FNV-1a checksum over
+//! * **integrity** — `crc` is the CRC-32C ([`checksum`]) of
 //!   `[epoch][kind][payload]`, so a bit-flipped frame becomes a clean
-//!   per-connection protocol error instead of a silently-wrong decode (the
-//!   `len` field is the only unchecksummed region, and a corrupted length
-//!   desynchronizes the stream into a checksum or I/O error anyway);
+//!   per-connection protocol error instead of a silently-wrong decode.
+//!   CRC-32C detects every burst error up to 32 bits and every 1-, 2- and
+//!   3-bit error at any frame size this protocol allows; it runs on the
+//!   SSE4.2 `crc32` instruction where the host has it (8 bytes per
+//!   instruction) and on a slicing-by-8 table elsewhere — one polynomial,
+//!   so the two agree by definition and peers on different hosts
+//!   interoperate. The `len` field is the only unchecksummed region: the
+//!   receiver needs it to know how many bytes the checksum covers, and a
+//!   corrupted length desynchronizes the stream into a checksum or I/O
+//!   error anyway;
 //! * **membership versioning** — `epoch` is the coordinator's membership
 //!   epoch (bumped on every worker drop or rejoin), so a stale deposit
 //!   from a zombie connection is rejected instead of averaged (see
 //!   `protocol::recv_at_epoch` and the coordinator's failure model).
+//!
+//! A frame's 13-byte head depends on the payload only through the
+//! checksum, and not on the recipient at all, so a broadcast composes it
+//! **once** (`FrameHead::new`) and writes the same head and the same
+//! borrowed payload to every target (`write_frame_with`).
 
 use fda_core::wire::DecodeError;
 use std::io::{Read, Write};
@@ -42,7 +54,13 @@ use std::io::{Read, Write};
 /// and delta-mode jobs broadcast `AvgModelDelta` frames instead of
 /// `AvgModel`. Dense-downlink runs stay byte-identical to v3, but a v3
 /// peer cannot decode a delta downlink, so the version gates the pairing.
-pub const PROTOCOL_VERSION: u16 = 4;
+///
+/// v5: the frame checksum is CRC-32C instead of FNV-1a. The head layout is
+/// unchanged (still a `u32` at the same offset), but no frame of a v4 peer
+/// verifies any more — starting with its hello, so a real v4 peer is
+/// turned away by the checksum, and a peer that frames correctly but
+/// announces another version by the handshake's version check.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Upper bound on one frame's `len` field (kind byte + payload).
 ///
@@ -51,10 +69,10 @@ pub const PROTOCOL_VERSION: u16 = 4;
 /// corrupted length header from looking like a 4 GiB allocation request.
 pub const MAX_FRAME_BYTES: u32 = 256 << 20;
 
-/// FNV-1a 32-bit hash — the frame checksum. Dependency-free, one
-/// multiply per byte, and more than strong enough to turn random
-/// corruption into a detected protocol error (it is an integrity check
-/// against faults, not an authenticator against adversaries).
+/// FNV-1a 32-bit hash — the frame checksum of protocol v2–v4, one
+/// dependent multiply per byte. No transport path computes it any more
+/// ([`checksum`] replaced it in v5); it stays exported, unchanged, because
+/// the benchmark's `net.frame.checksum_us.*` lines replay it by name.
 pub fn fnv1a_32(chunks: &[&[u8]]) -> u32 {
     let mut h: u32 = 0x811c_9dc5;
     for chunk in chunks {
@@ -64,6 +82,122 @@ pub fn fnv1a_32(chunks: &[&[u8]]) -> u32 {
         }
     }
     h
+}
+
+/// The frame checksum: CRC-32C (Castagnoli; reflected polynomial
+/// `0x82F63B78`, initial value and final XOR `0xFFFF_FFFF` — the iSCSI /
+/// ext4 / SSE4.2 CRC) over the concatenation of `chunks`, so a head and a
+/// borrowed payload are checksummed without being joined. An integrity
+/// check against faults, not an authenticator against adversaries.
+pub fn checksum(chunks: &[&[u8]]) -> u32 {
+    let update = crc32c::update();
+    let mut crc = !0u32;
+    for chunk in chunks {
+        crc = update(crc, chunk);
+    }
+    !crc
+}
+
+/// CRC-32C state updates: the SSE4.2 instruction and the portable table,
+/// and the once-per-process choice between them.
+mod crc32c {
+    use std::sync::OnceLock;
+
+    /// Folds `bytes` into a raw (un-inverted) CRC state.
+    pub type Update = fn(u32, &[u8]) -> u32;
+
+    /// Slicing-by-8 tables (8 KiB, built at compile time): `TABLES[0]` is
+    /// the classic byte-at-a-time table, `TABLES[j][b]` the CRC of byte
+    /// `b` followed by `j` zero bytes.
+    static TABLES: [[u32; 256]; 8] = {
+        let mut t = [[0u32; 256]; 8];
+        let mut b = 0usize;
+        while b < 256 {
+            let mut crc = b as u32;
+            let mut bit = 0;
+            while bit < 8 {
+                crc = (crc >> 1) ^ (0x82F6_3B78 & (crc & 1).wrapping_neg());
+                bit += 1;
+            }
+            t[0][b] = crc;
+            b += 1;
+        }
+        let mut j = 1usize;
+        while j < 8 {
+            let mut b = 0usize;
+            while b < 256 {
+                let prev = t[j - 1][b];
+                t[j][b] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+                b += 1;
+            }
+            j += 1;
+        }
+        t
+    };
+
+    /// Portable arm: eight table lookups per 8-byte word, independent of
+    /// each other, instead of eight dependent steps.
+    pub fn table(mut crc: u32, bytes: &[u8]) -> u32 {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            crc = TABLES[7][(lo & 0xff) as usize]
+                ^ TABLES[6][((lo >> 8) & 0xff) as usize]
+                ^ TABLES[5][((lo >> 16) & 0xff) as usize]
+                ^ TABLES[4][(lo >> 24) as usize]
+                ^ TABLES[3][w[4] as usize]
+                ^ TABLES[2][w[5] as usize]
+                ^ TABLES[1][w[6] as usize]
+                ^ TABLES[0][w[7] as usize];
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xff) as usize];
+        }
+        crc
+    }
+
+    /// The SSE4.2 arm, or `None` on a host without the instruction.
+    pub fn hardware() -> Option<Update> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("sse4.2") {
+            // SAFETY: SSE4.2 was detected on the line above, which is the
+            // leaf's only requirement.
+            return Some(|crc, bytes| unsafe { sse42(crc, bytes) });
+        }
+        None
+    }
+
+    /// # Safety
+    /// Host supports SSE4.2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "sse4.2")]
+    unsafe fn sse42(crc: u32, bytes: &[u8]) -> u32 {
+        use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+        let mut crc = crc as u64;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let word = u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]);
+            crc = _mm_crc32_u64(crc, word);
+        }
+        let mut crc = crc as u32;
+        for &b in words.remainder() {
+            crc = _mm_crc32_u8(crc, b);
+        }
+        crc
+    }
+
+    /// The process-wide arm, chosen once: the table when the process runs
+    /// the scalar kernel arm — which `FDA_FORCE_KERNEL=scalar`, the
+    /// workspace's one kernel switch (see `fda_tensor::simd`), makes
+    /// happen on any host, so CI can exercise the portable arm on runners
+    /// that always have SSE4.2 — otherwise the instruction when present.
+    pub fn update() -> Update {
+        static UPDATE: OnceLock<Update> = OnceLock::new();
+        *UPDATE.get_or_init(|| {
+            let scalar_arm = fda_tensor::simd::kernels().isa == fda_tensor::simd::Isa::Scalar;
+            hardware().filter(|_| !scalar_arm).unwrap_or(table)
+        })
+    }
 }
 
 /// Frame types of the coordinator/worker protocol, in handshake order.
@@ -324,73 +458,104 @@ impl<S: Write> Write for CountingStream<S> {
     }
 }
 
-/// Composes one frame's full byte image — header, checksum, kind and
-/// payload. Exposed (besides [`write_frame`]) so the fault-injection layer
-/// can corrupt or truncate a *realistic* frame before it hits the socket.
-///
-/// # Panics
-/// Panics if the payload exceeds [`MAX_FRAME_BYTES`] — a sender-side bug,
-/// not a peer-controlled condition.
-pub fn encode_frame(epoch: u32, kind: FrameKind, payload: &[u8]) -> Vec<u8> {
-    let len = payload
-        .len()
+/// Validates a payload length against [`MAX_FRAME_BYTES`] and returns the
+/// frame's `len` field (kind byte + payload).
+fn frame_len(payload_len: usize) -> Result<u32, NetError> {
+    payload_len
         .checked_add(1)
         .filter(|&l| l <= MAX_FRAME_BYTES as usize)
-        .expect("frame payload exceeds MAX_FRAME_BYTES");
-    let epoch_bytes = epoch.to_le_bytes();
-    let crc = fnv1a_32(&[&epoch_bytes, &[kind as u8], payload]);
-    let mut buf = Vec::with_capacity(12 + len);
-    buf.extend_from_slice(&(len as u32).to_le_bytes());
-    buf.extend_from_slice(&epoch_bytes);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    buf.push(kind as u8);
-    buf.extend_from_slice(payload);
-    buf
+        .map(|l| l as u32)
+        .ok_or_else(|| {
+            NetError::Protocol(format!(
+                "frame payload of {payload_len} bytes exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
+            ))
+        })
 }
 
-/// Composes one frame's 13-byte head — `[len][epoch][crc][kind]` — on the
-/// stack. The checksum covers the payload via the chunked FNV, so the
-/// payload bytes are never copied.
+/// One frame's 13-byte head — `[len][epoch][crc][kind]` — composed on the
+/// stack. The checksum covers the payload in place (chunked CRC), so the
+/// payload bytes are never copied; and since nothing in the head depends
+/// on the recipient, a broadcast builds one `FrameHead` and reuses it for
+/// every target via [`write_frame_with`].
 ///
-/// # Panics
-/// Panics if the payload exceeds [`MAX_FRAME_BYTES`] — a sender-side bug,
-/// not a peer-controlled condition.
-fn frame_head(epoch: u32, kind: FrameKind, payload: &[u8]) -> [u8; 13] {
-    let len = payload
-        .len()
-        .checked_add(1)
-        .filter(|&l| l <= MAX_FRAME_BYTES as usize)
-        .expect("frame payload exceeds MAX_FRAME_BYTES");
-    let epoch_bytes = epoch.to_le_bytes();
-    let crc = fnv1a_32(&[&epoch_bytes, &[kind as u8], payload]);
-    let mut head = [0u8; 13];
-    head[0..4].copy_from_slice(&(len as u32).to_le_bytes());
-    head[4..8].copy_from_slice(&epoch_bytes);
-    head[8..12].copy_from_slice(&crc.to_le_bytes());
-    head[12] = kind as u8;
-    head
+/// The fields are private: a head only exists for the payload it was
+/// computed over, and pairing it with any other payload fails the
+/// receiver's checksum.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FrameHead {
+    bytes: [u8; 13],
+    epoch: u32,
+    kind: FrameKind,
+}
+
+impl FrameHead {
+    /// Composes the head for `payload`, checksumming it once. Fails with
+    /// [`NetError::Protocol`] if the payload exceeds [`MAX_FRAME_BYTES`].
+    pub(crate) fn new(epoch: u32, kind: FrameKind, payload: &[u8]) -> Result<FrameHead, NetError> {
+        let _span = fda_obs::histogram!("net_frame_encode_us").span();
+        let len = frame_len(payload.len())?;
+        let epoch_bytes = epoch.to_le_bytes();
+        let crc = checksum(&[&epoch_bytes, &[kind as u8], payload]);
+        let mut bytes = [0u8; 13];
+        bytes[0..4].copy_from_slice(&len.to_le_bytes());
+        bytes[4..8].copy_from_slice(&epoch_bytes);
+        bytes[8..12].copy_from_slice(&crc.to_le_bytes());
+        bytes[12] = kind as u8;
+        Ok(FrameHead { bytes, epoch, kind })
+    }
+
+    /// The membership epoch stamped on the frame.
+    pub(crate) fn epoch(&self) -> u32 {
+        self.epoch
+    }
+}
+
+/// Composes one frame's full byte image — head and payload in one owned
+/// buffer. The reference encoder [`write_frame`] is pinned against, and
+/// the surface the fault-injection layer corrupts or truncates a
+/// *realistic* frame through before it hits the socket.
+pub fn encode_frame(epoch: u32, kind: FrameKind, payload: &[u8]) -> Result<Vec<u8>, NetError> {
+    let head = FrameHead::new(epoch, kind, payload)?;
+    let mut buf = Vec::with_capacity(13 + payload.len());
+    buf.extend_from_slice(&head.bytes);
+    buf.extend_from_slice(payload);
+    Ok(buf)
 }
 
 /// Writes one frame zero-copy: the 13-byte head lives on the stack and the
 /// payload is handed to the socket as a borrowed [`IoSlice`], so the write
 /// path allocates nothing and still lands in one syscall on streams with
 /// real scatter-gather support. Byte-for-byte identical on the wire to
-/// [`encode_frame`] (pinned by the equivalence test below).
+/// [`encode_frame`] (pinned by the equivalence test below). An oversize
+/// payload is a [`NetError::Protocol`], never a panic.
 ///
-/// # Panics
-/// Panics if the payload exceeds [`MAX_FRAME_BYTES`].
+/// [`IoSlice`]: std::io::IoSlice
 pub fn write_frame<W: Write>(
     w: &mut W,
     epoch: u32,
     kind: FrameKind,
     payload: &[u8],
 ) -> Result<(), NetError> {
-    let head = {
-        let _span = fda_obs::histogram!("net_frame_encode_us").span();
-        frame_head(epoch, kind, payload)
-    };
+    write_frame_with(w, &FrameHead::new(epoch, kind, payload)?, payload)
+}
+
+/// [`write_frame`] with a head composed earlier — the fan-out half of an
+/// encode-once broadcast: the payload was checksummed once, by
+/// [`FrameHead::new`], however many peers receive it. `payload` must be
+/// the slice `head` was computed over.
+pub(crate) fn write_frame_with<W: Write>(
+    w: &mut W,
+    head: &FrameHead,
+    payload: &[u8],
+) -> Result<(), NetError> {
+    debug_assert_eq!(
+        head.bytes[0..4],
+        (payload.len() as u32 + 1).to_le_bytes(),
+        "frame head paired with a different payload"
+    );
     {
         let _span = fda_obs::histogram!("net_socket_write_us").span();
+        let head = &head.bytes;
         // Manual gather loop: `write_vectored` has no `write_all`
         // counterpart, so advance through partial writes by hand. While
         // any head bytes remain, offer both slices; after that, finish
@@ -419,7 +584,7 @@ pub fn write_frame<W: Write>(
     if fda_obs::enabled() {
         let reg = fda_obs::registry();
         let bytes = 13 + payload.len() as u64;
-        reg.counter(kind.tx_counter()).add(bytes);
+        reg.counter(head.kind.tx_counter()).add(bytes);
         reg.counter("net_tx_vectored_bytes").add(bytes);
     }
     Ok(())
@@ -448,7 +613,8 @@ pub fn read_frame_into<R: Read>(
                 "frame length {len} outside (0, {MAX_FRAME_BYTES}]"
             )));
         }
-        buf.clear();
+        // No `clear()` first: `read_exact` overwrites every byte, so only
+        // growth past the previous frame needs zero-filling.
         buf.resize(len as usize, 0);
         r.read_exact(buf)?;
     }
@@ -457,7 +623,7 @@ pub fn read_frame_into<R: Read>(
     let epoch = u32::from_le_bytes(epoch_bytes);
     let crc = u32::from_le_bytes(header[8..12].try_into().expect("len 4"));
     let (kind_byte, payload) = buf.split_first().expect("len >= 1");
-    let actual = fnv1a_32(&[&epoch_bytes, &[*kind_byte], payload]);
+    let actual = checksum(&[&epoch_bytes, &[*kind_byte], payload]);
     if actual != crc {
         return Err(NetError::Protocol(format!(
             "frame checksum mismatch (declared {crc:#010x}, computed {actual:#010x})"
@@ -525,7 +691,7 @@ mod tests {
         // Compose a frame with a valid checksum but an unassigned kind
         // byte: the checksum passes, the kind dispatch must still reject.
         let epoch = 5u32.to_le_bytes();
-        let crc = fnv1a_32(&[&epoch, &[250u8]]);
+        let crc = checksum(&[&epoch, &[250u8]]);
         let mut buf = 1u32.to_le_bytes().to_vec();
         buf.extend_from_slice(&epoch);
         buf.extend_from_slice(&crc.to_le_bytes());
@@ -552,7 +718,7 @@ mod tests {
     /// mismatch or unknown kind), never as a silently different decode.
     #[test]
     fn every_bit_flip_past_len_is_detected() {
-        let frame = encode_frame(42, FrameKind::State, &[9, 8, 7, 6, 5]);
+        let frame = encode_frame(42, FrameKind::State, &[9, 8, 7, 6, 5]).unwrap();
         for byte in 4..frame.len() {
             for bit in 0..8 {
                 let mut corrupt = frame.clone();
@@ -571,7 +737,7 @@ mod tests {
     /// error.
     #[test]
     fn len_field_bit_flips_never_decode() {
-        let frame = encode_frame(1, FrameKind::AvgState, &[1; 40]);
+        let frame = encode_frame(1, FrameKind::AvgState, &[1; 40]).unwrap();
         for byte in 0..4 {
             for bit in 0..8 {
                 let mut corrupt = frame.clone();
@@ -626,8 +792,8 @@ mod tests {
     /// exact octets of [`encode_frame`] for every kind, from the empty
     /// payload up through a model-sized one ("max-size" here means the
     /// largest CI-tractable image — 1 MiB; the 256 MiB cap itself is
-    /// exercised by the oversize panic tests, which would need half a
-    /// gigabyte of buffers to hit byte-for-byte).
+    /// exercised on the length check alone, see
+    /// `oversized_payload_is_a_protocol_error_not_a_panic`).
     #[test]
     fn vectored_write_matches_encode_frame_for_every_kind() {
         let kinds = [
@@ -645,7 +811,7 @@ mod tests {
         for kind in kinds {
             for len in [0usize, 1, 12, 13, 4096, 1 << 20] {
                 let payload: Vec<u8> = (0..len).map(|i| (i * 31 + kind as usize) as u8).collect();
-                let reference = encode_frame(9_000 + len as u32, kind, &payload);
+                let reference = encode_frame(9_000 + len as u32, kind, &payload).unwrap();
                 // `Vec<u8>`'s `write_vectored` appends every buffer.
                 let mut vectored: Vec<u8> = Vec::new();
                 write_frame(&mut vectored, 9_000 + len as u32, kind, &payload).unwrap();
@@ -680,14 +846,61 @@ mod tests {
         let payload: Vec<u8> = (0..257).map(|i| i as u8).collect();
         let mut sink = Trickle(Vec::new());
         write_frame(&mut sink, 77, FrameKind::Model, &payload).unwrap();
-        assert_eq!(sink.0, encode_frame(77, FrameKind::Model, &payload));
+        assert_eq!(
+            sink.0,
+            encode_frame(77, FrameKind::Model, &payload).unwrap()
+        );
     }
 
+    /// An oversize payload is a typed error, not a panic. Checked on the
+    /// length alone — the step every encoder runs first — so the test
+    /// needs no 256 MiB buffer to stand in for the payload.
     #[test]
-    #[should_panic(expected = "frame payload exceeds MAX_FRAME_BYTES")]
-    fn vectored_write_rejects_oversized_payload() {
-        let huge = vec![0u8; MAX_FRAME_BYTES as usize];
-        let _ = write_frame(&mut Vec::new(), 0, FrameKind::Model, &huge);
+    fn oversized_payload_is_a_protocol_error_not_a_panic() {
+        let max_payload = MAX_FRAME_BYTES as usize - 1;
+        assert_eq!(frame_len(0).unwrap(), 1);
+        assert_eq!(frame_len(max_payload).unwrap(), MAX_FRAME_BYTES);
+        for too_long in [max_payload + 1, u32::MAX as usize, usize::MAX] {
+            match frame_len(too_long) {
+                Err(NetError::Protocol(what)) => {
+                    assert!(what.contains("exceeds MAX_FRAME_BYTES"), "{what}")
+                }
+                other => panic!("length {too_long} accepted: {other:?}"),
+            }
+        }
+    }
+
+    /// The encode-once path: one head, many writes, each byte-identical to
+    /// a frame encoded on its own.
+    #[test]
+    fn one_head_serves_every_target_of_a_broadcast() {
+        let payload: Vec<u8> = (0..1000).map(|i| (i * 7) as u8).collect();
+        let head = FrameHead::new(12, FrameKind::AvgModel, &payload).unwrap();
+        assert_eq!(head.epoch(), 12);
+        let reference = encode_frame(12, FrameKind::AvgModel, &payload).unwrap();
+        for _ in 0..3 {
+            let mut wire = Vec::new();
+            write_frame_with(&mut wire, &head, &payload).unwrap();
+            assert_eq!(wire, reference);
+        }
+    }
+
+    /// A shorter frame after a longer one must not expose the longer one's
+    /// tail: the buffer is resized, not cleared, so its length is the
+    /// contract.
+    #[test]
+    fn read_frame_into_shrinks_to_the_frame() {
+        let mut wire: Vec<u8> = Vec::new();
+        write_frame(&mut wire, 1, FrameKind::Model, &[0xFF; 64]).unwrap();
+        write_frame(&mut wire, 1, FrameKind::State, &[1, 2, 3]).unwrap();
+        write_frame(&mut wire, 1, FrameKind::Model, &[7; 32]).unwrap();
+        let mut cursor = std::io::Cursor::new(wire);
+        let mut buf = Vec::new();
+        read_frame_into(&mut cursor, &mut buf).unwrap();
+        read_frame_into(&mut cursor, &mut buf).unwrap();
+        assert_eq!(buf, [FrameKind::State as u8, 1, 2, 3]);
+        read_frame_into(&mut cursor, &mut buf).unwrap();
+        assert_eq!(&buf[1..], &[7u8; 32][..]);
     }
 
     #[test]
@@ -722,11 +935,74 @@ mod tests {
         assert_eq!(inner, vec![1, 2, 3, 4, 5]);
     }
 
+    /// The retained FNV export keeps its historical values (the
+    /// benchmark replays it by name).
     #[test]
     fn fnv1a_chunking_is_concatenation() {
         let whole = fnv1a_32(&[b"abcdef"]);
         let chunked = fnv1a_32(&[b"ab", b"cd", b"ef"]);
         assert_eq!(whole, chunked);
         assert_ne!(fnv1a_32(&[b"abcdef"]), fnv1a_32(&[b"abcdeg"]));
+        assert_eq!(fnv1a_32(&[]), 0x811c_9dc5);
+        assert_eq!(fnv1a_32(&[b"a"]), 0xe40c_292c);
+    }
+
+    /// CRC-32C known answers: the check value of the catalogue entry
+    /// (iSCSI, RFC 3720 appendix B.4 vectors) and the empty string.
+    #[test]
+    fn checksum_known_answers() {
+        assert_eq!(checksum(&[b"123456789"]), 0xE306_9283);
+        // The portable arm by name, whichever arm `checksum` dispatched.
+        assert_eq!(!crc32c::table(!0, b"123456789"), 0xE306_9283);
+        assert_eq!(checksum(&[]), 0);
+        assert_eq!(checksum(&[&[0u8; 32]]), 0x8A91_36AA);
+        assert_eq!(checksum(&[&[0xFFu8; 32]]), 0x62A8_AB43);
+        let ascending: Vec<u8> = (0..32).collect();
+        assert_eq!(checksum(&[&ascending]), 0x46DD_794E);
+    }
+
+    #[test]
+    fn checksum_chunking_is_concatenation() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 37 + 11) as u8).collect();
+        let whole = checksum(&[&data]);
+        for split in [0, 1, 7, 8, 9, 64, 199, 200] {
+            let (a, b) = data.split_at(split);
+            assert_eq!(checksum(&[a, b]), whole, "split at {split}");
+        }
+        assert_eq!(
+            checksum(&[&data[..3], &[], &data[3..50], &data[50..]]),
+            whole
+        );
+    }
+
+    /// The two arms are one function: every length 0..=4096 at every
+    /// 8-byte alignment, plus a carried-in state (the chunked use). Skips
+    /// the comparison (not the table's known answers above) on a host
+    /// without SSE4.2.
+    #[test]
+    fn hardware_crc_equals_table_crc() {
+        let Some(hardware) = crc32c::hardware() else {
+            return;
+        };
+        let mut rng = fda_tensor::Rng::new(0xC4C);
+        let backing: Vec<u8> = (0..4096 + 8).map(|_| rng.next_u64() as u8).collect();
+        for len in 0..=4096usize {
+            let align = len % 8;
+            let bytes = &backing[align..align + len];
+            let seed = (len as u32).wrapping_mul(0x9E37_79B9);
+            assert_eq!(
+                hardware(seed, bytes),
+                crc32c::table(seed, bytes),
+                "len {len} align {align}"
+            );
+        }
+        for align in 0..8 {
+            let bytes = &backing[align..align + 1021];
+            assert_eq!(
+                hardware(!0, bytes),
+                crc32c::table(!0, bytes),
+                "align {align}"
+            );
+        }
     }
 }

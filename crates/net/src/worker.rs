@@ -460,7 +460,7 @@ fn apply_faults(
                 // Corrupt the frame past the length field so the
                 // coordinator reads a complete frame and the checksum —
                 // not a short read — must catch it.
-                let mut frame = encode_frame(session.epoch, FrameKind::State, state_payload);
+                let mut frame = encode_frame(session.epoch, FrameKind::State, state_payload)?;
                 let body_bits = (frame.len() - 4) * 8;
                 let b = bit as usize % body_bits;
                 frame[4 + b / 8] ^= 1 << (b % 8);
@@ -469,7 +469,7 @@ fn apply_faults(
                 return Ok(FaultOutcome::Sent);
             }
             FaultAction::TruncateState { keep, .. } => {
-                let frame = encode_frame(session.epoch, FrameKind::State, state_payload);
+                let frame = encode_frame(session.epoch, FrameKind::State, state_payload)?;
                 let keep = (keep as usize).min(frame.len().saturating_sub(1));
                 session.stream.write_all(&frame[..keep])?;
                 session.stream.flush()?;

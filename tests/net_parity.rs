@@ -247,3 +247,102 @@ fn k1_and_k2_processes_match_simulator() {
     assert_parity(2, "linear", FdaConfig::linear(0.01));
     assert_parity(2, "sketch", FdaConfig::sketch_auto(0.01));
 }
+
+/// Wire bytes and checksums do not depend on the kernel arm: a coordinator
+/// on this process's arm and worker processes forced onto the scalar arm
+/// (`FDA_FORCE_KERNEL=scalar`: table CRC, per-element quantizer) run a
+/// coded-uplink, delta-downlink job to completion — every frame either
+/// side checksummed verifies on the other, every coded payload decodes,
+/// and the bytes measured on the sockets equal the bytes charged.
+/// Trajectory equality is deliberately *not* asserted across arms (float
+/// reductions reassociate per arm; determinism is a per-arm property).
+#[test]
+fn scalar_arm_workers_pair_with_a_default_arm_coordinator() {
+    use fda::comm::{CodecSpec, DownlinkSpec};
+    use fda::net::{Coordinator, MemberEvent};
+    use std::process::{Command, Stdio};
+
+    let k = 2;
+    let uniform8 = CodecSpec::Uniform8 { chunk: 256 };
+    let mut spec = spec(k, FdaConfig::linear(0.0));
+    spec.codec = uniform8;
+    spec.downlink = DownlinkSpec::Delta { codec: uniform8 };
+
+    let coordinator = Coordinator::bind("127.0.0.1:0").expect("bind");
+    let addr = coordinator.local_addr().expect("addr").to_string();
+    let mut workers: Vec<_> = (0..k)
+        .map(|id| {
+            Command::new(env!("CARGO_BIN_EXE_fda_node"))
+                .args(["worker", "--connect", &addr, "--id", &id.to_string()])
+                .env("FDA_FORCE_KERNEL", "scalar")
+                .stdin(Stdio::null())
+                .stdout(Stdio::null())
+                .spawn()
+                .expect("spawn fda_node worker")
+        })
+        .collect();
+    let report = coordinator.run(&spec);
+    for (id, child) in workers.iter_mut().enumerate() {
+        if report.is_err() {
+            let _ = child.kill();
+        }
+        let status = child.wait().expect("wait for worker");
+        assert!(
+            status.success() || report.is_err(),
+            "worker {id} exited with {status}"
+        );
+    }
+    let report = report.expect("mixed-arm run");
+
+    assert!(
+        report
+            .events
+            .iter()
+            .all(|e| matches!(e.event, MemberEvent::Joined { rejoin: false })),
+        "no worker may be dropped (a checksum or decode mismatch would drop one): {:?}",
+        report.events
+    );
+    assert_eq!(report.survivors, vec![0, 1]);
+    assert_eq!(report.syncs, u64::from(STEPS), "Θ = 0 syncs every round");
+    assert_eq!(
+        report.measured_payload_bytes, report.charged_bytes,
+        "bytes measured on the socket != bytes charged"
+    );
+}
+
+/// The version gate: a peer that frames correctly but announces protocol
+/// v4 is turned away at the handshake with the version-mismatch error.
+#[test]
+fn v4_hello_is_rejected_at_the_handshake() {
+    use fda::net::{Coordinator, Msg, NetError};
+
+    let coordinator = Coordinator::bind("127.0.0.1:0").expect("bind");
+    let addr = coordinator.local_addr().expect("addr");
+    let peer = std::thread::spawn(move || {
+        let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+        let hello = Msg::Hello {
+            version: 4,
+            worker_id: 0,
+            last_epoch: 0,
+        };
+        hello.send(&mut stream, 0).expect("send hello");
+        // Hold the socket open until the coordinator has answered by
+        // closing it.
+        let _ = std::io::Read::read(&mut stream, &mut [0u8; 1]);
+    });
+    let err = coordinator
+        .run(&spec(1, FdaConfig::linear(0.01)))
+        .expect_err("a v4 peer must not be admitted");
+    drop(coordinator);
+    peer.join().expect("peer thread");
+    match err {
+        NetError::Protocol(what) => assert_eq!(
+            what,
+            format!(
+                "worker 0 speaks protocol v4, coordinator v{}",
+                fda::net::PROTOCOL_VERSION
+            )
+        ),
+        other => panic!("expected the version-mismatch error, got {other}"),
+    }
+}

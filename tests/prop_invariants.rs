@@ -589,7 +589,7 @@ fn frame_reader_is_total_and_checksummed_under_fuzz() {
         let mut inner = Rng::new(0xE2_0000 + case);
         let msg = random_msg(&mut inner);
         let (kind, payload) = msg.encode();
-        let frame = encode_frame((inner.next_u64() % 100) as u32, kind, &payload);
+        let frame = encode_frame((inner.next_u64() % 100) as u32, kind, &payload).unwrap();
         let i = (inner.next_u64() as usize) % frame.len();
         let mut corrupt = frame.clone();
         corrupt[i] ^= 1 << (inner.next_u64() % 8);
@@ -607,7 +607,7 @@ fn frame_reader_is_total_and_checksummed_under_fuzz() {
         let unknown = 200 + (inner.next_u64() % 50) as u8;
         let mut spliced = Vec::with_capacity(frame.len());
         let epoch_bytes = &frame[4..8];
-        let crc = fda::net::frame::fnv1a_32(&[epoch_bytes, &[unknown], &payload]);
+        let crc = fda::net::frame::checksum(&[epoch_bytes, &[unknown], &payload]);
         spliced.extend_from_slice(&frame[0..4]);
         spliced.extend_from_slice(epoch_bytes);
         spliced.extend_from_slice(&crc.to_le_bytes());
