@@ -15,6 +15,7 @@
 //! in-flight step (models cannot be averaged mid-step).
 
 use crate::cluster::{Cluster, ClusterConfig};
+use crate::fda::violates;
 use crate::monitor::{LocalState, VarianceMonitor};
 use fda_data::TaskData;
 use fda_tensor::{vector, Rng};
@@ -165,7 +166,7 @@ impl AsyncFda {
             .map(|i| self.latest_states[i].as_ref().unwrap_or(&self.zero_state))
             .collect();
         let estimate = self.monitor.estimate(&LocalState::average_refs(&states));
-        if estimate > self.theta {
+        if violates(estimate, self.theta) {
             // Rendezvous: everyone finishes the current in-flight step
             // (virtual clocks align to the latest worker), then AllReduce.
             let rendezvous = self.clock.iter().cloned().fold(0.0f64, f64::max);

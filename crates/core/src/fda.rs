@@ -88,6 +88,29 @@ impl FdaVariant {
     }
 }
 
+/// Registry counter bumped each time [`violates`] forces a synchronization
+/// because the estimate was not finite.
+pub const COUNTER_NONFINITE_SYNCS: &str = "fda_nonfinite_estimate_syncs";
+
+/// The Round Invariant check of Algorithm 1: `true` iff the averaged
+/// estimate `H(S̄)` exceeds Θ and the models must synchronize — the single
+/// home of the decision, shared by every driver (simulator, async,
+/// threaded, socket coordinator and the socket worker's cross-check) so
+/// they cannot disagree.
+///
+/// The check **fails closed**: a NaN or infinite estimate (a diverged
+/// replica) synchronizes, where the bare `estimate > theta` is false for
+/// NaN and would leave the replica unsynchronized forever. Finite
+/// estimates decide exactly as `estimate > theta`.
+pub fn violates(estimate: f32, theta: f32) -> bool {
+    if !estimate.is_finite() {
+        // Cold path: a registry lookup by name is fine here.
+        fda_obs::registry().counter(COUNTER_NONFINITE_SYNCS).inc();
+        return true;
+    }
+    estimate > theta
+}
+
 /// FDA configuration: the variant and the variance threshold Θ.
 #[derive(Debug, Clone, Copy)]
 pub struct FdaConfig {
@@ -494,7 +517,7 @@ impl Strategy for Fda {
         let mut synced = false;
         {
             let _span = fda_obs::histogram!(HIST_ALLREDUCE_US).span();
-            if estimate > self.theta {
+            if violates(estimate, self.theta) {
                 // `w_new` ends up in one of the scratch slots and is then
                 // swapped with `w_sync`, so the previous consensus becomes
                 // next round's scratch.
@@ -592,6 +615,52 @@ mod tests {
 
     fn tiny_cluster_config(k: usize) -> ClusterConfig {
         ClusterConfig::small_test(k)
+    }
+
+    #[test]
+    fn violates_fails_closed_on_non_finite_estimates() {
+        // Finite estimates decide exactly as `estimate > theta`.
+        assert!(violates(0.06, 0.05));
+        assert!(!violates(0.05, 0.05));
+        assert!(!violates(0.0, 0.0));
+        assert!(!violates(-1.0, 0.0));
+        // A diverged replica synchronizes, whatever Θ is.
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert!(violates(bad, 0.05), "{bad}");
+            assert!(violates(bad, f32::MAX), "{bad}");
+        }
+    }
+
+    /// ROADMAP 5b: a replica that diverged to NaN makes `H(S̄)` NaN, and
+    /// `NaN > Θ` is false — the bare comparison stopped synchronizing
+    /// forever. The decision must fail closed: every round with a
+    /// non-finite estimate synchronizes (and is counted).
+    #[test]
+    fn nan_replica_forces_synchronization() {
+        fda_obs::set_enabled(true);
+        let counter = fda_obs::registry().counter(COUNTER_NONFINITE_SYNCS);
+        let task = tiny_task();
+        for config in [FdaConfig::linear(1e30), FdaConfig::sketch_auto(1e30)] {
+            let mut fda = Fda::new(config, tiny_cluster_config(3), &task);
+            // Θ is out of reach: a healthy cluster never synchronizes.
+            for _ in 0..3 {
+                assert!(!fda.step().synced, "{}: healthy rounds", fda.name());
+            }
+            let d = fda.cluster().dim();
+            fda.cluster_mut()
+                .worker_mut(1)
+                .model_mut()
+                .load_params(&vec![f32::NAN; d]);
+            let before = counter.get();
+            for round in 0..3 {
+                let out = fda.step();
+                let estimate = out.variance_estimate.expect("fda reports estimates");
+                assert!(!estimate.is_finite(), "{}: round {round}", fda.name());
+                assert!(out.synced, "{}: NaN estimate must synchronize", fda.name());
+            }
+            assert_eq!(fda.syncs(), 3, "{}", fda.name());
+            assert!(counter.get() >= before + 3, "{}: counter", fda.name());
+        }
     }
 
     #[test]

@@ -223,12 +223,17 @@ impl VarianceMonitor for SketchMonitor {
 /// monitor conservatively uses `⟨ξ, u⟩ = 0` (maximal over-estimate).
 pub struct LinearMonitor {
     xi: Option<Vec<f32>>,
+    /// Retired ξ storage, reused for the next candidate direction.
+    spare: Vec<f32>,
 }
 
 impl LinearMonitor {
     /// Creates the monitor (ξ unset until the second synchronization).
     pub fn new() -> LinearMonitor {
-        LinearMonitor { xi: None }
+        LinearMonitor {
+            xi: None,
+            spare: Vec::new(),
+        }
     }
 
     /// The current heuristic direction, if any.
@@ -272,14 +277,19 @@ impl VarianceMonitor for LinearMonitor {
     }
 
     fn on_sync(&mut self, w_new: &[f32], w_prev: &[f32]) {
-        let mut xi = vec![0.0f32; w_new.len()];
-        vector::sub_into(w_new, w_prev, &mut xi);
-        let norm = vector::normalize(&mut xi);
+        // The candidate is built in the spare buffer — the storage of the
+        // ξ before last — so steady-state syncs allocate nothing.
+        let mut candidate = std::mem::take(&mut self.spare);
+        candidate.resize(w_new.len(), 0.0);
+        vector::sub_into(w_new, w_prev, &mut candidate);
+        let norm = vector::normalize(&mut candidate);
         // A zero difference (identical consecutive syncs) gives no usable
         // direction; keep the previous ξ in that degenerate case.
-        if norm > 0.0 && norm.is_finite() {
-            self.xi = Some(xi);
-        }
+        self.spare = if norm > 0.0 && norm.is_finite() {
+            self.xi.replace(candidate).unwrap_or_default()
+        } else {
+            candidate
+        };
     }
 }
 

@@ -22,6 +22,7 @@
 //! simulator's trajectory (tests assert both), while the reduction itself
 //! executes chunk-parallel across the participating threads.
 
+use crate::fda::violates;
 use crate::monitor::{LinearMonitor, LocalState, SketchMonitor, StateSummary, VarianceMonitor};
 use fda_comm::ThreadedReducer;
 use fda_data::batch::BatchSampler;
@@ -184,7 +185,7 @@ pub fn run_threaded_fda(config: ThreadedFdaConfig, task: &TaskData) -> ThreadedF
                         // (4) Consistent conditional synchronization: all
                         // workers see the identical averaged buffer, so the
                         // comparison agrees everywhere.
-                        if monitor.estimate(&avg) > config.theta {
+                        if violates(monitor.estimate(&avg), config.theta) {
                             model_reducer.allreduce_indexed(worker, &mut params);
                             model.load_params(&params);
                             monitor.on_sync(&params, &w_sync);

@@ -42,6 +42,7 @@ use crate::frame::{
 };
 use crate::protocol::{recv_at_epoch, recv_frame_at_epoch_into, Msg};
 use fda_comm::{delta_downlink_into, AccountingMode, SimNetwork};
+use fda_core::fda::violates;
 use fda_core::monitor::LocalState;
 use fda_core::wire::{
     decode_state_coded, decode_vector_coded, encode_state_into, encode_vector, encode_vector_into,
@@ -655,7 +656,7 @@ impl Coordinator {
                 .collect();
             let avg = LocalState::average_refs(&refs);
             let estimate = monitor.estimate(&avg);
-            let sync = estimate > spec.fda.theta;
+            let sync = violates(estimate, spec.fda.theta);
             estimates.push(estimate);
             decisions.push(sync);
 

@@ -32,6 +32,7 @@ use crate::frame::{
 use crate::protocol::Msg;
 use fda_comm::apply_delta_downlink;
 use fda_core::cluster::Worker;
+use fda_core::fda::violates;
 use fda_core::wire::{encode_state_coded_into, encode_vector_coded_into, JobSpec};
 use fda_tensor::vector;
 use std::io::Write as _;
@@ -340,7 +341,7 @@ fn run_session(
             Msg::AvgState { state, sync } => (state, sync),
             other => return Err(session.protocol_err("avg-state", &other)),
         };
-        let local_decision = monitor.estimate(&avg) > spec.fda.theta;
+        let local_decision = violates(monitor.estimate(&avg), spec.fda.theta);
         if local_decision != sync {
             return Err(NetError::Protocol(format!(
                 "worker {}: local H(S̄) decision ({local_decision}) disagrees \

@@ -37,6 +37,15 @@ impl Layer for Relu {
         x
     }
 
+    /// No mask is written (and the old one is dropped).
+    fn forward_inference(&mut self, mut x: Matrix) -> Matrix {
+        self.mask.clear();
+        for v in x.as_mut_slice() {
+            *v = v.max(0.0);
+        }
+        x
+    }
+
     fn backward(&mut self, dy: Matrix) -> Matrix {
         assert_eq!(
             dy.len(),
@@ -80,6 +89,15 @@ impl Layer for Tanh {
         }
         self.y.clear();
         self.y.extend_from_slice(x.as_slice());
+        x
+    }
+
+    /// No output cache is written (and the old one is dropped).
+    fn forward_inference(&mut self, mut x: Matrix) -> Matrix {
+        self.y.clear();
+        for v in x.as_mut_slice() {
+            *v = v.tanh();
+        }
         x
     }
 
@@ -129,6 +147,16 @@ impl Layer for LeakyRelu {
         for (v, m) in x.as_mut_slice().iter_mut().zip(self.mask.iter_mut()) {
             *m = if *v > 0.0 { 1.0 } else { alpha };
             *v *= *m;
+        }
+        x
+    }
+
+    /// No mask is written (and the old one is dropped).
+    fn forward_inference(&mut self, mut x: Matrix) -> Matrix {
+        self.mask.clear();
+        let alpha = self.alpha;
+        for v in x.as_mut_slice() {
+            *v *= if *v > 0.0 { 1.0 } else { alpha };
         }
         x
     }

@@ -21,9 +21,28 @@
 //! All lowering buffers (`cols`, `dcol`, and the GEMM packing [`Scratch`])
 //! are keyed on **capacity**: they grow to the largest batch seen and are
 //! thereafter reshaped in place, so steady-state training performs no
-//! per-step allocation inside the convolution beyond its output matrix —
-//! and batch size changes (e.g. the ragged final chunk of an evaluation
-//! pass) cost a memset instead of a reallocation.
+//! per-step allocation inside the convolution beyond its output matrix.
+//!
+//! # Lowering: shift + mask
+//!
+//! For *same-padding* geometry (`2·pad = k − 1`, so the output plane has
+//! the input plane's extents — every conv in the zoo) the column-matrix
+//! row of tap `(ch, ky, kx)` is the **whole channel row** of the input
+//! shifted by `δ = (ky − pad)·w + (kx − pad)`, with the positions whose
+//! shifted partner falls outside its sample's plane forced to `+0.0`. So
+//! im2col is `in_c·k²` long bit-masked copies and col2im the same number of
+//! long masked adds ([`ShiftPlan`]), instead of thousands of short
+//! `copy_from_slice` runs. The border is a **bitwise AND** with an
+//! all-ones / all-zeros lane mask, not a multiply: `0 · Inf` and `0 · NaN`
+//! are NaN, while a masked lane must contribute exactly nothing. Every
+//! position of `cols` is written on every lowering, so the buffer needs no
+//! zero-initialisation invariant and a batch-size change costs nothing.
+//!
+//! The copy plan ([`build_copy_plan`]) stays the single description of
+//! the geometry: the shift masks are derived from it, it is what the
+//! property suite inspects, and it drives the lowering of convs whose
+//! output width differs from the input width (no constant shift exists
+//! there).
 
 use crate::init::Init;
 use crate::layer::{Layer, Shape3};
@@ -44,9 +63,9 @@ pub struct Conv2d {
     dw: Matrix,
     db: Vec<f32>,
     /// Batched column matrix from the last forward
-    /// (`in_c·k·k × batch·spatial`); padded positions are zeroed once at
-    /// allocation and never dirtied, valid positions are overwritten each
-    /// step.
+    /// (`in_c·k·k × batch·spatial`). Shift lowering rewrites every position
+    /// each step; under the plan fallback padded positions are zeroed at
+    /// (re)shape time and never dirtied.
     cols: Matrix,
     /// Batch size the lowering buffers were built for (0 = not yet built).
     cols_batch: usize,
@@ -57,6 +76,8 @@ pub struct Conv2d {
     scratch: Scratch,
     /// Precomputed im2col copy runs (see [`build_copy_plan`]).
     plan: Vec<CopyRun>,
+    /// Shift + mask lowering, `Some` iff the geometry is same-padding.
+    shift: Option<ShiftPlan>,
 }
 
 /// One contiguous copy between a channel plane of the input and a
@@ -165,6 +186,137 @@ fn col2im_from(plan: &[CopyRun], dcol: &Matrix, col_off: usize, dx: &mut Matrix,
     }
 }
 
+/// Target length (in floats) of one masked-copy call: long enough that
+/// the vector loop dominates its prologue, short enough that a chunk of
+/// `dx` stays in L1 across the `k²` taps of the col2im accumulation.
+const SHIFT_CHUNK: usize = 1024;
+
+/// The shift + mask form of the copy plan for same-padding geometry (see
+/// the module docs). One entry per kernel tap `ky·k + kx`, shared by all
+/// channels.
+struct ShiftPlan {
+    /// Source offset of each tap: `cols[(ch, tap)][p] = x[ch][p + delta]`
+    /// wherever the mask is set.
+    delta: Vec<isize>,
+    /// Per tap, `chunk` lane masks (all-ones where the shifted read stays
+    /// inside the sample's plane, zero on the padded border): the plane
+    /// mask tiled over a whole number of samples.
+    mask: Vec<u32>,
+    /// Mask row length: a whole number of planes, ≥ [`SHIFT_CHUNK`] for
+    /// all but huge planes. Lowering walks the batch in chunks of this
+    /// many positions, so the masks are independent of the batch size.
+    chunk: usize,
+}
+
+impl ShiftPlan {
+    /// Derives the per-tap shifts and border masks from the copy plan, or
+    /// `None` when the output plane is not the input plane (then no
+    /// constant shift relates a column-matrix row to its channel row).
+    fn from_plan(plan: &[CopyRun], in_shape: Shape3, out_shape: Shape3, k: usize) -> Option<Self> {
+        if (in_shape.h, in_shape.w) != (out_shape.h, out_shape.w) {
+            return None;
+        }
+        let hw = in_shape.spatial();
+        let taps = k * k;
+        let mut delta: Vec<Option<isize>> = vec![None; taps];
+        let mut plane = vec![0u32; taps * hw];
+        // Channel 0's runs describe every tap; the other channels repeat
+        // them. A tap entirely in the padding has no run: its mask stays
+        // zero and its shift is irrelevant.
+        for run in plan.iter().filter(|r| r.src_row == 0) {
+            let tap = run.row as usize;
+            let d = run.src as isize - run.dst as isize;
+            assert_eq!(
+                *delta[tap].get_or_insert(d),
+                d,
+                "conv: copy plan is not one constant shift per tap"
+            );
+            let start = tap * hw + run.dst as usize;
+            plane[start..start + run.len as usize].fill(u32::MAX);
+        }
+        let delta: Vec<isize> = delta.into_iter().map(|d| d.unwrap_or(0)).collect();
+        let samples = SHIFT_CHUNK.div_ceil(hw);
+        let chunk = samples * hw;
+        let mut mask = Vec::with_capacity(taps * chunk);
+        for tap in 0..taps {
+            for _ in 0..samples {
+                mask.extend_from_slice(&plane[tap * hw..(tap + 1) * hw]);
+            }
+        }
+        Some(ShiftPlan { delta, mask, chunk })
+    }
+
+    /// The positions of chunk `[a, b)` whose partner under shift `delta`
+    /// lies in the same chunk. Chunks are whole samples, so everything
+    /// outside this range reads across a sample boundary — padding.
+    fn interior(a: usize, b: usize, delta: isize) -> (usize, usize) {
+        let lo = (a + delta.min(0).unsigned_abs()).min(b);
+        let hi = b.saturating_sub(delta.max(0).unsigned_abs()).max(lo);
+        (lo, hi)
+    }
+
+    /// im2col: `cols[(ch, tap)][p] = x[ch][p + δ] & mask[tap][p]`, every
+    /// position of `cols` written.
+    fn lower(&self, x: &Matrix, cols: &mut Matrix) {
+        let taps = self.delta.len();
+        let n = x.cols();
+        for row in 0..cols.rows() {
+            let (ch, tap) = (row / taps, row % taps);
+            let delta = self.delta[tap];
+            let mask = &self.mask[tap * self.chunk..(tap + 1) * self.chunk];
+            let src = x.row(ch);
+            let dst = cols.row_mut(row);
+            for a in (0..n).step_by(self.chunk) {
+                let b = (a + self.chunk).min(n);
+                let (lo, hi) = Self::interior(a, b, delta);
+                dst[a..lo].fill(0.0);
+                dst[hi..b].fill(0.0);
+                if lo == hi {
+                    continue;
+                }
+                let shifted = &src[lo.wrapping_add_signed(delta)..hi.wrapping_add_signed(delta)];
+                for ((d, s), m) in dst[lo..hi].iter_mut().zip(shifted).zip(&mask[lo - a..]) {
+                    *d = f32::from_bits(s.to_bits() & m);
+                }
+            }
+        }
+    }
+
+    /// col2im, the adjoint: `dx[ch][p + δ] += dcol[(ch, tap)][p] &
+    /// mask[tap][p]` into a zeroed `dx`, taps in ascending order per
+    /// destination element — the association of the plan-driven scatter,
+    /// whose runs are sorted by tap and touch each destination at most
+    /// once per tap. A masked lane adds `+0.0`, which leaves every value a
+    /// sum started at `+0.0` can hold (never `−0.0`) unchanged, bit for
+    /// bit.
+    fn scatter(&self, dcol: &Matrix, dx: &mut Matrix) {
+        let taps = self.delta.len();
+        let n = dx.cols();
+        for ch in 0..dx.rows() {
+            let dst = dx.row_mut(ch);
+            // Chunk-outer so the `dx` chunk stays cache-resident across
+            // its taps.
+            for a in (0..n).step_by(self.chunk) {
+                let b = (a + self.chunk).min(n);
+                for tap in 0..taps {
+                    let delta = self.delta[tap];
+                    let (lo, hi) = Self::interior(a, b, delta);
+                    if lo == hi {
+                        continue;
+                    }
+                    let mask = &self.mask[tap * self.chunk + lo - a..];
+                    let src = &dcol.row(ch * taps + tap)[lo..hi];
+                    let shifted =
+                        &mut dst[lo.wrapping_add_signed(delta)..hi.wrapping_add_signed(delta)];
+                    for ((d, s), m) in shifted.iter_mut().zip(src).zip(mask) {
+                        *d += f32::from_bits(s.to_bits() & m);
+                    }
+                }
+            }
+        }
+    }
+}
+
 impl Conv2d {
     /// Creates a convolution layer.
     ///
@@ -194,6 +346,7 @@ impl Conv2d {
         init.fill(w.as_mut_slice(), fan_in, fan_out, rng);
         let out_shape = Shape3::new(out_c, out_h, out_w);
         let plan = build_copy_plan(in_shape, out_shape, k, pad);
+        let shift = ShiftPlan::from_plan(&plan, in_shape, out_shape, k);
         Conv2d {
             in_shape,
             out_shape,
@@ -207,6 +360,7 @@ impl Conv2d {
             dcol: Matrix::zeros(0, 0),
             scratch: Scratch::new(),
             plan,
+            shift,
         }
     }
 
@@ -222,42 +376,91 @@ impl Conv2d {
 
     /// (Re)shapes the `cols` lowering buffer for `batch` samples. A no-op
     /// when the batch size is unchanged — the common training case. Scratch
-    /// is keyed on **capacity**, not exact shape: a batch-size change
-    /// reshapes in place ([`Matrix::resize_zeroed`]) and only grows the
-    /// allocation past its high-water mark, so the ragged final eval chunk
-    /// — which used to reallocate all lowering buffers twice per
-    /// evaluation pass — costs a memset. The backward-only `dcol` buffer is
-    /// sized lazily in [`Conv2d::ensure_backward_buffers`] so
-    /// inference-only use (e.g. the harness eval model) never pays for it.
+    /// is keyed on **capacity**, not exact shape: a batch-size change (the
+    /// ragged final eval chunk) reshapes in place and only grows the
+    /// allocation past its high-water mark. Shift lowering rewrites every
+    /// position, so the stale contents may stay; the plan fallback relies
+    /// on padded positions being zero and re-zeroes. The backward-only
+    /// `dcol` buffer is shaped in [`Conv2d::input_gradient`], so
+    /// inference-only use and a first layer never pay for it.
     fn ensure_buffers(&mut self, batch: usize) {
         if self.cols_batch == batch {
             return;
         }
         let fan_in = self.in_shape.c * self.k * self.k;
         let n = batch * self.out_shape.spatial();
-        // The re-zero keeps the padded-positions-stay-zero invariant that
-        // the im2col gather relies on.
-        self.cols.resize_zeroed(fan_in, n);
-        self.dcol.resize_zeroed(0, 0);
-        self.cols_batch = batch;
-    }
-
-    /// Shapes the backward staging buffer on first backward for the current
-    /// batch size (capacity-keyed like the forward buffers).
-    fn ensure_backward_buffers(&mut self) {
-        let n = self.cols_batch * self.out_shape.spatial();
-        if self.dcol.cols() != n {
-            let fan_in = self.in_shape.c * self.k * self.k;
-            self.dcol.resize_zeroed(fan_in, n);
+        if self.shift.is_some() {
+            self.cols.reshape_scratch(fan_in, n);
+        } else {
+            self.cols.resize_zeroed(fan_in, n);
         }
+        self.cols_batch = batch;
     }
 
     /// Lowers a channel-major batch into `self.cols`.
     fn lower(&mut self, x: &Matrix, batch: usize) {
-        let (in_spatial, spatial) = (self.in_shape.spatial(), self.out_shape.spatial());
-        for s in 0..batch {
-            im2col_into(&self.plan, x, s * in_spatial, &mut self.cols, s * spatial);
+        match &self.shift {
+            Some(shift) => shift.lower(x, &mut self.cols),
+            None => {
+                let (in_spatial, spatial) = (self.in_shape.spatial(), self.out_shape.spatial());
+                for s in 0..batch {
+                    im2col_into(&self.plan, x, s * in_spatial, &mut self.cols, s * spatial);
+                }
+            }
         }
+    }
+
+    /// The adjoint of [`Conv2d::lower`]: scatters a column-matrix gradient
+    /// into a fresh channel-major input gradient.
+    fn scatter(&self, dcol: &Matrix) -> Matrix {
+        let (in_spatial, spatial) = (self.in_shape.spatial(), self.out_shape.spatial());
+        let batch = dcol.cols() / spatial;
+        let mut dx = Matrix::zeros(self.in_shape.c, batch * in_spatial);
+        match &self.shift {
+            Some(shift) => shift.scatter(dcol, &mut dx),
+            None => {
+                for s in 0..batch {
+                    col2im_from(&self.plan, dcol, s * spatial, &mut dx, s * in_spatial);
+                }
+            }
+        }
+        dx
+    }
+
+    /// Checks an incoming gradient against the last forward and
+    /// accumulates the parameter gradients (`dW += dy · colsᵀ`, `db += row
+    /// sums of dy`) — everything of the backward pass that is not the
+    /// input gradient.
+    fn accumulate_param_grads(&mut self, dy: &Matrix) {
+        let (oc, spatial) = (self.out_shape.c, self.out_shape.spatial());
+        assert_eq!(
+            dy.rows(),
+            oc,
+            "conv: grad not channel-major for {:?} (rows = {}, want out_c = {oc})",
+            self.out_shape,
+            dy.rows()
+        );
+        assert_eq!(
+            dy.cols(),
+            self.cols_batch * spatial,
+            "conv: backward without matching forward (grad width {}, want batch {} × spatial {spatial})",
+            dy.cols(),
+            self.cols_batch
+        );
+        // One large GEMM for the whole batch; dy is already channel-major,
+        // no staging gather.
+        matrix::gemm_a_bt_accumulate_with(dy, &self.cols, &mut self.dw, &mut self.scratch);
+        for c in 0..oc {
+            self.db[c] += fda_tensor::vector::sum(dy.row(c));
+        }
+    }
+
+    /// `dL/dx`: `dcol = Wᵀ · dy`, then the col2im scatter.
+    fn input_gradient(&mut self, dy: &Matrix) -> Matrix {
+        let fan_in = self.in_shape.c * self.k * self.k;
+        self.dcol.resize_zeroed(fan_in, dy.cols());
+        matrix::gemm_at_b_accumulate_with(&self.w, dy, &mut self.dcol, &mut self.scratch);
+        self.scatter(&self.dcol)
     }
 
     // -----------------------------------------------------------------
@@ -293,13 +496,7 @@ impl Conv2d {
             "conv: col2im width {} is not a multiple of out spatial {spatial}",
             dcol.cols()
         );
-        let batch = dcol.cols() / spatial;
-        let in_spatial = self.in_shape.spatial();
-        let mut dx = Matrix::zeros(self.in_shape.c, batch * in_spatial);
-        for s in 0..batch {
-            col2im_from(&self.plan, dcol, s * spatial, &mut dx, s * in_spatial);
-        }
-        dx
+        self.scatter(dcol)
     }
 
     /// The precomputed copy-run plan as
@@ -349,39 +546,13 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, dy: Matrix) -> Matrix {
-        let (oc, spatial) = (self.out_shape.c, self.out_shape.spatial());
-        assert_eq!(
-            dy.rows(),
-            oc,
-            "conv: grad not channel-major for {:?} (rows = {}, want out_c = {oc})",
-            self.out_shape,
-            dy.rows()
-        );
-        assert_eq!(
-            dy.cols(),
-            self.cols_batch * spatial,
-            "conv: backward without matching forward (grad width {}, want batch {} × spatial {spatial})",
-            dy.cols(),
-            self.cols_batch
-        );
-        let batch = self.cols_batch;
-        self.ensure_backward_buffers();
-        // dW += dy · colsᵀ — one large GEMM for the whole batch; dy is
-        // already channel-major, no staging gather.
-        matrix::gemm_a_bt_accumulate_with(&dy, &self.cols, &mut self.dw, &mut self.scratch);
-        // db += row sums of dy.
-        for c in 0..oc {
-            self.db[c] += fda_tensor::vector::sum(dy.row(c));
-        }
-        // dcol = Wᵀ · dy, then scatter each sample's block back.
-        self.dcol.clear();
-        matrix::gemm_at_b_accumulate_with(&self.w, &dy, &mut self.dcol, &mut self.scratch);
-        let in_spatial = self.in_shape.spatial();
-        let mut dx = Matrix::zeros(self.in_shape.c, batch * in_spatial);
-        for s in 0..batch {
-            col2im_from(&self.plan, &self.dcol, s * spatial, &mut dx, s * in_spatial);
-        }
-        dx
+        self.accumulate_param_grads(&dy);
+        self.input_gradient(&dy)
+    }
+
+    /// Skips the `Wᵀ · dy` GEMM, the `dcol` buffer and the col2im scatter.
+    fn backward_params_only(&mut self, dy: Matrix) {
+        self.accumulate_param_grads(&dy);
     }
 
     fn param_count(&self) -> usize {
@@ -586,5 +757,120 @@ mod tests {
         // Identical inputs ⇒ identical outputs across the reuse cycle.
         assert_eq!(y_full_1.as_slice(), y_full_2.as_slice());
         assert_eq!(y_ragged_1.as_slice(), y_ragged_2.as_slice());
+    }
+
+    /// Fills `m` with normal noise, then plants ±0.0, ±∞ and NaN on and
+    /// next to the plane borders — the lanes a border mask must keep from
+    /// contributing anything.
+    fn fill_with_specials(m: &mut Matrix, plane: (usize, usize), rng: &mut Rng) {
+        rng.fill_normal(m.as_mut_slice(), 0.0, 1.0);
+        let (h, w) = plane;
+        let specials = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        for (i, v) in m.as_mut_slice().iter_mut().enumerate() {
+            let (y, x) = ((i / w) % h, i % w);
+            let near_border = y <= 1 || x <= 1 || y + 2 >= h || x + 2 >= w;
+            if near_border && rng.next_u64().is_multiple_of(3) {
+                *v = specials[(rng.next_u64() % 5) as usize];
+            }
+        }
+    }
+
+    /// Bitwise equality, except that any NaN equals any NaN: which operand's
+    /// payload an `a + b` of two NaNs keeps is the code generator's choice
+    /// (the add commutes), so only NaN-ness is comparable across two
+    /// differently vectorised loops.
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    /// (a) The shift + mask lowering and its adjoint against the
+    /// plan-driven reference, bit for bit: every same-padding kernel size,
+    /// non-square planes (including one larger than a mask chunk), batches
+    /// of one, of a ragged number of chunks and of 256, and non-finite
+    /// values on the border lanes.
+    #[test]
+    fn differential_shift_lowering_matches_copy_plan() {
+        let mut rng = Rng::new(0xD1FF);
+        let planes = [(1, 1), (2, 3), (5, 4), (6, 6), (12, 12), (3, 7), (40, 30)];
+        for &(h, w) in &planes {
+            for k in [1usize, 3, 5] {
+                let c = 1 + (rng.next_u64() % 3) as usize;
+                let in_shape = Shape3::new(c, h, w);
+                let mut conv = Conv2d::new(in_shape, 2, k, (k - 1) / 2, Init::HeNormal, &mut rng);
+                assert!(
+                    conv.shift.is_some(),
+                    "same padding must take the shift path"
+                );
+                let (hw, fan_in) = (h * w, c * k * k);
+                let batches: &[usize] = if hw > 1000 { &[1, 3] } else { &[1, 37, 256] };
+                for &batch in batches {
+                    let ctx = format!("{in_shape:?} k={k} batch={batch}");
+                    let mut x = Matrix::zeros(c, batch * hw);
+                    fill_with_specials(&mut x, (h, w), &mut rng);
+                    // Dirty scratch: the shift path may not rely on zeros.
+                    conv.cols = Matrix::from_vec(1, 7, vec![f32::NAN; 7]);
+                    conv.cols_batch = 0;
+                    let cols = conv.im2col_batch(&x);
+                    let mut want = Matrix::zeros(fan_in, batch * hw);
+                    for s in 0..batch {
+                        im2col_into(&conv.plan, &x, s * hw, &mut want, s * hw);
+                    }
+                    let exact = cols
+                        .as_slice()
+                        .iter()
+                        .zip(want.as_slice())
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(exact, "{ctx}: im2col differs from the copy plan");
+
+                    let mut dcol = Matrix::zeros(fan_in, batch * hw);
+                    fill_with_specials(&mut dcol, (h, w), &mut rng);
+                    let dx = conv.col2im_batch(&dcol);
+                    let mut want = Matrix::zeros(c, batch * hw);
+                    for s in 0..batch {
+                        col2im_from(&conv.plan, &dcol, s * hw, &mut want, s * hw);
+                    }
+                    assert!(
+                        same_bits(dx.as_slice(), want.as_slice()),
+                        "{ctx}: col2im differs from the copy plan"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A conv whose output plane is not its input plane has no constant
+    /// shift and keeps the copy plan — chosen from the geometry alone.
+    #[test]
+    fn differential_non_same_padding_keeps_copy_plan() {
+        let mut rng = Rng::new(0xD200);
+        for (k, pad) in [(3usize, 0usize), (2, 0), (3, 2), (2, 1)] {
+            let conv = Conv2d::new(Shape3::new(2, 5, 6), 3, k, pad, Init::HeNormal, &mut rng);
+            assert!(conv.shift.is_none(), "k={k} pad={pad}");
+        }
+    }
+
+    /// The first-layer backward leaves exactly the parameter gradients of
+    /// the full backward.
+    #[test]
+    fn differential_params_only_backward_matches_full() {
+        let mut rng = Rng::new(0xD201);
+        for (k, pad) in [(3usize, 1usize), (3, 0), (5, 2)] {
+            let shape = Shape3::new(2, 6, 5);
+            let mut full = Conv2d::new(shape, 4, k, pad, Init::HeNormal, &mut Rng::new(9));
+            let mut lean = Conv2d::new(shape, 4, k, pad, Init::HeNormal, &mut Rng::new(9));
+            let mut x = Matrix::zeros(2, 3 * 30);
+            rng.fill_normal(x.as_mut_slice(), 0.0, 1.0);
+            let y = full.forward(x.clone(), true);
+            let _ = lean.forward(x, true);
+            let mut dy = Matrix::zeros(y.rows(), y.cols());
+            rng.fill_normal(dy.as_mut_slice(), 0.0, 1.0);
+            let _ = full.backward(dy.clone());
+            lean.backward_params_only(dy);
+            assert_eq!(full.grads(), lean.grads(), "k={k} pad={pad}");
+            assert!(lean.dcol.is_empty(), "params-only must not touch dcol");
+        }
     }
 }

@@ -120,6 +120,38 @@ impl Dense {
     pub fn out_dim(&self) -> usize {
         self.out_dim
     }
+
+    /// `y = x·W + b`.
+    fn affine(&mut self, x: &Matrix) -> Matrix {
+        assert_eq!(x.cols(), self.in_dim, "dense: input width mismatch");
+        let mut y = Matrix::zeros(x.rows(), self.out_dim);
+        matrix::gemm_accumulate_with(x, &self.w, &mut y, &mut self.scratch);
+        for r in 0..y.rows() {
+            let row = y.row_mut(r);
+            for (c, v) in row.iter_mut().enumerate() {
+                *v += self.b[c];
+            }
+        }
+        y
+    }
+
+    /// Checks an incoming gradient against the cached input and
+    /// accumulates `dW += xᵀ · dy`, `db += column sums of dy`.
+    fn accumulate_param_grads(&mut self, dy: &Matrix) {
+        assert_eq!(dy.cols(), self.out_dim, "dense: grad width mismatch");
+        assert_eq!(
+            dy.rows(),
+            self.cache_x.rows(),
+            "dense: backward without matching forward"
+        );
+        matrix::gemm_at_b_accumulate_with(&self.cache_x, dy, &mut self.dw, &mut self.scratch);
+        for r in 0..dy.rows() {
+            let row = dy.row(r);
+            for (c, v) in row.iter().enumerate() {
+                self.db[c] += v;
+            }
+        }
+    }
 }
 
 impl Layer for Dense {
@@ -128,36 +160,21 @@ impl Layer for Dense {
     }
 
     fn forward(&mut self, x: Matrix, _train: bool) -> Matrix {
-        assert_eq!(x.cols(), self.in_dim, "dense: input width mismatch");
-        let mut y = Matrix::zeros(x.rows(), self.out_dim);
-        matrix::gemm_accumulate_with(&x, &self.w, &mut y, &mut self.scratch);
-        for r in 0..y.rows() {
-            let row = y.row_mut(r);
-            for (c, v) in row.iter_mut().enumerate() {
-                *v += self.b[c];
-            }
-        }
+        let y = self.affine(&x);
         // Take ownership of the input as the backward cache — no copy.
         self.cache_x = x;
         y
     }
 
+    /// Drops the input instead of caching it (and drops any older cache, so
+    /// a stray `backward` fails its batch check).
+    fn forward_inference(&mut self, x: Matrix) -> Matrix {
+        self.cache_x = Matrix::zeros(0, 0);
+        self.affine(&x)
+    }
+
     fn backward(&mut self, dy: Matrix) -> Matrix {
-        assert_eq!(dy.cols(), self.out_dim, "dense: grad width mismatch");
-        assert_eq!(
-            dy.rows(),
-            self.cache_x.rows(),
-            "dense: backward without matching forward"
-        );
-        // dW += xᵀ · dy
-        matrix::gemm_at_b_accumulate_with(&self.cache_x, &dy, &mut self.dw, &mut self.scratch);
-        // db += column sums of dy
-        for r in 0..dy.rows() {
-            let row = dy.row(r);
-            for (c, v) in row.iter().enumerate() {
-                self.db[c] += v;
-            }
-        }
+        self.accumulate_param_grads(&dy);
         // dx = dy · Wᵀ. Materializing Wᵀ (tiny, reused buffer) turns this
         // into a contiguous-B product eligible for the streaming mid
         // kernel, which beats the transpose-packed path at dense-layer
@@ -174,6 +191,11 @@ impl Layer for Dense {
         let mut dx = Matrix::zeros(dy.rows(), self.in_dim);
         matrix::gemm_accumulate_with(&dy, &self.w_t, &mut dx, &mut self.scratch);
         dx
+    }
+
+    /// Skips the `Wᵀ` materialisation and the `dy · Wᵀ` GEMM.
+    fn backward_params_only(&mut self, dy: Matrix) {
+        self.accumulate_param_grads(&dy);
     }
 
     fn param_count(&self) -> usize {

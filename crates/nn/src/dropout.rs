@@ -69,6 +69,13 @@ impl Layer for Dropout {
         x
     }
 
+    /// The identity, with no all-ones mask written (and the old mask
+    /// dropped).
+    fn forward_inference(&mut self, x: Matrix) -> Matrix {
+        self.mask.clear();
+        x
+    }
+
     fn backward(&mut self, dy: Matrix) -> Matrix {
         assert_eq!(
             dy.len(),

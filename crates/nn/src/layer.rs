@@ -93,6 +93,9 @@ impl Shape3 {
 ///    pass needs (inputs, masks, argmaxes).
 /// 2. `backward(dy)` consumes the most recent cache, **accumulates**
 ///    parameter gradients internally, and returns `dL/dx`.
+///    [`Layer::backward_params_only`] is the same minus the input gradient,
+///    for the bottom layer of a stack; [`Layer::forward_inference`] is a
+///    forward that owes no cache to anyone.
 /// 3. Parameter and gradient storage is exposed as ordered lists of flat
 ///    slices so a [`crate::model::Sequential`] can present one flat vector.
 ///
@@ -114,6 +117,32 @@ pub trait Layer: Send {
     /// Backward pass: returns the gradient w.r.t. the layer input and
     /// accumulates parameter gradients.
     fn backward(&mut self, dy: Matrix) -> Matrix;
+
+    /// Inference-only forward pass: the outputs of `forward(x, false)`, bit
+    /// for bit, without the obligation to support a following `backward`.
+    ///
+    /// An override may skip everything `forward` does only for the backward
+    /// pass — ReLU masks, pool argmaxes, the dense input cache — but must
+    /// not cache anything a later `backward` could mistake for the state of
+    /// a training forward: a layer that skips its cache **invalidates** it,
+    /// so a `backward` with no regular `forward` in between fails its
+    /// "backward without matching forward" assertion instead of consuming
+    /// stale state. Layout and shape assertions stay on.
+    fn forward_inference(&mut self, x: Matrix) -> Matrix {
+        self.forward(x, false)
+    }
+
+    /// Backward pass that accumulates the parameter gradients exactly as
+    /// [`Layer::backward`] does and drops the input gradient.
+    ///
+    /// Only the **first** layer of a stack may be driven through this
+    /// (nothing sits below it to consume `dL/dx`); an override skips the
+    /// work that exists only to produce the input gradient (conv: the
+    /// `Wᵀ·dy` GEMM and the col2im scatter; dense: `dy·Wᵀ`) and must leave
+    /// the parameter gradients bit-identical to those of `backward`.
+    fn backward_params_only(&mut self, dy: Matrix) {
+        let _ = self.backward(dy);
+    }
 
     /// Number of scalar parameters in this layer.
     fn param_count(&self) -> usize {

@@ -37,11 +37,18 @@ impl SoftmaxCrossEntropy {
     /// # Panics
     /// Panics if any label is out of range or batch sizes mismatch.
     pub fn forward(&self, logits: &Matrix, labels: &[usize]) -> (f32, Matrix, usize) {
+        self.forward_owned(logits.clone(), labels)
+    }
+
+    /// [`SoftmaxCrossEntropy::forward`] taking the logits by value: the
+    /// buffer is turned into the probabilities and then the gradient in
+    /// place, so the training step allocates nothing here.
+    pub fn forward_owned(&self, logits: Matrix, labels: &[usize]) -> (f32, Matrix, usize) {
         assert_eq!(logits.rows(), labels.len(), "loss: batch size mismatch");
         assert!(!labels.is_empty(), "loss: empty batch");
         let classes = logits.cols();
         let batch = logits.rows() as f32;
-        let mut probs = logits.clone();
+        let mut probs = logits;
         softmax_rows(&mut probs);
         let mut loss = 0.0f32;
         let mut correct = 0usize;

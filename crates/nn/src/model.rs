@@ -70,10 +70,20 @@ impl Sequential {
     /// (allocating — the hot path hands [`Sequential::forward_native`] an
     /// owned batch instead).
     fn native_input(&self, x: &Matrix) -> Matrix {
+        self.native_rows(x, 0..x.rows())
+    }
+
+    /// Gathers the sample rows `rows` of a sample-major set into one batch
+    /// in the native input layout — a single copy, whichever the layout.
+    fn native_rows(&self, x: &Matrix, rows: std::ops::Range<usize>) -> Matrix {
         assert_eq!(x.cols(), self.in_dim, "model: input width mismatch");
         match self.input_shape {
-            Some(s) => x.to_channel_major(s.c),
-            None => x.clone(),
+            Some(s) => x.rows_to_channel_major(rows, s.c),
+            None => Matrix::from_vec(
+                rows.len(),
+                x.cols(),
+                x.as_slice()[rows.start * x.cols()..rows.end * x.cols()].to_vec(),
+            ),
         }
     }
 
@@ -118,12 +128,7 @@ impl Sequential {
     /// # Panics
     /// Panics if the batch does not match the native layout.
     pub fn forward_native(&mut self, x: Matrix, train: bool) -> Matrix {
-        match self.input_shape {
-            Some(s) => {
-                let _ = s.batch_of(&x, "model native input");
-            }
-            None => assert_eq!(x.cols(), self.in_dim, "model: input width mismatch"),
-        }
+        self.assert_native(&x);
         let mut h = x;
         for layer in &mut self.layers {
             h = layer.forward(h, train);
@@ -131,16 +136,64 @@ impl Sequential {
         h
     }
 
+    /// Eval-mode logits of a native-layout batch through
+    /// [`Layer::forward_inference`]: bit-identical to
+    /// `forward_native(x, false)`, with no backward cache written. The
+    /// engine of [`Sequential::evaluate`], [`Sequential::evaluate_batched`]
+    /// and [`Sequential::predict`]; a `backward` may not follow it.
+    fn infer_native(&mut self, x: Matrix) -> Matrix {
+        self.assert_native(&x);
+        let mut h = x;
+        for layer in &mut self.layers {
+            h = layer.forward_inference(h);
+        }
+        h
+    }
+
+    /// The entry layout check shared by every forward.
+    fn assert_native(&self, x: &Matrix) {
+        match self.input_shape {
+            Some(s) => {
+                let _ = s.batch_of(x, "model native input");
+            }
+            None => assert_eq!(x.cols(), self.in_dim, "model: input width mismatch"),
+        }
+    }
+
     /// Backward pass; parameter gradients accumulate inside the layers.
     ///
     /// The returned input gradient is in the model's **native** input
-    /// layout (channel-major for spatial models).
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let mut g = dy.clone();
+    /// layout (channel-major for spatial models). The training entry points
+    /// (`compute_gradients*`) do not come through here: nothing reads the
+    /// model's input gradient there, so they stop one layer short (see
+    /// [`Layer::backward_params_only`]).
+    pub fn backward(&mut self, dy: Matrix) -> Matrix {
+        let mut g = dy;
         for layer in self.layers.iter_mut().rev() {
             g = layer.backward(g);
         }
         g
+    }
+
+    /// [`Sequential::backward`] minus the input gradient of the bottom
+    /// layer; parameter gradients are bit-identical.
+    fn backward_params_only(&mut self, dy: Matrix) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g = dy;
+        for layer in rest.iter_mut().rev() {
+            g = layer.backward(g);
+        }
+        first.backward_params_only(g);
+    }
+
+    /// Softmax-CE loss of `logits` and the parameter-gradient backward
+    /// pass: the shared tail of the `compute_gradients*` entry points.
+    fn loss_and_gradients(&mut self, logits: Matrix, labels: &[usize]) -> (f32, usize) {
+        let (loss, dlogits, correct) = SoftmaxCrossEntropy.forward_owned(logits, labels);
+        self.backward_params_only(dlogits);
+        (loss, correct)
     }
 
     /// Zeroes all accumulated gradients.
@@ -230,9 +283,7 @@ impl Sequential {
     pub fn compute_gradients_native(&mut self, x: Matrix, labels: &[usize]) -> (f32, usize) {
         self.zero_grads();
         let logits = self.forward_native(x, true);
-        let (loss, dlogits, correct) = SoftmaxCrossEntropy.forward(&logits, labels);
-        let _ = self.backward(&dlogits);
-        (loss, correct)
+        self.loss_and_gradients(logits, labels)
     }
 
     /// Like [`Sequential::compute_gradients`] but with training-only
@@ -243,15 +294,13 @@ impl Sequential {
     pub fn compute_gradients_eval(&mut self, x: &Matrix, labels: &[usize]) -> (f32, usize) {
         self.zero_grads();
         let logits = self.forward(x, false);
-        let (loss, dlogits, correct) = SoftmaxCrossEntropy.forward(&logits, labels);
-        let _ = self.backward(&dlogits);
-        (loss, correct)
+        self.loss_and_gradients(logits, labels)
     }
 
     /// Evaluates mean loss and accuracy on a labelled set (eval mode).
     pub fn evaluate(&mut self, x: &Matrix, labels: &[usize]) -> (f32, f32) {
-        let logits = self.forward(x, false);
-        let (loss, _, correct) = SoftmaxCrossEntropy.forward(&logits, labels);
+        let logits = self.infer_native(self.native_input(x));
+        let (loss, _, correct) = SoftmaxCrossEntropy.forward_owned(logits, labels);
         (loss, correct as f32 / labels.len() as f32)
     }
 
@@ -263,11 +312,7 @@ impl Sequential {
         let mut start = 0usize;
         while start < x.rows() {
             let end = (start + batch).min(x.rows());
-            let mut xb = Matrix::zeros(end - start, x.cols());
-            for (i, r) in (start..end).enumerate() {
-                xb.row_mut(i).copy_from_slice(x.row(r));
-            }
-            let logits = self.forward(&xb, false);
+            let logits = self.infer_native(self.native_rows(x, start..end));
             for (i, r) in (start..end).enumerate() {
                 if argmax(logits.row(i)) == labels[r] {
                     correct += 1;
@@ -280,7 +325,7 @@ impl Sequential {
 
     /// Predicted class per row (eval mode).
     pub fn predict(&mut self, x: &Matrix) -> Vec<usize> {
-        let logits = self.forward(x, false);
+        let logits = self.infer_native(self.native_input(x));
         (0..logits.rows()).map(|r| argmax(logits.row(r))).collect()
     }
 
@@ -407,5 +452,133 @@ mod tests {
     fn wrong_input_width_panics() {
         let mut m = tiny_mlp(6);
         let _ = m.forward(&Matrix::zeros(1, 5), false);
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn random_batch(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut x = Matrix::zeros(rows, cols);
+        Rng::new(seed).fill_normal(x.as_mut_slice(), 0.0, 1.0);
+        x
+    }
+
+    /// (c) The training step stops one layer short of a full backward; its
+    /// parameter gradients must be those of the full chain (input gradient
+    /// computed), bit for bit, for every zoo model.
+    #[test]
+    fn differential_training_step_matches_full_backward_chain() {
+        use crate::zoo::ModelId;
+        for id in ModelId::ALL {
+            let mut step = id.build(3, 4);
+            let mut full = id.build(3, 4);
+            let x = random_batch(5, step.in_dim(), 0xC0DE);
+            let labels: Vec<usize> = (0..5).map(|i| (i * 7) % id.classes()).collect();
+            let native = step.native_input(&x);
+            let (loss, correct) = step.compute_gradients_native(native.clone(), &labels);
+
+            full.zero_grads();
+            let logits = full.forward_native(native.clone(), true);
+            let (want_loss, dlogits, want_correct) = SoftmaxCrossEntropy.forward(&logits, &labels);
+            let dx = full.backward(dlogits);
+            assert_eq!(
+                (dx.rows(), dx.cols()),
+                (native.rows(), native.cols()),
+                "{}: the full chain yields the input gradient",
+                id.name()
+            );
+            assert_eq!(loss.to_bits(), want_loss.to_bits(), "{}", id.name());
+            assert_eq!(correct, want_correct, "{}", id.name());
+            assert_eq!(
+                bits(&step.grads_flat()),
+                bits(&full.grads_flat()),
+                "{}: parameter gradients diverged",
+                id.name()
+            );
+        }
+    }
+
+    /// (d) The inference forward gives the eval-mode logits bit for bit on
+    /// every zoo model — full chunks and a ragged last one — and leaves no
+    /// cache a later eval-mode gradient could pick up.
+    #[test]
+    fn differential_inference_forward_matches_eval_forward() {
+        use crate::zoo::ModelId;
+        for id in ModelId::ALL {
+            let mut infer = id.build(5, 6);
+            let mut eval = id.build(5, 6);
+            let (n, chunk) = (2 * 7 + 3, 7);
+            let x = random_batch(n, infer.in_dim(), 0xE7A1);
+            let labels: Vec<usize> = (0..n).map(|i| (i * 5) % id.classes()).collect();
+            let mut classes = Vec::with_capacity(n);
+            for start in (0..n).step_by(chunk) {
+                let rows = start..(start + chunk).min(n);
+                let got = infer.infer_native(infer.native_rows(&x, rows.clone()));
+                let mut xb = Matrix::zeros(rows.len(), x.cols());
+                for (i, r) in rows.clone().enumerate() {
+                    xb.row_mut(i).copy_from_slice(x.row(r));
+                }
+                let want = eval.forward(&xb, false);
+                assert_eq!(
+                    bits(got.as_slice()),
+                    bits(want.as_slice()),
+                    "{}: logits of rows {rows:?}",
+                    id.name()
+                );
+                classes.extend((0..rows.len()).map(|i| argmax(want.row(i))));
+            }
+            let correct = classes.iter().zip(&labels).filter(|(c, l)| c == l).count();
+            let acc = infer.evaluate_batched(&x, &labels, chunk);
+            assert_eq!(acc, correct as f32 / n as f32, "{}", id.name());
+            let whole = eval.forward(&x, false);
+            let classes: Vec<usize> = (0..n).map(|r| argmax(whole.row(r))).collect();
+            assert_eq!(infer.predict(&x), classes, "{}", id.name());
+
+            // An eval-mode gradient right after inference passes (of
+            // another batch size) equals one on a model that never ran
+            // inference.
+            let xg = random_batch(4, infer.in_dim(), 0x6AAD);
+            let lg: Vec<usize> = (0..4).map(|i| (i * 3) % id.classes()).collect();
+            let got = infer.compute_gradients_eval(&xg, &lg);
+            let want = eval.compute_gradients_eval(&xg, &lg);
+            assert_eq!(got.0.to_bits(), want.0.to_bits(), "{}", id.name());
+            assert_eq!(
+                bits(&infer.grads_flat()),
+                bits(&eval.grads_flat()),
+                "{}: stale cache after inference",
+                id.name()
+            );
+        }
+    }
+
+    /// (d, continued) The finite-difference check still holds on a model
+    /// whose last forward was an inference pass.
+    #[test]
+    fn differential_gradcheck_after_inference_pass() {
+        let mut m = crate::zoo::ModelId::Lenet5.build(17, 99);
+        let _ = m.predict(&random_batch(9, m.in_dim(), 1));
+        let x = random_batch(4, m.in_dim(), 2);
+        let labels = vec![0, 3, 6, 9];
+        let stride = (m.param_count() / 220).max(1);
+        let report = crate::gradcheck::check_param_gradients(&mut m, &x, &labels, 3e-3, stride);
+        assert!(
+            report.quantile(0.90) < 5e-2,
+            "p90 {}",
+            report.quantile(0.90)
+        );
+        assert!(report.frac_above(2e-1) < 0.03, "gross errors");
+    }
+
+    /// A backward straight after an inference pass has no cache to consume
+    /// and must say so.
+    #[test]
+    #[should_panic(expected = "backward without matching forward")]
+    fn backward_after_inference_pass_panics() {
+        let mut m = tiny_mlp(8);
+        let x = random_batch(3, 4, 3);
+        let logits = m.forward(&x, true);
+        let _ = m.predict(&x);
+        let _ = m.backward(logits);
     }
 }

@@ -10,14 +10,179 @@ use fda_tensor::Matrix;
 /// Consumes and produces channel-major activations (`c × batch·spatial`):
 /// each channel row is pooled per sample block, so the layer is a set of
 /// contiguous plane scans with no layout staging.
+///
+/// Every window is reduced by the same strict-greater scan from `−∞` over
+/// its elements in row-major order: the first of equal maxima wins, a NaN
+/// never wins, and a window with no element above `−∞` yields `−∞` with
+/// argmax 0 (the flat start of the input storage). The 2×2 window — every
+/// pool in the zoo — runs that scan branch-free in two vectorisable stages
+/// ([`pool2_row`]); other sizes take the generic window loop.
 pub struct MaxPool2d {
     in_shape: Shape3,
     out_shape: Shape3,
     size: usize,
     // argmax positions as flat offsets into the channel-major input
     // storage, aligned with the flat output storage; reused across steps.
-    argmax: Vec<usize>,
+    argmax: Vec<u32>,
     batch: usize,
+    // Stage-1 scratch of the 2×2 kernel, one block of input pairs.
+    pairs: PairScratch,
+}
+
+/// Input floats the 2×2 kernel reduces per block (a whole number of
+/// row pairs): its pair results stay in L1 between the two stages.
+const POOL_BLOCK: usize = 2048;
+
+/// Marks a pair (or window) in which no element beat `−∞`.
+const NO_WINNER: u32 = u32::MAX;
+
+/// Per-pair maxima and their flat input positions for one block.
+#[derive(Default)]
+struct PairScratch {
+    val: Vec<f32>,
+    idx: Vec<u32>,
+}
+
+/// Stage 1 of the 2×2 kernel: the strict-greater scan from `−∞` over each
+/// horizontal pair `(x[2j], x[2j+1])` of a run of whole rows. `base` is the
+/// flat input position of `x[0]`. One long stride-2 loop, independent of
+/// the row width.
+#[inline(always)]
+fn pair_scan<const ARG: bool>(x: &[f32], base: u32, val: &mut [f32], idx: &mut [u32]) {
+    for (j, ((p, v), i)) in x.chunks_exact(2).zip(val).zip(idx).enumerate() {
+        let first = p[0] > f32::NEG_INFINITY;
+        let best = if first { p[0] } else { f32::NEG_INFINITY };
+        let second = p[1] > best;
+        *v = if second { p[1] } else { best };
+        if ARG {
+            let pos = base + 2 * j as u32;
+            let at = if first { pos } else { NO_WINNER };
+            *i = if second { pos + 1 } else { at };
+        }
+    }
+}
+
+/// Stage 2: each window's top pair against its bottom pair. `val` / `idx`
+/// hold the pair results of whole row pairs, `2·ow` per row pair (top row's
+/// `ow`, then the bottom row's). Continuing the scan from the top pair's
+/// winner through the bottom pair gives the same result as taking the
+/// bottom pair's own winner iff it is strictly greater — the bottom winner
+/// is the first of the bottom maxima, and an element enters the scan only
+/// by beating everything before it.
+#[inline(always)]
+fn pair_merge<const ARG: bool>(
+    ow: usize,
+    val: &[f32],
+    idx: &[u32],
+    out: &mut [f32],
+    arg: &mut [u32],
+) {
+    let windows = val.chunks_exact(2 * ow).zip(out.chunks_exact_mut(ow));
+    if ARG {
+        let positions = idx.chunks_exact(2 * ow).zip(arg.chunks_exact_mut(ow));
+        for ((v, o), (i, a)) in windows.zip(positions) {
+            for ox in 0..ow {
+                let lower = v[ow + ox] > v[ox];
+                o[ox] = if lower { v[ow + ox] } else { v[ox] };
+                let at = if lower { i[ow + ox] } else { i[ox] };
+                a[ox] = if at == NO_WINNER { 0 } else { at };
+            }
+        }
+    } else {
+        for (v, o) in windows {
+            for ox in 0..ow {
+                o[ox] = if v[ow + ox] > v[ox] {
+                    v[ow + ox]
+                } else {
+                    v[ox]
+                };
+            }
+        }
+    }
+}
+
+/// 2×2 max pooling of one channel row (`batch` planes of width `w`, even
+/// height): outputs into `out`, and — iff `ARG` — flat input positions of
+/// the maxima into `arg` (`base` is the row's own flat position; `arg` is
+/// empty otherwise).
+fn pool2_row<const ARG: bool>(
+    row: &[f32],
+    w: usize,
+    base: u32,
+    out: &mut [f32],
+    arg: &mut [u32],
+    pairs: &mut PairScratch,
+) {
+    let ow = w / 2;
+    // Whole row pairs per block; one even when a single pair overflows it.
+    let block_in = (POOL_BLOCK / (2 * w)).max(1) * 2 * w;
+    pairs.val.resize(block_in / 2, 0.0);
+    pairs.idx.resize(block_in / 2, 0);
+    let mut arg_blocks = arg.chunks_mut(block_in / 4);
+    for (b, (x, out)) in row
+        .chunks(block_in)
+        .zip(out.chunks_mut(block_in / 4))
+        .enumerate()
+    {
+        let n_pairs = x.len() / 2;
+        let (val, idx) = (&mut pairs.val[..n_pairs], &mut pairs.idx[..n_pairs]);
+        pair_scan::<ARG>(x, base + (b * block_in) as u32, val, idx);
+        let arg = arg_blocks.next().unwrap_or_default();
+        // The widths of the zoo get a merge loop of constant trip count
+        // (unrolled and vectorised); any other width runs the same code
+        // with the count in a register.
+        match ow {
+            2 => pair_merge::<ARG>(2, val, idx, out, arg),
+            3 => pair_merge::<ARG>(3, val, idx, out, arg),
+            4 => pair_merge::<ARG>(4, val, idx, out, arg),
+            6 => pair_merge::<ARG>(6, val, idx, out, arg),
+            _ => pair_merge::<ARG>(ow, val, idx, out, arg),
+        }
+    }
+}
+
+/// The generic window loop: any square window, the scan spelled out.
+fn pool_windows(
+    x: &Matrix,
+    shape: Shape3,
+    s: usize,
+    y: &mut Matrix,
+    mut argmax: Option<&mut [u32]>,
+) {
+    let Shape3 { c, h, w } = shape;
+    let (oh, ow) = (h / s, w / s);
+    let (hw, out_hw) = (h * w, oh * ow);
+    let batch = x.cols() / hw;
+    for ch in 0..c {
+        let row = x.row(ch);
+        let out_row = y.row_mut(ch);
+        for b in 0..batch {
+            let plane = &row[b * hw..(b + 1) * hw];
+            // Absolute base of this plane in the input storage.
+            let base_abs = ch * batch * hw + b * hw;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = 0usize;
+                    for dy in 0..s {
+                        for dx in 0..s {
+                            let idx = (oy * s + dy) * w + ox * s + dx;
+                            let v = plane[idx];
+                            if v > best {
+                                best = v;
+                                best_idx = base_abs + idx;
+                            }
+                        }
+                    }
+                    let out_idx = b * out_hw + oy * ow + ox;
+                    out_row[out_idx] = best;
+                    if let Some(arg) = argmax.as_deref_mut() {
+                        arg[ch * batch * out_hw + out_idx] = best_idx as u32;
+                    }
+                }
+            }
+        }
+    }
 }
 
 impl MaxPool2d {
@@ -48,12 +213,42 @@ impl MaxPool2d {
             size,
             argmax: Vec::new(),
             batch: 0,
+            pairs: PairScratch::default(),
         }
     }
 
     /// The output activation shape.
     pub fn out_shape(&self) -> Shape3 {
         self.out_shape
+    }
+
+    /// Pools `x`, recording argmaxes iff `ARG`.
+    fn pool<const ARG: bool>(&mut self, x: &Matrix) -> Matrix {
+        let batch = self.in_shape.batch_of(x, "maxpool input");
+        assert!(
+            x.len() < NO_WINNER as usize,
+            "maxpool: input too large for u32 argmaxes"
+        );
+        let mut y = Matrix::zeros(self.out_shape.c, batch * self.out_shape.spatial());
+        self.argmax.resize(if ARG { y.len() } else { 0 }, 0);
+        self.batch = if ARG { batch } else { 0 };
+        if self.size != 2 {
+            let argmax = ARG.then_some(self.argmax.as_mut_slice());
+            pool_windows(x, self.in_shape, self.size, &mut y, argmax);
+            return y;
+        }
+        let mut arg_rows = self.argmax.chunks_mut(y.cols());
+        for ch in 0..self.in_shape.c {
+            pool2_row::<ARG>(
+                x.row(ch),
+                self.in_shape.w,
+                (ch * x.cols()) as u32,
+                y.row_mut(ch),
+                arg_rows.next().unwrap_or_default(),
+                &mut self.pairs,
+            );
+        }
+        y
     }
 }
 
@@ -63,90 +258,12 @@ impl Layer for MaxPool2d {
     }
 
     fn forward(&mut self, x: Matrix, _train: bool) -> Matrix {
-        let batch = self.in_shape.batch_of(&x, "maxpool input");
-        let Shape3 { c, h, w } = self.in_shape;
-        let (oh, ow) = (self.out_shape.h, self.out_shape.w);
-        let (hw, out_hw) = (h * w, oh * ow);
-        let s = self.size;
-        let mut y = Matrix::zeros(c, batch * out_hw);
-        self.argmax.resize(c * batch * out_hw, 0);
-        self.batch = batch;
-        if s == 2 {
-            // The window used by every model in the zoo: unrolled scan of
-            // the four candidates with the same strict-greater comparison
-            // as the generic path below (identical tie-breaks and NaN
-            // behaviour).
-            for ch in 0..c {
-                let row = x.row(ch);
-                let out_row = y.row_mut(ch);
-                let arg_row = &mut self.argmax[ch * batch * out_hw..(ch + 1) * batch * out_hw];
-                for b in 0..batch {
-                    let plane = &row[b * hw..(b + 1) * hw];
-                    // Absolute base of this plane in the input storage.
-                    let base_abs = ch * batch * hw + b * hw;
-                    for oy in 0..oh {
-                        let top = &plane[(2 * oy) * w..(2 * oy) * w + w];
-                        let bot = &plane[(2 * oy + 1) * w..(2 * oy + 1) * w + w];
-                        let out_seg = &mut out_row[b * out_hw + oy * ow..b * out_hw + oy * ow + ow];
-                        let arg_seg = &mut arg_row[b * out_hw + oy * ow..b * out_hw + oy * ow + ow];
-                        for ox in 0..ow {
-                            let j = 2 * ox;
-                            let base = base_abs + (2 * oy) * w;
-                            let mut best = f32::NEG_INFINITY;
-                            // Absolute index with the same initializer as
-                            // the generic path, so even the degenerate
-                            // all-NaN window resolves identically.
-                            let mut best_idx = 0usize;
-                            for (v, i) in [
-                                (top[j], j),
-                                (top[j + 1], j + 1),
-                                (bot[j], j + w),
-                                (bot[j + 1], j + 1 + w),
-                            ] {
-                                if v > best {
-                                    best = v;
-                                    best_idx = base + i;
-                                }
-                            }
-                            out_seg[ox] = best;
-                            arg_seg[ox] = best_idx;
-                        }
-                    }
-                }
-            }
-            return y;
-        }
-        for ch in 0..c {
-            let row = x.row(ch);
-            let out_row = y.row_mut(ch);
-            let arg_row = &mut self.argmax[ch * batch * out_hw..(ch + 1) * batch * out_hw];
-            for b in 0..batch {
-                let plane = &row[b * hw..(b + 1) * hw];
-                let base_abs = ch * batch * hw + b * hw;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
-                        for dy in 0..s {
-                            for dx in 0..s {
-                                let iy = oy * s + dy;
-                                let ix = ox * s + dx;
-                                let idx = iy * w + ix;
-                                let v = plane[idx];
-                                if v > best {
-                                    best = v;
-                                    best_idx = base_abs + idx;
-                                }
-                            }
-                        }
-                        let out_idx = b * out_hw + oy * ow + ox;
-                        out_row[out_idx] = best;
-                        arg_row[out_idx] = best_idx;
-                    }
-                }
-            }
-        }
-        y
+        self.pool::<true>(&x)
+    }
+
+    /// No argmax is written (and the old ones are dropped).
+    fn forward_inference(&mut self, x: Matrix) -> Matrix {
+        self.pool::<false>(&x)
     }
 
     fn backward(&mut self, dy: Matrix) -> Matrix {
@@ -168,7 +285,7 @@ impl Layer for MaxPool2d {
         let mut dx = Matrix::zeros(self.in_shape.c, self.batch * self.in_shape.spatial());
         let dst = dx.as_mut_slice();
         for (&src_idx, &g) in self.argmax.iter().zip(dy.as_slice()) {
-            dst[src_idx] += g;
+            dst[src_idx as usize] += g;
         }
         dx
     }
@@ -382,5 +499,91 @@ mod tests {
         let mut pool = MaxPool2d::new(Shape3::new(3, 4, 4), 2);
         // Sample-major batch (2 × 48) has the wrong row count.
         let _ = pool.forward(Matrix::zeros(2, 48), true);
+    }
+
+    /// (b) The two-stage 2×2 kernel against the generic window loop, bit
+    /// for bit, on inputs dense in exact ties, all-equal windows, signed
+    /// zeros, NaN and −∞ (whole windows of them included): outputs,
+    /// argmaxes and the backward scatter — for every merge width with a
+    /// constant-trip-count arm, widths without one, a row pair larger than
+    /// a scan block, and batches that end mid-block.
+    #[test]
+    fn differential_pool2_matches_generic_windows() {
+        use fda_tensor::Rng;
+        let mut rng = Rng::new(0xB001);
+        let palette = [
+            0.0,
+            -0.0,
+            1.0,
+            1.0,
+            -1.0,
+            2.5,
+            f32::NAN,
+            f32::NEG_INFINITY,
+            f32::INFINITY,
+        ];
+        let shapes = [
+            (1, 2, 2),
+            (2, 4, 4),
+            (3, 6, 6),
+            (2, 8, 8),
+            (1, 12, 12),
+            (2, 2, 10),
+            (1, 4, 14),
+            (1, 6, 34),
+            (1, 2, 1100),
+        ];
+        for &(c, h, w) in &shapes {
+            let shape = Shape3::new(c, h, w);
+            for batch in [1usize, 5, 32] {
+                let ctx = format!("{shape:?} batch={batch}");
+                let mut x = Matrix::zeros(c, batch * h * w);
+                for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+                    // Windows 0 mod 7 are constant (all-equal, all-NaN or
+                    // all-−∞ among them); the rest draw per element.
+                    let window = (i / w / 2) * (w / 2) + (i % w) / 2;
+                    let pick = if window % 7 == 0 {
+                        window / 7
+                    } else {
+                        rng.next_u64() as usize
+                    };
+                    *v = palette[pick % palette.len()];
+                }
+                let mut pool = MaxPool2d::new(shape, 2);
+                let y = pool.forward(x.clone(), true);
+                let mut want = Matrix::zeros(y.rows(), y.cols());
+                let mut want_arg = vec![0u32; y.len()];
+                pool_windows(&x, shape, 2, &mut want, Some(&mut want_arg));
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&y), bits(&want), "{ctx}: outputs");
+                assert_eq!(pool.argmax, want_arg, "{ctx}: argmaxes");
+
+                let mut dy = Matrix::zeros(y.rows(), y.cols());
+                rng.fill_normal(dy.as_mut_slice(), 0.0, 1.0);
+                let dx = pool.backward(dy.clone());
+                let mut want_dx = vec![0.0f32; x.len()];
+                for (&i, &g) in want_arg.iter().zip(dy.as_slice()) {
+                    want_dx[i as usize] += g;
+                }
+                let want_dx = Matrix::from_vec(c, batch * h * w, want_dx);
+                assert_eq!(bits(&dx), bits(&want_dx), "{ctx}: backward");
+
+                // The inference forward: same outputs, no argmax kept.
+                let y_inf = pool.forward_inference(x.clone());
+                assert_eq!(bits(&y_inf), bits(&want), "{ctx}: inference outputs");
+                assert!(pool.argmax.is_empty(), "{ctx}: inference kept argmaxes");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "backward without matching forward")]
+    fn backward_after_inference_forward_panics() {
+        let mut pool = MaxPool2d::new(Shape3::new(1, 2, 2), 2);
+        let x = Matrix::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]);
+        let _ = pool.forward(x.clone(), true);
+        let _ = pool.forward_inference(x);
+        let _ = pool.backward(Matrix::from_vec(1, 1, vec![1.0]));
     }
 }

@@ -222,12 +222,19 @@ impl AmsSketch {
 
     /// The `M2` estimator: median over rows of the row's squared L2 norm.
     ///
-    /// `M2(sk(v)) ≈ ‖v‖²` within `(1 ± ε)` w.p. `≥ 1 − δ` (§3.1).
+    /// `M2(sk(v)) ≈ ‖v‖²` within `(1 ± ε)` w.p. `≥ 1 − δ` (§3.1). NaN if any
+    /// counter is NaN.
     pub fn estimate_sq_norm(&self) -> f32 {
         let mut row_estimates = Vec::with_capacity(self.rows);
         for r in 0..self.rows {
             let row = &self.data[r * self.cols..(r + 1) * self.cols];
             row_estimates.push(fda_tensor::vector::norm_sq(row));
+        }
+        // A NaN counter (the sketch of a diverged replica) leaves the
+        // median undefined: say so, and let the caller's synchronization
+        // predicate fail closed, instead of panicking in the sort.
+        if row_estimates.iter().any(|e| e.is_nan()) {
+            return f32::NAN;
         }
         stats::median_f32(&row_estimates)
     }

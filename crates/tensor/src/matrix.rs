@@ -168,6 +168,17 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// Reshapes in place to `rows × cols` **without** clearing: entries
+    /// within the old length keep their stale values, growth is
+    /// zero-filled. For scratch whose every entry is overwritten before it
+    /// is read (capacity-keyed like [`Matrix::resize_zeroed`], minus the
+    /// memset).
+    pub fn reshape_scratch(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
+    }
+
     // -----------------------------------------------------------------------
     // Activation layout conversions
     // -----------------------------------------------------------------------
@@ -194,6 +205,17 @@ impl Matrix {
     /// Panics unless the column count divides evenly into `channels`
     /// planes.
     pub fn to_channel_major(&self, channels: usize) -> Matrix {
+        self.rows_to_channel_major(0..self.rows, channels)
+    }
+
+    /// [`Matrix::to_channel_major`] of the sample rows `rows` only: gathers
+    /// a chunk of a sample-major set straight into the channel-major
+    /// layout with one copy per plane (no intermediate sample-major chunk).
+    ///
+    /// # Panics
+    /// Panics on a row range outside the matrix, or unless the column count
+    /// divides evenly into `channels` planes.
+    pub fn rows_to_channel_major(&self, rows: std::ops::Range<usize>, channels: usize) -> Matrix {
         assert!(channels >= 1, "to_channel_major: zero channels");
         assert_eq!(
             self.cols % channels,
@@ -202,16 +224,16 @@ impl Matrix {
             self.cols,
             channels
         );
-        let batch = self.rows;
+        let chunk = &self.data[rows.start * self.cols..rows.end * self.cols];
+        let batch = rows.len();
         let spatial = self.cols / channels;
         if channels == 1 {
             // A single channel is the same contiguous buffer in both
             // layouts — only the (rows, cols) interpretation changes.
-            return Matrix::from_vec(1, batch * spatial, self.data.clone());
+            return Matrix::from_vec(1, batch * spatial, chunk.to_vec());
         }
         let mut out = Matrix::zeros(channels, batch * spatial);
-        for s in 0..batch {
-            let row = self.row(s);
+        for (s, row) in chunk.chunks_exact(self.cols).enumerate() {
             for ch in 0..channels {
                 out.data[ch * batch * spatial + s * spatial..][..spatial]
                     .copy_from_slice(&row[ch * spatial..(ch + 1) * spatial]);
@@ -388,15 +410,14 @@ fn pack_b(
     }
 }
 
-/// Scalar fallback for shapes too small to amortize packing. Each layout
-/// combination uses the loop order whose innermost walk is contiguous in
-/// memory (minus the historical `aik == 0.0` branch, which defeats
-/// vectorization on dense data and only ever paid off on contrived sparse
-/// inputs):
+/// Fallback for shapes too small (or too skinny) to amortize packing.
 ///
-/// * `A·B` — i-k-j axpy rows of B into rows of `out`;
-/// * `Aᵀ·B` — k-outer, streaming one B row across all `out` rows;
-/// * `A·Bᵀ` — dot products of contiguous A and B rows.
+/// * `A·B`, `Aᵀ·B` — [`gemm_rows`]: register tiles of output rows that
+///   stay in registers across the whole k-extent;
+/// * `A·Bᵀ` — [`gemm_dot_tiled`]: dot products of contiguous A and B rows.
+///
+/// None of the arms depends on the dispatched kernel table, so their
+/// results are the same under every `FDA_FORCE_KERNEL`.
 #[allow(clippy::too_many_arguments)]
 fn gemm_small(
     m: usize,
@@ -411,30 +432,8 @@ fn gemm_small(
     out: &mut [f32],
 ) {
     match (a_layout, b_layout) {
-        (Layout::Normal, Layout::Normal) => {
-            for i in 0..m {
-                let out_row = &mut out[i * n..(i + 1) * n];
-                for p in 0..k {
-                    let aip = a[i * lda + p];
-                    let b_row = &b[p * ldb..p * ldb + n];
-                    for j in 0..n {
-                        out_row[j] += aip * b_row[j];
-                    }
-                }
-            }
-        }
-        (Layout::Transposed, Layout::Normal) => {
-            for p in 0..k {
-                let a_row = &a[p * lda..p * lda + m];
-                let b_row = &b[p * ldb..p * ldb + n];
-                for (i, &api) in a_row.iter().enumerate() {
-                    let out_row = &mut out[i * n..(i + 1) * n];
-                    for j in 0..n {
-                        out_row[j] += api * b_row[j];
-                    }
-                }
-            }
-        }
+        (Layout::Normal, Layout::Normal) => gemm_rows::<false>(m, n, k, a, lda, b, ldb, out),
+        (Layout::Transposed, Layout::Normal) => gemm_rows::<true>(m, n, k, a, lda, b, ldb, out),
         (Layout::Normal, Layout::Transposed) => {
             gemm_dot_tiled(m, n, k, a, lda, b, ldb, out);
         }
@@ -447,6 +446,147 @@ fn gemm_small(
                     for (j, o) in out_row.iter_mut().enumerate() {
                         *o += aip * b[j * ldb + p];
                     }
+                }
+            }
+        }
+    }
+}
+
+/// `out += op(A) · B` for contiguous-row `B`, `op(A) = Aᵀ` iff `AT`: every
+/// output element takes `out[i][j] += a(i,p) · b[p][j]` for `p` ascending
+/// (one multiply and one add per step, never fused) — the order of the
+/// plain i-k-j / k-i-j loops this replaces, so results are bit-identical to
+/// them. What changes is where the running sums live: a tile of `R` output
+/// rows × `NB` columns is held in registers across the whole k-extent
+/// instead of being re-loaded and re-stored once per `p`, and the `R` rows
+/// give the adds independent dependency chains.
+#[allow(clippy::too_many_arguments)]
+fn gemm_rows<const AT: bool>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+) {
+    const R: usize = 4;
+    let mut i = 0;
+    while i + R <= m {
+        gemm_row_block::<AT, R>(i, n, k, a, lda, b, ldb, out);
+        i += R;
+    }
+    while i < m {
+        gemm_row_block::<AT, 1>(i, n, k, a, lda, b, ldb, out);
+        i += 1;
+    }
+}
+
+/// One block of `R` output rows of [`gemm_rows`], split into column tiles
+/// of 16, 8, 4 and 1.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn gemm_row_block<const AT: bool, const R: usize>(
+    i: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+) {
+    let mut j = 0;
+    while j + 16 <= n {
+        gemm_tile::<AT, R, 16>(i, j, n, k, a, lda, b, ldb, out);
+        j += 16;
+    }
+    if j + 8 <= n {
+        gemm_tile::<AT, R, 8>(i, j, n, k, a, lda, b, ldb, out);
+        j += 8;
+    }
+    if j + 4 <= n {
+        gemm_tile::<AT, R, 4>(i, j, n, k, a, lda, b, ldb, out);
+        j += 4;
+    }
+    while j < n {
+        gemm_tile::<AT, R, 1>(i, j, n, k, a, lda, b, ldb, out);
+        j += 1;
+    }
+}
+
+/// The `R × NB` register tile at `(i, j)` of [`gemm_rows`].
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn gemm_tile<const AT: bool, const R: usize, const NB: usize>(
+    i: usize,
+    j: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+) {
+    let mut acc = [[0.0f32; NB]; R];
+    for (r, row) in acc.iter_mut().enumerate() {
+        row.copy_from_slice(&out[(i + r) * n + j..][..NB]);
+    }
+    for p in 0..k {
+        let b_row: &[f32; NB] = b[p * ldb + j..][..NB]
+            .try_into()
+            .expect("slice of NB elements");
+        for (r, row) in acc.iter_mut().enumerate() {
+            let a_ip = if AT {
+                a[p * lda + i + r]
+            } else {
+                a[(i + r) * lda + p]
+            };
+            for (o, &bv) in row.iter_mut().zip(b_row) {
+                *o += a_ip * bv;
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        out[(i + r) * n + j..][..NB].copy_from_slice(row);
+    }
+}
+
+/// The plain loops [`gemm_rows`] replaced, kept as the bit-for-bit
+/// reference of its differential test.
+#[cfg(test)]
+#[allow(clippy::too_many_arguments)]
+fn gemm_rows_reference<const AT: bool>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+) {
+    if AT {
+        for p in 0..k {
+            let a_row = &a[p * lda..p * lda + m];
+            let b_row = &b[p * ldb..p * ldb + n];
+            for (i, &api) in a_row.iter().enumerate() {
+                let out_row = &mut out[i * n..(i + 1) * n];
+                for j in 0..n {
+                    out_row[j] += api * b_row[j];
+                }
+            }
+        }
+    } else {
+        for i in 0..m {
+            let out_row = &mut out[i * n..(i + 1) * n];
+            for p in 0..k {
+                let aip = a[i * lda + p];
+                let b_row = &b[p * ldb..p * ldb + n];
+                for j in 0..n {
+                    out_row[j] += aip * b_row[j];
                 }
             }
         }
@@ -1262,5 +1402,80 @@ mod tests {
             ptr,
             "regrow within capacity must reuse allocation"
         );
+    }
+
+    /// (e) The register-row tiles against the plain loops they replaced,
+    /// bit for bit: widths below every arm's `nr` (and a few above), row
+    /// counts around the 4-row block, every column-tile remainder, and
+    /// `m·n·k` on either side of `SMALL_GEMM_FLOPS` — both directly and
+    /// through the public entry points that route such shapes here.
+    #[test]
+    fn differential_register_rows_match_plain_loops() {
+        let mut rng = Rng::new(0x2065);
+        let shapes = [
+            (1, 1, 1),
+            (5, 3, 7),
+            (4, 16, 9),
+            (7, 31, 33),
+            (32, 24, 108), // LeNet dense1 forward
+            (32, 10, 24),  // LeNet dense2 forward
+            (108, 24, 32), // LeNet dense1 weight gradient (Aᵀ·B)
+            (2, 15, 500),  // 15 000 < SMALL_GEMM_FLOPS
+            (8, 23, 88),   // 16 192 <
+            (9, 23, 80),   // 16 560 >
+            (3, 20, 300),  // 18 000 >, deep k
+            (13, 37, 5),
+            (6, 45, 400),
+        ];
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for &(m, n, k) in &shapes {
+            let ctx = format!("{m}x{k}x{n}");
+            let a = Matrix::random_normal(m, k, 0.0, 1.0, &mut rng);
+            let at = a.transposed();
+            let b = Matrix::random_normal(k, n, 0.0, 1.0, &mut rng);
+            let seed = Matrix::random_normal(m, n, 0.0, 1.0, &mut rng);
+
+            let mut want = seed.clone();
+            gemm_rows_reference::<false>(m, n, k, &a.data, k, &b.data, n, &mut want.data);
+            let mut got = seed.clone();
+            gemm_rows::<false>(m, n, k, &a.data, k, &b.data, n, &mut got.data);
+            assert_eq!(bits(&got), bits(&want), "{ctx}: A·B");
+
+            let mut want_t = seed.clone();
+            gemm_rows_reference::<true>(m, n, k, &at.data, m, &b.data, n, &mut want_t.data);
+            let mut got_t = seed.clone();
+            gemm_rows::<true>(m, n, k, &at.data, m, &b.data, n, &mut got_t.data);
+            assert_eq!(bits(&got_t), bits(&want_t), "{ctx}: Aᵀ·B");
+
+            // n < 16 is below every arm's nr: the public entry points land
+            // in the small path whatever m·n·k is.
+            if n < 16 {
+                let mut public = seed.clone();
+                gemm_accumulate(&a, &b, &mut public);
+                assert_eq!(bits(&public), bits(&want), "{ctx}: gemm_accumulate");
+                let mut public_t = seed.clone();
+                gemm_at_b_accumulate(&at, &b, &mut public_t);
+                assert_eq!(
+                    bits(&public_t),
+                    bits(&want_t),
+                    "{ctx}: gemm_at_b_accumulate"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rows_to_channel_major_matches_whole_matrix_conversion() {
+        let mut rng = Rng::new(0x20C3);
+        let x = Matrix::random_normal(9, 3 * 5, 0.0, 1.0, &mut rng);
+        for channels in [1usize, 3, 5] {
+            let whole = x.to_channel_major(channels);
+            let spatial = x.cols() / channels;
+            let part = x.rows_to_channel_major(2..6, channels);
+            assert_eq!((part.rows(), part.cols()), (channels, 4 * spatial));
+            for ch in 0..channels {
+                assert_eq!(part.row(ch), &whole.row(ch)[2 * spatial..6 * spatial]);
+            }
+        }
     }
 }

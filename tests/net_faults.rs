@@ -383,6 +383,61 @@ fn empty_plan_matches_clean_run_bitwise() {
     }
 }
 
+/// ROADMAP 5b over the socket: a learning rate that overflows every
+/// replica makes `H(S̄)` infinite in round 0 and NaN from round 1 on. The
+/// decision must fail closed — `sync` every round — on the coordinator
+/// *and* in each worker's cross-check of the decision byte (a disagreement
+/// is a protocol error and would abort the run), and the trajectory must
+/// be the simulator's.
+#[test]
+fn nan_state_synchronizes_on_coordinator_and_workers() {
+    use fda::core::fda::Fda;
+    use fda::core::strategy::Strategy;
+
+    const STEPS: u32 = 5;
+    for variant in [FdaConfig::linear(0.01), FdaConfig::sketch_auto(0.01)] {
+        let mut spec = spec(3, STEPS);
+        spec.fda = variant;
+        spec.cluster.optimizer = fda::optim::OptimizerKind::Sgd { lr: 1e30 };
+        let (report, workers) = run_chaos_with_thread_workers(
+            &spec,
+            &FaultPlan::new(),
+            RoundPolicy::default(),
+            None,
+            IO_TIMEOUT,
+        );
+        let report = report.expect("a diverged job is not a protocol error");
+        for (id, w) in workers.iter().enumerate() {
+            assert!(
+                matches!(w, Ok(WorkerOutcome::Completed(_))),
+                "worker {id} must agree with every decision byte: {w:?}"
+            );
+        }
+        assert!(
+            report.estimates[1..].iter().all(|e| e.is_nan()),
+            "the job was meant to diverge: {:?}",
+            report.estimates
+        );
+        assert_eq!(report.decisions, vec![true; STEPS as usize]);
+        assert_eq!(report.syncs, u64::from(STEPS));
+        assert_eq!(report.measured_payload_bytes, report.charged_bytes);
+
+        let task = spec.synth.generate(&spec.task_name);
+        let mut sim = Fda::new(spec.fda, spec.cluster.clone(), &task);
+        for (round, &decision) in report.decisions.iter().enumerate() {
+            let out = sim.step();
+            assert_eq!(out.synced, decision, "round {round}: simulator decision");
+            let estimate = out.variance_estimate.expect("fda reports estimates");
+            assert!(
+                estimate.to_bits() == report.estimates[round].to_bits()
+                    || (estimate.is_nan() && report.estimates[round].is_nan()),
+                "round {round}: simulator estimate {estimate} vs {}",
+                report.estimates[round]
+            );
+        }
+    }
+}
+
 /// Seeded plans are values: the same seed draws the same chaos, and a
 /// drawn plan never schedules worker 0 (quorum floor).
 #[test]
