@@ -13,16 +13,11 @@
 //! * [`cost::Environment`] — wall-time models for the three deployment
 //!   regimes of Figure 12 (FL at 0.5 Gbps, Balanced, ARIS-HPC InfiniBand),
 //!   used to translate (bytes, steps) into time and pick Θ.
-//! * [`threaded::ThreadedReducer`] — a real rendezvous AllReduce across OS
-//!   threads (std scoped threads + mutex/condvar rendezvous), proving the
-//!   protocol works under true concurrency; tests cross-validate it
-//!   against the simulator.
 
 pub mod compress;
 pub mod cost;
 pub mod kernels;
 pub mod sim;
-pub mod threaded;
 
 pub use compress::{
     apply_delta_downlink, apply_delta_downlink_into, delta_downlink, delta_downlink_into, Codec,
@@ -30,4 +25,3 @@ pub use compress::{
 };
 pub use cost::{AccountingMode, Environment};
 pub use sim::SimNetwork;
-pub use threaded::ThreadedReducer;

@@ -35,11 +35,6 @@ impl Synchronous {
             syncs: 0,
         }
     }
-
-    /// Builds over an existing cluster.
-    pub fn over_cluster(cluster: Cluster) -> Synchronous {
-        Synchronous { cluster, syncs: 0 }
-    }
 }
 
 impl Strategy for Synchronous {

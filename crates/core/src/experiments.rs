@@ -4,16 +4,90 @@
 //! dataset, the Θ grid, batch size, worker counts, local optimizer, and the
 //! algorithm set. Absolute Θ values are re-calibrated for our scaled
 //! models (drift magnitudes depend on `d`, the optimizer and the task; see
-//! `benches/fig12_theta_rule.rs` for the calibration), but the *structure*
+//! [`crate::theta`] for the calibration), but the *structure*
 //! — which algorithms face which model with which optimizer — is the
 //! paper's.
 
-use crate::harness::RunConfig;
-use crate::sweeps::Algo;
+use crate::baselines::{FedOpt, LocalSgd, Synchronous};
+use crate::cluster::ClusterConfig;
+use crate::fda::{Fda, FdaConfig, FdaVariant};
+use crate::strategy::Strategy;
 use fda_data::synth;
 use fda_data::TaskData;
 use fda_nn::zoo::ModelId;
 use fda_optim::OptimizerKind;
+
+/// One algorithm of a Table 2 row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Algo {
+    /// LinearFDA (needs Θ).
+    LinearFda,
+    /// SketchFDA with the paper's default sketch (needs Θ).
+    SketchFda,
+    /// Oracle-monitor FDA (ablations; needs Θ).
+    ExactFda,
+    /// Bulk-synchronous baseline.
+    Synchronous,
+    /// Local-SGD with fixed period τ.
+    LocalSgd(u64),
+    /// FedAvg with E = 1.
+    FedAvg,
+    /// FedAvgM with E = 1 (paper §4.1).
+    FedAvgM,
+    /// FedAdam with E = 1 (paper §4.1).
+    FedAdam,
+}
+
+impl Algo {
+    /// Display name used in tables (matches the paper's legends).
+    pub fn name(&self) -> String {
+        match self {
+            Algo::LinearFda => "LinearFDA".into(),
+            Algo::SketchFda => "SketchFDA".into(),
+            Algo::ExactFda => "ExactFDA".into(),
+            Algo::Synchronous => "Synchronous".into(),
+            Algo::LocalSgd(tau) => format!("LocalSGD(tau={tau})"),
+            Algo::FedAvg => "FedAvg".into(),
+            Algo::FedAvgM => "FedAvgM".into(),
+            Algo::FedAdam => "FedAdam".into(),
+        }
+    }
+
+    /// True iff the algorithm consumes a Θ threshold.
+    pub fn uses_theta(&self) -> bool {
+        matches!(self, Algo::LinearFda | Algo::SketchFda | Algo::ExactFda)
+    }
+
+    /// Instantiates the strategy over a fresh cluster.
+    pub fn build(
+        &self,
+        theta: f32,
+        cluster_config: ClusterConfig,
+        task: &TaskData,
+    ) -> Box<dyn Strategy> {
+        match self {
+            Algo::LinearFda => Box::new(Fda::new(FdaConfig::linear(theta), cluster_config, task)),
+            Algo::SketchFda => Box::new(Fda::new(
+                FdaConfig::sketch_auto(theta),
+                cluster_config,
+                task,
+            )),
+            Algo::ExactFda => Box::new(Fda::new(
+                FdaConfig {
+                    variant: FdaVariant::Exact,
+                    theta,
+                },
+                cluster_config,
+                task,
+            )),
+            Algo::Synchronous => Box::new(Synchronous::new(cluster_config, task)),
+            Algo::LocalSgd(tau) => Box::new(LocalSgd::new(*tau, cluster_config, task)),
+            Algo::FedAvg => Box::new(FedOpt::fedavg(1, cluster_config, task)),
+            Algo::FedAvgM => Box::new(FedOpt::fedavgm(1, cluster_config, task)),
+            Algo::FedAdam => Box::new(FedOpt::fedadam(1, cluster_config, task)),
+        }
+    }
+}
 
 /// One row of Table 2.
 #[derive(Clone)]
@@ -45,11 +119,6 @@ impl ExperimentSpec {
             "synth-cifar100-features" => synth::synth_cifar100_features(),
             other => panic!("unknown task {other}"),
         }
-    }
-
-    /// A default run configuration for the first accuracy target.
-    pub fn run_config(&self, max_steps: u64) -> RunConfig {
-        RunConfig::to_target(self.accuracy_targets[0], max_steps)
     }
 }
 
@@ -194,6 +263,15 @@ mod tests {
             assert_eq!(task.dim(), spec.model.input_shape().len());
             assert_eq!(task.classes(), spec.model.classes());
         }
+    }
+
+    #[test]
+    fn algo_names_and_theta_usage() {
+        assert!(Algo::LinearFda.uses_theta());
+        assert!(Algo::SketchFda.uses_theta());
+        assert!(!Algo::Synchronous.uses_theta());
+        assert!(!Algo::FedAdam.uses_theta());
+        assert_eq!(Algo::LocalSgd(16).name(), "LocalSGD(tau=16)");
     }
 
     #[test]

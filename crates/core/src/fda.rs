@@ -95,8 +95,8 @@ pub const COUNTER_NONFINITE_SYNCS: &str = "fda_nonfinite_estimate_syncs";
 /// The Round Invariant check of Algorithm 1: `true` iff the averaged
 /// estimate `H(S̄)` exceeds Θ and the models must synchronize — the single
 /// home of the decision, shared by every driver (simulator, async,
-/// threaded, socket coordinator and the socket worker's cross-check) so
-/// they cannot disagree.
+/// socket coordinator and the socket worker's cross-check) so they cannot
+/// disagree.
 ///
 /// The check **fails closed**: a NaN or infinite estimate (a diverged
 /// replica) synchronizes, where the bare `estimate > theta` is false for
@@ -180,8 +180,6 @@ pub struct Fda {
     /// Built codec — `None` on the dense path, which keeps its historical
     /// byte-for-byte behaviour (pooled reductions, `charge_allreduce`).
     codec_impl: Option<Box<dyn Codec>>,
-    /// The downlink mode. [`DownlinkSpec::Dense`] by default.
-    downlink: DownlinkSpec,
     /// Built downlink delta codec — `None` on the dense downlink, which
     /// broadcasts the AllReduce mean bit-exactly as it always did.
     downlink_impl: Option<Box<dyn Codec>>,
@@ -201,37 +199,6 @@ impl Fda {
     pub fn new(config: FdaConfig, cluster_config: ClusterConfig, task: &TaskData) -> Fda {
         assert!(config.theta >= 0.0, "fda: Θ must be non-negative");
         let cluster = Cluster::new(cluster_config, task);
-        Fda::over_cluster(config, cluster)
-    }
-
-    /// Builds FDA with a caller-supplied monitor — the extension point for
-    /// custom variance estimators (used by the ξ-choice ablation bench).
-    pub fn with_monitor(monitor: Box<dyn VarianceMonitor>, theta: f32, cluster: Cluster) -> Fda {
-        assert!(theta >= 0.0, "fda: Θ must be non-negative");
-        let w_sync = cluster.worker(0).params();
-        let variant_name = monitor.name();
-        Fda {
-            cluster,
-            monitor,
-            theta,
-            variant_name,
-            w_sync,
-            syncs: 0,
-            drift_bufs: Vec::new(),
-            states: Vec::new(),
-            avg_state: None,
-            codec: CodecSpec::Dense,
-            codec_impl: None,
-            downlink: DownlinkSpec::Dense,
-            downlink_impl: None,
-            coded: SyncScratch::default(),
-            telemetry: None,
-        }
-    }
-
-    /// Builds FDA over an existing cluster (used by sweeps that pre-build
-    /// clusters).
-    pub fn over_cluster(config: FdaConfig, cluster: Cluster) -> Fda {
         let monitor = config.variant.build_monitor(cluster.dim());
         let w_sync = cluster.worker(0).params();
         Fda {
@@ -246,7 +213,6 @@ impl Fda {
             avg_state: None,
             codec: CodecSpec::Dense,
             codec_impl: None,
-            downlink: DownlinkSpec::Dense,
             downlink_impl: None,
             coded: SyncScratch::default(),
             telemetry: None,
@@ -268,11 +234,6 @@ impl Fda {
         self.codec = spec;
     }
 
-    /// The configured uplink codec.
-    pub fn codec_spec(&self) -> CodecSpec {
-        self.codec
-    }
-
     /// Selects the downlink mode — the simulator mirror of the
     /// coordinator's consensus broadcast. Under
     /// [`DownlinkSpec::Delta`] the post-sync consensus becomes the
@@ -287,12 +248,6 @@ impl Fda {
     pub fn set_downlink(&mut self, spec: DownlinkSpec) {
         spec.validate().expect("fda: invalid downlink spec");
         self.downlink_impl = spec.build();
-        self.downlink = spec;
-    }
-
-    /// The configured downlink mode.
-    pub fn downlink_spec(&self) -> DownlinkSpec {
-        self.downlink
     }
 
     /// The variance threshold Θ.
@@ -300,25 +255,9 @@ impl Fda {
         self.theta
     }
 
-    /// Replaces Θ (used by the adaptive controller of [`crate::adaptive`];
-    /// all workers can apply the same deterministic update without extra
-    /// communication).
-    ///
-    /// # Panics
-    /// Panics if `theta < 0`.
-    pub fn set_theta(&mut self, theta: f32) {
-        assert!(theta >= 0.0, "fda: Θ must be non-negative");
-        self.theta = theta;
-    }
-
     /// The monitor in use.
     pub fn monitor(&self) -> &dyn VarianceMonitor {
         self.monitor.as_ref()
-    }
-
-    /// The model at the last synchronization (`w_t0`).
-    pub fn sync_model(&self) -> &[f32] {
-        &self.w_sync
     }
 
     /// Computes all workers' local states into `self.states` (Algorithm 1

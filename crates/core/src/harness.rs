@@ -48,12 +48,6 @@ impl RunConfig {
         }
     }
 
-    /// Enables the Figure-7 style train-accuracy trace.
-    pub fn with_train_trace(mut self, samples: usize) -> RunConfig {
-        self.train_eval_samples = samples;
-        self
-    }
-
     /// Streams per-round telemetry events to `path` as versioned JSONL.
     pub fn with_telemetry(mut self, path: impl Into<PathBuf>) -> RunConfig {
         self.telemetry = Some(path.into());
@@ -93,22 +87,6 @@ pub struct RunResult {
     pub best_test_acc: f32,
     /// Evaluation trace (one point per evaluation).
     pub trace: Vec<TracePoint>,
-}
-
-impl RunResult {
-    /// Communication in gigabytes (the paper's x-axis unit).
-    pub fn comm_gb(&self) -> f64 {
-        self.comm_bytes as f64 / 1e9
-    }
-
-    /// The first trace point at or above `target` test accuracy.
-    ///
-    /// Lets one run to a high target answer "what did it cost to reach
-    /// every lower target?" — how the multi-target panels of Figures 4–6
-    /// are produced without re-running the grid per target.
-    pub fn cost_at(&self, target: f32) -> Option<TracePoint> {
-        self.trace.iter().copied().find(|p| p.test_acc >= target)
-    }
 }
 
 /// Runs `strategy` until the target accuracy or the step cap.
@@ -275,7 +253,10 @@ mod tests {
     fn train_trace_enabled_records_train_accuracy() {
         let task = tiny_task();
         let mut s = Synchronous::new(ClusterConfig::small_test(2), &task);
-        let cfg = RunConfig::to_target(0.9, 40).with_train_trace(100);
+        let cfg = RunConfig {
+            train_eval_samples: 100,
+            ..RunConfig::to_target(0.9, 40)
+        };
         let res = run_to_target(&mut s, &task, &cfg);
         assert!(res.trace.iter().all(|p| !p.train_acc.is_nan()));
     }

@@ -34,11 +34,9 @@
 //!   paper's two metrics (communication bytes, in-parallel steps).
 //! * [`theta`] — the Θ ≈ c·d guideline (Figure 12) and calibration sweeps.
 //! * [`experiments`] — the Table 2 experiment grid.
-//! * [`sweeps`] — (K, Θ) grid runners behind Figures 3–6 and 8–11.
 //! * [`async_fda`] — the coordinator-based asynchronous variant sketched
 //!   in §3.3.
 
-pub mod adaptive;
 pub mod async_fda;
 pub mod baselines;
 pub mod cluster;
@@ -48,9 +46,7 @@ pub mod harness;
 pub mod monitor;
 pub mod pool;
 pub mod strategy;
-pub mod sweeps;
 pub mod theta;
-pub mod threaded;
 pub mod wire;
 
 pub use cluster::{Cluster, ClusterConfig};

@@ -17,8 +17,9 @@
 //! wall-time under each [`Environment`]. The *ordering*
 //! `c_FL > c_B > c_HPC` is the shape the reproduction must preserve.
 
+use crate::cluster::ClusterConfig;
+use crate::fda::{Fda, FdaConfig, FdaVariant};
 use crate::harness::{run_to_target, RunConfig, RunResult};
-use crate::sweeps::Algo;
 use fda_comm::Environment;
 use fda_data::TaskData;
 
@@ -26,7 +27,7 @@ use fda_data::TaskData;
 ///
 /// # Panics
 /// Panics on an unknown environment name.
-pub fn paper_slope(env_name: &str) -> f64 {
+fn paper_slope(env_name: &str) -> f64 {
     match env_name {
         "FL" => 4.91e-5,
         "Balanced" => 3.89e-5,
@@ -51,24 +52,25 @@ pub struct ThetaPoint {
     pub wall_time: f64,
 }
 
-/// Sweeps Θ for one FDA variant and returns the per-Θ outcomes with
-/// modelled wall-times; the minimizer is the environment's workable Θ*.
+/// Sweeps Θ for one FDA variant over fresh clusters built from `cluster`
+/// and returns the per-Θ outcomes with modelled wall-times; the minimizer
+/// is the environment's workable Θ*.
 ///
 /// Runs that fail to reach the target get infinite wall-time (the paper
 /// notes Θ beyond the workable range leads to non-convergence).
 pub fn calibrate(
-    algo: Algo,
+    variant: FdaVariant,
     thetas: &[f32],
     env: &Environment,
-    make_strategy: &mut dyn FnMut(Algo, f32) -> Box<dyn crate::strategy::Strategy>,
+    cluster: &ClusterConfig,
     task: &TaskData,
     run_cfg: &RunConfig,
 ) -> Vec<ThetaPoint> {
+    let k = cluster.workers as u64;
     let mut out = Vec::with_capacity(thetas.len());
     for &theta in thetas {
-        let mut strategy = make_strategy(algo, theta);
-        let result = run_to_target(strategy.as_mut(), task, run_cfg);
-        let k = strategy.cluster().workers().max(1) as u64;
+        let mut fda = Fda::new(FdaConfig { variant, theta }, cluster.clone(), task);
+        let result = run_to_target(&mut fda, task, run_cfg);
         let per_worker_bytes = result.comm_bytes / k;
         let messages = result.steps + result.syncs; // state + model rounds
         let wall_time = if result.reached {

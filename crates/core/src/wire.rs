@@ -3,8 +3,8 @@
 //! The simulator usually passes [`LocalState`] values in memory and only
 //! *charges* their byte size; this module provides the actual byte-level
 //! encoding so that (a) the charged sizes are demonstrably achievable, and
-//! (b) transport-based drivers ([`crate::threaded`], and the `fda_net` TCP
-//! runtime) can ship real buffers. Hand-rolled little-endian framing —
+//! (b) the transport-based driver (the `fda_net` TCP runtime) can ship real
+//! buffers. Hand-rolled little-endian framing —
 //! the payloads are flat `f32` runs and a handful of scalars, serde would
 //! be overkill.
 //!
@@ -41,7 +41,7 @@ use fda_sketch::{AmsSketch, SketchConfig};
 ///
 /// v3: the job carries its downlink spec ([`DownlinkSpec`]) so delta-coded
 /// model broadcasts reconstruct identically on every process.
-pub const JOB_WIRE_VERSION: u8 = 3;
+const JOB_WIRE_VERSION: u8 = 3;
 
 /// Errors produced when decoding a wire buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -416,6 +416,70 @@ pub struct JobSpec {
     pub task_name: String,
 }
 
+impl JobSpec {
+    /// Range-checks the fields a driver would otherwise trip an `assert!`
+    /// on: the one gate for jobs arriving from the CLI ([`decode_job`]
+    /// applies it to jobs arriving as bytes). Θ = +∞ ("never synchronize")
+    /// is legal.
+    pub fn validate(&self) -> Result<(), DecodeError> {
+        let c = &self.cluster;
+        let bad = |why| Err(DecodeError::Malformed(why));
+        if c.workers < 1 {
+            return bad("job needs at least one worker");
+        }
+        if self.steps < 1 {
+            return bad("job needs at least one step");
+        }
+        if c.batch_size < 1 {
+            return bad("batch size must be positive");
+        }
+        if self.fda.theta.is_nan() || self.fda.theta < 0.0 {
+            return bad("theta must be non-negative");
+        }
+        self.codec.validate().map_err(DecodeError::Malformed)?;
+        self.downlink.validate().map_err(DecodeError::Malformed)?;
+        match c.partition {
+            Partition::NonIidPercent(f) if f.is_nan() || f <= 0.0 || f > 1.0 => {
+                return bad("partition fraction must be in (0, 1]");
+            }
+            Partition::NonIidLabel(y) if y >= self.synth.classes => {
+                return bad("partition label out of range");
+            }
+            _ => {}
+        }
+        if min_shard_len(
+            c.partition,
+            self.synth.n_train,
+            self.synth.classes,
+            c.workers,
+        ) < 1
+        {
+            return bad("n_train too small: a worker's shard would be empty");
+        }
+        Ok(())
+    }
+}
+
+/// Size of the smallest shard [`Partition::shards`] deals to `k` workers
+/// from `n` samples whose labels cycle `i % classes` (how
+/// [`SynthSpec::generate`] assigns them). Mirrors the dealing rules there;
+/// `min_shard_len_matches_the_partitioner` keeps the two in step.
+fn min_shard_len(partition: Partition, n: usize, classes: usize, k: usize) -> usize {
+    match partition {
+        Partition::Iid => n / k,
+        // A label-sorted block dealt contiguously plus an IID remainder
+        // dealt round-robin: the last shard gets the floor of both.
+        Partition::NonIidPercent(f) => {
+            let sorted = ((n as f32 * f).round() as usize).min(n);
+            sorted / k + (n - sorted) / k
+        }
+        // The label goes to the first max(1, K/10) shards only; the last
+        // shard holds just its round-robin share of the other samples.
+        Partition::NonIidLabel(_) if k == 1 => n,
+        Partition::NonIidLabel(y) => (n - (n + classes - 1 - y) / classes) / k,
+    }
+}
+
 fn put_model(out: &mut Vec<u8>, m: ModelId) {
     out.push(match m {
         ModelId::Lenet5 => 0,
@@ -660,7 +724,8 @@ pub fn encode_job(job: &JobSpec) -> Vec<u8> {
 }
 
 /// Decodes a config frame produced by [`encode_job`]. Total: every
-/// malformed input maps to a [`DecodeError`].
+/// malformed input maps to a [`DecodeError`], and a job that decodes has
+/// passed [`JobSpec::validate`].
 pub fn decode_job(buf: &[u8]) -> Result<JobSpec, DecodeError> {
     let mut off = 0usize;
     let version = get_u8(buf, &mut off)?;
@@ -718,7 +783,7 @@ pub fn decode_job(buf: &[u8]) -> Result<JobSpec, DecodeError> {
     if off != buf.len() {
         return Err(DecodeError::Truncated);
     }
-    Ok(JobSpec {
+    let job = JobSpec {
         cluster,
         fda,
         codec,
@@ -726,7 +791,9 @@ pub fn decode_job(buf: &[u8]) -> Result<JobSpec, DecodeError> {
         steps,
         synth,
         task_name,
-    })
+    };
+    job.validate()?;
+    Ok(job)
 }
 
 #[cfg(test)]
@@ -971,6 +1038,91 @@ mod tests {
         let mut bad = bytes.clone();
         bad[pos + 1..pos + 5].copy_from_slice(&0u32.to_le_bytes());
         assert!(matches!(decode_job(&bad), Err(DecodeError::Malformed(_))));
+    }
+
+    /// One case per field [`JobSpec::validate`] rejects; each of these
+    /// jobs used to reach an `assert!` in the coordinator or the worker.
+    #[test]
+    fn validate_rejects_each_out_of_range_field() {
+        assert_eq!(sample_job().validate(), Ok(()));
+        let mut never_syncs = sample_job();
+        never_syncs.fda.theta = f32::INFINITY;
+        assert_eq!(never_syncs.validate(), Ok(()));
+
+        type Mutation = fn(&mut JobSpec);
+        let cases: [(&str, Mutation); 11] = [
+            ("workers = 0", |j| j.cluster.workers = 0),
+            ("steps = 0", |j| j.steps = 0),
+            ("batch_size = 0", |j| j.cluster.batch_size = 0),
+            ("theta < 0", |j| j.fda.theta = -0.5),
+            ("theta NaN", |j| j.fda.theta = f32::NAN),
+            ("codec", |j| j.codec = CodecSpec::TopK { k: 0 }),
+            ("downlink", |j| {
+                j.downlink = DownlinkSpec::Delta {
+                    codec: CodecSpec::Uniform8 { chunk: 0 },
+                }
+            }),
+            ("partition fraction", |j| {
+                j.cluster.partition = Partition::NonIidPercent(f32::NAN)
+            }),
+            ("partition label", |j| {
+                j.cluster.partition = Partition::NonIidLabel(10)
+            }),
+            ("n_train < workers", |j| j.synth.n_train = 3),
+            ("label shard starved", |j| {
+                // 10 samples, one per class: 9 carry another label, and 9
+                // cannot cover 10 round-robin shards.
+                j.cluster.workers = 10;
+                j.cluster.partition = Partition::NonIidLabel(0);
+                j.synth.n_train = 10;
+            }),
+        ];
+        for (what, mutate) in cases {
+            let mut job = sample_job();
+            mutate(&mut job);
+            assert!(
+                matches!(job.validate(), Err(DecodeError::Malformed(_))),
+                "{what}: validate must reject"
+            );
+            assert!(
+                matches!(
+                    decode_job(&encode_job(&job)),
+                    Err(DecodeError::Malformed(_))
+                ),
+                "{what}: decode_job must reject"
+            );
+        }
+    }
+
+    #[test]
+    fn min_shard_len_matches_the_partitioner() {
+        use fda_data::Dataset;
+        use fda_tensor::Matrix;
+        let classes = 4;
+        for partition in [
+            Partition::Iid,
+            Partition::NonIidPercent(0.3),
+            Partition::NonIidPercent(1.0),
+            Partition::NonIidLabel(0),
+            Partition::NonIidLabel(3),
+        ] {
+            for n in 1..=24usize {
+                for k in [1usize, 2, 3, 5, 11, 20] {
+                    let labels = (0..n).map(|i| i % classes).collect();
+                    let data = Dataset::new(Matrix::zeros(n, 1), labels, classes);
+                    let predicted = min_shard_len(partition, n, classes, k);
+                    let case = format!("{partition:?} n={n} k={k}");
+                    if predicted == 0 {
+                        let dealt = std::panic::catch_unwind(|| partition.shards(&data, k, 7));
+                        assert!(dealt.is_err(), "{case}: predicted an empty shard");
+                    } else {
+                        let shards = partition.shards(&data, k, 7);
+                        let min = shards.iter().map(Vec::len).min().unwrap();
+                        assert_eq!(min, predicted, "{case}");
+                    }
+                }
+            }
+        }
     }
 
     /// Dense-coded frames are byte-identical to the pre-codec layouts —

@@ -17,55 +17,18 @@
 //! each, and not what this fence is for. Lives in its own test binary so
 //! the allocator is isolated from the other suites.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use fda_comm::{CodecSpec, DownlinkSpec};
 use fda_core::cluster::{Cluster, ClusterConfig};
 use fda_core::fda::{Fda, FdaConfig};
 use fda_core::strategy::Strategy;
 use fda_data::synth::SynthSpec;
 use fda_data::TaskData;
-
-struct CountingAlloc;
+use fda_obs::alloc_count::{allocs, large_allocs, set_large_bytes, set_min_bytes, CountingAlloc};
 
 /// Smallest allocation the fence counts: anything that could hold a
 /// payload (the smallest coded state summary here is several hundred
 /// bytes), nothing as small as a layer's parameter-view list (32 bytes).
 const BUFFER_BYTES: usize = 128;
-
-thread_local! {
-    // Const-init `Cell`s carry no destructor and no lazy initialization,
-    // so the allocator can touch them without recursing.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static BIG_ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static BIG_BYTES: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-fn record(size: usize) {
-    if size >= BUFFER_BYTES {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-    }
-    if BIG_BYTES.try_with(Cell::get).is_ok_and(|big| size >= big) {
-        let _ = BIG_ALLOCS.try_with(|c| c.set(c.get() + 1));
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
@@ -87,14 +50,11 @@ fn count(warm: usize, steps: usize, mut step: impl FnMut()) -> (u64, u64) {
     for _ in 0..warm {
         step();
     }
-    let before = (ALLOCS.with(Cell::get), BIG_ALLOCS.with(Cell::get));
+    let before = (allocs(), large_allocs());
     for _ in 0..steps {
         step();
     }
-    (
-        ALLOCS.with(Cell::get) - before.0,
-        BIG_ALLOCS.with(Cell::get) - before.1,
-    )
+    (allocs() - before.0, large_allocs() - before.1)
 }
 
 /// Per-step slope of `(buffer allocations, d-sized allocations)`.
@@ -109,6 +69,7 @@ fn slope(mut step: impl FnMut()) -> (f64, f64) {
 #[test]
 fn coded_step_allocations_are_flat_in_k_and_never_d_sized() {
     let task = task();
+    set_min_bytes(BUFFER_BYTES);
     // A step's own buffers beyond local training: the averaged state (one
     // sketch, measured 1.0) plus headroom for one more — far below the 2K
     // encode/decode buffers a per-worker `Vec` in either coded loop adds.
@@ -121,7 +82,7 @@ fn coded_step_allocations_are_flat_in_k_and_never_d_sized() {
         fda.set_downlink(DownlinkSpec::Delta { codec: UNIFORM8 });
         let d = fda.cluster().dim();
         // An encoded model is about `d` bytes, a reconstruction `4d`.
-        BIG_BYTES.with(|c| c.set(d));
+        set_large_bytes(d);
 
         let mut training = Cluster::new(config, &task);
         let (local, local_big) = slope(|| {

@@ -39,11 +39,6 @@ impl BatchSampler {
         s
     }
 
-    /// Number of samples in the shard.
-    pub fn shard_len(&self) -> usize {
-        self.indices.len()
-    }
-
     /// Configured batch size.
     pub fn batch_size(&self) -> usize {
         self.batch

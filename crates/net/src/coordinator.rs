@@ -1,8 +1,8 @@
 //! The TCP coordinator: deposit → deterministic reduce → broadcast,
 //! surviving worker churn.
 //!
-//! One FDA round on the wire is the same three-phase rendezvous as
-//! [`fda_comm::ThreadedReducer`], with sockets in place of condvars:
+//! One FDA round on the wire is the same three-phase rendezvous as the
+//! simulator's pooled reduction, with sockets in place of the pool's lanes:
 //!
 //! 1. **deposit** — every live worker uploads its local state frame;
 //! 2. **reduce** — the coordinator averages the decoded states **in
@@ -41,9 +41,9 @@ use crate::frame::{
     write_frame, write_frame_with, CountingStream, FrameHead, FrameKind, NetError, PROTOCOL_VERSION,
 };
 use crate::protocol::{recv_at_epoch, recv_frame_at_epoch_into, Msg};
-use fda_comm::{delta_downlink_into, AccountingMode, SimNetwork};
+use fda_comm::{delta_downlink_into, AccountingMode, Codec, SimNetwork};
 use fda_core::fda::violates;
-use fda_core::monitor::LocalState;
+use fda_core::monitor::{LocalState, VarianceMonitor};
 use fda_core::wire::{
     decode_state_coded, decode_vector_coded, encode_state_into, encode_vector, encode_vector_into,
     state_frame_overhead, JobSpec,
@@ -206,6 +206,29 @@ impl Conn {
         write_frame(&mut self.stream, epoch, kind, payload)
     }
 
+    /// The join handshake, the same for first joins and rejoins: `Config`,
+    /// then the versioned `Resume` handoff at `round`.
+    fn send_join(
+        &mut self,
+        epoch: u32,
+        round: u32,
+        config: &[u8],
+        model: &[f32],
+        prev: &Option<Vec<f32>>,
+    ) -> Result<(), NetError> {
+        self.send_raw(epoch, FrameKind::Config, config)?;
+        // The `Msg::Resume` layout, encoded without cloning the model
+        // vectors into a `Msg`.
+        let mut p = Vec::with_capacity(9 + model.len() * 4);
+        p.extend_from_slice(&round.to_le_bytes());
+        p.push(prev.is_some() as u8);
+        p.extend_from_slice(&encode_vector(model));
+        if let Some(prev) = prev {
+            p.extend_from_slice(&encode_vector(prev));
+        }
+        self.send_raw(epoch, FrameKind::Resume, &p)
+    }
+
     /// One target of an encode-once broadcast: `head` was composed (and
     /// `payload` checksummed) once for the whole fan-out.
     fn send_with(&mut self, head: &FrameHead, payload: &[u8]) -> Result<(), NetError> {
@@ -228,13 +251,6 @@ impl Conn {
         self.stream.get_ref().set_read_timeout(Some(t))?;
         Ok(())
     }
-}
-
-/// Closes a connection and banks its raw byte counters.
-fn retire(conn: Conn, raw: &mut (u64, u64)) {
-    raw.0 += conn.stream.tx_bytes();
-    raw.1 += conn.stream.rx_bytes();
-    let _ = conn.stream.get_ref().shutdown(std::net::Shutdown::Both);
 }
 
 /// Maps a per-connection receive/send error to the drop bucket the
@@ -376,21 +392,19 @@ impl Coordinator {
     /// first (the worker retried).
     fn drain_accepts(
         &self,
-        k: usize,
-        conns: &[Option<Conn>],
+        members: &mut Membership,
         pending: &mut Vec<(usize, Conn)>,
-        raw: &mut (u64, u64),
     ) -> Result<(), NetError> {
         loop {
             match self.listener.accept() {
-                Ok((stream, _peer)) => match self.handshake(stream, k) {
+                Ok((stream, _peer)) => match self.handshake(stream, members.conns.len()) {
                     Ok((id, _last_epoch, conn)) => {
-                        if conns[id].is_some() {
-                            retire(conn, raw);
+                        if members.is_live(id) {
+                            members.retire(conn);
                             continue;
                         }
                         if let Some(pos) = pending.iter().position(|(pid, _)| *pid == id) {
-                            retire(pending.swap_remove(pos).1, raw);
+                            members.retire(pending.swap_remove(pos).1);
                         }
                         pending.push((id, conn));
                     }
@@ -407,387 +421,27 @@ impl Coordinator {
 
     /// Runs the full FDA job across `spec.cluster.workers` TCP workers and
     /// returns the trajectory report. Blocks until the run completes, a
-    /// membership drop takes it below quorum, or a formation failure.
-    ///
-    /// # Panics
-    /// Panics on degenerate specs (`workers == 0` or `steps == 0`).
+    /// membership drop takes it below quorum, or a formation failure. A
+    /// spec that fails [`JobSpec::validate`] is a [`NetError::Protocol`].
     pub fn run(&self, spec: &JobSpec) -> Result<NetReport, NetError> {
-        let k = spec.cluster.workers;
-        assert!(k >= 1, "coordinator: need at least one worker");
-        assert!(spec.steps >= 1, "coordinator: need at least one step");
-        let template = spec.cluster.model.build(spec.cluster.seed, 0);
-        let dim = template.param_count();
-        let w0 = template.params_flat();
-        let monitor = spec.fda.variant.build_monitor(dim);
-        // Template for validating deposit shapes before `average_refs`.
-        let state_shape = monitor.local_state(&vec![0.0f32; dim]);
-        let mode = AccountingMode::PerWorkerPayload;
-        // The job's uplink codec: State/Model payloads arrive encoded and
-        // are decoded against the expected shape. Accounted bytes follow
-        // the simulator's convention — a state charges its raw 4-byte
-        // drift scalar plus the encoded summary (the tag/dims header is
-        // uncharged self-description), a model charges its encoded
-        // payload (minus the 4-byte length header).
-        let codec = spec.codec.build();
-        let coded = !spec.codec.is_dense();
-        // The job's downlink mode: `Some(codec)` switches the consensus
-        // broadcast to `AvgModelDelta` frames and makes the shared lossy
-        // reconstruction the authoritative consensus (see
-        // `fda_comm::delta_downlink`); `None` keeps the historical dense
-        // `AvgModel` broadcast bit-for-bit.
-        let downlink_codec = spec.downlink.build();
-        let state_overhead = state_frame_overhead(&state_shape);
-        let mut tele: Option<JsonlWriter> = match &self.telemetry {
-            Some(path) => Some(JsonlWriter::create(path)?),
-            None => None,
-        };
-
-        // Formation: accept all K, then the uniform join handshake —
-        // Config followed by the versioned handoff. At formation the
-        // handoff is `Resume { round: 0, model: w_0, prev: None }`, a
-        // bitwise no-op for a fresh replica, so there is exactly one join
-        // path for first joins and rejoins alike.
-        let mut epoch: u32 = 1;
-        let formed = self.accept_workers(k)?;
-        let mut conns: Vec<Option<Conn>> = formed.into_iter().map(Some).collect();
-        let config_payload = fda_core::wire::encode_job(spec);
-        let mut resume_model = w0;
-        let mut resume_prev: Option<Vec<f32>> = None;
-        for conn in conns.iter_mut().flatten() {
-            conn.send_raw(epoch, FrameKind::Config, &config_payload)?;
-            let (kind, payload) = resume_msg(0, &resume_model, &resume_prev);
-            conn.send_raw(epoch, kind, &payload)?;
-        }
-
-        // Charged accounting and model-AllReduce arithmetic: the
-        // simulator's own code path. On a membership change the fabric is
-        // rebuilt at the new K′ and the old era's charges are banked; a
-        // fault-free run keeps one fabric end to end.
-        let mut net = SimNetwork::new(k);
-        let mut charged_banked = 0u64;
-        let mut measured_payload = 0u64;
-        let mut raw_retired = (0u64, 0u64); // (tx, rx) of closed conns
-        let mut pending: Vec<(usize, Conn)> = Vec::new();
-        let mut events: Vec<MembershipEvent> = (0..k as u32)
-            .map(|w| MembershipEvent {
-                round: 0,
-                worker: w,
-                event: MemberEvent::Joined { rejoin: false },
-            })
-            .collect();
-        let mut decisions = Vec::with_capacity(spec.steps as usize);
-        let mut estimates = Vec::with_capacity(spec.steps as usize);
-        let mut syncs = 0u64;
-        let mut downlink_model_bytes = 0u64;
-
-        // Round-persistent scratch: the broadcast payload is encoded once
-        // per round into `bcast`, its frame head (checksum included) is
-        // composed once, and both are fanned out as borrowed slices to
-        // every worker, and the per-worker deposit slots are
-        // reset in place — the steady-state round loop performs a small
-        // constant number of allocations.
-        let mut bcast: Vec<u8> = Vec::new();
-        let mut states: Vec<Option<LocalState>> = (0..k).map(|_| None).collect();
-        let mut state_bytes: Vec<u64> = vec![0; k];
-        let mut models: Vec<Option<Vec<f32>>> = (0..k).map(|_| None).collect();
-        let mut model_bytes: Vec<u64> = vec![0; k];
-
-        // Applies a batch of drops: close, log, bump the epoch once.
-        let apply_drops = |drops: &[(usize, DropReason)],
-                           round: u32,
-                           conns: &mut Vec<Option<Conn>>,
-                           events: &mut Vec<MembershipEvent>,
-                           epoch: &mut u32,
-                           raw: &mut (u64, u64)| {
-            if drops.is_empty() {
-                return;
-            }
-            for &(id, reason) in drops {
-                let conn = conns[id].take().expect("dropping a live conn");
-                retire(conn, raw);
-                events.push(MembershipEvent {
-                    round,
-                    worker: id as u32,
-                    event: MemberEvent::Dropped(reason),
-                });
-            }
-            *epoch += 1;
-        };
-        let alive_ids =
-            |conns: &Vec<Option<Conn>>| (0..k).filter(|&i| conns[i].is_some()).collect::<Vec<_>>();
-        let quorum = |alive: usize, round: u32| -> Result<(), NetError> {
-            if alive < self.policy.min_workers {
-                Err(NetError::Quorum {
-                    round,
-                    alive,
-                    min_workers: self.policy.min_workers,
-                })
-            } else {
-                Ok(())
-            }
-        };
-
+        spec.validate()
+            .map_err(|e| NetError::Protocol(format!("invalid job: {e}")))?;
+        let mut run = Run::form(self, spec)?;
         for step in 0..spec.steps {
             // Telemetry bookkeeping: membership events and measured bytes
             // appended past these marks belong to this round.
-            let events_mark = events.len();
-            let measured_before = measured_payload;
-            let mut deposit_us: Vec<(u32, u64)> = Vec::new();
-
-            // (0) Scheduled re-admissions: wait for each worker due this
-            // round, then replay the join handshake at the bumped epoch
-            // with the current consensus state.
-            let due: Vec<u32> = self
-                .policy
-                .admissions
-                .iter()
-                .filter(|&&(r, _)| r == step)
-                .map(|&(_, w)| w)
-                .collect();
-            for w in due {
-                let id = w as usize;
-                if id >= k || conns[id].is_some() {
-                    return Err(NetError::Protocol(format!(
-                        "admission schedule: worker {w} at round {step} is not a dropped worker"
-                    )));
-                }
-                let deadline = Instant::now() + self.accept_timeout;
-                let mut conn = loop {
-                    self.drain_accepts(k, &conns, &mut pending, &mut raw_retired)?;
-                    if let Some(pos) = pending.iter().position(|(pid, _)| *pid == id) {
-                        break pending.swap_remove(pos).1;
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(NetError::Protocol(format!(
-                            "scheduled rejoin of worker {w} at round {step} did not arrive \
-                             within {:?}",
-                            self.accept_timeout
-                        )));
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                };
-                epoch += 1;
-                conn.send_raw(epoch, FrameKind::Config, &config_payload)?;
-                let (kind, payload) = resume_msg(step, &resume_model, &resume_prev);
-                conn.send_raw(epoch, kind, &payload)?;
-                conns[id] = Some(conn);
-                events.push(MembershipEvent {
-                    round: step,
-                    worker: w,
-                    event: MemberEvent::Joined { rejoin: true },
-                });
-            }
-
-            // (1) Deposit: one state frame per live worker, read in id
-            // order under the round's deadline.
-            let deposit_deadline = Instant::now() + self.policy.deposit_timeout;
-            states.fill(None);
-            state_bytes.fill(0);
-            let mut drops: Vec<(usize, DropReason)> = Vec::new();
-            for id in 0..k {
-                let Some(conn) = conns[id].as_mut() else {
-                    continue;
-                };
-                let remaining = deposit_deadline
-                    .saturating_duration_since(Instant::now())
-                    .max(Duration::from_millis(1));
-                conn.set_read_timeout(remaining)?;
-                let t0 = tele.as_ref().map(|_| Instant::now());
-                match conn.recv_frame_current() {
-                    // The coded decoder validates tag, dims and payload
-                    // totality against the expected template before any
-                    // allocation; a mismatch is the same protocol drop a
-                    // wrong-shaped dense deposit always was.
-                    Ok(FrameKind::State) => {
-                        match decode_state_coded(&conn.rbuf[1..], &state_shape, codec.as_ref()) {
-                            Ok(s) => {
-                                if let Some(t0) = t0 {
-                                    deposit_us.push((id as u32, t0.elapsed().as_micros() as u64));
-                                }
-                                states[id] = Some(s);
-                                state_bytes[id] = conn.rbuf.len() as u64 - 1 - state_overhead;
-                            }
-                            Err(_) => drops.push((id, DropReason::Protocol)),
-                        }
-                    }
-                    Ok(_) => drops.push((id, DropReason::Protocol)),
-                    Err(e) => drops.push((id, drop_reason(&e))),
-                }
-            }
-            apply_drops(
-                &drops,
-                step,
-                &mut conns,
-                &mut events,
-                &mut epoch,
-                &mut raw_retired,
-            );
-            let alive = alive_ids(&conns);
-            quorum(alive.len(), step)?;
-            for &id in &alive {
-                conns[id]
-                    .as_ref()
-                    .expect("alive")
-                    .set_read_timeout(self.read_timeout)?;
-            }
-
-            // Charge the state AllReduce at the surviving K′ and measure
-            // the deposits that were actually averaged. Dense keeps the
-            // historical flat charge (`monitor.state_bytes()` per worker);
-            // coded payloads charge exactly what each worker emitted.
-            ensure_net(&mut net, &mut charged_banked, alive.len());
-            if coded {
-                let payloads: Vec<u64> = alive.iter().map(|&id| state_bytes[id]).collect();
-                net.charge_per_worker(&payloads);
-            } else {
-                net.charge_allreduce(monitor.state_bytes());
-            }
-            for &id in &alive {
-                measured_payload += mode.per_worker_bytes(state_bytes[id], alive.len());
-            }
-            let round_alive = alive.len() as u32;
-            let measured_after_state = measured_payload;
-
-            // (2) Reduce over the survivor set in worker-id order + the
-            // decision.
-            let refs: Vec<&LocalState> = alive
-                .iter()
-                .map(|&id| states[id].as_ref().expect("alive worker deposited"))
-                .collect();
-            let avg = LocalState::average_refs(&refs);
-            let estimate = monitor.estimate(&avg);
-            let sync = violates(estimate, spec.fda.theta);
-            estimates.push(estimate);
-            decisions.push(sync);
-
-            // (3) Broadcast the averaged state + decision — encoded once
-            // into the round scratch, fanned out as a borrowed slice; a
-            // failed write is a drop, not a run abort.
-            bcast.clear();
-            bcast.push(sync as u8);
-            encode_state_into(&avg, &mut bcast);
-            let head = FrameHead::new(epoch, FrameKind::AvgState, &bcast)?;
-            let mut drops: Vec<(usize, DropReason)> = Vec::new();
-            for &id in &alive {
-                let conn = conns[id].as_mut().expect("alive");
-                if let Err(e) = conn.send_with(&head, &bcast) {
-                    drops.push((id, drop_reason(&e)));
-                }
-            }
-            apply_drops(
-                &drops,
-                step,
-                &mut conns,
-                &mut events,
-                &mut epoch,
-                &mut raw_retired,
-            );
-            let alive = alive_ids(&conns);
-            quorum(alive.len(), step)?;
-
-            // (4) Conditional model AllReduce through the SimNetwork.
+            let events_mark = run.members.events.len();
+            let measured_before = run.measured_payload;
+            run.admit(step)?;
+            let deposit_us = run.collect_states(step)?;
+            let alive = run.members.live_count() as u32;
+            let measured_after_state = run.measured_payload;
+            let (estimate, sync) = run.decide_and_broadcast(step)?;
             if sync {
-                models.fill(None);
-                model_bytes.fill(0);
-                let mut drops: Vec<(usize, DropReason)> = Vec::new();
-                for &id in &alive {
-                    let conn = conns[id].as_mut().expect("alive");
-                    match conn.recv_frame_current() {
-                        Ok(FrameKind::Model) => {
-                            match decode_vector_coded(&conn.rbuf[1..], dim, codec.as_ref()) {
-                                Ok(v) => {
-                                    models[id] = Some(v);
-                                    // Charge the encoded payload; the
-                                    // 4-byte length header is framing.
-                                    model_bytes[id] = conn.rbuf.len() as u64 - 1 - 4;
-                                }
-                                Err(_) => drops.push((id, DropReason::Protocol)),
-                            }
-                        }
-                        Ok(_) => drops.push((id, DropReason::Protocol)),
-                        Err(e) => drops.push((id, drop_reason(&e))),
-                    }
-                }
-                apply_drops(
-                    &drops,
-                    step,
-                    &mut conns,
-                    &mut events,
-                    &mut epoch,
-                    &mut raw_retired,
-                );
-                let alive = alive_ids(&conns);
-                quorum(alive.len(), step)?;
-
-                ensure_net(&mut net, &mut charged_banked, alive.len());
-                let mut bufs: Vec<Vec<f32>> = alive
-                    .iter()
-                    .map(|&id| models[id].take().expect("alive worker uploaded"))
-                    .collect();
-                if coded {
-                    let payloads: Vec<u64> = alive.iter().map(|&id| model_bytes[id]).collect();
-                    net.allreduce_mean_with(&mut bufs, &payloads);
-                } else {
-                    net.allreduce_mean(&mut bufs);
-                }
-                for &id in &alive {
-                    measured_payload += mode.per_worker_bytes(model_bytes[id], alive.len());
-                }
-
-                // Downlink: encode the consensus once into the round
-                // scratch — dense `AvgModel`, or the delta against the
-                // previous broadcast under delta mode, in which case the
-                // authoritative consensus becomes the shared lossy
-                // reconstruction (what every worker will compute).
-                let mean = bufs.swap_remove(0);
-                bcast.clear();
-                let (kind, consensus) = match &downlink_codec {
-                    Some(dc) => {
-                        bcast.extend_from_slice(&(dim as u32).to_le_bytes());
-                        let mut recon = Vec::new();
-                        delta_downlink_into(
-                            &resume_model,
-                            &mean,
-                            dc.as_ref(),
-                            &mut bcast,
-                            &mut recon,
-                        );
-                        (FrameKind::AvgModelDelta, recon)
-                    }
-                    None => {
-                        encode_vector_into(&mean, &mut bcast);
-                        (FrameKind::AvgModel, mean)
-                    }
-                };
-                let head = FrameHead::new(epoch, kind, &bcast)?;
-                let mut drops: Vec<(usize, DropReason)> = Vec::new();
-                for &id in &alive {
-                    let conn = conns[id].as_mut().expect("alive");
-                    match conn.send_with(&head, &bcast) {
-                        Ok(()) => downlink_model_bytes += bcast.len() as u64,
-                        Err(e) => drops.push((id, drop_reason(&e))),
-                    }
-                }
-                apply_drops(
-                    &drops,
-                    step,
-                    &mut conns,
-                    &mut events,
-                    &mut epoch,
-                    &mut raw_retired,
-                );
-                quorum(alive_ids(&conns).len(), step)?;
-
-                // The versioned handoff advances with the consensus (the
-                // reconstruction, under delta mode — a rejoin's dense
-                // `Resume` must hand over exactly what the survivors
-                // hold).
-                resume_prev = Some(std::mem::replace(&mut resume_model, consensus));
-                syncs += 1;
+                run.sync_models(step)?;
             }
-
-            if let Some(w) = tele.as_mut() {
-                let drops: Vec<DropRecord> = events[events_mark..]
+            if let Some(w) = run.tele.as_mut() {
+                let drops: Vec<DropRecord> = run.members.events[events_mark..]
                     .iter()
                     .filter_map(|e| match e.event {
                         MemberEvent::Dropped(r) => Some(DropRecord {
@@ -800,76 +454,497 @@ impl Coordinator {
                 let ev = RoundEvent {
                     source: "net".into(),
                     round: step + 1,
-                    epoch,
-                    alive: round_alive,
+                    epoch: run.members.epoch,
+                    alive,
                     decision: sync,
                     estimate,
                     theta: spec.fda.theta,
                     codec: spec.codec.name().into(),
                     state_bytes: measured_after_state - measured_before,
-                    model_bytes: measured_payload - measured_after_state,
-                    charged_bytes: charged_banked + net.total_bytes(),
-                    measured_bytes: measured_payload,
+                    model_bytes: run.measured_payload - measured_after_state,
+                    charged_bytes: run.charged_banked + run.net.total_bytes(),
+                    measured_bytes: run.measured_payload,
                     deposit_us,
                     drops,
                 };
                 w.write(&ev.to_json())?;
             }
         }
+        run.finish()
+    }
+}
 
-        // Final collection (uncharged, like `Cluster::average_params`).
-        let alive = alive_ids(&conns);
-        let mut survivors: Vec<u32> = Vec::with_capacity(alive.len());
-        let mut worker_params: Vec<Vec<f32>> = Vec::with_capacity(alive.len());
-        let mut drops: Vec<(usize, DropReason)> = Vec::new();
-        for &id in &alive {
-            let conn = conns[id].as_mut().expect("alive");
-            match conn.recv_current() {
-                Ok(Msg::FinalModel(v)) if v.len() == dim => {
-                    survivors.push(id as u32);
-                    worker_params.push(v);
+/// The live worker set of one run: who is connected, at which epoch, and
+/// the log of every change. Holding the slots privately behind
+/// [`Membership::each_live`] is what keeps the round phases from indexing
+/// a `Vec<Option<Conn>>` and unwrapping.
+struct Membership {
+    /// Connection slot per worker id; `None` while the worker is dropped.
+    conns: Vec<Option<Conn>>,
+    events: Vec<MembershipEvent>,
+    /// The membership epoch: bumped once per batch of drops and once per
+    /// re-admission.
+    epoch: u32,
+    /// Raw `(tx, rx)` bytes of closed connections.
+    raw_retired: (u64, u64),
+    min_workers: usize,
+}
+
+impl Membership {
+    /// The formed cluster: every worker live, K `Joined` events at round 0.
+    fn form(conns: Vec<Conn>, min_workers: usize) -> Membership {
+        let events = (0..conns.len() as u32)
+            .map(|w| MembershipEvent {
+                round: 0,
+                worker: w,
+                event: MemberEvent::Joined { rejoin: false },
+            })
+            .collect();
+        Membership {
+            conns: conns.into_iter().map(Some).collect(),
+            events,
+            epoch: 1,
+            raw_retired: (0, 0),
+            min_workers,
+        }
+    }
+
+    fn is_live(&self, id: usize) -> bool {
+        self.conns[id].is_some()
+    }
+
+    fn live_count(&self) -> usize {
+        self.conns.iter().flatten().count()
+    }
+
+    /// Closes a connection and banks its raw byte counters.
+    fn retire(&mut self, conn: Conn) {
+        self.raw_retired.0 += conn.stream.tx_bytes();
+        self.raw_retired.1 += conn.stream.rx_bytes();
+        let _ = conn.stream.get_ref().shutdown(std::net::Shutdown::Both);
+    }
+
+    /// Seats a re-admitted worker's connection and logs the rejoin.
+    fn rejoin(&mut self, id: usize, conn: Conn, round: u32) {
+        self.conns[id] = Some(conn);
+        self.events.push(MembershipEvent {
+            round,
+            worker: id as u32,
+            event: MemberEvent::Joined { rejoin: true },
+        });
+    }
+
+    /// One phase of a round: runs `f` over every live connection in
+    /// worker-id order. A worker whose `f` fails is dropped — closed, its
+    /// bytes banked, the drop logged against `round` — and the phase goes
+    /// on with the rest; a phase that dropped anyone bumps the epoch once.
+    /// Ends with the quorum check, so a caller that gets `Ok` holds a
+    /// survivor set it may keep working with.
+    fn each_live(
+        &mut self,
+        round: u32,
+        mut f: impl FnMut(usize, &mut Conn) -> Result<(), NetError>,
+    ) -> Result<(), NetError> {
+        let mut dropped = false;
+        for id in 0..self.conns.len() {
+            let Some(conn) = self.conns[id].as_mut() else {
+                continue;
+            };
+            let Err(e) = f(id, conn) else {
+                continue;
+            };
+            if let Some(conn) = self.conns[id].take() {
+                self.retire(conn);
+            }
+            self.events.push(MembershipEvent {
+                round,
+                worker: id as u32,
+                event: MemberEvent::Dropped(drop_reason(&e)),
+            });
+            dropped = true;
+        }
+        if dropped {
+            self.epoch += 1;
+        }
+        let alive = self.live_count();
+        if alive < self.min_workers {
+            return Err(NetError::Quorum {
+                round,
+                alive,
+                min_workers: self.min_workers,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// The wrong message for the phase — a protocol drop.
+fn unexpected(expected: &str, got: FrameKind) -> NetError {
+    NetError::Protocol(format!("expected {expected}, got {}", got.label()))
+}
+
+/// Everything one [`Coordinator::run`] owns between formation and the
+/// report: the job's derived constants, the membership, the charged
+/// fabric, the trajectory so far, and the round-persistent scratch.
+struct Run<'a> {
+    coord: &'a Coordinator,
+    spec: &'a JobSpec,
+    dim: usize,
+    monitor: Box<dyn VarianceMonitor>,
+    /// Template for validating deposit shapes before `average_refs`.
+    state_shape: LocalState,
+    /// The job's uplink codec: State/Model payloads arrive encoded and are
+    /// decoded against the expected shape. Accounted bytes follow the
+    /// simulator's convention — a state charges its raw 4-byte drift
+    /// scalar plus the encoded summary (the tag/dims header is uncharged
+    /// self-description), a model charges its encoded payload (minus the
+    /// 4-byte length header).
+    codec: Box<dyn Codec>,
+    /// The job's downlink mode: `Some(codec)` switches the consensus
+    /// broadcast to `AvgModelDelta` frames and makes the shared lossy
+    /// reconstruction the authoritative consensus (see
+    /// `fda_comm::delta_downlink`); `None` keeps the historical dense
+    /// `AvgModel` broadcast bit-for-bit.
+    downlink_codec: Option<Box<dyn Codec>>,
+    state_overhead: u64,
+    tele: Option<JsonlWriter>,
+    members: Membership,
+    /// Reconnected workers waiting for their scheduled admission.
+    pending: Vec<(usize, Conn)>,
+    config_payload: Vec<u8>,
+    /// The versioned handoff a (re)joining worker receives: the consensus
+    /// model and the one before it.
+    resume_model: Vec<f32>,
+    resume_prev: Option<Vec<f32>>,
+    /// Charged accounting and model-AllReduce arithmetic: the simulator's
+    /// own code path. On a membership change the fabric is rebuilt at the
+    /// new K′ and the old era's charges are banked; a fault-free run keeps
+    /// one fabric end to end.
+    net: SimNetwork,
+    charged_banked: u64,
+    measured_payload: u64,
+    decisions: Vec<bool>,
+    estimates: Vec<f32>,
+    syncs: u64,
+    downlink_model_bytes: u64,
+    /// Round-persistent scratch: the broadcast payload is encoded once per
+    /// round into `bcast`, its frame head (checksum included) is composed
+    /// once, and both are fanned out as borrowed slices to every worker;
+    /// the per-worker deposit slots are reset in place — the steady-state
+    /// round loop performs a small constant number of allocations.
+    bcast: Vec<u8>,
+    states: Vec<Option<LocalState>>,
+    state_bytes: Vec<u64>,
+    models: Vec<Option<Vec<f32>>>,
+    model_bytes: Vec<u64>,
+}
+
+const MODE: AccountingMode = AccountingMode::PerWorkerPayload;
+
+impl<'a> Run<'a> {
+    /// Formation: accept all K, then the uniform join handshake — Config
+    /// followed by the versioned handoff. At formation the handoff is
+    /// `Resume { round: 0, model: w_0, prev: None }`, a bitwise no-op for a
+    /// fresh replica, so there is exactly one join path for first joins
+    /// and rejoins alike.
+    fn form(coord: &'a Coordinator, spec: &'a JobSpec) -> Result<Run<'a>, NetError> {
+        let k = spec.cluster.workers;
+        let template = spec.cluster.model.build(spec.cluster.seed, 0);
+        let dim = template.param_count();
+        let monitor = spec.fda.variant.build_monitor(dim);
+        let state_shape = monitor.local_state(&vec![0.0f32; dim]);
+        let tele = match &coord.telemetry {
+            Some(path) => Some(JsonlWriter::create(path)?),
+            None => None,
+        };
+        let mut run = Run {
+            coord,
+            spec,
+            dim,
+            state_overhead: state_frame_overhead(&state_shape),
+            monitor,
+            state_shape,
+            codec: spec.codec.build(),
+            downlink_codec: spec.downlink.build(),
+            tele,
+            members: Membership::form(coord.accept_workers(k)?, coord.policy.min_workers),
+            pending: Vec::new(),
+            config_payload: fda_core::wire::encode_job(spec),
+            resume_model: template.params_flat(),
+            resume_prev: None,
+            net: SimNetwork::new(k),
+            charged_banked: 0,
+            measured_payload: 0,
+            decisions: Vec::with_capacity(spec.steps as usize),
+            estimates: Vec::with_capacity(spec.steps as usize),
+            syncs: 0,
+            downlink_model_bytes: 0,
+            bcast: Vec::new(),
+            states: (0..k).map(|_| None).collect(),
+            state_bytes: vec![0; k],
+            models: (0..k).map(|_| None).collect(),
+            model_bytes: vec![0; k],
+        };
+        let epoch = run.members.epoch;
+        for conn in run.members.conns.iter_mut().flatten() {
+            conn.send_join(
+                epoch,
+                0,
+                &run.config_payload,
+                &run.resume_model,
+                &run.resume_prev,
+            )?;
+        }
+        Ok(run)
+    }
+
+    /// (0) Scheduled re-admissions: wait for each worker due this round,
+    /// then replay the join handshake at the bumped epoch with the current
+    /// consensus state.
+    fn admit(&mut self, step: u32) -> Result<(), NetError> {
+        let coord = self.coord;
+        let due = coord.policy.admissions.iter().filter(|&&(r, _)| r == step);
+        for &(_, w) in due {
+            let id = w as usize;
+            if id >= self.members.conns.len() || self.members.is_live(id) {
+                return Err(NetError::Protocol(format!(
+                    "admission schedule: worker {w} at round {step} is not a dropped worker"
+                )));
+            }
+            let deadline = Instant::now() + coord.accept_timeout;
+            let mut conn = loop {
+                coord.drain_accepts(&mut self.members, &mut self.pending)?;
+                if let Some(pos) = self.pending.iter().position(|(pid, _)| *pid == id) {
+                    break self.pending.swap_remove(pos).1;
                 }
-                Ok(_) => drops.push((id, DropReason::Protocol)),
-                Err(e) => drops.push((id, drop_reason(&e))),
+                if Instant::now() >= deadline {
+                    return Err(NetError::Protocol(format!(
+                        "scheduled rejoin of worker {w} at round {step} did not arrive \
+                         within {:?}",
+                        coord.accept_timeout
+                    )));
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            };
+            self.members.epoch += 1;
+            conn.send_join(
+                self.members.epoch,
+                step,
+                &self.config_payload,
+                &self.resume_model,
+                &self.resume_prev,
+            )?;
+            self.members.rejoin(id, conn, step);
+        }
+        Ok(())
+    }
+
+    /// (1) Deposit: one state frame per live worker, read in id order
+    /// under the round's deadline, then the state AllReduce charged at the
+    /// surviving K′. Returns the per-worker deposit latencies (empty
+    /// unless telemetry is on).
+    fn collect_states(&mut self, step: u32) -> Result<Vec<(u32, u64)>, NetError> {
+        let deadline = Instant::now() + self.coord.policy.deposit_timeout;
+        let read_timeout = self.coord.read_timeout;
+        let timed = self.tele.is_some();
+        let mut deposit_us: Vec<(u32, u64)> = Vec::new();
+        self.states.fill(None);
+        self.state_bytes.fill(0);
+        let (states, state_bytes) = (&mut self.states, &mut self.state_bytes);
+        let (shape, codec, overhead) = (&self.state_shape, &self.codec, self.state_overhead);
+        self.members.each_live(step, |id, conn| {
+            let remaining = deadline
+                .saturating_duration_since(Instant::now())
+                .max(Duration::from_millis(1));
+            conn.set_read_timeout(remaining)?;
+            let t0 = timed.then(Instant::now);
+            match conn.recv_frame_current()? {
+                FrameKind::State => {}
+                other => return Err(unexpected("state", other)),
+            }
+            // The coded decoder validates tag, dims and payload totality
+            // against the expected template before any allocation; a
+            // mismatch is the same protocol drop a wrong-shaped dense
+            // deposit always was.
+            let state = decode_state_coded(&conn.rbuf[1..], shape, codec.as_ref())?;
+            if let Some(t0) = t0 {
+                deposit_us.push((id as u32, t0.elapsed().as_micros() as u64));
+            }
+            states[id] = Some(state);
+            state_bytes[id] = conn.rbuf.len() as u64 - 1 - overhead;
+            conn.set_read_timeout(read_timeout)
+        })?;
+
+        // Charge the state AllReduce at the surviving K′ and measure the
+        // deposits that were actually averaged. Dense keeps the historical
+        // flat charge (`monitor.state_bytes()` per worker); coded payloads
+        // charge exactly what each worker emitted.
+        let alive = self.members.live_count();
+        ensure_net(&mut self.net, &mut self.charged_banked, alive);
+        let deposited = (self.states.iter().zip(&self.state_bytes))
+            .filter_map(|(s, &bytes)| s.as_ref().map(|_| bytes));
+        if self.spec.codec.is_dense() {
+            self.net.charge_allreduce(self.monitor.state_bytes());
+        } else {
+            let payloads: Vec<u64> = deposited.clone().collect();
+            self.net.charge_per_worker(&payloads);
+        }
+        for bytes in deposited {
+            self.measured_payload += MODE.per_worker_bytes(bytes, alive);
+        }
+        Ok(deposit_us)
+    }
+
+    /// (2) Reduce the deposits in worker-id order and decide; (3)
+    /// broadcast the averaged state + decision — encoded once into the
+    /// round scratch, fanned out as a borrowed slice; a failed write is a
+    /// drop, not a run abort. Returns `(H(S̄), sync)`.
+    fn decide_and_broadcast(&mut self, step: u32) -> Result<(f32, bool), NetError> {
+        let refs: Vec<&LocalState> = self.states.iter().flatten().collect();
+        let avg = LocalState::average_refs(&refs);
+        let estimate = self.monitor.estimate(&avg);
+        let sync = violates(estimate, self.spec.fda.theta);
+        self.estimates.push(estimate);
+        self.decisions.push(sync);
+
+        self.bcast.clear();
+        self.bcast.push(sync as u8);
+        encode_state_into(&avg, &mut self.bcast);
+        let head = FrameHead::new(self.members.epoch, FrameKind::AvgState, &self.bcast)?;
+        let bcast = &self.bcast;
+        self.members
+            .each_live(step, |_, conn| conn.send_with(&head, bcast))?;
+        Ok((estimate, sync))
+    }
+
+    /// (4) The model AllReduce through the `SimNetwork`, then the
+    /// consensus downlink.
+    fn sync_models(&mut self, step: u32) -> Result<(), NetError> {
+        let dim = self.dim;
+        self.models.fill(None);
+        self.model_bytes.fill(0);
+        let (models, model_bytes, codec) = (&mut self.models, &mut self.model_bytes, &self.codec);
+        self.members.each_live(step, |id, conn| {
+            match conn.recv_frame_current()? {
+                FrameKind::Model => {}
+                other => return Err(unexpected("model", other)),
+            }
+            models[id] = Some(decode_vector_coded(&conn.rbuf[1..], dim, codec.as_ref())?);
+            // Charge the encoded payload; the 4-byte length header is
+            // framing.
+            model_bytes[id] = conn.rbuf.len() as u64 - 1 - 4;
+            Ok(())
+        })?;
+
+        let alive = self.members.live_count();
+        ensure_net(&mut self.net, &mut self.charged_banked, alive);
+        let mut bufs: Vec<Vec<f32>> = Vec::with_capacity(alive);
+        let mut payloads: Vec<u64> = Vec::with_capacity(alive);
+        for (model, &bytes) in self.models.iter_mut().zip(&self.model_bytes) {
+            if let Some(model) = model.take() {
+                bufs.push(model);
+                payloads.push(bytes);
             }
         }
-        apply_drops(
-            &drops,
-            spec.steps,
-            &mut conns,
-            &mut events,
-            &mut epoch,
-            &mut raw_retired,
-        );
-        quorum(survivors.len(), spec.steps)?;
-        let head = FrameHead::new(epoch, FrameKind::Shutdown, &[])?;
-        for conn in conns.iter_mut().flatten() {
+        if self.spec.codec.is_dense() {
+            self.net.allreduce_mean(&mut bufs);
+        } else {
+            self.net.allreduce_mean_with(&mut bufs, &payloads);
+        }
+        for &bytes in &payloads {
+            self.measured_payload += MODE.per_worker_bytes(bytes, alive);
+        }
+
+        // Downlink: encode the consensus once into the round scratch —
+        // dense `AvgModel`, or the delta against the previous broadcast
+        // under delta mode, in which case the authoritative consensus
+        // becomes the shared lossy reconstruction (what every worker will
+        // compute).
+        let mean = bufs.swap_remove(0);
+        self.bcast.clear();
+        let (kind, consensus) = match &self.downlink_codec {
+            Some(dc) => {
+                self.bcast.extend_from_slice(&(dim as u32).to_le_bytes());
+                let mut recon = Vec::new();
+                delta_downlink_into(
+                    &self.resume_model,
+                    &mean,
+                    dc.as_ref(),
+                    &mut self.bcast,
+                    &mut recon,
+                );
+                (FrameKind::AvgModelDelta, recon)
+            }
+            None => {
+                encode_vector_into(&mean, &mut self.bcast);
+                (FrameKind::AvgModel, mean)
+            }
+        };
+        let head = FrameHead::new(self.members.epoch, kind, &self.bcast)?;
+        let (bcast, downlink_bytes) = (&self.bcast, &mut self.downlink_model_bytes);
+        self.members.each_live(step, |_, conn| {
+            conn.send_with(&head, bcast)?;
+            *downlink_bytes += bcast.len() as u64;
+            Ok(())
+        })?;
+
+        // The versioned handoff advances with the consensus (the
+        // reconstruction, under delta mode — a rejoin's dense `Resume`
+        // must hand over exactly what the survivors hold).
+        self.resume_prev = Some(std::mem::replace(&mut self.resume_model, consensus));
+        self.syncs += 1;
+        Ok(())
+    }
+
+    /// Final replica collection (uncharged, like
+    /// `Cluster::average_params`), shutdown, and the report.
+    fn finish(mut self) -> Result<NetReport, NetError> {
+        let steps = self.spec.steps;
+        let dim = self.dim;
+        let mut survivors: Vec<u32> = Vec::new();
+        let mut worker_params: Vec<Vec<f32>> = Vec::new();
+        self.members
+            .each_live(steps, |id, conn| match conn.recv_current()? {
+                Msg::FinalModel(v) if v.len() == dim => {
+                    survivors.push(id as u32);
+                    worker_params.push(v);
+                    Ok(())
+                }
+                other => Err(NetError::Protocol(format!(
+                    "expected a {dim}-parameter final model, got {}",
+                    other.kind_name()
+                ))),
+            })?;
+        let head = FrameHead::new(self.members.epoch, FrameKind::Shutdown, &[])?;
+        let (mut raw_tx, mut raw_rx) = self.members.raw_retired;
+        for conn in self.members.conns.iter_mut().flatten() {
             conn.send_with(&head, &[])?;
             conn.stream.flush()?;
+            raw_tx += conn.stream.tx_bytes();
+            raw_rx += conn.stream.rx_bytes();
+        }
+        for (_, parked) in &self.pending {
+            raw_tx += parked.stream.tx_bytes();
+            raw_rx += parked.stream.rx_bytes();
         }
 
         let refs: Vec<&[f32]> = worker_params.iter().map(|p| p.as_slice()).collect();
-        let final_params = vector::mean(&refs);
-        let live_tx: u64 = conns.iter().flatten().map(|c| c.stream.tx_bytes()).sum();
-        let live_rx: u64 = conns.iter().flatten().map(|c| c.stream.rx_bytes()).sum();
-        let parked_tx: u64 = pending.iter().map(|(_, c)| c.stream.tx_bytes()).sum();
-        let parked_rx: u64 = pending.iter().map(|(_, c)| c.stream.rx_bytes()).sum();
         let report = NetReport {
-            syncs,
-            decisions,
-            estimates,
-            charged_bytes: charged_banked + net.total_bytes(),
-            measured_payload_bytes: measured_payload,
-            raw_tx_bytes: raw_retired.0 + live_tx + parked_tx,
-            raw_rx_bytes: raw_retired.1 + live_rx + parked_rx,
-            downlink_model_bytes,
+            syncs: self.syncs,
+            decisions: self.decisions,
+            estimates: self.estimates,
+            charged_bytes: self.charged_banked + self.net.total_bytes(),
+            measured_payload_bytes: self.measured_payload,
+            raw_tx_bytes: raw_tx,
+            raw_rx_bytes: raw_rx,
+            downlink_model_bytes: self.downlink_model_bytes,
+            final_params: vector::mean(&refs),
             worker_params,
-            final_params,
             survivors,
-            events,
+            events: self.members.events,
         };
-        if let Some(mut w) = tele {
-            w.write(&run_event(&report, spec).to_json())?;
+        if let Some(mut w) = self.tele {
+            w.write(&run_event(&report, self.spec).to_json())?;
             w.flush()?;
         }
         Ok(report)
@@ -917,19 +992,6 @@ pub fn run_event(report: &NetReport, spec: &JobSpec) -> RunEvent {
         survivors: report.survivors.clone(),
         membership,
     }
-}
-
-/// Encodes the `Resume` handoff without cloning the model vectors into a
-/// `Msg`.
-fn resume_msg(round: u32, model: &[f32], prev: &Option<Vec<f32>>) -> (FrameKind, Vec<u8>) {
-    let mut p = Vec::with_capacity(9 + model.len() * 4);
-    p.extend_from_slice(&round.to_le_bytes());
-    p.push(prev.is_some() as u8);
-    p.extend_from_slice(&encode_vector(model));
-    if let Some(prev) = prev {
-        p.extend_from_slice(&encode_vector(prev));
-    }
-    (FrameKind::Resume, p)
 }
 
 /// Rebuilds the charged fabric when the live worker count changes, banking

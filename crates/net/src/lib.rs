@@ -1,12 +1,11 @@
 //! # fda-net — FDA over real sockets.
 //!
-//! Every other driver in the workspace (sequential simulator, pooled
-//! [`fda_core::pool::WorkerPool`], [`fda_comm::ThreadedReducer`]) lives in
-//! one OS process and *charges* communication bytes analytically. This
-//! crate is the deployment path the paper's efficiency claim is about: the
-//! full FDA loop across **OS processes**, every local state and model
-//! payload actually serialized through `fda_core::wire` and shipped over
-//! TCP.
+//! The simulator (sequential, or pooled over
+//! [`fda_core::pool::WorkerPool`]) lives in one OS process and *charges*
+//! communication bytes analytically. This crate is the deployment path the
+//! paper's efficiency claim is about: the full FDA loop across **OS
+//! processes**, every local state and model payload actually serialized
+//! through `fda_core::wire` and shipped over TCP.
 //!
 //! Two properties are load-bearing, and both are asserted by tests:
 //!

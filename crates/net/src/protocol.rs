@@ -271,31 +271,20 @@ impl Msg {
 /// averaged into `S̄`. A frame claiming a **future** epoch is a protocol
 /// violation (the coordinator is the only epoch authority).
 pub fn recv_at_epoch<R: Read>(r: &mut R, epoch: u32) -> Result<Msg, NetError> {
-    let (kind, payload) = recv_frame_at_epoch(r, epoch)?;
-    Msg::decode(kind, &payload)
-}
-
-/// [`recv_at_epoch`] at the frame layer: returns the current-epoch frame's
-/// kind and raw payload without interpreting it. This is the receive path
-/// for payloads whose decoding needs out-of-band context (a coded state or
-/// model upload needs the negotiated codec and the expected shape);
-/// stale-epoch frames are skipped on their headers alone — a zombie's
-/// coded deposit must be discardable without being decodable.
-pub fn recv_frame_at_epoch<R: Read>(
-    r: &mut R,
-    epoch: u32,
-) -> Result<(FrameKind, Vec<u8>), NetError> {
     let mut buf = Vec::new();
     let kind = recv_frame_at_epoch_into(r, epoch, &mut buf)?;
-    buf.copy_within(1.., 0);
-    buf.truncate(buf.len() - 1);
-    Ok((kind, buf))
+    Msg::decode(kind, &buf[1..])
 }
 
-/// [`recv_frame_at_epoch`] into a caller-owned buffer: on success `buf`
-/// holds the frame body (kind byte + payload, so the payload is
-/// `&buf[1..]`, as with [`read_frame_into`]). The round loops hold one
-/// buffer per connection and call this, so steady-state receives allocate
+/// [`recv_at_epoch`] at the frame layer, into a caller-owned buffer: on
+/// success `buf` holds the current-epoch frame's body uninterpreted (kind
+/// byte + payload, so the payload is `&buf[1..]`, as with
+/// [`read_frame_into`]). This is the receive path for payloads whose
+/// decoding needs out-of-band context (a coded state or model upload needs
+/// the negotiated codec and the expected shape); stale-epoch frames are
+/// skipped on their headers alone — a zombie's coded deposit must be
+/// discardable without being decodable. The round loops hold one buffer
+/// per connection and call this, so steady-state receives allocate
 /// nothing.
 pub fn recv_frame_at_epoch_into<R: Read>(
     r: &mut R,

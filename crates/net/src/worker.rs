@@ -259,6 +259,12 @@ fn run_session(
         Msg::Config(job) => *job,
         other => return Err(session.protocol_err("config", &other)),
     };
+    if session.id as usize >= spec.cluster.workers {
+        return Err(NetError::Protocol(format!(
+            "worker {}: id out of range for a job of K = {}",
+            session.id, spec.cluster.workers
+        )));
+    }
     let (start_round, resume_model, resume_prev) = match session.recv()? {
         Msg::Resume {
             round,
@@ -331,8 +337,8 @@ fn run_session(
             }
         }
 
-        // (3) The averaged state. As in the threaded driver, every
-        // worker holds the same S̄ and evaluates `H(S̄) > Θ` itself —
+        // (3) The averaged state. Every worker holds the same S̄ and
+        // evaluates `H(S̄) > Θ` itself, as the simulator does —
         // the decision byte is a cross-check, not a trusted oracle;
         // any disagreement (a coordinator running different monitor
         // code, a corrupted frame that still decoded) is a protocol
@@ -487,4 +493,54 @@ fn apply_faults(
     }
     session.send_frame(FrameKind::State, state_payload)?;
     Ok(FaultOutcome::Sent)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fda_core::cluster::ClusterConfig;
+    use fda_core::fda::FdaConfig;
+    use fda_data::synth::SynthSpec;
+    use std::net::TcpListener;
+
+    /// A coordinator that configures a K = 2 job for a worker claiming
+    /// id 5 (the real one refuses that hello) must get a protocol error
+    /// back, not an out-of-range shard index inside `build_worker`.
+    #[test]
+    fn worker_refuses_a_job_its_id_does_not_fit() {
+        let spec = JobSpec {
+            cluster: ClusterConfig::small_test(2),
+            fda: FdaConfig::linear(0.01),
+            codec: fda_comm::CodecSpec::Dense,
+            downlink: fda_comm::DownlinkSpec::Dense,
+            steps: 3,
+            synth: SynthSpec {
+                n_train: 240,
+                n_test: 80,
+                ..SynthSpec::synth_mnist()
+            },
+            task_name: "id-range".to_string(),
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let w0 = spec.cluster.model.build(spec.cluster.seed, 0).params_flat();
+        let coordinator = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            Msg::recv(&mut stream).expect("hello");
+            Msg::Config(Box::new(spec)).send(&mut stream, 1).unwrap();
+            let resume = Msg::Resume {
+                round: 0,
+                model: w0,
+                prev_model: None,
+            };
+            // The worker may hang up before the handoff arrives.
+            let _ = resume.send(&mut stream, 1);
+        });
+        let outcome = run_worker(addr, 5, &WorkerOptions::default());
+        coordinator.join().expect("fake coordinator");
+        match outcome {
+            Err(NetError::Protocol(why)) => assert!(why.contains("out of range"), "{why}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+    }
 }

@@ -12,40 +12,14 @@
 //! exactly the coordinator's. Lives in its own test binary so the
 //! counting allocator is isolated from the other suites.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use fda_core::cluster::ClusterConfig;
 use fda_core::fda::FdaConfig;
 use fda_core::wire::JobSpec;
 use fda_data::synth::SynthSpec;
-
-struct ThreadCountingAlloc;
-
-thread_local! {
-    // Const-init `Cell<u64>` carries no destructor and no lazy
-    // initialization, so the allocator can touch it without recursing.
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-unsafe impl GlobalAlloc for ThreadCountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use fda_obs::alloc_count::{allocs, CountingAlloc};
 
 #[global_allocator]
-static ALLOCATOR: ThreadCountingAlloc = ThreadCountingAlloc;
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 const K: usize = 3;
 
@@ -68,9 +42,9 @@ fn coordinator_allocs(steps: u32) -> u64 {
         },
         task_name: "alloc-regression".to_string(),
     };
-    let before = THREAD_ALLOCS.with(Cell::get);
+    let before = allocs();
     let report = fda_net::run_with_thread_workers(&spec).expect("alloc-fence run");
-    let after = THREAD_ALLOCS.with(Cell::get);
+    let after = allocs();
     assert_eq!(report.decisions.len(), steps as usize, "all rounds ran");
     assert_eq!(report.syncs, 0, "Θ = ∞ must stay state-only");
     after - before

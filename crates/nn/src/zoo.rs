@@ -62,17 +62,6 @@ impl ModelId {
         }
     }
 
-    /// The paper model this stands in for.
-    pub fn paper_model(self) -> &'static str {
-        match self {
-            ModelId::Lenet5 => "LeNet-5",
-            ModelId::Vgg16Star => "VGG16*",
-            ModelId::DenseNet121 => "DenseNet121",
-            ModelId::DenseNet201 => "DenseNet201",
-            ModelId::TransferHead => "ConvNeXtLarge (fine-tuning)",
-        }
-    }
-
     /// Parameter count of the paper's model.
     pub fn paper_d(self) -> usize {
         match self {
@@ -81,15 +70,6 @@ impl ModelId {
             ModelId::DenseNet121 => 6_900_000,
             ModelId::DenseNet201 => 18_000_000,
             ModelId::TransferHead => 198_000_000,
-        }
-    }
-
-    /// Dataset the paper trains this model on.
-    pub fn paper_dataset(self) -> &'static str {
-        match self {
-            ModelId::Lenet5 | ModelId::Vgg16Star => "MNIST",
-            ModelId::DenseNet121 | ModelId::DenseNet201 => "CIFAR-10",
-            ModelId::TransferHead => "CIFAR-100",
         }
     }
 

@@ -21,6 +21,8 @@
 //! layer on. Handles may be registered while disabled (registration is the
 //! only allocating operation) and update cheaply in either state.
 
+#[doc(hidden)]
+pub mod alloc_count;
 pub mod clock;
 pub mod event;
 pub mod json;

@@ -3,28 +3,7 @@
 //! Lives in its own test binary so the counting global allocator and the
 //! process-global enable flag are isolated from the other suites.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use fda_obs::alloc_count::{allocs, CountingAlloc};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
@@ -38,7 +17,7 @@ fn disabled_telemetry_allocates_nothing_and_records_nothing() {
     let g = fda_obs::registry().gauge("zero_alloc_gauge");
     let h = fda_obs::registry().histogram("zero_alloc_hist");
 
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     for i in 0..1000 {
         c.add(7);
         g.set(i);
@@ -47,7 +26,7 @@ fn disabled_telemetry_allocates_nothing_and_records_nothing() {
         assert_eq!(span.elapsed_ns(), 0);
         drop(span);
     }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocs();
 
     assert_eq!(after - before, 0, "disabled path must not allocate");
     assert_eq!(c.get(), 0);

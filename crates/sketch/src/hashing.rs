@@ -8,11 +8,11 @@
 use fda_tensor::Rng;
 
 /// The Mersenne prime 2^61 − 1.
-pub const MERSENNE_P: u64 = (1u64 << 61) - 1;
+const MERSENNE_P: u64 = (1u64 << 61) - 1;
 
 /// Multiplies two field elements modulo 2^61 − 1 without overflow.
 #[inline]
-pub fn mul_mod(a: u64, b: u64) -> u64 {
+fn mul_mod(a: u64, b: u64) -> u64 {
     let prod = (a as u128) * (b as u128);
     // Fast Mersenne reduction: x mod (2^61−1) = (x >> 61) + (x & P), folded.
     let lo = (prod & (MERSENNE_P as u128)) as u64;
@@ -30,7 +30,7 @@ pub fn mul_mod(a: u64, b: u64) -> u64 {
 
 /// Adds two field elements modulo 2^61 − 1.
 #[inline]
-pub fn add_mod(a: u64, b: u64) -> u64 {
+fn add_mod(a: u64, b: u64) -> u64 {
     let s = a + b; // a, b < 2^61 so no u64 overflow
     if s >= MERSENNE_P {
         s - MERSENNE_P

@@ -57,7 +57,7 @@ unsafe impl Send for AlignedBuf {}
 
 impl AlignedBuf {
     /// Guaranteed base alignment in bytes (one cache line, one zmm lane).
-    pub const ALIGN: usize = 64;
+    const ALIGN: usize = 64;
 
     /// An empty buffer (no allocation until first use).
     pub fn new() -> AlignedBuf {

@@ -908,7 +908,7 @@ pub fn gemm_into_with(a: &Matrix, b: &Matrix, out: &mut Matrix, scratch: &mut Sc
 }
 
 /// `out ← out + a · b` — the accumulate form used for gradient accumulation.
-pub fn gemm_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+pub(crate) fn gemm_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     TL_SCRATCH.with(|s| gemm_accumulate_with(a, b, out, &mut s.borrow_mut()));
 }
 
@@ -1034,13 +1034,13 @@ pub fn gemm_a_bt_accumulate_with_kernel(
 }
 
 /// The pre-blocking scalar kernels, kept verbatim as the correctness
-/// reference for property tests and as the "naive" baseline the perf
-/// benches measure against.
-pub mod naive {
+/// reference of the property tests below.
+#[cfg(test)]
+mod naive {
     use super::Matrix;
 
     /// Reference `out ← out + a · b` (historical i-k-j loop).
-    pub fn gemm_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    pub(super) fn gemm_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         assert_eq!(a.cols, b.rows, "gemm: inner dimension mismatch");
         assert_eq!(out.rows, a.rows, "gemm: output rows mismatch");
         assert_eq!(out.cols, b.cols, "gemm: output cols mismatch");
@@ -1060,15 +1060,8 @@ pub mod naive {
         }
     }
 
-    /// Reference `a · b`, allocating.
-    pub fn gemm(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(a.rows, b.cols);
-        gemm_accumulate(a, b, &mut out);
-        out
-    }
-
     /// Reference `out ← out + aᵀ · b`.
-    pub fn gemm_at_b_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    pub(super) fn gemm_at_b_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         assert_eq!(a.rows, b.rows, "gemm_at_b: row mismatch");
         assert_eq!(out.rows, a.cols, "gemm_at_b: output rows mismatch");
         assert_eq!(out.cols, b.cols, "gemm_at_b: output cols mismatch");
@@ -1089,7 +1082,7 @@ pub mod naive {
     }
 
     /// Reference `out ← out + a · bᵀ`.
-    pub fn gemm_a_bt_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    pub(super) fn gemm_a_bt_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         assert_eq!(a.cols, b.cols, "gemm_a_bt: inner dimension mismatch");
         assert_eq!(out.rows, a.rows, "gemm_a_bt: output rows mismatch");
         assert_eq!(out.cols, b.rows, "gemm_a_bt: output cols mismatch");

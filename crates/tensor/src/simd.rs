@@ -21,8 +21,8 @@
 //! otherwise the best ISA reported by `is_x86_feature_detected!` is chosen.
 //! The choice is cached in a `OnceLock`, so every subsequent call is a
 //! branch-free indirect call through a fixed table — **deterministic within
-//! a run**: all drivers (sequential simulator, worker pool, threaded
-//! reducer, TCP transport) share the same table, which is why cross-driver
+//! a run**: all drivers (sequential simulator, worker pool, TCP
+//! transport) share the same table, which is why cross-driver
 //! bit-identity survives this layer untouched. Across *arms* the reductions
 //! reassociate (FMA and wider lanes change f32 bit patterns), which is why
 //! the golden-trajectory hashes are host-pinned and re-pinned when the
@@ -426,11 +426,11 @@ mod x86 {
     // -- AVX-512 ----------------------------------------------------------
 
     /// AVX-512 microkernel height.
-    pub const MR_512: usize = 8;
+    const MR_512: usize = 8;
     /// AVX-512 microkernel width (two zmm per accumulator row).
-    pub const NR_512: usize = 32;
+    const NR_512: usize = 32;
 
-    pub static AVX512_TABLE: Kernels = Kernels {
+    pub(super) static AVX512_TABLE: Kernels = Kernels {
         isa: Isa::Avx512,
         mr: MR_512,
         nr: NR_512,
@@ -790,11 +790,11 @@ mod x86 {
     // -- AVX2 + FMA -------------------------------------------------------
 
     /// AVX2 microkernel height.
-    pub const MR_256: usize = 6;
+    const MR_256: usize = 6;
     /// AVX2 microkernel width (two ymm per accumulator row).
-    pub const NR_256: usize = 16;
+    const NR_256: usize = 16;
 
-    pub static AVX2_TABLE: Kernels = Kernels {
+    pub(super) static AVX2_TABLE: Kernels = Kernels {
         isa: Isa::Avx2,
         mr: MR_256,
         nr: NR_256,

@@ -3,8 +3,7 @@
 //! The paper reports KDE point clouds (Figures 3–6), per-epoch accuracy
 //! series (Figure 7), sweep curves (Figures 8–11) and a linear fit
 //! `Θ* ≈ c · d` (Figure 12). These helpers compute the numeric summaries we
-//! print in place of the plots: medians, quartiles, means, and a
-//! least-squares through-the-origin slope.
+//! print in place of the plots: medians, quartiles and means.
 
 /// Arithmetic mean; `0.0` for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -98,49 +97,6 @@ impl Summary {
     }
 }
 
-/// Least-squares slope of `y ≈ c · x` through the origin.
-///
-/// This is exactly the fit used in Figure 12, where the workable variance
-/// threshold is reported as `Θ = c · d` for three deployment regimes.
-/// Returns `0.0` when the inputs are empty or all-zero.
-pub fn fit_through_origin(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "fit_through_origin: length mismatch");
-    let sxx: f64 = xs.iter().map(|x| x * x).sum();
-    if sxx == 0.0 {
-        return 0.0;
-    }
-    let sxy: f64 = xs.iter().zip(ys).map(|(x, y)| x * y).sum();
-    sxy / sxx
-}
-
-/// Ordinary least squares `y ≈ a + b·x`; returns `(a, b)`.
-pub fn fit_linear(xs: &[f64], ys: &[f64]) -> (f64, f64) {
-    assert_eq!(xs.len(), ys.len(), "fit_linear: length mismatch");
-    if xs.is_empty() {
-        return (0.0, 0.0);
-    }
-    let mx = mean(xs);
-    let my = mean(ys);
-    let sxx: f64 = xs.iter().map(|x| (x - mx) * (x - mx)).sum();
-    if sxx == 0.0 {
-        return (my, 0.0);
-    }
-    let sxy: f64 = xs.iter().zip(ys).map(|(x, y)| (x - mx) * (y - my)).sum();
-    let b = sxy / sxx;
-    (my - b * mx, b)
-}
-
-/// Geometric mean of strictly positive samples; `0.0` otherwise.
-///
-/// Communication costs span orders of magnitude (the paper's axes are
-/// log-scaled), so geometric means are the right aggregate for ratios.
-pub fn geometric_mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() || xs.iter().any(|&x| x <= 0.0) {
-        return 0.0;
-    }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,20 +127,5 @@ mod tests {
         let s = Summary::of(&[]);
         assert_eq!(s.n, 0);
         assert_eq!(s.median, 0.0);
-    }
-
-    #[test]
-    fn origin_fit_recovers_slope() {
-        let xs: Vec<f64> = (1..=10).map(|i| i as f64 * 1e6).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 4.91e-5 * x).collect();
-        let c = fit_through_origin(&xs, &ys);
-        assert!((c - 4.91e-5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geometric_mean_basics() {
-        assert!((geometric_mean(&[1.0, 100.0]) - 10.0).abs() < 1e-9);
-        assert_eq!(geometric_mean(&[1.0, -1.0]), 0.0);
-        assert_eq!(geometric_mean(&[]), 0.0);
     }
 }

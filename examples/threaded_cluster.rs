@@ -1,49 +1,64 @@
-//! FDA on real OS threads — one thread per worker, rendezvous AllReduce.
+//! FDA on real OS threads — the pooled cluster, one lane per worker.
 //!
 //! ```sh
 //! cargo run --release --example threaded_cluster
 //! ```
 //!
-//! The figure benches use the sequential simulator (byte accounting is
-//! identical either way); this example runs the same protocol with true
-//! concurrency to show nothing depends on the simulator: workers exchange
-//! real state buffers, agree on every synchronization decision from the
-//! shared averaged state, and end bit-identical after each sync.
+//! `ClusterConfig::parallel` runs every phase of Algorithm 1 (local
+//! training, local states, the state and model reductions) on the
+//! persistent `WorkerPool`'s OS threads. This example runs the same job
+//! pooled and sequentially to show nothing depends on the execution mode:
+//! the threads agree on every synchronization decision and every replica
+//! ends bit-identical to its sequential twin.
 
-use fda::core::threaded::{run_threaded_fda, ThreadedFdaConfig, ThreadedVariant};
+use fda::core::cluster::ClusterConfig;
+use fda::core::fda::{Fda, FdaConfig};
+use fda::core::strategy::Strategy;
 use fda::data::{synth, Partition};
 use fda::nn::zoo::ModelId;
 use fda::optim::OptimizerKind;
 
 fn main() {
     let task = synth::synth_mnist();
-    for (variant, label) in [
-        (ThreadedVariant::Linear, "LinearFDA"),
-        (ThreadedVariant::Sketch, "SketchFDA"),
+    let steps = 400;
+    for (config, label) in [
+        (FdaConfig::linear(0.05), "LinearFDA"),
+        (FdaConfig::sketch(0.05), "SketchFDA"),
     ] {
-        let config = ThreadedFdaConfig {
+        let cluster = |parallel| ClusterConfig {
             model: ModelId::Lenet5,
             workers: 4,
             batch_size: 32,
             optimizer: OptimizerKind::paper_adam(),
             partition: Partition::Iid,
-            theta: 0.05,
-            variant,
-            steps: 400,
             seed: 42,
+            parallel,
         };
-        let report = run_threaded_fda(config, &task);
+        let mut pooled = Fda::new(config, cluster(true), &task);
+        let mut sequential = Fda::new(config, cluster(false), &task);
+        for step in 0..steps {
+            let (p, s) = (pooled.step(), sequential.step());
+            assert_eq!(p.synced, s.synced, "step {step}: sync decision diverged");
+        }
+        for w in 0..4 {
+            assert_eq!(
+                pooled.cluster().worker(w).params(),
+                sequential.cluster().worker(w).params(),
+                "worker {w}: pooled replica diverged from the sequential one"
+            );
+        }
         let mut eval = ModelId::Lenet5.build(0, 0);
-        eval.load_params(&report.final_params);
+        eval.load_params(&pooled.global_params());
         let acc = eval.evaluate_batched(task.test.features(), task.test.labels(), 256);
         println!(
-            "{label:<10} 4 threads x 400 steps: syncs={:<3} comm={:>9} bytes  test acc={acc:.3}",
-            report.syncs, report.comm_bytes
+            "{label:<10} 4 threads x {steps} steps: syncs={:<3} comm={:>9} bytes  test acc={acc:.3}",
+            pooled.syncs(),
+            pooled.comm_bytes()
         );
     }
     println!(
         "\nBoth variants ran the Algorithm-1 loop over genuinely concurrent\n\
-         workers (scoped OS threads + rendezvous AllReduce), with consistent\n\
-         sync decisions and no coordinator."
+         workers (persistent OS threads + a deterministic rendezvous), with\n\
+         sync decisions and replicas bit-identical to the sequential run."
     );
 }

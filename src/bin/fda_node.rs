@@ -120,7 +120,7 @@ fn job_from_args(args: &[String]) -> JobSpec {
             std::process::exit(2);
         }),
     };
-    JobSpec {
+    let spec = JobSpec {
         cluster: ClusterConfig {
             model,
             workers,
@@ -143,7 +143,12 @@ fn job_from_args(args: &[String]) -> JobSpec {
             ..SynthSpec::synth_mnist()
         },
         task_name: "fda-node".to_string(),
+    };
+    if let Err(e) = spec.validate() {
+        eprintln!("fda_node: invalid job: {e}");
+        std::process::exit(2);
     }
+    spec
 }
 
 fn round_policy_from_args(args: &[String]) -> RoundPolicy {

@@ -45,6 +45,8 @@ fn variants() -> Vec<(&'static str, FdaConfig)> {
     // model AllReduce for every variant.
     vec![
         ("sketch", FdaConfig::sketch_auto(0.01)),
+        // The paper-default 5 kB sketch, wider than the model-scaled one.
+        ("sketch-paper", FdaConfig::sketch(0.01)),
         ("linear", FdaConfig::linear(0.01)),
         (
             "exact",
@@ -56,13 +58,13 @@ fn variants() -> Vec<(&'static str, FdaConfig)> {
     ]
 }
 
-/// The core property: for K ∈ {1, 2, 4, 7} and every monitor variant, the
+/// The core property: for K ∈ {1, 2, 3, 4, 7} and every monitor variant, the
 /// pooled runtime reproduces the sequential run bit-for-bit at every step.
 #[test]
 fn pooled_fda_is_bit_identical_across_k_and_variants() {
     let task = tiny_task();
     let steps = 10;
-    for k in [1usize, 2, 4, 7] {
+    for k in [1usize, 2, 3, 4, 7] {
         for (tag, cfg) in variants() {
             let seed = 0xB00F + k as u64;
             let mut seq = Fda::new(cfg, cluster(k, seed, false), &task);

@@ -490,6 +490,93 @@ fn wire_decoders_are_total_under_fuzz() {
     assert!(wire::decode_vector(&u32::MAX.to_le_bytes()).is_err());
 }
 
+/// A degenerate job is refused at every entrance — bytes on the wire, the
+/// coordinator API, the CLI — instead of reaching an `assert!` inside a
+/// driver: overwriting the `workers` / `steps` / `batch_size` field of an
+/// encoded job with an out-of-range value must decode to `Err`.
+#[test]
+fn degenerate_jobs_are_refused_at_every_entrance() {
+    use fda::net::frame::FrameKind;
+    use fda::net::{Coordinator, Msg, NetError};
+    let job = wire::JobSpec {
+        cluster: fda::core::cluster::ClusterConfig::small_test(3),
+        fda: fda::core::fda::FdaConfig::linear(0.01),
+        codec: fda::comm::CodecSpec::Dense,
+        downlink: fda::comm::DownlinkSpec::Dense,
+        steps: 9,
+        synth: fda::data::synth::SynthSpec {
+            n_train: 240,
+            n_test: 80,
+            ..fda::data::synth::SynthSpec::synth_mnist()
+        },
+        task_name: "degenerate".to_string(),
+    };
+    let bytes = wire::encode_job(&job);
+    assert!(Msg::decode(FrameKind::Config, &bytes).is_ok());
+    // Where a u32 field sits in the frame: the first byte that moves when
+    // every bit of the field is inverted.
+    let offset_of = |invert: fn(&mut wire::JobSpec)| {
+        let mut other = job.clone();
+        invert(&mut other);
+        let moved = wire::encode_job(&other);
+        (0..bytes.len()).find(|&i| bytes[i] != moved[i]).unwrap()
+    };
+    let workers_at = offset_of(|j| j.cluster.workers ^= 0xFFFF_FFFF);
+    let steps_at = offset_of(|j| j.steps ^= 0xFFFF_FFFF);
+    let batch_at = offset_of(|j| j.cluster.batch_size ^= 0xFFFF_FFFF);
+    let mut rng = Rng::new(0xDE6E_0000);
+    let mut hostile: Vec<(usize, u32)> = vec![(workers_at, 0), (steps_at, 0), (batch_at, 0)];
+    for _ in 0..CASES {
+        // More workers than samples: some shard would be empty.
+        hostile.push((workers_at, 241 + (rng.next_u64() % (1 << 31)) as u32));
+    }
+    for (at, value) in hostile {
+        let mut buf = bytes.clone();
+        buf[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        assert!(
+            matches!(
+                Msg::decode(FrameKind::Config, &buf),
+                Err(NetError::Decode(wire::DecodeError::Malformed(_)))
+            ),
+            "config frame with {value} at byte {at} must be refused"
+        );
+    }
+
+    // The coordinator API refuses before it waits for anyone.
+    for degenerate in [
+        wire::JobSpec {
+            steps: 0,
+            ..job.clone()
+        },
+        wire::JobSpec {
+            cluster: fda::core::cluster::ClusterConfig {
+                workers: 0,
+                ..job.cluster.clone()
+            },
+            ..job.clone()
+        },
+    ] {
+        let coordinator = Coordinator::bind("127.0.0.1:0").expect("bind");
+        assert!(matches!(
+            coordinator.run(&degenerate),
+            Err(NetError::Protocol(_))
+        ));
+    }
+
+    // The CLI refuses before it binds: a usage error, exit code 2.
+    for args in [
+        &["coordinator", "--workers", "0"][..],
+        &["demo", "--workers", "2", "--steps", "0"][..],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_fda_node"))
+            .args(args)
+            .output()
+            .expect("spawn fda_node");
+        assert_eq!(out.status.code(), Some(2), "fda_node {args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("invalid job"));
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Transport frames: checksummed, epoch-stamped, hostile-input-total
 // ---------------------------------------------------------------------------
