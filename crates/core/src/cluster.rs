@@ -210,16 +210,14 @@ pub struct Cluster {
     /// Pool-owned per-worker `(loss, correct, samples)` results, reused
     /// every step (no per-step allocation).
     step_results: Vec<(f32, usize, usize)>,
-    /// Reused output buffer for the pooled model average.
-    avg_buf: Vec<f32>,
-    /// Round-persistent scratch of the coded model AllReduce: one encoded
-    /// upload at a time, the per-worker charged sizes, and the slots the
-    /// workers' parameter buffers are lent to for the reduce.
+    /// Round-persistent scratch of the sequential model AllReduce: one
+    /// encoded upload at a time, the per-worker charged sizes, and the
+    /// slots the workers' parameter buffers are lent to for the reduce.
     coded: CodedScratch,
 }
 
-/// Scratch of [`Cluster::allreduce_models_coded`], kept across rounds so
-/// the coded sync allocates nothing `d`-sized in steady state.
+/// Scratch of the sequential model reduces, kept across rounds so a sync
+/// allocates nothing `d`-sized in steady state.
 #[derive(Default)]
 struct CodedScratch {
     enc: Vec<u8>,
@@ -258,7 +256,6 @@ impl Cluster {
         Cluster {
             net: SimNetwork::new(config.workers),
             step_results: vec![(0.0, 0, 0); config.workers],
-            avg_buf: Vec::new(),
             coded: CodedScratch::default(),
             pool,
             config,
@@ -418,8 +415,21 @@ impl Cluster {
     /// chunking is over the *dimension*, never over workers, so the result
     /// is bit-identical to the sequential path.
     pub fn allreduce_models(&mut self) -> Vec<f32> {
+        let mut mean = Vec::new();
+        self.reduce_models_into(&mut mean);
+        self.load_global(&mean);
+        mean
+    }
+
+    /// The arithmetic and the charge of [`Cluster::allreduce_models`]
+    /// without the broadcast: the worker-order mean lands in `mean` and no
+    /// replica changes, so a caller that ends the round on a different
+    /// consensus (FDA's delta downlink) loads each replica once. Sequential
+    /// mode lends the workers' parameter scratch to the reduce, so it
+    /// allocates nothing `d`-sized in steady state.
+    pub(crate) fn reduce_models_into(&mut self, mean: &mut Vec<f32>) {
+        let dim = self.dim;
         if let Some(pool) = &mut self.pool {
-            let dim = self.dim;
             // (1) Snapshot every worker's parameters into its own scratch.
             let workers = SendPtr(self.workers.as_mut_ptr());
             pool.run(&|lane| {
@@ -427,37 +437,26 @@ impl Cluster {
                 let w = unsafe { &mut *workers.get().add(lane) };
                 w.model.copy_params_to(&mut w.params_buf);
             });
-            // (2) Chunk-parallel worker-order mean into the shared buffer.
-            if self.avg_buf.len() != dim {
-                self.avg_buf = vec![0.0; dim];
-            }
-            {
-                let srcs: Vec<&[f32]> = self
-                    .workers
-                    .iter()
-                    .map(|w| w.params_buf.as_slice())
-                    .collect();
-                pool.chunked_mean(&srcs, &mut self.avg_buf);
-            }
-            // (3) Broadcast: every lane loads the shared average.
-            let workers = SendPtr(self.workers.as_mut_ptr());
-            let avg: &[f32] = &self.avg_buf;
-            pool.run(&|lane| {
-                // SAFETY: lane-private worker; `avg` is read-only here.
-                let w = unsafe { &mut *workers.get().add(lane) };
-                w.model.load_params(avg);
-            });
+            // (2) Chunk-parallel worker-order mean.
+            mean.resize(dim, 0.0);
+            let srcs: Vec<&[f32]> = self
+                .workers
+                .iter()
+                .map(|w| w.params_buf.as_slice())
+                .collect();
+            pool.chunked_mean(&srcs, mean);
             // Same traffic entry as the sequential `allreduce_mean`.
             self.net.charge_allreduce(dim as u64 * 4);
-            self.avg_buf.clone()
         } else {
-            let mut bufs: Vec<Vec<f32>> =
-                self.workers.iter().map(|w| w.model.params_flat()).collect();
-            self.net.allreduce_mean(&mut bufs);
-            for (w, buf) in self.workers.iter_mut().zip(&bufs) {
-                w.model.load_params(buf);
+            let bufs = &mut self.coded.bufs;
+            bufs.clear();
+            for w in &mut self.workers {
+                let mut params = std::mem::take(&mut w.params_buf);
+                w.model.copy_params_to(&mut params);
+                bufs.push(params);
             }
-            bufs.into_iter().next().expect("k >= 1")
+            self.net.allreduce_mean(bufs);
+            self.return_params_bufs(mean);
         }
     }
 
@@ -475,19 +474,20 @@ impl Cluster {
     /// contract violation, not an input condition).
     pub fn allreduce_models_coded(&mut self, codec: &dyn fda_comm::Codec) -> Vec<f32> {
         let mut global = Vec::new();
-        self.allreduce_models_coded_into(codec, &mut global);
+        self.reduce_models_coded_into(codec, &mut global);
+        self.load_global(&global);
         global
     }
 
-    /// [`Cluster::allreduce_models_coded`] writing the new global model
-    /// into a caller-owned buffer. Each worker's parameter scratch is
-    /// encoded, reconstructed in place, lent to the reduce and handed
-    /// back, so a strategy that keeps `global` across rounds syncs without
-    /// allocating a `d`-sized buffer.
-    pub(crate) fn allreduce_models_coded_into(
+    /// The arithmetic and the charge of [`Cluster::allreduce_models_coded`]
+    /// without the broadcast (see [`Cluster::reduce_models_into`]). Each
+    /// worker's parameter scratch is encoded, reconstructed in place, lent
+    /// to the reduce and handed back, so a strategy that keeps `mean`
+    /// across rounds syncs without allocating a `d`-sized buffer.
+    pub(crate) fn reduce_models_coded_into(
         &mut self,
         codec: &dyn fda_comm::Codec,
-        global: &mut Vec<f32>,
+        mean: &mut Vec<f32>,
     ) {
         let CodedScratch {
             enc,
@@ -508,10 +508,16 @@ impl Cluster {
             bufs.push(params);
         }
         self.net.allreduce_mean_with(bufs, payloads);
-        global.clear();
-        global.extend_from_slice(&bufs[0]);
+        self.return_params_bufs(mean);
+    }
+
+    /// Copies the reduced mean out of the lent parameter scratch and hands
+    /// every buffer back to its worker.
+    fn return_params_bufs(&mut self, mean: &mut Vec<f32>) {
+        let bufs = &mut self.coded.bufs;
+        mean.clear();
+        mean.extend_from_slice(&bufs[0]);
         for (w, buf) in self.workers.iter_mut().zip(bufs.drain(..)) {
-            w.model.load_params(&buf);
             w.params_buf = buf;
         }
     }

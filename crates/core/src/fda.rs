@@ -464,17 +464,15 @@ impl Strategy for Fda {
                     enc, mean, recon, ..
                 } = &mut self.coded;
                 match &self.codec_impl {
-                    Some(codec) => self
-                        .cluster
-                        .allreduce_models_coded_into(codec.as_ref(), mean),
-                    None => *mean = self.cluster.allreduce_models(),
+                    Some(codec) => self.cluster.reduce_models_coded_into(codec.as_ref(), mean),
+                    None => self.cluster.reduce_models_into(mean),
                 }
                 let w_new = match &self.downlink_impl {
                     Some(delta_codec) => {
                         // Delta downlink mirror: the consensus every worker
                         // ends the round with is the reconstruction of the
-                        // coded delta against the previous consensus — load
-                        // it uncharged, exactly like the transport does.
+                        // coded delta against the previous consensus —
+                        // uncharged, exactly like the transport.
                         enc.clear();
                         fda_comm::compress::delta_downlink_into(
                             &self.w_sync,
@@ -483,11 +481,13 @@ impl Strategy for Fda {
                             enc,
                             recon,
                         );
-                        self.cluster.load_global(recon);
                         recon
                     }
                     None => mean,
                 };
+                // The reduce left the replicas alone: each loads the
+                // round's final consensus exactly once.
+                self.cluster.load_global(w_new);
                 std::mem::swap(&mut self.w_sync, w_new);
                 self.monitor.on_sync(&self.w_sync, w_new);
                 self.syncs += 1;
@@ -717,6 +717,66 @@ mod tests {
             "syncs must fall as Θ rises: {counts:?}"
         );
         assert!(counts[0] > counts[2], "sweep should actually differentiate");
+    }
+
+    /// A sync loads each replica once, with the round's final consensus,
+    /// and ends on the same bits as the historical sequence — load the
+    /// reduced mean through the public AllReduce, then load the delta
+    /// reconstruction over it — replayed here on a twin cluster.
+    #[test]
+    fn one_load_per_sync_keeps_the_replicas_bit_identical() {
+        let task = tiny_task();
+        let uniform8 = CodecSpec::Uniform8 { chunk: 64 };
+        for parallel in [false, true] {
+            for (codec, downlink) in [
+                (CodecSpec::Dense, DownlinkSpec::Dense),
+                (uniform8, DownlinkSpec::Dense),
+                (CodecSpec::Dense, DownlinkSpec::Delta { codec: uniform8 }),
+                (uniform8, DownlinkSpec::Delta { codec: uniform8 }),
+            ] {
+                let config = ClusterConfig {
+                    parallel,
+                    ..tiny_cluster_config(3)
+                };
+                let mut fda = Fda::new(FdaConfig::linear(0.0), config.clone(), &task);
+                fda.set_codec(codec);
+                fda.set_downlink(downlink);
+                let mut twin = Fda::new(FdaConfig::linear(0.0), config, &task);
+                let (uplink, delta) = (codec.build(), downlink.build());
+                let mut consensus = twin.cluster().worker(0).params();
+                for round in 0..3 {
+                    assert!(fda.step().synced);
+                    let cluster = twin.cluster_mut();
+                    cluster.local_step();
+                    let mean = match codec {
+                        CodecSpec::Dense => cluster.allreduce_models(),
+                        _ => cluster.allreduce_models_coded(uplink.as_ref()),
+                    };
+                    consensus = match &delta {
+                        Some(d) => {
+                            fda_comm::compress::delta_downlink(&consensus, &mean, d.as_ref()).1
+                        }
+                        None => mean,
+                    };
+                    cluster.load_global(&consensus);
+                    for k in 0..3 {
+                        let (got, want) = (
+                            fda.cluster().worker(k).params(),
+                            twin.cluster().worker(k).params(),
+                        );
+                        assert!(
+                            got.iter()
+                                .zip(&want)
+                                .all(|(g, w)| g.to_bits() == w.to_bits()),
+                            "{} / {}, parallel {parallel}: worker {k} diverged in round {round}",
+                            codec.name(),
+                            downlink.name()
+                        );
+                    }
+                    assert_eq!(fda.w_sync, consensus, "round {round}: consensus");
+                }
+            }
+        }
     }
 
     #[test]

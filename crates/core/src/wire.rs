@@ -385,6 +385,26 @@ pub fn decode_vector_coded(
     Ok(codec.decode(&buf[off..], len)?)
 }
 
+/// Upper bound on one transport frame's `len` field (kind byte + payload),
+/// enforced by `fda_net`'s frame layer.
+///
+/// The largest legitimate frame is a full model vector; 256 MiB covers a
+/// 67M-parameter model — far beyond the workspace zoo — while keeping a
+/// corrupted length header from looking like a 4 GiB allocation request.
+pub const MAX_FRAME_BYTES: u32 = 256 << 20;
+
+/// Frame bytes of a dense sketch state besides its counters: the frame
+/// kind, the state tag, the drift scalar and the two shape fields.
+const SKETCH_STATE_HEADER: usize = 1 + 1 + 4 + 2 + 2;
+
+/// Cap on a job's sketch rows `l`. Every process holding a monitor builds
+/// a gather table of about `l·d` entries (`l·d·4` bytes, plus padding —
+/// see `fda_sketch::ams`), so the row count a config frame may ask for is
+/// bounded here, where the frame is decoded. The paper uses `l = 5`; 32
+/// rows already push the estimator's failure probability δ far below
+/// anything a run can observe.
+pub const MAX_SKETCH_ROWS: usize = 32;
+
 /// A complete, self-contained FDA job description — everything a remote
 /// worker process needs to reconstruct its exact replica of a simulated
 /// run: the cluster shape (model, shards, seeds, optimizer), the FDA
@@ -435,6 +455,15 @@ impl JobSpec {
         }
         if self.fda.theta.is_nan() || self.fda.theta < 0.0 {
             return bad("theta must be non-negative");
+        }
+        if let FdaVariant::Sketch(sk) = self.fda.variant {
+            if sk.rows > MAX_SKETCH_ROWS {
+                return bad("sketch rows above MAX_SKETCH_ROWS");
+            }
+            let state_bytes = sk.rows.checked_mul(sk.cols).and_then(|n| n.checked_mul(4));
+            if state_bytes.is_none_or(|b| b > MAX_FRAME_BYTES as usize - SKETCH_STATE_HEADER) {
+                return bad("sketch state does not fit one frame");
+            }
         }
         self.codec.validate().map_err(DecodeError::Malformed)?;
         self.downlink.validate().map_err(DecodeError::Malformed)?;
@@ -1090,6 +1119,44 @@ mod tests {
                     Err(DecodeError::Malformed(_))
                 ),
                 "{what}: decode_job must reject"
+            );
+        }
+    }
+
+    /// A sketch whose plan table would swamp every process, or whose state
+    /// could not travel in one frame, is refused by validation — from the
+    /// wire and from the API alike.
+    #[test]
+    fn validate_bounds_the_sketch_a_job_may_ask_for() {
+        use crate::fda::FdaVariant;
+        let with_sketch = |rows, cols| {
+            let mut job = sample_job();
+            job.fda.variant = FdaVariant::Sketch(SketchConfig::new(rows, cols, 1));
+            job
+        };
+        assert_eq!(with_sketch(MAX_SKETCH_ROWS, 65_535).validate(), Ok(()));
+        for (rows, cols) in [(65_535, 65_535), (MAX_SKETCH_ROWS + 1, 250)] {
+            let job = with_sketch(rows, cols);
+            assert!(
+                matches!(job.validate(), Err(DecodeError::Malformed(_))),
+                "{rows}x{cols}"
+            );
+            assert!(
+                matches!(
+                    decode_job(&encode_job(&job)),
+                    Err(DecodeError::Malformed(_))
+                ),
+                "{rows}x{cols} from the wire"
+            );
+        }
+        // An API-built job is not limited to the wire's u16 dims, and its
+        // state size must not overflow on the way to the check.
+        for cols in [10_000_000, usize::MAX / 2] {
+            assert_eq!(
+                with_sketch(8, cols).validate(),
+                Err(DecodeError::Malformed(
+                    "sketch state does not fit one frame"
+                ))
             );
         }
     }

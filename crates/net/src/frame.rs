@@ -62,12 +62,9 @@ use std::io::{Read, Write};
 /// announces another version by the handshake's version check.
 pub const PROTOCOL_VERSION: u16 = 5;
 
-/// Upper bound on one frame's `len` field (kind byte + payload).
-///
-/// The largest legitimate frame is a full model vector; 256 MiB covers a
-/// 67M-parameter model — far beyond the workspace zoo — while keeping a
-/// corrupted length header from looking like a 4 GiB allocation request.
-pub const MAX_FRAME_BYTES: u32 = 256 << 20;
+/// Upper bound on one frame's `len` field (kind byte + payload), defined
+/// beside the job validation that sizes sketch states against it.
+pub use fda_core::wire::MAX_FRAME_BYTES;
 
 /// FNV-1a 32-bit hash — the frame checksum of protocol v2–v4, one
 /// dependent multiply per byte. No transport path computes it any more

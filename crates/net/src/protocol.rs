@@ -344,6 +344,35 @@ mod tests {
         }
     }
 
+    /// A config frame asking for a 65 535 × 65 535 sketch — a rows × d
+    /// plan table on every worker, a 17 GB template state on the
+    /// coordinator — is refused while it is decoded.
+    #[test]
+    fn config_frame_asking_for_a_huge_sketch_is_refused() {
+        use fda_core::fda::{FdaConfig, FdaVariant};
+        let job = fda_core::wire::JobSpec {
+            cluster: fda_core::cluster::ClusterConfig::small_test(2),
+            fda: FdaConfig {
+                variant: FdaVariant::Sketch(SketchConfig::new(65_535, 65_535, 7)),
+                theta: 0.1,
+            },
+            codec: fda_comm::CodecSpec::Dense,
+            downlink: fda_comm::DownlinkSpec::Dense,
+            steps: 4,
+            synth: fda_data::synth::SynthSpec {
+                n_train: 64,
+                n_test: 16,
+                ..fda_data::synth::SynthSpec::synth_mnist()
+            },
+            task_name: "huge-sketch".to_string(),
+        };
+        let bytes = fda_core::wire::encode_job(&job);
+        assert!(matches!(
+            Msg::decode(FrameKind::Config, &bytes),
+            Err(NetError::Decode(fda_core::wire::DecodeError::Malformed(_)))
+        ));
+    }
+
     #[test]
     fn state_and_avg_state_roundtrip_bitwise() {
         let drift: Vec<f32> = (0..96).map(|i| (i as f32 * 0.11).sin()).collect();

@@ -315,6 +315,9 @@ fn run_session(
     let mut w_sync = resume_model;
     let mut params = vec![0.0f32; dim];
     let mut drift = vec![0.0f32; dim];
+    // Round-persistent local state, rebuilt in place every round as the
+    // simulator's `compute_states` does (a sketch is not reallocated).
+    let mut state = monitor.local_state(&drift);
     // Round-persistent uplink scratch: every State/Model payload is
     // encoded into this buffer in place, so steady-state rounds don't
     // allocate on the send path.
@@ -327,7 +330,7 @@ fn run_session(
 
         // (2) Local state from the drift — the point scripted faults hit.
         vector::sub_into(&params, &w_sync, &mut drift);
-        let state = monitor.local_state(&drift);
+        monitor.local_state_into(&drift, &mut state);
         ubuf.clear();
         encode_state_coded_into(&state, codec.as_ref(), &mut ubuf);
         match apply_faults(session, step, opts, &ubuf)? {

@@ -39,6 +39,12 @@ fn add_mod(a: u64, b: u64) -> u64 {
     }
 }
 
+/// Subtracts two field elements modulo 2^61 − 1.
+#[inline]
+fn sub_mod(a: u64, b: u64) -> u64 {
+    add_mod(a, MERSENNE_P - b) // b < P, so P − b ∈ (0, P]
+}
+
 /// A degree-3 Carter–Wegman polynomial hash: 4-wise independent.
 #[derive(Debug, Clone)]
 pub struct FourWiseHash {
@@ -68,6 +74,43 @@ impl FourWiseHash {
         acc = add_mod(mul_mod(acc, x), self.c[2]);
         acc = add_mod(mul_mod(acc, x), self.c[1]);
         add_mod(mul_mod(acc, x), self.c[0])
+    }
+
+    /// `eval(0), eval(1), eval(2), …` by forward differences: a cubic's
+    /// third difference is constant, so each value costs three field
+    /// additions instead of Horner's three dependent multiplications —
+    /// and equals `eval` exactly.
+    pub fn consecutive(&self) -> impl Iterator<Item = u64> {
+        let f = [0, 1, 2, 3].map(|x| self.eval(x));
+        let mut value = f[0];
+        let mut d1 = sub_mod(f[1], f[0]);
+        let mut d2 = sub_mod(sub_mod(f[2], f[1]), d1);
+        let d3 = sub_mod(sub_mod(sub_mod(f[3], f[2]), sub_mod(f[2], f[1])), d2);
+        std::iter::from_fn(move || {
+            let out = value;
+            value = add_mod(value, d1);
+            d1 = add_mod(d1, d2);
+            d2 = add_mod(d2, d3);
+            Some(out)
+        })
+    }
+
+    /// `bucket(0, m), bucket(1, m), …`: [`FourWiseHash::consecutive`]
+    /// reduced mod `m` by multiplication instead of a 64-bit division
+    /// (Lemire, Kaser & Kurz, "Faster remainder by direct computation",
+    /// 2019) — exact for every `u64` input when `m < 2^32`, which is
+    /// asserted.
+    pub fn consecutive_buckets(&self, m: usize) -> impl Iterator<Item = usize> {
+        assert!(m >= 1 && (m as u64) < 1 << 32, "bucket count out of range");
+        let m = m as u128;
+        // ⌈2^128 / m⌉; wraps to 0 for m = 1, which yields remainder 0.
+        let magic = (u128::MAX / m).wrapping_add(1);
+        self.consecutive().map(move |x| {
+            let low = magic.wrapping_mul(x as u128);
+            // ⌊low · m / 2^128⌋, from the two 64-bit halves of `low`.
+            let high = (low >> 64) * m + (((low as u64) as u128 * m) >> 64);
+            (high >> 64) as usize
+        })
     }
 
     /// Maps index `i` to a ±1 sign (lowest output bit).
@@ -113,6 +156,49 @@ mod tests {
         let mut rng = Rng::new(2);
         let h = FourWiseHash::random(&mut rng);
         assert_eq!(h.eval(12345), h.eval(12345));
+    }
+
+    #[test]
+    fn consecutive_matches_eval() {
+        let mut rng = Rng::new(6);
+        for _ in 0..20 {
+            let h = FourWiseHash::random(&mut rng);
+            for (x, value) in h.consecutive().take(5_000).enumerate() {
+                assert_eq!(value, h.eval(x as u64), "x = {x}");
+            }
+        }
+        // Coefficients at the field's edges.
+        let h = FourWiseHash {
+            c: [MERSENNE_P - 1, 0, MERSENNE_P - 1, 1],
+        };
+        assert!(h
+            .consecutive()
+            .take(1_000)
+            .enumerate()
+            .all(|(x, v)| v == h.eval(x as u64)));
+    }
+
+    #[test]
+    fn consecutive_buckets_match_bucket() {
+        let mut rng = Rng::new(7);
+        let ms = [
+            1usize,
+            2,
+            3,
+            16,
+            17,
+            176,
+            250,
+            65_535,
+            (1 << 31) - 1,
+            (1 << 32) - 1,
+        ];
+        for m in ms {
+            let h = FourWiseHash::random(&mut rng);
+            for (x, b) in h.consecutive_buckets(m).take(3_000).enumerate() {
+                assert_eq!(b, h.bucket(x as u64, m), "m = {m}, x = {x}");
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Every wide loop in the workspace — the GEMM microkernel, the flat-vector
 //! reductions (`dot`, `sum`, `dist_sq`), the BLAS-1 updates (`axpy`,
-//! `axpby`, `add_assign`, `scale`) and the AMS sketch bucket accumulate —
+//! `axpby`, `add_assign`, `scale`) and the AMS sketch bucket gather —
 //! funnels through one [`Kernels`] table selected **once** per process:
 //!
 //! * **`avx512`** — AVX-512F FMA: 8×32 GEMM microkernel (16 zmm
@@ -155,13 +155,109 @@ pub struct Kernels {
     pub add_assign: fn(&mut [f32], &[f32]),
     /// `a ← α·a`. Element-wise; all arms agree bit-for-bit.
     pub scale: fn(&mut [f32], f32),
-    /// AMS sketch bucket accumulate: for each `i`,
-    /// `row[entries[i] & 0x7FFF_FFFF] += ±v[i]`, the sign taken from bit 31
-    /// of `entries[i]` (applied as an exact sign-bit flip, bit-identical to
-    /// multiplying by ±1.0). Iterates `i` in ascending order in every arm,
-    /// so all arms agree bit-for-bit. Panics on length mismatch;
-    /// out-of-range buckets panic via the checked scatter store.
-    pub sketch_accumulate: fn(entries: &[u32], v: &[f32], row: &mut [f32]),
+    /// AMS sketch row as a gather over a bucket-major table (the layout
+    /// `fda_sketch::ams` builds). The row's `out.len()` buckets form
+    /// groups of [`SKETCH_LANES`], the last one `w = out.len() − 16g`
+    /// wide if shorter; group `g` owns the next `steps[g]·w` entries of
+    /// `table`, step-major (lane `j` of step `s` at `s·w + j`). An entry
+    /// is `index | sign << 31` or [`SKETCH_PAD`]. Each bucket starts at
+    /// `+0.0` and adds `±v[index]` (the sign applied as an exact sign-bit
+    /// flip) for its lane's live entries in table order; pad entries leave
+    /// it untouched. A table that lists each bucket's indices ascending
+    /// therefore reproduces the ascending-`i` scatter
+    /// `row[bucket(i)] += ±v[i]` bit for bit, and all arms agree bit for
+    /// bit — up to the payload of a NaN counter: when both addends are NaN
+    /// an x86 add returns one of them, and Rust treats `f32` addition
+    /// (intrinsics included) as commutative, so which input's payload
+    /// survives is the compiler's choice. Panics if `steps` / `table`
+    /// lengths do not fit `out.len()`.
+    ///
+    /// # Safety
+    /// Every entry other than [`SKETCH_PAD`] must satisfy
+    /// `entry & 0x7FFF_FFFF < v.len()`: the intrinsics arms gather without
+    /// bounds checks.
+    #[allow(clippy::type_complexity)] // the signature is the contract above
+    pub sketch_gather: unsafe fn(table: &[u32], steps: &[u32], v: &[f32], out: &mut [f32]),
+}
+
+/// Buckets per group of the sketch gather table — one zmm, or two ymm, of
+/// `f32` counters advanced in lock-step.
+pub const SKETCH_LANES: usize = 16;
+
+/// Sketch gather table entry that extends a lane's chain past its last
+/// coordinate; it gathers and adds nothing. No live entry can equal it: the
+/// index field of a live entry is below `v.len() ≤ 0x7FFF_FFFF`.
+pub const SKETCH_PAD: u32 = u32::MAX;
+
+/// Width of group `g` of a sketch row with `buckets` buckets.
+fn sketch_group_width(buckets: usize, g: usize) -> usize {
+    (buckets - g * SKETCH_LANES).min(SKETCH_LANES)
+}
+
+/// Up to `B` consecutive groups of a sketch row, which an arm advances in
+/// lock-step. Each bucket lists its coordinates ascending, so at any step
+/// the lanes of all groups read `v` near the same index: a block streams
+/// `v` through L1 once, where a group-at-a-time walk streams it once per
+/// group. `B` is set per arm by measurement — 4 for AVX-512, whose
+/// counters still fit its register file; 1 for AVX2 and scalar, where a
+/// wider block spilled the counters and measured slower.
+struct SketchBlock<'a, const B: usize> {
+    /// Group `k`'s step-major entries (`steps[k]·width(k)` of them).
+    groups: [&'a [u32]; B],
+    steps: [usize; B],
+    /// Live groups in `groups` / `steps`.
+    len: usize,
+    /// The longest of `steps`.
+    max_steps: usize,
+    /// The block's counters: 16 per group, fewer in a ragged last group.
+    out: &'a mut [f32],
+}
+
+impl<const B: usize> SketchBlock<'_, B> {
+    /// Width of group `k` of the block.
+    fn width(&self, k: usize) -> usize {
+        sketch_group_width(self.out.len(), k)
+    }
+}
+
+/// Checks the shape half of the [`Kernels::sketch_gather`] contract and
+/// splits the row into blocks of `B` groups.
+fn sketch_blocks<'a, const B: usize>(
+    table: &'a [u32],
+    steps: &'a [u32],
+    out: &'a mut [f32],
+) -> impl Iterator<Item = SketchBlock<'a, B>> {
+    assert_eq!(
+        steps.len(),
+        out.len().div_ceil(SKETCH_LANES),
+        "sketch_gather: group count mismatch"
+    );
+    let entries: usize = steps
+        .iter()
+        .enumerate()
+        .map(|(g, &n)| n as usize * sketch_group_width(out.len(), g))
+        .sum();
+    assert_eq!(table.len(), entries, "sketch_gather: table length mismatch");
+    let mut rest = table;
+    out.chunks_mut(B * SKETCH_LANES)
+        .zip(steps.chunks(B))
+        .map(move |(out, block_steps)| {
+            let mut block = SketchBlock {
+                groups: [&[]; B],
+                steps: [0; B],
+                len: block_steps.len(),
+                max_steps: 0,
+                out,
+            };
+            for (k, &n) in block_steps.iter().enumerate() {
+                let (group, tail) = rest.split_at(n as usize * block.width(k));
+                rest = tail;
+                block.groups[k] = group;
+                block.steps[k] = n as usize;
+                block.max_steps = block.max_steps.max(n as usize);
+            }
+            block
+        })
 }
 
 impl std::fmt::Debug for Kernels {
@@ -243,7 +339,7 @@ pub fn kernels() -> &'static Kernels {
 /// trip counts, contiguous slices, block accumulators). This is the
 /// pre-dispatch behavior of the workspace, kept verbatim as the reference.
 pub(crate) mod scalar {
-    use super::{Isa, Kernels};
+    use super::{Isa, Kernels, SKETCH_LANES, SKETCH_PAD};
 
     /// Microkernel tile height.
     pub const MR: usize = 4;
@@ -264,7 +360,7 @@ pub(crate) mod scalar {
         axpby,
         add_assign,
         scale,
-        sketch_accumulate,
+        sketch_gather,
     };
 
     /// 4×16 register tile over packed strips; see the [`Kernels`] contract.
@@ -391,13 +487,56 @@ pub(crate) mod scalar {
         }
     }
 
-    /// Reference bucket accumulate: ascending `i`, sign applied as an
-    /// exact sign-bit flip (bit-identical to multiplying by ±1.0).
-    pub fn sketch_accumulate(entries: &[u32], v: &[f32], row: &mut [f32]) {
-        assert_eq!(entries.len(), v.len(), "sketch_accumulate: length mismatch");
-        for (e, x) in entries.iter().zip(v) {
-            row[(e & 0x7FFF_FFFF) as usize] += f32::from_bits(x.to_bits() ^ (e & 0x8000_0000));
+    /// The sketch gather as a plain walk: 16 per-bucket chains advanced in
+    /// lock-step, branch-free so the compiler may vectorise it. Every read
+    /// of `v` is clamped into bounds, so a table that breaks the
+    /// [`Kernels::sketch_gather`] contract yields wrong counters here,
+    /// never an out-of-bounds read.
+    pub fn sketch_gather(table: &[u32], steps: &[u32], v: &[f32], out: &mut [f32]) {
+        const B: usize = 1;
+        for block in super::sketch_blocks::<B>(table, steps, out) {
+            let Some(last) = v.len().checked_sub(1) else {
+                // No entry can be live: every counter stays `+0.0`.
+                block.out.fill(0.0);
+                continue;
+            };
+            let mut acc = [[0.0f32; SKETCH_LANES]; B];
+            for s in 0..block.max_steps {
+                for (k, acc) in acc.iter_mut().enumerate().take(block.len) {
+                    if s >= block.steps[k] {
+                        continue;
+                    }
+                    let w = block.width(k);
+                    let step = &block.groups[k][s * w..(s + 1) * w];
+                    match <&[u32; SKETCH_LANES]>::try_from(step) {
+                        Ok(step) => {
+                            for j in 0..SKETCH_LANES {
+                                add_lane(&mut acc[j], step[j], v, last);
+                            }
+                        }
+                        Err(_) => {
+                            for (a, &e) in acc.iter_mut().zip(step) {
+                                add_lane(a, e, v, last);
+                            }
+                        }
+                    }
+                }
+            }
+            for (counters, acc) in block.out.chunks_mut(SKETCH_LANES).zip(&acc) {
+                counters.copy_from_slice(&acc[..counters.len()]);
+            }
         }
+    }
+
+    /// One lane of one gather step. A pad lane adds `-0.0`, the exact
+    /// identity of f32 addition, so its counter keeps its bits; selecting
+    /// instead of branching keeps the pads at the chains' ragged ends
+    /// from mispredicting.
+    #[inline(always)]
+    fn add_lane(acc: &mut f32, e: u32, v: &[f32], last: usize) {
+        let x = v[((e & 0x7FFF_FFFF) as usize).min(last)];
+        let x = f32::from_bits(x.to_bits() ^ (e & 0x8000_0000));
+        *acc += if e == SKETCH_PAD { -0.0 } else { x };
     }
 }
 
@@ -420,7 +559,7 @@ mod x86 {
     //! that *happens* to be aligned costs the same as an aligned load —
     //! without faulting on the tiles that are not.
 
-    use super::{Isa, Kernels};
+    use super::{Isa, Kernels, SKETCH_LANES, SKETCH_PAD};
     use std::arch::x86_64::*;
 
     // -- AVX-512 ----------------------------------------------------------
@@ -442,15 +581,7 @@ mod x86 {
         axpby: |alpha, x, beta, y| unsafe { axpby_avx512(alpha, x, beta, y) },
         add_assign: |a, b| unsafe { add_assign_avx512(a, b) },
         scale: |a, alpha| unsafe { scale_avx512(a, alpha) },
-        // The scatter-add is latency-bound on the dependent bucket adds; a
-        // staged variant (vectorized sign flip into a stack block, then
-        // scalar scatter) measured ~8% *slower* than the single-pass loop
-        // at d = 44 000, and AVX-512 scatter needs conflict detection to
-        // be correct under bucket collisions. The packed sign|bucket entry
-        // (one 4-byte table stream, XOR instead of i8-convert-and-
-        // multiply) is the win here, and the shared loop keeps every arm
-        // bit-identical for free.
-        sketch_accumulate: super::scalar::sketch_accumulate,
+        sketch_gather: sketch_gather_avx512,
     };
 
     /// 8×32 FMA register tile: 16 zmm accumulators + 2 B vectors + 1
@@ -787,6 +918,66 @@ mod x86 {
         }
     }
 
+    /// The sketch gather: per step, one masked 16-lane gather and one
+    /// masked add. A ragged last group loads its `w` entries with the
+    /// missing lanes filled by [`SKETCH_PAD`] and stores `w` counters.
+    ///
+    /// # Safety
+    /// Host supports AVX-512F; the caller upholds the
+    /// [`Kernels::sketch_gather`] contract.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn sketch_gather_avx512(table: &[u32], steps: &[u32], v: &[f32], out: &mut [f32]) {
+        const B: usize = 4;
+        let vp = v.as_ptr();
+        let pad = _mm512_set1_epi32(SKETCH_PAD as i32);
+        for block in super::sketch_blocks::<B>(table, steps, out) {
+            let mut acc = [_mm512_setzero_ps(); B];
+            for s in 0..block.max_steps {
+                for (k, acc) in acc.iter_mut().enumerate().take(block.len) {
+                    if s >= block.steps[k] {
+                        continue;
+                    }
+                    let w = block.width(k);
+                    // SAFETY: group `k` holds `steps[k]·w` entries and
+                    // `s < steps[k]`; a ragged group's mask reads exactly
+                    // its `w` entries and fills the other lanes with pads.
+                    let gp = block.groups[k].as_ptr().add(s * w) as *const i32;
+                    let e = if w == SKETCH_LANES {
+                        _mm512_loadu_epi32(gp)
+                    } else {
+                        _mm512_mask_loadu_epi32(pad, tail_mask16(w), gp)
+                    };
+                    *acc = sketch_step_avx512(*acc, e, vp);
+                }
+            }
+            for (counters, acc) in block.out.chunks_mut(SKETCH_LANES).zip(&acc) {
+                let m = !0u16 >> (SKETCH_LANES - counters.len());
+                // SAFETY: the mask writes exactly the counters of
+                // `counters`.
+                _mm512_mask_storeu_ps(counters.as_mut_ptr(), m, *acc);
+            }
+        }
+    }
+
+    /// One gather step of 16 bucket chains: live lanes add `±v[index]` to
+    /// their counter, pad lanes neither load nor add.
+    ///
+    /// # Safety
+    /// Host supports AVX-512F; every live entry of `e` indexes inside the
+    /// slice `vp` points into.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn sketch_step_avx512(acc: __m512, e: __m512i, vp: *const f32) -> __m512 {
+        let live = _mm512_cmpneq_epi32_mask(e, _mm512_set1_epi32(SKETCH_PAD as i32));
+        let idx = _mm512_and_si512(e, _mm512_set1_epi32(0x7FFF_FFFF));
+        // SAFETY: only `live` lanes are read, and the caller guarantees
+        // their indices are in bounds.
+        let x =
+            _mm512_mask_i32gather_epi32::<4>(_mm512_setzero_si512(), live, idx, vp as *const i32);
+        let x = _mm512_xor_si512(x, _mm512_and_si512(e, _mm512_set1_epi32(i32::MIN)));
+        _mm512_mask_add_ps(acc, live, acc, _mm512_castsi512_ps(x))
+    }
+
     // -- AVX2 + FMA -------------------------------------------------------
 
     /// AVX2 microkernel height.
@@ -806,9 +997,7 @@ mod x86 {
         axpby: |alpha, x, beta, y| unsafe { axpby_avx2(alpha, x, beta, y) },
         add_assign: |a, b| unsafe { add_assign_avx2(a, b) },
         scale: |a, alpha| unsafe { scale_avx2(a, alpha) },
-        // Shared single-pass loop; see the AVX-512 table for the
-        // measurement that retired the staged variant.
-        sketch_accumulate: super::scalar::sketch_accumulate,
+        sketch_gather: sketch_gather_avx2,
     };
 
     /// Horizontal sum of one ymm.
@@ -1128,6 +1317,73 @@ mod x86 {
             i += 1;
         }
     }
+
+    /// The sketch gather: per step, two 8-lane masked gathers and two
+    /// adds. A ragged group is staged one step at a time into a
+    /// pad-filled 16-entry block, and every group's counters leave through
+    /// a stack copy.
+    ///
+    /// # Safety
+    /// Host supports AVX2; the caller upholds the [`Kernels::sketch_gather`]
+    /// contract.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn sketch_gather_avx2(table: &[u32], steps: &[u32], v: &[f32], out: &mut [f32]) {
+        const B: usize = 1;
+        let vp = v.as_ptr();
+        let mut staged = [SKETCH_PAD; SKETCH_LANES];
+        for block in super::sketch_blocks::<B>(table, steps, out) {
+            let mut acc = [[_mm256_setzero_ps(); 2]; B];
+            for s in 0..block.max_steps {
+                for (k, [lo, hi]) in acc.iter_mut().enumerate().take(block.len) {
+                    if s >= block.steps[k] {
+                        continue;
+                    }
+                    let w = block.width(k);
+                    let step = &block.groups[k][s * w..(s + 1) * w];
+                    let ep = if w == SKETCH_LANES {
+                        step.as_ptr()
+                    } else {
+                        staged[..w].copy_from_slice(step);
+                        staged.as_ptr()
+                    };
+                    // SAFETY: `ep` points at 16 readable entries (a full
+                    // step, or the staged block).
+                    *lo = sketch_step_avx2(*lo, _mm256_loadu_si256(ep as *const __m256i), vp);
+                    *hi =
+                        sketch_step_avx2(*hi, _mm256_loadu_si256(ep.add(8) as *const __m256i), vp);
+                }
+            }
+            for (counters, [lo, hi]) in block.out.chunks_mut(SKETCH_LANES).zip(&acc) {
+                let mut lanes = [0.0f32; SKETCH_LANES];
+                // SAFETY: `lanes` is 16 counters wide.
+                _mm256_storeu_ps(lanes.as_mut_ptr(), *lo);
+                _mm256_storeu_ps(lanes.as_mut_ptr().add(8), *hi);
+                counters.copy_from_slice(&lanes[..counters.len()]);
+            }
+        }
+    }
+
+    /// One gather step of 8 bucket chains: live lanes add `±v[index]` to
+    /// their counter. A pad lane loads nothing and keeps the gather's
+    /// `0.0`, which the pad's sign bit turns into `-0.0` — the exact
+    /// identity of f32 addition — so its counter keeps its bits without a
+    /// blend.
+    ///
+    /// # Safety
+    /// Host supports AVX2; every live entry of `e` indexes inside the slice
+    /// `vp` points into.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn sketch_step_avx2(acc: __m256, e: __m256i, vp: *const f32) -> __m256 {
+        let pad = _mm256_cmpeq_epi32(e, _mm256_set1_epi32(SKETCH_PAD as i32));
+        let live = _mm256_castsi256_ps(_mm256_xor_si256(pad, _mm256_set1_epi32(-1)));
+        let idx = _mm256_and_si256(e, _mm256_set1_epi32(0x7FFF_FFFF));
+        // SAFETY: only `live` lanes are read, and the caller guarantees
+        // their indices are in bounds.
+        let x = _mm256_mask_i32gather_ps::<4>(_mm256_setzero_ps(), vp, idx, live);
+        let sign = _mm256_castsi256_ps(_mm256_and_si256(e, _mm256_set1_epi32(i32::MIN)));
+        _mm256_add_ps(acc, _mm256_xor_ps(x, sign))
+    }
 }
 
 #[cfg(test)]
@@ -1273,41 +1529,74 @@ mod tests {
         }
     }
 
-    /// Every arm's sketch accumulate is bit-identical to the scalar arm
-    /// (they share one single-pass loop; this pins that contract),
-    /// including bucket collisions and ragged tails.
+    /// Every arm's sketch gather is bit-identical to a per-bucket fold of
+    /// the table written from the contract, on random tables with pad
+    /// entries anywhere in a chain, ragged last groups, empty groups, and
+    /// inputs carrying signed zeros, subnormals, infinities and NaNs.
     #[test]
-    fn sketch_accumulate_bit_identical_across_arms() {
+    fn sketch_gather_bit_identical_across_arms() {
         let mut rng = Rng::new(0x5E7C);
-        let scalar = table_for(Isa::Scalar).unwrap();
-        for &n in &LENS {
-            let v = random_vec(&mut rng, n);
-            let buckets = 5; // few buckets => plenty of collisions
-            let entries: Vec<u32> = (0..n)
-                .map(|_| {
-                    let b = (rng.next_u64() % buckets) as u32;
-                    let s = if rng.next_u64().is_multiple_of(2) {
-                        0x8000_0000
-                    } else {
-                        0
-                    };
-                    b | s
+        let mut v = random_vec(&mut rng, 40);
+        v.extend([0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, 1e-45, -1e-40]);
+        v.extend([f32::from_bits(0x7FC0_0001), f32::from_bits(0xFFC0_0ABC)]);
+        for buckets in [1usize, 7, 15, 16, 17, 32, 33, 50, 100, 250] {
+            let groups = buckets.div_ceil(SKETCH_LANES);
+            let steps: Vec<u32> = (0..groups).map(|_| (rng.next_u64() % 6) as u32).collect();
+            let len = (0..groups)
+                .map(|g| steps[g] as usize * sketch_group_width(buckets, g))
+                .sum();
+            let table: Vec<u32> = (0..len)
+                .map(|_| match rng.next_u64() % 5 {
+                    0 => SKETCH_PAD,
+                    r => (rng.next_u64() % v.len() as u64) as u32 | ((r as u32 & 1) << 31),
                 })
                 .collect();
-            let mut want = vec![0.1f32; buckets as usize];
-            (scalar.sketch_accumulate)(&entries, &v, &mut want);
+            let mut want = vec![0.0f32; buckets];
+            let mut off = 0;
+            for (g, &n) in steps.iter().enumerate() {
+                let w = sketch_group_width(buckets, g);
+                for j in 0..w {
+                    let mut acc = 0.0f32;
+                    for s in 0..n as usize {
+                        let e = table[off + s * w + j];
+                        if e != SKETCH_PAD {
+                            acc += f32::from_bits(
+                                v[(e & 0x7FFF_FFFF) as usize].to_bits() ^ (e & 1 << 31),
+                            );
+                        }
+                    }
+                    want[g * SKETCH_LANES + j] = acc;
+                }
+                off += n as usize * w;
+            }
             for k in all_supported() {
-                let mut got = vec![0.1f32; buckets as usize];
-                (k.sketch_accumulate)(&entries, &v, &mut got);
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(
-                        g.to_bits(),
-                        w.to_bits(),
-                        "{} sketch_accumulate n={n}",
+                let mut got = vec![f32::NAN; buckets];
+                // SAFETY: every live entry indexes below `v.len()`.
+                unsafe { (k.sketch_gather)(&table, &steps, &v, &mut got) };
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    // Two NaNs match whatever their payloads (see the
+                    // field doc).
+                    assert!(
+                        g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                        "{} sketch_gather buckets={buckets} bucket {i}: {g} vs {w}",
                         k.name()
                     );
                 }
             }
+        }
+    }
+
+    /// A table whose length disagrees with its steps is refused before any
+    /// entry is read, on every arm.
+    #[test]
+    fn sketch_gather_checks_the_table_shape() {
+        for k in all_supported() {
+            let short = std::panic::catch_unwind(|| {
+                let mut out = [0.0f32; 17];
+                // SAFETY: the table is empty, so no entry is gathered.
+                unsafe { (k.sketch_gather)(&[], &[1, 0], &[1.0], &mut out) };
+            });
+            assert!(short.is_err(), "{} accepted a short table", k.name());
         }
     }
 

@@ -541,6 +541,31 @@ fn degenerate_jobs_are_refused_at_every_entrance() {
             "config frame with {value} at byte {at} must be refused"
         );
     }
+    // A sketch no frame could carry, or with more rows than a plan table
+    // may hold: the variant's u16 dims, overwritten in the frame.
+    let mut sketch_job = job.clone();
+    sketch_job.fda = fda::core::fda::FdaConfig {
+        variant: fda::core::fda::FdaVariant::Sketch(SketchConfig::new(5, 250, 1)),
+        theta: 0.01,
+    };
+    let sketch_bytes = wire::encode_job(&sketch_job);
+    assert!(Msg::decode(FrameKind::Config, &sketch_bytes).is_ok());
+    let dims_at = (0..sketch_bytes.len())
+        .find(|&i| sketch_bytes[i..].starts_with(&[5, 0, 250, 0]))
+        .unwrap();
+    let too_many_rows = wire::MAX_SKETCH_ROWS as u16 + 1;
+    for (rows, cols) in [(65_535u16, 65_535u16), (too_many_rows, 250), (65_535, 1)] {
+        let mut buf = sketch_bytes.clone();
+        buf[dims_at..dims_at + 2].copy_from_slice(&rows.to_le_bytes());
+        buf[dims_at + 2..dims_at + 4].copy_from_slice(&cols.to_le_bytes());
+        assert!(
+            matches!(
+                Msg::decode(FrameKind::Config, &buf),
+                Err(NetError::Decode(wire::DecodeError::Malformed(_)))
+            ),
+            "config frame asking for a {rows}x{cols} sketch must be refused"
+        );
+    }
 
     // The coordinator API refuses before it waits for anyone.
     for degenerate in [
@@ -855,15 +880,15 @@ fn dispatched_gemm_matches_reference_under_every_kernel_arm() {
     }
 }
 
-/// Every kernel arm sketches bit-identically to the scalar arm (the arms
-/// share one single-pass scatter loop; this pins that contract) and lands
-/// within f64-accumulator tolerance of a from-scratch f64 scatter, over
+/// Every kernel arm sketches bit-identically to an independent reference —
+/// the f32 ascending-`i` scatter `row[bucket(i)] += ±v[i]`, with each
+/// coordinate's bucket and sign read off its unit-vector sketch `sk(e_i)`
+/// (exact on any arm: a 1-sparse input collides with nothing) — over
 /// random dims with ragged lane tails.
 #[test]
 fn dispatched_sketch_matches_reference_under_every_kernel_arm() {
     use fda::sketch::AmsSketch;
     use fda::tensor::simd;
-    let scalar = simd::table_for(simd::Isa::Scalar).expect("scalar arm always available");
     for case in 0..CASES {
         let mut rng = Rng::new(0x5E_7C00 + case);
         // Dims biased onto lane boundaries ±1 (16/32/64 ±1) and odd sizes.
@@ -879,42 +904,33 @@ fn dispatched_sketch_matches_reference_under_every_kernel_arm() {
         let plan = config.build_plan(dim);
         let mut v = vec![0.0f32; dim];
         rng.fill_uniform(&mut v, -5.0, 5.0);
-        let mut want = AmsSketch::zeros(rows, cols);
-        plan.sketch_into_with_kernel(scalar, &v, &mut want);
-        // f64 anchor: ‖sk(v)‖ entries recomputed with f64 accumulation via
-        // linearity over unit vectors is O(d·l·m); instead verify the f32
-        // scalar reference against f64 row sums of the *same* scatter.
+        let mut want = vec![0.0f32; rows * cols];
+        let mut unit = vec![0.0f32; dim];
+        for i in 0..dim {
+            unit[i] = 1.0;
+            let sk = plan.sketch(&unit);
+            unit[i] = 0.0;
+            for (r, row) in sk.as_slice().chunks_exact(cols).enumerate() {
+                let hits: Vec<usize> = (0..cols).filter(|&b| row[b] != 0.0).collect();
+                assert!(
+                    hits.len() == 1 && row[hits[0]].abs() == 1.0,
+                    "case {case}: sk(e_{i}) row {r} is not ±1 in one bucket"
+                );
+                let b = hits[0];
+                want[r * cols + b] += if row[b] > 0.0 { v[i] } else { -v[i] };
+            }
+        }
         for kn in simd::all_supported() {
             let mut got = AmsSketch::zeros(rows, cols);
             plan.sketch_into_with_kernel(kn, &v, &mut got);
-            for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            for (i, (g, w)) in got.as_slice().iter().zip(&want).enumerate() {
                 assert_eq!(
                     g.to_bits(),
                     w.to_bits(),
-                    "case {case}: arm {} bucket {i} diverged from scalar (dim {dim})",
+                    "case {case}: arm {} bucket {i} diverged from the scatter (dim {dim})",
                     kn.name()
                 );
             }
-        }
-        // The packed-entry scatter itself is checked against an f64
-        // accumulation of the same ±v assignments, reconstructed through
-        // sketch linearity: sk(v) == Σ_i v_i · sk(e_i), with each sk(e_i)
-        // exact (1-sparse inputs collide with nothing inside one row).
-        let mut f64_rows = vec![0.0f64; rows * cols];
-        for i in 0..dim {
-            let mut unit = vec![0.0f32; dim];
-            unit[i] = 1.0;
-            let sk = plan.sketch(&unit);
-            for (acc, &s) in f64_rows.iter_mut().zip(sk.as_slice()) {
-                *acc += v[i] as f64 * s as f64;
-            }
-        }
-        let tol = 1e-4f64 * (1.0 + dim as f64).sqrt();
-        for (i, (&g, &w)) in want.as_slice().iter().zip(&f64_rows).enumerate() {
-            assert!(
-                (g as f64 - w).abs() <= tol * (1.0 + w.abs()),
-                "case {case}: bucket {i}: sketched {g} vs f64 anchor {w} (dim {dim})"
-            );
         }
     }
 }
