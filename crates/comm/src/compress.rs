@@ -822,7 +822,7 @@ impl DownlinkSpec {
 /// authoritative reconstruction every receiver will hold afterwards.
 ///
 /// The payload encodes `mean − prev` through `codec`; the returned model
-/// is computed by running the payload through [`apply_delta_downlink`] —
+/// is computed by running the payload through [`apply_delta_downlink_into`] —
 /// the *receiver's* code path — so the sender's bookkeeping copy is
 /// bit-identical to every worker's and the simulator mirror's by
 /// construction (never by a parallel reimplementation of the float math).
@@ -862,24 +862,12 @@ pub fn delta_downlink_into(
         .expect("codec decodes its own encoding");
 }
 
-/// Reconstructs the consensus model from a delta-downlink payload:
-/// `prev[i] + decode(payload)[i]`. Total over hostile payloads (the codec
-/// decoder validates), and the single shared float path for coordinator
-/// bookkeeping, worker receive, and the simulator mirror.
-pub fn apply_delta_downlink(
-    prev: &[f32],
-    payload: &[u8],
-    codec: &dyn Codec,
-) -> Result<Vec<f32>, CodecError> {
-    let mut out = Vec::new();
-    apply_delta_downlink_into(prev, payload, codec, &mut out)?;
-    Ok(out)
-}
-
-/// [`apply_delta_downlink`] into a caller-owned buffer, which is resized to
-/// `prev.len()` and overwritten (unspecified contents on error). Decodes
-/// the delta in place and adds `prev` over it — the same two float
-/// operations per element, in the same order, as the allocating form.
+/// Reconstructs the consensus model from a delta-downlink payload into
+/// `out`: `prev[i] + decode(payload)[i]`, decoding the delta in place and
+/// adding `prev` over it. `out` is resized to `prev.len()` (unspecified
+/// contents on error). Total over hostile payloads (the codec decoder
+/// validates), and the single float path for the sender's bookkeeping and
+/// every receiver.
 pub fn apply_delta_downlink_into(
     prev: &[f32],
     payload: &[u8],
@@ -1368,8 +1356,9 @@ mod tests {
         let mean = sample(300, 12);
         for codec in all_codecs() {
             let (payload, recon) = delta_downlink(&prev, &mean, codec.as_ref());
-            let applied =
-                apply_delta_downlink(&prev, &payload, codec.as_ref()).expect("own payload decodes");
+            let mut applied = Vec::new();
+            apply_delta_downlink_into(&prev, &payload, codec.as_ref(), &mut applied)
+                .expect("own payload decodes");
             for (i, (a, b)) in recon.iter().zip(&applied).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "element {i} diverged");
             }
@@ -1400,9 +1389,9 @@ mod tests {
 
     #[test]
     fn apply_delta_downlink_rejects_hostile_payloads() {
-        let prev = vec![0.0f32; 16];
-        assert!(apply_delta_downlink(&prev, &[0u8; 7], &Dense32).is_err());
-        assert!(apply_delta_downlink(&prev, &[0u8; 3], &Uniform8Bit::new(8)).is_err());
+        let (prev, out) = (vec![0.0f32; 16], &mut Vec::new());
+        assert!(apply_delta_downlink_into(&prev, &[0u8; 7], &Dense32, out).is_err());
+        assert!(apply_delta_downlink_into(&prev, &[0u8; 3], &Uniform8Bit::new(8), out).is_err());
     }
 
     #[test]

@@ -20,8 +20,8 @@ pub mod kernels;
 pub mod sim;
 
 pub use compress::{
-    apply_delta_downlink, apply_delta_downlink_into, delta_downlink, delta_downlink_into, Codec,
-    CodecError, CodecSpec, Dense32, DownlinkSpec, DriftMask, TopK, Uniform8Bit,
+    apply_delta_downlink_into, delta_downlink, delta_downlink_into, Codec, CodecError, CodecSpec,
+    Dense32, DownlinkSpec, DriftMask, TopK, Uniform8Bit,
 };
 pub use cost::{AccountingMode, Environment};
 pub use sim::SimNetwork;

@@ -4,10 +4,14 @@
 //! optimizer state and data-shard sampler — plus the byte-accounted
 //! network. Every strategy in this crate (FDA and all baselines) drives the
 //! same cluster API, so their communication/computation costs are measured
-//! on identical footing.
+//! on identical footing. A synchronization has one model-reduce path: each
+//! worker lends its parameter snapshot, round-tripped through the uplink
+//! codec when there is one, to the round's model mean
+//! ([`crate::round`]).
 
 use crate::pool::{SendPtr, WorkerPool};
-use fda_comm::SimNetwork;
+use crate::round;
+use fda_comm::{Codec, SimNetwork};
 use fda_data::batch::BatchSampler;
 use fda_data::{Dataset, Partition, TaskData};
 use fda_nn::zoo::ModelId;
@@ -85,6 +89,14 @@ impl ClusterConfig {
             "build_worker: index {k} out of range for K = {}",
             self.workers
         );
+        let (shards, template) = self.shards_and_template(train);
+        let w0 = template.params_flat();
+        make_worker(self, shards.into_iter().nth(k).expect("k < K"), k, &w0)
+    }
+
+    /// Every worker's shard of `train` and the model holding the common
+    /// `w_0` (Algorithm 1 line 1).
+    fn shards_and_template(&self, train: &Dataset) -> (Vec<Vec<usize>>, Sequential) {
         let shards = self
             .partition
             .shards(train, self.workers, self.seed ^ 0x5AAD);
@@ -96,9 +108,7 @@ impl ClusterConfig {
             template.in_dim(),
             train.dim()
         );
-        let dim = template.param_count();
-        let w0 = template.params_flat();
-        make_worker(self, shards.into_iter().nth(k).expect("k < K"), k, &w0, dim)
+        (shards, template)
     }
 }
 
@@ -106,13 +116,8 @@ impl ClusterConfig {
 /// maps it over all shards) and [`ClusterConfig::build_worker`] (which
 /// builds a single worker for an out-of-process driver). All randomness is
 /// a deterministic function of `(config.seed, k)`.
-fn make_worker(
-    config: &ClusterConfig,
-    shard: Vec<usize>,
-    k: usize,
-    w0: &[f32],
-    dim: usize,
-) -> Worker {
+fn make_worker(config: &ClusterConfig, shard: Vec<usize>, k: usize, w0: &[f32]) -> Worker {
+    let dim = w0.len();
     // Each worker gets its own dropout stream but the same w0.
     let mut model = config
         .model
@@ -163,6 +168,14 @@ impl Worker {
         self.model.params_flat()
     }
 
+    /// The parameters the last [`Worker::step_once`] produced, without a
+    /// copy: the optimizer's output, which it also loaded into the model.
+    /// In a [`Cluster`], a synchronization's upload reuses this buffer
+    /// until the next step.
+    pub fn trained_params(&self) -> &[f32] {
+        &self.params_buf
+    }
+
     /// One local training step for this worker: sample, backprop, optimize.
     /// Returns `(batch loss, #correct, #samples)`.
     ///
@@ -184,6 +197,37 @@ impl Worker {
         self.optimizer.step(&mut self.params_buf, &self.grads_buf);
         self.model.load_params(&self.params_buf);
         (loss, correct, y.len())
+    }
+}
+
+/// Runs `job` on every worker with its own slot of `slots` — one worker per
+/// lane of `pool` when there is one, in worker order otherwise. A call
+/// touches only its worker and its slot, so both modes do the same
+/// per-worker arithmetic.
+pub(crate) fn each_worker<T: Send, F: Fn(&mut Worker, &mut T) + Sync>(
+    pool: Option<&mut WorkerPool>,
+    workers: &mut [Worker],
+    slots: &mut [T],
+    job: F,
+) {
+    assert_eq!(
+        workers.len(),
+        slots.len(),
+        "each_worker: one slot per worker"
+    );
+    match pool {
+        Some(pool) => {
+            assert_eq!(
+                pool.lanes(),
+                workers.len(),
+                "each_worker: one lane per worker"
+            );
+            let (w, s) = (SendPtr(workers.as_mut_ptr()), SendPtr(slots.as_mut_ptr()));
+            // SAFETY: lane `i < K` touches only worker `i` and slot `i`, and
+            // the rendezvous orders every write before `run` returns.
+            pool.run(&|lane| unsafe { job(&mut *w.get().add(lane), &mut *s.get().add(lane)) });
+        }
+        None => workers.iter_mut().zip(slots).for_each(|(w, s)| job(w, s)),
     }
 }
 
@@ -210,19 +254,21 @@ pub struct Cluster {
     /// Pool-owned per-worker `(loss, correct, samples)` results, reused
     /// every step (no per-step allocation).
     step_results: Vec<(f32, usize, usize)>,
-    /// Round-persistent scratch of the sequential model AllReduce: one
-    /// encoded upload at a time, the per-worker charged sizes, and the
-    /// slots the workers' parameter buffers are lent to for the reduce.
-    coded: CodedScratch,
-}
-
-/// Scratch of the sequential model reduces, kept across rounds so a sync
-/// allocates nothing `d`-sized in steady state.
-#[derive(Default)]
-struct CodedScratch {
+    /// Round-persistent scratch of coded model uploads: one encoding at a
+    /// time, and each worker's encoded size.
     enc: Vec<u8>,
     payloads: Vec<u64>,
-    bufs: Vec<Vec<f32>>,
+}
+
+/// The model uploads of one synchronization, lent by [`Cluster::upload_models`]
+/// together with the fabric that reduces and charges them.
+pub(crate) struct Uploads<'a> {
+    pub pool: Option<&'a mut WorkerPool>,
+    pub net: &'a mut SimNetwork,
+    /// Each worker's (reconstructed) parameters, in worker order.
+    pub models: Vec<&'a [f32]>,
+    /// Each worker's encoded upload size; empty on a dense uplink.
+    pub payloads: &'a [u64],
 }
 
 impl Cluster {
@@ -234,29 +280,23 @@ impl Cluster {
     /// Panics on inconsistent configs (e.g. dataset/model dim mismatch).
     pub fn new(config: ClusterConfig, task: &TaskData) -> Cluster {
         let dataset = Arc::new(task.train.clone());
-        let shards = config
-            .partition
-            .shards(&dataset, config.workers, config.seed ^ 0x5AAD);
-        let template = config.model.build(config.seed, 0);
-        assert_eq!(
-            template.in_dim(),
-            dataset.dim(),
-            "cluster: model input ({}) != dataset dim ({})",
-            template.in_dim(),
-            dataset.dim()
-        );
-        let dim = template.param_count();
+        // The template lives until the workers are built: dropping it
+        // earlier reorders the heap enough to re-fault the dataset clone on
+        // every construction in a long-lived process.
+        let (shards, template) = config.shards_and_template(&dataset);
         let w0 = template.params_flat();
+        let dim = w0.len();
         let workers: Vec<Worker> = shards
             .into_iter()
             .enumerate()
-            .map(|(k, shard)| make_worker(&config, shard, k, &w0, dim))
+            .map(|(k, shard)| make_worker(&config, shard, k, &w0))
             .collect();
         let pool = (config.parallel && config.workers > 1).then(|| WorkerPool::new(config.workers));
         Cluster {
             net: SimNetwork::new(config.workers),
             step_results: vec![(0.0, 0, 0); config.workers],
-            coded: CodedScratch::default(),
+            enc: Vec::new(),
+            payloads: Vec::new(),
             pool,
             config,
             dataset,
@@ -266,11 +306,10 @@ impl Cluster {
         }
     }
 
-    /// The persistent pool (if the cluster runs pooled) together with the
-    /// worker slice — split borrows for strategies (FDA's monitor phase)
-    /// that dispatch their own per-worker jobs.
-    pub(crate) fn pool_and_workers(&mut self) -> (Option<&mut WorkerPool>, &mut [Worker]) {
-        (self.pool.as_mut(), &mut self.workers)
+    /// Split borrows of the pool (if pooled), the workers and the charged
+    /// fabric, for a strategy that runs its own phases over them.
+    pub(crate) fn parts(&mut self) -> (Option<&mut WorkerPool>, &mut [Worker], &mut SimNetwork) {
+        (self.pool.as_mut(), &mut self.workers, &mut self.net)
     }
 
     /// The configuration this cluster was built with.
@@ -298,11 +337,6 @@ impl Cluster {
     /// metric).
     pub fn comm_bytes(&self) -> u64 {
         self.net.total_bytes()
-    }
-
-    /// Mutable access to the fabric (strategies charge their traffic here).
-    pub fn net_mut(&mut self) -> &mut SimNetwork {
-        &mut self.net
     }
 
     /// Worker accessor.
@@ -336,31 +370,17 @@ impl Cluster {
     /// statistics and (therefore) synchronization decisions.
     pub fn local_step(&mut self) -> StepStats {
         let k = self.workers.len();
-        let (loss_sum, correct_sum, sample_sum) = if let Some(pool) = &mut self.pool {
-            let dataset: &Dataset = &self.dataset;
-            let workers = SendPtr(self.workers.as_mut_ptr());
-            let results = SendPtr(self.step_results.as_mut_ptr());
-            pool.run(&|lane| {
-                // SAFETY: each lane touches only its own worker and its
-                // own results slot; the rendezvous orders these writes
-                // before the fold below.
-                let w = unsafe { &mut *workers.get().add(lane) };
-                let slot = unsafe { &mut *results.get().add(lane) };
-                *slot = w.step_once(dataset);
+        let dataset: &Dataset = &self.dataset;
+        let (pool, workers) = (self.pool.as_mut(), &mut self.workers);
+        each_worker(pool, workers, &mut self.step_results, |w, slot| {
+            *slot = w.step_once(dataset);
+        });
+        let (loss_sum, correct_sum, sample_sum) = self
+            .step_results
+            .iter()
+            .fold((0.0f32, 0usize, 0usize), |(l, c, s), &(wl, wc, ws)| {
+                (l + wl, c + wc, s + ws)
             });
-            self.step_results
-                .iter()
-                .fold((0.0f32, 0usize, 0usize), |(l, c, s), &(wl, wc, ws)| {
-                    (l + wl, c + wc, s + ws)
-                })
-        } else {
-            let mut acc = (0.0f32, 0usize, 0usize);
-            for w in &mut self.workers {
-                let (loss, correct, samples) = w.step_once(&self.dataset);
-                acc = (acc.0 + loss, acc.1 + correct, acc.2 + samples);
-            }
-            acc
-        };
         self.steps += 1;
         StepStats {
             mean_loss: loss_sum / k as f32,
@@ -378,147 +398,70 @@ impl Cluster {
     /// Panics if the vector length differs from the model dimension.
     pub fn load_global(&mut self, params: &[f32]) {
         assert_eq!(params.len(), self.dim, "load_global: dimension mismatch");
-        if let Some(pool) = &mut self.pool {
-            let workers = SendPtr(self.workers.as_mut_ptr());
-            pool.run(&|lane| {
-                // SAFETY: lane-private worker.
-                let w = unsafe { &mut *workers.get().add(lane) };
-                w.model.load_params(params);
-            });
-        } else {
-            for w in &mut self.workers {
-                w.model.load_params(params);
-            }
-        }
-    }
-
-    /// One local step for a **single** worker (used by the asynchronous
-    /// variant, where workers progress at their own pace). Does not bump
-    /// the in-parallel step counter — async progress is per-worker.
-    pub fn single_worker_step(&mut self, k: usize) -> StepStats {
-        let (loss, correct, samples) = self.workers[k].step_once(&self.dataset);
-        StepStats {
-            mean_loss: loss,
-            batch_accuracy: correct as f32 / samples.max(1) as f32,
-        }
+        let no_slots = &mut vec![(); self.workers.len()];
+        each_worker(self.pool.as_mut(), &mut self.workers, no_slots, |w, _| {
+            w.model.load_params(params);
+        });
     }
 
     /// Synchronizes all models to their average via AllReduce, charging
     /// `d·4` bytes per worker. Returns the new global model.
     ///
-    /// Pooled mode performs the same arithmetic as
-    /// [`SimNetwork::allreduce_mean`] — per element, contributions are
-    /// summed in worker order (copy-first) and scaled by `1/K` — but
-    /// parallelized in three rendezvous: every lane snapshots its worker's
-    /// parameters, every lane averages its own contiguous chunk of the flat
-    /// parameter vector, and every lane loads the shared average back. The
-    /// chunking is over the *dimension*, never over workers, so the result
-    /// is bit-identical to the sequential path.
+    /// The mean is the round's model mean: per element, worker 0 copied,
+    /// the others added in worker order, scaled by `1/K` — chunk-parallel
+    /// over the parameter vector when pooled, which gives the same bits.
     pub fn allreduce_models(&mut self) -> Vec<f32> {
-        let mut mean = Vec::new();
-        self.reduce_models_into(&mut mean);
-        self.load_global(&mean);
-        mean
-    }
-
-    /// The arithmetic and the charge of [`Cluster::allreduce_models`]
-    /// without the broadcast: the worker-order mean lands in `mean` and no
-    /// replica changes, so a caller that ends the round on a different
-    /// consensus (FDA's delta downlink) loads each replica once. Sequential
-    /// mode lends the workers' parameter scratch to the reduce, so it
-    /// allocates nothing `d`-sized in steady state.
-    pub(crate) fn reduce_models_into(&mut self, mean: &mut Vec<f32>) {
-        let dim = self.dim;
-        if let Some(pool) = &mut self.pool {
-            // (1) Snapshot every worker's parameters into its own scratch.
-            let workers = SendPtr(self.workers.as_mut_ptr());
-            pool.run(&|lane| {
-                // SAFETY: lane-private worker.
-                let w = unsafe { &mut *workers.get().add(lane) };
-                w.model.copy_params_to(&mut w.params_buf);
-            });
-            // (2) Chunk-parallel worker-order mean.
-            mean.resize(dim, 0.0);
-            let srcs: Vec<&[f32]> = self
-                .workers
-                .iter()
-                .map(|w| w.params_buf.as_slice())
-                .collect();
-            pool.chunked_mean(&srcs, mean);
-            // Same traffic entry as the sequential `allreduce_mean`.
-            self.net.charge_allreduce(dim as u64 * 4);
-        } else {
-            let bufs = &mut self.coded.bufs;
-            bufs.clear();
-            for w in &mut self.workers {
-                let mut params = std::mem::take(&mut w.params_buf);
-                w.model.copy_params_to(&mut params);
-                bufs.push(params);
-            }
-            self.net.allreduce_mean(bufs);
-            self.return_params_bufs(mean);
-        }
+        self.allreduce(None)
     }
 
     /// [`Cluster::allreduce_models`] with an uplink codec: each worker's
     /// parameters are encoded, charged at exactly the emitted byte count,
     /// and reconstructed (decoded) before the worker-order mean — the same
     /// arithmetic a coordinator receiving coded uploads performs. The
-    /// consensus broadcast stays dense, mirroring the `fda_net` downlink.
-    /// Runs sequentially even in pooled mode: the lossy reconstruction
-    /// must follow the single code path the socket coordinator uses, or
-    /// the bit-identity proofs break.
+    /// consensus broadcast stays dense.
     ///
     /// # Panics
     /// Panics if the codec fails to decode its own output (a codec
     /// contract violation, not an input condition).
-    pub fn allreduce_models_coded(&mut self, codec: &dyn fda_comm::Codec) -> Vec<f32> {
-        let mut global = Vec::new();
-        self.reduce_models_coded_into(codec, &mut global);
-        self.load_global(&global);
-        global
+    pub fn allreduce_models_coded(&mut self, codec: &dyn Codec) -> Vec<f32> {
+        self.allreduce(Some(codec))
     }
 
-    /// The arithmetic and the charge of [`Cluster::allreduce_models_coded`]
-    /// without the broadcast (see [`Cluster::reduce_models_into`]). Each
-    /// worker's parameter scratch is encoded, reconstructed in place, lent
-    /// to the reduce and handed back, so a strategy that keeps `mean`
-    /// across rounds syncs without allocating a `d`-sized buffer.
-    pub(crate) fn reduce_models_coded_into(
-        &mut self,
-        codec: &dyn fda_comm::Codec,
-        mean: &mut Vec<f32>,
-    ) {
-        let CodedScratch {
-            enc,
-            payloads,
-            bufs,
-        } = &mut self.coded;
-        payloads.clear();
-        bufs.clear();
-        for w in &mut self.workers {
-            let mut params = std::mem::take(&mut w.params_buf);
-            w.model.copy_params_to(&mut params);
-            enc.clear();
-            codec.encode_into(&params, enc);
-            payloads.push(enc.len() as u64);
-            codec
-                .decode_into(enc, &mut params)
-                .expect("codec decodes own output");
-            bufs.push(params);
+    fn allreduce(&mut self, codec: Option<&dyn Codec>) -> Vec<f32> {
+        let mut mean = Vec::new();
+        let up = self.upload_models(codec);
+        let coded = codec.map(|_| up.payloads);
+        round::model_mean_into(up.pool, up.net, &up.models, coded, &mut mean);
+        self.load_global(&mean);
+        mean
+    }
+
+    /// Lends every worker's parameters to a model reduce: snapshotted into
+    /// the worker's own scratch (on the lanes when pooled), then — with a
+    /// codec — replaced in place by the reconstruction of its encoding,
+    /// sequentially in worker order, recording each encoded size. No
+    /// replica changes and nothing `d`-sized is allocated.
+    pub(crate) fn upload_models(&mut self, codec: Option<&dyn Codec>) -> Uploads<'_> {
+        let no_slots = &mut vec![(); self.workers.len()];
+        each_worker(self.pool.as_mut(), &mut self.workers, no_slots, |w, _| {
+            w.model.copy_params_to(&mut w.params_buf);
+        });
+        self.payloads.clear();
+        if let Some(codec) = codec {
+            for w in &mut self.workers {
+                let bytes = round::roundtrip_in_place(codec, &mut w.params_buf, &mut self.enc);
+                self.payloads.push(bytes);
+            }
         }
-        self.net.allreduce_mean_with(bufs, payloads);
-        self.return_params_bufs(mean);
-    }
-
-    /// Copies the reduced mean out of the lent parameter scratch and hands
-    /// every buffer back to its worker.
-    fn return_params_bufs(&mut self, mean: &mut Vec<f32>) {
-        let bufs = &mut self.coded.bufs;
-        mean.clear();
-        mean.extend_from_slice(&bufs[0]);
-        for (w, buf) in self.workers.iter_mut().zip(bufs.drain(..)) {
-            w.params_buf = buf;
+        Uploads {
+            pool: self.pool.as_mut(),
+            net: &mut self.net,
+            models: self
+                .workers
+                .iter()
+                .map(|w| w.params_buf.as_slice())
+                .collect(),
+            payloads: &self.payloads,
         }
     }
 

@@ -12,7 +12,7 @@ use crate::baselines::{FedOpt, LocalSgd, Synchronous};
 use crate::cluster::ClusterConfig;
 use crate::fda::{Fda, FdaConfig, FdaVariant};
 use crate::strategy::Strategy;
-use fda_data::synth;
+use fda_data::synth::SynthSpec;
 use fda_data::TaskData;
 use fda_nn::zoo::ModelId;
 use fda_optim::OptimizerKind;
@@ -111,12 +111,12 @@ pub struct ExperimentSpec {
 }
 
 impl ExperimentSpec {
-    /// Builds the task data for this spec.
-    pub fn make_task(&self) -> TaskData {
+    /// The generator of this row's task (its dataset stand-in).
+    pub fn synth_spec(&self) -> SynthSpec {
         match self.task_name {
-            "synth-mnist" => synth::synth_mnist(),
-            "synth-cifar10" => synth::synth_cifar10(),
-            "synth-cifar100-features" => synth::synth_cifar100_features(),
+            "synth-mnist" => SynthSpec::synth_mnist(),
+            "synth-cifar10" => SynthSpec::synth_cifar10(),
+            "synth-cifar100-features" => SynthSpec::synth_cifar100_features(),
             other => panic!("unknown task {other}"),
         }
     }
@@ -259,7 +259,7 @@ mod tests {
     #[test]
     fn tasks_build_and_match_models() {
         for spec in table2() {
-            let task = spec.make_task();
+            let task = spec.synth_spec().generate(spec.task_name);
             assert_eq!(task.dim(), spec.model.input_shape().len());
             assert_eq!(task.classes(), spec.model.classes());
         }

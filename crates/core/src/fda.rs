@@ -12,22 +12,21 @@
 //!
 //! After each synchronization, `w_t0` becomes the fresh consensus model
 //! and the model variance drops to exactly zero.
+//!
+//! [`Fda`] is the simulator's driver of the round: the cluster's workers
+//! train and build their local states (on the pool lanes when pooled),
+//! and the round's arithmetic and accounting — state mean, decision,
+//! model mean, downlink, consensus — run in one [`Server`], the same one
+//! the socket coordinator runs (see [`crate::round`]).
 
-use crate::cluster::{Cluster, ClusterConfig};
+use crate::cluster::{each_worker, Cluster, ClusterConfig};
 use crate::monitor::{ExactMonitor, LinearMonitor, LocalState, SketchMonitor, VarianceMonitor};
-use crate::pool::SendPtr;
+use crate::round::{self, Server};
 use crate::strategy::{StepOutcome, Strategy};
-use fda_comm::{Codec, CodecSpec, DownlinkSpec};
+use fda_comm::{CodecSpec, DownlinkSpec};
 use fda_data::TaskData;
 use fda_obs::{JsonlWriter, MembershipRecord, RoundEvent, RunEvent};
 use fda_sketch::SketchConfig;
-use fda_tensor::vector;
-
-/// Summary payloads below this length are averaged on the dispatching
-/// thread even in pooled mode: a rendezvous costs more than a few hundred
-/// scalar adds (LinearFDA's summary is a single float). Both paths compute
-/// bit-identical results, so the cutoff affects speed only.
-const POOLED_STATE_REDUCE_MIN: usize = 256;
 
 /// Registry histogram fed by phase 1 of every [`Fda::step`] (local
 /// training), in microseconds. The bench reads phase splits from these
@@ -94,9 +93,8 @@ pub const COUNTER_NONFINITE_SYNCS: &str = "fda_nonfinite_estimate_syncs";
 
 /// The Round Invariant check of Algorithm 1: `true` iff the averaged
 /// estimate `H(S̄)` exceeds Θ and the models must synchronize — the single
-/// home of the decision, shared by every driver (simulator, async,
-/// socket coordinator and the socket worker's cross-check) so they cannot
-/// disagree.
+/// home of the decision, called by both halves of the round
+/// ([`crate::round`]) so no driver can disagree.
 ///
 /// The check **fails closed**: a NaN or infinite estimate (a diverged
 /// replica) synchronizes, where the bare `estimate > theta` is false for
@@ -146,46 +144,19 @@ impl FdaConfig {
     }
 }
 
-/// Scratch of the coded uplink / delta downlink mirror in [`Fda::step`].
-#[derive(Default)]
-struct SyncScratch {
-    /// One encoded payload at a time (a state summary, then the delta).
-    enc: Vec<u8>,
-    /// Charged bytes per worker for the round's state deposit.
-    payloads: Vec<u64>,
-    /// The AllReduce mean; swapped into `w_sync` on a dense downlink.
-    mean: Vec<f32>,
-    /// The delta-downlink reconstruction; swapped into `w_sync`.
-    recon: Vec<f32>,
-}
-
-/// The FDA strategy (Algorithm 1) over a simulated cluster.
+/// The FDA strategy (Algorithm 1) over a simulated cluster: the
+/// cluster's workers are the replicas, and one [`Server`] reduces them.
 pub struct Fda {
     cluster: Cluster,
-    monitor: Box<dyn VarianceMonitor>,
-    theta: f32,
+    server: Server,
     variant_name: &'static str,
-    /// `w_t0`: the model right after the most recent synchronization.
-    w_sync: Vec<f32>,
-    syncs: u64,
-    /// Per-worker drift scratch `u_t^(k)` (K × d), reused across steps.
-    drift_bufs: Vec<Vec<f32>>,
-    /// Per-worker local states, constructed in place each step.
-    states: Vec<LocalState>,
-    /// Reused slot for the averaged state `S̄_t` in the pooled reduction
-    /// (the sequential reference path allocates, as it always did).
-    avg_state: Option<LocalState>,
-    /// The uplink payload codec. [`CodecSpec::Dense`] by default.
-    codec: CodecSpec,
-    /// Built codec — `None` on the dense path, which keeps its historical
-    /// byte-for-byte behaviour (pooled reductions, `charge_allreduce`).
-    codec_impl: Option<Box<dyn Codec>>,
-    /// Built downlink delta codec — `None` on the dense downlink, which
-    /// broadcasts the AllReduce mean bit-exactly as it always did.
-    downlink_impl: Option<Box<dyn Codec>>,
-    /// Round-persistent scratch of the coded paths, so a coded step
-    /// allocates nothing `d`-sized in steady state.
-    coded: SyncScratch,
+    /// Per-worker drift scratch `u_t^(k)` and local state, rebuilt in
+    /// place each step.
+    lanes: Vec<(Vec<f32>, LocalState)>,
+    /// One encoded state summary at a time, on a coded uplink.
+    enc: Vec<u8>,
+    /// Charged bytes per worker of the round's coded state deposit.
+    payloads: Vec<u64>,
     /// Per-round JSONL telemetry, `None` unless attached.
     telemetry: Option<TelemetrySession>,
 }
@@ -199,22 +170,15 @@ impl Fda {
     pub fn new(config: FdaConfig, cluster_config: ClusterConfig, task: &TaskData) -> Fda {
         assert!(config.theta >= 0.0, "fda: Θ must be non-negative");
         let cluster = Cluster::new(cluster_config, task);
-        let monitor = config.variant.build_monitor(cluster.dim());
-        let w_sync = cluster.worker(0).params();
+        let server = Server::new(config, cluster.worker(0).params());
+        let k = cluster.workers();
         Fda {
+            lanes: vec![(vec![0.0; cluster.dim()], server.avg_state().clone()); k],
             cluster,
-            monitor,
-            theta: config.theta,
+            server,
             variant_name: config.variant.name(),
-            w_sync,
-            syncs: 0,
-            drift_bufs: Vec::new(),
-            states: Vec::new(),
-            avg_state: None,
-            codec: CodecSpec::Dense,
-            codec_impl: None,
-            downlink_impl: None,
-            coded: SyncScratch::default(),
+            enc: Vec::new(),
+            payloads: Vec::new(),
             telemetry: None,
         }
     }
@@ -222,23 +186,18 @@ impl Fda {
     /// Selects the uplink payload codec: worker → coordinator state
     /// summaries and model uploads are roundtripped through it (the lossy
     /// reconstruction a receiver of encoded payloads computes) and charged
-    /// at exactly the emitted byte counts. The drift scalar and the
-    /// consensus downlink stay dense. [`CodecSpec::Dense`] restores the
-    /// historical byte-for-byte behaviour.
+    /// at exactly the emitted byte counts. [`CodecSpec::Dense`] restores
+    /// the historical byte-for-byte behaviour.
     ///
     /// # Panics
     /// Panics if the spec fails [`CodecSpec::validate`].
     pub fn set_codec(&mut self, spec: CodecSpec) {
-        spec.validate().expect("fda: invalid codec spec");
-        self.codec_impl = (!spec.is_dense()).then(|| spec.build());
-        self.codec = spec;
+        self.server.set_uplink(spec);
     }
 
-    /// Selects the downlink mode — the simulator mirror of the
-    /// coordinator's consensus broadcast. Under
-    /// [`DownlinkSpec::Delta`] the post-sync consensus becomes the
-    /// shared lossy reconstruction `prev + decode(encode(mean − prev))`
-    /// ([`fda_comm::compress::delta_downlink`]), loaded into every worker
+    /// Selects the downlink mode. Under [`DownlinkSpec::Delta`] the
+    /// post-sync consensus becomes the shared lossy reconstruction
+    /// `prev + decode(encode(mean − prev))`, loaded into every worker
     /// uncharged (downlink bytes are outside the paper's convention, like
     /// the dense broadcast before it). [`DownlinkSpec::Dense`] restores
     /// the historical bitwise behaviour.
@@ -246,94 +205,7 @@ impl Fda {
     /// # Panics
     /// Panics if the spec fails [`DownlinkSpec::validate`].
     pub fn set_downlink(&mut self, spec: DownlinkSpec) {
-        spec.validate().expect("fda: invalid downlink spec");
-        self.downlink_impl = spec.build();
-    }
-
-    /// The variance threshold Θ.
-    pub fn theta(&self) -> f32 {
-        self.theta
-    }
-
-    /// The monitor in use.
-    pub fn monitor(&self) -> &dyn VarianceMonitor {
-        self.monitor.as_ref()
-    }
-
-    /// Computes all workers' local states into `self.states` (Algorithm 1
-    /// line 6): per worker, `drift = w^(k) − w_t0`, then the monitor's
-    /// summary — each on its own pool lane when the cluster is pooled,
-    /// sequentially otherwise. Buffers are lane-private and reused across
-    /// steps, so the steady state allocates nothing; both modes perform
-    /// identical per-worker arithmetic and are therefore bit-identical.
-    fn compute_states(&mut self) {
-        let k = self.cluster.workers();
-        if self.states.len() != k {
-            let dim = self.cluster.dim();
-            let zeros = vec![0.0f32; dim];
-            self.states = (0..k).map(|_| self.monitor.local_state(&zeros)).collect();
-            self.drift_bufs = vec![zeros; k];
-        }
-        let w_sync: &[f32] = &self.w_sync;
-        let monitor: &dyn VarianceMonitor = self.monitor.as_ref();
-        let (pool, workers) = self.cluster.pool_and_workers();
-        if let Some(pool) = pool {
-            let wptr = SendPtr(workers.as_mut_ptr());
-            let dptr = SendPtr(self.drift_bufs.as_mut_ptr());
-            let sptr = SendPtr(self.states.as_mut_ptr());
-            pool.run(&|lane| {
-                // SAFETY: lane-private worker, drift buffer and state slot.
-                let w = unsafe { &mut *wptr.get().add(lane) };
-                let drift = unsafe { &mut *dptr.get().add(lane) };
-                let state = unsafe { &mut *sptr.get().add(lane) };
-                w.model_mut().copy_params_to(drift);
-                vector::sub_assign(drift, w_sync);
-                monitor.local_state_into(drift, state);
-            });
-        } else {
-            for (i, w) in workers.iter_mut().enumerate() {
-                let drift = &mut self.drift_bufs[i];
-                w.model_mut().copy_params_to(drift);
-                vector::sub_assign(drift, w_sync);
-                monitor.local_state_into(drift, &mut self.states[i]);
-            }
-        }
-    }
-
-    /// Averages `self.states` — the arithmetic of the state AllReduce
-    /// (Algorithm 1 line 7) — and returns the monitor's estimate `H(S̄_t)`.
-    /// Large summaries (sketches at scale, the Exact oracle's full drift)
-    /// reduce chunk-parallel on the pool into the reused `avg_state` slot;
-    /// the chunking is over the summary payload with worker-order
-    /// accumulation per element, i.e. bit-identical to
-    /// [`LocalState::average_refs`], which the sequential path calls.
-    fn averaged_estimate(&mut self) -> f32 {
-        let k = self.states.len();
-        let n = self.states[0].summary_slice().len();
-        let (pool, _) = self.cluster.pool_and_workers();
-        match pool {
-            Some(pool) if n >= POOLED_STATE_REDUCE_MIN => {
-                let drift_sq_norm =
-                    self.states.iter().map(|s| s.drift_sq_norm).sum::<f32>() / k as f32;
-                // One clone on first use; thereafter the slot already has
-                // the right shape (the monitor never changes) and every
-                // element is overwritten below.
-                let avg = match &mut self.avg_state {
-                    Some(avg) if avg.summary_slice().len() == n => avg,
-                    slot => slot.insert(self.states[0].clone()),
-                };
-                {
-                    let srcs: Vec<&[f32]> = self.states.iter().map(|s| s.summary_slice()).collect();
-                    pool.chunked_mean(&srcs, avg.summary_slice_mut());
-                }
-                avg.drift_sq_norm = drift_sq_norm;
-                self.monitor.estimate(avg)
-            }
-            _ => {
-                let refs: Vec<&LocalState> = self.states.iter().collect();
-                self.monitor.estimate(&LocalState::average_refs(&refs))
-            }
-        }
+        self.server.set_downlink(spec);
     }
 
     /// Writes this round's telemetry event. `charged_before`/`charged_mid`
@@ -348,8 +220,8 @@ impl Fda {
         estimate: f32,
     ) {
         let alive = self.cluster.workers() as u32;
-        let theta = self.theta;
-        let codec = self.codec.name().to_string();
+        let theta = self.server.theta();
+        let codec = self.server.uplink().name().to_string();
         let charged_total = self.cluster.comm_bytes();
         if let Some(sess) = &mut self.telemetry {
             sess.rounds += 1;
@@ -383,11 +255,11 @@ impl Fda {
             source: "sim".into(),
             workers,
             variant: self.variant_name.to_string(),
-            theta: self.theta,
+            theta: self.server.theta(),
             steps: sess.rounds,
-            syncs: self.syncs,
+            syncs: self.server.syncs(),
             decisions: std::mem::take(&mut sess.decisions),
-            codec: self.codec.name().to_string(),
+            codec: self.server.uplink().name().to_string(),
             charged_bytes: charged,
             measured_payload_bytes: charged,
             raw_tx_bytes: 0,
@@ -420,78 +292,43 @@ impl Strategy for Fda {
             self.cluster.local_step()
         };
 
-        // (2)–(3) Local states from drifts, then the AllReduce of the
-        //     states — charged at the monitor's state size. The arithmetic
-        //     is the component-wise average; the estimate `H(S̄_t)` comes
-        //     straight off the averaged state.
-        let estimate = {
+        // (2)–(3) Local states from the parameters each local step just
+        //     produced (one pool lane per worker when pooled, into reused
+        //     buffers), then the state AllReduce and the decision. On a
+        //     coded uplink every summary is replaced by what a coordinator
+        //     reconstructs from its encoded deposit and charged at the
+        //     emitted bytes plus the raw 4-byte drift scalar (the codec
+        //     covers the summary only).
+        let (estimate, synced) = {
             let _span = fda_obs::histogram!(HIST_MONITOR_US).span();
-            self.compute_states();
-            if let Some(codec) = &self.codec_impl {
-                // Coded uplink: roundtrip every worker's summary through
-                // the codec — what a coordinator reconstructs from an
-                // encoded deposit — and charge exactly the emitted bytes
-                // plus the raw 4-byte drift scalar (the codec covers the
-                // summary only).
-                let SyncScratch { enc, payloads, .. } = &mut self.coded;
-                payloads.clear();
-                for s in &mut self.states {
-                    enc.clear();
-                    codec.encode_into(s.summary_slice(), enc);
-                    payloads.push(4 + enc.len() as u64);
-                    codec
-                        .decode_into(enc, s.summary_slice_mut())
-                        .expect("codec decodes own output");
+            let (monitor, w_t0) = (self.server.monitor(), self.server.consensus());
+            let (pool, workers, _) = self.cluster.parts();
+            each_worker(pool, workers, &mut self.lanes, |w, (drift, state)| {
+                round::local_state_into(monitor, w.trained_params(), w_t0, drift, state);
+            });
+            self.payloads.clear();
+            if let Some(codec) = self.server.coded_uplink() {
+                for (_, s) in &mut self.lanes {
+                    let bytes =
+                        round::roundtrip_in_place(codec, s.summary_slice_mut(), &mut self.enc);
+                    self.payloads.push(4 + bytes);
                 }
-                self.cluster.net_mut().charge_per_worker(payloads);
-            } else {
-                let state_bytes = self.monitor.state_bytes();
-                self.cluster.net_mut().charge_allreduce(state_bytes);
             }
-            self.averaged_estimate()
+            let states: Vec<&LocalState> = self.lanes.iter().map(|(_, s)| s).collect();
+            let (pool, _, net) = self.cluster.parts();
+            self.server.decide(net, pool, &states, &self.payloads)
         };
         let charged_mid = self.cluster.comm_bytes();
 
-        // (4) The conditional synchronization.
-        let mut synced = false;
+        // (4) The conditional synchronization; the reduce leaves the
+        //     replicas alone, so each loads the round's final consensus
+        //     exactly once.
         {
             let _span = fda_obs::histogram!(HIST_ALLREDUCE_US).span();
-            if violates(estimate, self.theta) {
-                // `w_new` ends up in one of the scratch slots and is then
-                // swapped with `w_sync`, so the previous consensus becomes
-                // next round's scratch.
-                let SyncScratch {
-                    enc, mean, recon, ..
-                } = &mut self.coded;
-                match &self.codec_impl {
-                    Some(codec) => self.cluster.reduce_models_coded_into(codec.as_ref(), mean),
-                    None => self.cluster.reduce_models_into(mean),
-                }
-                let w_new = match &self.downlink_impl {
-                    Some(delta_codec) => {
-                        // Delta downlink mirror: the consensus every worker
-                        // ends the round with is the reconstruction of the
-                        // coded delta against the previous consensus —
-                        // uncharged, exactly like the transport.
-                        enc.clear();
-                        fda_comm::compress::delta_downlink_into(
-                            &self.w_sync,
-                            mean,
-                            delta_codec.as_ref(),
-                            enc,
-                            recon,
-                        );
-                        recon
-                    }
-                    None => mean,
-                };
-                // The reduce left the replicas alone: each loads the
-                // round's final consensus exactly once.
-                self.cluster.load_global(w_new);
-                std::mem::swap(&mut self.w_sync, w_new);
-                self.monitor.on_sync(&self.w_sync, w_new);
-                self.syncs += 1;
-                synced = true;
+            if synced {
+                let up = self.cluster.upload_models(self.server.coded_uplink());
+                self.server.commit(up.net, up.pool, &up.models, up.payloads);
+                self.cluster.load_global(self.server.consensus());
             }
         }
 
@@ -533,7 +370,7 @@ impl Strategy for Fda {
     }
 
     fn syncs(&self) -> u64 {
-        self.syncs
+        self.server.syncs()
     }
 }
 
@@ -773,7 +610,11 @@ mod tests {
                             downlink.name()
                         );
                     }
-                    assert_eq!(fda.w_sync, consensus, "round {round}: consensus");
+                    assert_eq!(
+                        fda.server.consensus(),
+                        consensus,
+                        "round {round}: consensus"
+                    );
                 }
             }
         }

@@ -25,7 +25,12 @@
 //!   phase of the step (local training, monitor states, reductions).
 //! * [`monitor`] — the three variance monitors (Sketch / Linear / Exact
 //!   oracle) and the local-state algebra.
-//! * [`fda`] — Algorithm 1: the [`fda::Fda`] strategy.
+//! * [`round`] — one FDA round, written once: the server half (state
+//!   and model means, the decision, the downlink, the consensus) and the
+//!   replica half (drift, local state, `S̄` cross-check, adopting the
+//!   consensus), called by the simulator and the socket transport alike.
+//! * [`fda`] — Algorithm 1: the [`fda::Fda`] strategy, the simulator's
+//!   driver of the round.
 //! * [`baselines`] — Synchronous (BSP), Local-SGD(τ), FedAvg / FedAvgM /
 //!   FedAdam (FedOpt with server optimizers).
 //! * [`strategy`] — the common [`strategy::Strategy`] trait the harness
@@ -34,10 +39,7 @@
 //!   paper's two metrics (communication bytes, in-parallel steps).
 //! * [`theta`] — the Θ ≈ c·d guideline (Figure 12) and calibration sweeps.
 //! * [`experiments`] — the Table 2 experiment grid.
-//! * [`async_fda`] — the coordinator-based asynchronous variant sketched
-//!   in §3.3.
 
-pub mod async_fda;
 pub mod baselines;
 pub mod cluster;
 pub mod experiments;
@@ -45,6 +47,7 @@ pub mod fda;
 pub mod harness;
 pub mod monitor;
 pub mod pool;
+pub mod round;
 pub mod strategy;
 pub mod theta;
 pub mod wire;

@@ -57,11 +57,10 @@ impl LocalState {
     }
 
     /// Whether two states carry the same summary variant and payload
-    /// length — the precondition [`LocalState::average_refs`] panics on.
-    /// A transport coordinator validates each deposit against a template
-    /// state with this, so a well-framed but wrong-shaped state from a
-    /// broken peer becomes a per-worker protocol drop instead of a
-    /// process abort.
+    /// length — what averaging them and a monitor's estimate of them
+    /// require. The round checks states against the job's own shape with
+    /// this, so a well-framed but wrong-shaped state from a broken peer
+    /// becomes a protocol error instead of a process abort.
     pub fn same_shape(&self, other: &LocalState) -> bool {
         std::mem::discriminant(&self.summary) == std::mem::discriminant(&other.summary)
             && self.summary_slice().len() == other.summary_slice().len()
@@ -77,18 +76,14 @@ impl LocalState {
         LocalState::average_refs(&refs)
     }
 
-    /// [`LocalState::average`] over references (callers with long-lived
-    /// per-worker states avoid cloning them just to average).
-    ///
-    /// The summary accumulation is *copy-first, then add in worker order* —
-    /// the same association as `SimNetwork::allreduce_mean` and
-    /// `fda_tensor::vector::mean_range_into` — so chunk-parallel
-    /// reductions over the summary payload are bit-identical to this
-    /// sequential reference.
+    /// [`LocalState::average`] over references. The summary accumulation
+    /// is *copy-first, then add in worker order* — the association of
+    /// every mean in `crate::round` — written out on its own, so it is the
+    /// sequential reference the round's state mean is tested against.
     ///
     /// # Panics
     /// Panics on an empty slice or mixed summary variants.
-    pub fn average_refs(states: &[&LocalState]) -> LocalState {
+    fn average_refs(states: &[&LocalState]) -> LocalState {
         assert!(!states.is_empty(), "state average: empty input");
         let k = states.len() as f32;
         let variant = std::mem::discriminant(&states[0].summary);

@@ -198,8 +198,8 @@ impl WorkerPool {
     ///
     /// This is the one shared home for the unsafe disjoint-chunk dance, so
     /// the worker-order-association argument is audited in a single place
-    /// (`Cluster::allreduce_models` and `Fda::averaged_estimate` both
-    /// reduce through it).
+    /// (every pooled state and model mean of `crate::round` runs through
+    /// it).
     ///
     /// # Panics
     /// Panics if `srcs` is empty or any length disagrees with `out`.

@@ -1,0 +1,564 @@
+//! One FDA round (Algorithm 1, lines 6–9), written once: local state →
+//! state AllReduce → `H(S̄) > Θ` → conditional model AllReduce, in the two
+//! halves of the reference FedAvg's `client_update` / `server_update` cut.
+//!
+//! * [`Server`] reduces: [`Server::decide`] charges and averages the
+//!   deposited states and decides; [`Server::commit`] averages and charges
+//!   the models, forms the downlink and advances the consensus.
+//! * [`Replica`] is one worker's side: its local state and coded upload,
+//!   the check of the broadcast `S̄`, and adopting the consensus.
+//!
+//! The simulator (`Fda::step`) and the socket coordinator run the server,
+//! the socket worker runs the replica. There is no trait over the two: the
+//! coordinator never runs the replica half nor the worker the server half,
+//! so each side would have one implementer whose callers still know it
+//! all. What does vary, whether a mean runs on the [`WorkerPool`], is a
+//! parameter.
+//!
+//! Every mean copies worker 0, adds the other ids in ascending order and
+//! scales by `1/K′` (per element, whether sequential or chunked over the
+//! vector dimension on the pool), and `‖u‖²` is summed in id order, so
+//! every driver holds the same `S̄`, decision, consensus and charged bytes,
+//! bit for bit.
+
+use crate::fda::{violates, FdaConfig};
+use crate::monitor::{LocalState, VarianceMonitor};
+use crate::pool::WorkerPool;
+use crate::wire::{encode_state_coded_into, encode_vector_coded_into, JobSpec};
+use fda_comm::{
+    apply_delta_downlink_into, delta_downlink_into, Codec, CodecSpec, Dense32, DownlinkSpec,
+    SimNetwork,
+};
+use fda_tensor::vector;
+
+/// Means shorter than this stay on the calling thread even with a pool at
+/// hand: a rendezvous costs more than a few hundred adds (LinearFDA's
+/// summary is one float). Both paths give the same bits.
+const POOLED_MEAN_MIN: usize = 256;
+
+/// The worker-order mean of `srcs` into `out`.
+fn mean_into(pool: Option<&mut WorkerPool>, srcs: &[&[f32]], out: &mut [f32]) {
+    assert!(
+        srcs.iter().all(|s| s.len() == out.len()),
+        "round: ragged inputs to a mean"
+    );
+    match pool {
+        Some(pool) if out.len() >= POOLED_MEAN_MIN => pool.chunked_mean(srcs, out),
+        _ => vector::mean_range_into(srcs, 0, out.len(), out),
+    }
+}
+
+/// The model AllReduce: the worker-order mean of `models` into `mean`, and
+/// its charge — `d·4` bytes per worker, or each worker's own encoded size
+/// when the uploads were `coded`.
+pub(crate) fn model_mean_into(
+    pool: Option<&mut WorkerPool>,
+    net: &mut SimNetwork,
+    models: &[&[f32]],
+    coded: Option<&[u64]>,
+    mean: &mut Vec<f32>,
+) {
+    mean.resize(models[0].len(), 0.0);
+    mean_into(pool, models, mean);
+    match coded {
+        None => net.charge_allreduce(mean.len() as u64 * 4),
+        Some(payloads) => net.charge_per_worker(payloads),
+    }
+}
+
+/// Overwrites `v` with what a receiver of its encoding reconstructs (the
+/// simulator's stand-in for a coded upload) and returns the encoded size.
+pub(crate) fn roundtrip_in_place(codec: &dyn Codec, v: &mut [f32], enc: &mut Vec<u8>) -> u64 {
+    enc.clear();
+    codec.encode_into(v, enc);
+    codec
+        .decode_into(enc, v)
+        .expect("codec decodes its own output");
+    enc.len() as u64
+}
+
+/// Algorithm 1 line 6 for one replica: the drift `u = w − w_t0`, then the
+/// monitor's local state of it.
+pub(crate) fn local_state_into(
+    monitor: &dyn VarianceMonitor,
+    w: &[f32],
+    w_t0: &[f32],
+    drift: &mut [f32],
+    state: &mut LocalState,
+) {
+    vector::sub_into(w, w_t0, drift);
+    monitor.local_state_into(drift, state);
+}
+
+/// The reducing half of a round: the monitor evaluating `H` and Θ, the
+/// codecs, the consensus `w_t0` and the one before it (a rejoining
+/// worker's `Resume` handoff), and round-persistent scratch.
+pub struct Server {
+    monitor: Box<dyn VarianceMonitor>,
+    theta: f32,
+    /// Decodes uploads; built for dense jobs too.
+    uplink: Box<dyn Codec>,
+    /// Whether uploads are coded: a dense job skips the simulator's round
+    /// trip and is charged the flat dense sizes.
+    coded: bool,
+    /// `Some` under a delta downlink.
+    downlink: Option<Box<dyn Codec>>,
+    consensus: Vec<f32>,
+    /// The consensus before `consensus`, once `syncs > 0`.
+    prev: Vec<f32>,
+    /// `S̄` of the last decision; before the first, a zero state of the
+    /// job's shape.
+    avg: LocalState,
+    mean: Vec<f32>,
+    recon: Vec<f32>,
+    /// The downlink payload, `[dim u32][body]`.
+    payload: Vec<u8>,
+    syncs: u64,
+}
+
+impl Server {
+    /// The server of a job whose workers start from `w0`, with a dense
+    /// uplink and downlink until set otherwise.
+    pub fn new(config: FdaConfig, w0: Vec<f32>) -> Server {
+        let monitor = config.variant.build_monitor(w0.len());
+        let avg = monitor.local_state(&vec![0.0; w0.len()]);
+        Server {
+            monitor,
+            theta: config.theta,
+            uplink: CodecSpec::Dense.build(),
+            coded: false,
+            downlink: None,
+            consensus: w0,
+            prev: Vec::new(),
+            avg,
+            mean: Vec::new(),
+            recon: Vec::new(),
+            payload: Vec::new(),
+            syncs: 0,
+        }
+    }
+
+    /// Selects the codec states and models are uploaded in.
+    ///
+    /// # Panics
+    /// Panics if the spec fails [`CodecSpec::validate`].
+    pub fn set_uplink(&mut self, spec: CodecSpec) {
+        self.uplink = spec.build();
+        self.coded = !spec.is_dense();
+    }
+
+    /// Selects the consensus downlink: dense, or a delta against the
+    /// consensus whose shared reconstruction becomes the next consensus.
+    ///
+    /// # Panics
+    /// Panics if the spec fails [`DownlinkSpec::validate`].
+    pub fn set_downlink(&mut self, spec: DownlinkSpec) {
+        self.downlink = spec.build();
+    }
+
+    /// The uplink codec (the identity codec for a dense job).
+    pub fn uplink(&self) -> &dyn Codec {
+        self.uplink.as_ref()
+    }
+
+    /// The uplink codec of a coded job; `None` for a dense one.
+    pub fn coded_uplink(&self) -> Option<&dyn Codec> {
+        self.coded.then_some(self.uplink.as_ref())
+    }
+
+    /// The variance threshold Θ.
+    pub fn theta(&self) -> f32 {
+        self.theta
+    }
+
+    pub(crate) fn monitor(&self) -> &dyn VarianceMonitor {
+        self.monitor.as_ref()
+    }
+
+    /// `S̄` of the last [`Server::decide`], which has the shape every
+    /// deposit must have.
+    pub fn avg_state(&self) -> &LocalState {
+        &self.avg
+    }
+
+    /// `w_t0`, the current consensus.
+    pub fn consensus(&self) -> &[f32] {
+        &self.consensus
+    }
+
+    /// The consensus before [`Server::consensus`], once there was a sync.
+    pub fn previous(&self) -> Option<&[f32]> {
+        (self.syncs > 0).then_some(self.prev.as_slice())
+    }
+
+    /// Synchronizations committed so far.
+    pub fn syncs(&self) -> u64 {
+        self.syncs
+    }
+
+    /// The state AllReduce and the decision. Charges `net` the monitor's
+    /// state size per worker on a dense job or `payloads[i]` (drift scalar
+    /// plus encoded summary) per worker on a coded one, averages `states`
+    /// (given in id order) into `S̄`, and returns `(H(S̄), violates(H, Θ))`.
+    ///
+    /// # Panics
+    /// Panics if `states` is empty or not all of the monitor's shape;
+    /// transports validate deposits first.
+    pub fn decide(
+        &mut self,
+        net: &mut SimNetwork,
+        pool: Option<&mut WorkerPool>,
+        states: &[&LocalState],
+        payloads: &[u64],
+    ) -> (f32, bool) {
+        if self.coded {
+            net.charge_per_worker(payloads);
+        } else {
+            net.charge_allreduce(self.monitor.state_bytes());
+        }
+        assert!(
+            !states.is_empty() && states.iter().all(|s| s.same_shape(&self.avg)),
+            "round: deposits must have the monitor's state shape"
+        );
+        let drift_sq_norm =
+            states.iter().map(|s| s.drift_sq_norm).sum::<f32>() / states.len() as f32;
+        let summaries: Vec<&[f32]> = states.iter().map(|s| s.summary_slice()).collect();
+        mean_into(pool, &summaries, self.avg.summary_slice_mut());
+        self.avg.drift_sq_norm = drift_sq_norm;
+        let estimate = self.monitor.estimate(&self.avg);
+        (estimate, violates(estimate, self.theta))
+    }
+
+    /// The synchronization after a violation: averages and charges
+    /// `models` (given in id order; `payloads` are their encoded sizes on
+    /// a coded job), forms the downlink — under a delta downlink its
+    /// reconstruction is the new consensus — makes the old consensus the
+    /// previous one, and runs the monitor's `on_sync` once.
+    pub fn commit(
+        &mut self,
+        net: &mut SimNetwork,
+        pool: Option<&mut WorkerPool>,
+        models: &[&[f32]],
+        payloads: &[u64],
+    ) {
+        let coded = self.coded.then_some(payloads);
+        model_mean_into(pool, net, models, coded, &mut self.mean);
+        let fresh = match &self.downlink {
+            None => &mut self.mean,
+            Some(codec) => {
+                self.payload.clear();
+                put_dim(&mut self.payload, self.mean.len());
+                delta_downlink_into(
+                    &self.consensus,
+                    &self.mean,
+                    codec.as_ref(),
+                    &mut self.payload,
+                    &mut self.recon,
+                );
+                &mut self.recon
+            }
+        };
+        // prev ← consensus ← fresh; the old prev becomes scratch.
+        std::mem::swap(&mut self.prev, &mut self.consensus);
+        std::mem::swap(&mut self.consensus, fresh);
+        self.monitor.on_sync(&self.consensus, &self.prev);
+        self.syncs += 1;
+    }
+
+    /// The last commit's consensus broadcast, `[dim u32][body]`: the delta
+    /// the commit coded or, on a dense downlink, the consensus as a raw
+    /// `f32` run, encoded on demand (the simulator never asks).
+    pub fn downlink_payload(&mut self) -> &[u8] {
+        if self.downlink.is_none() {
+            self.payload.clear();
+            put_dim(&mut self.payload, self.consensus.len());
+            Dense32.encode_into(&self.consensus, &mut self.payload);
+        }
+        &self.payload
+    }
+}
+
+fn put_dim(out: &mut Vec<u8>, dim: usize) {
+    out.extend_from_slice(&(dim as u32).to_le_bytes());
+}
+
+/// One worker's half of a round.
+pub struct Replica {
+    monitor: Box<dyn VarianceMonitor>,
+    theta: f32,
+    uplink: Box<dyn Codec>,
+    downlink: Option<Box<dyn Codec>>,
+    /// `w_t0`.
+    consensus: Vec<f32>,
+    drift: Vec<f32>,
+    state: LocalState,
+    /// The next consensus, decoded here before it is adopted.
+    scratch: Vec<f32>,
+}
+
+impl Replica {
+    /// Joins `spec` through the `Resume` handoff: `model` becomes `w_t0`
+    /// of a `dim`-parameter replica and, after a sync, `on_sync(model,
+    /// prev)` is replayed so LinearFDA's ξ matches the workers that never
+    /// left, bit for bit.
+    pub fn join(
+        spec: &JobSpec,
+        dim: usize,
+        model: Vec<f32>,
+        prev: Option<&[f32]>,
+    ) -> Result<Replica, String> {
+        let wrong = |what, len| Err(format!("resume {what} has {len} params, replica has {dim}"));
+        if model.len() != dim {
+            return wrong("model", model.len());
+        }
+        let mut monitor = spec.fda.variant.build_monitor(dim);
+        if let Some(prev) = prev {
+            if prev.len() != dim {
+                return wrong("prev-model", prev.len());
+            }
+            monitor.on_sync(&model, prev);
+        }
+        let drift = vec![0.0; dim];
+        Ok(Replica {
+            state: monitor.local_state(&drift),
+            monitor,
+            theta: spec.fda.theta,
+            uplink: spec.codec.build(),
+            downlink: spec.downlink.build(),
+            consensus: model,
+            drift,
+            scratch: Vec::new(),
+        })
+    }
+
+    /// `w_t0`, the current consensus.
+    pub fn consensus(&self) -> &[f32] {
+        &self.consensus
+    }
+
+    /// Appends the coded local state of parameters `w` to `out`.
+    pub fn state_payload(&mut self, w: &[f32], out: &mut Vec<u8>) {
+        let (monitor, w_t0) = (self.monitor.as_ref(), &self.consensus);
+        local_state_into(monitor, w, w_t0, &mut self.drift, &mut self.state);
+        encode_state_coded_into(&self.state, self.uplink.as_ref(), out);
+    }
+
+    /// Appends the coded model upload of parameters `w` to `out`.
+    pub fn model_payload(&self, w: &[f32], out: &mut Vec<u8>) {
+        encode_vector_coded_into(w, self.uplink.as_ref(), out);
+    }
+
+    /// Checks a broadcast `S̄` and decision: `avg` must have this job's
+    /// state shape, and `H(avg) > Θ` evaluated here must agree with `sync`.
+    pub fn check(&self, avg: &LocalState, sync: bool) -> Result<(), String> {
+        if !avg.same_shape(&self.state) {
+            return Err("averaged state does not have this job's state shape".to_string());
+        }
+        let local = violates(self.monitor.estimate(avg), self.theta);
+        if local != sync {
+            return Err(format!(
+                "local H(S̄) decision ({local}) disagrees with coordinator broadcast ({sync})"
+            ));
+        }
+        Ok(())
+    }
+
+    /// Adopts the consensus of a downlink payload `[dim u32][body]` — a
+    /// raw `f32` run, or the delta against `w_t0` under a delta downlink —
+    /// and returns it for the caller to load. A truncated, wrong-sized or
+    /// undecodable payload is an `Err` and changes nothing.
+    pub fn adopt(&mut self, payload: &[u8]) -> Result<&[f32], String> {
+        let dim = self.consensus.len();
+        let Some((head, body)) = payload.split_first_chunk::<4>() else {
+            return Err(format!("consensus payload of {} bytes", payload.len()));
+        };
+        let sent = u32::from_le_bytes(*head) as usize;
+        if sent != dim {
+            return Err(format!("consensus has {sent} params, expected {dim}"));
+        }
+        let decoded = match &self.downlink {
+            None => {
+                self.scratch.resize(dim, 0.0);
+                Dense32.decode_into(body, &mut self.scratch)
+            }
+            Some(codec) => {
+                apply_delta_downlink_into(&self.consensus, body, codec.as_ref(), &mut self.scratch)
+            }
+        };
+        decoded.map_err(|e| format!("undecodable consensus: {e}"))?;
+        self.monitor.on_sync(&self.scratch, &self.consensus);
+        std::mem::swap(&mut self.consensus, &mut self.scratch);
+        Ok(&self.consensus)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fda::FdaVariant;
+    use fda_sketch::SketchConfig;
+    use fda_tensor::Rng;
+
+    fn random_vec(rng: &mut Rng, n: usize) -> Vec<f32> {
+        let mut v = vec![0.0f32; n];
+        rng.fill_normal(&mut v, 0.0, 1.0);
+        v
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `S̄` is `LocalState::average` bit for bit for every summary kind,
+    /// K′ = 1..4, pooled or not, on both sides of the pooled cutoff, and a
+    /// dense state is charged the monitor's state size.
+    #[test]
+    fn round_state_mean_equals_local_state_average() {
+        let (d, mut rng) = (600, Rng::new(0x5EA7));
+        for variant in [
+            FdaVariant::Linear,
+            FdaVariant::Sketch(SketchConfig::new(3, 16, 5)),
+            FdaVariant::Sketch(SketchConfig::new(5, 100, 5)),
+            FdaVariant::Exact,
+        ] {
+            let monitor = variant.build_monitor(d);
+            for k in 1..=4usize {
+                let states: Vec<LocalState> = (0..k)
+                    .map(|_| monitor.local_state(&random_vec(&mut rng, d)))
+                    .collect();
+                let want = LocalState::average(&states);
+                let refs: Vec<&LocalState> = states.iter().collect();
+                let mut charged = SimNetwork::new(k);
+                charged.charge_allreduce(monitor.state_bytes());
+                for mut pool in [None, Some(WorkerPool::new(k))] {
+                    let mut net = SimNetwork::new(k);
+                    let mut server = Server::new(
+                        FdaConfig {
+                            variant,
+                            theta: 0.1,
+                        },
+                        vec![0.0; d],
+                    );
+                    let (estimate, _) = server.decide(&mut net, pool.as_mut(), &refs, &[]);
+                    let (got, case) = (server.avg_state(), (monitor.name(), k, pool.is_some()));
+                    assert_eq!(
+                        got.drift_sq_norm.to_bits(),
+                        want.drift_sq_norm.to_bits(),
+                        "{case:?}"
+                    );
+                    assert_eq!(
+                        bits(got.summary_slice()),
+                        bits(want.summary_slice()),
+                        "{case:?}"
+                    );
+                    assert_eq!(
+                        estimate.to_bits(),
+                        monitor.estimate(&want).to_bits(),
+                        "{case:?}"
+                    );
+                    assert_eq!(net.total_bytes(), charged.total_bytes(), "{case:?}");
+                }
+            }
+        }
+    }
+
+    /// The model mean is `SimNetwork::allreduce_mean_with` bit for bit,
+    /// charges included — with ±0, subnormal, ±inf and NaN lanes — and
+    /// K′ = 1 charges nothing.
+    #[test]
+    fn round_model_mean_equals_sim_network_allreduce() {
+        let (d, mut rng) = (700, Rng::new(0xA11));
+        let specials = [
+            0.0f32,
+            -0.0,
+            1e-40,
+            -3e-39,
+            f32::INFINITY,
+            -f32::INFINITY,
+            f32::NAN,
+        ];
+        for k in 1..=4usize {
+            let models: Vec<Vec<f32>> = (0..k)
+                .map(|w| {
+                    let mut m = random_vec(&mut rng, d);
+                    for (i, s) in specials.iter().enumerate() {
+                        m[i * 7 + w * 3] = *s;
+                    }
+                    m
+                })
+                .collect();
+            let refs: Vec<&[f32]> = models.iter().map(Vec::as_slice).collect();
+            let coded: Vec<u64> = (0..k as u64).map(|w| 100 + 13 * w).collect();
+            for (payloads, charged) in [
+                (None, vec![d as u64 * 4; k]),
+                (Some(&coded[..]), coded.clone()),
+            ] {
+                let (mut want, mut reference) = (models.clone(), SimNetwork::new(k));
+                reference.allreduce_mean_with(&mut want, &charged);
+                for mut pool in [None, Some(WorkerPool::new(k))] {
+                    let (mut net, mut mean) = (SimNetwork::new(k), Vec::new());
+                    model_mean_into(pool.as_mut(), &mut net, &refs, payloads, &mut mean);
+                    let case = (k, payloads.is_some(), pool.is_some());
+                    assert_eq!(bits(&mean), bits(&want[0]), "{case:?}");
+                    assert_eq!(net.total_bytes(), reference.total_bytes(), "{case:?}");
+                    assert!(
+                        k > 1 || net.total_bytes() == 0,
+                        "{case:?}: K′ = 1 moves nothing"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A replica adopting the server's downlink payload holds the server's
+    /// consensus bits, dense and delta, over consecutive syncs; truncated,
+    /// wrong-sized and trailing-garbage payloads are refused and change
+    /// nothing, and byte soup never panics.
+    #[test]
+    fn round_replica_adopts_the_server_consensus() {
+        let (d, mut rng) = (300, Rng::new(0xD0));
+        let delta = DownlinkSpec::Delta {
+            codec: CodecSpec::Uniform8 { chunk: 64 },
+        };
+        for downlink in [DownlinkSpec::Dense, delta] {
+            let spec = JobSpec {
+                cluster: crate::cluster::ClusterConfig::small_test(2),
+                fda: FdaConfig::linear(0.0),
+                codec: CodecSpec::Dense,
+                downlink,
+                steps: 1,
+                synth: fda_data::synth::SynthSpec::synth_mnist(),
+                task_name: String::new(),
+            };
+            let w0 = random_vec(&mut rng, d);
+            let mut server = Server::new(spec.fda, w0.clone());
+            server.set_downlink(downlink);
+            let mut replica = Replica::join(&spec, d, w0, None).expect("join");
+            let mut probe = Replica::join(&spec, d, vec![0.0; d], None).expect("join");
+            for round in 0..3 {
+                let models = [random_vec(&mut rng, d), random_vec(&mut rng, d)];
+                let refs: Vec<&[f32]> = models.iter().map(|m| m.as_slice()).collect();
+                server.commit(&mut SimNetwork::new(2), None, &refs, &[]);
+                let payload = server.downlink_payload().to_vec();
+                let case = (downlink.name(), round);
+
+                let before = bits(replica.consensus());
+                let mut wrong_dim = payload.clone();
+                wrong_dim[..4].copy_from_slice(&(d as u32 + 1).to_le_bytes());
+                let trailing = [&payload[..], &[0xAB]].concat();
+                let cuts = [&payload[..payload.len() - 1], &payload[..3]];
+                for bad in cuts.into_iter().chain([&wrong_dim[..], &trailing[..]]) {
+                    assert!(replica.adopt(bad).is_err(), "{case:?}: {} bytes", bad.len());
+                    assert_eq!(bits(replica.consensus()), before, "{case:?}");
+                }
+                for len in [0, 1, 64, payload.len() - 4] {
+                    let soup: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                    let _ = probe.adopt(&[&(d as u32).to_le_bytes()[..], &soup].concat());
+                }
+
+                let adopted = replica.adopt(&payload).expect("own payload").to_vec();
+                assert_eq!(bits(&adopted), bits(server.consensus()), "{case:?}");
+            }
+        }
+    }
+}

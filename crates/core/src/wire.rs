@@ -363,11 +363,6 @@ pub fn encode_vector_coded_into(v: &[f32], codec: &dyn Codec, out: &mut Vec<u8>)
     codec.encode_into(v, out);
 }
 
-/// [`encode_vector`] appending into a caller-owned buffer.
-pub fn encode_vector_into(v: &[f32], out: &mut Vec<u8>) {
-    encode_vector_coded_into(v, &fda_comm::compress::Dense32, out);
-}
-
 /// Decodes a coded vector frame against the receiver's `expected_len`
 /// (e.g. the model dimension). The length header must match the
 /// expectation before any allocation — the untrusted header never sizes
@@ -467,6 +462,24 @@ impl JobSpec {
         }
         self.codec.validate().map_err(DecodeError::Malformed)?;
         self.downlink.validate().map_err(DecodeError::Malformed)?;
+        // The task must be one `SynthSpec::generate` builds and the model
+        // can learn: its asserts, the cluster's input-width check and the
+        // loss's label bound all sit behind these.
+        let s = &self.synth;
+        if s.classes < 2 || s.modes_per_class < 1 || s.n_test < 1 {
+            return bad("synth task needs two classes, a mode per class and a test split");
+        }
+        if s.classes > c.model.classes() {
+            return bad("synth task has more classes than the model has outputs");
+        }
+        if s.dim != c.model.input_shape().len() {
+            return bad("synth task dim does not match the model's input");
+        }
+        if let Some((ch, h, w)) = s.spatial {
+            if ch.checked_mul(h).and_then(|n| n.checked_mul(w)) != Some(s.dim) {
+                return bad("synth spatial shape does not flatten to its dim");
+            }
+        }
         match c.partition {
             Partition::NonIidPercent(f) if f.is_nan() || f <= 0.0 || f > 1.0 => {
                 return bad("partition fraction must be in (0, 1]");
@@ -977,6 +990,7 @@ mod tests {
     #[test]
     fn job_roundtrip_byte_equality() {
         use crate::fda::{FdaConfig, FdaVariant};
+        use fda_data::synth::SynthSpec;
         let mut jobs = vec![sample_job()];
         // Cover every variant tag, optimizer tag and partition tag.
         let mut j = sample_job();
@@ -1000,7 +1014,11 @@ mod tests {
         };
         j.cluster.partition = Partition::NonIidLabel(3);
         j.cluster.model = ModelId::TransferHead;
-        j.synth.spatial = None;
+        j.synth = SynthSpec {
+            n_train: 240,
+            n_test: 80,
+            ..SynthSpec::synth_cifar100_features()
+        };
         j.task_name = String::new();
         jobs.push(j);
         let mut j = sample_job();
@@ -1079,7 +1097,7 @@ mod tests {
         assert_eq!(never_syncs.validate(), Ok(()));
 
         type Mutation = fn(&mut JobSpec);
-        let cases: [(&str, Mutation); 11] = [
+        let cases: [(&str, Mutation); 17] = [
             ("workers = 0", |j| j.cluster.workers = 0),
             ("steps = 0", |j| j.steps = 0),
             ("batch_size = 0", |j| j.cluster.batch_size = 0),
@@ -1098,6 +1116,18 @@ mod tests {
                 j.cluster.partition = Partition::NonIidLabel(10)
             }),
             ("n_train < workers", |j| j.synth.n_train = 3),
+            ("one class", |j| j.synth.classes = 1),
+            ("no modes", |j| j.synth.modes_per_class = 0),
+            ("no test split", |j| j.synth.n_test = 0),
+            ("more classes than outputs", |j| j.synth.classes = 11),
+            ("task dim != model input", |j| {
+                j.synth = fda_data::synth::SynthSpec {
+                    n_train: 240,
+                    n_test: 80,
+                    ..fda_data::synth::SynthSpec::synth_cifar10()
+                }
+            }),
+            ("spatial shape", |j| j.synth.spatial = Some((1, 12, 11))),
             ("label shard starved", |j| {
                 // 10 samples, one per class: 9 carry another label, and 9
                 // cannot cover 10 round-robin shards.

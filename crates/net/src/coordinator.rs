@@ -5,22 +5,23 @@
 //! simulator's pooled reduction, with sockets in place of the pool's lanes:
 //!
 //! 1. **deposit** — every live worker uploads its local state frame;
-//! 2. **reduce** — the coordinator averages the decoded states **in
-//!    worker-id order** (`LocalState::average_refs`: copy-first, then add
-//!    id-ascending — the exact association of `SimNetwork::allreduce_mean`
-//!    and the pooled `WorkerPool::chunked_mean`), evaluates `H(S̄_t)`, and
-//!    decides;
+//! 2. **reduce** — the round's server half ([`fda_core::round::Server`],
+//!    the one the simulator runs) averages the decoded states **in
+//!    worker-id order**, evaluates `H(S̄_t)`, and decides;
 //! 3. **broadcast** — every live worker receives the averaged state plus
 //!    the decision, so the conditional model AllReduce is
 //!    cluster-consistent without an extra round.
 //!
-//! Model synchronizations run the *arithmetic and the charged accounting*
-//! through an embedded [`SimNetwork`] — the identical code path the
-//! sequential simulator executes — so a K-process TCP run is bit-identical
-//! to the simulator by construction, and the charged byte counters are the
+//! On a violation the same server averages the uploaded models, forms the
+//! consensus downlink and advances the consensus; the coordinator only
+//! moves the bytes. State and model charges land in an embedded
+//! [`SimNetwork`], so a K-process TCP run is bit-identical to the
+//! simulator by construction, and the charged byte counters are the
 //! simulator's own. Independently, every data-plane frame that actually
 //! crosses a socket is *measured* (payload convention and raw bytes); the
-//! parity suite asserts measured == charged.
+//! parity suite asserts measured == charged. What the coordinator itself
+//! owns is membership, epochs, deadlines, framing, the measured bytes,
+//! the charge eras of a changing membership, and telemetry.
 //!
 //! # Failure model
 //!
@@ -40,13 +41,12 @@
 use crate::frame::{
     write_frame, write_frame_with, CountingStream, FrameHead, FrameKind, NetError, PROTOCOL_VERSION,
 };
-use crate::protocol::{recv_at_epoch, recv_frame_at_epoch_into, Msg};
-use fda_comm::{delta_downlink_into, AccountingMode, Codec, SimNetwork};
-use fda_core::fda::violates;
-use fda_core::monitor::{LocalState, VarianceMonitor};
+use crate::protocol::{encode_resume, recv_frame_at_epoch_into, Msg};
+use fda_comm::{AccountingMode, SimNetwork};
+use fda_core::monitor::LocalState;
+use fda_core::round::Server;
 use fda_core::wire::{
-    decode_state_coded, decode_vector_coded, encode_state_into, encode_vector, encode_vector_into,
-    state_frame_overhead, JobSpec,
+    decode_state_coded, decode_vector_coded, encode_state_into, state_frame_overhead, JobSpec,
 };
 use fda_obs::{DropRecord, JsonlWriter, MembershipRecord, RoundEvent, RunEvent};
 use fda_tensor::vector;
@@ -201,11 +201,6 @@ struct Conn {
 }
 
 impl Conn {
-    fn send_raw(&mut self, epoch: u32, kind: FrameKind, payload: &[u8]) -> Result<(), NetError> {
-        self.epoch = epoch;
-        write_frame(&mut self.stream, epoch, kind, payload)
-    }
-
     /// The join handshake, the same for first joins and rejoins: `Config`,
     /// then the versioned `Resume` handoff at `round`.
     fn send_join(
@@ -214,19 +209,12 @@ impl Conn {
         round: u32,
         config: &[u8],
         model: &[f32],
-        prev: &Option<Vec<f32>>,
+        prev: Option<&[f32]>,
     ) -> Result<(), NetError> {
-        self.send_raw(epoch, FrameKind::Config, config)?;
-        // The `Msg::Resume` layout, encoded without cloning the model
-        // vectors into a `Msg`.
-        let mut p = Vec::with_capacity(9 + model.len() * 4);
-        p.extend_from_slice(&round.to_le_bytes());
-        p.push(prev.is_some() as u8);
-        p.extend_from_slice(&encode_vector(model));
-        if let Some(prev) = prev {
-            p.extend_from_slice(&encode_vector(prev));
-        }
-        self.send_raw(epoch, FrameKind::Resume, &p)
+        self.epoch = epoch;
+        write_frame(&mut self.stream, epoch, FrameKind::Config, config)?;
+        let resume = encode_resume(round, model, prev);
+        write_frame(&mut self.stream, epoch, FrameKind::Resume, &resume)
     }
 
     /// One target of an encode-once broadcast: `head` was composed (and
@@ -237,7 +225,8 @@ impl Conn {
     }
 
     fn recv_current(&mut self) -> Result<Msg, NetError> {
-        recv_at_epoch(&mut self.stream, self.epoch)
+        let kind = self.recv_frame_current()?;
+        Msg::decode(kind, &self.rbuf[1..])
     }
 
     /// Current-epoch receive at the frame layer — for uplink payloads
@@ -584,59 +573,46 @@ fn unexpected(expected: &str, got: FrameKind) -> NetError {
 }
 
 /// Everything one [`Coordinator::run`] owns between formation and the
-/// report: the job's derived constants, the membership, the charged
-/// fabric, the trajectory so far, and the round-persistent scratch.
+/// report: the job's derived constants, the round's server half, the
+/// membership, the charged fabric, the trajectory so far, and the
+/// round-persistent scratch.
 struct Run<'a> {
     coord: &'a Coordinator,
     spec: &'a JobSpec,
     dim: usize,
-    monitor: Box<dyn VarianceMonitor>,
-    /// Template for validating deposit shapes before `average_refs`.
-    state_shape: LocalState,
-    /// The job's uplink codec: State/Model payloads arrive encoded and are
-    /// decoded against the expected shape. Accounted bytes follow the
-    /// simulator's convention — a state charges its raw 4-byte drift
-    /// scalar plus the encoded summary (the tag/dims header is uncharged
-    /// self-description), a model charges its encoded payload (minus the
-    /// 4-byte length header).
-    codec: Box<dyn Codec>,
-    /// The job's downlink mode: `Some(codec)` switches the consensus
-    /// broadcast to `AvgModelDelta` frames and makes the shared lossy
-    /// reconstruction the authoritative consensus (see
-    /// `fda_comm::delta_downlink`); `None` keeps the historical dense
-    /// `AvgModel` broadcast bit-for-bit.
-    downlink_codec: Option<Box<dyn Codec>>,
+    /// The round's arithmetic and accounting: monitor, Θ, codecs, the
+    /// consensus and the one before it (the `Resume` handoff), `S̄`.
+    server: Server,
+    /// Uncharged self-description bytes of a state frame. Accounted bytes
+    /// follow the simulator's convention — a state charges its raw 4-byte
+    /// drift scalar plus the encoded summary, a model its encoded payload
+    /// (minus the 4-byte length header).
     state_overhead: u64,
     tele: Option<JsonlWriter>,
     members: Membership,
     /// Reconnected workers waiting for their scheduled admission.
     pending: Vec<(usize, Conn)>,
     config_payload: Vec<u8>,
-    /// The versioned handoff a (re)joining worker receives: the consensus
-    /// model and the one before it.
-    resume_model: Vec<f32>,
-    resume_prev: Option<Vec<f32>>,
-    /// Charged accounting and model-AllReduce arithmetic: the simulator's
-    /// own code path. On a membership change the fabric is rebuilt at the
-    /// new K′ and the old era's charges are banked; a fault-free run keeps
-    /// one fabric end to end.
+    /// The charged fabric. On a membership change it is rebuilt at the new
+    /// K′ and the old era's charges are banked; a fault-free run keeps one
+    /// fabric end to end.
     net: SimNetwork,
     charged_banked: u64,
     measured_payload: u64,
     decisions: Vec<bool>,
     estimates: Vec<f32>,
-    syncs: u64,
     downlink_model_bytes: u64,
-    /// Round-persistent scratch: the broadcast payload is encoded once per
-    /// round into `bcast`, its frame head (checksum included) is composed
-    /// once, and both are fanned out as borrowed slices to every worker;
-    /// the per-worker deposit slots are reset in place — the steady-state
-    /// round loop performs a small constant number of allocations.
+    /// Round-persistent scratch: the averaged-state broadcast is encoded
+    /// once per round into `bcast`, its frame head (checksum included) is
+    /// composed once, and both are fanned out as borrowed slices to every
+    /// worker; the deposits are reset in place — the steady-state round
+    /// loop performs a small constant number of allocations.
     bcast: Vec<u8>,
-    states: Vec<Option<LocalState>>,
-    state_bytes: Vec<u64>,
-    models: Vec<Option<Vec<f32>>>,
-    model_bytes: Vec<u64>,
+    /// The phase's deposits and their accounted payload sizes, in worker-id
+    /// order over the workers that completed the phase.
+    states: Vec<LocalState>,
+    models: Vec<Vec<f32>>,
+    payloads: Vec<u64>,
 }
 
 const MODE: AccountingMode = AccountingMode::PerWorkerPayload;
@@ -649,10 +625,11 @@ impl<'a> Run<'a> {
     /// and rejoins alike.
     fn form(coord: &'a Coordinator, spec: &'a JobSpec) -> Result<Run<'a>, NetError> {
         let k = spec.cluster.workers;
-        let template = spec.cluster.model.build(spec.cluster.seed, 0);
-        let dim = template.param_count();
-        let monitor = spec.fda.variant.build_monitor(dim);
-        let state_shape = monitor.local_state(&vec![0.0f32; dim]);
+        let w0 = spec.cluster.model.build(spec.cluster.seed, 0).params_flat();
+        let dim = w0.len();
+        let mut server = Server::new(spec.fda, w0);
+        server.set_uplink(spec.codec);
+        server.set_downlink(spec.downlink);
         let tele = match &coord.telemetry {
             Some(path) => Some(JsonlWriter::create(path)?),
             None => None,
@@ -661,39 +638,27 @@ impl<'a> Run<'a> {
             coord,
             spec,
             dim,
-            state_overhead: state_frame_overhead(&state_shape),
-            monitor,
-            state_shape,
-            codec: spec.codec.build(),
-            downlink_codec: spec.downlink.build(),
+            state_overhead: state_frame_overhead(server.avg_state()),
+            server,
             tele,
             members: Membership::form(coord.accept_workers(k)?, coord.policy.min_workers),
             pending: Vec::new(),
             config_payload: fda_core::wire::encode_job(spec),
-            resume_model: template.params_flat(),
-            resume_prev: None,
             net: SimNetwork::new(k),
             charged_banked: 0,
             measured_payload: 0,
             decisions: Vec::with_capacity(spec.steps as usize),
             estimates: Vec::with_capacity(spec.steps as usize),
-            syncs: 0,
             downlink_model_bytes: 0,
             bcast: Vec::new(),
-            states: (0..k).map(|_| None).collect(),
-            state_bytes: vec![0; k],
-            models: (0..k).map(|_| None).collect(),
-            model_bytes: vec![0; k],
+            states: Vec::with_capacity(k),
+            models: Vec::with_capacity(k),
+            payloads: Vec::with_capacity(k),
         };
         let epoch = run.members.epoch;
+        let (model, prev) = (run.server.consensus(), run.server.previous());
         for conn in run.members.conns.iter_mut().flatten() {
-            conn.send_join(
-                epoch,
-                0,
-                &run.config_payload,
-                &run.resume_model,
-                &run.resume_prev,
-            )?;
+            conn.send_join(epoch, 0, &run.config_payload, model, prev)?;
         }
         Ok(run)
     }
@@ -731,8 +696,8 @@ impl<'a> Run<'a> {
                 self.members.epoch,
                 step,
                 &self.config_payload,
-                &self.resume_model,
-                &self.resume_prev,
+                self.server.consensus(),
+                self.server.previous(),
             )?;
             self.members.rejoin(id, conn, step);
         }
@@ -740,7 +705,7 @@ impl<'a> Run<'a> {
     }
 
     /// (1) Deposit: one state frame per live worker, read in id order
-    /// under the round's deadline, then the state AllReduce charged at the
+    /// under the round's deadline, then the deposits measured at the
     /// surviving K′. Returns the per-worker deposit latencies (empty
     /// unless telemetry is on).
     fn collect_states(&mut self, step: u32) -> Result<Vec<(u32, u64)>, NetError> {
@@ -748,10 +713,11 @@ impl<'a> Run<'a> {
         let read_timeout = self.coord.read_timeout;
         let timed = self.tele.is_some();
         let mut deposit_us: Vec<(u32, u64)> = Vec::new();
-        self.states.fill(None);
-        self.state_bytes.fill(0);
-        let (states, state_bytes) = (&mut self.states, &mut self.state_bytes);
-        let (shape, codec, overhead) = (&self.state_shape, &self.codec, self.state_overhead);
+        self.states.clear();
+        self.payloads.clear();
+        let (states, payloads) = (&mut self.states, &mut self.payloads);
+        let (shape, codec) = (self.server.avg_state(), self.server.uplink());
+        let overhead = self.state_overhead;
         self.members.each_live(step, |id, conn| {
             let remaining = deadline
                 .saturating_duration_since(Instant::now())
@@ -766,50 +732,45 @@ impl<'a> Run<'a> {
             // against the expected template before any allocation; a
             // mismatch is the same protocol drop a wrong-shaped dense
             // deposit always was.
-            let state = decode_state_coded(&conn.rbuf[1..], shape, codec.as_ref())?;
+            let state = decode_state_coded(&conn.rbuf[1..], shape, codec)?;
             if let Some(t0) = t0 {
                 deposit_us.push((id as u32, t0.elapsed().as_micros() as u64));
             }
-            states[id] = Some(state);
-            state_bytes[id] = conn.rbuf.len() as u64 - 1 - overhead;
-            conn.set_read_timeout(read_timeout)
+            conn.set_read_timeout(read_timeout)?;
+            states.push(state);
+            payloads.push(conn.rbuf.len() as u64 - 1 - overhead);
+            Ok(())
         })?;
-
-        // Charge the state AllReduce at the surviving K′ and measure the
-        // deposits that were actually averaged. Dense keeps the historical
-        // flat charge (`monitor.state_bytes()` per worker); coded payloads
-        // charge exactly what each worker emitted.
-        let alive = self.members.live_count();
-        ensure_net(&mut self.net, &mut self.charged_banked, alive);
-        let deposited = (self.states.iter().zip(&self.state_bytes))
-            .filter_map(|(s, &bytes)| s.as_ref().map(|_| bytes));
-        if self.spec.codec.is_dense() {
-            self.net.charge_allreduce(self.monitor.state_bytes());
-        } else {
-            let payloads: Vec<u64> = deposited.clone().collect();
-            self.net.charge_per_worker(&payloads);
-        }
-        for bytes in deposited {
-            self.measured_payload += MODE.per_worker_bytes(bytes, alive);
-        }
+        self.measure();
         Ok(deposit_us)
     }
 
-    /// (2) Reduce the deposits in worker-id order and decide; (3)
-    /// broadcast the averaged state + decision — encoded once into the
-    /// round scratch, fanned out as a borrowed slice; a failed write is a
-    /// drop, not a run abort. Returns `(H(S̄), sync)`.
+    /// Measures the deposits of a finished phase at the surviving K′, and
+    /// readies the charged fabric for that K′.
+    fn measure(&mut self) {
+        let alive = self.members.live_count();
+        ensure_net(&mut self.net, &mut self.charged_banked, alive);
+        for &bytes in &self.payloads {
+            self.measured_payload += MODE.per_worker_bytes(bytes, alive);
+        }
+    }
+
+    /// (2) The server reduces the deposits in worker-id order, charges
+    /// them and decides; (3) the averaged state + decision is broadcast —
+    /// encoded once into the round scratch, fanned out as a borrowed
+    /// slice; a failed write is a drop, not a run abort. Returns
+    /// `(H(S̄), sync)`.
     fn decide_and_broadcast(&mut self, step: u32) -> Result<(f32, bool), NetError> {
-        let refs: Vec<&LocalState> = self.states.iter().flatten().collect();
-        let avg = LocalState::average_refs(&refs);
-        let estimate = self.monitor.estimate(&avg);
-        let sync = violates(estimate, self.spec.fda.theta);
+        let states: Vec<&LocalState> = self.states.iter().collect();
+        let (estimate, sync) = self
+            .server
+            .decide(&mut self.net, None, &states, &self.payloads);
         self.estimates.push(estimate);
         self.decisions.push(sync);
 
         self.bcast.clear();
         self.bcast.push(sync as u8);
-        encode_state_into(&avg, &mut self.bcast);
+        encode_state_into(self.server.avg_state(), &mut self.bcast);
         let head = FrameHead::new(self.members.epoch, FrameKind::AvgState, &self.bcast)?;
         let bcast = &self.bcast;
         self.members
@@ -817,83 +778,46 @@ impl<'a> Run<'a> {
         Ok((estimate, sync))
     }
 
-    /// (4) The model AllReduce through the `SimNetwork`, then the
-    /// consensus downlink.
+    /// (4) The model uploads, the server's model AllReduce, then the
+    /// server's consensus downlink.
     fn sync_models(&mut self, step: u32) -> Result<(), NetError> {
         let dim = self.dim;
-        self.models.fill(None);
-        self.model_bytes.fill(0);
-        let (models, model_bytes, codec) = (&mut self.models, &mut self.model_bytes, &self.codec);
-        self.members.each_live(step, |id, conn| {
+        self.models.clear();
+        self.payloads.clear();
+        let (models, payloads) = (&mut self.models, &mut self.payloads);
+        let codec = self.server.uplink();
+        self.members.each_live(step, |_, conn| {
             match conn.recv_frame_current()? {
                 FrameKind::Model => {}
                 other => return Err(unexpected("model", other)),
             }
-            models[id] = Some(decode_vector_coded(&conn.rbuf[1..], dim, codec.as_ref())?);
+            models.push(decode_vector_coded(&conn.rbuf[1..], dim, codec)?);
             // Charge the encoded payload; the 4-byte length header is
             // framing.
-            model_bytes[id] = conn.rbuf.len() as u64 - 1 - 4;
+            payloads.push(conn.rbuf.len() as u64 - 1 - 4);
             Ok(())
         })?;
+        self.measure();
+        let models: Vec<&[f32]> = self.models.iter().map(Vec::as_slice).collect();
+        self.server
+            .commit(&mut self.net, None, &models, &self.payloads);
 
-        let alive = self.members.live_count();
-        ensure_net(&mut self.net, &mut self.charged_banked, alive);
-        let mut bufs: Vec<Vec<f32>> = Vec::with_capacity(alive);
-        let mut payloads: Vec<u64> = Vec::with_capacity(alive);
-        for (model, &bytes) in self.models.iter_mut().zip(&self.model_bytes) {
-            if let Some(model) = model.take() {
-                bufs.push(model);
-                payloads.push(bytes);
-            }
-        }
-        if self.spec.codec.is_dense() {
-            self.net.allreduce_mean(&mut bufs);
+        // Downlink: the server's consensus payload — a dense `AvgModel`,
+        // or under delta mode the `AvgModelDelta` whose reconstruction is
+        // the consensus every worker will compute — framed once.
+        let kind = if self.spec.downlink.is_dense() {
+            FrameKind::AvgModel
         } else {
-            self.net.allreduce_mean_with(&mut bufs, &payloads);
-        }
-        for &bytes in &payloads {
-            self.measured_payload += MODE.per_worker_bytes(bytes, alive);
-        }
-
-        // Downlink: encode the consensus once into the round scratch —
-        // dense `AvgModel`, or the delta against the previous broadcast
-        // under delta mode, in which case the authoritative consensus
-        // becomes the shared lossy reconstruction (what every worker will
-        // compute).
-        let mean = bufs.swap_remove(0);
-        self.bcast.clear();
-        let (kind, consensus) = match &self.downlink_codec {
-            Some(dc) => {
-                self.bcast.extend_from_slice(&(dim as u32).to_le_bytes());
-                let mut recon = Vec::new();
-                delta_downlink_into(
-                    &self.resume_model,
-                    &mean,
-                    dc.as_ref(),
-                    &mut self.bcast,
-                    &mut recon,
-                );
-                (FrameKind::AvgModelDelta, recon)
-            }
-            None => {
-                encode_vector_into(&mean, &mut self.bcast);
-                (FrameKind::AvgModel, mean)
-            }
+            FrameKind::AvgModelDelta
         };
-        let head = FrameHead::new(self.members.epoch, kind, &self.bcast)?;
-        let (bcast, downlink_bytes) = (&self.bcast, &mut self.downlink_model_bytes);
+        let payload = self.server.downlink_payload();
+        let head = FrameHead::new(self.members.epoch, kind, payload)?;
+        let downlink_bytes = &mut self.downlink_model_bytes;
         self.members.each_live(step, |_, conn| {
-            conn.send_with(&head, bcast)?;
-            *downlink_bytes += bcast.len() as u64;
+            conn.send_with(&head, payload)?;
+            *downlink_bytes += payload.len() as u64;
             Ok(())
-        })?;
-
-        // The versioned handoff advances with the consensus (the
-        // reconstruction, under delta mode — a rejoin's dense `Resume`
-        // must hand over exactly what the survivors hold).
-        self.resume_prev = Some(std::mem::replace(&mut self.resume_model, consensus));
-        self.syncs += 1;
-        Ok(())
+        })
     }
 
     /// Final replica collection (uncharged, like
@@ -930,7 +854,7 @@ impl<'a> Run<'a> {
 
         let refs: Vec<&[f32]> = worker_params.iter().map(|p| p.as_slice()).collect();
         let report = NetReport {
-            syncs: self.syncs,
+            syncs: self.server.syncs(),
             decisions: self.decisions,
             estimates: self.estimates,
             charged_bytes: self.charged_banked + self.net.total_bytes(),

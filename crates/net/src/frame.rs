@@ -266,7 +266,7 @@ impl FrameKind {
         }
     }
 
-    /// Per-kind receive byte counter name — fed by [`read_frame`].
+    /// Per-kind receive byte counter name — fed by [`read_frame_into`].
     fn rx_counter(&self) -> &'static str {
         match self {
             FrameKind::Hello => "net_rx_bytes_hello",
@@ -636,20 +636,16 @@ pub fn read_frame_into<R: Read>(
     Ok((kind, epoch))
 }
 
-/// Reads one frame, returning an owned payload. Allocating convenience
-/// wrapper over [`read_frame_into`] for handshake paths and tests; the
-/// round loop holds a per-connection buffer and calls the `_into` form.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<(FrameKind, u32, Vec<u8>), NetError> {
-    let mut buf = Vec::new();
-    let (kind, epoch) = read_frame_into(r, &mut buf)?;
-    buf.copy_within(1.., 0);
-    buf.truncate(buf.len() - 1);
-    Ok((kind, epoch, buf))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One frame off `r` with an owned payload.
+    fn read_frame<R: Read>(r: &mut R) -> Result<(FrameKind, u32, Vec<u8>), NetError> {
+        let mut buf = Vec::new();
+        let (kind, epoch) = read_frame_into(r, &mut buf)?;
+        Ok((kind, epoch, buf.split_off(1)))
+    }
 
     #[test]
     fn frame_roundtrip_through_a_pipe() {

@@ -9,10 +9,9 @@
 //!
 //! Two properties are load-bearing, and both are asserted by tests:
 //!
-//! 1. **Bit-identity** — the coordinator reduces deposited states and
-//!    models in worker-id order with the repo's copy-first association
-//!    (model AllReduces literally run through [`fda_comm::SimNetwork`]),
-//!    and workers rebuild their replicas via
+//! 1. **Bit-identity** — the coordinator runs the round's server half and
+//!    every worker its replica half ([`fda_core::round`]), the very code
+//!    the simulator runs, and workers rebuild their replicas via
 //!    [`fda_core::cluster::ClusterConfig::build_worker`], so a K-process
 //!    TCP run reproduces the sequential simulator's trajectory — every
 //!    parameter bit, every estimate, every sync decision. On a single-core
@@ -40,13 +39,14 @@
 //!
 //! * [`frame`] — length-prefixed, checksummed, epoch-stamped frame
 //!   protocol and byte counters.
-//! * [`protocol`] — typed messages (hello/config/resume/state/decision/
-//!   model/shutdown) with `fda_core::wire` payloads and the stale-epoch
-//!   receive filter.
-//! * [`coordinator`] — the deposit → id-order reduce → broadcast
+//! * [`protocol`] — typed control-plane messages (hello/config/resume/
+//!   decision/final model/shutdown) with `fda_core::wire` payloads, and
+//!   the stale-epoch receive filter every receive goes through.
+//! * [`coordinator`] — the deposit → server reduce → broadcast
 //!   rendezvous, with per-round drop/quorum/rejoin handling.
 //! * [`worker`] — the per-process worker loop over the simulator's own
-//!   `Worker::step_once`, with backoff reconnect and scripted faults.
+//!   `Worker::step_once` and the round's replica half, with backoff
+//!   reconnect and scripted faults.
 //! * [`fault`] — deterministic fault plans, backoff, rejoin policy.
 //! * [`harness`] — thread-worker and spawned-process run drivers, clean
 //!   and chaos variants.
@@ -68,5 +68,5 @@ pub use harness::{
     run_chaos_with_thread_workers, run_with_spawned_workers, run_with_thread_workers,
     run_with_thread_workers_telemetry,
 };
-pub use protocol::{recv_at_epoch, Msg, MAX_STALE_FRAMES};
+pub use protocol::{Msg, MAX_STALE_FRAMES};
 pub use worker::{run_worker, WorkerOptions, WorkerOutcome, WorkerSummary};

@@ -1,22 +1,20 @@
 //! Typed messages over the frame layer.
 //!
-//! A [`Msg`] is one frame; payloads are the `fda_core::wire` encodings, so
-//! the bytes a worker puts on the socket for a local state are *exactly*
-//! the bytes the simulator's accounting charges (plus the framing header,
-//! which [`Msg::accounted_bytes`] deliberately excludes — the paper's
-//! convention charges payload floats, and sub-1% framing overhead is
-//! reported separately by the measured raw counters).
+//! A [`Msg`] is one control-plane or evaluation frame whose payload is a
+//! `fda_core::wire` encoding. The data plane — coded state and model
+//! uploads, the consensus downlink — never becomes a `Msg`: its bytes
+//! depend on the job's codecs and expected shapes, so it is read and
+//! written at the frame layer and interpreted by the round's halves
+//! (`fda_core::round`).
 //!
 //! Every frame carries the coordinator's **membership epoch** in its
 //! header. Senders stamp frames with the last epoch they were told;
-//! receivers validate with [`recv_at_epoch`], which *discards* frames from
-//! an older epoch (a zombie connection's in-flight deposit racing a drop/
-//! rejoin) instead of averaging them, and rejects frames claiming a future
-//! epoch as protocol violations.
+//! receivers validate with [`recv_frame_at_epoch_into`], which *discards*
+//! frames from an older epoch (a zombie connection's in-flight deposit
+//! racing a drop/rejoin) instead of averaging them, and rejects frames
+//! claiming a future epoch as protocol violations.
 
-use crate::frame::{
-    read_frame, read_frame_into, write_frame, FrameKind, NetError, PROTOCOL_VERSION,
-};
+use crate::frame::{read_frame_into, write_frame, FrameKind, NetError, PROTOCOL_VERSION};
 use fda_core::monitor::LocalState;
 use fda_core::wire::{
     decode_job, decode_state, decode_vector, decode_vector_at, encode_job, encode_state,
@@ -24,10 +22,10 @@ use fda_core::wire::{
 };
 use std::io::{Read, Write};
 
-/// How many consecutive stale-epoch frames [`recv_at_epoch`] will discard
-/// on one connection before declaring the peer a protocol violator. A
-/// legitimate zombie has at most a handful of in-flight frames; an
-/// endless stale stream is a broken or hostile peer.
+/// How many consecutive stale-epoch frames [`recv_frame_at_epoch_into`]
+/// will discard on one connection before declaring the peer a protocol
+/// violator. A legitimate zombie has at most a handful of in-flight
+/// frames; an endless stale stream is a broken or hostile peer.
 pub const MAX_STALE_FRAMES: u32 = 8;
 
 /// One protocol message (see [`FrameKind`] for the direction of each).
@@ -48,8 +46,6 @@ pub enum Msg {
     /// other variant, and `Msg` values travel through `Result`s and
     /// matches where the large-variant footprint would tax all of them).
     Config(Box<JobSpec>),
-    /// Worker → coordinator: this round's local state.
-    State(LocalState),
     /// Coordinator → worker: the averaged state and the round's decision.
     AvgState {
         /// `S̄_t`, averaged in worker-id order over the round's survivors.
@@ -57,10 +53,6 @@ pub enum Msg {
         /// `H(S̄_t) > Θ` — whether a model AllReduce follows.
         sync: bool,
     },
-    /// Worker → coordinator: full parameters for the model AllReduce.
-    Model(Vec<f32>),
-    /// Coordinator → worker: the consensus model.
-    AvgModel(Vec<f32>),
     /// Worker → coordinator: final replica (uncharged evaluation traffic).
     FinalModel(Vec<f32>),
     /// Coordinator → worker: the versioned state handoff sent on every
@@ -90,20 +82,6 @@ impl Msg {
         }
     }
 
-    /// The bytes the paper's accounting convention charges for this
-    /// message: the `f32` payload of data-plane messages (`‖u‖²` +
-    /// summary for a state, the parameter vector for a model upload), and
-    /// zero for control-plane messages (handshake, config, resume,
-    /// broadcasts — the convention counts bytes *transmitted by workers*)
-    /// and for the uncharged final-model evaluation collection.
-    pub fn accounted_bytes(&self) -> u64 {
-        match self {
-            Msg::State(s) => 4 + s.summary_slice().len() as u64 * 4,
-            Msg::Model(v) => v.len() as u64 * 4,
-            _ => 0,
-        }
-    }
-
     /// Serializes this message's frame kind and payload.
     pub fn encode(&self) -> (FrameKind, Vec<u8>) {
         match self {
@@ -119,29 +97,20 @@ impl Msg {
                 (FrameKind::Hello, p)
             }
             Msg::Config(job) => (FrameKind::Config, encode_job(job)),
-            Msg::State(s) => (FrameKind::State, encode_state(s)),
             Msg::AvgState { state, sync } => {
                 let mut p = vec![*sync as u8];
                 p.extend_from_slice(&encode_state(state));
                 (FrameKind::AvgState, p)
             }
-            Msg::Model(v) => (FrameKind::Model, encode_vector(v)),
-            Msg::AvgModel(v) => (FrameKind::AvgModel, encode_vector(v)),
             Msg::FinalModel(v) => (FrameKind::FinalModel, encode_vector(v)),
             Msg::Resume {
                 round,
                 model,
                 prev_model,
-            } => {
-                let mut p = Vec::with_capacity(9 + model.len() * 4);
-                p.extend_from_slice(&round.to_le_bytes());
-                p.push(prev_model.is_some() as u8);
-                p.extend_from_slice(&encode_vector(model));
-                if let Some(prev) = prev_model {
-                    p.extend_from_slice(&encode_vector(prev));
-                }
-                (FrameKind::Resume, p)
-            }
+            } => (
+                FrameKind::Resume,
+                encode_resume(*round, model, prev_model.as_deref()),
+            ),
             Msg::Shutdown => (FrameKind::Shutdown, Vec::new()),
         }
     }
@@ -169,7 +138,6 @@ impl Msg {
                 }
             }
             FrameKind::Config => Msg::Config(Box::new(decode_job(payload)?)),
-            FrameKind::State => Msg::State(decode_state(payload)?),
             FrameKind::AvgState => {
                 let (&sync_byte, state_bytes) = payload
                     .split_first()
@@ -186,8 +154,6 @@ impl Msg {
                     sync,
                 }
             }
-            FrameKind::Model => Msg::Model(decode_vector(payload)?),
-            FrameKind::AvgModel => Msg::AvgModel(decode_vector(payload)?),
             FrameKind::FinalModel => Msg::FinalModel(decode_vector(payload)?),
             FrameKind::Resume => {
                 if payload.len() < 5 {
@@ -227,15 +193,17 @@ impl Msg {
                 }
                 Msg::Shutdown
             }
-            // A delta downlink is only decodable with the job's downlink
-            // codec and model dimension in hand — delta-mode receivers use
-            // the frame-layer path (`recv_frame_at_epoch_into`), never the
-            // typed one, so reaching here means the peer sent a delta to a
-            // dense-mode receiver.
-            FrameKind::AvgModelDelta => {
-                return Err(NetError::Protocol(
-                    "avg-model-delta frame outside a delta-downlink job".to_string(),
-                ));
+            // Data-plane frames are only decodable with the job's codecs
+            // and shapes in hand; their receivers read them at the frame
+            // layer, so reaching here means a peer sent one out of phase.
+            FrameKind::State
+            | FrameKind::Model
+            | FrameKind::AvgModel
+            | FrameKind::AvgModelDelta => {
+                return Err(NetError::Protocol(format!(
+                    "{} frame outside its round phase",
+                    kind.label()
+                )));
             }
         })
     }
@@ -243,8 +211,9 @@ impl Msg {
     /// Reads the next message off the stream, returning it with the epoch
     /// its frame was stamped with.
     pub fn recv<R: Read>(r: &mut R) -> Result<(Msg, u32), NetError> {
-        let (kind, epoch, payload) = read_frame(r)?;
-        Ok((Msg::decode(kind, &payload)?, epoch))
+        let mut buf = Vec::new();
+        let (kind, epoch) = read_frame_into(r, &mut buf)?;
+        Ok((Msg::decode(kind, &buf[1..])?, epoch))
     }
 
     /// Short name for protocol-error messages.
@@ -252,10 +221,7 @@ impl Msg {
         match self {
             Msg::Hello { .. } => "hello",
             Msg::Config(_) => "config",
-            Msg::State(_) => "state",
             Msg::AvgState { .. } => "avg-state",
-            Msg::Model(_) => "model",
-            Msg::AvgModel(_) => "avg-model",
             Msg::FinalModel(_) => "final-model",
             Msg::Resume { .. } => "resume",
             Msg::Shutdown => "shutdown",
@@ -263,28 +229,30 @@ impl Msg {
     }
 }
 
-/// Receives the next message stamped with exactly `epoch`.
-///
-/// Frames from an **older** epoch are discarded (up to
-/// [`MAX_STALE_FRAMES`]): they are the in-flight deposits of a connection
-/// that raced a membership change — a zombie's state must be dropped, not
-/// averaged into `S̄`. A frame claiming a **future** epoch is a protocol
-/// violation (the coordinator is the only epoch authority).
-pub fn recv_at_epoch<R: Read>(r: &mut R, epoch: u32) -> Result<Msg, NetError> {
-    let mut buf = Vec::new();
-    let kind = recv_frame_at_epoch_into(r, epoch, &mut buf)?;
-    Msg::decode(kind, &buf[1..])
+/// The [`Msg::Resume`] payload, encoded from borrowed models.
+pub(crate) fn encode_resume(round: u32, model: &[f32], prev: Option<&[f32]>) -> Vec<u8> {
+    let mut p = Vec::with_capacity(9 + model.len() * 4);
+    p.extend_from_slice(&round.to_le_bytes());
+    p.push(prev.is_some() as u8);
+    p.extend_from_slice(&encode_vector(model));
+    if let Some(prev) = prev {
+        p.extend_from_slice(&encode_vector(prev));
+    }
+    p
 }
 
-/// [`recv_at_epoch`] at the frame layer, into a caller-owned buffer: on
-/// success `buf` holds the current-epoch frame's body uninterpreted (kind
-/// byte + payload, so the payload is `&buf[1..]`, as with
-/// [`read_frame_into`]). This is the receive path for payloads whose
-/// decoding needs out-of-band context (a coded state or model upload needs
-/// the negotiated codec and the expected shape); stale-epoch frames are
-/// skipped on their headers alone — a zombie's coded deposit must be
-/// discardable without being decodable. The round loops hold one buffer
-/// per connection and call this, so steady-state receives allocate
+/// Receives the next frame stamped with exactly `epoch` into a
+/// caller-owned buffer: on success `buf` holds the frame's body
+/// uninterpreted (kind byte + payload, so the payload is `&buf[1..]`, as
+/// with [`read_frame_into`]).
+///
+/// Frames from an **older** epoch are discarded (up to
+/// [`MAX_STALE_FRAMES`]) on their headers alone: they are the in-flight
+/// deposits of a connection that raced a membership change — a zombie's
+/// state must be dropped, not averaged into `S̄`, and need not even be
+/// decodable. A frame claiming a **future** epoch is a protocol violation
+/// (the coordinator is the only epoch authority). The round loops hold one
+/// buffer per connection and call this, so steady-state receives allocate
 /// nothing.
 pub fn recv_frame_at_epoch_into<R: Read>(
     r: &mut R,
@@ -373,6 +341,8 @@ mod tests {
         ));
     }
 
+    /// A local state survives the data-plane frame (through the epoch
+    /// filter) and the averaged-state broadcast bit for bit.
     #[test]
     fn state_and_avg_state_roundtrip_bitwise() {
         let drift: Vec<f32> = (0..96).map(|i| (i as f32 * 0.11).sin()).collect();
@@ -380,20 +350,21 @@ mod tests {
             LinearMonitor::new().local_state(&drift),
             SketchMonitor::new(SketchConfig::new(3, 16, 5), drift.len()).local_state(&drift),
         ] {
-            match roundtrip(&Msg::State(state.clone())) {
-                (Msg::State(back), epoch) => {
-                    assert_eq!(back, state);
-                    assert_eq!(epoch, 11);
-                }
-                (other, _) => panic!("wrong kind: {}", other.kind_name()),
-            }
+            let mut wire: Vec<u8> = Vec::new();
+            write_frame(&mut wire, 11, FrameKind::State, &encode_state(&state)).unwrap();
+            let mut buf = Vec::new();
+            let kind =
+                recv_frame_at_epoch_into(&mut std::io::Cursor::new(wire), 11, &mut buf).unwrap();
+            assert_eq!(kind, FrameKind::State);
+            assert_eq!(decode_state(&buf[1..]).unwrap(), state);
             match roundtrip(&Msg::AvgState {
                 state: state.clone(),
                 sync: true,
             }) {
-                (Msg::AvgState { state: back, sync }, _) => {
+                (Msg::AvgState { state: back, sync }, epoch) => {
                     assert_eq!(back, state);
                     assert!(sync);
+                    assert_eq!(epoch, 11);
                 }
                 (other, _) => panic!("wrong kind: {}", other.kind_name()),
             }
@@ -425,40 +396,39 @@ mod tests {
                 }
                 (other, _) => panic!("wrong kind: {}", other.kind_name()),
             }
-            assert_eq!(msg.accounted_bytes(), 0, "resume is control plane");
         }
     }
 
+    /// A parameter vector round-trips as the final model, and as a dense
+    /// model upload its accounted payload — the frame payload minus the
+    /// 4-byte length header — is `d·4`.
     #[test]
     fn model_roundtrip_and_accounting() {
         let v: Vec<f32> = (0..1000).map(|i| i as f32 * 0.5).collect();
-        let msg = Msg::Model(v.clone());
-        assert_eq!(msg.accounted_bytes(), 4000);
-        match roundtrip(&msg) {
-            (Msg::Model(back), _) => assert_eq!(back, v),
+        match roundtrip(&Msg::FinalModel(v.clone())) {
+            (Msg::FinalModel(back), _) => assert_eq!(back, v),
             (other, _) => panic!("wrong kind: {}", other.kind_name()),
         }
-        // Control-plane and evaluation messages are never charged.
-        assert_eq!(Msg::AvgModel(v.clone()).accounted_bytes(), 0);
-        assert_eq!(Msg::FinalModel(v).accounted_bytes(), 0);
-        assert_eq!(Msg::Shutdown.accounted_bytes(), 0);
+        let upload = fda_core::wire::encode_vector_coded(&v, &fda_comm::Dense32);
+        assert_eq!(upload.len() as u64 - 4, 4000);
     }
 
-    /// A state message's accounted bytes must equal the monitor's
-    /// `state_bytes` — the exact quantity the simulator charges per step.
+    /// A dense state frame's accounted payload — the frame payload minus
+    /// its uncharged tag/shape header — is the monitor's `state_bytes`,
+    /// the exact quantity the simulator charges per step.
     #[test]
     fn state_accounting_matches_monitor_convention() {
+        use fda_core::wire::state_frame_overhead;
         let drift: Vec<f32> = (0..64).map(|i| i as f32).collect();
         let lin = LinearMonitor::new();
-        assert_eq!(
-            Msg::State(lin.local_state(&drift)).accounted_bytes(),
-            lin.state_bytes()
-        );
         let sk = SketchMonitor::new(SketchConfig::new(5, 25, 1), 64);
-        assert_eq!(
-            Msg::State(sk.local_state(&drift)).accounted_bytes(),
-            sk.state_bytes()
-        );
+        for (state, charged) in [
+            (lin.local_state(&drift), lin.state_bytes()),
+            (sk.local_state(&drift), sk.state_bytes()),
+        ] {
+            let accounted = encode_state(&state).len() as u64 - state_frame_overhead(&state);
+            assert_eq!(accounted, charged);
+        }
     }
 
     /// The zombie guard: stale-epoch frames are skipped, the current-epoch
@@ -466,34 +436,32 @@ mod tests {
     /// protocol errors.
     #[test]
     fn stale_epochs_skipped_future_rejected() {
-        let state = LinearMonitor::new().local_state(&[1.0, 2.0, 3.0]);
-        let mut buf: Vec<u8> = Vec::new();
-        Msg::State(state.clone()).send(&mut buf, 3).unwrap(); // stale
-        Msg::State(state.clone()).send(&mut buf, 4).unwrap(); // stale
-        Msg::Model(vec![9.0]).send(&mut buf, 5).unwrap(); // current
-        let mut cursor = std::io::Cursor::new(buf);
-        match recv_at_epoch(&mut cursor, 5).unwrap() {
-            Msg::Model(v) => assert_eq!(v, vec![9.0]),
+        let state = encode_state(&LinearMonitor::new().local_state(&[1.0, 2.0, 3.0]));
+        let recv = |wire: Vec<u8>, buf: &mut Vec<u8>| {
+            recv_frame_at_epoch_into(&mut std::io::Cursor::new(wire), 5, buf)
+        };
+        let mut wire: Vec<u8> = Vec::new();
+        write_frame(&mut wire, 3, FrameKind::State, &state).unwrap(); // stale
+        write_frame(&mut wire, 4, FrameKind::State, &state).unwrap(); // stale
+        Msg::FinalModel(vec![9.0]).send(&mut wire, 5).unwrap(); // current
+        let mut buf = Vec::new();
+        let kind = recv(wire, &mut buf).unwrap();
+        match Msg::decode(kind, &buf[1..]).unwrap() {
+            Msg::FinalModel(v) => assert_eq!(v, vec![9.0]),
             other => panic!("wrong kind: {}", other.kind_name()),
         }
 
         // Future epoch → protocol violation.
-        let mut buf: Vec<u8> = Vec::new();
-        Msg::State(state.clone()).send(&mut buf, 9).unwrap();
-        assert!(matches!(
-            recv_at_epoch(&mut std::io::Cursor::new(buf), 5),
-            Err(NetError::Protocol(_))
-        ));
+        let mut wire: Vec<u8> = Vec::new();
+        write_frame(&mut wire, 9, FrameKind::State, &state).unwrap();
+        assert!(matches!(recv(wire, &mut buf), Err(NetError::Protocol(_))));
 
         // A flood of stale frames → protocol violation, not an endless
         // discard loop.
-        let mut buf: Vec<u8> = Vec::new();
+        let mut wire: Vec<u8> = Vec::new();
         for _ in 0..(MAX_STALE_FRAMES + 2) {
-            Msg::State(state.clone()).send(&mut buf, 1).unwrap();
+            write_frame(&mut wire, 1, FrameKind::State, &state).unwrap();
         }
-        assert!(matches!(
-            recv_at_epoch(&mut std::io::Cursor::new(buf), 5),
-            Err(NetError::Protocol(_))
-        ));
+        assert!(matches!(recv(wire, &mut buf), Err(NetError::Protocol(_))));
     }
 }

@@ -7,8 +7,12 @@
 //! `(seed, id)` — and then drives [`Worker::step_once`], the *same*
 //! training code path the simulator's `Cluster::local_step` runs.
 //! Everything that crosses the process boundary goes through
-//! `fda_core::wire`, whose decode is exact (f32 bits round-trip), so the
-//! K-process trajectory is bit-identical to the K-worker simulator.
+//! `fda_core::wire`, whose decode is exact (f32 bits round-trip), and the
+//! round's replica half ([`fda_core::round::Replica`]) computes the drift
+//! and local state, cross-checks the broadcast `S̄` and adopts the
+//! consensus, so the K-process trajectory is bit-identical to the
+//! K-worker simulator. The worker loop itself keeps sessions, faults and
+//! rejoin.
 //!
 //! # Sessions, faults and rejoin
 //!
@@ -30,11 +34,9 @@ use crate::frame::{
     encode_frame, read_frame_into, write_frame, CountingStream, FrameKind, NetError,
 };
 use crate::protocol::Msg;
-use fda_comm::apply_delta_downlink;
 use fda_core::cluster::Worker;
-use fda_core::fda::violates;
-use fda_core::wire::{encode_state_coded_into, encode_vector_coded_into, JobSpec};
-use fda_tensor::vector;
+use fda_core::round::Replica;
+use fda_core::wire::JobSpec;
 use std::io::Write as _;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -171,10 +173,6 @@ impl Session {
         Ok(kind)
     }
 
-    fn send(&mut self, msg: &Msg) -> Result<(), NetError> {
-        msg.send(&mut self.stream, self.epoch)
-    }
-
     /// Sends a pre-encoded payload as one frame — the uplink path for
     /// codec-encoded state/model payloads, which `Msg` cannot represent
     /// (their byte form depends on the job's negotiated codec).
@@ -183,11 +181,12 @@ impl Session {
     }
 
     fn protocol_err(&self, expected: &str, got: &Msg) -> NetError {
-        NetError::Protocol(format!(
-            "worker {}: expected {expected}, got {}",
-            self.id,
-            got.kind_name()
-        ))
+        self.fail(&format!("expected {expected}, got {}", got.kind_name()))
+    }
+
+    /// A protocol violation observed by this session.
+    fn fail(&self, why: &str) -> NetError {
+        NetError::Protocol(format!("worker {}: {why}", self.id))
     }
 
     fn shutdown(&self) {
@@ -260,10 +259,8 @@ fn run_session(
         other => return Err(session.protocol_err("config", &other)),
     };
     if session.id as usize >= spec.cluster.workers {
-        return Err(NetError::Protocol(format!(
-            "worker {}: id out of range for a job of K = {}",
-            session.id, spec.cluster.workers
-        )));
+        let why = format!("id out of range for a job of K = {}", spec.cluster.workers);
+        return Err(session.fail(&why));
     }
     let (start_round, resume_model, resume_prev) = match session.recv()? {
         Msg::Resume {
@@ -277,47 +274,11 @@ fn run_session(
     let task = spec.synth.generate(&spec.task_name);
     let mut worker: Worker = spec.cluster.build_worker(&task.train, session.id as usize);
     let dim = worker.model().param_count();
-    let mut monitor = spec.fda.variant.build_monitor(dim);
-    // The job's uplink codec: every State/Model upload is its encoding.
-    // For `Dense` the encoded frames are byte-identical to the historical
-    // layouts, so dense runs are bitwise indistinguishable from pre-codec
-    // peers.
-    let codec = spec.codec.build();
-    // The job's downlink spec: under a delta downlink the consensus model
-    // arrives as an `AvgModelDelta` frame coded against the last synced
-    // model, not a dense `AvgModel` broadcast. Rejoin handoffs (`Resume`)
-    // stay dense either way.
-    let downlink_codec = spec.downlink.build();
-    if resume_model.len() != dim {
-        return Err(NetError::Protocol(format!(
-            "worker {}: resume model has {} params, replica has {dim}",
-            session.id,
-            resume_model.len()
-        )));
-    }
-
-    // The versioned handoff: adopt the consensus model as `w_t0` and, when
-    // a synchronization already happened, replay its `on_sync` so
-    // direction-tracking monitors (LinearFDA's ξ) match the workers that
-    // never left, bit for bit. At formation this loads `w_0` into a
-    // replica already holding `w_0` — a bitwise no-op.
-    if let Some(prev) = &resume_prev {
-        if prev.len() != dim {
-            return Err(NetError::Protocol(format!(
-                "worker {}: resume prev-model has {} params, replica has {dim}",
-                session.id,
-                prev.len()
-            )));
-        }
-        monitor.on_sync(&resume_model, prev);
-    }
-    worker.model_mut().load_params(&resume_model);
-    let mut w_sync = resume_model;
-    let mut params = vec![0.0f32; dim];
-    let mut drift = vec![0.0f32; dim];
-    // Round-persistent local state, rebuilt in place every round as the
-    // simulator's `compute_states` does (a sketch is not reallocated).
-    let mut state = monitor.local_state(&drift);
+    // The versioned handoff. At formation it loads `w_0` into a replica
+    // already holding `w_0` — a bitwise no-op.
+    let mut replica = Replica::join(&spec, dim, resume_model, resume_prev.as_deref())
+        .map_err(|why| session.fail(&why))?;
+    worker.model_mut().load_params(replica.consensus());
     // Round-persistent uplink scratch: every State/Model payload is
     // encoded into this buffer in place, so steady-state rounds don't
     // allocate on the send path.
@@ -326,13 +287,10 @@ fn run_session(
     for step in start_round..spec.steps {
         // (1) Local training — the simulator's exact code path.
         worker.step_once(&task.train);
-        worker.model().copy_params_to(&mut params);
 
         // (2) Local state from the drift — the point scripted faults hit.
-        vector::sub_into(&params, &w_sync, &mut drift);
-        monitor.local_state_into(&drift, &mut state);
         ubuf.clear();
-        encode_state_coded_into(&state, codec.as_ref(), &mut ubuf);
+        replica.state_payload(worker.trained_params(), &mut ubuf);
         match apply_faults(session, step, opts, &ubuf)? {
             FaultOutcome::Sent => {}
             FaultOutcome::Terminal(action) => {
@@ -340,86 +298,44 @@ fn run_session(
             }
         }
 
-        // (3) The averaged state. Every worker holds the same S̄ and
-        // evaluates `H(S̄) > Θ` itself, as the simulator does —
-        // the decision byte is a cross-check, not a trusted oracle;
-        // any disagreement (a coordinator running different monitor
-        // code, a corrupted frame that still decoded) is a protocol
-        // error, not a silent divergence.
+        // (3) The averaged state and the decision, checked against this
+        // replica's own shape and `H(S̄) > Θ`: a disagreement (a
+        // coordinator running different monitor code, a corrupted frame
+        // that still decoded) is a protocol error, not a silent
+        // divergence.
         let (avg, sync) = match session.recv()? {
             Msg::AvgState { state, sync } => (state, sync),
             other => return Err(session.protocol_err("avg-state", &other)),
         };
-        let local_decision = violates(monitor.estimate(&avg), spec.fda.theta);
-        if local_decision != sync {
-            return Err(NetError::Protocol(format!(
-                "worker {}: local H(S̄) decision ({local_decision}) disagrees \
-                 with coordinator broadcast ({sync})",
-                session.id
-            )));
-        }
+        replica
+            .check(&avg, sync)
+            .map_err(|why| session.fail(&why))?;
 
         // (4) Conditional model AllReduce.
         if sync {
             ubuf.clear();
-            encode_vector_coded_into(&params, codec.as_ref(), &mut ubuf);
+            replica.model_payload(worker.trained_params(), &mut ubuf);
             session.send_frame(FrameKind::Model, &ubuf)?;
-            let avg: Vec<f32> = match &downlink_codec {
-                Some(dc) => {
-                    let kind = session.recv_frame()?;
-                    if kind != FrameKind::AvgModelDelta {
-                        return Err(NetError::Protocol(format!(
-                            "worker {}: expected avg-model-delta, got {}",
-                            session.id,
-                            kind.label()
-                        )));
-                    }
-                    let payload = &session.rbuf[1..];
-                    if payload.len() < 4 {
-                        return Err(NetError::Protocol(format!(
-                            "worker {}: avg-model-delta frame too short ({} bytes)",
-                            session.id,
-                            payload.len()
-                        )));
-                    }
-                    let sent_dim =
-                        u32::from_le_bytes([payload[0], payload[1], payload[2], payload[3]])
-                            as usize;
-                    if sent_dim != dim {
-                        return Err(NetError::Protocol(format!(
-                            "worker {}: delta consensus has {sent_dim} params, expected {dim}",
-                            session.id
-                        )));
-                    }
-                    apply_delta_downlink(&w_sync, &payload[4..], dc.as_ref()).map_err(|e| {
-                        NetError::Protocol(format!(
-                            "worker {}: undecodable delta downlink: {e}",
-                            session.id
-                        ))
-                    })?
-                }
-                None => match session.recv()? {
-                    Msg::AvgModel(v) if v.len() == dim => v,
-                    Msg::AvgModel(v) => {
-                        return Err(NetError::Protocol(format!(
-                            "worker {}: consensus model has {} params, expected {dim}",
-                            session.id,
-                            v.len()
-                        )));
-                    }
-                    other => return Err(session.protocol_err("avg-model", &other)),
-                },
+            let want = if spec.downlink.is_dense() {
+                FrameKind::AvgModel
+            } else {
+                FrameKind::AvgModelDelta
             };
-            worker.model_mut().load_params(&avg);
-            monitor.on_sync(&avg, &w_sync);
-            w_sync.copy_from_slice(&avg);
-            params.copy_from_slice(&avg);
+            let kind = session.recv_frame()?;
+            if kind != want {
+                let why = format!("expected {}, got {}", want.label(), kind.label());
+                return Err(session.fail(&why));
+            }
+            let consensus = replica
+                .adopt(&session.rbuf[1..])
+                .map_err(|why| session.fail(&why))?;
+            worker.model_mut().load_params(consensus);
             *syncs += 1;
         }
     }
 
     // Final replica collection + shutdown.
-    session.send(&Msg::FinalModel(params))?;
+    Msg::FinalModel(worker.params()).send(&mut session.stream, session.epoch)?;
     match session.recv()? {
         Msg::Shutdown => {}
         other => return Err(session.protocol_err("shutdown", &other)),
@@ -503,17 +419,21 @@ mod tests {
     use super::*;
     use fda_core::cluster::ClusterConfig;
     use fda_core::fda::FdaConfig;
+    use fda_core::monitor::LocalState;
     use fda_data::synth::SynthSpec;
     use std::net::TcpListener;
 
-    /// A coordinator that configures a K = 2 job for a worker claiming
-    /// id 5 (the real one refuses that hello) must get a protocol error
-    /// back, not an out-of-range shard index inside `build_worker`.
-    #[test]
-    fn worker_refuses_a_job_its_id_does_not_fit() {
+    /// Runs worker `id` against a fake coordinator that hands it a K = 2
+    /// job and, given an `avg`, reads the worker's first state and answers
+    /// with `avg` as the round's `S̄`.
+    fn against_fake_coordinator(
+        id: u32,
+        fda: FdaConfig,
+        avg: Option<LocalState>,
+    ) -> Result<WorkerOutcome, NetError> {
         let spec = JobSpec {
             cluster: ClusterConfig::small_test(2),
-            fda: FdaConfig::linear(0.01),
+            fda,
             codec: fda_comm::CodecSpec::Dense,
             downlink: fda_comm::DownlinkSpec::Dense,
             steps: 3,
@@ -522,7 +442,7 @@ mod tests {
                 n_test: 80,
                 ..SynthSpec::synth_mnist()
             },
-            task_name: "id-range".to_string(),
+            task_name: "fake-coordinator".to_string(),
         };
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
@@ -538,10 +458,41 @@ mod tests {
             };
             // The worker may hang up before the handoff arrives.
             let _ = resume.send(&mut stream, 1);
+            if let Some(state) = avg {
+                let (kind, _) = read_frame_into(&mut stream, &mut Vec::new()).expect("state");
+                assert_eq!(kind, FrameKind::State);
+                let _ = Msg::AvgState { state, sync: false }.send(&mut stream, 1);
+                // Hold the socket until the worker hangs up.
+                let _ = std::io::Read::read(&mut stream, &mut [0u8; 1]);
+            }
         });
-        let outcome = run_worker(addr, 5, &WorkerOptions::default());
+        let outcome = run_worker(addr, id, &WorkerOptions::default());
         coordinator.join().expect("fake coordinator");
-        match outcome {
+        outcome
+    }
+
+    /// A broadcast `S̄` whose summary is not the job's — another monitor's
+    /// variant, or a sketch of other dimensions — is a protocol error at
+    /// the worker, not a panic inside the monitor's estimate.
+    #[test]
+    fn worker_refuses_an_avg_state_of_the_wrong_shape() {
+        use fda_core::monitor::{LinearMonitor, SketchMonitor, VarianceMonitor};
+        let linear = LinearMonitor::new().local_state(&[0.5; 8]);
+        let sketch = SketchMonitor::new(fda_sketch::SketchConfig::new(2, 8, 1), 8);
+        for avg in [linear, sketch.local_state(&[0.5; 8])] {
+            match against_fake_coordinator(0, FdaConfig::sketch_auto(0.01), Some(avg)) {
+                Err(NetError::Protocol(why)) => assert!(why.contains("shape"), "{why}"),
+                other => panic!("expected a protocol error, got {other:?}"),
+            }
+        }
+    }
+
+    /// A coordinator that configures a K = 2 job for a worker claiming
+    /// id 5 (the real one refuses that hello) must get a protocol error
+    /// back, not an out-of-range shard index inside `build_worker`.
+    #[test]
+    fn worker_refuses_a_job_its_id_does_not_fit() {
+        match against_fake_coordinator(5, FdaConfig::linear(0.01), None) {
             Err(NetError::Protocol(why)) => assert!(why.contains("out of range"), "{why}"),
             other => panic!("expected a protocol error, got {other:?}"),
         }

@@ -79,7 +79,7 @@ impl Rng {
 
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
-    pub fn uniform_f64(&mut self) -> f64 {
+    fn uniform_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 

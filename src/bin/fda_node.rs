@@ -28,6 +28,7 @@
 //! on stdout is the schema's one-line `"run"` record.
 
 use fda::core::cluster::ClusterConfig;
+use fda::core::experiments::spec_for;
 use fda::core::fda::{FdaConfig, FdaVariant};
 use fda::core::wire::JobSpec;
 use fda::data::synth::SynthSpec;
@@ -137,10 +138,11 @@ fn job_from_args(args: &[String]) -> JobSpec {
         codec,
         downlink,
         steps: parse(args, "--steps", 20u32),
+        // The model's Table 2 task, so the data fits the model.
         synth: SynthSpec {
             n_train: parse(args, "--train", 960),
             n_test: parse(args, "--test", 240),
-            ..SynthSpec::synth_mnist()
+            ..spec_for(model).synth_spec()
         },
         task_name: "fda-node".to_string(),
     };

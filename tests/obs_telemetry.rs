@@ -303,3 +303,28 @@ fn node_demo_prints_parseable_run_report() {
         "stdout == stream tail"
     );
 }
+
+/// `--model transfer` trains on its own Table 2 task (100 classes over 128
+/// features), where every worker used to panic on a 144-wide image task.
+#[test]
+fn node_demo_runs_the_transfer_head_on_its_own_task() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fda_node"))
+        .args([
+            "demo",
+            "--model",
+            "transfer",
+            "--workers",
+            "2",
+            "--steps",
+            "3",
+        ])
+        .output()
+        .expect("fda_node demo runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "demo failed: {stderr}");
+    let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
+    let report = fda::obs::json::parse(stdout.lines().last().expect("a report line"));
+    let run = RunEvent::from_json(&report.expect("valid JSON")).expect("a run event");
+    assert!(run.measured_equals_charged());
+    assert_eq!((run.steps, run.survivors), (3, vec![0, 1]));
+}

@@ -12,6 +12,7 @@ use fda::core::monitor::{
 };
 use fda::core::wire;
 use fda::data::{Dataset, Partition};
+use fda::net::frame::FrameKind;
 use fda::nn::conv::Conv2d;
 use fda::nn::init::Init;
 use fda::nn::layer::Shape3;
@@ -496,7 +497,6 @@ fn wire_decoders_are_total_under_fuzz() {
 /// encoded job with an out-of-range value must decode to `Err`.
 #[test]
 fn degenerate_jobs_are_refused_at_every_entrance() {
-    use fda::net::frame::FrameKind;
     use fda::net::{Coordinator, Msg, NetError};
     let job = wire::JobSpec {
         cluster: fda::core::cluster::ClusterConfig::small_test(3),
@@ -566,6 +566,40 @@ fn degenerate_jobs_are_refused_at_every_entrance() {
             "config frame asking for a {rows}x{cols} sketch must be refused"
         );
     }
+    // A task the model cannot take: one class, more classes than outputs,
+    // a spatial shape that does not flatten to the width, another width.
+    use fda::data::synth::SynthSpec;
+    let transfer_task = SynthSpec {
+        n_train: 240,
+        ..SynthSpec::synth_cifar100_features()
+    };
+    let task = |f: fn(&mut SynthSpec)| {
+        let mut synth = job.synth;
+        f(&mut synth);
+        synth
+    };
+    let mismatched = [
+        task(|s| s.classes = 1),
+        task(|s| s.classes = 11),
+        task(|s| s.spatial = Some((1, 12, 13))),
+        transfer_task,
+    ];
+    for synth in mismatched {
+        let bytes = wire::encode_job(&wire::JobSpec {
+            synth,
+            ..job.clone()
+        });
+        assert!(
+            matches!(
+                Msg::decode(FrameKind::Config, &bytes),
+                Err(NetError::Decode(wire::DecodeError::Malformed(_)))
+            ),
+            "a LeNet job on {synth:?} must be refused"
+        );
+    }
+    let mut transfer = job.clone();
+    (transfer.cluster.model, transfer.synth) = (fda::nn::zoo::ModelId::TransferHead, transfer_task);
+    assert!(Msg::decode(FrameKind::Config, &wire::encode_job(&transfer)).is_ok());
 
     // The coordinator API refuses before it waits for anyone.
     for degenerate in [
@@ -606,10 +640,12 @@ fn degenerate_jobs_are_refused_at_every_entrance() {
 // Transport frames: checksummed, epoch-stamped, hostile-input-total
 // ---------------------------------------------------------------------------
 
-/// A random protocol message covering every frame kind the transport
-/// ships, including the elastic-transport kinds (extended hello, the
-/// versioned `Resume` handoff with and without a previous model).
-fn random_msg(rng: &mut Rng) -> fda::net::Msg {
+/// A random frame covering every frame kind the transport ships: the
+/// typed messages (extended hello, averaged state, final model, the
+/// versioned `Resume` handoff with and without a previous model,
+/// shutdown) and the raw data-plane payloads (a state deposit, a model
+/// upload, a dense consensus broadcast).
+fn random_frame(rng: &mut Rng) -> (FrameKind, Vec<u8>) {
     use fda::net::Msg;
     let vec_of = |rng: &mut Rng, max: u64| {
         let len = (rng.next_u64() % max) as usize;
@@ -617,15 +653,15 @@ fn random_msg(rng: &mut Rng) -> fda::net::Msg {
         rng.fill_uniform(&mut v, -4.0, 4.0);
         v
     };
-    match rng.next_u64() % 8 {
+    let msg = match rng.next_u64() % 8 {
         0 => Msg::hello((rng.next_u64() % 64) as u32, (rng.next_u64() % 1000) as u32),
-        1 => Msg::State(random_state(rng)),
+        1 => return (FrameKind::State, wire::encode_state(&random_state(rng))),
         2 => Msg::AvgState {
             state: random_state(rng),
             sync: rng.next_u64().is_multiple_of(2),
         },
-        3 => Msg::Model(vec_of(rng, 60)),
-        4 => Msg::AvgModel(vec_of(rng, 60)),
+        3 => return (FrameKind::Model, wire::encode_vector(&vec_of(rng, 60))),
+        4 => return (FrameKind::AvgModel, wire::encode_vector(&vec_of(rng, 60))),
         5 => Msg::FinalModel(vec_of(rng, 60)),
         6 => {
             let model = vec_of(rng, 60);
@@ -643,38 +679,59 @@ fn random_msg(rng: &mut Rng) -> fda::net::Msg {
             }
         }
         _ => Msg::Shutdown,
-    }
+    };
+    msg.encode()
 }
 
-/// Every protocol message — extended hello and `Resume` included — must
-/// survive `send → recv` with its epoch stamp intact and re-encode to the
-/// exact same frame bytes (the transport's framing invariant, now over
-/// the epoch-stamped checksummed header).
+/// One frame off `bytes` with an owned payload, through the one reader.
+fn read_frame(bytes: &[u8]) -> Result<(FrameKind, u32, Vec<u8>), fda::net::NetError> {
+    let mut buf = Vec::new();
+    let (kind, epoch) =
+        fda::net::frame::read_frame_into(&mut std::io::Cursor::new(bytes), &mut buf)?;
+    Ok((kind, epoch, buf.split_off(1)))
+}
+
+/// Every frame — extended hello and `Resume` included — must survive
+/// `write → read` with its kind, epoch stamp and payload intact, and every
+/// typed message must re-encode to the exact same frame bytes (the
+/// transport's framing invariant, over the epoch-stamped checksummed
+/// header).
 #[test]
 fn frame_msg_roundtrip_preserves_epoch_and_bytes() {
+    use fda::net::frame::write_frame;
+    use fda::net::Msg;
     for case in 0..CASES {
         let mut rng = Rng::new(0xD1_0000 + case);
-        let msg = random_msg(&mut rng);
+        let (kind, payload) = random_frame(&mut rng);
         let epoch = (rng.next_u64() % 10_000) as u32;
         let mut bytes: Vec<u8> = Vec::new();
-        msg.send(&mut bytes, epoch).expect("encode");
-        let (back, back_epoch) =
-            fda::net::Msg::recv(&mut std::io::Cursor::new(&bytes)).expect("decode");
+        write_frame(&mut bytes, epoch, kind, &payload).expect("encode");
+        let (back_kind, back_epoch, back) = read_frame(&bytes).expect("decode");
         assert_eq!(back_epoch, epoch, "case {case}: epoch stamp changed");
-        assert_eq!(
-            back.kind_name(),
-            msg.kind_name(),
-            "case {case}: kind changed"
-        );
-        let mut re: Vec<u8> = Vec::new();
-        back.send(&mut re, epoch).expect("re-encode");
-        assert_eq!(re, bytes, "case {case}: re-encode not byte-identical");
+        assert_eq!(back_kind, kind, "case {case}: kind changed");
+        assert_eq!(back, payload, "case {case}: payload changed");
+        // Typed messages re-encode to the same frame; data-plane frames
+        // are not messages.
+        match Msg::recv(&mut std::io::Cursor::new(&bytes)) {
+            Ok((msg, _)) => {
+                let mut re: Vec<u8> = Vec::new();
+                msg.send(&mut re, epoch).expect("re-encode");
+                assert_eq!(re, bytes, "case {case}: re-encode not byte-identical");
+            }
+            Err(_) => assert!(
+                matches!(
+                    kind,
+                    FrameKind::State | FrameKind::Model | FrameKind::AvgModel
+                ),
+                "case {case}: a {kind:?} message did not decode"
+            ),
+        }
         // Any strict truncation of the stream must fail cleanly, and a
         // truncation that cuts the payload (past the checksummed header's
         // length field) must look like a disconnect, never decode.
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             assert!(
-                fda::net::Msg::recv(&mut std::io::Cursor::new(&bytes[..cut])).is_err(),
+                read_frame(&bytes[..cut]).is_err(),
                 "case {case}: cut at {cut} decoded"
             );
         }
@@ -682,30 +739,29 @@ fn frame_msg_roundtrip_preserves_epoch_and_bytes() {
 }
 
 /// Frame-level decode totality: byte soup and random mutations of valid
-/// frames through `read_frame` must return `Ok`/`Err`, never panic, and a
-/// mutated frame body must never pass the checksum silently.
+/// frames through the frame reader must return `Ok`/`Err`, never panic,
+/// and a mutated frame body must never pass the checksum silently.
 #[test]
 fn frame_reader_is_total_and_checksummed_under_fuzz() {
-    use fda::net::frame::{encode_frame, read_frame};
+    use fda::net::frame::encode_frame;
     let mut rng = Rng::new(0xE1_0000);
     // Pure byte soup.
     for _ in 0..4 * CASES {
         let len = (rng.next_u64() % 80) as usize;
         let buf: Vec<u8> = (0..len).map(|_| (rng.next_u64() & 0xFF) as u8).collect();
-        let _ = read_frame(&mut std::io::Cursor::new(buf));
+        let _ = read_frame(&buf);
     }
     // Single-byte mutations of valid frames: any flip past the length
     // field must be rejected (checksum); flips inside the length field
     // must never decode to the original payload.
     for case in 0..CASES {
         let mut inner = Rng::new(0xE2_0000 + case);
-        let msg = random_msg(&mut inner);
-        let (kind, payload) = msg.encode();
+        let (kind, payload) = random_frame(&mut inner);
         let frame = encode_frame((inner.next_u64() % 100) as u32, kind, &payload).unwrap();
         let i = (inner.next_u64() as usize) % frame.len();
         let mut corrupt = frame.clone();
         corrupt[i] ^= 1 << (inner.next_u64() % 8);
-        match read_frame(&mut std::io::Cursor::new(&corrupt)) {
+        match read_frame(&corrupt) {
             Err(_) => {}
             Ok((k, _, p)) => {
                 assert!(
@@ -726,7 +782,7 @@ fn frame_reader_is_total_and_checksummed_under_fuzz() {
         spliced.push(unknown);
         spliced.extend_from_slice(&payload);
         assert!(
-            read_frame(&mut std::io::Cursor::new(&spliced)).is_err(),
+            read_frame(&spliced).is_err(),
             "case {case}: unknown kind {unknown} decoded"
         );
     }
@@ -737,7 +793,14 @@ fn frame_reader_is_total_and_checksummed_under_fuzz() {
 /// intact, and future-epoch frames are protocol violations.
 #[test]
 fn spliced_stale_epoch_frames_are_rejected() {
-    use fda::net::{recv_at_epoch, Msg, NetError, MAX_STALE_FRAMES};
+    use fda::net::frame::write_frame;
+    use fda::net::protocol::recv_frame_at_epoch_into;
+    use fda::net::{Msg, NetError, MAX_STALE_FRAMES};
+    let recv = |stream: &[u8], epoch: u32| {
+        let mut buf = Vec::new();
+        let kind = recv_frame_at_epoch_into(&mut std::io::Cursor::new(stream), epoch, &mut buf)?;
+        Msg::decode(kind, &buf[1..])
+    };
     for case in 0..CASES {
         let mut rng = Rng::new(0xF1_0000 + case);
         let current = 2 + (rng.next_u64() % 1000) as u32;
@@ -746,30 +809,27 @@ fn spliced_stale_epoch_frames_are_rejected() {
         // A zombie's leftovers: deposits stamped with earlier epochs.
         for _ in 0..stale_count {
             let stale_epoch = rng.next_u64() as u32 % current;
-            Msg::State(random_state(&mut rng))
-                .send(&mut stream, stale_epoch)
+            let deposit = wire::encode_state(&random_state(&mut rng));
+            write_frame(&mut stream, stale_epoch, FrameKind::State, &deposit)
                 .expect("encode stale");
         }
         let live = vec![1.5f32, -2.5, 3.5];
-        Msg::Model(live.clone())
+        Msg::FinalModel(live.clone())
             .send(&mut stream, current)
             .expect("encode live");
-        match recv_at_epoch(&mut std::io::Cursor::new(&stream), current) {
-            Ok(Msg::Model(v)) => assert_eq!(v, live, "case {case}: live frame mangled"),
+        match recv(&stream, current) {
+            Ok(Msg::FinalModel(v)) => assert_eq!(v, live, "case {case}: live frame mangled"),
             other => panic!("case {case}: expected the live model, got {other:?}"),
         }
 
         // A future epoch is a protocol violation — only the coordinator
         // advances the epoch.
         let mut stream: Vec<u8> = Vec::new();
-        Msg::Model(live.clone())
+        Msg::FinalModel(live.clone())
             .send(&mut stream, current + 1 + rng.next_u64() as u32 % 50)
             .expect("encode future");
         assert!(
-            matches!(
-                recv_at_epoch(&mut std::io::Cursor::new(&stream), current),
-                Err(NetError::Protocol(_))
-            ),
+            matches!(recv(&stream, current), Err(NetError::Protocol(_))),
             "case {case}: future epoch accepted"
         );
     }
@@ -780,10 +840,7 @@ fn spliced_stale_epoch_frames_are_rejected() {
     }
     Msg::Shutdown.send(&mut stream, 5).expect("encode");
     assert!(
-        matches!(
-            recv_at_epoch(&mut std::io::Cursor::new(&stream), 5),
-            Err(NetError::Protocol(_))
-        ),
+        matches!(recv(&stream, 5), Err(NetError::Protocol(_))),
         "a stale flood must not be skipped forever"
     );
 }
