@@ -296,48 +296,53 @@ pub fn encode_state_into(state: &LocalState, out: &mut Vec<u8>) {
 }
 
 /// Decodes a coded state frame against an `expected` shape template
-/// (receiver knowledge — the monitor's own state layout). The wire
-/// header's tag and dimensions must match the template **before** any
-/// allocation is sized, so a hostile header cannot request gigabytes; the
-/// remainder of the buffer is the codec payload, decoded totally.
+/// (receiver knowledge — the monitor's own state layout): a fresh state
+/// through [`decode_state_coded_into`].
 pub fn decode_state_coded(
     buf: &[u8],
     expected: &LocalState,
     codec: &dyn Codec,
 ) -> Result<LocalState, DecodeError> {
+    let mut state = expected.clone();
+    decode_state_coded_into(buf, &mut state, codec)?;
+    Ok(state)
+}
+
+/// Decodes a coded state frame into `slot`, whose shape is the receiver's
+/// expectation. The wire header's tag and dimensions must match the slot
+/// **before** anything is written, so a well-framed state of another
+/// shape changes nothing; the remainder of the buffer is the codec
+/// payload, decoded totally. After an `Err` from the payload itself the
+/// slot's values are unspecified (its shape is kept).
+pub fn decode_state_coded_into(
+    buf: &[u8],
+    slot: &mut LocalState,
+    codec: &dyn Codec,
+) -> Result<(), DecodeError> {
     let tag = *buf.first().ok_or(DecodeError::Truncated)?;
     let mut off = 1usize;
     let drift_sq_norm = get_f32(buf, &mut off)?;
-    let summary = match (&expected.summary, tag) {
-        (StateSummary::Linear(_), 0) => {
-            let mut proj = [0.0f32];
-            codec.decode_into(&buf[off..], &mut proj)?;
-            StateSummary::Linear(proj[0])
-        }
+    match (&slot.summary, tag) {
+        (StateSummary::Linear(_), 0) => {}
         (StateSummary::Sketch(want), 1) => {
             let rows = get_u16(buf, &mut off)? as usize;
             let cols = get_u16(buf, &mut off)? as usize;
             if rows != want.rows() || cols != want.cols() {
                 return Err(DecodeError::Malformed("sketch shape mismatch"));
             }
-            let mut sk = AmsSketch::zeros(rows, cols);
-            codec.decode_into(&buf[off..], sk.as_mut_slice())?;
-            StateSummary::Sketch(sk)
         }
         (StateSummary::Exact(want), 2) => {
             let len = get_u32(buf, &mut off)? as usize;
             if len != want.len() {
                 return Err(DecodeError::Malformed("exact summary length mismatch"));
             }
-            StateSummary::Exact(codec.decode(&buf[off..], len)?)
         }
         (_, 0..=2) => return Err(DecodeError::Malformed("state tag mismatch")),
         (_, other) => return Err(DecodeError::BadTag(other)),
-    };
-    Ok(LocalState {
-        drift_sq_norm,
-        summary,
-    })
+    }
+    codec.decode_into(&buf[off..], slot.summary_slice_mut())?;
+    slot.drift_sq_norm = drift_sq_norm;
+    Ok(())
 }
 
 /// Encodes a vector with the run carried as a codec payload:
@@ -364,20 +369,32 @@ pub fn encode_vector_coded_into(v: &[f32], codec: &dyn Codec, out: &mut Vec<u8>)
 }
 
 /// Decodes a coded vector frame against the receiver's `expected_len`
-/// (e.g. the model dimension). The length header must match the
-/// expectation before any allocation — the untrusted header never sizes
-/// memory — and the rest of the buffer is the codec payload.
+/// (e.g. the model dimension): a fresh vector through
+/// [`decode_vector_coded_into`]. The untrusted header never sizes memory.
 pub fn decode_vector_coded(
     buf: &[u8],
     expected_len: usize,
     codec: &dyn Codec,
 ) -> Result<Vec<f32>, DecodeError> {
+    let mut v = vec![0.0; expected_len];
+    decode_vector_coded_into(buf, &mut v, codec)?;
+    Ok(v)
+}
+
+/// Decodes a coded vector frame into `out`, whose length is the
+/// receiver's expectation. The length header must match it before
+/// anything is written; the rest of the buffer is the codec payload.
+/// After an `Err` from the payload itself `out` holds unspecified values.
+pub fn decode_vector_coded_into(
+    buf: &[u8],
+    out: &mut [f32],
+    codec: &dyn Codec,
+) -> Result<(), DecodeError> {
     let mut off = 0usize;
-    let len = get_u32(buf, &mut off)? as usize;
-    if len != expected_len {
+    if get_u32(buf, &mut off)? as usize != out.len() {
         return Err(DecodeError::Malformed("vector length mismatch"));
     }
-    Ok(codec.decode(&buf[off..], len)?)
+    Ok(codec.decode_into(&buf[off..], out)?)
 }
 
 /// Upper bound on one transport frame's `len` field (kind byte + payload),
@@ -1290,7 +1307,7 @@ mod tests {
         let bytes = encode_vector_coded(&v, &codec);
         let back = decode_vector_coded(&bytes, 100, &codec).unwrap();
         assert_eq!(encode_vector_coded(&back, &codec), bytes);
-        // Wrong expectation: rejected before any allocation.
+        // Wrong expectation: rejected by the header check.
         assert!(matches!(
             decode_vector_coded(&bytes, 99, &codec),
             Err(DecodeError::Malformed(_))
@@ -1298,5 +1315,56 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(decode_vector_coded(&bytes[..cut], 100, &codec).is_err());
         }
+    }
+
+    /// The slot decoders leave a slot of another shape untouched and
+    /// otherwise agree with the allocating decoders bit for bit, whatever
+    /// the slot held before.
+    #[test]
+    fn into_decoders_check_the_slot_shape_before_writing() {
+        use fda_comm::compress::Uniform8Bit;
+        let codec = Uniform8Bit::new(32);
+        // Each monitor beside a state of another shape: wider sketch rows,
+        // a shorter exact drift, another summary kind.
+        let wide = SketchMonitor::new(SketchConfig::new(5, 51, 7), 64);
+        for (monitor, other) in [
+            (
+                Box::new(SketchMonitor::new(SketchConfig::new(5, 50, 7), 64))
+                    as Box<dyn VarianceMonitor>,
+                wide.local_state(&drift(64)),
+            ),
+            (
+                Box::new(ExactMonitor::new(64)),
+                ExactMonitor::new(63).local_state(&drift(63)),
+            ),
+            (
+                Box::new(LinearMonitor::new()),
+                ExactMonitor::new(64).local_state(&drift(64)),
+            ),
+        ] {
+            let state = monitor.local_state(&drift(64));
+            let bytes = encode_state_coded(&state, &codec);
+            let mut slot = other.clone();
+            assert!(decode_state_coded_into(&bytes, &mut slot, &codec).is_err());
+            assert_eq!(slot, other, "{}", monitor.name());
+            let mut slot = monitor.local_state(&[0.5; 64]);
+            decode_state_coded_into(&bytes, &mut slot, &codec).unwrap();
+            let fresh = decode_state_coded(&bytes, &state, &codec).unwrap();
+            assert_eq!(
+                encode_state(&slot),
+                encode_state(&fresh),
+                "{}",
+                monitor.name()
+            );
+        }
+
+        let v = drift(100);
+        let bytes = encode_vector_coded(&v, &codec);
+        let mut short = vec![1.5f32; 99];
+        assert!(decode_vector_coded_into(&bytes, &mut short, &codec).is_err());
+        assert_eq!(short, vec![1.5f32; 99]);
+        let mut slot = vec![-2.0f32; 100];
+        decode_vector_coded_into(&bytes, &mut slot, &codec).unwrap();
+        assert_eq!(slot, decode_vector_coded(&bytes, 100, &codec).unwrap());
     }
 }

@@ -46,7 +46,8 @@ use fda_comm::{AccountingMode, SimNetwork};
 use fda_core::monitor::LocalState;
 use fda_core::round::Server;
 use fda_core::wire::{
-    decode_state_coded, decode_vector_coded, encode_state_into, state_frame_overhead, JobSpec,
+    decode_state_coded_into, decode_vector_coded_into, encode_state_into, state_frame_overhead,
+    JobSpec,
 };
 use fda_obs::{DropRecord, JsonlWriter, MembershipRecord, RoundEvent, RunEvent};
 use fda_tensor::vector;
@@ -605,13 +606,16 @@ struct Run<'a> {
     /// Round-persistent scratch: the averaged-state broadcast is encoded
     /// once per round into `bcast`, its frame head (checksum included) is
     /// composed once, and both are fanned out as borrowed slices to every
-    /// worker; the deposits are reset in place — the steady-state round
-    /// loop performs a small constant number of allocations.
+    /// worker; deposits are decoded into per-id slots — the steady-state
+    /// round loop allocates nothing sized by the payload.
     bcast: Vec<u8>,
-    /// The phase's deposits and their accounted payload sizes, in worker-id
-    /// order over the workers that completed the phase.
-    states: Vec<LocalState>,
-    models: Vec<Vec<f32>>,
+    /// One state slot and one model slot per worker id, shaped at
+    /// formation and overwritten by each of that worker's deposits.
+    state_slots: Vec<LocalState>,
+    model_slots: Vec<Vec<f32>>,
+    /// The ids that completed the current phase, ascending, and their
+    /// deposits' accounted payload sizes.
+    deposited: Vec<usize>,
     payloads: Vec<u64>,
 }
 
@@ -639,6 +643,7 @@ impl<'a> Run<'a> {
             spec,
             dim,
             state_overhead: state_frame_overhead(server.avg_state()),
+            state_slots: vec![server.avg_state().clone(); k],
             server,
             tele,
             members: Membership::form(coord.accept_workers(k)?, coord.policy.min_workers),
@@ -651,8 +656,8 @@ impl<'a> Run<'a> {
             estimates: Vec::with_capacity(spec.steps as usize),
             downlink_model_bytes: 0,
             bcast: Vec::new(),
-            states: Vec::with_capacity(k),
-            models: Vec::with_capacity(k),
+            model_slots: (0..k).map(|_| vec![0.0; dim]).collect(),
+            deposited: Vec::with_capacity(k),
             payloads: Vec::with_capacity(k),
         };
         let epoch = run.members.epoch;
@@ -713,10 +718,14 @@ impl<'a> Run<'a> {
         let read_timeout = self.coord.read_timeout;
         let timed = self.tele.is_some();
         let mut deposit_us: Vec<(u32, u64)> = Vec::new();
-        self.states.clear();
+        self.deposited.clear();
         self.payloads.clear();
-        let (states, payloads) = (&mut self.states, &mut self.payloads);
-        let (shape, codec) = (self.server.avg_state(), self.server.uplink());
+        let (slots, deposited, payloads) = (
+            &mut self.state_slots,
+            &mut self.deposited,
+            &mut self.payloads,
+        );
+        let codec = self.server.uplink();
         let overhead = self.state_overhead;
         self.members.each_live(step, |id, conn| {
             let remaining = deadline
@@ -728,16 +737,16 @@ impl<'a> Run<'a> {
                 FrameKind::State => {}
                 other => return Err(unexpected("state", other)),
             }
-            // The coded decoder validates tag, dims and payload totality
-            // against the expected template before any allocation; a
-            // mismatch is the same protocol drop a wrong-shaped dense
-            // deposit always was.
-            let state = decode_state_coded(&conn.rbuf[1..], shape, codec)?;
+            // The coded decoder checks tag and dims against the slot before
+            // writing it; a mismatch is the same protocol drop a
+            // wrong-shaped dense deposit always was, and a failed deposit's
+            // slot is never read.
+            decode_state_coded_into(&conn.rbuf[1..], &mut slots[id], codec)?;
             if let Some(t0) = t0 {
                 deposit_us.push((id as u32, t0.elapsed().as_micros() as u64));
             }
             conn.set_read_timeout(read_timeout)?;
-            states.push(state);
+            deposited.push(id);
             payloads.push(conn.rbuf.len() as u64 - 1 - overhead);
             Ok(())
         })?;
@@ -761,7 +770,11 @@ impl<'a> Run<'a> {
     /// slice; a failed write is a drop, not a run abort. Returns
     /// `(H(S̄), sync)`.
     fn decide_and_broadcast(&mut self, step: u32) -> Result<(f32, bool), NetError> {
-        let states: Vec<&LocalState> = self.states.iter().collect();
+        let states: Vec<&LocalState> = self
+            .deposited
+            .iter()
+            .map(|&id| &self.state_slots[id])
+            .collect();
         let (estimate, sync) = self
             .server
             .decide(&mut self.net, None, &states, &self.payloads);
@@ -781,24 +794,32 @@ impl<'a> Run<'a> {
     /// (4) The model uploads, the server's model AllReduce, then the
     /// server's consensus downlink.
     fn sync_models(&mut self, step: u32) -> Result<(), NetError> {
-        let dim = self.dim;
-        self.models.clear();
+        self.deposited.clear();
         self.payloads.clear();
-        let (models, payloads) = (&mut self.models, &mut self.payloads);
+        let (slots, deposited, payloads) = (
+            &mut self.model_slots,
+            &mut self.deposited,
+            &mut self.payloads,
+        );
         let codec = self.server.uplink();
-        self.members.each_live(step, |_, conn| {
+        self.members.each_live(step, |id, conn| {
             match conn.recv_frame_current()? {
                 FrameKind::Model => {}
                 other => return Err(unexpected("model", other)),
             }
-            models.push(decode_vector_coded(&conn.rbuf[1..], dim, codec)?);
+            decode_vector_coded_into(&conn.rbuf[1..], &mut slots[id], codec)?;
+            deposited.push(id);
             // Charge the encoded payload; the 4-byte length header is
             // framing.
             payloads.push(conn.rbuf.len() as u64 - 1 - 4);
             Ok(())
         })?;
         self.measure();
-        let models: Vec<&[f32]> = self.models.iter().map(Vec::as_slice).collect();
+        let models: Vec<&[f32]> = self
+            .deposited
+            .iter()
+            .map(|&id| &self.model_slots[id][..])
+            .collect();
         self.server
             .commit(&mut self.net, None, &models, &self.payloads);
 

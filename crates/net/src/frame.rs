@@ -19,17 +19,19 @@
 //!   per-connection protocol error instead of a silently-wrong decode.
 //!   CRC-32C detects every burst error up to 32 bits and every 1-, 2- and
 //!   3-bit error at any frame size this protocol allows; it runs on the
-//!   SSE4.2 `crc32` instruction where the host has it (8 bytes per
-//!   instruction) and on a slicing-by-8 table elsewhere — one polynomial,
-//!   so the two agree by definition and peers on different hosts
-//!   interoperate. The `len` field is the only unchecksummed region: the
-//!   receiver needs it to know how many bytes the checksum covers, and a
-//!   corrupted length desynchronizes the stream into a checksum or I/O
-//!   error anyway;
+//!   SSE4.2 `crc32` instruction where the host has it (three interleaved
+//!   chains of 8-byte folds over a buffer of 4 KiB or more, joined into
+//!   the one-chain value) and on a slicing-by-8 table elsewhere — one
+//!   polynomial and one value for every input, so the arms agree by
+//!   definition and peers on different hosts interoperate. The `len`
+//!   field is the only unchecksummed region: the receiver needs it to
+//!   know how many bytes the checksum covers, and a corrupted length
+//!   desynchronizes the stream into a checksum or I/O error anyway;
 //! * **membership versioning** — `epoch` is the coordinator's membership
 //!   epoch (bumped on every worker drop or rejoin), so a stale deposit
 //!   from a zombie connection is rejected instead of averaged (see
-//!   `protocol::recv_at_epoch` and the coordinator's failure model).
+//!   `protocol::recv_frame_at_epoch_into` and the coordinator's failure
+//!   model).
 //!
 //! A frame's 13-byte head depends on the payload only through the
 //! checksum, and not on the recipient at all, so a broadcast composes it
@@ -97,11 +99,78 @@ pub fn checksum(chunks: &[&[u8]]) -> u32 {
 
 /// CRC-32C state updates: the SSE4.2 instruction and the portable table,
 /// and the once-per-process choice between them.
+///
+/// The SSE4.2 arm runs three `crc32` chains side by side on buffers of at
+/// least [`INTERLEAVE_MIN`] bytes. One chain is bound by the instruction's
+/// three-cycle latency; three independent ones fill its one-per-cycle
+/// throughput. The chains are joined by the zero-append identity
+/// `crc(a‖b) = shift(crc(a), |b|) ⊕ crc₀(b)` (`crc₀` starts from the zero
+/// state), which holds because a CRC is linear in its state and its bytes.
+/// So the result is the one-chain value for every input and carried-in
+/// state, not merely a checksum as good as it.
 mod crc32c {
     use std::sync::OnceLock;
 
     /// Folds `bytes` into a raw (un-inverted) CRC state.
     pub type Update = fn(u32, &[u8]) -> u32;
+
+    /// The Castagnoli polynomial, reflected: bit 31 holds x⁰, bit 0 x³¹.
+    const POLY: u32 = 0x82F6_3B78;
+
+    /// Buffers shorter than this take one chain: below it, the combine
+    /// (≈ 0.1 µs, most of it [`x8n`]) costs about what the second and
+    /// third chains save.
+    pub(super) const INTERLEAVE_MIN: usize = 4096;
+
+    /// `a·b mod P` in the reflected representation — zlib's `multmodp`,
+    /// without its data-dependent branches.
+    const fn multmodp(a: u32, mut b: u32) -> u32 {
+        let mut p = 0u32;
+        let mut i = 0;
+        while i < 32 {
+            p ^= b & ((a >> (31 - i)) & 1).wrapping_neg();
+            b = (b >> 1) ^ (POLY & (b & 1).wrapping_neg());
+            i += 1;
+        }
+        p
+    }
+
+    /// `X2N[k]` = x^(2^k) mod P, by repeated squaring from x¹. The
+    /// sequence has period 31 for this polynomial (x^(2^31) ≡ x, asserted
+    /// below), so exponent bit `k` reads entry `k % 31`. zlib's `k & 31`
+    /// relies on period 32, which its polynomial has and this one lacks.
+    const X2N: [u32; 31] = {
+        let mut t = [0u32; 31];
+        let mut p = 1u32 << 30;
+        let mut k = 0;
+        while k < 31 {
+            t[k] = p;
+            p = multmodp(p, p);
+            k += 1;
+        }
+        t
+    };
+    const _: () = assert!(multmodp(X2N[30], X2N[30]) == X2N[0]);
+
+    /// x^(8·n) mod P: the factor that appends `n` zero bytes.
+    fn x8n(n: usize) -> u32 {
+        let (mut p, mut n, mut k) = (1u32 << 31, n, 3usize);
+        while n != 0 {
+            if n & 1 != 0 {
+                p = multmodp(X2N[k % 31], p);
+            }
+            n >>= 1;
+            k += 1;
+        }
+        p
+    }
+
+    /// The raw state of a message in state `crc` once `n` zero bytes are
+    /// appended to it — the operator the SSE4.2 arm's combine applies.
+    #[cfg(test)]
+    pub fn shift(crc: u32, n: usize) -> u32 {
+        multmodp(x8n(n), crc)
+    }
 
     /// Slicing-by-8 tables (8 KiB, built at compile time): `TABLES[0]` is
     /// the classic byte-at-a-time table, `TABLES[j][b]` the CRC of byte
@@ -113,7 +182,7 @@ mod crc32c {
             let mut crc = b as u32;
             let mut bit = 0;
             while bit < 8 {
-                crc = (crc >> 1) ^ (0x82F6_3B78 & (crc & 1).wrapping_neg());
+                crc = (crc >> 1) ^ (POLY & (crc & 1).wrapping_neg());
                 bit += 1;
             }
             t[0][b] = crc;
@@ -164,17 +233,40 @@ mod crc32c {
         None
     }
 
+    /// Three chains over the buffer's 8-byte-aligned thirds, joined by one
+    /// combine, when it holds at least [`INTERLEAVE_MIN`] bytes; then one
+    /// chain over what is left (all of a short buffer, < 24 bytes of a
+    /// long one).
+    ///
     /// # Safety
     /// Host supports SSE4.2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "sse4.2")]
     unsafe fn sse42(crc: u32, bytes: &[u8]) -> u32 {
         use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+        let le = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
         let mut crc = crc as u64;
-        let mut words = bytes.chunks_exact(8);
+        let mut rest = bytes;
+        if bytes.len() >= INTERLEAVE_MIN {
+            let third = bytes.len() / 24 * 8;
+            let (lanes, tail) = bytes.split_at(3 * third);
+            let (l0, l12) = lanes.split_at(third);
+            let (l1, l2) = l12.split_at(third);
+            let (mut c0, mut c1, mut c2) = (crc, 0u64, 0u64);
+            let words = l0.chunks_exact(8).zip(l1.chunks_exact(8));
+            for ((w0, w1), w2) in words.zip(l2.chunks_exact(8)) {
+                c0 = _mm_crc32_u64(c0, le(w0));
+                c1 = _mm_crc32_u64(c1, le(w1));
+                c2 = _mm_crc32_u64(c2, le(w2));
+            }
+            // crc(l0‖l1‖l2) = shift(shift(c0, |l1|) ⊕ c1, |l2|) ⊕ c2.
+            let x = x8n(third);
+            crc = (multmodp(x, multmodp(x, c0 as u32) ^ c1 as u32) ^ c2 as u32) as u64;
+            rest = tail;
+        }
+        let mut words = rest.chunks_exact(8);
         for w in &mut words {
-            let word = u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]);
-            crc = _mm_crc32_u64(crc, word);
+            crc = _mm_crc32_u64(crc, le(w));
         }
         let mut crc = crc as u32;
         for &b in words.remainder() {
@@ -587,6 +679,9 @@ pub(crate) fn write_frame_with<W: Write>(
     Ok(())
 }
 
+/// How far [`read_frame_into`] grows a buffer ahead of the bytes received.
+const GROW_STEP: usize = 1 << 20;
+
 /// Reads one frame into a caller-owned buffer, validating the length
 /// header against [`MAX_FRAME_BYTES`] before growing the buffer and
 /// verifying the checksum before handing the payload to any decoder.
@@ -595,7 +690,10 @@ pub(crate) fn write_frame_with<W: Write>(
 /// payload, i.e. the payload is `&buf[1..]` — and the frame's kind and
 /// membership epoch stamp are returned. Reusing one buffer per connection
 /// turns the read path's per-frame allocation into an amortized no-op
-/// (the buffer only grows to the largest frame seen).
+/// (the buffer only grows to the largest frame seen). A buffer grows with
+/// the bytes that arrive, at most [`GROW_STEP`] ahead of them, so a header
+/// that merely claims a huge frame costs the receiver one step, not the
+/// claimed length.
 pub fn read_frame_into<R: Read>(
     r: &mut R,
     buf: &mut Vec<u8>,
@@ -610,10 +708,20 @@ pub fn read_frame_into<R: Read>(
                 "frame length {len} outside (0, {MAX_FRAME_BYTES}]"
             )));
         }
-        // No `clear()` first: `read_exact` overwrites every byte, so only
-        // growth past the previous frame needs zero-filling.
-        buf.resize(len as usize, 0);
-        r.read_exact(buf)?;
+        let len = len as usize;
+        if len <= buf.capacity() {
+            // No `clear()` first: `read_exact` overwrites every byte, so
+            // only growth past the previous frame needs zero-filling.
+            buf.resize(len, 0);
+            r.read_exact(buf)?;
+        } else {
+            buf.clear();
+            while buf.len() < len {
+                let start = buf.len();
+                buf.resize(len.min(start + GROW_STEP), 0);
+                r.read_exact(&mut buf[start..])?;
+            }
+        }
     }
     let _span = fda_obs::histogram!("net_frame_decode_us").span();
     let epoch_bytes: [u8; 4] = header[4..8].try_into().expect("len 4");
@@ -896,6 +1004,42 @@ mod tests {
         assert_eq!(&buf[1..], &[7u8; 32][..]);
     }
 
+    /// A header claiming the largest legal frame, then 1 KB and a hang-up:
+    /// a disconnect, after growing the buffer by one step — not by the
+    /// claimed 256 MiB.
+    #[test]
+    fn a_claimed_length_grows_the_buffer_only_with_the_bytes_that_arrive() {
+        let mut wire = MAX_FRAME_BYTES.to_le_bytes().to_vec();
+        wire.extend_from_slice(&[0u8; 8]);
+        wire.extend_from_slice(&[7u8; 1024]);
+        let mut buf = Vec::new();
+        let res = read_frame_into(&mut std::io::Cursor::new(wire), &mut buf);
+        assert!(matches!(res, Err(NetError::Disconnect(_))), "{res:?}");
+        assert!(buf.capacity() < 2 << 20, "capacity {}", buf.capacity());
+    }
+
+    /// A frame several growth steps long arrives whole into an empty
+    /// buffer, and the grown buffer then takes frames of any size up to it
+    /// without reallocating.
+    #[test]
+    fn read_frame_into_grows_in_steps_to_a_large_frame() {
+        let big: Vec<u8> = (0..(5 << 19) + 3).map(|i| (i * 13) as u8).collect();
+        let mut wire: Vec<u8> = Vec::new();
+        write_frame(&mut wire, 4, FrameKind::Model, &big).unwrap();
+        write_frame(&mut wire, 4, FrameKind::Model, &big[..(3 << 19)]).unwrap();
+        let mut cursor = std::io::Cursor::new(wire);
+        let mut buf = Vec::new();
+        assert_eq!(
+            read_frame_into(&mut cursor, &mut buf).unwrap(),
+            (FrameKind::Model, 4)
+        );
+        assert!(buf[1..] == big[..]);
+        let cap = buf.capacity();
+        read_frame_into(&mut cursor, &mut buf).unwrap();
+        assert!(buf[1..] == big[..(3 << 19)]);
+        assert_eq!(buf.capacity(), cap);
+    }
+
     #[test]
     fn read_frame_into_reuses_the_buffer() {
         let mut wire: Vec<u8> = Vec::new();
@@ -966,36 +1110,93 @@ mod tests {
             checksum(&[&data[..3], &[], &data[3..50], &data[50..]]),
             whole
         );
+
+        // A 64 KiB buffer splits into thirds of 21 840 bytes and a 16-byte
+        // tail; chunks that end on, just before or just past a third's
+        // edge (or the tail's) carry a state into the next chunk's lanes.
+        let data: Vec<u8> = (0..65_536u32).map(|i| (i * 37 + 11) as u8).collect();
+        let whole = checksum(&[&data]);
+        let third = 65_536 / 24 * 8;
+        for edge in [third, 2 * third, 3 * third] {
+            for split in [edge - 8, edge - 1, edge, edge + 1, edge + 8] {
+                let (a, b) = data.split_at(split);
+                assert_eq!(checksum(&[a, b]), whole, "split at {split}");
+            }
+        }
+        let (a, rest) = data.split_at(third - 1);
+        let (b, c) = rest.split_at(third + 2);
+        assert_eq!(checksum(&[a, b, c]), whole);
+    }
+
+    /// The zero-append operator the interleaved arm joins its chains with:
+    /// shifting a state by `n` is folding in `n` zero bytes.
+    #[test]
+    fn shift_is_appending_zero_bytes() {
+        let zeros = vec![0u8; 58_760];
+        for n in [0usize, 1, 7, 8, 4096, 58_760] {
+            for crc in [0u32, 1, !0, 0x8000_0000, 0xE306_9283] {
+                assert_eq!(
+                    crc32c::shift(crc, n),
+                    crc32c::table(crc, &zeros[..n]),
+                    "n {n} crc {crc:#010x}"
+                );
+            }
+        }
+    }
+
+    /// A host-independent known answer past the interleave threshold: an
+    /// integer-generated buffer the size of a `tcp-sync-head` model frame,
+    /// pinned from the table arm, is the same under every arm.
+    #[test]
+    fn checksum_known_answer_of_a_model_sized_buffer() {
+        const WANT: u32 = 0xAFBF_C430;
+        let bytes: Vec<u8> = (0..176_281u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        assert_eq!(!crc32c::table(!0, &bytes), WANT);
+        assert_eq!(checksum(&[&bytes]), WANT);
+        if let Some(hardware) = crc32c::hardware() {
+            assert_eq!(!hardware(!0, &bytes), WANT);
+        }
     }
 
     /// The two arms are one function: every length 0..=4096 at every
-    /// 8-byte alignment, plus a carried-in state (the chunked use). Skips
-    /// the comparison (not the table's known answers above) on a host
-    /// without SSE4.2.
+    /// 8-byte alignment, then every length within 24 bytes of the
+    /// interleave threshold, buffers whose thirds are 3k − 1, 3k and
+    /// 3k + 1 words (and a byte either side), and a model frame, each at
+    /// every alignment — all with carried-in states (the chunked use).
+    /// Skips the comparison (not the table's known answers above) on a
+    /// host without SSE4.2.
     #[test]
     fn hardware_crc_equals_table_crc() {
         let Some(hardware) = crc32c::hardware() else {
             return;
         };
         let mut rng = fda_tensor::Rng::new(0xC4C);
-        let backing: Vec<u8> = (0..4096 + 8).map(|_| rng.next_u64() as u8).collect();
-        for len in 0..=4096usize {
-            let align = len % 8;
+        let backing: Vec<u8> = (0..180_000).map(|_| rng.next_u64() as u8).collect();
+        let check = |len: usize, align: usize, seed: u32| {
             let bytes = &backing[align..align + len];
-            let seed = (len as u32).wrapping_mul(0x9E37_79B9);
             assert_eq!(
                 hardware(seed, bytes),
                 crc32c::table(seed, bytes),
-                "len {len} align {align}"
+                "len {len} align {align} seed {seed:#010x}"
             );
+        };
+        for len in 0..=4096usize {
+            check(len, len % 8, (len as u32).wrapping_mul(0x9E37_79B9));
+        }
+        let min = crc32c::INTERLEAVE_MIN;
+        let words = [200usize, 683, 2048, 7345].into_iter().flat_map(|k| {
+            let n = 24 * k;
+            [n - 8, n - 1, n, n + 1, n + 8]
+        });
+        for len in (min - 24..=min + 24).chain(words).chain([176_281]) {
+            for align in 0..8 {
+                check(len, align, rng.next_u64() as u32);
+            }
         }
         for align in 0..8 {
-            let bytes = &backing[align..align + 1021];
-            assert_eq!(
-                hardware(!0, bytes),
-                crc32c::table(!0, bytes),
-                "align {align}"
-            );
+            check(1021, align, !0);
         }
     }
 }

@@ -1,10 +1,10 @@
 //! Allocation-regression fence for the transport's steady-state round
 //! loop: the coordinator's per-round allocation count must be a small
-//! constant — payload buffers, receive buffers, and broadcast scratch are
-//! round-persistent, so growing the run by N rounds may only add the
-//! constant per-round bookkeeping (per-worker state decodes, the round
-//! log), never per-byte work like frame re-encoding or `to_vec` copies of
-//! received payloads.
+//! constant — payload buffers, receive buffers, deposit slots and
+//! broadcast scratch are round-persistent, so growing the run by N rounds
+//! may only add the constant per-round bookkeeping (the reduce's
+//! reference lists, the round log), never per-byte work like frame
+//! re-encoding, `to_vec` copies of received payloads, or a decoded upload.
 //!
 //! Measured with a *thread-local* counter inside the global allocator:
 //! `run_with_thread_workers` runs the coordinator on the calling thread
@@ -16,22 +16,18 @@ use fda_core::cluster::ClusterConfig;
 use fda_core::fda::FdaConfig;
 use fda_core::wire::JobSpec;
 use fda_data::synth::SynthSpec;
-use fda_obs::alloc_count::{allocs, CountingAlloc};
+use fda_obs::alloc_count::{allocs, large_allocs, set_large_bytes, CountingAlloc};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-const K: usize = 3;
-
-/// Runs a Θ = ∞ job (state-only rounds — the steady-state fast path) and
-/// returns the coordinator thread's allocation count for the whole run.
-fn coordinator_allocs(steps: u32) -> u64 {
-    let spec = JobSpec {
+fn job(k: usize, fda: FdaConfig, steps: u32) -> JobSpec {
+    JobSpec {
         cluster: ClusterConfig {
-            workers: K,
-            ..ClusterConfig::small_test(K)
+            workers: k,
+            ..ClusterConfig::small_test(k)
         },
-        fda: FdaConfig::linear(f32::INFINITY),
+        fda,
         codec: fda_comm::CodecSpec::Dense,
         downlink: fda_comm::DownlinkSpec::Dense,
         steps,
@@ -41,37 +37,83 @@ fn coordinator_allocs(steps: u32) -> u64 {
             ..SynthSpec::synth_mnist()
         },
         task_name: "alloc-regression".to_string(),
-    };
-    let before = allocs();
-    let report = fda_net::run_with_thread_workers(&spec).expect("alloc-fence run");
-    let after = allocs();
-    assert_eq!(report.decisions.len(), steps as usize, "all rounds ran");
-    assert_eq!(report.syncs, 0, "Θ = ∞ must stay state-only");
-    after - before
+    }
 }
 
-/// The fence: differencing two run lengths cancels the per-run setup
-/// (listener, handshakes, config/resume encoding, final collection), so
-/// the slope is the coordinator's marginal allocations per round. The
-/// budget has headroom over the observed cost (K state decodes plus the
-/// round log and telemetry bookkeeping) but sits far below what any
+/// Runs `spec` and returns the coordinator thread's `(allocations,
+/// large allocations)` for the whole run, and its sync count.
+fn coordinator_allocs(spec: &JobSpec) -> (u64, u64, u64) {
+    let before = (allocs(), large_allocs());
+    let report = fda_net::run_with_thread_workers(spec).expect("alloc-fence run");
+    let after = (allocs(), large_allocs());
+    assert_eq!(
+        report.decisions.len(),
+        spec.steps as usize,
+        "all rounds ran"
+    );
+    (after.0 - before.0, after.1 - before.1, report.syncs)
+}
+
+/// Differencing two run lengths cancels the per-run setup (listener,
+/// handshakes, config/resume encoding, deposit slots, final collection),
+/// so the slope is the coordinator's marginal `(allocations, large
+/// allocations)` per round. Also returns the long run's sync count.
+fn per_round(job_of: impl Fn(u32) -> JobSpec) -> (f64, f64, u64) {
+    // Warm-up: metric registration, runtime one-time init.
+    let _ = coordinator_allocs(&job_of(3));
+    let (short_n, long_n) = (6u32, 30u32);
+    let short = coordinator_allocs(&job_of(short_n));
+    let long = coordinator_allocs(&job_of(long_n));
+    assert!(
+        long.0 >= short.0,
+        "longer run cannot allocate less ({} vs {})",
+        long.0,
+        short.0
+    );
+    let slope = |l: u64, s: u64| (l as f64 - s as f64) / f64::from(long_n - short_n);
+    (slope(long.0, short.0), slope(long.1, short.1), long.2)
+}
+
+/// The state-only fence: a Θ = ∞ job (the steady-state fast path). The
+/// budget has headroom over the observed cost but sits far below what any
 /// per-send encode buffer or per-recv `to_vec` would add.
 #[test]
 fn coordinator_round_loop_allocations_are_flat() {
-    // Warm-up: metric registration, runtime one-time init.
-    let _ = coordinator_allocs(3);
-    let short = coordinator_allocs(6);
-    let long = coordinator_allocs(30);
-    assert!(
-        long >= short,
-        "longer run cannot allocate less ({long} vs {short})"
-    );
-    let per_round = (long - short) as f64 / (30.0 - 6.0);
+    const K: usize = 3;
+    let (per_round, _, syncs) = per_round(|steps| job(K, FdaConfig::linear(f32::INFINITY), steps));
+    assert_eq!(syncs, 0, "Θ = ∞ must stay state-only");
     const BUDGET_PER_ROUND: f64 = 8.0;
     assert!(
         per_round <= BUDGET_PER_ROUND,
-        "coordinator allocates {per_round:.1}/round (short run {short}, long \
-         run {long}); budget is {BUDGET_PER_ROUND}/round — did a per-round \
-         encode buffer or payload copy sneak back into the hot path?"
+        "coordinator allocates {per_round:.1}/round; budget is \
+         {BUDGET_PER_ROUND}/round — did a per-round encode buffer or payload \
+         copy sneak back into the hot path?"
+    );
+}
+
+/// The synchronizing fence: a dense Θ = 0 SketchFDA job, where every
+/// round deposits a sketch and a model from every worker and broadcasts
+/// the consensus. Each upload is decoded into its worker's slot, so the
+/// coordinator allocates nothing model-sized per round, and its per-round
+/// count does not grow with K.
+#[test]
+fn synchronizing_rounds_allocate_nothing_model_sized_at_any_k() {
+    let cluster = ClusterConfig::small_test(1);
+    let dim = cluster.model.build(cluster.seed, 0).param_count();
+    set_large_bytes(dim * 4);
+    let mut slopes = Vec::new();
+    for k in [2usize, 3] {
+        let (all, large, syncs) = per_round(|steps| job(k, FdaConfig::sketch_auto(0.0), steps));
+        assert_eq!(syncs, 30, "K = {k}: Θ = 0 syncs every round");
+        assert_eq!(
+            large, 0.0,
+            "K = {k}: the coordinator allocates {large:.1} model-sized buffers per \
+             round — is an upload decoded into a fresh Vec again?"
+        );
+        slopes.push(all);
+    }
+    assert_eq!(
+        slopes[0], slopes[1],
+        "the coordinator's per-round allocations grow with K ({slopes:?} at K = 2, 3)"
     );
 }

@@ -250,24 +250,47 @@ fn k1_and_k2_processes_match_simulator() {
 
 /// Wire bytes and checksums do not depend on the kernel arm: a coordinator
 /// on this process's arm and worker processes forced onto the scalar arm
-/// (`FDA_FORCE_KERNEL=scalar`: table CRC, per-element quantizer) run a
-/// coded-uplink, delta-downlink job to completion — every frame either
-/// side checksummed verifies on the other, every coded payload decodes,
-/// and the bytes measured on the sockets equal the bytes charged.
-/// Trajectory equality is deliberately *not* asserted across arms (float
-/// reductions reassociate per arm; determinism is a per-arm property).
+/// (`FDA_FORCE_KERNEL=scalar`: table CRC, per-element quantizer) run two
+/// Θ = 0 jobs to completion — every frame either side checksummed
+/// verifies on the other, every coded payload decodes, and the bytes
+/// measured on the sockets equal the bytes charged. One job is coded
+/// (uniform8 uplink, delta downlink: model frames under 4 KiB); the other
+/// is dense both ways, so every round's model uploads and consensus
+/// broadcast are ~15 KB frames that the default arm checksums with its
+/// interleaved chains and the workers with the table. Trajectory equality
+/// is deliberately *not* asserted across arms (float reductions
+/// reassociate per arm; determinism is a per-arm property).
 #[test]
 fn scalar_arm_workers_pair_with_a_default_arm_coordinator() {
     use fda::comm::{CodecSpec, DownlinkSpec};
+
+    let uniform8 = CodecSpec::Uniform8 { chunk: 256 };
+    let mut coded = spec(2, FdaConfig::linear(0.0));
+    coded.codec = uniform8;
+    coded.downlink = DownlinkSpec::Delta { codec: uniform8 };
+    mixed_arm_run("coded", &coded);
+
+    let dense = spec(2, FdaConfig::linear(0.0));
+    let dim = dense
+        .cluster
+        .model
+        .build(dense.cluster.seed, 0)
+        .param_count();
+    assert!(
+        4 + dim * 4 > 4 << 10,
+        "a dense model frame ({dim} params) must be past the CRC interleave threshold"
+    );
+    mixed_arm_run("dense", &dense);
+}
+
+/// Runs `spec` with scalar-arm worker processes against a coordinator on
+/// this process's arm; asserts no drops, a sync every round, and measured
+/// == charged.
+fn mixed_arm_run(tag: &str, spec: &JobSpec) {
     use fda::net::{Coordinator, MemberEvent};
     use std::process::{Command, Stdio};
 
-    let k = 2;
-    let uniform8 = CodecSpec::Uniform8 { chunk: 256 };
-    let mut spec = spec(k, FdaConfig::linear(0.0));
-    spec.codec = uniform8;
-    spec.downlink = DownlinkSpec::Delta { codec: uniform8 };
-
+    let k = spec.cluster.workers;
     let coordinator = Coordinator::bind("127.0.0.1:0").expect("bind");
     let addr = coordinator.local_addr().expect("addr").to_string();
     let mut workers: Vec<_> = (0..k)
@@ -281,7 +304,7 @@ fn scalar_arm_workers_pair_with_a_default_arm_coordinator() {
                 .expect("spawn fda_node worker")
         })
         .collect();
-    let report = coordinator.run(&spec);
+    let report = coordinator.run(spec);
     for (id, child) in workers.iter_mut().enumerate() {
         if report.is_err() {
             let _ = child.kill();
@@ -289,24 +312,28 @@ fn scalar_arm_workers_pair_with_a_default_arm_coordinator() {
         let status = child.wait().expect("wait for worker");
         assert!(
             status.success() || report.is_err(),
-            "worker {id} exited with {status}"
+            "{tag}: worker {id} exited with {status}"
         );
     }
-    let report = report.expect("mixed-arm run");
+    let report = report.unwrap_or_else(|e| panic!("{tag}: mixed-arm run: {e}"));
 
     assert!(
         report
             .events
             .iter()
             .all(|e| matches!(e.event, MemberEvent::Joined { rejoin: false })),
-        "no worker may be dropped (a checksum or decode mismatch would drop one): {:?}",
+        "{tag}: no worker may be dropped (a checksum or decode mismatch would drop one): {:?}",
         report.events
     );
-    assert_eq!(report.survivors, vec![0, 1]);
-    assert_eq!(report.syncs, u64::from(STEPS), "Θ = 0 syncs every round");
+    assert_eq!(report.survivors, (0..k as u32).collect::<Vec<_>>(), "{tag}");
+    assert_eq!(
+        report.syncs,
+        u64::from(STEPS),
+        "{tag}: Θ = 0 syncs every round"
+    );
     assert_eq!(
         report.measured_payload_bytes, report.charged_bytes,
-        "bytes measured on the socket != bytes charged"
+        "{tag}: bytes measured on the socket != bytes charged"
     );
 }
 
