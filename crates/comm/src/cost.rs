@@ -1,35 +1,5 @@
-//! Byte accounting and wall-time cost models.
-
-/// How AllReduce traffic is charged to workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccountingMode {
-    /// Each worker transmits its payload once per AllReduce
-    /// (`payload_bytes` per worker). This matches the paper's headline
-    /// metric, which scales as `K · payload` per synchronization.
-    PerWorkerPayload,
-    /// Bandwidth-optimal ring AllReduce: each worker transmits
-    /// `2·(K−1)/K · payload` bytes.
-    RingAllReduce,
-}
-
-impl AccountingMode {
-    /// Bytes charged to **one** worker for an AllReduce of `payload_bytes`
-    /// across `k` workers.
-    pub fn per_worker_bytes(&self, payload_bytes: u64, k: usize) -> u64 {
-        assert!(k >= 1, "accounting: k must be >= 1");
-        if k == 1 {
-            // Degenerate single-worker cluster: nothing leaves the node.
-            return 0;
-        }
-        match self {
-            AccountingMode::PerWorkerPayload => payload_bytes,
-            AccountingMode::RingAllReduce => {
-                // 2(K−1)/K · payload, rounded up.
-                (2 * (k as u64 - 1) * payload_bytes).div_ceil(k as u64)
-            }
-        }
-    }
-}
+//! Wall-time cost models. The byte side — what one AllReduce charges a
+//! worker — is [`crate::sim::per_worker_bytes`].
 
 /// A deployment environment translating (bytes, steps) into wall-time.
 ///
@@ -101,30 +71,19 @@ impl Environment {
 mod tests {
     use super::*;
 
+    // The charging convention lives in `sim`; its unit checks stay here
+    // beside the cost model that prices the bytes.
+    use crate::sim::per_worker_bytes;
+
     #[test]
     fn per_worker_payload_is_identity_for_multiworker() {
-        let m = AccountingMode::PerWorkerPayload;
-        assert_eq!(m.per_worker_bytes(1000, 8), 1000);
-        assert_eq!(m.per_worker_bytes(1000, 2), 1000);
+        assert_eq!(per_worker_bytes(1000, 8), 1000);
+        assert_eq!(per_worker_bytes(1000, 2), 1000);
     }
 
     #[test]
     fn single_worker_costs_nothing() {
-        for m in [
-            AccountingMode::PerWorkerPayload,
-            AccountingMode::RingAllReduce,
-        ] {
-            assert_eq!(m.per_worker_bytes(12345, 1), 0);
-        }
-    }
-
-    #[test]
-    fn ring_is_cheaper_for_small_k_and_approaches_2x() {
-        let m = AccountingMode::RingAllReduce;
-        // K = 2: 2·(1)/2 = 1× payload.
-        assert_eq!(m.per_worker_bytes(1000, 2), 1000);
-        // Large K: → 2× payload.
-        assert_eq!(m.per_worker_bytes(1000, 1000), 1998);
+        assert_eq!(per_worker_bytes(12345, 1), 0);
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! fabric. This crate therefore provides:
 //!
 //! * [`sim::SimNetwork`] — an in-process AllReduce over worker buffers with
-//!   exact per-worker byte accounting under two accounting modes
-//!   ([`cost::AccountingMode`]): the paper's per-worker-payload convention
-//!   and a ring-allreduce convention.
+//!   exact byte accounting under the paper's per-worker-payload convention
+//!   ([`sim::per_worker_bytes`]).
 //! * [`cost::Environment`] — wall-time models for the three deployment
 //!   regimes of Figure 12 (FL at 0.5 Gbps, Balanced, ARIS-HPC InfiniBand),
 //!   used to translate (bytes, steps) into time and pick Θ.
@@ -23,5 +22,5 @@ pub use compress::{
     apply_delta_downlink_into, delta_downlink, delta_downlink_into, Codec, CodecError, CodecSpec,
     Dense32, DownlinkSpec, DriftMask, TopK, Uniform8Bit,
 };
-pub use cost::{AccountingMode, Environment};
+pub use cost::Environment;
 pub use sim::SimNetwork;

@@ -2,57 +2,47 @@
 //!
 //! `SimNetwork` performs the *arithmetic* of AllReduce (element-wise mean
 //! across worker buffers, result visible to all workers — §3 Notation) and
-//! *charges* each worker the bytes the chosen [`AccountingMode`] dictates.
-//! The simulation executes the identical numerics a real fabric would, so
-//! byte counts are exact and results are deterministic.
+//! *charges* each worker its payload under the paper's convention,
+//! [`per_worker_bytes`]. The simulation executes the identical numerics a
+//! real fabric would, so byte counts are exact and results are
+//! deterministic.
 
-use crate::cost::AccountingMode;
-
-/// Per-worker traffic counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TrafficStats {
-    /// Bytes transmitted by this worker.
-    pub bytes: u64,
-    /// AllReduce operations this worker participated in.
-    pub messages: u64,
+/// Bytes charged to **one** worker for an AllReduce of `payload_bytes`
+/// across `k` workers: the paper's convention (§4.1), under which each
+/// worker transmits its payload once, so a synchronization costs
+/// `K · payload`. A single-worker cluster moves nothing.
+///
+/// # Panics
+/// Panics if `k == 0`.
+pub fn per_worker_bytes(payload_bytes: u64, k: usize) -> u64 {
+    assert!(k >= 1, "accounting: k must be >= 1");
+    if k == 1 {
+        0
+    } else {
+        payload_bytes
+    }
 }
 
 /// A simulated `K`-worker collective-communication fabric.
 #[derive(Debug, Clone)]
 pub struct SimNetwork {
     k: usize,
-    mode: AccountingMode,
-    per_worker: Vec<TrafficStats>,
+    bytes: u64,
 }
 
 impl SimNetwork {
-    /// Creates a fabric for `k` workers with the paper's per-worker-payload
-    /// accounting.
-    pub fn new(k: usize) -> SimNetwork {
-        SimNetwork::with_mode(k, AccountingMode::PerWorkerPayload)
-    }
-
-    /// Creates a fabric with an explicit accounting mode.
+    /// Creates a fabric for `k` workers.
     ///
     /// # Panics
     /// Panics if `k == 0`.
-    pub fn with_mode(k: usize, mode: AccountingMode) -> SimNetwork {
+    pub fn new(k: usize) -> SimNetwork {
         assert!(k >= 1, "network: need at least one worker");
-        SimNetwork {
-            k,
-            mode,
-            per_worker: vec![TrafficStats::default(); k],
-        }
+        SimNetwork { k, bytes: 0 }
     }
 
     /// Number of workers.
     pub fn workers(&self) -> usize {
         self.k
-    }
-
-    /// The configured accounting mode.
-    pub fn mode(&self) -> AccountingMode {
-        self.mode
     }
 
     /// AllReduce-average over one equal-length `f32` buffer per worker:
@@ -99,29 +89,11 @@ impl SimNetwork {
         self.charge_per_worker(payloads);
     }
 
-    /// AllReduce-average over one scalar per worker; returns the mean and
-    /// stores it back into every slot.
-    pub fn allreduce_scalar(&mut self, values: &mut [f32]) -> f32 {
-        assert_eq!(values.len(), self.k, "allreduce: scalar count != K");
-        let mean = values.iter().sum::<f32>() / self.k as f32;
-        values.iter_mut().for_each(|v| *v = mean);
-        self.charge_all(4);
-        mean
-    }
-
     /// Charges every worker for an AllReduce with the given payload,
     /// without performing arithmetic (used when the caller fuses payloads —
-    /// e.g. FDA's state = sketch ‖ scalar — but wants one traffic entry).
+    /// e.g. FDA's state = sketch ‖ scalar — into one charge).
     pub fn charge_allreduce(&mut self, payload_bytes: u64) {
-        self.charge_all(payload_bytes);
-    }
-
-    fn charge_all(&mut self, payload_bytes: u64) {
-        let per = self.mode.per_worker_bytes(payload_bytes, self.k);
-        for s in &mut self.per_worker {
-            s.bytes += per;
-            s.messages += 1;
-        }
+        self.bytes += self.k as u64 * per_worker_bytes(payload_bytes, self.k);
     }
 
     /// Charges worker `i` for an AllReduce participation with its own
@@ -133,31 +105,15 @@ impl SimNetwork {
     /// Panics if `payloads.len() != K`.
     pub fn charge_per_worker(&mut self, payloads: &[u64]) {
         assert_eq!(payloads.len(), self.k, "charge: payload count != K");
-        for (s, &payload) in self.per_worker.iter_mut().zip(payloads) {
-            s.bytes += self.mode.per_worker_bytes(payload, self.k);
-            s.messages += 1;
+        for &payload in payloads {
+            self.bytes += per_worker_bytes(payload, self.k);
         }
     }
 
     /// Total bytes transmitted by all workers — the paper's communication
     /// metric.
     pub fn total_bytes(&self) -> u64 {
-        self.per_worker.iter().map(|s| s.bytes).sum()
-    }
-
-    /// Total AllReduce participations summed over workers.
-    pub fn total_messages(&self) -> u64 {
-        self.per_worker.iter().map(|s| s.messages).sum()
-    }
-
-    /// Traffic of a single worker.
-    pub fn worker_stats(&self, k: usize) -> &TrafficStats {
-        &self.per_worker[k]
-    }
-
-    /// Resets the counters.
-    pub fn reset(&mut self) {
-        self.per_worker = vec![TrafficStats::default(); self.k];
+        self.bytes
     }
 }
 
@@ -182,33 +138,6 @@ mod tests {
         net.allreduce_mean(&mut bufs);
         // 100 f32 = 400 bytes per worker, 4 workers.
         assert_eq!(net.total_bytes(), 1_600);
-        assert_eq!(net.total_messages(), 4);
-        assert_eq!(net.worker_stats(2).bytes, 400);
-    }
-
-    #[test]
-    fn ring_mode_charges_less_per_worker() {
-        let mut a = SimNetwork::with_mode(8, AccountingMode::PerWorkerPayload);
-        let mut b = SimNetwork::with_mode(8, AccountingMode::RingAllReduce);
-        let mut bufs_a = vec![vec![0.0f32; 1000]; 8];
-        let mut bufs_b = bufs_a.clone();
-        a.allreduce_mean(&mut bufs_a);
-        b.allreduce_mean(&mut bufs_b);
-        // Ring: 2·7/8 = 1.75× < 2× but per-worker-payload charges 1×...
-        // actually ring charges MORE per worker here (1.75×·payload versus
-        // 1×·payload): what matters is both are exact for their convention.
-        assert_eq!(a.worker_stats(0).bytes, 4_000);
-        assert_eq!(b.worker_stats(0).bytes, 7_000);
-    }
-
-    #[test]
-    fn scalar_allreduce() {
-        let mut net = SimNetwork::new(5);
-        let mut vals = vec![1.0f32, 2.0, 3.0, 4.0, 5.0];
-        let mean = net.allreduce_scalar(&mut vals);
-        assert_eq!(mean, 3.0);
-        assert!(vals.iter().all(|&v| v == 3.0));
-        assert_eq!(net.total_bytes(), 5 * 4);
     }
 
     #[test]
@@ -221,23 +150,10 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_counters() {
-        let mut net = SimNetwork::new(2);
-        net.charge_allreduce(1000);
-        assert!(net.total_bytes() > 0);
-        net.reset();
-        assert_eq!(net.total_bytes(), 0);
-        assert_eq!(net.total_messages(), 0);
-    }
-
-    #[test]
     fn per_worker_payload_charging() {
         let mut net = SimNetwork::new(3);
         net.charge_per_worker(&[100, 0, 50]);
-        assert_eq!(net.worker_stats(0).bytes, 100);
-        assert_eq!(net.worker_stats(1).bytes, 0);
-        assert_eq!(net.worker_stats(2).bytes, 50);
-        assert_eq!(net.total_messages(), 3);
+        assert_eq!(net.total_bytes(), 150);
         // k == 1 charges nothing under the paper convention.
         let mut solo = SimNetwork::new(1);
         solo.charge_per_worker(&[100]);

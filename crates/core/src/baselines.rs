@@ -88,11 +88,6 @@ impl LocalSgd {
             syncs: 0,
         }
     }
-
-    /// The synchronization period.
-    pub fn tau(&self) -> u64 {
-        self.tau
-    }
 }
 
 impl Strategy for LocalSgd {
@@ -175,17 +170,6 @@ impl FedOpt {
             since_round: 0,
             syncs: 0,
         }
-    }
-
-    /// FedAvg: server SGD with lr 1 (plain averaging).
-    pub fn fedavg(local_epochs: u32, cluster_config: ClusterConfig, task: &TaskData) -> FedOpt {
-        FedOpt::new(
-            "FedAvg",
-            OptimizerKind::Sgd { lr: 1.0 },
-            local_epochs,
-            cluster_config,
-            task,
-        )
     }
 
     /// FedAvgM as configured in the paper (§4.1).
@@ -313,26 +297,52 @@ mod tests {
         assert_eq!(s.comm_bytes(), 3 * 2 * d * 4);
     }
 
+    /// FedAvg: server SGD with lr 1.
+    fn fedavg(task: &TaskData) -> FedOpt {
+        let server = OptimizerKind::Sgd { lr: 1.0 };
+        FedOpt::new("FedAvg", server, 1, ClusterConfig::small_test(2), task)
+    }
+
     #[test]
     fn fedavg_round_equals_plain_averaging() {
         let task = tiny_task();
-        let mut s = FedOpt::fedavg(1, ClusterConfig::small_test(2), &task);
+        let (mut s, mut twin) = (fedavg(&task), fedavg(&task));
         let spr = s.steps_per_round();
         assert!(spr >= 1);
-        // Drive to just before the round: models differ, global unchanged.
+        // Drive both to just before the round: models differ, global
+        // unchanged. The twin then takes the round's local step by hand.
         for _ in 0..spr - 1 {
             s.step();
+            twin.step();
         }
-        let manual_avg = s.cluster().average_params();
+        let w_prev = s.global_params();
+        twin.cluster_mut().local_step();
+        let ps: Vec<Vec<f32>> = (0..2).map(|k| twin.cluster().worker(k).params()).collect();
+        let refs: Vec<&[f32]> = ps.iter().map(|p| p.as_slice()).collect();
+        let mut w_bar = vec![0.0f32; refs[0].len()];
+        vector::mean_range_into(&refs, 0, w_bar.len(), &mut w_bar);
+
         let out = s.step(); // triggers the round
         assert!(out.synced);
-        // FedAvg server lr = 1 ⇒ new global = average of worker models at
-        // round end. The cluster average changed during the last step, so
-        // compare against the fresh average… which is now the consensus.
         assert!(s.cluster().models_identical());
-        let _ = manual_avg;
         let global = s.global_params();
         assert_eq!(global, s.cluster().worker(0).params());
+
+        // The server applies SGD(lr = 1) to the pseudo-gradient w − w̄.
+        let mut pseudo_grad = w_prev.clone();
+        vector::sub_assign(&mut pseudo_grad, &w_bar);
+        let mut want = w_prev.clone();
+        OptimizerKind::Sgd { lr: 1.0 }
+            .build(want.len())
+            .step(&mut want, &pseudo_grad);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&global), bits(&want));
+        // w − (w − w̄) is only approximately w̄: both subtractions round,
+        // each by at most half an ulp of its operands' scale.
+        for ((g, m), w) in global.iter().zip(&w_bar).zip(&w_prev) {
+            let tol = 4.0 * f32::EPSILON * w.abs().max(m.abs());
+            assert!((g - m).abs() <= tol, "{g} vs w̄ = {m} (w = {w})");
+        }
     }
 
     #[test]
@@ -354,7 +364,7 @@ mod tests {
         // server should have moved the global model differently from plain
         // FedAvg given identical clusters (same seed).
         let task = tiny_task();
-        let mut avg = FedOpt::fedavg(1, ClusterConfig::small_test(2), &task);
+        let mut avg = fedavg(&task);
         let mut avgm = FedOpt::fedavgm(1, ClusterConfig::small_test(2), &task);
         for _ in 0..2 * avg.steps_per_round() {
             avg.step();

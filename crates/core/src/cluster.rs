@@ -469,15 +469,20 @@ impl Cluster {
     /// communication charge — used only for evaluation, mirroring the
     /// paper's convention that accuracy is measured on the (conceptual)
     /// global model and is not part of the training traffic.
+    ///
+    /// Copy-first, then the other workers added in id order and one scale
+    /// by 1/K: the association of every other cross-worker mean
+    /// (`vector::mean_range_into`).
     pub fn average_params(&self) -> Vec<f32> {
-        let mut acc = vec![0.0f32; self.dim];
+        let (first, rest) = self.workers.split_first().expect("k >= 1");
+        let mut avg = first.model.params_flat();
         let mut scratch = vec![0.0f32; self.dim];
-        for w in &self.workers {
+        for w in rest {
             w.model.copy_params_to(&mut scratch);
-            fda_tensor::vector::add_assign(&mut acc, &scratch);
+            fda_tensor::vector::add_assign(&mut avg, &scratch);
         }
-        fda_tensor::vector::scale(&mut acc, 1.0 / self.workers.len() as f32);
-        acc
+        fda_tensor::vector::scale(&mut avg, 1.0 / self.workers.len() as f32);
+        avg
     }
 
     /// True iff every worker currently holds exactly the same parameters.
@@ -555,15 +560,15 @@ mod tests {
         let before = cluster.comm_bytes();
         let avg = cluster.average_params();
         assert_eq!(cluster.comm_bytes(), before, "evaluation must be free");
-        // Cross-check against an explicit mean.
+        // Bit for bit the explicit mean: copy-first and zero-first agree
+        // everywhere except where every replica holds −0.0.
         let expect = {
             let ps: Vec<Vec<f32>> = (0..3).map(|k| cluster.worker(k).params()).collect();
             let refs: Vec<&[f32]> = ps.iter().map(|p| p.as_slice()).collect();
             fda_tensor::vector::mean(&refs)
         };
-        for (a, b) in avg.iter().zip(&expect) {
-            assert!((a - b).abs() < 1e-6);
-        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&avg), bits(&expect));
     }
 
     #[test]

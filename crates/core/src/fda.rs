@@ -89,7 +89,7 @@ impl FdaVariant {
 
 /// Registry counter bumped each time [`violates`] forces a synchronization
 /// because the estimate was not finite.
-pub const COUNTER_NONFINITE_SYNCS: &str = "fda_nonfinite_estimate_syncs";
+const COUNTER_NONFINITE_SYNCS: &str = "fda_nonfinite_estimate_syncs";
 
 /// The Round Invariant check of Algorithm 1: `true` iff the averaged
 /// estimate `H(S̄)` exceeds Θ and the models must synchronize — the single

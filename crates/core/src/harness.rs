@@ -14,9 +14,11 @@
 use crate::strategy::Strategy;
 use fda_data::TaskData;
 use fda_nn::Sequential;
-use std::path::PathBuf;
 
 /// Stop conditions and evaluation cadence for a run.
+///
+/// Telemetry is attached to the strategy, not the run: call
+/// [`Strategy::set_telemetry`] before [`run_to_target`].
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// The test-accuracy target that ends the run ("Accuracy Target").
@@ -27,12 +29,6 @@ pub struct RunConfig {
     pub eval_every: u64,
     /// Mini-batch size used during evaluation forward passes.
     pub eval_batch: usize,
-    /// Cap on train-split samples used for the train-accuracy trace
-    /// (Figure 7); `0` disables train-accuracy tracking.
-    pub train_eval_samples: usize,
-    /// Per-round telemetry JSONL sink (see `fda_obs::event`); `None`
-    /// disables telemetry. Strategies that don't emit telemetry ignore it.
-    pub telemetry: Option<PathBuf>,
 }
 
 impl RunConfig {
@@ -43,15 +39,7 @@ impl RunConfig {
             max_steps,
             eval_every: 10,
             eval_batch: 256,
-            train_eval_samples: 0,
-            telemetry: None,
         }
-    }
-
-    /// Streams per-round telemetry events to `path` as versioned JSONL.
-    pub fn with_telemetry(mut self, path: impl Into<PathBuf>) -> RunConfig {
-        self.telemetry = Some(path.into());
-        self
     }
 }
 
@@ -66,8 +54,6 @@ pub struct TracePoint {
     pub syncs: u64,
     /// Test accuracy of the global model.
     pub test_acc: f32,
-    /// Train accuracy of the global model (NaN when disabled).
-    pub train_acc: f32,
 }
 
 /// Outcome of a training run.
@@ -104,15 +90,6 @@ pub fn run_to_target(strategy: &mut dyn Strategy, task: &TaskData, cfg: &RunConf
     let mut trace = Vec::new();
     let mut reached = false;
 
-    let telemetry_attached = match &cfg.telemetry {
-        Some(path) => {
-            let writer = fda_obs::JsonlWriter::create(path)
-                .unwrap_or_else(|e| panic!("run: cannot create telemetry file {path:?}: {e}"));
-            strategy.set_telemetry(Some(writer))
-        }
-        None => false,
-    };
-
     // Evaluate the untrained global model once so every trace starts at
     // step zero (useful for Figure-7 style plots).
     let p0 = evaluate(strategy, task, cfg, &mut eval_model);
@@ -131,10 +108,6 @@ pub fn run_to_target(strategy: &mut dyn Strategy, task: &TaskData, cfg: &RunConf
         best_test = best_test.max(point.test_acc);
         reached |= point.test_acc >= cfg.accuracy_target;
         trace.push(point);
-    }
-
-    if telemetry_attached {
-        strategy.set_telemetry(None);
     }
 
     RunResult {
@@ -158,20 +131,11 @@ fn evaluate(
     eval_model.load_params(&params);
     let test_acc =
         eval_model.evaluate_batched(task.test.features(), task.test.labels(), cfg.eval_batch);
-    let train_acc = if cfg.train_eval_samples > 0 {
-        let n = cfg.train_eval_samples.min(task.train.len());
-        let idx: Vec<usize> = (0..n).collect();
-        let (x, y) = task.train.gather(&idx);
-        eval_model.evaluate_batched(&x, &y, cfg.eval_batch)
-    } else {
-        f32::NAN
-    };
     TracePoint {
         step: strategy.steps(),
         comm_bytes: strategy.comm_bytes(),
         syncs: strategy.syncs(),
         test_acc,
-        train_acc,
     }
 }
 
@@ -247,17 +211,5 @@ mod tests {
             assert!(w[0].step <= w[1].step);
             assert!(w[0].comm_bytes <= w[1].comm_bytes);
         }
-    }
-
-    #[test]
-    fn train_trace_enabled_records_train_accuracy() {
-        let task = tiny_task();
-        let mut s = Synchronous::new(ClusterConfig::small_test(2), &task);
-        let cfg = RunConfig {
-            train_eval_samples: 100,
-            ..RunConfig::to_target(0.9, 40)
-        };
-        let res = run_to_target(&mut s, &task, &cfg);
-        assert!(res.trace.iter().all(|p| !p.train_acc.is_nan()));
     }
 }

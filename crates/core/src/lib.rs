@@ -38,7 +38,7 @@
 //! * [`harness`] — training runs to an accuracy target, producing the
 //!   paper's two metrics (communication bytes, in-parallel steps).
 //! * [`theta`] — the Θ ≈ c·d guideline (Figure 12) and calibration sweeps.
-//! * [`experiments`] — the Table 2 experiment grid.
+//! * [`experiments`] — the Table 2 model rows (task, batch, optimizer).
 
 pub mod baselines;
 pub mod cluster;

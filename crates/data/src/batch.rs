@@ -1,13 +1,11 @@
 //! Mini-batch sampling over a worker's shard.
 //!
-//! Two modes are used by the training strategies:
-//!
-//! * **Per-step sampling** ([`BatchSampler::sample`]) — Algorithm 1 line 4:
-//!   "sample a batch of size b from D_k" at every step. Sampling is
-//!   without replacement within an epoch (reshuffled between epochs),
-//!   which matches the framework semantics the paper builds on.
-//! * **Epoch iteration** ([`BatchSampler::epoch_batches`]) — the FedOpt
-//!   baselines run `E` full local epochs between rounds.
+//! [`BatchSampler::sample`] is Algorithm 1 line 4: "sample a batch of size
+//! b from D_k" at every step. Sampling is without replacement within an
+//! epoch (reshuffled between epochs), which matches the framework
+//! semantics the paper builds on. An epoch is
+//! [`BatchSampler::batches_per_epoch`] samples; the FedOpt baselines run
+//! `E` of them between rounds.
 
 use crate::dataset::Dataset;
 use fda_tensor::{Matrix, Rng};
@@ -92,16 +90,6 @@ impl BatchSampler {
             None => dataset.gather(idx),
         }
     }
-
-    /// Returns all batch index-ranges of one fresh epoch (shuffled).
-    /// The final batch may be smaller than `batch`.
-    pub fn epoch_batches(&mut self) -> Vec<Vec<usize>> {
-        self.reshuffle();
-        self.indices
-            .chunks(self.batch)
-            .map(|c| c.to_vec())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -127,15 +115,16 @@ mod tests {
 
     #[test]
     fn epoch_covers_shard_exactly_once() {
-        let d = dataset(23);
-        let shard: Vec<usize> = (0..23).collect();
-        let mut s = BatchSampler::new(shard, 5, Rng::new(2));
-        let batches = s.epoch_batches();
-        assert_eq!(batches.len(), 5); // ceil(23/5)
-        let mut seen: Vec<usize> = batches.into_iter().flatten().collect();
+        let d = dataset(25);
+        let mut s = BatchSampler::new((0..25).collect(), 5, Rng::new(2));
+        assert_eq!(s.batches_per_epoch(), 5);
+        let mut seen = Vec::new();
+        for _ in 0..s.batches_per_epoch() {
+            let (x, _) = s.sample(&d);
+            seen.extend((0..x.rows()).map(|r| x.row(r)[0] as usize));
+        }
         seen.sort_unstable();
-        assert_eq!(seen, (0..23).collect::<Vec<_>>());
-        let _ = d;
+        assert_eq!(seen, (0..25).collect::<Vec<_>>());
     }
 
     #[test]

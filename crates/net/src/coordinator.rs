@@ -42,7 +42,7 @@ use crate::frame::{
     write_frame, write_frame_with, CountingStream, FrameHead, FrameKind, NetError, PROTOCOL_VERSION,
 };
 use crate::protocol::{encode_resume, recv_frame_at_epoch_into, Msg};
-use fda_comm::{AccountingMode, SimNetwork};
+use fda_comm::{sim::per_worker_bytes, SimNetwork};
 use fda_core::monitor::LocalState;
 use fda_core::round::Server;
 use fda_core::wire::{
@@ -295,7 +295,7 @@ impl Coordinator {
     /// `path`: one `"round"` record per FDA round — decision, estimate,
     /// per-worker deposit latency, drops, and the byte ledger — and one
     /// `"run"` summary record at the end. The stream is schema-identical
-    /// to the simulator's (`RunConfig::with_telemetry`); only the
+    /// to the simulator's (`Strategy::set_telemetry` on `Fda`); only the
     /// `source` field differs.
     pub fn set_telemetry(&mut self, path: impl Into<PathBuf>) {
         self.telemetry = Some(path.into());
@@ -619,8 +619,6 @@ struct Run<'a> {
     payloads: Vec<u64>,
 }
 
-const MODE: AccountingMode = AccountingMode::PerWorkerPayload;
-
 impl<'a> Run<'a> {
     /// Formation: accept all K, then the uniform join handshake — Config
     /// followed by the versioned handoff. At formation the handoff is
@@ -760,7 +758,7 @@ impl<'a> Run<'a> {
         let alive = self.members.live_count();
         ensure_net(&mut self.net, &mut self.charged_banked, alive);
         for &bytes in &self.payloads {
-            self.measured_payload += MODE.per_worker_bytes(bytes, alive);
+            self.measured_payload += per_worker_bytes(bytes, alive);
         }
     }
 

@@ -271,7 +271,7 @@ impl Backoff {
 /// SplitMix64 — tiny, dependency-free PRNG for jitter and plan drawing.
 /// Not used anywhere numerics-bearing.
 #[derive(Debug, Clone)]
-pub struct SplitMix64 {
+pub(crate) struct SplitMix64 {
     state: u64,
 }
 

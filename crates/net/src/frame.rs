@@ -112,7 +112,7 @@ mod crc32c {
     use std::sync::OnceLock;
 
     /// Folds `bytes` into a raw (un-inverted) CRC state.
-    pub type Update = fn(u32, &[u8]) -> u32;
+    pub(crate) type Update = fn(u32, &[u8]) -> u32;
 
     /// The Castagnoli polynomial, reflected: bit 31 holds x⁰, bit 0 x³¹.
     const POLY: u32 = 0x82F6_3B78;
@@ -223,7 +223,7 @@ mod crc32c {
     }
 
     /// The SSE4.2 arm, or `None` on a host without the instruction.
-    pub fn hardware() -> Option<Update> {
+    pub(crate) fn hardware() -> Option<Update> {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("sse4.2") {
             // SAFETY: SSE4.2 was detected on the line above, which is the

@@ -24,10 +24,6 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn name(&self) -> &'static str {
-        "relu"
-    }
-
     fn forward(&mut self, mut x: Matrix, _train: bool) -> Matrix {
         self.mask.resize(x.len(), 0.0);
         for (v, m) in x.as_mut_slice().iter_mut().zip(self.mask.iter_mut()) {
@@ -79,10 +75,6 @@ impl Tanh {
 }
 
 impl Layer for Tanh {
-    fn name(&self) -> &'static str {
-        "tanh"
-    }
-
     fn forward(&mut self, mut x: Matrix, _train: bool) -> Matrix {
         for v in x.as_mut_slice() {
             *v = v.tanh();
@@ -119,66 +111,6 @@ impl Layer for Tanh {
     }
 }
 
-/// Leaky ReLU `y = x if x > 0 else α·x`.
-pub struct LeakyRelu {
-    alpha: f32,
-    // Forward gate as a multiplier: 1.0 where x > 0, else α.
-    mask: Vec<f32>,
-}
-
-impl LeakyRelu {
-    /// Creates a Leaky ReLU with the given negative slope.
-    pub fn new(alpha: f32) -> Self {
-        LeakyRelu {
-            alpha,
-            mask: Vec::new(),
-        }
-    }
-}
-
-impl Layer for LeakyRelu {
-    fn name(&self) -> &'static str {
-        "leaky_relu"
-    }
-
-    fn forward(&mut self, mut x: Matrix, _train: bool) -> Matrix {
-        self.mask.resize(x.len(), 0.0);
-        let alpha = self.alpha;
-        for (v, m) in x.as_mut_slice().iter_mut().zip(self.mask.iter_mut()) {
-            *m = if *v > 0.0 { 1.0 } else { alpha };
-            *v *= *m;
-        }
-        x
-    }
-
-    /// No mask is written (and the old one is dropped).
-    fn forward_inference(&mut self, mut x: Matrix) -> Matrix {
-        self.mask.clear();
-        let alpha = self.alpha;
-        for v in x.as_mut_slice() {
-            *v *= if *v > 0.0 { 1.0 } else { alpha };
-        }
-        x
-    }
-
-    fn backward(&mut self, dy: Matrix) -> Matrix {
-        assert_eq!(
-            dy.len(),
-            self.mask.len(),
-            "leaky_relu: backward without matching forward"
-        );
-        let mut dx = dy;
-        for (v, &m) in dx.as_mut_slice().iter_mut().zip(&self.mask) {
-            *v *= m;
-        }
-        dx
-    }
-
-    fn out_dim(&self, in_dim: usize) -> usize {
-        in_dim
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,17 +133,6 @@ mod tests {
         let _ = layer.forward(x.clone(), true);
         let dx = layer.backward(Matrix::from_vec(1, 1, vec![1.0]));
         assert!((dx.as_slice()[0] - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn leaky_relu_negative_slope() {
-        let mut layer = LeakyRelu::new(0.1);
-        let x = Matrix::from_vec(1, 2, vec![-10.0, 10.0]);
-        let y = layer.forward(x.clone(), true);
-        assert_eq!(y.as_slice(), &[-1.0, 10.0]);
-        let dx = layer.backward(Matrix::from_vec(1, 2, vec![1.0, 1.0]));
-        assert!((dx.as_slice()[0] - 0.1).abs() < 1e-7);
-        assert_eq!(dx.as_slice()[1], 1.0);
     }
 
     #[test]

@@ -521,10 +521,6 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn name(&self) -> &'static str {
-        "conv2d"
-    }
-
     fn forward(&mut self, x: Matrix, _train: bool) -> Matrix {
         let batch = self.in_shape.batch_of(&x, "conv input");
         let (oc, spatial) = (self.out_shape.c, self.out_shape.spatial());

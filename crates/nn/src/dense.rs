@@ -31,10 +31,6 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn name(&self) -> &'static str {
-        "flatten"
-    }
-
     fn forward(&mut self, x: Matrix, _train: bool) -> Matrix {
         self.batch = self.shape.batch_of(&x, "flatten input");
         x.to_sample_major(self.batch)
@@ -155,10 +151,6 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn name(&self) -> &'static str {
-        "dense"
-    }
-
     fn forward(&mut self, x: Matrix, _train: bool) -> Matrix {
         let y = self.affine(&x);
         // Take ownership of the input as the backward cache — no copy.

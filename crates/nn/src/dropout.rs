@@ -2,9 +2,9 @@
 //!
 //! The paper adds dropout at rate 0.2 to the DenseNet models (§4.1). We use
 //! inverted dropout (scaling by `1/(1−p)` at train time) so evaluation is a
-//! no-op. Each `Dropout` owns its RNG stream: workers clone a model template
-//! and then reseed via [`Dropout::reseed`] so their masks are independent
-//! but reproducible.
+//! no-op. Each `Dropout` owns its RNG stream, seeded at construction from
+//! the model's stochastic seed, so workers' masks are independent but
+//! reproducible.
 
 use crate::layer::Layer;
 use fda_tensor::{Matrix, Rng};
@@ -31,11 +31,6 @@ impl Dropout {
         }
     }
 
-    /// Re-seeds the internal RNG (used when cloning per-worker models).
-    pub fn reseed(&mut self, seed: u64) {
-        self.rng = Rng::new(seed);
-    }
-
     /// The configured drop probability.
     pub fn rate(&self) -> f32 {
         self.p
@@ -43,10 +38,6 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn name(&self) -> &'static str {
-        "dropout"
-    }
-
     fn forward(&mut self, mut x: Matrix, train: bool) -> Matrix {
         if !train || self.p == 0.0 {
             self.mask.clear();

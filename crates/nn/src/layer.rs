@@ -108,9 +108,6 @@ impl Shape3 {
 /// `backward` must be preceded by a `forward` on the same input batch;
 /// implementations may panic otherwise.
 pub trait Layer: Send {
-    /// Human-readable layer name (used in model summaries).
-    fn name(&self) -> &'static str;
-
     /// Forward pass. `train` enables training-only behaviour (dropout).
     fn forward(&mut self, x: Matrix, train: bool) -> Matrix;
 

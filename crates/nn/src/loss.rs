@@ -1,13 +1,9 @@
-//! Loss functions.
-//!
-//! The classification experiments use softmax cross-entropy; MSE is kept
-//! for regression-style tests and for validating optimizer behaviour on
-//! quadratic objectives.
+//! The training loss: softmax cross-entropy over integer class labels.
 
 use fda_tensor::Matrix;
 
 /// Numerically stable softmax over each row of `logits`, written in place.
-pub fn softmax_rows(logits: &mut Matrix) {
+fn softmax_rows(logits: &mut Matrix) {
     for r in 0..logits.rows() {
         let row = logits.row_mut(r);
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
@@ -76,27 +72,6 @@ impl SoftmaxCrossEntropy {
             }
         }
         (loss, grad, correct)
-    }
-}
-
-/// Mean-squared-error loss `L = (1/B) Σ ‖pred − target‖²`.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Mse;
-
-impl Mse {
-    /// Computes `(loss, dL/dpred)`.
-    pub fn forward(&self, pred: &Matrix, target: &Matrix) -> (f32, Matrix) {
-        assert_eq!(pred.rows(), target.rows(), "mse: batch mismatch");
-        assert_eq!(pred.cols(), target.cols(), "mse: dim mismatch");
-        let batch = pred.rows() as f32;
-        let mut grad = pred.clone();
-        let mut loss = 0.0f32;
-        for (g, t) in grad.as_mut_slice().iter_mut().zip(target.as_slice()) {
-            let diff = *g - t;
-            loss += diff * diff;
-            *g = 2.0 * diff / batch;
-        }
-        (loss / batch, grad)
     }
 }
 
@@ -185,14 +160,6 @@ mod tests {
                 grad.as_slice()[i]
             );
         }
-    }
-
-    #[test]
-    fn mse_zero_at_target() {
-        let pred = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let (loss, grad) = Mse.forward(&pred, &pred.clone());
-        assert_eq!(loss, 0.0);
-        assert!(grad.as_slice().iter().all(|&g| g == 0.0));
     }
 
     #[test]

@@ -102,11 +102,6 @@ impl Sequential {
         self.out_dim
     }
 
-    /// Number of layers.
-    pub fn depth(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Total number of scalar parameters `d`.
     pub fn param_count(&self) -> usize {
         self.layers.iter().map(|l| l.param_count()).sum()
@@ -139,8 +134,8 @@ impl Sequential {
     /// Eval-mode logits of a native-layout batch through
     /// [`Layer::forward_inference`]: bit-identical to
     /// `forward_native(x, false)`, with no backward cache written. The
-    /// engine of [`Sequential::evaluate`], [`Sequential::evaluate_batched`]
-    /// and [`Sequential::predict`]; a `backward` may not follow it.
+    /// engine of [`Sequential::evaluate`] and
+    /// [`Sequential::evaluate_batched`]; a `backward` may not follow it.
     fn infer_native(&mut self, x: Matrix) -> Matrix {
         self.assert_native(&x);
         let mut h = x;
@@ -322,26 +317,6 @@ impl Sequential {
         }
         correct as f32 / labels.len() as f32
     }
-
-    /// Predicted class per row (eval mode).
-    pub fn predict(&mut self, x: &Matrix) -> Vec<usize> {
-        let logits = self.infer_native(self.native_input(x));
-        (0..logits.rows()).map(|r| argmax(logits.row(r))).collect()
-    }
-
-    /// A human-readable per-layer summary (name and parameter count).
-    pub fn summary(&self) -> String {
-        let mut s = format!("{} (d = {} params)\n", self.name, self.param_count());
-        for (i, layer) in self.layers.iter().enumerate() {
-            s.push_str(&format!(
-                "  {:2}: {:<16} {:>8} params\n",
-                i,
-                layer.name(),
-                layer.param_count()
-            ));
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -464,6 +439,12 @@ mod tests {
         x
     }
 
+    /// Predicted class per row, through the inference forward.
+    fn predict(m: &mut Sequential, x: &Matrix) -> Vec<usize> {
+        let logits = m.infer_native(m.native_input(x));
+        (0..logits.rows()).map(|r| argmax(logits.row(r))).collect()
+    }
+
     /// (c) The training step stops one layer short of a full backward; its
     /// parameter gradients must be those of the full chain (input gradient
     /// computed), bit for bit, for every zoo model.
@@ -533,7 +514,7 @@ mod tests {
             assert_eq!(acc, correct as f32 / n as f32, "{}", id.name());
             let whole = eval.forward(&x, false);
             let classes: Vec<usize> = (0..n).map(|r| argmax(whole.row(r))).collect();
-            assert_eq!(infer.predict(&x), classes, "{}", id.name());
+            assert_eq!(predict(&mut infer, &x), classes, "{}", id.name());
 
             // An eval-mode gradient right after inference passes (of
             // another batch size) equals one on a model that never ran
@@ -557,7 +538,8 @@ mod tests {
     #[test]
     fn differential_gradcheck_after_inference_pass() {
         let mut m = crate::zoo::ModelId::Lenet5.build(17, 99);
-        let _ = m.predict(&random_batch(9, m.in_dim(), 1));
+        let warm = random_batch(9, m.in_dim(), 1);
+        let _ = predict(&mut m, &warm);
         let x = random_batch(4, m.in_dim(), 2);
         let labels = vec![0, 3, 6, 9];
         let stride = (m.param_count() / 220).max(1);
@@ -578,7 +560,7 @@ mod tests {
         let mut m = tiny_mlp(8);
         let x = random_batch(3, 4, 3);
         let logits = m.forward(&x, true);
-        let _ = m.predict(&x);
+        let _ = predict(&mut m, &x);
         let _ = m.backward(logits);
     }
 }

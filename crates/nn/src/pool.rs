@@ -253,10 +253,6 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn name(&self) -> &'static str {
-        "maxpool2d"
-    }
-
     fn forward(&mut self, x: Matrix, _train: bool) -> Matrix {
         self.pool::<true>(&x)
     }
@@ -323,10 +319,6 @@ impl GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
-    fn name(&self) -> &'static str {
-        "global_avg_pool"
-    }
-
     fn forward(&mut self, x: Matrix, _train: bool) -> Matrix {
         let Shape3 { c, h, w } = self.in_shape;
         let hw = h * w;

@@ -234,21 +234,6 @@ fn transfer_head(rng: &mut Rng) -> Sequential {
         .push(Dense::new(192, 100, Init::GlorotUniform, rng))
 }
 
-/// A plain MLP with ReLU between hidden layers (output layer linear).
-/// Used by tests, examples and the quickstart.
-pub fn mlp_relu(name: &str, dims: &[usize], init: Init, seed: u64) -> Sequential {
-    assert!(dims.len() >= 2, "mlp: need at least input and output dims");
-    let mut rng = Rng::new(seed);
-    let mut m = Sequential::new(name, dims[0]);
-    for (i, w) in dims.windows(2).enumerate() {
-        m = m.push(Dense::new(w[0], w[1], init, &mut rng));
-        if i + 2 < dims.len() {
-            m = m.push(Relu::new());
-        }
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,14 +335,6 @@ mod tests {
                 id.name()
             );
         }
-    }
-
-    #[test]
-    fn mlp_relu_structure() {
-        let m = mlp_relu("t", &[4, 8, 8, 2], Init::GlorotUniform, 1);
-        assert_eq!(m.in_dim(), 4);
-        assert_eq!(m.out_dim(), 2);
-        assert_eq!(m.param_count(), 4 * 8 + 8 + 8 * 8 + 8 + 8 * 2 + 2);
     }
 
     #[test]

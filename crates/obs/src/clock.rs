@@ -43,7 +43,7 @@ impl ManualClock {
         }
     }
 
-    pub fn advance_ns(&self, delta: u64) {
+    pub(crate) fn advance_ns(&self, delta: u64) {
         self.ns.fetch_add(delta, Ordering::SeqCst);
     }
 

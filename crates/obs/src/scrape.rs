@@ -15,7 +15,7 @@ use crate::metrics::{bucket_upper_bound, MetricSnapshot, HIST_BUCKETS};
 /// Render every registered metric in Prometheus text exposition format
 /// (version 0.0.4). Histogram buckets are emitted cumulatively with
 /// power-of-two `le` bounds.
-pub fn render_prometheus() -> String {
+pub(crate) fn render_prometheus() -> String {
     let mut out = String::new();
     for m in crate::registry().snapshot() {
         match m {

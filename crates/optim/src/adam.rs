@@ -25,7 +25,7 @@ impl Adam {
     }
 
     /// Creates Adam with explicit hyper-parameters.
-    pub fn with_params(lr: f32, beta1: f32, beta2: f32, eps: f32, dim: usize) -> Self {
+    pub(crate) fn with_params(lr: f32, beta1: f32, beta2: f32, eps: f32, dim: usize) -> Self {
         assert!(lr > 0.0, "adam: learning rate must be positive");
         assert!((0.0..1.0).contains(&beta1), "adam: beta1 in [0,1)");
         assert!((0.0..1.0).contains(&beta2), "adam: beta2 in [0,1)");

@@ -324,17 +324,6 @@ impl AmsSketch {
         fda_tensor::vector::scale(&mut self.data, alpha);
     }
 
-    /// Copies another sketch's counters into this one, reusing the
-    /// allocation.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn copy_from(&mut self, other: &AmsSketch) {
-        assert_eq!(self.rows, other.rows, "sketch copy: row mismatch");
-        assert_eq!(self.cols, other.cols, "sketch copy: col mismatch");
-        self.data.copy_from_slice(&other.data);
-    }
-
     /// Average of several sketches — what AllReduce produces from the
     /// workers' local-state sketches. Accumulates copy-first in input
     /// order, the same association every AllReduce path in the workspace
@@ -740,8 +729,7 @@ mod tests {
         }
     }
 
-    /// `sketch_into` reuse and `copy_from` are bit-identical to the
-    /// allocating constructors.
+    /// `sketch_into` reuse is bit-identical to the allocating constructor.
     #[test]
     fn buffer_reuse_matches_fresh_sketch() {
         let plan = SketchConfig::new(3, 16, 4).build_plan(120);
@@ -750,8 +738,5 @@ mod tests {
         let mut reused = plan.sketch(&a);
         plan.sketch_into(&b, &mut reused);
         assert_eq!(reused, plan.sketch(&b), "sketch_into reuse diverged");
-        let mut copy = AmsSketch::zeros(3, 16);
-        copy.copy_from(&reused);
-        assert_eq!(copy, reused);
     }
 }

@@ -16,8 +16,8 @@
 //! microkernel never branches on layout. Packing buffers live in a
 //! [`Scratch`] arena (64-byte-aligned panels, see
 //! [`crate::alloc::AlignedBuf`]) that callers (e.g. NN layers) allocate
-//! once and reuse across steps; the scratch-less entry points fall back to
-//! a thread-local arena so no call path allocates per invocation.
+//! once and reuse across steps; the one scratch-less entry point, the
+//! allocating [`gemm`], packs through a thread-local arena.
 
 use crate::alloc::AlignedBuf;
 use crate::rng::Rng;
@@ -52,26 +52,10 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Identity matrix of size `n × n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
-        }
-        m
-    }
-
     /// Matrix with i.i.d. normal entries.
     pub fn random_normal(rows: usize, cols: usize, mean: f32, std_dev: f32, rng: &mut Rng) -> Self {
         let mut m = Matrix::zeros(rows, cols);
         rng.fill_normal(&mut m.data, mean, std_dev);
-        m
-    }
-
-    /// Matrix with i.i.d. uniform entries in `[lo, hi)`.
-    pub fn random_uniform(rows: usize, cols: usize, lo: f32, hi: f32, rng: &mut Rng) -> Self {
-        let mut m = Matrix::zeros(rows, cols);
-        rng.fill_uniform(&mut m.data, lo, hi);
         m
     }
 
@@ -316,7 +300,7 @@ impl Scratch {
 }
 
 thread_local! {
-    // Fallback arena for the scratch-less public API.
+    // Packing arena of the scratch-less `gemm`.
     static TL_SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
 }
 
@@ -888,18 +872,11 @@ fn assert_shapes(a: &Matrix, b: &Matrix, out: &Matrix) {
     assert_eq!(out.cols, b.cols, "gemm: output cols mismatch");
 }
 
-/// `out ← a · b` (shapes `m×k`, `k×n` → `m×n`), overwriting `out`.
+/// `out ← a · b` (shapes `m×k`, `k×n` → `m×n`), overwriting `out`, with a
+/// caller-owned packing arena.
 ///
 /// # Panics
 /// Panics on any shape mismatch.
-pub fn gemm_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    // Validate before mutating: a shape mismatch must not clobber `out`.
-    assert_shapes(a, b, out);
-    out.clear();
-    gemm_accumulate(a, b, out);
-}
-
-/// [`gemm_into`] with a caller-owned packing arena.
 pub fn gemm_into_with(a: &Matrix, b: &Matrix, out: &mut Matrix, scratch: &mut Scratch) {
     // Validate before mutating: a shape mismatch must not clobber `out`.
     assert_shapes(a, b, out);
@@ -951,15 +928,11 @@ pub fn gemm(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// `out ← out + aᵀ · b` without materializing the transpose.
+/// `out ← out + aᵀ · b` without materializing the transpose, with a
+/// caller-owned packing arena.
 ///
 /// Shapes: `a` is `k×m`, `b` is `k×n`, `out` is `m×n`. Used by dense-layer
 /// weight gradients (`dW = xᵀ · dy`).
-pub fn gemm_at_b_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    TL_SCRATCH.with(|s| gemm_at_b_accumulate_with(a, b, out, &mut s.borrow_mut()));
-}
-
-/// [`gemm_at_b_accumulate`] with a caller-owned packing arena.
 pub fn gemm_at_b_accumulate_with(a: &Matrix, b: &Matrix, out: &mut Matrix, scratch: &mut Scratch) {
     gemm_at_b_accumulate_with_kernel(simd::kernels(), a, b, out, scratch);
 }
@@ -992,15 +965,11 @@ pub fn gemm_at_b_accumulate_with_kernel(
     );
 }
 
-/// `out ← out + a · bᵀ` without materializing the transpose.
+/// `out ← out + a · bᵀ` without materializing the transpose, with a
+/// caller-owned packing arena.
 ///
 /// Shapes: `a` is `m×k`, `b` is `n×k`, `out` is `m×n`. Used by dense-layer
 /// input gradients (`dx = dy · Wᵀ`).
-pub fn gemm_a_bt_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    TL_SCRATCH.with(|s| gemm_a_bt_accumulate_with(a, b, out, &mut s.borrow_mut()));
-}
-
-/// [`gemm_a_bt_accumulate`] with a caller-owned packing arena.
 pub fn gemm_a_bt_accumulate_with(a: &Matrix, b: &Matrix, out: &mut Matrix, scratch: &mut Scratch) {
     gemm_a_bt_accumulate_with_kernel(simd::kernels(), a, b, out, scratch);
 }
@@ -1097,15 +1066,6 @@ mod naive {
     }
 }
 
-/// Matrix–vector product `out ← m · x`.
-pub fn gemv_into(m: &Matrix, x: &[f32], out: &mut [f32]) {
-    assert_eq!(m.cols, x.len(), "gemv: dimension mismatch");
-    assert_eq!(m.rows, out.len(), "gemv: output mismatch");
-    for (r, o) in out.iter_mut().enumerate() {
-        *o = crate::vector::dot(m.row(r), x);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1118,11 +1078,23 @@ mod tests {
         assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
+    fn identity(n: usize) -> Matrix {
+        let mut m = Matrix::zeros(n, n);
+        (0..n).for_each(|i| m.set(i, i, 1.0));
+        m
+    }
+
+    fn random_uniform(rows: usize, cols: usize, lo: f32, hi: f32, rng: &mut Rng) -> Matrix {
+        let mut m = Matrix::zeros(rows, cols);
+        rng.fill_uniform(m.as_mut_slice(), lo, hi);
+        m
+    }
+
     #[test]
     fn identity_is_neutral() {
         let mut rng = Rng::new(3);
         let a = Matrix::random_normal(4, 4, 0.0, 1.0, &mut rng);
-        let i = Matrix::identity(4);
+        let i = identity(4);
         assert_eq!(gemm(&a, &i).as_slice(), a.as_slice());
         assert_eq!(gemm(&i, &a).as_slice(), a.as_slice());
     }
@@ -1130,7 +1102,7 @@ mod tests {
     #[test]
     fn transpose_involution() {
         let mut rng = Rng::new(4);
-        let a = Matrix::random_uniform(3, 5, -1.0, 1.0, &mut rng);
+        let a = random_uniform(3, 5, -1.0, 1.0, &mut rng);
         assert_eq!(a.transposed().transposed(), a);
     }
 
@@ -1140,7 +1112,7 @@ mod tests {
         let a = Matrix::random_normal(6, 3, 0.0, 1.0, &mut rng);
         let b = Matrix::random_normal(6, 4, 0.0, 1.0, &mut rng);
         let mut fast = Matrix::zeros(3, 4);
-        gemm_at_b_accumulate(&a, &b, &mut fast);
+        gemm_at_b_accumulate_with(&a, &b, &mut fast, &mut Scratch::new());
         let slow = gemm(&a.transposed(), &b);
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
             assert!((x - y).abs() < 1e-4);
@@ -1153,20 +1125,21 @@ mod tests {
         let a = Matrix::random_normal(5, 3, 0.0, 1.0, &mut rng);
         let b = Matrix::random_normal(7, 3, 0.0, 1.0, &mut rng);
         let mut fast = Matrix::zeros(5, 7);
-        gemm_a_bt_accumulate(&a, &b, &mut fast);
+        gemm_a_bt_accumulate_with(&a, &b, &mut fast, &mut Scratch::new());
         let slow = gemm(&a, &b.transposed());
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
             assert!((x - y).abs() < 1e-4);
         }
     }
 
+    /// A matrix–vector product is the `n = 1` GEMM: each output is one
+    /// row's dot product with the vector.
     #[test]
     fn gemv_matches_gemm() {
         let mut rng = Rng::new(7);
         let m = Matrix::random_normal(4, 6, 0.0, 1.0, &mut rng);
         let x: Vec<f32> = (0..6).map(|i| i as f32).collect();
-        let mut out = vec![0.0; 4];
-        gemv_into(&m, &x, &mut out);
+        let out: Vec<f32> = (0..4).map(|r| crate::vector::dot(m.row(r), &x)).collect();
         let xm = Matrix::from_vec(6, 1, x);
         let expect = gemm(&m, &xm);
         for (a, b) in out.iter().zip(expect.as_slice()) {
@@ -1184,7 +1157,7 @@ mod tests {
 
     #[test]
     fn accumulate_adds() {
-        let a = Matrix::identity(2);
+        let a = identity(2);
         let b = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let mut out = Matrix::from_vec(2, 2, vec![10.0, 10.0, 10.0, 10.0]);
         gemm_accumulate(&a, &b, &mut out);
@@ -1231,6 +1204,7 @@ mod tests {
             (129, 1025, 11),
             (130, 100, 260),
         ];
+        let mut scratch = Scratch::new();
         for &(m, n, k) in &shapes {
             let a = Matrix::random_normal(m, k, 0.0, 1.0, &mut rng);
             let b = Matrix::random_normal(k, n, 0.0, 1.0, &mut rng);
@@ -1246,7 +1220,7 @@ mod tests {
             let at = a.transposed();
             let mut fast_t = Matrix::zeros(m, n);
             let mut slow_t = Matrix::zeros(m, n);
-            gemm_at_b_accumulate(&at, &b, &mut fast_t);
+            gemm_at_b_accumulate_with(&at, &b, &mut fast_t, &mut scratch);
             naive::gemm_at_b_accumulate(&at, &b, &mut slow_t);
             assert_close(&fast_t, &slow_t, k, &format!("{ctx} (at_b)"));
 
@@ -1254,7 +1228,7 @@ mod tests {
             let bt = b.transposed();
             let mut fast_bt = Matrix::zeros(m, n);
             let mut slow_bt = Matrix::zeros(m, n);
-            gemm_a_bt_accumulate(&a, &bt, &mut fast_bt);
+            gemm_a_bt_accumulate_with(&a, &bt, &mut fast_bt, &mut scratch);
             naive::gemm_a_bt_accumulate(&a, &bt, &mut slow_bt);
             assert_close(&fast_bt, &slow_bt, k, &format!("{ctx} (a_bt)"));
         }
@@ -1268,8 +1242,8 @@ mod tests {
             let m = (rng.next_u64() % 40) as usize;
             let n = (rng.next_u64() % 40) as usize;
             let k = (rng.next_u64() % 40) as usize;
-            let a = Matrix::random_uniform(m, k, -2.0, 2.0, &mut rng);
-            let b = Matrix::random_uniform(k, n, -2.0, 2.0, &mut rng);
+            let a = random_uniform(m, k, -2.0, 2.0, &mut rng);
+            let b = random_uniform(k, n, -2.0, 2.0, &mut rng);
             let mut fast = Matrix::zeros(m, n);
             let mut slow = Matrix::zeros(m, n);
             gemm_accumulate(&a, &b, &mut fast);
@@ -1294,7 +1268,7 @@ mod tests {
             gemm_accumulate(&a, &b, &mut out);
             assert!(out.as_slice().iter().all(|&v| v == 2.5), "{m}x{k}x{n}");
             let mut out2 = Matrix::zeros(m, n);
-            gemm_into(&a, &b, &mut out2);
+            gemm_into_with(&a, &b, &mut out2, &mut Scratch::new());
             assert!(out2.as_slice().iter().all(|&v| v == 0.0));
         }
     }
@@ -1447,11 +1421,11 @@ mod tests {
                 gemm_accumulate(&a, &b, &mut public);
                 assert_eq!(bits(&public), bits(&want), "{ctx}: gemm_accumulate");
                 let mut public_t = seed.clone();
-                gemm_at_b_accumulate(&at, &b, &mut public_t);
+                gemm_at_b_accumulate_with(&at, &b, &mut public_t, &mut Scratch::new());
                 assert_eq!(
                     bits(&public_t),
                     bits(&want_t),
-                    "{ctx}: gemm_at_b_accumulate"
+                    "{ctx}: gemm_at_b_accumulate_with"
                 );
             }
         }

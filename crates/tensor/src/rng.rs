@@ -129,7 +129,7 @@ impl Rng {
     /// branch-free version keeps the generator state a pure function of the
     /// number of draws, which simplifies reasoning about reproducibility.
     #[inline]
-    pub fn normal_f32(&mut self) -> f32 {
+    fn normal_f32(&mut self) -> f32 {
         // u1 in (0, 1] to avoid ln(0).
         let u1 = 1.0 - self.uniform_f64();
         let u2 = self.uniform_f64();
@@ -167,23 +167,6 @@ impl Rng {
             let j = self.index(i + 1);
             xs.swap(i, j);
         }
-    }
-
-    /// Samples `k` distinct indices from `[0, n)` (reservoir-free; `k <= n`).
-    ///
-    /// # Panics
-    /// Panics if `k > n`.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        assert!(k <= n, "cannot sample {k} distinct indices from {n}");
-        // Partial Fisher–Yates over an index vector: O(n) but simple and
-        // exact; dataset sizes here are small enough that this is fine.
-        let mut idx: Vec<usize> = (0..n).collect();
-        for i in 0..k {
-            let j = i + self.index(n - i);
-            idx.swap(i, j);
-        }
-        idx.truncate(k);
-        idx
     }
 
     /// Bernoulli draw with probability `p` of `true`.
@@ -280,18 +263,6 @@ mod tests {
         let mut sorted = xs.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sample_indices_distinct_and_in_range() {
-        let mut r = Rng::new(13);
-        let sample = r.sample_indices(50, 20);
-        assert_eq!(sample.len(), 20);
-        let mut sorted = sample.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 20, "indices must be distinct");
-        assert!(sample.iter().all(|&i| i < 50));
     }
 
     #[test]

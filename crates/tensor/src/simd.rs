@@ -342,9 +342,9 @@ pub(crate) mod scalar {
     use super::{Isa, Kernels, SKETCH_LANES, SKETCH_PAD};
 
     /// Microkernel tile height.
-    pub const MR: usize = 4;
+    const MR: usize = 4;
     /// Microkernel tile width (16 f32 = two AVX2 / one AVX-512 vector).
-    pub const NR: usize = 16;
+    const NR: usize = 16;
     /// Accumulator block width of the reductions.
     const LANES: usize = 32;
 

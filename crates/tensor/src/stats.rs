@@ -51,52 +51,6 @@ pub fn median_f32(xs: &[f32]) -> f32 {
     median(&v) as f32
 }
 
-/// Five-number-style summary of a sample (used to print the "KDE clouds"
-/// of Figures 3–6 numerically).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Sample count.
-    pub n: usize,
-    /// Minimum.
-    pub min: f64,
-    /// First quartile.
-    pub q1: f64,
-    /// Median.
-    pub median: f64,
-    /// Third quartile.
-    pub q3: f64,
-    /// Maximum.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-}
-
-impl Summary {
-    /// Summarizes a sample; all fields zero for an empty slice.
-    pub fn of(xs: &[f64]) -> Summary {
-        if xs.is_empty() {
-            return Summary {
-                n: 0,
-                min: 0.0,
-                q1: 0.0,
-                median: 0.0,
-                q3: 0.0,
-                max: 0.0,
-                mean: 0.0,
-            };
-        }
-        Summary {
-            n: xs.len(),
-            min: quantile(xs, 0.0),
-            q1: quantile(xs, 0.25),
-            median: quantile(xs, 0.5),
-            q3: quantile(xs, 0.75),
-            max: quantile(xs, 1.0),
-            mean: mean(xs),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,10 +76,13 @@ mod tests {
         assert_eq!(quantile(&xs, 0.25), 1.75);
     }
 
+    /// Every summary statistic of an empty sample is `0.0`, as documented.
     #[test]
     fn summary_of_empty() {
-        let s = Summary::of(&[]);
-        assert_eq!(s.n, 0);
-        assert_eq!(s.median, 0.0);
+        assert_eq!(mean(&[]), 0.0);
+        assert_eq!(std_dev(&[]), 0.0);
+        assert_eq!(median(&[]), 0.0);
+        assert_eq!(quantile(&[], 0.9), 0.0);
+        assert_eq!(median_f32(&[]), 0.0);
     }
 }
