@@ -8,6 +8,11 @@
 //! * [`Replica`] is one worker's side: its local state and coded upload,
 //!   the check of the broadcast `S̄`, and adopting the consensus.
 //!
+//! The two payloads the server broadcasts are written and read here, each
+//! by one pair: [`Server::avg_state_payload`] / [`Replica::check`] for the
+//! decision `[sync u8][dense S̄]`, and [`Server::downlink_payload`] /
+//! [`Replica::adopt`] for the consensus `[dim u32][body]`.
+//!
 //! The simulator (`Fda::step`) and the socket coordinator run the server,
 //! the socket worker runs the replica. There is no trait over the two: the
 //! coordinator never runs the replica half nor the worker the server half,
@@ -24,7 +29,9 @@
 use crate::fda::{violates, FdaConfig};
 use crate::monitor::{LocalState, VarianceMonitor};
 use crate::pool::WorkerPool;
-use crate::wire::{encode_state_coded_into, encode_vector_coded_into, JobSpec};
+use crate::wire::{
+    decode_state_coded_into, encode_state_coded_into, encode_vector_coded_into, JobSpec,
+};
 use fda_comm::{
     apply_delta_downlink_into, delta_downlink_into, Codec, CodecSpec, Dense32, DownlinkSpec,
     SimNetwork,
@@ -113,6 +120,8 @@ pub struct Server {
     recon: Vec<f32>,
     /// The downlink payload, `[dim u32][body]`.
     payload: Vec<u8>,
+    /// The decision broadcast, `[sync u8][dense S̄]`.
+    decision: Vec<u8>,
     syncs: u64,
 }
 
@@ -134,6 +143,7 @@ impl Server {
             mean: Vec::new(),
             recon: Vec::new(),
             payload: Vec::new(),
+            decision: Vec::new(),
             syncs: 0,
         }
     }
@@ -229,6 +239,16 @@ impl Server {
         (estimate, violates(estimate, self.theta))
     }
 
+    /// The decision broadcast of the last [`Server::decide`]: the `sync`
+    /// byte it returned, then `S̄` dense, which is what [`Replica::check`]
+    /// reads.
+    pub fn avg_state_payload(&mut self, sync: bool) -> &[u8] {
+        self.decision.clear();
+        self.decision.push(sync as u8);
+        encode_state_coded_into(&self.avg, &Dense32, &mut self.decision);
+        &self.decision
+    }
+
     /// The synchronization after a violation: averages and charges
     /// `models` (given in id order; `payloads` are their encoded sizes on
     /// a coded job), forms the downlink — under a delta downlink its
@@ -292,35 +312,32 @@ pub struct Replica {
     consensus: Vec<f32>,
     drift: Vec<f32>,
     state: LocalState,
+    /// The broadcast `S̄`, decoded here; it keeps the job's state shape.
+    avg: LocalState,
     /// The next consensus, decoded here before it is adopted.
     scratch: Vec<f32>,
 }
 
 impl Replica {
     /// Joins `spec` through the `Resume` handoff: `model` becomes `w_t0`
-    /// of a `dim`-parameter replica and, after a sync, `on_sync(model,
-    /// prev)` is replayed so LinearFDA's ξ matches the workers that never
-    /// left, bit for bit.
-    pub fn join(
-        spec: &JobSpec,
-        dim: usize,
-        model: Vec<f32>,
-        prev: Option<&[f32]>,
-    ) -> Result<Replica, String> {
-        let wrong = |what, len| Err(format!("resume {what} has {len} params, replica has {dim}"));
-        if model.len() != dim {
-            return wrong("model", model.len());
-        }
+    /// and, after a sync, `on_sync(model, prev)` is replayed so LinearFDA's
+    /// ξ matches the workers that never left, bit for bit. The transport
+    /// decodes both into buffers of the replica's own dimension.
+    ///
+    /// # Panics
+    /// Panics if `prev` is not as long as `model`.
+    pub fn join(spec: &JobSpec, model: Vec<f32>, prev: Option<&[f32]>) -> Replica {
+        let dim = model.len();
         let mut monitor = spec.fda.variant.build_monitor(dim);
         if let Some(prev) = prev {
-            if prev.len() != dim {
-                return wrong("prev-model", prev.len());
-            }
+            assert_eq!(prev.len(), dim, "round: resume models of two lengths");
             monitor.on_sync(&model, prev);
         }
         let drift = vec![0.0; dim];
-        Ok(Replica {
-            state: monitor.local_state(&drift),
+        let state = monitor.local_state(&drift);
+        Replica {
+            avg: state.clone(),
+            state,
             monitor,
             theta: spec.fda.theta,
             uplink: spec.codec.build(),
@@ -328,7 +345,7 @@ impl Replica {
             consensus: model,
             drift,
             scratch: Vec::new(),
-        })
+        }
     }
 
     /// `w_t0`, the current consensus.
@@ -348,19 +365,26 @@ impl Replica {
         encode_vector_coded_into(w, self.uplink.as_ref(), out);
     }
 
-    /// Checks a broadcast `S̄` and decision: `avg` must have this job's
-    /// state shape, and `H(avg) > Θ` evaluated here must agree with `sync`.
-    pub fn check(&self, avg: &LocalState, sync: bool) -> Result<(), String> {
-        if !avg.same_shape(&self.state) {
-            return Err("averaged state does not have this job's state shape".to_string());
-        }
-        let local = violates(self.monitor.estimate(avg), self.theta);
+    /// Checks a decision broadcast `[sync u8][dense S̄]` and returns its
+    /// decision. `S̄` is decoded into this replica's slot, whose shape the
+    /// header must match before anything is written, and `H(S̄) > Θ`
+    /// evaluated here must agree with `sync`.
+    pub fn check(&mut self, payload: &[u8]) -> Result<bool, String> {
+        let (sync, avg) = match payload.split_first() {
+            Some((0, avg)) => (false, avg),
+            Some((1, avg)) => (true, avg),
+            Some((b, _)) => return Err(format!("bad sync byte {b}")),
+            None => return Err("empty averaged-state payload".to_string()),
+        };
+        decode_state_coded_into(avg, &mut self.avg, &Dense32)
+            .map_err(|e| format!("averaged state is not this job's state shape: {e}"))?;
+        let local = violates(self.monitor.estimate(&self.avg), self.theta);
         if local != sync {
             return Err(format!(
                 "local H(S̄) decision ({local}) disagrees with coordinator broadcast ({sync})"
             ));
         }
-        Ok(())
+        Ok(sync)
     }
 
     /// Adopts the consensus of a downlink payload `[dim u32][body]` — a
@@ -510,6 +534,117 @@ mod tests {
         }
     }
 
+    /// Known-answer bytes of the decision broadcast: the sync byte, then
+    /// `S̄` in the dense state layout of `wire` (here a Linear state).
+    #[test]
+    fn round_avg_state_payload_known_answer() {
+        let mut server = Server::new(FdaConfig::linear(1.0), vec![0.0; 4]);
+        let deposit = LocalState {
+            drift_sq_norm: 2.0,
+            summary: crate::monitor::StateSummary::Linear(0.5),
+        };
+        server.decide(&mut SimNetwork::new(1), None, &[&deposit], &[]);
+        #[rustfmt::skip]
+        let want = [
+            1, // sync
+            0, 0x00, 0x00, 0x00, 0x40, // Linear, ‖u‖² = 2.0
+            0x00, 0x00, 0x00, 0x3F, // proj 0.5
+        ];
+        assert_eq!(server.avg_state_payload(true), want);
+        assert_eq!(server.avg_state_payload(false)[1..], want[1..]);
+        assert_eq!(server.avg_state_payload(false)[0], 0);
+    }
+
+    /// A replica reads the server's decision broadcast back as the server's
+    /// decision, quiet or violating, for every monitor kind. A state of
+    /// another kind or shape, a cut or padded payload, a sync byte other
+    /// than 0 / 1 and a decision that disagrees with `H(S̄) > Θ` are each
+    /// refused, and the replica's `S̄` slot keeps the job's shape; byte
+    /// soup never panics.
+    #[test]
+    fn round_replica_checks_the_server_decision() {
+        let (d, mut rng) = (40, Rng::new(0xC4EC));
+        let kinds = [
+            FdaVariant::Linear,
+            FdaVariant::Sketch(SketchConfig::new(2, 8, 3)),
+            FdaVariant::Exact,
+        ];
+        // One state of each kind and of each wrong size the header names.
+        let others: Vec<LocalState> = [
+            FdaVariant::Linear,
+            FdaVariant::Sketch(SketchConfig::new(2, 8, 3)),
+            FdaVariant::Sketch(SketchConfig::new(3, 8, 3)),
+            FdaVariant::Sketch(SketchConfig::new(2, 9, 3)),
+        ]
+        .iter()
+        .map(|v| v.build_monitor(d).local_state(&random_vec(&mut rng, d)))
+        .chain([d, d + 1].map(|n| {
+            FdaVariant::Exact
+                .build_monitor(n)
+                .local_state(&vec![1.0; n])
+        }))
+        .collect();
+        for variant in kinds {
+            let spec = JobSpec {
+                cluster: crate::cluster::ClusterConfig::small_test(2),
+                fda: FdaConfig {
+                    variant,
+                    theta: 0.5,
+                },
+                codec: CodecSpec::Dense,
+                downlink: DownlinkSpec::Dense,
+                steps: 1,
+                synth: fda_data::synth::SynthSpec::synth_mnist(),
+                task_name: String::new(),
+            };
+            let monitor = variant.build_monitor(d);
+            let mut server = Server::new(spec.fda, vec![0.0; d]);
+            let mut replica = Replica::join(&spec, vec![0.0; d], None);
+            let mut probe = Replica::join(&spec, vec![0.0; d], None);
+            let mut seen = Vec::new();
+            for scale in [0.01f32, 10.0] {
+                let states: Vec<LocalState> = (0..2)
+                    .map(|_| {
+                        let u: Vec<f32> =
+                            random_vec(&mut rng, d).iter().map(|x| x * scale).collect();
+                        monitor.local_state(&u)
+                    })
+                    .collect();
+                let refs: Vec<&LocalState> = states.iter().collect();
+                let (_, sync) = server.decide(&mut SimNetwork::new(2), None, &refs, &[]);
+                let payload = server.avg_state_payload(sync).to_vec();
+                let case = (monitor.name(), scale);
+                assert_eq!(replica.check(&payload), Ok(sync), "{case:?}");
+                seen.push(sync);
+
+                let with_byte = |b: u8| [&[b][..], &payload[1..]].concat();
+                let mut bad = vec![
+                    payload[..payload.len() - 1].to_vec(),
+                    payload[..1].to_vec(),
+                    Vec::new(),
+                    [&payload[..], &[0]].concat(),
+                    with_byte(2),
+                    with_byte(!sync as u8),
+                ];
+                for other in others.iter().filter(|o| !o.same_shape(server.avg_state())) {
+                    let mut p = vec![sync as u8];
+                    encode_state_coded_into(other, &Dense32, &mut p);
+                    bad.push(p);
+                }
+                for b in &bad {
+                    assert!(replica.check(b).is_err(), "{case:?}: {b:?}");
+                    assert!(replica.avg.same_shape(server.avg_state()), "{case:?}");
+                }
+                for len in [0, 1, 5, 9, payload.len(), payload.len() + 3] {
+                    let soup: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8 % 3).collect();
+                    let _ = probe.check(&soup);
+                    let _ = probe.check(&[&payload[..payload.len().min(len)], &soup].concat());
+                }
+            }
+            assert_eq!(seen, [false, true], "{}", monitor.name());
+        }
+    }
+
     /// A replica adopting the server's downlink payload holds the server's
     /// consensus bits, dense and delta, over consecutive syncs; truncated,
     /// wrong-sized and trailing-garbage payloads are refused and change
@@ -533,8 +668,8 @@ mod tests {
             let w0 = random_vec(&mut rng, d);
             let mut server = Server::new(spec.fda, w0.clone());
             server.set_downlink(downlink);
-            let mut replica = Replica::join(&spec, d, w0, None).expect("join");
-            let mut probe = Replica::join(&spec, d, vec![0.0; d], None).expect("join");
+            let mut replica = Replica::join(&spec, w0, None);
+            let mut probe = Replica::join(&spec, vec![0.0; d], None);
             for round in 0..3 {
                 let models = [random_vec(&mut rng, d), random_vec(&mut rng, d)];
                 let refs: Vec<&[f32]> = models.iter().map(|m| m.as_slice()).collect();

@@ -17,22 +17,29 @@
 //!   tag 2 (Exact):  [ len: u32 ]  [ len × f32 ]
 //! ```
 //!
-//! Model/delta vectors ([`encode_vector`]) are `[ len: u32 ][ len × f32 ]`;
-//! job configs ([`encode_job`]) are a versioned fixed-field frame (see
-//! [`JobSpec`]). Every decoder is total: malformed, truncated, or
-//! hostile-length inputs return a [`DecodeError`] — never a panic, and
-//! never an allocation larger than the buffer that claims to back it.
+//! Model/delta vectors are `[ len: u32 ][ len × f32 ]`. In both, the
+//! `f32` run is a codec payload ([`Codec`]); under the identity codec
+//! [`fda_comm::compress::Dense32`] it is the raw little-endian run shown.
+//! Job configs ([`encode_job`]) are a versioned fixed-field frame (see
+//! [`JobSpec`]).
+//!
+//! Each payload has one encoder and one decoder, and every `f32` payload
+//! decodes into a slot the receiver already shaped (a state of its
+//! monitor's layout, a vector of its model's length). The wire header is
+//! only compared with that shape, and a mismatch is refused before
+//! anything is written, so no decoder sizes memory from a length it read
+//! off the wire. Every decoder is total: malformed, truncated or
+//! wrong-shaped input returns a [`DecodeError`], never a panic.
 
 use crate::cluster::ClusterConfig;
 use crate::fda::{FdaConfig, FdaVariant};
 use crate::monitor::{LocalState, StateSummary};
 use fda_comm::compress::{Codec, CodecError, CodecSpec, DownlinkSpec};
-use fda_comm::kernels::read_le_f32s;
 use fda_data::synth::SynthSpec;
 use fda_data::Partition;
 use fda_nn::zoo::ModelId;
 use fda_optim::OptimizerKind;
-use fda_sketch::{AmsSketch, SketchConfig};
+use fda_sketch::SketchConfig;
 
 /// Version byte leading every encoded [`JobSpec`] frame.
 ///
@@ -137,107 +144,32 @@ fn get_bool(buf: &[u8], off: &mut usize) -> Result<bool, DecodeError> {
     }
 }
 
-/// Takes the next `count` little-endian `f32`s off the buffer as a byte
-/// run, advancing `*off` past them. Callers check this **before** sizing
-/// any allocation from a decoded length header — a hostile
-/// `rows`/`cols`/`len` field must fail with [`DecodeError::Truncated`],
-/// not trigger a multi-gigabyte allocation — and then bulk-copy the run
-/// with [`read_le_f32s`].
-fn get_f32_run<'a>(buf: &'a [u8], off: &mut usize, count: usize) -> Result<&'a [u8], DecodeError> {
-    let need = count.checked_mul(4).ok_or(DecodeError::Truncated)?;
-    let end = off.checked_add(need).ok_or(DecodeError::Truncated)?;
-    let run = buf.get(*off..end).ok_or(DecodeError::Truncated)?;
-    *off = end;
-    Ok(run)
-}
-
-/// Encodes a local state into bytes — the dense layout, i.e.
-/// [`encode_state_coded`] under the identity codec (one code path, so the
-/// layouts cannot diverge).
-pub fn encode_state(state: &LocalState) -> Vec<u8> {
-    encode_state_coded(state, &fda_comm::compress::Dense32)
-}
-
-/// Decodes a state buffer.
-///
-/// Trailing bytes after the declared payload are rejected as
-/// [`DecodeError::Truncated`]'s dual — a framing bug either way — by
-/// requiring exact consumption.
-pub fn decode_state(buf: &[u8]) -> Result<LocalState, DecodeError> {
-    let tag = *buf.first().ok_or(DecodeError::Truncated)?;
-    let mut off = 1usize;
-    let drift_sq_norm = get_f32(buf, &mut off)?;
-    let summary = match tag {
-        0 => StateSummary::Linear(get_f32(buf, &mut off)?),
-        1 => {
-            let rows = get_u16(buf, &mut off)? as usize;
-            let cols = get_u16(buf, &mut off)? as usize;
-            let run = get_f32_run(
-                buf,
-                &mut off,
-                rows.checked_mul(cols).ok_or(DecodeError::Truncated)?,
-            )?;
-            let mut sk = AmsSketch::zeros(rows, cols);
-            read_le_f32s(run, sk.as_mut_slice());
-            StateSummary::Sketch(sk)
-        }
-        2 => {
-            let len = get_u32(buf, &mut off)? as usize;
-            let run = get_f32_run(buf, &mut off, len)?;
-            let mut v = vec![0.0f32; len];
-            read_le_f32s(run, &mut v);
-            StateSummary::Exact(v)
-        }
-        other => return Err(DecodeError::BadTag(other)),
-    };
-    if off != buf.len() {
-        return Err(DecodeError::Truncated);
+/// Self-description bytes of a state frame (tag byte + shape dims) that
+/// the paper's accounting convention does **not** charge; the frame's
+/// remaining bytes — the drift scalar and the codec payload — are the
+/// accounted state payload.
+pub fn state_frame_overhead(state: &LocalState) -> u64 {
+    1 + match &state.summary {
+        StateSummary::Linear(_) => 0,
+        StateSummary::Sketch(_) => 4,
+        StateSummary::Exact(_) => 4,
     }
-    Ok(LocalState {
-        drift_sq_norm,
-        summary,
-    })
 }
 
-/// Encodes a flat `f32` vector (full model parameters or a drift/delta):
-/// `[ len: u32 ][ len × f32 ]`.
-///
-/// # Panics
-/// Panics if `v.len()` exceeds `u32::MAX` (a ~17 GB payload — far past any
-/// model this workspace ships).
-pub fn encode_vector(v: &[f32]) -> Vec<u8> {
-    encode_vector_coded(v, &fda_comm::compress::Dense32)
+/// Encodes a local state: the header (tag, drift scalar, shape dims)
+/// followed by `codec.encode(summary)`. Under
+/// [`fda_comm::compress::Dense32`] the summary is its raw `f32` run.
+pub fn encode_state_coded(state: &LocalState, codec: &dyn Codec) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16);
+    encode_state_coded_into(state, codec, &mut out);
+    out
 }
 
-/// Decodes one `[ len: u32 ][ len × f32 ]` vector starting at `*off`,
-/// advancing `*off` past it — the building block for frames that carry
-/// more than one vector (e.g. the transport's `Resume` handoff). The
-/// declared length is validated against the remaining buffer before any
-/// allocation.
-pub fn decode_vector_at(buf: &[u8], off: &mut usize) -> Result<Vec<f32>, DecodeError> {
-    let len = get_u32(buf, off)? as usize;
-    let run = get_f32_run(buf, off, len)?;
-    let mut v = vec![0.0f32; len];
-    read_le_f32s(run, &mut v);
-    Ok(v)
-}
-
-/// Decodes a vector frame produced by [`encode_vector`]. Exact consumption
-/// is required (trailing bytes are a framing bug), and the declared length
-/// is validated against the buffer before any allocation.
-pub fn decode_vector(buf: &[u8]) -> Result<Vec<f32>, DecodeError> {
-    let mut off = 0usize;
-    let v = decode_vector_at(buf, &mut off)?;
-    if off != buf.len() {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(v)
-}
-
-/// Writes the self-describing head of a state frame — tag, drift scalar,
-/// and summary shape — shared by the dense and coded state encoders so
-/// the layouts cannot drift apart.
-fn put_state_header(out: &mut Vec<u8>, state: &LocalState) {
+/// [`encode_state_coded`] appending into a caller-owned buffer — the
+/// round loops reuse one scratch buffer per direction, so steady-state
+/// serialization allocates nothing. Append semantics (callers clear), so
+/// payloads with a prefix (the avg-state sync byte) compose in place.
+pub fn encode_state_coded_into(state: &LocalState, codec: &dyn Codec, out: &mut Vec<u8>) {
     match &state.summary {
         StateSummary::Linear(_) => {
             out.push(0);
@@ -255,44 +187,7 @@ fn put_state_header(out: &mut Vec<u8>, state: &LocalState) {
             put_u32(out, v.len() as u32);
         }
     }
-}
-
-/// Self-description bytes of a state frame (tag byte + shape dims) that
-/// the paper's accounting convention does **not** charge; the frame's
-/// remaining bytes — the drift scalar and the codec payload — are the
-/// accounted state payload.
-pub fn state_frame_overhead(state: &LocalState) -> u64 {
-    1 + match &state.summary {
-        StateSummary::Linear(_) => 0,
-        StateSummary::Sketch(_) => 4,
-        StateSummary::Exact(_) => 4,
-    }
-}
-
-/// Encodes a local state with its summary run carried as a codec payload:
-/// the [`encode_state`] header (tag, drift scalar, shape dims) followed by
-/// `codec.encode(summary)`. With [`fda_comm::compress::Dense32`] the
-/// output is byte-identical to [`encode_state`] — the dense codec payload
-/// *is* the raw `f32` run — so dense-coded wire traffic is unchanged from
-/// the pre-codec layout.
-pub fn encode_state_coded(state: &LocalState, codec: &dyn Codec) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
-    encode_state_coded_into(state, codec, &mut out);
-    out
-}
-
-/// [`encode_state_coded`] appending into a caller-owned buffer — the
-/// round loops reuse one scratch buffer per direction, so steady-state
-/// serialization allocates nothing. Append semantics (callers clear), so
-/// payloads with a prefix (the avg-state sync byte) compose in place.
-pub fn encode_state_coded_into(state: &LocalState, codec: &dyn Codec, out: &mut Vec<u8>) {
-    put_state_header(out, state);
     codec.encode_into(state.summary_slice(), out);
-}
-
-/// [`encode_state`] appending into a caller-owned buffer.
-pub fn encode_state_into(state: &LocalState, out: &mut Vec<u8>) {
-    encode_state_coded_into(state, &fda_comm::compress::Dense32, out);
 }
 
 /// Decodes a coded state frame against an `expected` shape template
@@ -346,8 +241,7 @@ pub fn decode_state_coded_into(
 }
 
 /// Encodes a vector with the run carried as a codec payload:
-/// `[ len: u32 ][ codec payload ]`. Byte-identical to [`encode_vector`]
-/// under the dense codec.
+/// `[ len: u32 ][ codec payload ]`.
 ///
 /// # Panics
 /// Panics if `v.len()` exceeds `u32::MAX`.
@@ -859,22 +753,33 @@ pub fn decode_job(buf: &[u8]) -> Result<JobSpec, DecodeError> {
 mod tests {
     use super::*;
     use crate::monitor::{ExactMonitor, LinearMonitor, SketchMonitor, VarianceMonitor};
-    use fda_sketch::SketchConfig;
+    use fda_comm::compress::Dense32;
+    use fda_sketch::AmsSketch;
 
     fn drift(n: usize) -> Vec<f32> {
         (0..n).map(|i| (i as f32 * 0.37).sin()).collect()
+    }
+
+    /// What a receiver holding a slot of `s`'s shape decodes from `s`'s
+    /// dense frame; the slot starts out holding other values.
+    fn dense_roundtrip(s: &LocalState) -> LocalState {
+        let mut slot = s.clone();
+        slot.summary_slice_mut().fill(-7.0);
+        slot.drift_sq_norm = -7.0;
+        decode_state_coded_into(&encode_state_coded(s, &Dense32), &mut slot, &Dense32).unwrap();
+        slot
     }
 
     #[test]
     fn linear_state_roundtrip_and_size() {
         let m = LinearMonitor::new();
         let s = m.local_state(&drift(64));
-        let bytes = encode_state(&s);
+        let bytes = encode_state_coded(&s, &Dense32);
         // 1 tag + 4 norm + 4 proj = 9 bytes on the wire; the monitor's
         // accounting (8) charges only the payload floats, which is the
         // paper's convention — framing overhead is sub-1% at model scale.
         assert_eq!(bytes.len(), 9);
-        let back = decode_state(&bytes).unwrap();
+        let back = dense_roundtrip(&s);
         assert_eq!(back.drift_sq_norm, s.drift_sq_norm);
         match (back.summary, s.summary) {
             (StateSummary::Linear(a), StateSummary::Linear(b)) => assert_eq!(a, b),
@@ -886,7 +791,7 @@ mod tests {
     fn sketch_state_roundtrip() {
         let m = SketchMonitor::new(SketchConfig::new(3, 16, 9), 64);
         let s = m.local_state(&drift(64));
-        let back = decode_state(&encode_state(&s)).unwrap();
+        let back = dense_roundtrip(&s);
         assert_eq!(back.drift_sq_norm, s.drift_sq_norm);
         match (&back.summary, &s.summary) {
             (StateSummary::Sketch(a), StateSummary::Sketch(b)) => {
@@ -901,7 +806,7 @@ mod tests {
     fn exact_state_roundtrip() {
         let m = ExactMonitor::new(32);
         let s = m.local_state(&drift(32));
-        let back = decode_state(&encode_state(&s)).unwrap();
+        let back = dense_roundtrip(&s);
         match (&back.summary, &s.summary) {
             (StateSummary::Exact(a), StateSummary::Exact(b)) => assert_eq!(a, b),
             _ => panic!("variant changed in roundtrip"),
@@ -914,10 +819,7 @@ mod tests {
         // them gives the same H as the in-memory path.
         let m = LinearMonitor::new();
         let states: Vec<LocalState> = (0..4).map(|i| m.local_state(&drift(32 + i))).collect();
-        let wired: Vec<LocalState> = states
-            .iter()
-            .map(|s| decode_state(&encode_state(s)).unwrap())
-            .collect();
+        let wired: Vec<LocalState> = states.iter().map(dense_roundtrip).collect();
         let direct = m.estimate(&LocalState::average(&states));
         let via_wire = m.estimate(&LocalState::average(&wired));
         assert_eq!(direct, via_wire);
@@ -925,11 +827,12 @@ mod tests {
 
     #[test]
     fn truncated_buffers_fail_cleanly() {
-        let m = LinearMonitor::new();
-        let bytes = encode_state(&m.local_state(&drift(8)));
+        let s = LinearMonitor::new().local_state(&drift(8));
+        let bytes = encode_state_coded(&s, &Dense32);
         for cut in 0..bytes.len() {
+            let mut slot = s.clone();
             assert!(
-                decode_state(&bytes[..cut]).is_err(),
+                decode_state_coded_into(&bytes[..cut], &mut slot, &Dense32).is_err(),
                 "cut at {cut} must fail"
             );
         }
@@ -937,54 +840,82 @@ mod tests {
 
     #[test]
     fn trailing_garbage_rejected() {
-        let m = LinearMonitor::new();
-        let mut bytes = encode_state(&m.local_state(&drift(8)));
+        let s = LinearMonitor::new().local_state(&drift(8));
+        let mut bytes = encode_state_coded(&s, &Dense32);
         bytes.push(0xFF);
-        assert_eq!(decode_state(&bytes), Err(DecodeError::Truncated));
+        assert!(matches!(
+            decode_state_coded(&bytes, &s, &Dense32),
+            Err(DecodeError::Malformed(_))
+        ));
     }
 
     #[test]
     fn bad_tag_rejected() {
         let buf = [9u8, 0, 0, 0, 0];
-        assert_eq!(decode_state(&buf), Err(DecodeError::BadTag(9)));
+        let slot = LinearMonitor::new().local_state(&drift(8));
+        assert_eq!(
+            decode_state_coded(&buf, &slot, &Dense32),
+            Err(DecodeError::BadTag(9))
+        );
     }
 
     /// A hostile length header (u16::MAX × u16::MAX sketch, u32::MAX exact
-    /// vector) must fail as `Truncated` *before* any allocation is sized
-    /// from it — not attempt a multi-gigabyte `vec!`.
+    /// vector) is only compared with the receiver's shape, so it fails as
+    /// `Malformed` there — no allocation is ever sized from it.
     #[test]
     fn hostile_length_headers_fail_without_allocating() {
+        let sketch = SketchMonitor::new(SketchConfig::new(3, 16, 9), 64).local_state(&drift(64));
+        let exact = ExactMonitor::new(32).local_state(&drift(32));
         // Sketch tag with maximal rows/cols and no payload behind them.
         let mut sketchy = vec![1u8];
         sketchy.extend_from_slice(&1.0f32.to_le_bytes());
         sketchy.extend_from_slice(&u16::MAX.to_le_bytes());
         sketchy.extend_from_slice(&u16::MAX.to_le_bytes());
-        assert_eq!(decode_state(&sketchy), Err(DecodeError::Truncated));
+        assert!(matches!(
+            decode_state_coded(&sketchy, &sketch, &Dense32),
+            Err(DecodeError::Malformed(_))
+        ));
         // Exact tag with a u32::MAX length.
-        let mut exact = vec![2u8];
-        exact.extend_from_slice(&1.0f32.to_le_bytes());
-        exact.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(decode_state(&exact), Err(DecodeError::Truncated));
+        let mut exact_bomb = vec![2u8];
+        exact_bomb.extend_from_slice(&1.0f32.to_le_bytes());
+        exact_bomb.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            decode_state_coded(&exact_bomb, &exact, &Dense32),
+            Err(DecodeError::Malformed(_))
+        ));
         // Vector frame with a u32::MAX length.
         let huge = u32::MAX.to_le_bytes();
-        assert_eq!(decode_vector(&huge), Err(DecodeError::Truncated));
+        assert!(matches!(
+            decode_vector_coded(&huge, 3, &Dense32),
+            Err(DecodeError::Malformed(_))
+        ));
     }
 
     #[test]
     fn vector_roundtrip_including_empty() {
         for v in [vec![], vec![1.5f32], drift(37)] {
-            let bytes = encode_vector(&v);
+            let bytes = encode_vector_coded(&v, &Dense32);
             assert_eq!(bytes.len(), 4 + v.len() * 4);
-            let back = decode_vector(&bytes).unwrap();
+            let back = decode_vector_coded(&bytes, v.len(), &Dense32).unwrap();
             assert_eq!(back, v);
-            assert_eq!(encode_vector(&back), bytes, "re-encode must match");
+            assert_eq!(
+                encode_vector_coded(&back, &Dense32),
+                bytes,
+                "re-encode must match"
+            );
         }
         // Trailing garbage and truncation rejected.
-        let mut bytes = encode_vector(&drift(5));
+        let mut bytes = encode_vector_coded(&drift(5), &Dense32);
         bytes.push(0);
-        assert_eq!(decode_vector(&bytes), Err(DecodeError::Truncated));
+        assert!(matches!(
+            decode_vector_coded(&bytes, 5, &Dense32),
+            Err(DecodeError::Malformed(_))
+        ));
         bytes.pop();
-        assert_eq!(decode_vector(&bytes[..7]), Err(DecodeError::Truncated));
+        assert_eq!(
+            decode_vector_coded(&bytes[..7], 5, &Dense32),
+            Err(DecodeError::Truncated)
+        );
     }
 
     fn sample_job() -> JobSpec {
@@ -1239,28 +1170,51 @@ mod tests {
         }
     }
 
-    /// Dense-coded frames are byte-identical to the pre-codec layouts —
-    /// the invariant that keeps golden hashes and dense byte accounting
-    /// unchanged with the codec layer threaded through.
+    /// Known-answer bytes for every `f32` layout of the table in the
+    /// module header, written out here rather than derived from another
+    /// encoder: the dense frames a peer of any earlier protocol v5 build
+    /// reads. Each must be what the encoder emits, and decode — into a slot
+    /// of its shape — back to the same bits.
     #[test]
     fn dense_coded_frames_match_uncoded_layouts() {
-        use fda_comm::compress::Dense32;
-        let states = [
-            LinearMonitor::new().local_state(&drift(16)),
-            SketchMonitor::new(SketchConfig::new(3, 16, 9), 64).local_state(&drift(64)),
-            ExactMonitor::new(32).local_state(&drift(32)),
+        let mut sketch = AmsSketch::zeros(2, 3);
+        sketch
+            .as_mut_slice()
+            .copy_from_slice(&[1.0, 2.0, 3.0, 4.0, 0.5, -1.0]);
+        let state = |drift_sq_norm, summary| LocalState {
+            drift_sq_norm,
+            summary,
+        };
+        #[rustfmt::skip]
+        let states: [(LocalState, &[u8]); 3] = [
+            (state(2.0, StateSummary::Linear(0.5)), &[
+                0, 0x00, 0x00, 0x00, 0x40, // Linear, ‖u‖² = 2.0
+                0x00, 0x00, 0x00, 0x3F, // proj 0.5
+            ]),
+            (state(1.0, StateSummary::Sketch(sketch)), &[
+                1, 0x00, 0x00, 0x80, 0x3F, // Sketch, ‖u‖² = 1.0
+                2, 0, 3, 0, // rows 2, cols 3
+                0x00, 0x00, 0x80, 0x3F, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x40, 0x40,
+                0x00, 0x00, 0x80, 0x40, 0x00, 0x00, 0x00, 0x3F, 0x00, 0x00, 0x80, 0xBF,
+            ]),
+            (state(0.25, StateSummary::Exact(vec![1.5, -1.0])), &[
+                2, 0x00, 0x00, 0x80, 0x3E, // Exact, ‖u‖² = 0.25
+                2, 0, 0, 0, // len 2
+                0x00, 0x00, 0xC0, 0x3F, 0x00, 0x00, 0x80, 0xBF,
+            ]),
         ];
-        for s in &states {
-            assert_eq!(encode_state(s), encode_state_coded(s, &Dense32));
-            let back = decode_state_coded(&encode_state(s), s, &Dense32).unwrap();
-            assert_eq!(encode_state(&back), encode_state(s));
+        for (s, want) in &states {
+            assert_eq!(encode_state_coded(s, &Dense32), *want);
+            assert_eq!(encode_state_coded(&dense_roundtrip(s), &Dense32), *want);
         }
-        let v = drift(97);
-        assert_eq!(encode_vector(&v), encode_vector_coded(&v, &Dense32));
-        assert_eq!(
-            decode_vector_coded(&encode_vector(&v), 97, &Dense32).unwrap(),
-            v
-        );
+        #[rustfmt::skip]
+        let want: &[u8] = &[
+            3, 0, 0, 0, // len 3
+            0x00, 0x00, 0x80, 0x3F, 0x00, 0x00, 0x80, 0xBF, 0x00, 0x00, 0x00, 0x3F,
+        ];
+        let v = [1.0f32, -1.0, 0.5];
+        assert_eq!(encode_vector_coded(&v, &Dense32), want);
+        assert_eq!(decode_vector_coded(want, 3, &Dense32).unwrap(), v);
     }
 
     #[test]
@@ -1351,8 +1305,8 @@ mod tests {
             decode_state_coded_into(&bytes, &mut slot, &codec).unwrap();
             let fresh = decode_state_coded(&bytes, &state, &codec).unwrap();
             assert_eq!(
-                encode_state(&slot),
-                encode_state(&fresh),
+                encode_state_coded(&slot, &Dense32),
+                encode_state_coded(&fresh, &Dense32),
                 "{}",
                 monitor.name()
             );

@@ -42,12 +42,11 @@ use crate::frame::{
     write_frame, write_frame_with, CountingStream, FrameHead, FrameKind, NetError, PROTOCOL_VERSION,
 };
 use crate::protocol::{encode_resume, recv_frame_at_epoch_into, Msg};
-use fda_comm::{sim::per_worker_bytes, SimNetwork};
+use fda_comm::{sim::per_worker_bytes, Dense32, SimNetwork};
 use fda_core::monitor::LocalState;
 use fda_core::round::Server;
 use fda_core::wire::{
-    decode_state_coded_into, decode_vector_coded_into, encode_state_into, state_frame_overhead,
-    JobSpec,
+    decode_state_coded_into, decode_vector_coded_into, state_frame_overhead, JobSpec,
 };
 use fda_obs::{DropRecord, JsonlWriter, MembershipRecord, RoundEvent, RunEvent};
 use fda_tensor::vector;
@@ -194,7 +193,7 @@ pub struct Coordinator {
 struct Conn {
     stream: CountingStream<TcpStream>,
     epoch: u32,
-    /// Round-persistent receive buffer: [`Conn::recv_frame_current`]
+    /// Round-persistent receive buffer: [`Conn::recv_kind`]
     /// leaves the frame body here (kind byte + payload, so the payload is
     /// `rbuf[1..]`), and steady-state deposits never allocate per frame —
     /// the buffer only grows to the largest frame this peer ever sends.
@@ -225,16 +224,18 @@ impl Conn {
         write_frame_with(&mut self.stream, head, payload)
     }
 
-    fn recv_current(&mut self) -> Result<Msg, NetError> {
-        let kind = self.recv_frame_current()?;
-        Msg::decode(kind, &self.rbuf[1..])
-    }
-
-    /// Current-epoch receive at the frame layer — for uplink payloads
-    /// whose decoding needs the job's codec and an expected shape. The
-    /// payload lands in `self.rbuf` (at `rbuf[1..]`).
-    fn recv_frame_current(&mut self) -> Result<FrameKind, NetError> {
-        recv_frame_at_epoch_into(&mut self.stream, self.epoch, &mut self.rbuf)
+    /// Current-epoch receive at the frame layer of a frame of kind
+    /// `want`, whose payload — decoded against the job's codec and an
+    /// expected shape — lands in `self.rbuf` (at `rbuf[1..]`).
+    fn recv_kind(&mut self, want: FrameKind) -> Result<(), NetError> {
+        match recv_frame_at_epoch_into(&mut self.stream, self.epoch, &mut self.rbuf)? {
+            kind if kind == want => Ok(()),
+            other => Err(NetError::Protocol(format!(
+                "expected {}, got {}",
+                want.label(),
+                other.label()
+            ))),
+        }
     }
 
     fn set_read_timeout(&self, t: Duration) -> Result<(), NetError> {
@@ -482,6 +483,8 @@ struct Membership {
 
 impl Membership {
     /// The formed cluster: every worker live, K `Joined` events at round 0.
+    /// A round needs one survivor, so the quorum is at least 1 whatever
+    /// the policy asks for.
     fn form(conns: Vec<Conn>, min_workers: usize) -> Membership {
         let events = (0..conns.len() as u32)
             .map(|w| MembershipEvent {
@@ -495,7 +498,7 @@ impl Membership {
             events,
             epoch: 1,
             raw_retired: (0, 0),
-            min_workers,
+            min_workers: min_workers.max(1),
         }
     }
 
@@ -568,11 +571,6 @@ impl Membership {
     }
 }
 
-/// The wrong message for the phase — a protocol drop.
-fn unexpected(expected: &str, got: FrameKind) -> NetError {
-    NetError::Protocol(format!("expected {expected}, got {}", got.label()))
-}
-
 /// Everything one [`Coordinator::run`] owns between formation and the
 /// report: the job's derived constants, the round's server half, the
 /// membership, the charged fabric, the trajectory so far, and the
@@ -580,7 +578,6 @@ fn unexpected(expected: &str, got: FrameKind) -> NetError {
 struct Run<'a> {
     coord: &'a Coordinator,
     spec: &'a JobSpec,
-    dim: usize,
     /// The round's arithmetic and accounting: monitor, Θ, codecs, the
     /// consensus and the one before it (the `Resume` handoff), `S̄`.
     server: Server,
@@ -603,14 +600,11 @@ struct Run<'a> {
     decisions: Vec<bool>,
     estimates: Vec<f32>,
     downlink_model_bytes: u64,
-    /// Round-persistent scratch: the averaged-state broadcast is encoded
-    /// once per round into `bcast`, its frame head (checksum included) is
-    /// composed once, and both are fanned out as borrowed slices to every
-    /// worker; deposits are decoded into per-id slots — the steady-state
-    /// round loop allocates nothing sized by the payload.
-    bcast: Vec<u8>,
     /// One state slot and one model slot per worker id, shaped at
-    /// formation and overwritten by each of that worker's deposits.
+    /// formation and overwritten by each of that worker's deposits (and,
+    /// for the model slot, its final replica) — with the server's own
+    /// broadcast scratch, the steady-state round loop allocates nothing
+    /// sized by the payload.
     state_slots: Vec<LocalState>,
     model_slots: Vec<Vec<f32>>,
     /// The ids that completed the current phase, ascending, and their
@@ -639,7 +633,6 @@ impl<'a> Run<'a> {
         let mut run = Run {
             coord,
             spec,
-            dim,
             state_overhead: state_frame_overhead(server.avg_state()),
             state_slots: vec![server.avg_state().clone(); k],
             server,
@@ -653,7 +646,6 @@ impl<'a> Run<'a> {
             decisions: Vec::with_capacity(spec.steps as usize),
             estimates: Vec::with_capacity(spec.steps as usize),
             downlink_model_bytes: 0,
-            bcast: Vec::new(),
             model_slots: (0..k).map(|_| vec![0.0; dim]).collect(),
             deposited: Vec::with_capacity(k),
             payloads: Vec::with_capacity(k),
@@ -731,10 +723,7 @@ impl<'a> Run<'a> {
                 .max(Duration::from_millis(1));
             conn.set_read_timeout(remaining)?;
             let t0 = timed.then(Instant::now);
-            match conn.recv_frame_current()? {
-                FrameKind::State => {}
-                other => return Err(unexpected("state", other)),
-            }
+            conn.recv_kind(FrameKind::State)?;
             // The coded decoder checks tag and dims against the slot before
             // writing it; a mismatch is the same protocol drop a
             // wrong-shaped dense deposit always was, and a failed deposit's
@@ -763,10 +752,10 @@ impl<'a> Run<'a> {
     }
 
     /// (2) The server reduces the deposits in worker-id order, charges
-    /// them and decides; (3) the averaged state + decision is broadcast —
-    /// encoded once into the round scratch, fanned out as a borrowed
-    /// slice; a failed write is a drop, not a run abort. Returns
-    /// `(H(S̄), sync)`.
+    /// them and decides; (3) the server's decision broadcast — the
+    /// averaged state + decision, encoded once into its scratch — is
+    /// fanned out as a borrowed slice; a failed write is a drop, not a run
+    /// abort. Returns `(H(S̄), sync)`.
     fn decide_and_broadcast(&mut self, step: u32) -> Result<(f32, bool), NetError> {
         let states: Vec<&LocalState> = self
             .deposited
@@ -779,13 +768,10 @@ impl<'a> Run<'a> {
         self.estimates.push(estimate);
         self.decisions.push(sync);
 
-        self.bcast.clear();
-        self.bcast.push(sync as u8);
-        encode_state_into(self.server.avg_state(), &mut self.bcast);
-        let head = FrameHead::new(self.members.epoch, FrameKind::AvgState, &self.bcast)?;
-        let bcast = &self.bcast;
+        let payload = self.server.avg_state_payload(sync);
+        let head = FrameHead::new(self.members.epoch, FrameKind::AvgState, payload)?;
         self.members
-            .each_live(step, |_, conn| conn.send_with(&head, bcast))?;
+            .each_live(step, |_, conn| conn.send_with(&head, payload))?;
         Ok((estimate, sync))
     }
 
@@ -801,10 +787,7 @@ impl<'a> Run<'a> {
         );
         let codec = self.server.uplink();
         self.members.each_live(step, |id, conn| {
-            match conn.recv_frame_current()? {
-                FrameKind::Model => {}
-                other => return Err(unexpected("model", other)),
-            }
+            conn.recv_kind(FrameKind::Model)?;
             decode_vector_coded_into(&conn.rbuf[1..], &mut slots[id], codec)?;
             deposited.push(id);
             // Charge the encoded payload; the 4-byte length header is
@@ -840,24 +823,21 @@ impl<'a> Run<'a> {
     }
 
     /// Final replica collection (uncharged, like
-    /// `Cluster::average_params`), shutdown, and the report.
+    /// `Cluster::average_params`) into each survivor's model slot,
+    /// shutdown, and the report.
     fn finish(mut self) -> Result<NetReport, NetError> {
-        let steps = self.spec.steps;
-        let dim = self.dim;
         let mut survivors: Vec<u32> = Vec::new();
-        let mut worker_params: Vec<Vec<f32>> = Vec::new();
-        self.members
-            .each_live(steps, |id, conn| match conn.recv_current()? {
-                Msg::FinalModel(v) if v.len() == dim => {
-                    survivors.push(id as u32);
-                    worker_params.push(v);
-                    Ok(())
-                }
-                other => Err(NetError::Protocol(format!(
-                    "expected a {dim}-parameter final model, got {}",
-                    other.kind_name()
-                ))),
-            })?;
+        let slots = &mut self.model_slots;
+        self.members.each_live(self.spec.steps, |id, conn| {
+            conn.recv_kind(FrameKind::FinalModel)?;
+            decode_vector_coded_into(&conn.rbuf[1..], &mut slots[id], &Dense32)?;
+            survivors.push(id as u32);
+            Ok(())
+        })?;
+        let worker_params: Vec<Vec<f32>> = survivors
+            .iter()
+            .map(|&id| std::mem::take(&mut self.model_slots[id as usize]))
+            .collect();
         let head = FrameHead::new(self.members.epoch, FrameKind::Shutdown, &[])?;
         let (mut raw_tx, mut raw_rx) = self.members.raw_retired;
         for conn in self.members.conns.iter_mut().flatten() {

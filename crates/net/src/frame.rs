@@ -299,17 +299,19 @@ pub enum FrameKind {
     /// Coordinator → worker: the job config (`wire::encode_job`).
     Config = 2,
     /// Worker → coordinator: one round's local state
-    /// (`wire::encode_state`).
+    /// (`wire::encode_state_coded` in the job's codec).
     State = 3,
-    /// Coordinator → worker: averaged state + sync decision.
+    /// Coordinator → worker: sync decision + averaged state, `[sync u8]`
+    /// then the dense state (`round::Server::avg_state_payload`).
     AvgState = 4,
     /// Worker → coordinator: full model parameters for a synchronization
-    /// (`wire::encode_vector`).
+    /// (`wire::encode_vector_coded` in the job's codec).
     Model = 5,
     /// Coordinator → worker: the AllReduced consensus model.
     AvgModel = 6,
-    /// Worker → coordinator: final replica parameters after the last step
-    /// (evaluation traffic — uncharged, like `Cluster::average_params`).
+    /// Worker → coordinator: final replica parameters after the last step,
+    /// a dense vector (evaluation traffic — uncharged, like
+    /// `Cluster::average_params`).
     FinalModel = 7,
     /// Coordinator → worker: run complete, close the connection.
     Shutdown = 8,

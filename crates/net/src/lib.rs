@@ -39,9 +39,9 @@
 //!
 //! * [`frame`] — length-prefixed, checksummed, epoch-stamped frame
 //!   protocol and byte counters.
-//! * [`protocol`] — typed control-plane messages (hello/config/resume/
-//!   decision/final model/shutdown) with `fda_core::wire` payloads, and
-//!   the stale-epoch receive filter every receive goes through.
+//! * [`protocol`] — typed control-plane messages (hello/config/shutdown),
+//!   the `Resume` handoff's encoder and decoder, and the stale-epoch
+//!   receive filter every receive goes through.
 //! * [`coordinator`] — the deposit → server reduce → broadcast
 //!   rendezvous, with per-round drop/quorum/rejoin handling.
 //! * [`worker`] — the per-process worker loop over the simulator's own

@@ -1,11 +1,13 @@
 //! Typed messages over the frame layer.
 //!
-//! A [`Msg`] is one control-plane or evaluation frame whose payload is a
-//! `fda_core::wire` encoding. The data plane — coded state and model
-//! uploads, the consensus downlink — never becomes a `Msg`: its bytes
-//! depend on the job's codecs and expected shapes, so it is read and
-//! written at the frame layer and interpreted by the round's halves
-//! (`fda_core::round`).
+//! A [`Msg`] is one control-plane frame — hello, config, shutdown — whose
+//! payload describes itself. Every frame that carries an `f32` run is read
+//! at the frame layer instead and decoded into buffers the receiver
+//! already shaped: the coded state and model uploads and the consensus
+//! downlink by the round's halves (`fda_core::round`), the decision
+//! broadcast by `Replica::check`, the final model into the coordinator's
+//! model slot, and the `Resume` handoff by `decode_resume` once the
+//! worker knows its model's dimension.
 //!
 //! Every frame carries the coordinator's **membership epoch** in its
 //! header. Senders stamp frames with the last epoch they were told;
@@ -15,10 +17,9 @@
 //! claiming a future epoch as protocol violations.
 
 use crate::frame::{read_frame_into, write_frame, FrameKind, NetError, PROTOCOL_VERSION};
-use fda_core::monitor::LocalState;
+use fda_comm::Dense32;
 use fda_core::wire::{
-    decode_job, decode_state, decode_vector, decode_vector_at, encode_job, encode_state,
-    encode_vector, JobSpec,
+    decode_job, decode_vector_coded, encode_job, encode_vector_coded_into, JobSpec,
 };
 use std::io::{Read, Write};
 
@@ -28,7 +29,8 @@ use std::io::{Read, Write};
 /// frames; an endless stale stream is a broken or hostile peer.
 pub const MAX_STALE_FRAMES: u32 = 8;
 
-/// One protocol message (see [`FrameKind`] for the direction of each).
+/// One control-plane message (see [`FrameKind`] for the direction of
+/// each).
 #[derive(Debug)]
 pub enum Msg {
     /// Worker → coordinator handshake.
@@ -46,28 +48,6 @@ pub enum Msg {
     /// other variant, and `Msg` values travel through `Result`s and
     /// matches where the large-variant footprint would tax all of them).
     Config(Box<JobSpec>),
-    /// Coordinator → worker: the averaged state and the round's decision.
-    AvgState {
-        /// `S̄_t`, averaged in worker-id order over the round's survivors.
-        state: LocalState,
-        /// `H(S̄_t) > Θ` — whether a model AllReduce follows.
-        sync: bool,
-    },
-    /// Worker → coordinator: final replica (uncharged evaluation traffic).
-    FinalModel(Vec<f32>),
-    /// Coordinator → worker: the versioned state handoff sent on every
-    /// (re)join, right after [`Msg::Config`].
-    Resume {
-        /// The round the worker resumes at (0 at initial formation).
-        round: u32,
-        /// The consensus model — `w_0` before any sync, the last
-        /// AllReduced model after.
-        model: Vec<f32>,
-        /// The consensus model of the *previous* synchronization, when one
-        /// exists — what `LinearMonitor::on_sync` needs to reconstruct ξ
-        /// bit-identically to the workers that never left.
-        prev_model: Option<Vec<f32>>,
-    },
     /// Coordinator → worker: run complete.
     Shutdown,
 }
@@ -97,20 +77,6 @@ impl Msg {
                 (FrameKind::Hello, p)
             }
             Msg::Config(job) => (FrameKind::Config, encode_job(job)),
-            Msg::AvgState { state, sync } => {
-                let mut p = vec![*sync as u8];
-                p.extend_from_slice(&encode_state(state));
-                (FrameKind::AvgState, p)
-            }
-            Msg::FinalModel(v) => (FrameKind::FinalModel, encode_vector(v)),
-            Msg::Resume {
-                round,
-                model,
-                prev_model,
-            } => (
-                FrameKind::Resume,
-                encode_resume(*round, model, prev_model.as_deref()),
-            ),
             Msg::Shutdown => (FrameKind::Shutdown, Vec::new()),
         }
     }
@@ -138,53 +104,6 @@ impl Msg {
                 }
             }
             FrameKind::Config => Msg::Config(Box::new(decode_job(payload)?)),
-            FrameKind::AvgState => {
-                let (&sync_byte, state_bytes) = payload
-                    .split_first()
-                    .ok_or_else(|| NetError::Protocol("empty avg-state payload".to_string()))?;
-                let sync = match sync_byte {
-                    0 => false,
-                    1 => true,
-                    b => {
-                        return Err(NetError::Protocol(format!("bad sync byte {b}")));
-                    }
-                };
-                Msg::AvgState {
-                    state: decode_state(state_bytes)?,
-                    sync,
-                }
-            }
-            FrameKind::FinalModel => Msg::FinalModel(decode_vector(payload)?),
-            FrameKind::Resume => {
-                if payload.len() < 5 {
-                    return Err(NetError::Protocol("resume payload too short".to_string()));
-                }
-                let round = u32::from_le_bytes(payload[0..4].try_into().expect("len 4"));
-                let has_prev = match payload[4] {
-                    0 => false,
-                    1 => true,
-                    b => {
-                        return Err(NetError::Protocol(format!("bad resume prev flag {b}")));
-                    }
-                };
-                let mut off = 5usize;
-                let model = decode_vector_at(payload, &mut off)?;
-                let prev_model = if has_prev {
-                    Some(decode_vector_at(payload, &mut off)?)
-                } else {
-                    None
-                };
-                if off != payload.len() {
-                    return Err(NetError::Protocol(
-                        "trailing bytes after resume payload".to_string(),
-                    ));
-                }
-                Msg::Resume {
-                    round,
-                    model,
-                    prev_model,
-                }
-            }
             FrameKind::Shutdown => {
                 if !payload.is_empty() {
                     return Err(NetError::Protocol(
@@ -193,13 +112,16 @@ impl Msg {
                 }
                 Msg::Shutdown
             }
-            // Data-plane frames are only decodable with the job's codecs
-            // and shapes in hand; their receivers read them at the frame
-            // layer, so reaching here means a peer sent one out of phase.
+            // Frames carrying `f32` runs decode only into buffers their
+            // receiver shaped, so they are read at the frame layer;
+            // reaching here means a peer sent one out of phase.
             FrameKind::State
+            | FrameKind::AvgState
             | FrameKind::Model
             | FrameKind::AvgModel
-            | FrameKind::AvgModelDelta => {
+            | FrameKind::AvgModelDelta
+            | FrameKind::FinalModel
+            | FrameKind::Resume => {
                 return Err(NetError::Protocol(format!(
                     "{} frame outside its round phase",
                     kind.label()
@@ -221,24 +143,49 @@ impl Msg {
         match self {
             Msg::Hello { .. } => "hello",
             Msg::Config(_) => "config",
-            Msg::AvgState { .. } => "avg-state",
-            Msg::FinalModel(_) => "final-model",
-            Msg::Resume { .. } => "resume",
             Msg::Shutdown => "shutdown",
         }
     }
 }
 
-/// The [`Msg::Resume`] payload, encoded from borrowed models.
+/// The `Resume` handoff payload, `[round u32][has_prev u8][model][prev?]`,
+/// each model a dense vector frame `[dim u32][dim × f32]`.
 pub(crate) fn encode_resume(round: u32, model: &[f32], prev: Option<&[f32]>) -> Vec<u8> {
     let mut p = Vec::with_capacity(9 + model.len() * 4);
     p.extend_from_slice(&round.to_le_bytes());
     p.push(prev.is_some() as u8);
-    p.extend_from_slice(&encode_vector(model));
+    encode_vector_coded_into(model, &Dense32, &mut p);
     if let Some(prev) = prev {
-        p.extend_from_slice(&encode_vector(prev));
+        encode_vector_coded_into(prev, &Dense32, &mut p);
     }
     p
+}
+
+/// A decoded `Resume` handoff: the round to resume at, the consensus
+/// model, and the previous consensus once a sync has happened.
+pub(crate) type Resume = (u32, Vec<f32>, Option<Vec<f32>>);
+
+/// Decodes a `Resume` payload for a replica of `dim` parameters: each
+/// model is decoded into a fresh `dim`-sized buffer, and a header naming
+/// another dimension is refused before anything is written.
+pub(crate) fn decode_resume(payload: &[u8], dim: usize) -> Result<Resume, NetError> {
+    let model = |bytes: &[u8]| decode_vector_coded(bytes, dim, &Dense32);
+    let Some((&[r0, r1, r2, r3, has_prev], models)) = payload.split_first_chunk::<5>() else {
+        return Err(NetError::Protocol("resume payload too short".to_string()));
+    };
+    let (model_bytes, prev_bytes) = match has_prev {
+        0 => (models, None),
+        1 => match models.split_at_checked(4 + dim * 4) {
+            Some((m, p)) => (m, Some(p)),
+            None => return Err(NetError::Protocol("resume payload too short".to_string())),
+        },
+        b => return Err(NetError::Protocol(format!("bad resume prev flag {b}"))),
+    };
+    Ok((
+        u32::from_le_bytes([r0, r1, r2, r3]),
+        model(model_bytes)?,
+        prev_bytes.map(model).transpose()?,
+    ))
 }
 
 /// Receives the next frame stamped with exactly `epoch` into a
@@ -283,8 +230,27 @@ pub fn recv_frame_at_epoch_into<R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fda_core::fda::FdaConfig;
     use fda_core::monitor::{LinearMonitor, SketchMonitor, VarianceMonitor};
+    use fda_core::round::{Replica, Server};
+    use fda_core::wire::{decode_state_coded, decode_vector_coded_into, encode_state_coded};
     use fda_sketch::SketchConfig;
+
+    fn job(fda: FdaConfig) -> JobSpec {
+        JobSpec {
+            cluster: fda_core::cluster::ClusterConfig::small_test(2),
+            fda,
+            codec: fda_comm::CodecSpec::Dense,
+            downlink: fda_comm::DownlinkSpec::Dense,
+            steps: 4,
+            synth: fda_data::synth::SynthSpec {
+                n_train: 64,
+                n_test: 16,
+                ..fda_data::synth::SynthSpec::synth_mnist()
+            },
+            task_name: "protocol".to_string(),
+        }
+    }
 
     fn roundtrip(msg: &Msg) -> (Msg, u32) {
         let mut buf: Vec<u8> = Vec::new();
@@ -317,23 +283,10 @@ mod tests {
     /// coordinator — is refused while it is decoded.
     #[test]
     fn config_frame_asking_for_a_huge_sketch_is_refused() {
-        use fda_core::fda::{FdaConfig, FdaVariant};
-        let job = fda_core::wire::JobSpec {
-            cluster: fda_core::cluster::ClusterConfig::small_test(2),
-            fda: FdaConfig {
-                variant: FdaVariant::Sketch(SketchConfig::new(65_535, 65_535, 7)),
-                theta: 0.1,
-            },
-            codec: fda_comm::CodecSpec::Dense,
-            downlink: fda_comm::DownlinkSpec::Dense,
-            steps: 4,
-            synth: fda_data::synth::SynthSpec {
-                n_train: 64,
-                n_test: 16,
-                ..fda_data::synth::SynthSpec::synth_mnist()
-            },
-            task_name: "huge-sketch".to_string(),
-        };
+        let job = job(FdaConfig {
+            variant: fda_core::fda::FdaVariant::Sketch(SketchConfig::new(65_535, 65_535, 7)),
+            theta: 0.1,
+        });
         let bytes = fda_core::wire::encode_job(&job);
         assert!(matches!(
             Msg::decode(FrameKind::Config, &bytes),
@@ -342,74 +295,108 @@ mod tests {
     }
 
     /// A local state survives the data-plane frame (through the epoch
-    /// filter) and the averaged-state broadcast bit for bit.
+    /// filter) bit for bit, and the server's decision broadcast reaches a
+    /// replica, which reads back the server's decision.
     #[test]
     fn state_and_avg_state_roundtrip_bitwise() {
         let drift: Vec<f32> = (0..96).map(|i| (i as f32 * 0.11).sin()).collect();
-        for state in [
-            LinearMonitor::new().local_state(&drift),
-            SketchMonitor::new(SketchConfig::new(3, 16, 5), drift.len()).local_state(&drift),
-        ] {
+        let through_a_frame = |kind, payload: &[u8], buf: &mut Vec<u8>| {
             let mut wire: Vec<u8> = Vec::new();
-            write_frame(&mut wire, 11, FrameKind::State, &encode_state(&state)).unwrap();
+            write_frame(&mut wire, 11, kind, payload).unwrap();
+            let got = recv_frame_at_epoch_into(&mut std::io::Cursor::new(wire), 11, buf).unwrap();
+            assert_eq!(got, kind);
+        };
+        for fda in [
+            FdaConfig::linear(0.01),
+            FdaConfig {
+                variant: fda_core::fda::FdaVariant::Sketch(SketchConfig::new(3, 16, 5)),
+                theta: 0.01,
+            },
+        ] {
+            let state = fda.variant.build_monitor(drift.len()).local_state(&drift);
             let mut buf = Vec::new();
-            let kind =
-                recv_frame_at_epoch_into(&mut std::io::Cursor::new(wire), 11, &mut buf).unwrap();
-            assert_eq!(kind, FrameKind::State);
-            assert_eq!(decode_state(&buf[1..]).unwrap(), state);
-            match roundtrip(&Msg::AvgState {
-                state: state.clone(),
-                sync: true,
-            }) {
-                (Msg::AvgState { state: back, sync }, epoch) => {
-                    assert_eq!(back, state);
-                    assert!(sync);
-                    assert_eq!(epoch, 11);
-                }
-                (other, _) => panic!("wrong kind: {}", other.kind_name()),
-            }
+            through_a_frame(
+                FrameKind::State,
+                &encode_state_coded(&state, &Dense32),
+                &mut buf,
+            );
+            assert_eq!(
+                decode_state_coded(&buf[1..], &state, &Dense32).unwrap(),
+                state
+            );
+
+            let mut server = Server::new(fda, vec![0.0; drift.len()]);
+            let mut net = fda_comm::SimNetwork::new(1);
+            let (_, sync) = server.decide(&mut net, None, &[&state], &[]);
+            through_a_frame(
+                FrameKind::AvgState,
+                server.avg_state_payload(sync),
+                &mut buf,
+            );
+            let mut replica = Replica::join(&job(fda), vec![0.0; drift.len()], None);
+            assert_eq!(replica.check(&buf[1..]), Ok(sync));
+            assert_eq!(
+                decode_state_coded(&buf[2..], &state, &Dense32).unwrap(),
+                state
+            );
         }
     }
 
+    /// Known-answer bytes of the `Resume` payload with and without the
+    /// previous model, and the handoff decoded at the replica's dimension;
+    /// another dimension, a cut, trailing bytes and a bad flag are refused.
     #[test]
     fn resume_roundtrip_with_and_without_prev() {
-        let model: Vec<f32> = (0..50).map(|i| i as f32 * 0.25).collect();
-        let prev: Vec<f32> = (0..50).map(|i| i as f32 * -0.5).collect();
-        for prev_model in [None, Some(prev.clone())] {
-            let msg = Msg::Resume {
-                round: 6,
-                model: model.clone(),
-                prev_model: prev_model.clone(),
-            };
-            match roundtrip(&msg) {
-                (
-                    Msg::Resume {
-                        round,
-                        model: m,
-                        prev_model: p,
-                    },
-                    _,
-                ) => {
-                    assert_eq!(round, 6);
-                    assert_eq!(m, model);
-                    assert_eq!(p, prev_model);
-                }
-                (other, _) => panic!("wrong kind: {}", other.kind_name()),
-            }
+        let (model, prev) = ([1.0f32, 2.0], [0.5f32, -1.0]);
+        #[rustfmt::skip]
+        let want: &[u8] = &[
+            6, 0, 0, 0, 1, // round 6, has prev
+            2, 0, 0, 0, 0x00, 0x00, 0x80, 0x3F, 0x00, 0x00, 0x00, 0x40, // model
+            2, 0, 0, 0, 0x00, 0x00, 0x00, 0x3F, 0x00, 0x00, 0x80, 0xBF, // prev
+        ];
+        assert_eq!(encode_resume(6, &model, Some(&prev)), want);
+        let without = [&want[..4], &[0], &want[5..17]].concat();
+        assert_eq!(encode_resume(6, &model, None), without);
+        let decoded = decode_resume(want, 2).unwrap();
+        assert_eq!(decoded, (6, model.to_vec(), Some(prev.to_vec())));
+        assert_eq!(
+            decode_resume(&without, 2).unwrap(),
+            (6, model.to_vec(), None)
+        );
+        let bad_flag = [&want[..4], &[2], &want[5..]].concat();
+        let trailing = [want, &[0]].concat();
+        for (bytes, dim) in [
+            (want, 3),
+            (&without[..], 1),
+            (&want[..want.len() - 1], 2),
+            (&without[..4], 2),
+            (&trailing[..], 2),
+            (&bad_flag[..], 2),
+        ] {
+            assert!(
+                decode_resume(bytes, dim).is_err(),
+                "{} bytes at {dim}",
+                bytes.len()
+            );
         }
     }
 
-    /// A parameter vector round-trips as the final model, and as a dense
-    /// model upload its accounted payload — the frame payload minus the
-    /// 4-byte length header — is `d·4`.
+    /// A parameter vector round-trips as the final model, decoded into a
+    /// slot of the receiver's dimension, and as a dense model upload its
+    /// accounted payload — the frame payload minus the 4-byte length
+    /// header — is `d·4`.
     #[test]
     fn model_roundtrip_and_accounting() {
         let v: Vec<f32> = (0..1000).map(|i| i as f32 * 0.5).collect();
-        match roundtrip(&Msg::FinalModel(v.clone())) {
-            (Msg::FinalModel(back), _) => assert_eq!(back, v),
-            (other, _) => panic!("wrong kind: {}", other.kind_name()),
-        }
-        let upload = fda_core::wire::encode_vector_coded(&v, &fda_comm::Dense32);
+        let upload = fda_core::wire::encode_vector_coded(&v, &Dense32);
+        let mut wire: Vec<u8> = Vec::new();
+        write_frame(&mut wire, 11, FrameKind::FinalModel, &upload).unwrap();
+        let mut buf = Vec::new();
+        let (kind, _) = read_frame_into(&mut std::io::Cursor::new(wire), &mut buf).unwrap();
+        assert_eq!(kind, FrameKind::FinalModel);
+        let mut slot = vec![0.0f32; 1000];
+        decode_vector_coded_into(&buf[1..], &mut slot, &Dense32).unwrap();
+        assert_eq!(slot, v);
         assert_eq!(upload.len() as u64 - 4, 4000);
     }
 
@@ -426,7 +413,8 @@ mod tests {
             (lin.local_state(&drift), lin.state_bytes()),
             (sk.local_state(&drift), sk.state_bytes()),
         ] {
-            let accounted = encode_state(&state).len() as u64 - state_frame_overhead(&state);
+            let accounted =
+                encode_state_coded(&state, &Dense32).len() as u64 - state_frame_overhead(&state);
             assert_eq!(accounted, charged);
         }
     }
@@ -436,20 +424,21 @@ mod tests {
     /// protocol errors.
     #[test]
     fn stale_epochs_skipped_future_rejected() {
-        let state = encode_state(&LinearMonitor::new().local_state(&[1.0, 2.0, 3.0]));
+        let state = encode_state_coded(
+            &LinearMonitor::new().local_state(&[1.0, 2.0, 3.0]),
+            &Dense32,
+        );
         let recv = |wire: Vec<u8>, buf: &mut Vec<u8>| {
             recv_frame_at_epoch_into(&mut std::io::Cursor::new(wire), 5, buf)
         };
         let mut wire: Vec<u8> = Vec::new();
         write_frame(&mut wire, 3, FrameKind::State, &state).unwrap(); // stale
         write_frame(&mut wire, 4, FrameKind::State, &state).unwrap(); // stale
-        Msg::FinalModel(vec![9.0]).send(&mut wire, 5).unwrap(); // current
+        let live = fda_core::wire::encode_vector_coded(&[9.0], &Dense32);
+        write_frame(&mut wire, 5, FrameKind::FinalModel, &live).unwrap(); // current
         let mut buf = Vec::new();
-        let kind = recv(wire, &mut buf).unwrap();
-        match Msg::decode(kind, &buf[1..]).unwrap() {
-            Msg::FinalModel(v) => assert_eq!(v, vec![9.0]),
-            other => panic!("wrong kind: {}", other.kind_name()),
-        }
+        assert_eq!(recv(wire, &mut buf).unwrap(), FrameKind::FinalModel);
+        assert_eq!(decode_vector_coded(&buf[1..], 1, &Dense32).unwrap(), [9.0]);
 
         // Future epoch → protocol violation.
         let mut wire: Vec<u8> = Vec::new();

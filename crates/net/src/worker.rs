@@ -33,10 +33,11 @@ use crate::fault::{Backoff, FaultAction, RejoinPolicy, FAULT_EXIT_CODE};
 use crate::frame::{
     encode_frame, read_frame_into, write_frame, CountingStream, FrameKind, NetError,
 };
-use crate::protocol::Msg;
+use crate::protocol::{decode_resume, Msg};
+use fda_comm::Dense32;
 use fda_core::cluster::Worker;
 use fda_core::round::Replica;
-use fda_core::wire::JobSpec;
+use fda_core::wire::{encode_vector_coded_into, JobSpec};
 use std::io::Write as _;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -165,17 +166,26 @@ impl Session {
     }
 
     /// Receives one frame into the session buffer without interpreting
-    /// the payload (it lands at `self.rbuf[1..]`) — the downlink path for
-    /// payloads whose decoding needs the job's downlink codec.
+    /// the payload (it lands at `self.rbuf[1..]`).
     fn recv_frame(&mut self) -> Result<FrameKind, NetError> {
         let (kind, epoch) = read_frame_into(&mut self.stream, &mut self.rbuf)?;
         self.epoch = epoch;
         Ok(kind)
     }
 
-    /// Sends a pre-encoded payload as one frame — the uplink path for
-    /// codec-encoded state/model payloads, which `Msg` cannot represent
-    /// (their byte form depends on the job's negotiated codec).
+    /// [`Session::recv_frame`] of a frame that must be of kind `want` —
+    /// the path of every payload carrying an `f32` run, which decodes
+    /// only into a buffer this replica shaped.
+    fn recv_kind(&mut self, want: FrameKind) -> Result<(), NetError> {
+        let kind = self.recv_frame()?;
+        if kind != want {
+            return Err(self.fail(&format!("expected {}, got {}", want.label(), kind.label())));
+        }
+        Ok(())
+    }
+
+    /// Sends a pre-encoded payload as one frame — the path of every
+    /// payload carrying an `f32` run, which `Msg` does not represent.
     fn send_frame(&mut self, kind: FrameKind, payload: &[u8]) -> Result<(), NetError> {
         write_frame(&mut self.stream, self.epoch, kind, payload)
     }
@@ -262,22 +272,17 @@ fn run_session(
         let why = format!("id out of range for a job of K = {}", spec.cluster.workers);
         return Err(session.fail(&why));
     }
-    let (start_round, resume_model, resume_prev) = match session.recv()? {
-        Msg::Resume {
-            round,
-            model,
-            prev_model,
-        } => (round, model, prev_model),
-        other => return Err(session.protocol_err("resume", &other)),
-    };
+    // The handoff is read as it arrives and decoded once the replica's
+    // dimension is known; nothing touches the session buffer in between.
+    session.recv_kind(FrameKind::Resume)?;
 
     let task = spec.synth.generate(&spec.task_name);
     let mut worker: Worker = spec.cluster.build_worker(&task.train, session.id as usize);
     let dim = worker.model().param_count();
+    let (start_round, resume_model, resume_prev) = decode_resume(&session.rbuf[1..], dim)?;
     // The versioned handoff. At formation it loads `w_0` into a replica
     // already holding `w_0` — a bitwise no-op.
-    let mut replica = Replica::join(&spec, dim, resume_model, resume_prev.as_deref())
-        .map_err(|why| session.fail(&why))?;
+    let mut replica = Replica::join(&spec, resume_model, resume_prev.as_deref());
     worker.model_mut().load_params(replica.consensus());
     // Round-persistent uplink scratch: every State/Model payload is
     // encoded into this buffer in place, so steady-state rounds don't
@@ -303,12 +308,9 @@ fn run_session(
         // coordinator running different monitor code, a corrupted frame
         // that still decoded) is a protocol error, not a silent
         // divergence.
-        let (avg, sync) = match session.recv()? {
-            Msg::AvgState { state, sync } => (state, sync),
-            other => return Err(session.protocol_err("avg-state", &other)),
-        };
-        replica
-            .check(&avg, sync)
+        session.recv_kind(FrameKind::AvgState)?;
+        let sync = replica
+            .check(&session.rbuf[1..])
             .map_err(|why| session.fail(&why))?;
 
         // (4) Conditional model AllReduce.
@@ -316,16 +318,11 @@ fn run_session(
             ubuf.clear();
             replica.model_payload(worker.trained_params(), &mut ubuf);
             session.send_frame(FrameKind::Model, &ubuf)?;
-            let want = if spec.downlink.is_dense() {
+            session.recv_kind(if spec.downlink.is_dense() {
                 FrameKind::AvgModel
             } else {
                 FrameKind::AvgModelDelta
-            };
-            let kind = session.recv_frame()?;
-            if kind != want {
-                let why = format!("expected {}, got {}", want.label(), kind.label());
-                return Err(session.fail(&why));
-            }
+            })?;
             let consensus = replica
                 .adopt(&session.rbuf[1..])
                 .map_err(|why| session.fail(&why))?;
@@ -335,7 +332,9 @@ fn run_session(
     }
 
     // Final replica collection + shutdown.
-    Msg::FinalModel(worker.params()).send(&mut session.stream, session.epoch)?;
+    ubuf.clear();
+    encode_vector_coded_into(&worker.params(), &Dense32, &mut ubuf);
+    session.send_frame(FrameKind::FinalModel, &ubuf)?;
     match session.recv()? {
         Msg::Shutdown => {}
         other => return Err(session.protocol_err("shutdown", &other)),
@@ -451,17 +450,15 @@ mod tests {
             let (mut stream, _) = listener.accept().expect("accept");
             Msg::recv(&mut stream).expect("hello");
             Msg::Config(Box::new(spec)).send(&mut stream, 1).unwrap();
-            let resume = Msg::Resume {
-                round: 0,
-                model: w0,
-                prev_model: None,
-            };
+            let resume = crate::protocol::encode_resume(0, &w0, None);
             // The worker may hang up before the handoff arrives.
-            let _ = resume.send(&mut stream, 1);
+            let _ = write_frame(&mut stream, 1, FrameKind::Resume, &resume);
             if let Some(state) = avg {
                 let (kind, _) = read_frame_into(&mut stream, &mut Vec::new()).expect("state");
                 assert_eq!(kind, FrameKind::State);
-                let _ = Msg::AvgState { state, sync: false }.send(&mut stream, 1);
+                let mut decision = vec![0u8]; // no sync
+                fda_core::wire::encode_state_coded_into(&state, &Dense32, &mut decision);
+                let _ = write_frame(&mut stream, 1, FrameKind::AvgState, &decision);
                 // Hold the socket until the worker hangs up.
                 let _ = std::io::Read::read(&mut stream, &mut [0u8; 1]);
             }

@@ -172,6 +172,29 @@ fn below_quorum_aborts_with_typed_error() {
     }
 }
 
+/// A quorum of 0 still needs one survivor: when every worker is gone the
+/// run aborts with the typed error instead of reducing over nobody.
+#[test]
+fn zero_quorum_aborts_when_every_worker_is_gone() {
+    let spec = spec(2, 6);
+    let plan = FaultPlan::new()
+        .fault(0, FaultAction::KillBeforeState(2))
+        .fault(1, FaultAction::KillBeforeState(2));
+
+    let (report, _) = run_chaos_with_thread_workers(&spec, &plan, policy(0), None, IO_TIMEOUT);
+    assert!(
+        matches!(
+            report,
+            Err(NetError::Quorum {
+                round: 2,
+                alive: 0,
+                ..
+            })
+        ),
+        "expected a quorum abort at round 2, got {report:?}"
+    );
+}
+
 /// A bit-flipped state frame fails the checksum and becomes a clean
 /// per-worker protocol drop; the survivors' trajectory is replayable.
 #[test]

@@ -370,58 +370,16 @@ fn random_state(rng: &mut Rng) -> LocalState {
     }
 }
 
-/// Wire round trip: `encode → decode → encode` must be **byte-identical**
-/// for every state tag (the transport's framing invariant), and decode
-/// must reject every strict truncation of a valid buffer.
-#[test]
-fn wire_state_roundtrip_byte_equality() {
-    for case in 0..CASES {
-        let mut rng = Rng::new(0xA1_0000 + case);
-        let state = random_state(&mut rng);
-        let bytes = wire::encode_state(&state);
-        let back = wire::decode_state(&bytes)
-            .unwrap_or_else(|e| panic!("case {case}: decode failed: {e}"));
-        assert_eq!(back, state, "case {case}: state changed in roundtrip");
-        assert_eq!(
-            wire::encode_state(&back),
-            bytes,
-            "case {case}: re-encode not byte-identical"
-        );
-        // Every strict prefix must fail cleanly (never panic, never Ok).
-        for cut in 0..bytes.len() {
-            assert!(
-                wire::decode_state(&bytes[..cut]).is_err(),
-                "case {case}: cut at {cut} decoded"
-            );
-        }
-    }
-}
-
-/// Vector frames round-trip byte-identically, including length 0.
-#[test]
-fn wire_vector_roundtrip_byte_equality() {
-    for case in 0..CASES {
-        let mut rng = Rng::new(0xB1_0000 + case);
-        let len = (rng.next_u64() % 200) as usize; // includes 0
-        let mut v = vec![0.0f32; len];
-        rng.fill_uniform(&mut v, -5.0, 5.0);
-        let bytes = wire::encode_vector(&v);
-        let back = wire::decode_vector(&bytes).expect("valid frame decodes");
-        assert_eq!(back, v, "case {case}");
-        assert_eq!(wire::encode_vector(&back), bytes, "case {case}");
-        for cut in 0..bytes.len() {
-            assert!(wire::decode_vector(&bytes[..cut]).is_err(), "case {case}");
-        }
-    }
-}
-
 /// Decode fuzz: random byte soup and random mutations of valid encodings
-/// must always return `Ok`/`Err` — never panic, never allocate past the
-/// buffer (a hostile length header claiming gigabytes dies as
-/// `Truncated`). The decoders are exercised by *calling* them; a panic or
-/// an OOM abort fails the test run itself.
+/// must always return `Ok`/`Err` — never panic, never size memory from
+/// the buffer (a hostile length header claiming gigabytes dies at the
+/// shape check as `Malformed`). Every buffer goes through the coded
+/// decoders against the template of each base; the decoders are exercised
+/// by *calling* them, so a panic or an OOM abort fails the test run
+/// itself.
 #[test]
 fn wire_decoders_are_total_under_fuzz() {
+    use fda::comm::Dense32;
     let mut rng = Rng::new(0xC1_0000);
     let job = wire::JobSpec {
         cluster: fda::core::cluster::ClusterConfig::small_test(3),
@@ -432,19 +390,24 @@ fn wire_decoders_are_total_under_fuzz() {
         synth: fda::data::synth::SynthSpec::synth_mnist(),
         task_name: "fuzz".to_string(),
     };
-    let valid: Vec<Vec<u8>> = vec![
-        wire::encode_state(&LinearMonitor::new().local_state(&[1.0, -2.0, 0.5])),
-        wire::encode_state(
-            &SketchMonitor::new(SketchConfig::new(3, 8, 5), 16)
-                .local_state(&(0..16).map(|i| i as f32).collect::<Vec<_>>()),
-        ),
-        wire::encode_state(&ExactMonitor::new(10).local_state(&[0.25; 10])),
-        wire::encode_vector(&[1.0, 2.0, 3.0]),
-        wire::encode_job(&job),
+    let templates = [
+        LinearMonitor::new().local_state(&[1.0, -2.0, 0.5]),
+        SketchMonitor::new(SketchConfig::new(3, 8, 5), 16)
+            .local_state(&(0..16).map(|i| i as f32).collect::<Vec<_>>()),
+        ExactMonitor::new(10).local_state(&[0.25; 10]),
     ];
+    let vector = [1.0, 2.0, 3.0];
+    let mut valid: Vec<Vec<u8>> = templates
+        .iter()
+        .map(|t| wire::encode_state_coded(t, &Dense32))
+        .collect();
+    valid.push(wire::encode_vector_coded(&vector, &Dense32));
+    valid.push(wire::encode_job(&job));
     let decode_all = |buf: &[u8]| {
-        let _ = wire::decode_state(buf);
-        let _ = wire::decode_vector(buf);
+        for template in &templates {
+            let _ = wire::decode_state_coded(buf, template, &Dense32);
+        }
+        let _ = wire::decode_vector_coded(buf, vector.len(), &Dense32);
         let _ = wire::decode_job(buf);
     };
     // Pure byte soup.
@@ -480,15 +443,25 @@ fn wire_decoders_are_total_under_fuzz() {
             decode_all(&buf);
         }
     }
-    // The canonical hostile headers, explicitly.
+    // The canonical hostile headers, explicitly: refused at the shape
+    // check.
     let mut sketch_bomb = vec![1u8, 0, 0, 0, 0];
     sketch_bomb.extend_from_slice(&u16::MAX.to_le_bytes());
     sketch_bomb.extend_from_slice(&u16::MAX.to_le_bytes());
-    assert!(wire::decode_state(&sketch_bomb).is_err());
+    assert!(matches!(
+        wire::decode_state_coded(&sketch_bomb, &templates[1], &Dense32),
+        Err(wire::DecodeError::Malformed(_))
+    ));
     let mut exact_bomb = vec![2u8, 0, 0, 0, 0];
     exact_bomb.extend_from_slice(&u32::MAX.to_le_bytes());
-    assert!(wire::decode_state(&exact_bomb).is_err());
-    assert!(wire::decode_vector(&u32::MAX.to_le_bytes()).is_err());
+    assert!(matches!(
+        wire::decode_state_coded(&exact_bomb, &templates[2], &Dense32),
+        Err(wire::DecodeError::Malformed(_))
+    ));
+    assert!(matches!(
+        wire::decode_vector_coded(&u32::MAX.to_le_bytes(), vector.len(), &Dense32),
+        Err(wire::DecodeError::Malformed(_))
+    ));
 }
 
 /// A degenerate job is refused at every entrance — bytes on the wire, the
@@ -641,46 +614,58 @@ fn degenerate_jobs_are_refused_at_every_entrance() {
 // ---------------------------------------------------------------------------
 
 /// A random frame covering every frame kind the transport ships: the
-/// typed messages (extended hello, averaged state, final model, the
-/// versioned `Resume` handoff with and without a previous model,
-/// shutdown) and the raw data-plane payloads (a state deposit, a model
-/// upload, a dense consensus broadcast).
+/// typed messages (extended hello, shutdown) and the raw payloads that
+/// carry `f32` runs (a state deposit, the averaged state + decision, a
+/// model upload, a dense consensus broadcast, the final model, the
+/// versioned `Resume` handoff with and without a previous model).
 fn random_frame(rng: &mut Rng) -> (FrameKind, Vec<u8>) {
+    use fda::comm::Dense32;
     use fda::net::Msg;
-    let vec_of = |rng: &mut Rng, max: u64| {
-        let len = (rng.next_u64() % max) as usize;
+    let vector = |rng: &mut Rng, len: usize, out: &mut Vec<u8>| {
         let mut v = vec![0.0f32; len];
         rng.fill_uniform(&mut v, -4.0, 4.0);
-        v
+        wire::encode_vector_coded_into(&v, &Dense32, out);
     };
-    let msg = match rng.next_u64() % 8 {
-        0 => Msg::hello((rng.next_u64() % 64) as u32, (rng.next_u64() % 1000) as u32),
-        1 => return (FrameKind::State, wire::encode_state(&random_state(rng))),
-        2 => Msg::AvgState {
-            state: random_state(rng),
-            sync: rng.next_u64().is_multiple_of(2),
-        },
-        3 => return (FrameKind::Model, wire::encode_vector(&vec_of(rng, 60))),
-        4 => return (FrameKind::AvgModel, wire::encode_vector(&vec_of(rng, 60))),
-        5 => Msg::FinalModel(vec_of(rng, 60)),
-        6 => {
-            let model = vec_of(rng, 60);
-            let prev_model = if rng.next_u64().is_multiple_of(2) {
-                let mut p = vec![0.0f32; model.len()];
-                rng.fill_uniform(&mut p, -4.0, 4.0);
-                Some(p)
-            } else {
-                None
-            };
-            Msg::Resume {
-                round: (rng.next_u64() % 500) as u32,
-                model,
-                prev_model,
-            }
+    let mut p = Vec::new();
+    let len = (rng.next_u64() % 60) as usize;
+    let kind = match rng.next_u64() % 8 {
+        0 => {
+            return Msg::hello((rng.next_u64() % 64) as u32, (rng.next_u64() % 1000) as u32)
+                .encode()
         }
-        _ => Msg::Shutdown,
+        1 => {
+            wire::encode_state_coded_into(&random_state(rng), &Dense32, &mut p);
+            FrameKind::State
+        }
+        2 => {
+            p.push((rng.next_u64() % 2) as u8);
+            wire::encode_state_coded_into(&random_state(rng), &Dense32, &mut p);
+            FrameKind::AvgState
+        }
+        3 => {
+            vector(rng, len, &mut p);
+            FrameKind::Model
+        }
+        4 => {
+            vector(rng, len, &mut p);
+            FrameKind::AvgModel
+        }
+        5 => {
+            vector(rng, len, &mut p);
+            FrameKind::FinalModel
+        }
+        6 => {
+            let has_prev = rng.next_u64().is_multiple_of(2);
+            p.extend_from_slice(&((rng.next_u64() % 500) as u32).to_le_bytes());
+            p.push(has_prev as u8);
+            for _ in 0..1 + has_prev as usize {
+                vector(rng, len, &mut p);
+            }
+            FrameKind::Resume
+        }
+        _ => return Msg::Shutdown.encode(),
     };
-    msg.encode()
+    (kind, p)
 }
 
 /// One frame off `bytes` with an owned payload, through the one reader.
@@ -710,8 +695,8 @@ fn frame_msg_roundtrip_preserves_epoch_and_bytes() {
         assert_eq!(back_epoch, epoch, "case {case}: epoch stamp changed");
         assert_eq!(back_kind, kind, "case {case}: kind changed");
         assert_eq!(back, payload, "case {case}: payload changed");
-        // Typed messages re-encode to the same frame; data-plane frames
-        // are not messages.
+        // Typed messages re-encode to the same frame; frames carrying
+        // `f32` runs are not messages.
         match Msg::recv(&mut std::io::Cursor::new(&bytes)) {
             Ok((msg, _)) => {
                 let mut re: Vec<u8> = Vec::new();
@@ -721,7 +706,12 @@ fn frame_msg_roundtrip_preserves_epoch_and_bytes() {
             Err(_) => assert!(
                 matches!(
                     kind,
-                    FrameKind::State | FrameKind::Model | FrameKind::AvgModel
+                    FrameKind::State
+                        | FrameKind::AvgState
+                        | FrameKind::Model
+                        | FrameKind::AvgModel
+                        | FrameKind::FinalModel
+                        | FrameKind::Resume
                 ),
                 "case {case}: a {kind:?} message did not decode"
             ),
@@ -793,13 +783,14 @@ fn frame_reader_is_total_and_checksummed_under_fuzz() {
 /// intact, and future-epoch frames are protocol violations.
 #[test]
 fn spliced_stale_epoch_frames_are_rejected() {
+    use fda::comm::Dense32;
     use fda::net::frame::write_frame;
     use fda::net::protocol::recv_frame_at_epoch_into;
     use fda::net::{Msg, NetError, MAX_STALE_FRAMES};
     let recv = |stream: &[u8], epoch: u32| {
         let mut buf = Vec::new();
         let kind = recv_frame_at_epoch_into(&mut std::io::Cursor::new(stream), epoch, &mut buf)?;
-        Msg::decode(kind, &buf[1..])
+        Ok::<_, NetError>((kind, buf.split_off(1)))
     };
     for case in 0..CASES {
         let mut rng = Rng::new(0xF1_0000 + case);
@@ -809,24 +800,27 @@ fn spliced_stale_epoch_frames_are_rejected() {
         // A zombie's leftovers: deposits stamped with earlier epochs.
         for _ in 0..stale_count {
             let stale_epoch = rng.next_u64() as u32 % current;
-            let deposit = wire::encode_state(&random_state(&mut rng));
+            let deposit = wire::encode_state_coded(&random_state(&mut rng), &Dense32);
             write_frame(&mut stream, stale_epoch, FrameKind::State, &deposit)
                 .expect("encode stale");
         }
-        let live = vec![1.5f32, -2.5, 3.5];
-        Msg::FinalModel(live.clone())
-            .send(&mut stream, current)
-            .expect("encode live");
+        let live = [1.5f32, -2.5, 3.5];
+        let live_frame = wire::encode_vector_coded(&live, &Dense32);
+        write_frame(&mut stream, current, FrameKind::FinalModel, &live_frame).expect("encode live");
         match recv(&stream, current) {
-            Ok(Msg::FinalModel(v)) => assert_eq!(v, live, "case {case}: live frame mangled"),
+            Ok((FrameKind::FinalModel, p)) => assert_eq!(
+                wire::decode_vector_coded(&p, live.len(), &Dense32),
+                Ok(live.to_vec()),
+                "case {case}: live frame mangled"
+            ),
             other => panic!("case {case}: expected the live model, got {other:?}"),
         }
 
         // A future epoch is a protocol violation — only the coordinator
         // advances the epoch.
         let mut stream: Vec<u8> = Vec::new();
-        Msg::FinalModel(live.clone())
-            .send(&mut stream, current + 1 + rng.next_u64() as u32 % 50)
+        let future = current + 1 + rng.next_u64() as u32 % 50;
+        write_frame(&mut stream, future, FrameKind::FinalModel, &live_frame)
             .expect("encode future");
         assert!(
             matches!(recv(&stream, current), Err(NetError::Protocol(_))),
@@ -1022,7 +1016,7 @@ fn sketch_h_band() {
 
 // ---------------------------------------------------------------------------
 // Codec layer: the three contracts every `comm::compress` codec must hold
-// (exact accounting, byte idempotence, total decoding), checked over random
+// (charged = emitted bytes, byte idempotence, total decoding), checked over random
 // inputs including non-finite values, plus fuzz over the coded wire frames.
 // ---------------------------------------------------------------------------
 
@@ -1059,10 +1053,12 @@ fn random_payload(rng: &mut Rng) -> Vec<f32> {
     v
 }
 
-/// Contract 1 + 2 for every codec: `encoded_bytes` equals the emitted
-/// length exactly, decode of own output succeeds, and
-/// `encode(decode(encode(v)))` is byte-identical to `encode(v)` — the
-/// fixed-point property that makes sim charging equal socket measurement.
+/// Contracts 2 + 3 for every codec: decode of own output succeeds, the
+/// allocation-free pair the simulator runs (`encode_into` +
+/// `decode_into`) gives the same bytes and bits as the allocating
+/// wrappers, and `encode(decode(encode(v)))` is byte-identical to
+/// `encode(v)` — the fixed-point property that makes sim charging equal
+/// socket measurement.
 #[test]
 fn codec_encode_decode_encode_byte_identity() {
     for case in 0..CASES {
@@ -1071,11 +1067,6 @@ fn codec_encode_decode_encode_byte_identity() {
         for codec in random_codecs(&mut rng) {
             let name = codec.name();
             let enc = codec.encode(&v);
-            assert_eq!(
-                codec.encoded_bytes(&v),
-                enc.len() as u64,
-                "case {case} {name}: encoded_bytes != emitted length"
-            );
             let dec = codec
                 .decode(&enc, v.len())
                 .unwrap_or_else(|e| panic!("case {case} {name}: decode own output: {e}"));
@@ -1085,12 +1076,22 @@ fn codec_encode_decode_encode_byte_identity() {
                 enc2, enc,
                 "case {case} {name}: encode∘decode∘encode not byte-identical"
             );
-            // `roundtrip` is decode∘encode by definition — same bits.
-            let rt = codec.roundtrip(&v);
+            // The simulator's in-place round trip: same bytes, same bits.
+            let mut scratch = vec![0xAB];
+            codec.encode_into(&v, &mut scratch);
+            assert_eq!(
+                scratch[1..],
+                enc,
+                "case {case} {name}: encode_into != encode"
+            );
+            let mut rt = vec![7.0f32; v.len()];
+            codec
+                .decode_into(&enc, &mut rt)
+                .unwrap_or_else(|e| panic!("case {case} {name}: decode_into own output: {e}"));
             assert_eq!(
                 rt.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 dec.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "case {case} {name}: roundtrip != decode(encode(v))"
+                "case {case} {name}: decode_into != decode"
             );
         }
     }
