@@ -373,6 +373,122 @@ mod tests {
         assert_ne!(avg.global_params(), avgm.global_params());
     }
 
+    /// The baselines as hand-written loops over the [`Cluster`] primitives:
+    /// a local step, then every `period` steps a model AllReduce or, with a
+    /// server optimizer, the pseudo-gradient `w − w̄`, one optimizer step on
+    /// the server model `w` and `load_global(w)`.
+    struct Reference {
+        cluster: Cluster,
+        period: u64,
+        since: u64,
+        syncs: u64,
+        server: Option<(Box<dyn Optimizer>, Vec<f32>)>,
+    }
+
+    impl Reference {
+        fn new(period: u64, server: Option<OptimizerKind>, cluster: Cluster) -> Reference {
+            let server = server.map(|kind| (kind.build(cluster.dim()), cluster.worker(0).params()));
+            Reference {
+                cluster,
+                period,
+                since: 0,
+                syncs: 0,
+                server,
+            }
+        }
+
+        fn step(&mut self) -> bool {
+            self.cluster.local_step();
+            self.since += 1;
+            if self.since < self.period {
+                return false;
+            }
+            self.since = 0;
+            self.syncs += 1;
+            let mean = self.cluster.allreduce_models();
+            if let Some((opt, w)) = &mut self.server {
+                let mut pseudo_grad = w.clone();
+                vector::sub_assign(&mut pseudo_grad, &mean);
+                opt.step(w, &pseudo_grad);
+                self.cluster.load_global(w);
+            }
+            true
+        }
+
+        fn global_params(&self) -> Vec<f32> {
+            match &self.server {
+                Some((_, w)) => w.clone(),
+                None => self.cluster.average_params(),
+            }
+        }
+    }
+
+    /// Every baseline against its [`Reference`], bit for bit at every step
+    /// — each worker's parameters, the charged bytes, the sync count and
+    /// flag, and the evaluated model — for K ∈ {1, 2, 4}, sequential and
+    /// pooled, over two FedOpt rounds and a step into the third.
+    #[test]
+    fn baselines_match_the_cluster_reference_bit_for_bit() {
+        let task = tiny_task();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let sgd1 = OptimizerKind::Sgd { lr: 1.0 };
+        for k in [1, 2, 4] {
+            for parallel in [false, true] {
+                let cc = ClusterConfig {
+                    parallel,
+                    ..ClusterConfig::small_test(k)
+                };
+                let epoch = Cluster::new(cc.clone(), &task).steps_per_epoch() as u64;
+                let cases: Vec<(Box<dyn Strategy>, u64, Option<OptimizerKind>)> = vec![
+                    (Box::new(Synchronous::new(cc.clone(), &task)), 1, None),
+                    (Box::new(LocalSgd::new(3, cc.clone(), &task)), 3, None),
+                    (
+                        Box::new(FedOpt::new("FedAvg", sgd1, 1, cc.clone(), &task)),
+                        epoch,
+                        Some(sgd1),
+                    ),
+                    (
+                        Box::new(FedOpt::fedavgm(1, cc.clone(), &task)),
+                        epoch,
+                        Some(OptimizerKind::fedavgm_server()),
+                    ),
+                    (
+                        Box::new(FedOpt::fedadam(1, cc.clone(), &task)),
+                        epoch,
+                        Some(OptimizerKind::fedadam_server()),
+                    ),
+                ];
+                for (mut subject, period, server) in cases {
+                    let mut reference =
+                        Reference::new(period, server, Cluster::new(cc.clone(), &task));
+                    for step in 1..=2 * epoch + 1 {
+                        let case = (subject.name(), k, parallel, step);
+                        assert_eq!(subject.step().synced, reference.step(), "{case:?}");
+                        for w in 0..k {
+                            assert_eq!(
+                                bits(&subject.cluster().worker(w).params()),
+                                bits(&reference.cluster.worker(w).params()),
+                                "{case:?}: worker {w}"
+                            );
+                        }
+                        assert_eq!(
+                            subject.comm_bytes(),
+                            reference.cluster.comm_bytes(),
+                            "{case:?}"
+                        );
+                        assert_eq!(subject.syncs(), reference.syncs, "{case:?}");
+                        assert_eq!(
+                            bits(&subject.global_params()),
+                            bits(&reference.global_params()),
+                            "{case:?}: global model"
+                        );
+                    }
+                    assert!(reference.syncs >= 2, "{k}: two rounds at least");
+                }
+            }
+        }
+    }
+
     #[test]
     fn strategies_share_identical_computation_metric() {
         let task = tiny_task();
