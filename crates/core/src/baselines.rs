@@ -1,262 +1,112 @@
-//! Baseline DDL algorithms the paper compares against.
+//! Baseline DDL algorithms the paper compares against, as sync policies of
+//! the one round engine ([`crate::round::Server`]) driven by [`Fda`]:
 //!
-//! * [`Synchronous`] — BSP: AllReduce the models after **every** step
+//! * [`Fda::synchronous`] — BSP: AllReduce the models after **every** step
 //!   (§4.1 footnote: "a special case of the FDA Algorithm 1 where Θ is set
 //!   to zero", minus the monitoring traffic).
-//! * [`LocalSgd`] — fixed-period averaging every τ steps (the Local-SGD
-//!   family of §2 that FDA's dynamic schedule replaces).
-//! * [`FedOpt`] — the FedAvg/FedAvgM/FedAdam family: `E` local epochs per
-//!   round, then the server applies its optimizer to the pseudo-gradient
-//!   `−Δ̄` (Reddi et al., as configured in §4.1).
+//! * [`Fda::local_sgd`] — fixed-period averaging every τ steps (the
+//!   Local-SGD family of §2 that FDA's dynamic schedule replaces).
+//! * [`Fda::fedopt`] — the FedAvg/FedAvgM/FedAdam family: `E` local epochs
+//!   per round, then the server applies its optimizer to the
+//!   pseudo-gradient `−Δ̄` (Reddi et al., as configured in §4.1).
 //!
-//! All baselines drive the same [`Cluster`] primitives as FDA
-//! (`local_step`, `allreduce_models`, `load_global`), so with
-//! [`ClusterConfig::parallel`] they run on the same persistent worker pool
-//! — one rendezvous per phase, no per-step thread spawning — and remain
-//! bit-identical to their sequential runs.
+//! A baseline's rounds are FDA's without steps 2–3: no local states, no
+//! state traffic, and the model AllReduce on a fixed schedule. They run on
+//! the same [`Cluster`] primitives, so with [`ClusterConfig::parallel`]
+//! they use the same persistent worker pool and remain bit-identical to
+//! their sequential runs, and they write the same telemetry.
 
 use crate::cluster::{Cluster, ClusterConfig};
-use crate::strategy::{StepOutcome, Strategy};
+use crate::fda::Fda;
+use crate::round::Server;
 use fda_data::TaskData;
 use fda_optim::{Optimizer, OptimizerKind};
-use fda_tensor::vector;
 
-/// Bulk-synchronous training: synchronize after every step.
-pub struct Synchronous {
-    cluster: Cluster,
-    syncs: u64,
-}
-
-impl Synchronous {
-    /// Builds the strategy over a fresh cluster.
-    pub fn new(cluster_config: ClusterConfig, task: &TaskData) -> Synchronous {
-        Synchronous {
-            cluster: Cluster::new(cluster_config, task),
-            syncs: 0,
-        }
-    }
-}
-
-impl Strategy for Synchronous {
-    fn name(&self) -> String {
-        "Synchronous".to_string()
+impl Fda {
+    /// Bulk-synchronous training: synchronize after every step.
+    pub fn synchronous(cluster_config: ClusterConfig, task: &TaskData) -> Fda {
+        let cluster = Cluster::new(cluster_config, task);
+        periodic("Synchronous".to_string(), 1, None, cluster)
     }
 
-    fn step(&mut self) -> StepOutcome {
-        let stats = self.cluster.local_step();
-        self.cluster.allreduce_models();
-        self.syncs += 1;
-        StepOutcome {
-            stats,
-            synced: true,
-            variance_estimate: None,
-        }
-    }
-
-    fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
-    fn cluster_mut(&mut self) -> &mut Cluster {
-        &mut self.cluster
-    }
-
-    fn syncs(&self) -> u64 {
-        self.syncs
-    }
-}
-
-/// Local-SGD with a fixed synchronization period τ.
-pub struct LocalSgd {
-    cluster: Cluster,
-    tau: u64,
-    since_sync: u64,
-    syncs: u64,
-}
-
-impl LocalSgd {
-    /// Builds Local-SGD(τ) over a fresh cluster.
+    /// Local-SGD with a fixed synchronization period τ.
     ///
     /// # Panics
     /// Panics if `tau == 0`.
-    pub fn new(tau: u64, cluster_config: ClusterConfig, task: &TaskData) -> LocalSgd {
+    pub fn local_sgd(tau: u64, cluster_config: ClusterConfig, task: &TaskData) -> Fda {
         assert!(tau >= 1, "local-sgd: τ must be positive");
-        LocalSgd {
-            cluster: Cluster::new(cluster_config, task),
-            tau,
-            since_sync: 0,
-            syncs: 0,
-        }
-    }
-}
-
-impl Strategy for LocalSgd {
-    fn name(&self) -> String {
-        format!("LocalSGD(tau={})", self.tau)
+        let cluster = Cluster::new(cluster_config, task);
+        periodic(format!("LocalSGD(tau={tau})"), tau, None, cluster)
     }
 
-    fn step(&mut self) -> StepOutcome {
-        let stats = self.cluster.local_step();
-        self.since_sync += 1;
-        let mut synced = false;
-        if self.since_sync >= self.tau {
-            self.cluster.allreduce_models();
-            self.syncs += 1;
-            self.since_sync = 0;
-            synced = true;
-        }
-        StepOutcome {
-            stats,
-            synced,
-            variance_estimate: None,
-        }
-    }
-
-    fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
-    fn cluster_mut(&mut self) -> &mut Cluster {
-        &mut self.cluster
-    }
-
-    fn syncs(&self) -> u64 {
-        self.syncs
-    }
-}
-
-/// The FedOpt family: `E` local epochs per round, server optimizer on the
-/// averaged pseudo-gradient.
-///
-/// With server SGD(lr = 1) this is exactly FedAvg; with server SGD-M it is
-/// FedAvgM; with server Adam it is FedAdam.
-pub struct FedOpt {
-    cluster: Cluster,
-    display_name: &'static str,
-    server_opt: Box<dyn Optimizer>,
-    /// Global (server) model `w`.
-    w_global: Vec<f32>,
-    /// Steps between rounds: `E ×` steps-per-epoch.
-    steps_per_round: u64,
-    since_round: u64,
-    syncs: u64,
-}
-
-impl FedOpt {
-    /// Builds a FedOpt strategy.
+    /// The FedOpt family: `local_epochs` (the paper's `E`; they use
+    /// `E = 1`) epochs of local steps per round, then the `server`
+    /// optimizer on the averaged pseudo-gradient. With server SGD(lr = 1)
+    /// this is exactly FedAvg; with server SGD-M it is FedAvgM; with
+    /// server Adam it is FedAdam.
     ///
-    /// `local_epochs` is the paper's `E` (they use `E = 1`).
+    /// A round is charged one model AllReduce. The server step is
+    /// deterministic in `Δ̄`, so every node of a real fabric can compute
+    /// it: no broadcast is charged, the convention of the paper's
+    /// synchronous framing.
     ///
     /// # Panics
     /// Panics if `local_epochs == 0`.
-    pub fn new(
-        display_name: &'static str,
+    pub fn fedopt(
+        display_name: &str,
         server: OptimizerKind,
         local_epochs: u32,
         cluster_config: ClusterConfig,
         task: &TaskData,
-    ) -> FedOpt {
+    ) -> Fda {
         assert!(local_epochs >= 1, "fedopt: E must be positive");
         let cluster = Cluster::new(cluster_config, task);
-        let dim = cluster.dim();
-        let steps_per_round = local_epochs as u64 * cluster.steps_per_epoch() as u64;
-        let w_global = cluster.worker(0).params();
-        FedOpt {
-            cluster,
-            display_name,
-            server_opt: server.build(dim),
-            w_global,
-            steps_per_round,
-            since_round: 0,
-            syncs: 0,
-        }
+        let period = u64::from(local_epochs) * cluster.steps_per_epoch() as u64;
+        let server = Some(server.build(cluster.dim()));
+        periodic(display_name.to_string(), period, server, cluster)
     }
 
     /// FedAvgM as configured in the paper (§4.1).
-    pub fn fedavgm(local_epochs: u32, cluster_config: ClusterConfig, task: &TaskData) -> FedOpt {
-        FedOpt::new(
-            "FedAvgM",
-            OptimizerKind::fedavgm_server(),
-            local_epochs,
-            cluster_config,
-            task,
-        )
+    pub fn fedavgm(local_epochs: u32, cluster_config: ClusterConfig, task: &TaskData) -> Fda {
+        let server = OptimizerKind::fedavgm_server();
+        Fda::fedopt("FedAvgM", server, local_epochs, cluster_config, task)
     }
 
     /// FedAdam as configured in the paper (§4.1).
-    pub fn fedadam(local_epochs: u32, cluster_config: ClusterConfig, task: &TaskData) -> FedOpt {
-        FedOpt::new(
-            "FedAdam",
-            OptimizerKind::fedadam_server(),
-            local_epochs,
-            cluster_config,
-            task,
-        )
-    }
-
-    /// Steps between rounds (E × steps-per-epoch).
-    pub fn steps_per_round(&self) -> u64 {
-        self.steps_per_round
-    }
-
-    fn round(&mut self) {
-        // Δ̄ = mean_k(w_k) − w_global, gathered with one model AllReduce.
-        let w_mean = self.cluster.allreduce_models();
-        let mut pseudo_grad = self.w_global.clone();
-        vector::sub_assign(&mut pseudo_grad, &w_mean); // −Δ̄
-        self.server_opt.step(&mut self.w_global, &pseudo_grad);
-        // Broadcast the server model to every worker (pooled when the
-        // cluster is). In a real fabric the server step is computable by
-        // every node (it is deterministic in Δ̄), so no extra traffic is
-        // charged beyond the AllReduce — the convention used by the
-        // paper's synchronous framing.
-        self.cluster.load_global(&self.w_global);
-        self.syncs += 1;
+    pub fn fedadam(local_epochs: u32, cluster_config: ClusterConfig, task: &TaskData) -> Fda {
+        let server = OptimizerKind::fedadam_server();
+        Fda::fedopt("FedAdam", server, local_epochs, cluster_config, task)
     }
 }
 
-impl Strategy for FedOpt {
-    fn name(&self) -> String {
-        self.display_name.to_string()
-    }
+/// `name` over `cluster`, synchronizing every `period` steps.
+fn periodic(
+    name: String,
+    period: u64,
+    server_opt: Option<Box<dyn Optimizer>>,
+    cluster: Cluster,
+) -> Fda {
+    let server = Server::periodic(period, server_opt, cluster.worker(0).params());
+    Fda::with_server(name, cluster, server)
+}
 
-    fn step(&mut self) -> StepOutcome {
-        let stats = self.cluster.local_step();
-        self.since_round += 1;
-        let mut synced = false;
-        if self.since_round >= self.steps_per_round {
-            self.round();
-            self.since_round = 0;
-            synced = true;
-        }
-        StepOutcome {
-            stats,
-            synced,
-            variance_estimate: None,
-        }
-    }
+/// The name `fda_bench` builds the Synchronous baseline by.
+pub struct Synchronous;
 
-    fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
-    fn cluster_mut(&mut self) -> &mut Cluster {
-        &mut self.cluster
-    }
-
-    fn syncs(&self) -> u64 {
-        self.syncs
-    }
-
-    fn global_params(&self) -> Vec<f32> {
-        self.w_global.clone()
+impl Synchronous {
+    /// [`Fda::synchronous`].
+    #[expect(clippy::new_ret_no_self, reason = "fda_bench links Synchronous::new")]
+    pub fn new(cluster_config: ClusterConfig, task: &TaskData) -> Fda {
+        Fda::synchronous(cluster_config, task)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::Strategy;
     use fda_data::synth::SynthSpec;
+    use fda_tensor::vector;
 
     fn tiny_task() -> TaskData {
         SynthSpec {
@@ -270,7 +120,7 @@ mod tests {
     #[test]
     fn synchronous_syncs_every_step_and_charges_models() {
         let task = tiny_task();
-        let mut s = Synchronous::new(ClusterConfig::small_test(3), &task);
+        let mut s = Fda::synchronous(ClusterConfig::small_test(3), &task);
         for _ in 0..4 {
             let out = s.step();
             assert!(out.synced);
@@ -284,7 +134,7 @@ mod tests {
     #[test]
     fn local_sgd_period() {
         let task = tiny_task();
-        let mut s = LocalSgd::new(5, ClusterConfig::small_test(2), &task);
+        let mut s = Fda::local_sgd(5, ClusterConfig::small_test(2), &task);
         let mut syncs = Vec::new();
         for i in 1..=15u64 {
             let out = s.step();
@@ -298,16 +148,21 @@ mod tests {
     }
 
     /// FedAvg: server SGD with lr 1.
-    fn fedavg(task: &TaskData) -> FedOpt {
+    fn fedavg(task: &TaskData) -> Fda {
         let server = OptimizerKind::Sgd { lr: 1.0 };
-        FedOpt::new("FedAvg", server, 1, ClusterConfig::small_test(2), task)
+        Fda::fedopt("FedAvg", server, 1, ClusterConfig::small_test(2), task)
+    }
+
+    /// Steps between FedOpt rounds at `E = 1`.
+    fn steps_per_round(s: &Fda) -> u64 {
+        s.cluster().steps_per_epoch() as u64
     }
 
     #[test]
     fn fedavg_round_equals_plain_averaging() {
         let task = tiny_task();
         let (mut s, mut twin) = (fedavg(&task), fedavg(&task));
-        let spr = s.steps_per_round();
+        let spr = steps_per_round(&s);
         assert!(spr >= 1);
         // Drive both to just before the round: models differ, global
         // unchanged. The twin then takes the round's local step by hand.
@@ -348,8 +203,8 @@ mod tests {
     #[test]
     fn fedopt_communicates_once_per_round() {
         let task = tiny_task();
-        let mut s = FedOpt::fedadam(1, ClusterConfig::small_test(3), &task);
-        let spr = s.steps_per_round();
+        let mut s = Fda::fedadam(1, ClusterConfig::small_test(3), &task);
+        let spr = steps_per_round(&s);
         for _ in 0..2 * spr {
             s.step();
         }
@@ -365,8 +220,8 @@ mod tests {
         // FedAvg given identical clusters (same seed).
         let task = tiny_task();
         let mut avg = fedavg(&task);
-        let mut avgm = FedOpt::fedavgm(1, ClusterConfig::small_test(2), &task);
-        for _ in 0..2 * avg.steps_per_round() {
+        let mut avgm = Fda::fedavgm(1, ClusterConfig::small_test(2), &task);
+        for _ in 0..2 * steps_per_round(&avg) {
             avg.step();
             avgm.step();
         }
@@ -439,21 +294,21 @@ mod tests {
                     ..ClusterConfig::small_test(k)
                 };
                 let epoch = Cluster::new(cc.clone(), &task).steps_per_epoch() as u64;
-                let cases: Vec<(Box<dyn Strategy>, u64, Option<OptimizerKind>)> = vec![
-                    (Box::new(Synchronous::new(cc.clone(), &task)), 1, None),
-                    (Box::new(LocalSgd::new(3, cc.clone(), &task)), 3, None),
+                let cases = [
+                    (Fda::synchronous(cc.clone(), &task), 1, None),
+                    (Fda::local_sgd(3, cc.clone(), &task), 3, None),
                     (
-                        Box::new(FedOpt::new("FedAvg", sgd1, 1, cc.clone(), &task)),
+                        Fda::fedopt("FedAvg", sgd1, 1, cc.clone(), &task),
                         epoch,
                         Some(sgd1),
                     ),
                     (
-                        Box::new(FedOpt::fedavgm(1, cc.clone(), &task)),
+                        Fda::fedavgm(1, cc.clone(), &task),
                         epoch,
                         Some(OptimizerKind::fedavgm_server()),
                     ),
                     (
-                        Box::new(FedOpt::fedadam(1, cc.clone(), &task)),
+                        Fda::fedadam(1, cc.clone(), &task),
                         epoch,
                         Some(OptimizerKind::fedadam_server()),
                     ),
@@ -492,8 +347,8 @@ mod tests {
     #[test]
     fn strategies_share_identical_computation_metric() {
         let task = tiny_task();
-        let mut a = Synchronous::new(ClusterConfig::small_test(2), &task);
-        let mut b = LocalSgd::new(3, ClusterConfig::small_test(2), &task);
+        let mut a = Fda::synchronous(ClusterConfig::small_test(2), &task);
+        let mut b = Fda::local_sgd(3, ClusterConfig::small_test(2), &task);
         for _ in 0..6 {
             a.step();
             b.step();

@@ -17,7 +17,11 @@
 //! train and build their local states (on the pool lanes when pooled),
 //! and the round's arithmetic and accounting — state mean, decision,
 //! model mean, downlink, consensus — run in one [`Server`], the same one
-//! the socket coordinator runs (see [`crate::round`]).
+//! the socket coordinator runs (see [`crate::round`]). The server's sync
+//! policy is Algorithm 1 here ([`Fda::new`]) or a baseline's fixed
+//! period (the constructors in [`crate::baselines`]); a periodic policy
+//! skips steps 2–3, so its rounds are local training and, on schedule,
+//! the model AllReduce.
 
 use crate::cluster::{each_worker, Cluster, ClusterConfig};
 use crate::monitor::{ExactMonitor, LinearMonitor, LocalState, SketchMonitor, VarianceMonitor};
@@ -144,14 +148,15 @@ impl FdaConfig {
     }
 }
 
-/// The FDA strategy (Algorithm 1) over a simulated cluster: the
-/// cluster's workers are the replicas, and one [`Server`] reduces them.
+/// The simulator's strategy for every sync policy — Algorithm 1 and the
+/// baselines alike — over a simulated cluster: the cluster's workers are
+/// the replicas, and one [`Server`] reduces them.
 pub struct Fda {
     cluster: Cluster,
     server: Server,
-    variant_name: &'static str,
+    name: String,
     /// Per-worker drift scratch `u_t^(k)` and local state, rebuilt in
-    /// place each step.
+    /// place each step; empty under a periodic policy.
     lanes: Vec<(Vec<f32>, LocalState)>,
     /// One encoded state summary at a time, on a coded uplink.
     enc: Vec<u8>,
@@ -171,12 +176,24 @@ impl Fda {
         assert!(config.theta >= 0.0, "fda: Θ must be non-negative");
         let cluster = Cluster::new(cluster_config, task);
         let server = Server::new(config, cluster.worker(0).params());
-        let k = cluster.workers();
+        Fda::with_server(config.variant.name().to_string(), cluster, server)
+    }
+
+    /// The strategy `name` over `cluster`, reduced by `server`, whose
+    /// consensus must be the workers' common `w_0`.
+    pub(crate) fn with_server(name: String, cluster: Cluster, server: Server) -> Fda {
+        let lanes = match server.monitor() {
+            Some(_) => {
+                let lane = (vec![0.0; cluster.dim()], server.avg_state().clone());
+                vec![lane; cluster.workers()]
+            }
+            None => Vec::new(),
+        };
         Fda {
-            lanes: vec![(vec![0.0; cluster.dim()], server.avg_state().clone()); k],
+            lanes,
             cluster,
             server,
-            variant_name: config.variant.name(),
+            name,
             enc: Vec::new(),
             payloads: Vec::new(),
             telemetry: None,
@@ -247,14 +264,14 @@ impl Fda {
     }
 
     /// Writes the end-of-run summary and closes the stream (called when
-    /// telemetry is detached).
+    /// telemetry is detached or replaced).
     fn emit_run_event(&mut self, mut sess: TelemetrySession) {
         let charged = self.cluster.comm_bytes();
         let workers = self.cluster.workers() as u32;
         let event = RunEvent {
             source: "sim".into(),
             workers,
-            variant: self.variant_name.to_string(),
+            variant: self.name.clone(),
             theta: self.server.theta(),
             steps: sess.rounds,
             syncs: self.server.syncs(),
@@ -280,7 +297,7 @@ impl Fda {
 
 impl Strategy for Fda {
     fn name(&self) -> String {
-        self.variant_name.to_string()
+        self.name.clone()
     }
 
     fn step(&mut self) -> StepOutcome {
@@ -298,14 +315,17 @@ impl Strategy for Fda {
         //     coded uplink every summary is replaced by what a coordinator
         //     reconstructs from its encoded deposit and charged at the
         //     emitted bytes plus the raw 4-byte drift scalar (the codec
-        //     covers the summary only).
+        //     covers the summary only). A periodic policy has no lanes:
+        //     its decision is its schedule's.
         let (estimate, synced) = {
             let _span = fda_obs::histogram!(HIST_MONITOR_US).span();
-            let (monitor, w_t0) = (self.server.monitor(), self.server.consensus());
-            let (pool, workers, _) = self.cluster.parts();
-            each_worker(pool, workers, &mut self.lanes, |w, (drift, state)| {
-                round::local_state_into(monitor, w.trained_params(), w_t0, drift, state);
-            });
+            if let Some(monitor) = self.server.monitor() {
+                let w_t0 = self.server.consensus();
+                let (pool, workers, _) = self.cluster.parts();
+                each_worker(pool, workers, &mut self.lanes, |w, (drift, state)| {
+                    round::local_state_into(monitor, w.trained_params(), w_t0, drift, state);
+                });
+            }
             self.payloads.clear();
             if let Some(codec) = self.server.coded_uplink() {
                 for (_, s) in &mut self.lanes {
@@ -339,25 +359,19 @@ impl Strategy for Fda {
         StepOutcome {
             stats,
             synced,
-            variance_estimate: Some(estimate),
+            variance_estimate: self.server.monitor().map(|_| estimate),
         }
     }
 
     fn set_telemetry(&mut self, sink: Option<JsonlWriter>) -> bool {
-        match sink {
-            Some(writer) => {
-                self.telemetry = Some(TelemetrySession {
-                    writer,
-                    rounds: 0,
-                    decisions: String::new(),
-                });
-            }
-            None => {
-                if let Some(sess) = self.telemetry.take() {
-                    self.emit_run_event(sess);
-                }
-            }
+        if let Some(sess) = self.telemetry.take() {
+            self.emit_run_event(sess);
         }
+        self.telemetry = sink.map(|writer| TelemetrySession {
+            writer,
+            rounds: 0,
+            decisions: String::new(),
+        });
         true
     }
 
@@ -371,6 +385,13 @@ impl Strategy for Fda {
 
     fn syncs(&self) -> u64 {
         self.server.syncs()
+    }
+
+    fn global_params(&self) -> Vec<f32> {
+        match self.server.server_model() {
+            Some(w) => w.to_vec(),
+            None => self.cluster.average_params(),
+        }
     }
 }
 

@@ -8,8 +8,9 @@
 //! * **computation** — in-parallel learning steps.
 //!
 //! Evaluation itself is free (it does not transmit training data or model
-//! updates) and is performed on the global model: the consensus model when
-//! one exists, the average of worker models otherwise.
+//! updates) and is performed on the global model
+//! ([`Strategy::global_params`]): the server model under a server
+//! optimizer (FedOpt), the average of the worker models otherwise.
 
 use crate::strategy::Strategy;
 use fda_data::TaskData;
@@ -142,7 +143,6 @@ fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines::Synchronous;
     use crate::cluster::ClusterConfig;
     use crate::fda::{Fda, FdaConfig};
     use fda_data::synth::SynthSpec;
@@ -159,7 +159,7 @@ mod tests {
     #[test]
     fn synchronous_reaches_easy_target() {
         let task = tiny_task();
-        let mut s = Synchronous::new(ClusterConfig::small_test(3), &task);
+        let mut s = Fda::synchronous(ClusterConfig::small_test(3), &task);
         let res = run_to_target(&mut s, &task, &RunConfig::to_target(0.60, 600));
         assert!(res.reached, "easy target should be reachable: {res:?}");
         assert!(res.steps <= 600);
@@ -170,7 +170,7 @@ mod tests {
     #[test]
     fn unreachable_target_hits_cap() {
         let task = tiny_task();
-        let mut s = Synchronous::new(ClusterConfig::small_test(2), &task);
+        let mut s = Fda::synchronous(ClusterConfig::small_test(2), &task);
         let res = run_to_target(&mut s, &task, &RunConfig::to_target(1.01, 30));
         assert!(!res.reached);
         assert_eq!(res.steps, 30);
@@ -184,7 +184,7 @@ mod tests {
         let target = 0.60;
         let cfg = RunConfig::to_target(target, 800);
 
-        let mut sync = Synchronous::new(ClusterConfig::small_test(3), &task);
+        let mut sync = Fda::synchronous(ClusterConfig::small_test(3), &task);
         let sync_res = run_to_target(&mut sync, &task, &cfg);
 
         let mut fda = Fda::new(FdaConfig::linear(0.5), ClusterConfig::small_test(3), &task);
@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn trace_is_monotone_in_step_and_bytes() {
         let task = tiny_task();
-        let mut s = Synchronous::new(ClusterConfig::small_test(2), &task);
+        let mut s = Fda::synchronous(ClusterConfig::small_test(2), &task);
         let res = run_to_target(&mut s, &task, &RunConfig::to_target(0.9, 100));
         for w in res.trace.windows(2) {
             assert!(w[0].step <= w[1].step);

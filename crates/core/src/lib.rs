@@ -25,16 +25,17 @@
 //!   phase of the step (local training, monitor states, reductions).
 //! * [`monitor`] — the three variance monitors (Sketch / Linear / Exact
 //!   oracle) and the local-state algebra.
-//! * [`round`] — one FDA round, written once: the server half (state
-//!   and model means, the decision, the downlink, the consensus) and the
-//!   replica half (drift, local state, `S̄` cross-check, adopting the
-//!   consensus), called by the simulator and the socket transport alike.
-//! * [`fda`] — Algorithm 1: the [`fda::Fda`] strategy, the simulator's
-//!   driver of the round.
-//! * [`baselines`] — Synchronous (BSP), Local-SGD(τ), FedAvg / FedAvgM /
-//!   FedAdam (FedOpt with server optimizers).
-//! * [`strategy`] — the common [`strategy::Strategy`] trait the harness
-//!   drives.
+//! * [`round`] — one FDA round, written once: the server half (the sync
+//!   policy, state and model means, the decision, the downlink, the
+//!   consensus) and the replica half (drift, local state, `S̄`
+//!   cross-check, adopting the consensus), called by the simulator and
+//!   the socket transport alike.
+//! * [`fda`] — Algorithm 1 and the [`fda::Fda`] strategy, the simulator's
+//!   one driver of the round, whatever its sync policy.
+//! * [`baselines`] — the `Fda` constructors of Synchronous (BSP),
+//!   Local-SGD(τ) and FedAvg / FedAvgM / FedAdam (FedOpt with server
+//!   optimizers): periodic sync policies of the same round.
+//! * [`strategy`] — the [`strategy::Strategy`] trait the harness drives.
 //! * [`harness`] — training runs to an accuracy target, producing the
 //!   paper's two metrics (communication bytes, in-parallel steps).
 //! * [`theta`] — the Θ ≈ c·d guideline (Figure 12) and calibration sweeps.

@@ -5,6 +5,15 @@
 //! * [`Server`] reduces: [`Server::decide`] charges and averages the
 //!   deposited states and decides; [`Server::commit`] averages and charges
 //!   the models, forms the downlink and advances the consensus.
+//!
+//!   The server holds the round's *sync policy*: when a round
+//!   synchronizes, and what the server makes of the model mean. Algorithm
+//!   1 synchronizes when a monitor's `H(S̄) > Θ` ([`Server::new`]); the
+//!   baselines synchronize on a fixed period (Synchronous every step,
+//!   Local-SGD every τ, FedOpt every `E` epochs), and FedOpt then steps a
+//!   server optimizer on the pseudo-gradient `w − w̄` — the reference's
+//!   `server_update`. A periodic policy is crate-private: only the
+//!   simulator runs it.
 //! * [`Replica`] is one worker's side: its local state and coded upload,
 //!   the check of the broadcast `S̄`, and adopting the consensus.
 //!
@@ -36,6 +45,7 @@ use fda_comm::{
     apply_delta_downlink_into, delta_downlink_into, Codec, CodecSpec, Dense32, DownlinkSpec,
     SimNetwork,
 };
+use fda_optim::Optimizer;
 use fda_tensor::vector;
 
 /// Means shorter than this stay on the calling thread even with a pool at
@@ -97,12 +107,37 @@ pub(crate) fn local_state_into(
     monitor.local_state_into(drift, state);
 }
 
-/// The reducing half of a round: the monitor evaluating `H` and Θ, the
-/// codecs, the consensus `w_t0` and the one before it (a rejoining
-/// worker's `Resume` handoff), and round-persistent scratch.
+/// When a round synchronizes.
+enum Schedule {
+    /// Algorithm 1: when the monitor's `H(S̄)` exceeds Θ. `avg` is `S̄` of
+    /// the last decision; before the first, a zero state of the job's
+    /// shape.
+    Monitor {
+        monitor: Box<dyn VarianceMonitor>,
+        theta: f32,
+        avg: LocalState,
+    },
+    /// Every `period`-th round, `since` rounds after the last sync.
+    Period { period: u64, since: u64 },
+}
+
+impl Schedule {
+    fn avg(&self) -> &LocalState {
+        match self {
+            Schedule::Monitor { avg, .. } => avg,
+            Schedule::Period { .. } => panic!("round: a periodic policy averages no states"),
+        }
+    }
+}
+
+/// The reducing half of a round: the sync policy (the schedule and an
+/// optional server optimizer), the codecs, the consensus `w_t0` and the
+/// one before it (a rejoining worker's `Resume` handoff), and
+/// round-persistent scratch.
 pub struct Server {
-    monitor: Box<dyn VarianceMonitor>,
-    theta: f32,
+    schedule: Schedule,
+    /// FedOpt's server optimizer; the consensus is then its model.
+    server_opt: Option<Box<dyn Optimizer>>,
     /// Decodes uploads; built for dense jobs too.
     uplink: Box<dyn Codec>,
     /// Whether uploads are coded: a dense job skips the simulator's round
@@ -113,9 +148,6 @@ pub struct Server {
     consensus: Vec<f32>,
     /// The consensus before `consensus`, once `syncs > 0`.
     prev: Vec<f32>,
-    /// `S̄` of the last decision; before the first, a zero state of the
-    /// job's shape.
-    avg: LocalState,
     mean: Vec<f32>,
     recon: Vec<f32>,
     /// The downlink payload, `[dim u32][body]`.
@@ -126,20 +158,47 @@ pub struct Server {
 }
 
 impl Server {
-    /// The server of a job whose workers start from `w0`, with a dense
-    /// uplink and downlink until set otherwise.
+    /// The Algorithm 1 server of a job whose workers start from `w0`, with
+    /// a dense uplink and downlink until set otherwise.
     pub fn new(config: FdaConfig, w0: Vec<f32>) -> Server {
         let monitor = config.variant.build_monitor(w0.len());
         let avg = monitor.local_state(&vec![0.0; w0.len()]);
-        Server {
+        let schedule = Schedule::Monitor {
             monitor,
             theta: config.theta,
+            avg,
+        };
+        Server::with_schedule(schedule, None, w0)
+    }
+
+    /// A server that synchronizes every `period`-th round and, with
+    /// `server_opt`, steps it on the pseudo-gradient of each sync.
+    ///
+    /// # Panics
+    /// Panics if `period == 0`.
+    pub(crate) fn periodic(
+        period: u64,
+        server_opt: Option<Box<dyn Optimizer>>,
+        w0: Vec<f32>,
+    ) -> Server {
+        assert!(period >= 1, "round: the sync period must be positive");
+        let schedule = Schedule::Period { period, since: 0 };
+        Server::with_schedule(schedule, server_opt, w0)
+    }
+
+    fn with_schedule(
+        schedule: Schedule,
+        server_opt: Option<Box<dyn Optimizer>>,
+        w0: Vec<f32>,
+    ) -> Server {
+        Server {
+            schedule,
+            server_opt,
             uplink: CodecSpec::Dense.build(),
             coded: false,
             downlink: None,
             consensus: w0,
             prev: Vec::new(),
-            avg,
             mean: Vec::new(),
             recon: Vec::new(),
             payload: Vec::new(),
@@ -176,19 +235,38 @@ impl Server {
         self.coded.then_some(self.uplink.as_ref())
     }
 
-    /// The variance threshold Θ.
+    /// The variance threshold Θ; NaN under a periodic policy, which has
+    /// none.
     pub fn theta(&self) -> f32 {
-        self.theta
+        match &self.schedule {
+            Schedule::Monitor { theta, .. } => *theta,
+            Schedule::Period { .. } => f32::NAN,
+        }
     }
 
-    pub(crate) fn monitor(&self) -> &dyn VarianceMonitor {
-        self.monitor.as_ref()
+    /// The monitor evaluating `H`; `None` under a periodic policy.
+    pub(crate) fn monitor(&self) -> Option<&dyn VarianceMonitor> {
+        match &self.schedule {
+            Schedule::Monitor { monitor, .. } => Some(monitor.as_ref()),
+            Schedule::Period { .. } => None,
+        }
     }
 
     /// `S̄` of the last [`Server::decide`], which has the shape every
     /// deposit must have.
+    ///
+    /// # Panics
+    /// Panics under a periodic policy, which averages no states.
     pub fn avg_state(&self) -> &LocalState {
-        &self.avg
+        self.schedule.avg()
+    }
+
+    /// The server optimizer's model, which is the consensus; `None`
+    /// without a server optimizer.
+    pub(crate) fn server_model(&self) -> Option<&[f32]> {
+        self.server_opt
+            .is_some()
+            .then_some(self.consensus.as_slice())
     }
 
     /// `w_t0`, the current consensus.
@@ -211,8 +289,11 @@ impl Server {
     /// plus encoded summary) per worker on a coded one, averages `states`
     /// (given in id order) into `S̄`, and returns `(H(S̄), violates(H, Θ))`.
     ///
+    /// A periodic policy charges nothing, reads no states and returns
+    /// `(NaN, whether this is a period's last round)`.
+    ///
     /// # Panics
-    /// Panics if `states` is empty or not all of the monitor's shape;
+    /// Panics if a monitor's `states` are empty or not all of its shape;
     /// transports validate deposits first.
     pub fn decide(
         &mut self,
@@ -221,39 +302,59 @@ impl Server {
         states: &[&LocalState],
         payloads: &[u64],
     ) -> (f32, bool) {
+        let (monitor, theta, avg) = match &mut self.schedule {
+            Schedule::Monitor {
+                monitor,
+                theta,
+                avg,
+            } => (&**monitor, *theta, avg),
+            Schedule::Period { period, since } => {
+                *since += 1;
+                let sync = *since == *period;
+                if sync {
+                    *since = 0;
+                }
+                return (f32::NAN, sync);
+            }
+        };
         if self.coded {
             net.charge_per_worker(payloads);
         } else {
-            net.charge_allreduce(self.monitor.state_bytes());
+            net.charge_allreduce(monitor.state_bytes());
         }
         assert!(
-            !states.is_empty() && states.iter().all(|s| s.same_shape(&self.avg)),
+            !states.is_empty() && states.iter().all(|s| s.same_shape(avg)),
             "round: deposits must have the monitor's state shape"
         );
         let drift_sq_norm =
             states.iter().map(|s| s.drift_sq_norm).sum::<f32>() / states.len() as f32;
         let summaries: Vec<&[f32]> = states.iter().map(|s| s.summary_slice()).collect();
-        mean_into(pool, &summaries, self.avg.summary_slice_mut());
-        self.avg.drift_sq_norm = drift_sq_norm;
-        let estimate = self.monitor.estimate(&self.avg);
-        (estimate, violates(estimate, self.theta))
+        mean_into(pool, &summaries, avg.summary_slice_mut());
+        avg.drift_sq_norm = drift_sq_norm;
+        let estimate = monitor.estimate(avg);
+        (estimate, violates(estimate, theta))
     }
 
     /// The decision broadcast of the last [`Server::decide`]: the `sync`
     /// byte it returned, then `S̄` dense, which is what [`Replica::check`]
     /// reads.
+    ///
+    /// # Panics
+    /// Panics under a periodic policy.
     pub fn avg_state_payload(&mut self, sync: bool) -> &[u8] {
         self.decision.clear();
         self.decision.push(sync as u8);
-        encode_state_coded_into(&self.avg, &Dense32, &mut self.decision);
+        encode_state_coded_into(self.schedule.avg(), &Dense32, &mut self.decision);
         &self.decision
     }
 
     /// The synchronization after a violation: averages and charges
     /// `models` (given in id order; `payloads` are their encoded sizes on
-    /// a coded job), forms the downlink — under a delta downlink its
-    /// reconstruction is the new consensus — makes the old consensus the
-    /// previous one, and runs the monitor's `on_sync` once.
+    /// a coded job); with a server optimizer, steps a copy of the
+    /// consensus on the pseudo-gradient `consensus − mean`; forms the
+    /// downlink of the result — under a delta downlink its reconstruction
+    /// is the new consensus — makes the old consensus the previous one,
+    /// and runs the monitor's `on_sync` once.
     pub fn commit(
         &mut self,
         net: &mut SimNetwork,
@@ -263,6 +364,15 @@ impl Server {
     ) {
         let coded = self.coded.then_some(payloads);
         model_mean_into(pool, net, models, coded, &mut self.mean);
+        if let Some(opt) = &mut self.server_opt {
+            // The downlink's reconstruction buffer holds the
+            // pseudo-gradient until the step has read it.
+            let (grad, w) = (&mut self.recon, &mut self.mean);
+            grad.resize(w.len(), 0.0);
+            vector::sub_into(&self.consensus, w, grad);
+            w.copy_from_slice(&self.consensus);
+            opt.step(w, grad);
+        }
         let fresh = match &self.downlink {
             None => &mut self.mean,
             Some(codec) => {
@@ -281,7 +391,9 @@ impl Server {
         // prev ← consensus ← fresh; the old prev becomes scratch.
         std::mem::swap(&mut self.prev, &mut self.consensus);
         std::mem::swap(&mut self.consensus, fresh);
-        self.monitor.on_sync(&self.consensus, &self.prev);
+        if let Schedule::Monitor { monitor, .. } = &mut self.schedule {
+            monitor.on_sync(&self.consensus, &self.prev);
+        }
         self.syncs += 1;
     }
 
@@ -532,6 +644,48 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A periodic decide charges nothing and fires on each period's last
+    /// round. A commit under a server optimizer steps a copy of the
+    /// consensus on `consensus − mean`, and a delta downlink codes that
+    /// result: the new consensus is its reconstruction against the old.
+    #[test]
+    fn round_periodic_server_steps_then_codes_the_downlink() {
+        let (d, mut rng) = (300, Rng::new(0xFED));
+        let codec = CodecSpec::Uniform8 { chunk: 64 };
+        let kind = fda_optim::OptimizerKind::fedadam_server();
+        let mut want = random_vec(&mut rng, d);
+        let mut server = Server::periodic(2, Some(kind.build(d)), want.clone());
+        server.set_downlink(DownlinkSpec::Delta { codec });
+        assert!(server.monitor().is_none() && server.theta().is_nan());
+        let (mut opt, mut net, mut charged) =
+            (kind.build(d), SimNetwork::new(2), SimNetwork::new(2));
+        for round in 1..=5u64 {
+            let (estimate, sync) = server.decide(&mut net, None, &[], &[]);
+            assert!(estimate.is_nan(), "round {round}");
+            assert_eq!(sync, round % 2 == 0, "round {round}");
+            assert_eq!(net.total_bytes(), charged.total_bytes(), "round {round}");
+            if !sync {
+                continue;
+            }
+            let models = [random_vec(&mut rng, d), random_vec(&mut rng, d)];
+            let refs: Vec<&[f32]> = models.iter().map(Vec::as_slice).collect();
+            server.commit(&mut net, None, &refs, &[]);
+            charged.charge_allreduce(d as u64 * 4);
+
+            let mut mean = vec![0.0; d];
+            vector::mean_range_into(&refs, 0, d, &mut mean);
+            let mut grad = want.clone();
+            vector::sub_assign(&mut grad, &mean);
+            let mut stepped = want.clone();
+            opt.step(&mut stepped, &grad);
+            want = fda_comm::compress::delta_downlink(&want, &stepped, codec.build().as_ref()).1;
+            assert_eq!(bits(server.consensus()), bits(&want), "round {round}");
+            assert_eq!(server.server_model(), Some(server.consensus()));
+        }
+        assert_eq!(server.syncs(), 2);
+        assert_eq!(net.total_bytes(), charged.total_bytes());
     }
 
     /// Known-answer bytes of the decision broadcast: the sync byte, then

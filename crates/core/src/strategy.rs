@@ -5,7 +5,9 @@
 //! measuring (communication bytes, in-parallel steps). The [`Strategy`]
 //! trait is the uniform surface the [`crate::harness`] drives: one `step`
 //! equals one in-parallel mini-batch step on every worker, so computation
-//! is directly comparable across algorithms.
+//! is directly comparable across algorithms. Its one implementer is
+//! [`crate::fda::Fda`], which runs every algorithm as a sync policy of
+//! the round engine.
 
 use crate::cluster::{Cluster, StepStats};
 
@@ -41,13 +43,10 @@ pub trait Strategy {
     fn syncs(&self) -> u64;
 
     /// Attaches (`Some`) or finishes (`None`) a per-round JSONL telemetry
-    /// stream (see `fda_obs::event`). Detaching writes the end-of-run
-    /// summary and flushes. Returns whether this strategy emits telemetry;
-    /// the default implementation drops the sink and reports `false`.
-    fn set_telemetry(&mut self, sink: Option<fda_obs::JsonlWriter>) -> bool {
-        drop(sink);
-        false
-    }
+    /// stream (see `fda_obs::event`). Detaching, or attaching over an
+    /// attached stream, writes that stream's end-of-run summary and
+    /// flushes. Returns whether this strategy emits telemetry.
+    fn set_telemetry(&mut self, sink: Option<fda_obs::JsonlWriter>) -> bool;
 
     /// Total bytes transmitted by all workers so far.
     fn comm_bytes(&self) -> u64 {
@@ -59,9 +58,8 @@ pub trait Strategy {
         self.cluster().steps()
     }
 
-    /// The current global model: the consensus model if one exists, else
-    /// the average of the worker models (evaluation is free, §4.1).
-    fn global_params(&self) -> Vec<f32> {
-        self.cluster().average_params()
-    }
+    /// The model evaluation uses (evaluation is free, §4.1): the server
+    /// model under a server optimizer (FedOpt), the average of the worker
+    /// models otherwise.
+    fn global_params(&self) -> Vec<f32>;
 }

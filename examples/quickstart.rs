@@ -8,7 +8,6 @@
 //! a cluster, pick a strategy, run to an accuracy target, read the two
 //! costs the paper reports (communication bytes, in-parallel steps).
 
-use fda::core::baselines::Synchronous;
 use fda::core::cluster::ClusterConfig;
 use fda::core::fda::{Fda, FdaConfig};
 use fda::core::harness::{run_to_target, RunConfig};
@@ -41,7 +40,7 @@ fn main() {
     let fda_result = run_to_target(&mut fda, &task, &run);
 
     // 4b. The Synchronous baseline (sync after every step).
-    let mut sync = Synchronous::new(cluster, &task);
+    let mut sync = Fda::synchronous(cluster, &task);
     let sync_result = run_to_target(&mut sync, &task, &run);
 
     // 5. Compare.

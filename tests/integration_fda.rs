@@ -1,7 +1,6 @@
 //! Cross-crate integration tests: the FDA protocol end-to-end over the
 //! full substrate stack (nn + optim + data + sketch + comm).
 
-use fda::core::baselines::{FedOpt, LocalSgd, Synchronous};
 use fda::core::cluster::ClusterConfig;
 use fda::core::fda::{Fda, FdaConfig, FdaVariant};
 use fda::core::harness::{run_to_target, RunConfig};
@@ -40,9 +39,9 @@ fn all_strategies_reach_a_moderate_target() {
     let strategies: Vec<Box<dyn Strategy>> = vec![
         Box::new(Fda::new(FdaConfig::linear(0.5), cluster(4, 1), &task)),
         Box::new(Fda::new(FdaConfig::sketch_auto(0.5), cluster(4, 1), &task)),
-        Box::new(Synchronous::new(cluster(4, 1), &task)),
-        Box::new(LocalSgd::new(8, cluster(4, 1), &task)),
-        Box::new(FedOpt::fedadam(1, cluster(4, 1), &task)),
+        Box::new(Fda::synchronous(cluster(4, 1), &task)),
+        Box::new(Fda::local_sgd(8, cluster(4, 1), &task)),
+        Box::new(Fda::fedadam(1, cluster(4, 1), &task)),
     ];
     for mut s in strategies {
         let r = run_to_target(s.as_mut(), &task, &cfg);
@@ -69,7 +68,7 @@ fn all_strategies_reach_a_moderate_target() {
 fn theta_zero_fda_syncs_like_synchronous() {
     let task = small_task();
     let mut fda = Fda::new(FdaConfig::linear(0.0), cluster(3, 2), &task);
-    let mut sync = Synchronous::new(cluster(3, 2), &task);
+    let mut sync = Fda::synchronous(cluster(3, 2), &task);
     for _ in 0..20 {
         fda.step();
         sync.step();
@@ -205,8 +204,8 @@ fn single_worker_cluster_degenerates_gracefully() {
 #[test]
 fn fedopt_syncs_once_per_local_epoch() {
     let task = small_task();
-    let mut fed = FedOpt::fedavgm(1, cluster(4, 9), &task);
-    let spr = fed.steps_per_round();
+    let mut fed = Fda::fedavgm(1, cluster(4, 9), &task);
+    let spr = fed.cluster().steps_per_epoch() as u64;
     // Shards: 600 samples / 4 workers = 150; batch 16 ⇒ ceil = 10 steps.
     assert_eq!(spr, 10);
     for _ in 0..3 * spr {

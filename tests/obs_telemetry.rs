@@ -9,7 +9,9 @@
 //!    the `NetReport` membership buckets exactly.
 //! 2. The sequential simulator emits a **schema-identical** stream for the
 //!    same job: same keys, same order, same JSON types per event kind —
-//!    only the `source` field differs.
+//!    only the `source` field differs. Every baseline writes that schema
+//!    too, with a `null` estimate and Θ, and re-attaching a stream
+//!    finishes the one it replaces.
 //! 3. `fda_node demo` prints the schema's one-line `"run"` record on
 //!    stdout; this is the parse-don't-regex regression test for the run
 //!    report.
@@ -23,6 +25,7 @@ use fda::net::{
     run_chaos_with_spawned_workers_telemetry, FaultAction, FaultPlan, MemberEvent, RoundPolicy,
 };
 use fda::obs::{read_jsonl, Json, JsonlWriter, RoundEvent, RunEvent, SCHEMA_VERSION};
+use fda::optim::OptimizerKind;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -59,6 +62,88 @@ fn split_stream(lines: &[Json]) -> (Vec<RoundEvent>, RunEvent) {
         .map(|l| RoundEvent::from_json(l).expect("round event parses"))
         .collect();
     let run = RunEvent::from_json(last).expect("run event parses");
+    (rounds, run)
+}
+
+fn keys(v: &Json) -> Vec<String> {
+    v.as_obj()
+        .expect("events are objects")
+        .iter()
+        .map(|(k, _)| k.clone())
+        .collect()
+}
+
+fn type_tag(v: &Json) -> &'static str {
+    match v {
+        Json::Null => "null-or-num", // non-finite floats serialize as null
+        Json::Bool(_) => "bool",
+        Json::Num(_) => "null-or-num",
+        Json::Str(_) => "str",
+        Json::Arr(_) => "arr",
+        Json::Obj(_) => "obj",
+    }
+}
+
+/// Line by line, `a` and `b` have the same keys in the same order and the
+/// same JSON types; their `source` fields read `sources`.
+fn assert_same_schema(a: &[Json], b: &[Json], sources: (&str, &str)) {
+    assert_eq!(a.len(), b.len(), "stream lengths diverge");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_eq!(keys(x), keys(y), "line {i}: key set/order diverged");
+        for ((key, xv), (_, yv)) in x.as_obj().unwrap().iter().zip(y.as_obj().unwrap()) {
+            if key == "source" {
+                assert_eq!(xv.as_str(), Some(sources.0));
+                assert_eq!(yv.as_str(), Some(sources.1));
+                continue;
+            }
+            assert_eq!(
+                type_tag(xv),
+                type_tag(yv),
+                "line {i} key {key:?}: JSON type diverged"
+            );
+        }
+    }
+}
+
+/// Steps `sim` `steps` times with a telemetry stream attached, and returns
+/// the stream.
+fn sim_stream(sim: &mut Fda, steps: u32, name: &str) -> Vec<Json> {
+    let path = temp_path(name);
+    let writer = JsonlWriter::create(&path).expect("sim sink");
+    assert!(
+        sim.set_telemetry(Some(writer)),
+        "{} accepts telemetry",
+        sim.name()
+    );
+    for _ in 0..steps {
+        sim.step();
+    }
+    assert!(sim.set_telemetry(None), "detach flushes the run summary");
+    let lines = read_jsonl(&path).expect("sim stream");
+    std::fs::remove_file(&path).ok();
+    lines
+}
+
+/// The simulator's ledger reconciles on its own terms: one round event
+/// per step, per-round bytes summing to the run's charged total, which is
+/// the simulator's (measured == charged by construction).
+fn sim_ledger(lines: &[Json], sim: &Fda, steps: u32) -> (Vec<RoundEvent>, RunEvent) {
+    let (rounds, run) = split_stream(lines);
+    assert_eq!(rounds.len(), steps as usize);
+    let summed: u64 = rounds.iter().map(|r| r.state_bytes + r.model_bytes).sum();
+    assert_eq!(summed, run.charged_bytes, "sim per-round bytes must sum");
+    assert!(
+        run.measured_equals_charged(),
+        "sim measures what it charges"
+    );
+    assert_eq!(run.charged_bytes, sim.comm_bytes(), "ledger != simulator");
+    let workers = sim.cluster().workers() as u32;
+    for r in &rounds {
+        assert_eq!(r.source, "sim");
+        assert_eq!(r.epoch, 1, "sim has no membership churn");
+        assert_eq!(r.alive, workers);
+        assert!(r.deposit_us.is_empty() && r.drops.is_empty());
+    }
     (rounds, run)
 }
 
@@ -178,68 +263,88 @@ fn simulator_stream_is_schema_identical_to_net_stream() {
     std::fs::remove_file(&net_path).ok();
 
     // Sim side: the same job stepped through the sequential simulator.
-    let sim_path = temp_path("schema_sim");
     let task = spec.synth.generate(&spec.task_name);
     let mut sim = Fda::new(spec.fda, spec.cluster.clone(), &task);
-    let writer = JsonlWriter::create(&sim_path).expect("sim sink");
-    assert!(sim.set_telemetry(Some(writer)), "Fda accepts telemetry");
-    for _ in 0..spec.steps {
-        sim.step();
-    }
-    assert!(sim.set_telemetry(None), "detach flushes the run summary");
-    let sim_lines = read_jsonl(&sim_path).expect("sim stream");
-    std::fs::remove_file(&sim_path).ok();
+    let sim_lines = sim_stream(&mut sim, spec.steps, "schema_sim");
 
-    assert_eq!(sim_lines.len(), net_lines.len(), "stream lengths diverge");
-    let keys = |v: &Json| -> Vec<String> {
-        v.as_obj()
-            .expect("events are objects")
+    assert_same_schema(&sim_lines, &net_lines, ("sim", "net"));
+    sim_ledger(&sim_lines, &sim, spec.steps);
+}
+
+/// Every baseline writes the FDA stream's schema: the same keys and JSON
+/// types, with a `null` estimate and Θ and no state bytes, a ledger that
+/// reconciles, and the baseline's display name as the run's variant.
+#[test]
+fn baseline_streams_are_schema_identical_to_the_fda_stream() {
+    let spec = spec(4, 8);
+    let task = spec.synth.generate(&spec.task_name);
+    let mut fda = Fda::new(spec.fda, spec.cluster.clone(), &task);
+    let fda_lines = sim_stream(&mut fda, spec.steps, "baseline_fda");
+    let baselines = [
+        Fda::synchronous(spec.cluster.clone(), &task),
+        Fda::fedavgm(1, spec.cluster.clone(), &task),
+    ];
+    for mut sim in baselines {
+        let name = sim.name();
+        let lines = sim_stream(&mut sim, spec.steps, &name);
+        assert_same_schema(&lines, &fda_lines, ("sim", "sim"));
+        let (run_line, round_lines) = lines.split_last().expect("stream");
+        let thresholds = round_lines
             .iter()
-            .map(|(k, _)| k.clone())
-            .collect()
-    };
-    let type_tag = |v: &Json| -> &'static str {
-        match v {
-            Json::Null => "null-or-num", // non-finite floats serialize as null
-            Json::Bool(_) => "bool",
-            Json::Num(_) => "null-or-num",
-            Json::Str(_) => "str",
-            Json::Arr(_) => "arr",
-            Json::Obj(_) => "obj",
+            .flat_map(|l| [(l, "estimate"), (l, "theta")]);
+        for (line, key) in thresholds.chain([(run_line, "theta")]) {
+            let v = line.as_obj().unwrap().iter().find(|(k, _)| k == key);
+            assert!(matches!(v, Some((_, Json::Null))), "{name}: {key} is null");
         }
-    };
-    for (i, (s, n)) in sim_lines.iter().zip(&net_lines).enumerate() {
-        assert_eq!(keys(s), keys(n), "line {i}: key set/order diverged");
-        for ((key, sv), (_, nv)) in s.as_obj().unwrap().iter().zip(n.as_obj().unwrap()) {
-            if key == "source" {
-                assert_eq!(sv.as_str(), Some("sim"));
-                assert_eq!(nv.as_str(), Some("net"));
-                continue;
-            }
-            assert_eq!(
-                type_tag(sv),
-                type_tag(nv),
-                "line {i} key {key:?}: JSON type diverged"
-            );
-        }
+        let (rounds, run) = sim_ledger(&lines, &sim, spec.steps);
+        assert!(rounds.iter().all(|r| r.state_bytes == 0), "{name}");
+        assert_eq!(run.variant, name);
+        assert_eq!(run.syncs, sim.syncs(), "{name}");
     }
-
-    // The sim ledger reconciles on its own terms.
-    let (rounds, run) = split_stream(&sim_lines);
-    assert_eq!(rounds.len(), spec.steps as usize);
-    let summed: u64 = rounds.iter().map(|r| r.state_bytes + r.model_bytes).sum();
-    assert_eq!(summed, run.charged_bytes, "sim per-round bytes must sum");
     assert!(
-        run.measured_equals_charged(),
-        "sim measures what it charges"
+        fda.syncs() > 0 && fda.syncs() < u64::from(spec.steps),
+        "the FDA stream mixes quiet and synchronizing rounds"
     );
-    assert_eq!(run.charged_bytes, sim.comm_bytes(), "ledger != simulator");
-    for r in &rounds {
-        assert_eq!(r.source, "sim");
-        assert_eq!(r.epoch, 1, "sim has no membership churn");
-        assert_eq!(r.alive, 4);
-        assert!(r.deposit_us.is_empty() && r.drops.is_empty());
+    let cluster = || spec.cluster.clone();
+    for mut sim in [
+        Fda::local_sgd(3, cluster(), &task),
+        Fda::fedadam(1, cluster(), &task),
+        Fda::fedopt(
+            "FedAvg",
+            OptimizerKind::Sgd { lr: 1.0 },
+            1,
+            cluster(),
+            &task,
+        ),
+    ] {
+        assert!(sim.set_telemetry(None), "{} emits telemetry", sim.name());
     }
+}
+
+/// Attaching a stream over an attached one finishes the first: its run
+/// record is written, and the second stream starts at round 1.
+#[test]
+fn reattaching_telemetry_finishes_the_first_stream() {
+    let spec = spec(2, 3);
+    let task = spec.synth.generate(&spec.task_name);
+    let mut sim = Fda::new(spec.fda, spec.cluster.clone(), &task);
+    let (path_a, path_b) = (temp_path("reattach_a"), temp_path("reattach_b"));
+    assert!(sim.set_telemetry(Some(JsonlWriter::create(&path_a).expect("sink A"))));
+    sim.step();
+    sim.step();
+    assert!(sim.set_telemetry(Some(JsonlWriter::create(&path_b).expect("sink B"))));
+    sim.step();
+    assert!(sim.set_telemetry(None));
+    let (a, b) = (read_jsonl(&path_a), read_jsonl(&path_b));
+    std::fs::remove_file(&path_a).ok();
+    std::fs::remove_file(&path_b).ok();
+
+    let (rounds, run) = split_stream(&a.expect("stream A"));
+    assert_eq!(rounds.iter().map(|r| r.round).collect::<Vec<_>>(), [1, 2]);
+    assert_eq!(run.steps, 2, "stream A's run record");
+    let (rounds, run) = split_stream(&b.expect("stream B"));
+    assert_eq!(rounds.iter().map(|r| r.round).collect::<Vec<_>>(), [1]);
+    assert_eq!(run.steps, 1, "stream B's run record");
 }
 
 /// `fda_node demo` prints the one-line `"run"` record on stdout — parse

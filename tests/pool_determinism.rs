@@ -9,7 +9,6 @@
 //! every case carries its seed in the failure message, so a counterexample
 //! reproduces exactly.
 
-use fda::core::baselines::{LocalSgd, Synchronous};
 use fda::core::cluster::ClusterConfig;
 use fda::core::fda::{Fda, FdaConfig, FdaVariant};
 use fda::core::strategy::Strategy;
@@ -138,14 +137,15 @@ fn pooled_sync_sequences_match_over_random_seeds() {
 
 /// The baselines share the pooled cluster primitives; they must be
 /// bit-identical across modes too (Synchronous exercises the pooled model
-/// AllReduce every step, LocalSGD the mixed cadence).
+/// AllReduce every step, LocalSGD the mixed cadence, FedAdam the server
+/// optimizer's step and its `load_global`).
 #[test]
 fn pooled_baselines_match_sequential() {
     let task = tiny_task();
-    let mut seq_sync = Synchronous::new(cluster(4, 11, false), &task);
-    let mut par_sync = Synchronous::new(cluster(4, 11, true), &task);
-    let mut seq_local = LocalSgd::new(3, cluster(4, 12, false), &task);
-    let mut par_local = LocalSgd::new(3, cluster(4, 12, true), &task);
+    let mut seq_sync = Fda::synchronous(cluster(4, 11, false), &task);
+    let mut par_sync = Fda::synchronous(cluster(4, 11, true), &task);
+    let mut seq_local = Fda::local_sgd(3, cluster(4, 12, false), &task);
+    let mut par_local = Fda::local_sgd(3, cluster(4, 12, true), &task);
     for _ in 0..7 {
         seq_sync.step();
         par_sync.step();
@@ -166,4 +166,26 @@ fn pooled_baselines_match_sequential() {
     }
     assert_eq!(seq_sync.comm_bytes(), par_sync.comm_bytes());
     assert_eq!(seq_local.comm_bytes(), par_local.comm_bytes());
+
+    // Two FedAdam rounds and a local step into the third.
+    let mut seq_adam = Fda::fedadam(1, cluster(4, 13, false), &task);
+    let mut par_adam = Fda::fedadam(1, cluster(4, 13, true), &task);
+    for _ in 0..2 * seq_adam.cluster().steps_per_epoch() + 1 {
+        seq_adam.step();
+        par_adam.step();
+    }
+    assert_eq!((seq_adam.syncs(), par_adam.syncs()), (2, 2));
+    for w in 0..4 {
+        assert_eq!(
+            seq_adam.cluster().worker(w).params(),
+            par_adam.cluster().worker(w).params(),
+            "FedAdam: worker {w} diverged"
+        );
+    }
+    assert_eq!(
+        seq_adam.global_params(),
+        par_adam.global_params(),
+        "FedAdam: server model diverged"
+    );
+    assert_eq!(seq_adam.comm_bytes(), par_adam.comm_bytes());
 }
