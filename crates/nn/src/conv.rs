@@ -6,7 +6,11 @@
 //! (`in_c·kh·kw × batch·out_h·out_w`), turning each of forward, weight-grad
 //! and input-grad into a single large GEMM per layer — large enough for the
 //! blocked kernel in `fda_tensor::matrix` to run at full tilt, instead of
-//! one small GEMM per sample.
+//! one small GEMM per sample. An inference forward, which owes no backward
+//! pass the column matrix, lowers and multiplies a cache-sized chunk of
+//! samples at a time instead, each chunk's product landing in place in
+//! its columns of the output (bit-identical: see
+//! `Layer::forward_inference` below).
 //!
 //! Activations arrive and leave **channel-major** (`c × batch·spatial`,
 //! per-sample column blocks — see [`crate::layer`]). That is exactly the
@@ -47,6 +51,12 @@
 use crate::init::Init;
 use crate::layer::{Layer, Shape3};
 use fda_tensor::{matrix, matrix::Scratch, Matrix, Rng};
+use std::ops::Range;
+
+/// Column-matrix floats an inference forward lowers at a time: a chunk of
+/// samples whose `cols` (fan_in × chunk·spatial) and product stay in L2
+/// together, where a whole eval batch's `cols` spills it.
+const INFER_CHUNK_FLOATS: usize = 32 * 1024;
 
 /// A 2-D convolution with square stride-1 kernels and symmetric zero
 /// padding.
@@ -63,11 +73,13 @@ pub struct Conv2d {
     dw: Matrix,
     db: Vec<f32>,
     /// Batched column matrix from the last forward
-    /// (`in_c·k·k × batch·spatial`). Shift lowering rewrites every position
-    /// each step; under the plan fallback padded positions are zeroed at
-    /// (re)shape time and never dirtied.
+    /// (`in_c·k·k × batch·spatial`), or the last chunk of an inference
+    /// forward. Shift lowering rewrites every position each step; under
+    /// the plan fallback padded positions are zeroed at (re)shape time and
+    /// never dirtied.
     cols: Matrix,
-    /// Batch size the lowering buffers were built for (0 = not yet built).
+    /// Batch size the lowering buffers were built for (0 = not yet built,
+    /// or invalidated by an inference forward).
     cols_batch: usize,
     /// Column-gradient buffer (`in_c·k·k × batch·spatial`), sized lazily on
     /// first backward so inference-only use never pays for it.
@@ -255,16 +267,17 @@ impl ShiftPlan {
         (lo, hi)
     }
 
-    /// im2col: `cols[(ch, tap)][p] = x[ch][p + δ] & mask[tap][p]`, every
-    /// position of `cols` written.
-    fn lower(&self, x: &Matrix, cols: &mut Matrix) {
+    /// im2col of the input columns `span` (whole samples):
+    /// `cols[(ch, tap)][p] = x[ch][span.start + p + δ] & mask[tap][p]`,
+    /// every position of `cols` written.
+    fn lower(&self, x: &Matrix, span: Range<usize>, cols: &mut Matrix) {
         let taps = self.delta.len();
-        let n = x.cols();
+        let n = span.len();
         for row in 0..cols.rows() {
             let (ch, tap) = (row / taps, row % taps);
             let delta = self.delta[tap];
             let mask = &self.mask[tap * self.chunk..(tap + 1) * self.chunk];
-            let src = x.row(ch);
+            let src = &x.row(ch)[span.clone()];
             let dst = cols.row_mut(row);
             for a in (0..n).step_by(self.chunk) {
                 let b = (a + self.chunk).min(n);
@@ -397,15 +410,30 @@ impl Conv2d {
         self.cols_batch = batch;
     }
 
-    /// Lowers a channel-major batch into `self.cols`.
-    fn lower(&mut self, x: &Matrix, batch: usize) {
+    /// Lowers the samples `samples` of a channel-major batch into
+    /// `self.cols`, shaped for that many samples.
+    fn lower(&mut self, x: &Matrix, samples: Range<usize>) {
+        let (in_spatial, spatial) = (self.in_shape.spatial(), self.out_shape.spatial());
         match &self.shift {
-            Some(shift) => shift.lower(x, &mut self.cols),
+            Some(shift) => shift.lower(
+                x,
+                samples.start * in_spatial..samples.end * in_spatial,
+                &mut self.cols,
+            ),
             None => {
-                let (in_spatial, spatial) = (self.in_shape.spatial(), self.out_shape.spatial());
-                for s in 0..batch {
-                    im2col_into(&self.plan, x, s * in_spatial, &mut self.cols, s * spatial);
+                for s in samples.clone() {
+                    let col_off = (s - samples.start) * spatial;
+                    im2col_into(&self.plan, x, s * in_spatial, &mut self.cols, col_off);
                 }
+            }
+        }
+    }
+
+    /// Adds the bias to the output columns `span` of every channel.
+    fn add_bias(&self, y: &mut Matrix, span: Range<usize>) {
+        for (c, &bias) in self.b.iter().enumerate() {
+            for v in &mut y.row_mut(c)[span.clone()] {
+                *v += bias;
             }
         }
     }
@@ -476,7 +504,7 @@ impl Conv2d {
     pub fn im2col_batch(&mut self, x: &Matrix) -> Matrix {
         let batch = self.in_shape.batch_of(x, "conv im2col input");
         self.ensure_buffers(batch);
-        self.lower(x, batch);
+        self.lower(x, 0..batch);
         self.cols.clone()
     }
 
@@ -525,19 +553,43 @@ impl Layer for Conv2d {
         let batch = self.in_shape.batch_of(&x, "conv input");
         let (oc, spatial) = (self.out_shape.c, self.out_shape.spatial());
         self.ensure_buffers(batch);
-        self.lower(&x, batch);
+        self.lower(&x, 0..batch);
         // One large GEMM for the whole batch; the product is already the
         // channel-major layer output — no staging scatter. Accumulate into
         // the freshly zeroed output (numerically identical to the
         // clearing `gemm_into_with`, minus one redundant pass over y).
         let mut y = Matrix::zeros(oc, batch * spatial);
         matrix::gemm_accumulate_with(&self.w, &self.cols, &mut y, &mut self.scratch);
-        for c in 0..oc {
-            let bias = self.b[c];
-            for v in y.row_mut(c) {
-                *v += bias;
-            }
+        self.add_bias(&mut y, 0..batch * spatial);
+        y
+    }
+
+    /// Lowers and multiplies a few samples at a time, each chunk's product
+    /// landing in place in its columns of the output, so the working set
+    /// stays cache-sized at eval batch sizes. `matrix::column_chunks`
+    /// keeps every chunk's GEMM on the whole batch's path, which is what
+    /// makes this `forward(x, false)` bit for bit. `self.cols` ends up
+    /// holding a chunk, so the training cache is invalidated.
+    fn forward_inference(&mut self, x: Matrix) -> Matrix {
+        let batch = self.in_shape.batch_of(&x, "conv input");
+        let (oc, spatial) = (self.out_shape.c, self.out_shape.spatial());
+        let fan_in = self.w.cols();
+        let mut y = Matrix::zeros(oc, batch * spatial);
+        let target = INFER_CHUNK_FLOATS / fan_in;
+        for span in matrix::column_chunks(oc, fan_in, batch * spatial, spatial, target) {
+            let samples = span.start / spatial..span.end / spatial;
+            self.ensure_buffers(samples.len());
+            self.lower(&x, samples);
+            matrix::gemm_accumulate_cols_with(
+                &self.w,
+                &self.cols,
+                &mut y,
+                span.start,
+                &mut self.scratch,
+            );
+            self.add_bias(&mut y, span);
         }
+        self.cols_batch = 0;
         y
     }
 
@@ -868,5 +920,51 @@ mod tests {
             assert_eq!(full.grads(), lean.grads(), "k={k} pad={pad}");
             assert!(lean.dcol.is_empty(), "params-only must not touch dcol");
         }
+    }
+
+    /// (c) The chunked inference forward against the training forward, bit
+    /// for bit: LeNet's two convs (shift lowering) and a conv on the copy
+    /// plan, at a batch whose GEMM is on the small path (1), at batches
+    /// that split into chunks evenly or leave a tail, and one sample past a
+    /// whole number of chunks (a tail that must merge where one sample's
+    /// GEMM is small). Each call follows a training forward of another
+    /// batch size, so a lowering buffer shaped by one cannot leak into the
+    /// other.
+    #[test]
+    fn differential_inference_forward_matches_training_forward() {
+        let mut rng = Rng::new(0xD202);
+        let layers = [
+            (Shape3::new(1, 12, 12), 6, 3, 1), // LeNet conv1
+            (Shape3::new(6, 6, 6), 12, 3, 1),  // LeNet conv2
+            (Shape3::new(2, 7, 5), 5, 3, 0),   // copy-plan lowering
+        ];
+        for &(shape, oc, k, pad) in &layers {
+            let mut conv = Conv2d::new(shape, oc, k, pad, Init::HeNormal, &mut rng);
+            rng.fill_normal(&mut conv.b, 0.0, 1.0);
+            let per_chunk = (INFER_CHUNK_FLOATS / conv.w.cols()).div_ceil(shape.spatial());
+            for batch in [1, 31, 32, 33, 232, 256, per_chunk + 1, 2 * per_chunk + 1, 1] {
+                let mut x = Matrix::zeros(shape.c, batch * shape.spatial());
+                rng.fill_normal(x.as_mut_slice(), 0.0, 1.0);
+                let want = conv.forward(x.clone(), false);
+                let got = conv.forward_inference(x);
+                assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
+                assert!(
+                    same_bits(got.as_slice(), want.as_slice()),
+                    "{shape:?} → {oc} batch {batch}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "backward without matching forward")]
+    fn backward_after_inference_forward_panics() {
+        let mut rng = Rng::new(0xD203);
+        let mut conv = Conv2d::new(Shape3::new(1, 12, 12), 6, 3, 1, Init::HeNormal, &mut rng);
+        let mut x = Matrix::zeros(1, 32 * 144);
+        rng.fill_normal(x.as_mut_slice(), 0.0, 1.0);
+        let y = conv.forward(x.clone(), true);
+        let _ = conv.forward_inference(x);
+        let _ = conv.backward(Matrix::zeros(y.rows(), y.cols()));
     }
 }

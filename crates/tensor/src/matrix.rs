@@ -5,7 +5,8 @@
 //! `MR × NR` microkernel over packed A/B panels) with a scalar fallback for
 //! tiny shapes — cache-friendly without an external BLAS. The microkernel
 //! itself comes from the runtime-dispatched [`crate::simd`] layer: AVX-512
-//! FMA (8×32 tile), AVX2+FMA (6×16) or the autovectorized scalar 4×16,
+//! FMA (8×32 tile; 12×32 for a streamed block of 9–12 rows), AVX2+FMA
+//! (6×16) or the autovectorized scalar 4×16,
 //! selected once per process, so the packing geometry (`mr`/`nr` strip
 //! sizes) follows the dispatched arm while the blocking constants
 //! (`KC`/`MC`/`NC`) stay shared. The [`naive`] module keeps the original
@@ -271,9 +272,9 @@ const KC: usize = 256;
 const MC: usize = 128;
 /// Column-block width of packed B (`KC·NC` floats ≈ 1 MiB target in L2/L3).
 const NC: usize = 1024;
-/// Upper bound on any arm's microkernel tile height — sizes the mid
-/// kernel's stack-packed A block.
-const MR_MAX: usize = 8;
+/// Upper bound on any arm's microkernel tile height, tall tiles included
+/// — sizes the mid kernel's stack-packed A block.
+const MR_MAX: usize = 12;
 
 /// Below this many multiply-adds the packing overhead outweighs the blocked
 /// kernel; use the scalar fallback.
@@ -400,10 +401,12 @@ fn pack_b(
 ///   stay in registers across the whole k-extent;
 /// * `A·Bᵀ` — [`gemm_dot_tiled`]: dot products of contiguous A and B rows.
 ///
-/// None of the arms depends on the dispatched kernel table, so their
-/// results are the same under every `FDA_FORCE_KERNEL`.
+/// Only `A·Bᵀ` reads `kn`, and only the ragged edges of its tiling take
+/// per-arm bits (`kn.dot`); every other element is the same under every
+/// `FDA_FORCE_KERNEL`.
 #[allow(clippy::too_many_arguments)]
 fn gemm_small(
+    kn: &Kernels,
     m: usize,
     n: usize,
     k: usize,
@@ -414,17 +417,22 @@ fn gemm_small(
     ldb: usize,
     b_layout: Layout,
     out: &mut [f32],
+    ldo: usize,
 ) {
     match (a_layout, b_layout) {
-        (Layout::Normal, Layout::Normal) => gemm_rows::<false>(m, n, k, a, lda, b, ldb, out),
-        (Layout::Transposed, Layout::Normal) => gemm_rows::<true>(m, n, k, a, lda, b, ldb, out),
+        (Layout::Normal, Layout::Normal) => {
+            gemm_rows::<false>(m, n, k, a, lda, b, ldb, out, ldo);
+        }
+        (Layout::Transposed, Layout::Normal) => {
+            gemm_rows::<true>(m, n, k, a, lda, b, ldb, out, ldo);
+        }
         (Layout::Normal, Layout::Transposed) => {
-            gemm_dot_tiled(m, n, k, a, lda, b, ldb, out);
+            gemm_dot_tiled(kn, m, n, k, a, lda, b, ldb, out, ldo);
         }
         (Layout::Transposed, Layout::Transposed) => {
             // Unused by the public API; keep a correct reference loop.
             for i in 0..m {
-                let out_row = &mut out[i * n..(i + 1) * n];
+                let out_row = &mut out[i * ldo..i * ldo + n];
                 for p in 0..k {
                     let aip = a[p * lda + i];
                     for (j, o) in out_row.iter_mut().enumerate() {
@@ -443,7 +451,7 @@ fn gemm_small(
 /// them. What changes is where the running sums live: a tile of `R` output
 /// rows × `NB` columns is held in registers across the whole k-extent
 /// instead of being re-loaded and re-stored once per `p`, and the `R` rows
-/// give the adds independent dependency chains.
+/// give the adds independent dependency chains. `out` has row stride `ldo`.
 #[allow(clippy::too_many_arguments)]
 fn gemm_rows<const AT: bool>(
     m: usize,
@@ -454,15 +462,16 @@ fn gemm_rows<const AT: bool>(
     b: &[f32],
     ldb: usize,
     out: &mut [f32],
+    ldo: usize,
 ) {
     const R: usize = 4;
     let mut i = 0;
     while i + R <= m {
-        gemm_row_block::<AT, R>(i, n, k, a, lda, b, ldb, out);
+        gemm_row_block::<AT, R>(i, n, k, a, lda, b, ldb, out, ldo);
         i += R;
     }
     while i < m {
-        gemm_row_block::<AT, 1>(i, n, k, a, lda, b, ldb, out);
+        gemm_row_block::<AT, 1>(i, n, k, a, lda, b, ldb, out, ldo);
         i += 1;
     }
 }
@@ -480,22 +489,23 @@ fn gemm_row_block<const AT: bool, const R: usize>(
     b: &[f32],
     ldb: usize,
     out: &mut [f32],
+    ldo: usize,
 ) {
     let mut j = 0;
     while j + 16 <= n {
-        gemm_tile::<AT, R, 16>(i, j, n, k, a, lda, b, ldb, out);
+        gemm_tile::<AT, R, 16>(i, j, k, a, lda, b, ldb, out, ldo);
         j += 16;
     }
     if j + 8 <= n {
-        gemm_tile::<AT, R, 8>(i, j, n, k, a, lda, b, ldb, out);
+        gemm_tile::<AT, R, 8>(i, j, k, a, lda, b, ldb, out, ldo);
         j += 8;
     }
     if j + 4 <= n {
-        gemm_tile::<AT, R, 4>(i, j, n, k, a, lda, b, ldb, out);
+        gemm_tile::<AT, R, 4>(i, j, k, a, lda, b, ldb, out, ldo);
         j += 4;
     }
     while j < n {
-        gemm_tile::<AT, R, 1>(i, j, n, k, a, lda, b, ldb, out);
+        gemm_tile::<AT, R, 1>(i, j, k, a, lda, b, ldb, out, ldo);
         j += 1;
     }
 }
@@ -506,17 +516,17 @@ fn gemm_row_block<const AT: bool, const R: usize>(
 fn gemm_tile<const AT: bool, const R: usize, const NB: usize>(
     i: usize,
     j: usize,
-    n: usize,
     k: usize,
     a: &[f32],
     lda: usize,
     b: &[f32],
     ldb: usize,
     out: &mut [f32],
+    ldo: usize,
 ) {
     let mut acc = [[0.0f32; NB]; R];
     for (r, row) in acc.iter_mut().enumerate() {
-        row.copy_from_slice(&out[(i + r) * n + j..][..NB]);
+        row.copy_from_slice(&out[(i + r) * ldo + j..][..NB]);
     }
     for p in 0..k {
         let b_row: &[f32; NB] = b[p * ldb + j..][..NB]
@@ -534,7 +544,7 @@ fn gemm_tile<const AT: bool, const R: usize, const NB: usize>(
         }
     }
     for (r, row) in acc.iter().enumerate() {
-        out[(i + r) * n + j..][..NB].copy_from_slice(row);
+        out[(i + r) * ldo + j..][..NB].copy_from_slice(row);
     }
 }
 
@@ -577,15 +587,42 @@ fn gemm_rows_reference<const AT: bool>(
     }
 }
 
-/// `out += A · Bᵀ` via dot products, register-tiled 2×2 with 16-lane
-/// accumulators: the four running vector accumulators share every A/B load
-/// across a 2×2 output tile, halving memory traffic versus one dot per
-/// element while staying within the vector register budget (wider tiles
-/// measurably spill). This is the weight-gradient kernel
-/// (`dW += dy · colsᵀ`), whose k-extent (batch·spatial) is long while
-/// m·n (out_c · fan_in) is small.
+/// `out += A · Bᵀ` via dot products: the weight-gradient kernel
+/// (`dW += dy · colsᵀ`), whose k-extent (batch·spatial) is long while m·n
+/// (out_c · fan_in) is small. The even block runs on the arm's register
+/// tiles ([`Kernels::dot_tiles`], bit-identical on every arm); an odd last
+/// row or column takes one `kn.dot` per element. `out` has row stride
+/// `ldo`.
 #[allow(clippy::too_many_arguments)]
 fn gemm_dot_tiled(
+    kn: &Kernels,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+    ldo: usize,
+) {
+    let (m_main, n_main) = (m - m % 2, n - n % 2);
+    (kn.dot_tiles)(m_main, n_main, k, a, lda, b, ldb, out, ldo);
+    for i in 0..m {
+        let cols = if i < m_main { n_main..n } else { 0..n };
+        for j in cols {
+            out[i * ldo + j] += (kn.dot)(&a[i * lda..][..k], &b[j * ldb..][..k]);
+        }
+    }
+}
+
+/// The 2×2 loop [`gemm_dot_tiled`] ran before the tiles moved into the
+/// kernel table, with its `dot` made explicit — the bit-for-bit reference
+/// of its differential test.
+#[cfg(test)]
+#[allow(clippy::too_many_arguments)]
+fn gemm_dot_tiled_reference(
+    dot: fn(&[f32], &[f32]) -> f32,
     m: usize,
     n: usize,
     k: usize,
@@ -637,7 +674,7 @@ fn gemm_dot_tiled(
         // Ragged columns.
         for r in 0..T {
             for c in n_main..n {
-                out[(i + r) * n + c] += crate::vector::dot(
+                out[(i + r) * n + c] += dot(
                     &a[(i + r) * lda..(i + r) * lda + k],
                     &b[c * ldb..c * ldb + k],
                 );
@@ -650,7 +687,7 @@ fn gemm_dot_tiled(
         let a_row = &a[r * lda..r * lda + k];
         let out_row = &mut out[r * n..(r + 1) * n];
         for (j, o) in out_row.iter_mut().enumerate() {
-            *o += crate::vector::dot(a_row, &b[j * ldb..j * ldb + k]);
+            *o += dot(a_row, &b[j * ldb..j * ldb + k]);
         }
     }
 }
@@ -661,7 +698,14 @@ fn gemm_dot_tiled(
 /// ldb`) — B rows are already contiguous, so the expensive B-panel pack of
 /// the full blocked driver is pure overhead at these sizes. This is the
 /// hot path for im2col convolutions, whose GEMMs have small `m` (output
-/// channels) and `k` (c·kh·kw) but very wide `n` (batch·spatial).
+/// channels) and `k` (c·kh·kw) but very wide `n` (batch·spatial). `out`
+/// has row stride `ldo`.
+///
+/// The last row block takes the arm's tall tile when it fits in one
+/// (`mr < rows left ≤ mr_tall`): LeNet conv2's 12 channels are one pass
+/// over B instead of a full 8-row pass and a half-padded one. Every
+/// element is `acc = 0`, an FMA per `p` ascending, `c += acc` on either
+/// tile, so the choice never changes a bit.
 #[allow(clippy::too_many_arguments)]
 fn gemm_mid(
     kn: &Kernels,
@@ -674,13 +718,14 @@ fn gemm_mid(
     b: &[f32],
     ldb: usize,
     out: &mut [f32],
+    ldo: usize,
 ) {
     debug_assert!((1..=KC).contains(&k));
-    let (mr, nr) = (kn.mr, kn.nr);
-    debug_assert!(mr <= MR_MAX);
-    // Column chunking: every mr-row block makes a full pass over the B
-    // chunk, so size chunks to keep them L1-resident (~24 KiB) across all
-    // row blocks. Re-packing the (tiny) A block once per chunk is noise by
+    let nr = kn.nr;
+    debug_assert!(kn.mr <= kn.mr_tall && kn.mr_tall <= MR_MAX);
+    // Column chunking: every row block makes a full pass over the B chunk,
+    // so size chunks to keep them L1-resident (~24 KiB) across all row
+    // blocks. Re-packing the (tiny) A block once per chunk is noise by
     // comparison.
     let jc_width = (24 * 1024 / (4 * k)).clamp(nr, 1024) / nr * nr;
     // Stack-packed A block, k-major with stride mr (tight).
@@ -693,7 +738,13 @@ fn gemm_mid(
         let jc_hi = (jc + jc_width).min(n);
         let mut ir = 0;
         while ir < m {
-            let rows = mr.min(m - ir);
+            let left = m - ir;
+            let (mr, microkernel) = if kn.mr < left && left <= kn.mr_tall {
+                (kn.mr_tall, kn.microkernel_tall)
+            } else {
+                (kn.mr, kn.microkernel)
+            };
+            let rows = mr.min(left);
             // Pack the A block k-major with zero padding for ragged rows.
             for p in 0..k {
                 for r in 0..mr {
@@ -710,20 +761,21 @@ fn gemm_mid(
             let mut jr = jc;
             while jr < jc_hi {
                 let cols = nr.min(jc_hi - jr);
-                // SAFETY (microkernel contract): the A block holds k·mr
-                // packed elements; B row p reads exactly
-                // `b[p·ldb + jr .. p·ldb + jr + cols]` with
-                // `jr + cols ≤ n = ldb`, all in bounds; the output tile
-                // `rows × cols` at `(ir, jr)` is in bounds.
+                // SAFETY (microkernel contract, for the `mr`-row tile
+                // chosen above): the A block holds k·mr packed elements;
+                // B row p reads exactly `b[p·ldb + jr .. p·ldb + jr + cols]`
+                // with `jr + cols ≤ n ≤ ldb`, all in bounds; the output
+                // tile `rows × cols` at `(ir, jr)` with row stride `ldo` is
+                // in bounds.
                 unsafe {
-                    (kn.microkernel)(
+                    microkernel(
                         k,
                         a_block.as_ptr(),
                         mr,
                         b.as_ptr().add(jr),
                         ldb,
-                        out.as_mut_ptr().add(ir * n + jr),
-                        n,
+                        out.as_mut_ptr().add(ir * ldo + jr),
+                        ldo,
                         rows,
                         cols,
                     );
@@ -736,8 +788,18 @@ fn gemm_mid(
     }
 }
 
-/// Shared blocked driver: `out += op(A) · op(B)` with `out` dense row-major
-/// `m×n`, register tiles running on the dispatched microkernel of `kn`.
+/// True iff [`gemm_driver`] sends an `m×k · k×n` product to
+/// [`gemm_small`] whatever its layouts — the one routing test that depends
+/// on `n`. Every element of such a product accumulates in place on `out`
+/// (unfused); every other path sums each panel from zero and adds it to
+/// `out` once, with a per-element order that `n` does not touch.
+fn is_small(kn: &Kernels, m: usize, n: usize, k: usize) -> bool {
+    m * n * k < SMALL_GEMM_FLOPS || n < kn.nr
+}
+
+/// Shared blocked driver: `out += op(A) · op(B)` with `out` row-major
+/// `m×n` at row stride `ldo ≥ n`, register tiles running on the dispatched
+/// microkernel of `kn`.
 #[allow(clippy::too_many_arguments)]
 fn gemm_driver(
     kn: &Kernels,
@@ -751,14 +813,15 @@ fn gemm_driver(
     ldb: usize,
     b_layout: Layout,
     out: &mut [f32],
+    ldo: usize,
     scratch: &mut Scratch,
 ) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let (mr, nr) = (kn.mr, kn.nr);
-    if m * n * k < SMALL_GEMM_FLOPS || n < nr {
-        gemm_small(m, n, k, a, lda, a_layout, b, ldb, b_layout, out);
+    let mr = kn.mr;
+    if is_small(kn, m, n, k) {
+        gemm_small(kn, m, n, k, a, lda, a_layout, b, ldb, b_layout, out, ldo);
         return;
     }
     match b_layout {
@@ -770,12 +833,12 @@ fn gemm_driver(
             // Worth it when m is small (few passes over B) or B itself is
             // small enough that the repeated passes stay cache-resident.
             if k <= KC && (m <= 64 || k * n <= 32 * 1024) {
-                gemm_mid(kn, m, n, k, a, lda, a_layout, b, ldb, out);
+                gemm_mid(kn, m, n, k, a, lda, a_layout, b, ldb, out, ldo);
                 return;
             }
             // Deep-k but too skinny for packing to amortize.
             if m < 2 * mr {
-                gemm_small(m, n, k, a, lda, a_layout, b, ldb, b_layout, out);
+                gemm_small(kn, m, n, k, a, lda, a_layout, b, ldb, b_layout, out, ldo);
                 return;
             }
         }
@@ -784,11 +847,12 @@ fn gemm_driver(
             // the packed path additionally needs a large output tile to
             // amortize; below that the contiguous dot-product form wins.
             if m * n < 4096 || m < 2 * mr || k < 16 {
-                gemm_small(m, n, k, a, lda, a_layout, b, ldb, b_layout, out);
+                gemm_small(kn, m, n, k, a, lda, a_layout, b, ldb, b_layout, out, ldo);
                 return;
             }
         }
     }
+    let nr = kn.nr;
     let a_cap = MC.div_ceil(mr) * mr * KC;
     let b_cap = NC.div_ceil(nr) * nr * KC;
     let a_pack = scratch.a_pack.ensure(a_cap);
@@ -838,7 +902,8 @@ fn gemm_driver(
                         // SAFETY (microkernel contract): both strips are
                         // fully packed (zero-padded to mr/nr), and the
                         // `rows × cols` output tile at `(ic + ir, jc + jr)`
-                        // lies inside the `m × n` output.
+                        // lies inside the `m × n` output of row stride
+                        // `ldo`.
                         unsafe {
                             (kn.microkernel)(
                                 kc,
@@ -846,8 +911,8 @@ fn gemm_driver(
                                 mr,
                                 b_strip,
                                 nr,
-                                out.as_mut_ptr().add((ic + ir) * n + jc + jr),
-                                n,
+                                out.as_mut_ptr().add((ic + ir) * ldo + jc + jr),
+                                ldo,
                                 rows,
                                 cols,
                             );
@@ -917,6 +982,86 @@ pub fn gemm_accumulate_with_kernel(
         b.cols,
         Layout::Normal,
         &mut out.data,
+        b.cols,
+        scratch,
+    );
+}
+
+/// The column ranges, in whole `granule`s of about `target` columns each,
+/// that split an `m×k · k×n` [`gemm_accumulate_with`] product into
+/// products of their own without changing a bit: computed range by range
+/// through [`gemm_accumulate_cols_with`], every element takes the whole
+/// product's arithmetic. That arithmetic depends on `n` only through the
+/// small-shape fallback, so a range is widened until it leaves the
+/// fallback whenever the whole product does, and a short last range joins
+/// the one before it.
+///
+/// # Panics
+/// Panics unless `n` is a whole number of (non-empty) granules.
+pub fn column_chunks(
+    m: usize,
+    k: usize,
+    n: usize,
+    granule: usize,
+    target: usize,
+) -> impl Iterator<Item = std::ops::Range<usize>> {
+    assert!(
+        granule > 0 && n.is_multiple_of(granule),
+        "column_chunks: width {n} is not a whole number of {granule}-column granules"
+    );
+    let kn = simd::kernels();
+    let small = |w| is_small(kn, m, w, k);
+    let mut width = target.div_ceil(granule).max(1) * granule;
+    if !small(n) {
+        while small(width) {
+            width += granule;
+        }
+    }
+    let (full, rest) = (n / width, n % width);
+    let merge = full > 0 && rest > 0 && small(rest) && !small(n);
+    let count = full + usize::from(rest > 0 && !merge);
+    (0..count).map(move |c| c * width..if c + 1 == count { n } else { (c + 1) * width })
+}
+
+/// `out[.., j0 .. j0 + b.cols()] += a · b`: the product accumulated into a
+/// column window of a wider `out` in place, no staging copy. Each element
+/// gets the arithmetic [`gemm_accumulate_with`] gives the product `a · b`
+/// alone, so ranges from [`column_chunks`] assemble the whole product bit
+/// for bit.
+///
+/// # Panics
+/// Panics on a shape mismatch or a window past `out`'s last column.
+pub fn gemm_accumulate_cols_with(
+    a: &Matrix,
+    b: &Matrix,
+    out: &mut Matrix,
+    j0: usize,
+    scratch: &mut Scratch,
+) {
+    assert_eq!(a.cols, b.rows, "gemm: inner dimension mismatch");
+    assert_eq!(out.rows, a.rows, "gemm: output rows mismatch");
+    assert!(
+        j0 + b.cols <= out.cols,
+        "gemm: window {j0}..{} past {} output columns",
+        j0 + b.cols,
+        out.cols
+    );
+    if out.data.is_empty() {
+        return;
+    }
+    gemm_driver(
+        simd::kernels(),
+        a.rows,
+        b.cols,
+        a.cols,
+        &a.data,
+        a.cols,
+        Layout::Normal,
+        &b.data,
+        b.cols,
+        Layout::Normal,
+        &mut out.data[j0..],
+        out.cols,
         scratch,
     );
 }
@@ -961,6 +1106,7 @@ pub fn gemm_at_b_accumulate_with_kernel(
         b.cols,
         Layout::Normal,
         &mut out.data,
+        b.cols,
         scratch,
     );
 }
@@ -998,6 +1144,7 @@ pub fn gemm_a_bt_accumulate_with_kernel(
         b.cols,
         Layout::Transposed,
         &mut out.data,
+        b.rows,
         scratch,
     );
 }
@@ -1405,13 +1552,13 @@ mod tests {
             let mut want = seed.clone();
             gemm_rows_reference::<false>(m, n, k, &a.data, k, &b.data, n, &mut want.data);
             let mut got = seed.clone();
-            gemm_rows::<false>(m, n, k, &a.data, k, &b.data, n, &mut got.data);
+            gemm_rows::<false>(m, n, k, &a.data, k, &b.data, n, &mut got.data, n);
             assert_eq!(bits(&got), bits(&want), "{ctx}: A·B");
 
             let mut want_t = seed.clone();
             gemm_rows_reference::<true>(m, n, k, &at.data, m, &b.data, n, &mut want_t.data);
             let mut got_t = seed.clone();
-            gemm_rows::<true>(m, n, k, &at.data, m, &b.data, n, &mut got_t.data);
+            gemm_rows::<true>(m, n, k, &at.data, m, &b.data, n, &mut got_t.data, n);
             assert_eq!(bits(&got_t), bits(&want_t), "{ctx}: Aᵀ·B");
 
             // n < 16 is below every arm's nr: the public entry points land
@@ -1442,6 +1589,205 @@ mod tests {
             assert_eq!((part.rows(), part.cols()), (channels, 4 * spatial));
             for ch in 0..channels {
                 assert_eq!(part.row(ch), &whole.row(ch)[2 * spatial..6 * spatial]);
+            }
+        }
+    }
+
+    /// Bitwise equality, except that any NaN equals any NaN: when both
+    /// addends are NaN, which payload survives is the code generator's
+    /// choice (see `Kernels::sketch_gather`).
+    fn same_bits(got: &[f32], want: &[f32]) -> bool {
+        got.len() == want.len()
+            && got
+                .iter()
+                .zip(want)
+                .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+    }
+
+    /// Normal noise with `−0.0` on about one entry in eight, and one
+    /// special (NaN, ±∞ or `−0.0`) planted in every third row — so most
+    /// products stay finite while some rows carry every kind of special.
+    fn with_specials(rows: usize, cols: usize, rng: &mut Rng) -> Matrix {
+        let mut m = Matrix::random_normal(rows, cols, 0.0, 1.0, rng);
+        for v in m.as_mut_slice() {
+            if rng.next_u64().is_multiple_of(8) {
+                *v = -0.0;
+            }
+        }
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+        for r in (0..rows).step_by(3) {
+            let c = (rng.next_u64() % cols as u64) as usize;
+            m.set(r, c, specials[(rng.next_u64() % 4) as usize]);
+        }
+        m
+    }
+
+    /// (f) The weight-gradient kernel on every arm against the 2×2 loop it
+    /// grew out of, bit for bit: every block side and ragged edge up to 13,
+    /// k on both sides of the 16-lane step and at LeNet's k (576 and 1152
+    /// are conv2's at batch 16 and 32), specials planted, accumulating
+    /// onto a non-zero output.
+    #[test]
+    fn differential_dot_tiles_match_2x2_loop() {
+        let mut rng = Rng::new(0xD07);
+        let mut scratch = Scratch::new();
+        for k in [1usize, 15, 16, 17, 576, 1152] {
+            for m in 1..=13usize {
+                for n in 1..=13usize {
+                    let a = with_specials(m, k, &mut rng);
+                    let b = with_specials(n, k, &mut rng);
+                    let seed = Matrix::random_normal(m, n, 0.0, 1.0, &mut rng);
+                    for kn in simd::all_supported() {
+                        let mut want = seed.clone();
+                        gemm_dot_tiled_reference(
+                            kn.dot,
+                            m,
+                            n,
+                            k,
+                            &a.data,
+                            k,
+                            &b.data,
+                            k,
+                            &mut want.data,
+                        );
+                        let mut got = seed.clone();
+                        gemm_a_bt_accumulate_with_kernel(kn, &a, &b, &mut got, &mut scratch);
+                        assert!(
+                            same_bits(got.as_slice(), want.as_slice()),
+                            "{} {m}×{n} k={k}",
+                            kn.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The odd last row and column of an `A·Bᵀ` product are the given
+    /// table's `dot`, not the process-wide one: an explicit-kernel entry
+    /// point may not mix arms.
+    #[test]
+    fn a_bt_ragged_edges_use_the_given_kernel_table() {
+        let mut rng = Rng::new(0xED6E);
+        let (m, n, k) = (7, 9, 4608); // LeNet conv1's dW at batch 32, plus a row
+        let a = Matrix::random_normal(m, k, 0.0, 1.0, &mut rng);
+        let b = Matrix::random_normal(n, k, 0.0, 1.0, &mut rng);
+        for kn in simd::all_supported() {
+            let mut out = Matrix::zeros(m, n);
+            gemm_a_bt_accumulate_with_kernel(kn, &a, &b, &mut out, &mut Scratch::new());
+            for i in 0..m {
+                for j in 0..n {
+                    if i == m - 1 || j == n - 1 {
+                        let want = (kn.dot)(a.row(i), b.row(j));
+                        assert_eq!(
+                            out.get(i, j).to_bits(),
+                            want.to_bits(),
+                            "{} ({i}, {j})",
+                            kn.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// (g) The mid kernel's tall last row block against the all-`mr` walk,
+    /// bit for bit, on every arm: every row count the tall tile takes
+    /// (alone, and after a full `mr` block), every column tail from 1 to
+    /// 32, both A layouts, and a window of a wider output.
+    #[test]
+    fn differential_tall_tile_matches_mr_row_path() {
+        let mut rng = Rng::new(0x7A11);
+        for kn in simd::all_supported() {
+            let short = Kernels {
+                mr_tall: kn.mr,
+                microkernel_tall: kn.microkernel,
+                ..*kn
+            };
+            let rows = (kn.mr + 1..=kn.mr_tall).chain(2 * kn.mr + 1..=kn.mr + kn.mr_tall);
+            for m in rows {
+                for k in [1usize, 9, 54] {
+                    for tail in 1..=32usize {
+                        let n = 32 + tail;
+                        let ldo = n + 5;
+                        let ctx = format!("{} {m}×{k}×{n}", kn.name());
+                        let a = with_specials(m, k, &mut rng);
+                        let at = a.transposed();
+                        let b = with_specials(k, n, &mut rng);
+                        let seed = Matrix::random_normal(m, ldo, 0.0, 1.0, &mut rng);
+                        for (layout, a, lda) in
+                            [(Layout::Normal, &a, k), (Layout::Transposed, &at, m)]
+                        {
+                            let mut want = seed.clone();
+                            gemm_mid(
+                                &short,
+                                m,
+                                n,
+                                k,
+                                &a.data,
+                                lda,
+                                layout,
+                                &b.data,
+                                n,
+                                &mut want.data[5..],
+                                ldo,
+                            );
+                            let mut got = seed.clone();
+                            gemm_mid(
+                                kn,
+                                m,
+                                n,
+                                k,
+                                &a.data,
+                                lda,
+                                layout,
+                                &b.data,
+                                n,
+                                &mut got.data[5..],
+                                ldo,
+                            );
+                            assert!(same_bits(got.as_slice(), want.as_slice()), "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// (h) A product assembled from `column_chunks` windows is the whole
+    /// product, bit for bit: LeNet's two conv forwards at batches whose
+    /// whole product falls to the small path (1, 2) or not, with a short
+    /// tail to merge (33) or without, and a deep-k product whose small
+    /// path is chosen by `m`.
+    #[test]
+    fn column_chunks_assemble_the_whole_product() {
+        let mut rng = Rng::new(0xC4C);
+        let mut scratch = Scratch::new();
+        let shapes = [(6usize, 9usize, 144usize), (12, 54, 36), (20, 300, 7)];
+        for &(m, k, granule) in &shapes {
+            for batch in [1usize, 2, 3, 5, 31, 32, 33, 64, 65, 232] {
+                for target in [1usize, 300, 4096] {
+                    let n = batch * granule;
+                    let ctx = format!("{m}×{k}×{n} target {target}");
+                    let a = Matrix::random_normal(m, k, 0.0, 1.0, &mut rng);
+                    let b = Matrix::random_normal(k, n, 0.0, 1.0, &mut rng);
+                    let mut want = Matrix::zeros(m, n);
+                    gemm_accumulate_with(&a, &b, &mut want, &mut scratch);
+                    let mut got = Matrix::zeros(m, n);
+                    let mut next = 0;
+                    for span in column_chunks(m, k, n, granule, target) {
+                        assert_eq!(span.start, next, "{ctx}: ranges must tile 0..n");
+                        assert!(span.end > span.start && span.end % granule == 0, "{ctx}");
+                        next = span.end;
+                        let mut part = Matrix::zeros(k, span.len());
+                        for p in 0..k {
+                            part.row_mut(p).copy_from_slice(&b.row(p)[span.clone()]);
+                        }
+                        gemm_accumulate_cols_with(&a, &part, &mut got, span.start, &mut scratch);
+                    }
+                    assert_eq!(next, n, "{ctx}: ranges must cover 0..n");
+                    assert!(same_bits(got.as_slice(), want.as_slice()), "{ctx}");
+                }
             }
         }
     }

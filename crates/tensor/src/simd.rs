@@ -1,18 +1,20 @@
 //! Runtime-dispatched SIMD kernel layer.
 //!
-//! Every wide loop in the workspace — the GEMM microkernel, the flat-vector
-//! reductions (`dot`, `sum`, `dist_sq`), the BLAS-1 updates (`axpy`,
-//! `axpby`, `add_assign`, `scale`) and the AMS sketch bucket gather —
-//! funnels through one [`Kernels`] table selected **once** per process:
+//! Every wide loop in the workspace — the GEMM microkernel, the
+//! weight-gradient dot tiles, the flat-vector reductions (`dot`, `sum`,
+//! `dist_sq`), the BLAS-1 updates (`axpy`, `axpby`, `add_assign`, `scale`)
+//! and the AMS sketch bucket gather — funnels through one [`Kernels`] table
+//! selected **once** per process:
 //!
 //! * **`avx512`** — AVX-512F FMA: 8×32 GEMM microkernel (16 zmm
-//!   accumulators, packed-panel prefetch), 64-lane reduction blocks with
+//!   accumulators, packed-panel prefetch) plus a 12×32 tall tile (24),
+//!   4×4 dot tiles of zmm accumulators, 64-lane reduction blocks with
 //!   masked tails.
 //! * **`avx2`** — AVX2+FMA: 6×16 microkernel (12 ymm accumulators), 32-lane
 //!   reduction blocks with scalar tails.
-//! * **`scalar`** — no explicit intrinsics; the autovectorizable 4×16 tile
-//!   and 32-lane accumulator blocks the workspace used before this layer
-//!   existed. Always available, on every architecture; it is also the
+//! * **`scalar`** — no explicit intrinsics; the autovectorizable 4×16 tile,
+//!   2×2 dot tiles (also the `avx2` arm's) and 32-lane accumulator blocks
+//!   the workspace used before this layer existed. Always available, on every architecture; it is also the
 //!   correctness reference the other arms are property-tested against.
 //!
 //! Selection happens on first use via [`kernels`]: the `FDA_FORCE_KERNEL`
@@ -140,6 +142,42 @@ pub struct Kernels {
         rows: usize,
         cols: usize,
     ),
+    /// Height of [`Kernels::microkernel_tall`]; `mr` on an arm without a
+    /// taller tile.
+    pub mr_tall: usize,
+    /// The microkernel on an `mr_tall × nr` tile, for a streamed-B row
+    /// block that an `mr`-row tile would split into a full pass and a
+    /// mostly zero-padded one (`mr < rows ≤ mr_tall`). Same contract, with
+    /// `mr_tall` in place of `mr`, and the same arithmetic per element —
+    /// the tile height never changes a bit. An arm without a taller tile
+    /// repeats `microkernel`.
+    ///
+    /// # Safety
+    /// See the microkernel contract above.
+    pub microkernel_tall: unsafe fn(
+        kc: usize,
+        a: *const f32,
+        a_stride: usize,
+        b: *const f32,
+        b_stride: usize,
+        c: *mut f32,
+        ldc: usize,
+        rows: usize,
+        cols: usize,
+    ),
+    /// The dot tiles of the weight gradient `A·Bᵀ`:
+    /// `dot_tiles(m, n, k, a, lda, b, ldb, out, ldo)` adds
+    /// `⟨a[i·lda..][..k], b[j·ldb..][..k]⟩` to `out[i·ldo + j]` for every
+    /// `i < m`, `j < n`, both even. Each element is the sum, in lane order,
+    /// of 16 lane accumulators — lane `l` adds `a·b` (a multiply, then an
+    /// add, never fused) at every `p ≡ l (mod 16)` below `k − k mod 16`,
+    /// ascending — then the `k mod 16` tail products one by one, then one
+    /// add into `out`. Every arm computes exactly this, so all arms agree
+    /// bit for bit, up to the payload of a NaN (see
+    /// [`Kernels::sketch_gather`]). Panics on an odd block or a row that
+    /// does not fit its slice.
+    #[allow(clippy::type_complexity)] // the signature is the contract above
+    pub dot_tiles: fn(usize, usize, usize, &[f32], usize, &[f32], usize, &mut [f32], usize),
     /// Dot product `⟨a, b⟩`; panics on length mismatch.
     pub dot: fn(&[f32], &[f32]) -> f32,
     /// Sum of all elements.
@@ -192,6 +230,43 @@ pub const SKETCH_PAD: u32 = u32::MAX;
 /// Width of group `g` of a sketch row with `buckets` buckets.
 fn sketch_group_width(buckets: usize, g: usize) -> usize {
     (buckets - g * SKETCH_LANES).min(SKETCH_LANES)
+}
+
+/// Lanes per accumulator of [`Kernels::dot_tiles`].
+const DOT_LANES: usize = 16;
+
+/// Checks the shape half of the [`Kernels::dot_tiles`] contract.
+#[allow(clippy::too_many_arguments)]
+fn check_dot_tiles(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    out: &[f32],
+    ldo: usize,
+) {
+    assert!(
+        m.is_multiple_of(2) && n.is_multiple_of(2),
+        "dot_tiles: odd {m}×{n} block (ragged edges are the caller's)"
+    );
+    if m == 0 || n == 0 {
+        return;
+    }
+    assert!(
+        k <= lda && (m - 1) * lda + k <= a.len(),
+        "dot_tiles: A rows out of bounds"
+    );
+    assert!(
+        k <= ldb && (n - 1) * ldb + k <= b.len(),
+        "dot_tiles: B rows out of bounds"
+    );
+    assert!(
+        n <= ldo && (m - 1) * ldo + n <= out.len(),
+        "dot_tiles: output out of bounds"
+    );
 }
 
 /// Up to `B` consecutive groups of a sketch row, which an arm advances in
@@ -339,7 +414,7 @@ pub fn kernels() -> &'static Kernels {
 /// trip counts, contiguous slices, block accumulators). This is the
 /// pre-dispatch behavior of the workspace, kept verbatim as the reference.
 pub(crate) mod scalar {
-    use super::{Isa, Kernels, SKETCH_LANES, SKETCH_PAD};
+    use super::{Isa, Kernels, DOT_LANES, SKETCH_LANES, SKETCH_PAD};
 
     /// Microkernel tile height.
     const MR: usize = 4;
@@ -353,6 +428,9 @@ pub(crate) mod scalar {
         mr: MR,
         nr: NR,
         microkernel,
+        mr_tall: MR,
+        microkernel_tall: microkernel,
+        dot_tiles,
         dot,
         sum,
         dist_sq,
@@ -409,6 +487,54 @@ pub(crate) mod scalar {
             let out = std::slice::from_raw_parts_mut(c.add(r * ldc), cols);
             for (o, v) in out.iter_mut().zip(acc_row) {
                 *o += v;
+            }
+        }
+    }
+
+    /// [`Kernels::dot_tiles`] on a 2×2 tile of 16-lane accumulators, which
+    /// LLVM lowers onto vector register pairs: four running sums share every
+    /// A/B load, and a wider portable tile spills. Also the AVX2 arm's.
+    #[allow(clippy::too_many_arguments)]
+    pub fn dot_tiles(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        lda: usize,
+        b: &[f32],
+        ldb: usize,
+        out: &mut [f32],
+        ldo: usize,
+    ) {
+        super::check_dot_tiles(m, n, k, a, lda, b, ldb, out, ldo);
+        const L: usize = DOT_LANES;
+        let k_main = k - k % L;
+        for i in (0..m).step_by(2) {
+            for j in (0..n).step_by(2) {
+                let mut acc = [[[0.0f32; L]; 2]; 2];
+                let mut p = 0;
+                while p < k_main {
+                    let a0: &[f32; L] = a[i * lda + p..][..L].try_into().unwrap();
+                    let a1: &[f32; L] = a[(i + 1) * lda + p..][..L].try_into().unwrap();
+                    let b0: &[f32; L] = b[j * ldb + p..][..L].try_into().unwrap();
+                    let b1: &[f32; L] = b[(j + 1) * ldb + p..][..L].try_into().unwrap();
+                    for l in 0..L {
+                        acc[0][0][l] += a0[l] * b0[l];
+                        acc[0][1][l] += a0[l] * b1[l];
+                        acc[1][0][l] += a1[l] * b0[l];
+                        acc[1][1][l] += a1[l] * b1[l];
+                    }
+                    p += L;
+                }
+                for (r, acc) in acc.iter().enumerate() {
+                    for (c, acc) in acc.iter().enumerate() {
+                        let mut s: f32 = acc.iter().sum();
+                        for q in k_main..k {
+                            s += a[(i + r) * lda + q] * b[(j + c) * ldb + q];
+                        }
+                        out[(i + r) * ldo + j + c] += s;
+                    }
+                }
             }
         }
     }
@@ -559,7 +685,7 @@ mod x86 {
     //! that *happens* to be aligned costs the same as an aligned load —
     //! without faulting on the tiles that are not.
 
-    use super::{Isa, Kernels, SKETCH_LANES, SKETCH_PAD};
+    use super::{Isa, Kernels, DOT_LANES, SKETCH_LANES, SKETCH_PAD};
     use std::arch::x86_64::*;
 
     // -- AVX-512 ----------------------------------------------------------
@@ -568,12 +694,23 @@ mod x86 {
     const MR_512: usize = 8;
     /// AVX-512 microkernel width (two zmm per accumulator row).
     const NR_512: usize = 32;
+    /// AVX-512 tall-tile height: LeNet conv2's 12 output channels in one
+    /// pass instead of a full and a half-empty 8-row pass.
+    const MR_TALL_512: usize = 12;
 
     pub(super) static AVX512_TABLE: Kernels = Kernels {
         isa: Isa::Avx512,
         mr: MR_512,
         nr: NR_512,
-        microkernel: microkernel_avx512,
+        microkernel: microkernel_avx512::<MR_512>,
+        mr_tall: MR_TALL_512,
+        microkernel_tall: microkernel_avx512::<MR_TALL_512>,
+        // SAFETY: the table is handed out only on AVX-512F hosts (see the
+        // module docs); `dot_tiles_avx512` checks its slices before any
+        // load.
+        dot_tiles: |m, n, k, a, lda, b, ldb, out, ldo| unsafe {
+            dot_tiles_avx512(m, n, k, a, lda, b, ldb, out, ldo)
+        },
         dot: |a, b| unsafe { dot_avx512(a, b) },
         sum: |a| unsafe { sum_avx512(a) },
         dist_sq: |a, b| unsafe { dist_sq_avx512(a, b) },
@@ -584,17 +721,19 @@ mod x86 {
         sketch_gather: sketch_gather_avx512,
     };
 
-    /// 8×32 FMA register tile: 16 zmm accumulators + 2 B vectors + 1
-    /// broadcast stay within the 32-register file. B rows are prefetched a
-    /// few panel rows ahead — the packed panel walk is perfectly
+    /// `MR`×32 FMA register tile: `2·MR` zmm accumulators + 2 B vectors +
+    /// 1 broadcast stay within the 32-register file (19 registers at the
+    /// 8-row height, 27 at the 12-row tall height). B rows are prefetched
+    /// a few panel rows ahead — the packed panel walk is perfectly
     /// sequential, so a short prefetch distance suffices to hide L2
     /// latency.
     ///
     /// # Safety
-    /// Caller upholds the microkernel contract; host supports AVX-512F.
+    /// Caller upholds the microkernel contract for an `MR`-row tile; host
+    /// supports AVX-512F.
     #[target_feature(enable = "avx512f")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn microkernel_avx512(
+    unsafe fn microkernel_avx512<const MR: usize>(
         kc: usize,
         a: *const f32,
         a_stride: usize,
@@ -605,8 +744,8 @@ mod x86 {
         rows: usize,
         cols: usize,
     ) {
-        debug_assert!(rows <= MR_512 && cols <= NR_512 && cols > 0);
-        let mut acc = [_mm512_setzero_ps(); 16];
+        debug_assert!(rows <= MR && cols <= NR_512 && cols > 0);
+        let mut acc = [[_mm512_setzero_ps(); 2]; MR];
         if cols == NR_512 {
             // Full-width tile: unmasked B loads.
             for p in 0..kc {
@@ -618,10 +757,10 @@ mod x86 {
                 let b0 = _mm512_loadu_ps(bp);
                 let b1 = _mm512_loadu_ps(bp.add(16));
                 let ap = a.add(p * a_stride);
-                for r in 0..MR_512 {
+                for (r, acc) in acc.iter_mut().enumerate() {
                     let av = _mm512_set1_ps(*ap.add(r));
-                    acc[2 * r] = _mm512_fmadd_ps(av, b0, acc[2 * r]);
-                    acc[2 * r + 1] = _mm512_fmadd_ps(av, b1, acc[2 * r + 1]);
+                    acc[0] = _mm512_fmadd_ps(av, b0, acc[0]);
+                    acc[1] = _mm512_fmadd_ps(av, b1, acc[1]);
                 }
             }
         } else {
@@ -638,33 +777,128 @@ mod x86 {
                     _mm512_setzero_ps()
                 };
                 let ap = a.add(p * a_stride);
-                for r in 0..MR_512 {
+                for (r, acc) in acc.iter_mut().enumerate() {
                     let av = _mm512_set1_ps(*ap.add(r));
-                    acc[2 * r] = _mm512_fmadd_ps(av, b0, acc[2 * r]);
-                    acc[2 * r + 1] = _mm512_fmadd_ps(av, b1, acc[2 * r + 1]);
+                    acc[0] = _mm512_fmadd_ps(av, b0, acc[0]);
+                    acc[1] = _mm512_fmadd_ps(av, b1, acc[1]);
                 }
             }
         }
         if cols == NR_512 {
-            for r in 0..rows {
+            for (r, acc) in acc.iter().enumerate().take(rows) {
                 let cp = c.add(r * ldc);
-                _mm512_storeu_ps(cp, _mm512_add_ps(_mm512_loadu_ps(cp), acc[2 * r]));
+                _mm512_storeu_ps(cp, _mm512_add_ps(_mm512_loadu_ps(cp), acc[0]));
                 let cp1 = cp.add(16);
-                _mm512_storeu_ps(cp1, _mm512_add_ps(_mm512_loadu_ps(cp1), acc[2 * r + 1]));
+                _mm512_storeu_ps(cp1, _mm512_add_ps(_mm512_loadu_ps(cp1), acc[1]));
             }
         } else {
             // Masked read-modify-write touches exactly `cols` outputs per
             // row — no scalar spill.
             let (m0, m1) = col_masks16(cols);
-            for r in 0..rows {
+            for (r, acc) in acc.iter().enumerate().take(rows) {
                 let cp = c.add(r * ldc);
-                let sum0 = _mm512_add_ps(_mm512_maskz_loadu_ps(m0, cp), acc[2 * r]);
+                let sum0 = _mm512_add_ps(_mm512_maskz_loadu_ps(m0, cp), acc[0]);
                 _mm512_mask_storeu_ps(cp, m0, sum0);
                 if m1 != 0 {
                     let cp1 = cp.add(16);
-                    let sum1 = _mm512_add_ps(_mm512_maskz_loadu_ps(m1, cp1), acc[2 * r + 1]);
+                    let sum1 = _mm512_add_ps(_mm512_maskz_loadu_ps(m1, cp1), acc[1]);
                     _mm512_mask_storeu_ps(cp1, m1, sum1);
                 }
+            }
+        }
+    }
+
+    /// [`Kernels::dot_tiles`] on 4×4 tiles of zmm accumulators: 8 loads
+    /// feed 16 accumulators per 16-lane step, where the portable 2×2 tile
+    /// spends 4 loads on 4. Each accumulator is one element's 16 lanes, so
+    /// `vmulps` + `vaddps` per lane is the portable arm's arithmetic and
+    /// the tile shape only decides which loads are shared. A block side
+    /// that is not a multiple of 4 ends on a 2-wide strip.
+    ///
+    /// # Safety
+    /// Host supports AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn dot_tiles_avx512(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        lda: usize,
+        b: &[f32],
+        ldb: usize,
+        out: &mut [f32],
+        ldo: usize,
+    ) {
+        super::check_dot_tiles(m, n, k, a, lda, b, ldb, out, ldo);
+        let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+        let mut i = 0;
+        while i < m {
+            let rows = if m - i >= 4 { 4 } else { 2 };
+            let mut j = 0;
+            while j < n {
+                let cols = if n - j >= 4 { 4 } else { 2 };
+                // SAFETY: the tile's rows `i..i + rows` of A, `j..j + cols`
+                // of B and its output block lie inside the block the check
+                // above bounded.
+                let (a, b, out) = (ap.add(i * lda), bp.add(j * ldb), op.add(i * ldo + j));
+                match (rows, cols) {
+                    (4, 4) => dot_tile_avx512::<4, 4>(k, a, lda, b, ldb, out, ldo),
+                    (4, _) => dot_tile_avx512::<4, 2>(k, a, lda, b, ldb, out, ldo),
+                    (_, 4) => dot_tile_avx512::<2, 4>(k, a, lda, b, ldb, out, ldo),
+                    _ => dot_tile_avx512::<2, 2>(k, a, lda, b, ldb, out, ldo),
+                }
+                j += cols;
+            }
+            i += rows;
+        }
+    }
+
+    /// One `R × C` tile of [`dot_tiles_avx512`] at `a` / `b` / `out`.
+    ///
+    /// # Safety
+    /// Host supports AVX-512F; rows `0..R` of `a` and `0..C` of `b` (strides
+    /// `lda` / `ldb`) hold `k` readable floats each, and `out` is writable
+    /// at `r·ldo + c` for `r < R`, `c < C`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn dot_tile_avx512<const R: usize, const C: usize>(
+        k: usize,
+        a: *const f32,
+        lda: usize,
+        b: *const f32,
+        ldb: usize,
+        out: *mut f32,
+        ldo: usize,
+    ) {
+        let k_main = k - k % DOT_LANES;
+        let mut acc = [[_mm512_setzero_ps(); C]; R];
+        let mut av = [_mm512_setzero_ps(); R];
+        let mut bv = [_mm512_setzero_ps(); C];
+        let mut p = 0;
+        while p < k_main {
+            for (r, v) in av.iter_mut().enumerate() {
+                *v = _mm512_loadu_ps(a.add(r * lda + p));
+            }
+            for (c, v) in bv.iter_mut().enumerate() {
+                *v = _mm512_loadu_ps(b.add(c * ldb + p));
+            }
+            for (acc, &a) in acc.iter_mut().zip(&av) {
+                for (acc, &b) in acc.iter_mut().zip(&bv) {
+                    *acc = _mm512_add_ps(*acc, _mm512_mul_ps(a, b));
+                }
+            }
+            p += DOT_LANES;
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            for (c, &acc) in acc.iter().enumerate() {
+                let mut lanes = [0.0f32; DOT_LANES];
+                _mm512_storeu_ps(lanes.as_mut_ptr(), acc);
+                let mut s: f32 = lanes.iter().sum();
+                for q in k_main..k {
+                    s += *a.add(r * lda + q) * *b.add(c * ldb + q);
+                }
+                *out.add(r * ldo + c) += s;
             }
         }
     }
@@ -990,6 +1224,9 @@ mod x86 {
         mr: MR_256,
         nr: NR_256,
         microkernel: microkernel_avx2,
+        mr_tall: MR_256,
+        microkernel_tall: microkernel_avx2,
+        dot_tiles: super::scalar::dot_tiles,
         dot: |a, b| unsafe { dot_avx2(a, b) },
         sum: |a| unsafe { sum_avx2(a) },
         dist_sq: |a, b| unsafe { dist_sq_avx2(a, b) },
