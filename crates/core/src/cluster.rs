@@ -5,9 +5,8 @@
 //! network. Every strategy in this crate (FDA and all baselines) drives the
 //! same cluster API, so their communication/computation costs are measured
 //! on identical footing. A synchronization has one model-reduce path: each
-//! worker lends its parameter snapshot, round-tripped through the uplink
-//! codec when there is one, to the round's model mean
-//! ([`crate::round`]).
+//! worker lends its parameter arena, round-tripped through the uplink codec
+//! when there is one, to the round's model mean ([`crate::round`]).
 
 use crate::pool::{SendPtr, WorkerPool};
 use crate::round;
@@ -132,19 +131,14 @@ fn make_worker(config: &ClusterConfig, shard: Vec<usize>, k: usize, w0: &[f32]) 
         model,
         optimizer: config.optimizer.build(dim),
         sampler,
-        params_buf: vec![0.0; dim],
-        grads_buf: vec![0.0; dim],
     }
 }
 
-/// One worker: model replica + optimizer + shard sampler + scratch buffers.
+/// One worker: model replica + optimizer + shard sampler.
 pub struct Worker {
     model: Sequential,
     optimizer: Box<dyn Optimizer>,
     sampler: BatchSampler,
-    // Scratch to avoid per-step allocation of two d-sized vectors.
-    params_buf: Vec<f32>,
-    grads_buf: Vec<f32>,
 }
 
 impl Worker {
@@ -163,20 +157,14 @@ impl Worker {
         self.sampler.batches_per_epoch()
     }
 
-    /// Flat parameters of this worker's model.
+    /// Flat parameters of this worker's model (allocating; borrow them
+    /// through [`Worker::model`] instead).
     pub fn params(&self) -> Vec<f32> {
         self.model.params_flat()
     }
 
-    /// The parameters the last [`Worker::step_once`] produced, without a
-    /// copy: the optimizer's output, which it also loaded into the model.
-    /// In a [`Cluster`], a synchronization's upload reuses this buffer
-    /// until the next step.
-    pub fn trained_params(&self) -> &[f32] {
-        &self.params_buf
-    }
-
-    /// One local training step for this worker: sample, backprop, optimize.
+    /// One local training step for this worker: sample, backprop, and one
+    /// optimizer step in place on the model's parameter arena.
     /// Returns `(batch loss, #correct, #samples)`.
     ///
     /// The batch is gathered directly in the model's native activation
@@ -192,10 +180,8 @@ impl Worker {
         let channels = self.model.input_shape().map(|s| s.c);
         let (x, y) = self.sampler.sample_native(dataset, channels);
         let (loss, correct) = self.model.compute_gradients_native(x, &y);
-        self.model.copy_params_to(&mut self.params_buf);
-        self.model.copy_grads_to(&mut self.grads_buf);
-        self.optimizer.step(&mut self.params_buf, &self.grads_buf);
-        self.model.load_params(&self.params_buf);
+        let (params, grads) = self.model.arena_mut();
+        self.optimizer.step(params, grads);
         (loss, correct, y.len())
     }
 }
@@ -265,7 +251,7 @@ pub struct Cluster {
 pub(crate) struct Uploads<'a> {
     pub pool: Option<&'a mut WorkerPool>,
     pub net: &'a mut SimNetwork,
-    /// Each worker's (reconstructed) parameters, in worker order.
+    /// Each worker's parameter arena, in worker order.
     pub models: Vec<&'a [f32]>,
     /// Each worker's encoded upload size; empty on a dense uplink.
     pub payloads: &'a [u64],
@@ -436,31 +422,25 @@ impl Cluster {
         mean
     }
 
-    /// Lends every worker's parameters to a model reduce: snapshotted into
-    /// the worker's own scratch (on the lanes when pooled), then — with a
-    /// codec — replaced in place by the reconstruction of its encoding,
-    /// sequentially in worker order, recording each encoded size. No
-    /// replica changes and nothing `d`-sized is allocated.
+    /// Lends every worker's parameter arena to a model reduce. With a
+    /// codec, each arena is first replaced in place by the reconstruction
+    /// of its encoding, sequentially in worker order, recording each
+    /// encoded size: that rewrites the replicas, so every caller loads the
+    /// round's consensus into all of them right after the reduce. Nothing
+    /// `d`-sized is allocated.
     pub(crate) fn upload_models(&mut self, codec: Option<&dyn Codec>) -> Uploads<'_> {
-        let no_slots = &mut vec![(); self.workers.len()];
-        each_worker(self.pool.as_mut(), &mut self.workers, no_slots, |w, _| {
-            w.model.copy_params_to(&mut w.params_buf);
-        });
         self.payloads.clear();
         if let Some(codec) = codec {
             for w in &mut self.workers {
-                let bytes = round::roundtrip_in_place(codec, &mut w.params_buf, &mut self.enc);
+                let (params, _) = w.model.arena_mut();
+                let bytes = round::roundtrip_in_place(codec, params, &mut self.enc);
                 self.payloads.push(bytes);
             }
         }
         Uploads {
             pool: self.pool.as_mut(),
             net: &mut self.net,
-            models: self
-                .workers
-                .iter()
-                .map(|w| w.params_buf.as_slice())
-                .collect(),
+            models: self.workers.iter().map(|w| w.model.params()).collect(),
             payloads: &self.payloads,
         }
     }
@@ -476,30 +456,29 @@ impl Cluster {
     pub fn average_params(&self) -> Vec<f32> {
         let (first, rest) = self.workers.split_first().expect("k >= 1");
         let mut avg = first.model.params_flat();
-        let mut scratch = vec![0.0f32; self.dim];
         for w in rest {
-            w.model.copy_params_to(&mut scratch);
-            fda_tensor::vector::add_assign(&mut avg, &scratch);
+            fda_tensor::vector::add_assign(&mut avg, w.model.params());
         }
         fda_tensor::vector::scale(&mut avg, 1.0 / self.workers.len() as f32);
         avg
     }
 
-    /// True iff every worker currently holds exactly the same parameters.
+    /// True iff every worker currently holds exactly the same parameters,
+    /// bit for bit: a NaN equals a NaN of the same payload, and +0.0 and
+    /// −0.0 differ.
     pub fn models_identical(&self) -> bool {
-        let first = self.workers[0].model.params_flat();
+        let first = self.workers[0].model.params();
+        let bits = |(a, b): (&f32, &f32)| a.to_bits() == b.to_bits();
         self.workers
             .iter()
-            .skip(1)
-            .all(|w| w.model.params_flat() == first)
+            .all(|w| w.model.params().iter().zip(first).all(bits))
     }
 
     /// The exact model variance across workers (Eq. 2) — evaluation/test
     /// helper; a real cluster could not compute this cheaply.
     pub fn exact_variance(&self) -> f32 {
-        let params: Vec<Vec<f32>> = self.workers.iter().map(|w| w.model.params_flat()).collect();
-        let refs: Vec<&[f32]> = params.iter().map(|p| p.as_slice()).collect();
-        fda_tensor::vector::variance_of(&refs)
+        let params: Vec<&[f32]> = self.workers.iter().map(|w| w.model.params()).collect();
+        fda_tensor::vector::variance_of(&params)
     }
 }
 
@@ -669,8 +648,8 @@ mod tests {
         cluster.allreduce_models();
         assert_eq!(
             pool_rounds(&cluster),
-            4,
-            "snapshot + chunk-reduce + broadcast = three rendezvous"
+            3,
+            "chunk-reduce + broadcast = two rendezvous"
         );
     }
 
@@ -692,6 +671,72 @@ mod tests {
                     cluster.worker(k).params(),
                     "worker {k} diverged at step {step}"
                 );
+            }
+        }
+    }
+
+    /// Replicas compare by bit pattern: the same NaN everywhere is
+    /// identical, +0.0 against −0.0 is not.
+    #[test]
+    fn models_identical_compares_bits() {
+        let task = tiny_task();
+        let mut cluster = Cluster::new(ClusterConfig::small_test(3), &task);
+        let d = cluster.dim();
+        cluster.load_global(&vec![f32::NAN; d]);
+        assert!(cluster.models_identical(), "one NaN vector everywhere");
+        cluster.load_global(&vec![0.0; d]);
+        cluster
+            .worker_mut(2)
+            .model_mut()
+            .load_params(&vec![-0.0; d]);
+        assert!(!cluster.models_identical(), "+0.0 vs -0.0");
+    }
+
+    /// The in-place optimizer step on the arena against stepping copies of
+    /// the parameters and gradients and loading the result back: the
+    /// parameters stay bit-equal after every step, for each paper
+    /// optimizer on a conv and a dense model.
+    #[test]
+    fn in_place_step_matches_copy_step() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let optimizers = [
+            OptimizerKind::paper_adam(),
+            OptimizerKind::paper_sgd_nm(0.01),
+            OptimizerKind::paper_adamw(),
+        ];
+        for model in [ModelId::Lenet5, ModelId::TransferHead] {
+            let spec = crate::experiments::spec_for(model).synth_spec();
+            let task = SynthSpec {
+                n_train: 200,
+                n_test: 10,
+                ..spec
+            }
+            .generate("in-place");
+            for optimizer in optimizers {
+                let config = ClusterConfig {
+                    model,
+                    optimizer,
+                    ..ClusterConfig::small_test(1)
+                };
+                let mut subject = config.build_worker(&task.train, 0);
+                let mut reference = config.build_worker(&task.train, 0);
+                for step in 0..20 {
+                    subject.step_once(&task.train);
+                    let channels = reference.model.input_shape().map(|s| s.c);
+                    let (x, y) = reference.sampler.sample_native(&task.train, channels);
+                    let _ = reference.model.compute_gradients_native(x, &y);
+                    let mut params = reference.model.params_flat();
+                    reference
+                        .optimizer
+                        .step(&mut params, &reference.model.grads_flat());
+                    reference.model.load_params(&params);
+                    assert_eq!(
+                        bits(subject.model.params()),
+                        bits(reference.model.params()),
+                        "{} {optimizer:?}: step {step}",
+                        model.name()
+                    );
+                }
             }
         }
     }

@@ -323,7 +323,7 @@ impl Strategy for Fda {
                 let w_t0 = self.server.consensus();
                 let (pool, workers, _) = self.cluster.parts();
                 each_worker(pool, workers, &mut self.lanes, |w, (drift, state)| {
-                    round::local_state_into(monitor, w.trained_params(), w_t0, drift, state);
+                    round::local_state_into(monitor, w.model().params(), w_t0, drift, state);
                 });
             }
             self.payloads.clear();

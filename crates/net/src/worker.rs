@@ -295,7 +295,7 @@ fn run_session(
 
         // (2) Local state from the drift — the point scripted faults hit.
         ubuf.clear();
-        replica.state_payload(worker.trained_params(), &mut ubuf);
+        replica.state_payload(worker.model().params(), &mut ubuf);
         match apply_faults(session, step, opts, &ubuf)? {
             FaultOutcome::Sent => {}
             FaultOutcome::Terminal(action) => {
@@ -316,7 +316,7 @@ fn run_session(
         // (4) Conditional model AllReduce.
         if sync {
             ubuf.clear();
-            replica.model_payload(worker.trained_params(), &mut ubuf);
+            replica.model_payload(worker.model().params(), &mut ubuf);
             session.send_frame(FrameKind::Model, &ubuf)?;
             session.recv_kind(if spec.downlink.is_dense() {
                 FrameKind::AvgModel

@@ -24,7 +24,7 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, mut x: Matrix, _train: bool) -> Matrix {
+    fn forward(&mut self, mut x: Matrix, _p: &[f32], _train: bool) -> Matrix {
         self.mask.resize(x.len(), 0.0);
         for (v, m) in x.as_mut_slice().iter_mut().zip(self.mask.iter_mut()) {
             *m = if *v > 0.0 { 1.0 } else { 0.0 };
@@ -34,7 +34,7 @@ impl Layer for Relu {
     }
 
     /// No mask is written (and the old one is dropped).
-    fn forward_inference(&mut self, mut x: Matrix) -> Matrix {
+    fn forward_inference(&mut self, mut x: Matrix, _p: &[f32]) -> Matrix {
         self.mask.clear();
         for v in x.as_mut_slice() {
             *v = v.max(0.0);
@@ -42,7 +42,7 @@ impl Layer for Relu {
         x
     }
 
-    fn backward(&mut self, dy: Matrix) -> Matrix {
+    fn backward(&mut self, dy: Matrix, _p: &[f32], _g: &mut [f32]) -> Matrix {
         assert_eq!(
             dy.len(),
             self.mask.len(),
@@ -75,7 +75,7 @@ impl Tanh {
 }
 
 impl Layer for Tanh {
-    fn forward(&mut self, mut x: Matrix, _train: bool) -> Matrix {
+    fn forward(&mut self, mut x: Matrix, _p: &[f32], _train: bool) -> Matrix {
         for v in x.as_mut_slice() {
             *v = v.tanh();
         }
@@ -85,7 +85,7 @@ impl Layer for Tanh {
     }
 
     /// No output cache is written (and the old one is dropped).
-    fn forward_inference(&mut self, mut x: Matrix) -> Matrix {
+    fn forward_inference(&mut self, mut x: Matrix, _p: &[f32]) -> Matrix {
         self.y.clear();
         for v in x.as_mut_slice() {
             *v = v.tanh();
@@ -93,7 +93,7 @@ impl Layer for Tanh {
         x
     }
 
-    fn backward(&mut self, dy: Matrix) -> Matrix {
+    fn backward(&mut self, dy: Matrix, _p: &[f32], _g: &mut [f32]) -> Matrix {
         assert_eq!(
             dy.len(),
             self.y.len(),
@@ -119,10 +119,10 @@ mod tests {
     fn relu_forward_backward() {
         let mut layer = Relu::new();
         let x = Matrix::from_vec(1, 4, vec![-1.0, 0.0, 2.0, -3.0]);
-        let y = layer.forward(x.clone(), true);
+        let y = layer.forward(x.clone(), &[], true);
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0, 0.0]);
         let dy = Matrix::from_vec(1, 4, vec![1.0, 1.0, 1.0, 1.0]);
-        let dx = layer.backward(dy);
+        let dx = layer.backward(dy, &[], &mut []);
         assert_eq!(dx.as_slice(), &[0.0, 0.0, 1.0, 0.0]);
     }
 
@@ -130,8 +130,8 @@ mod tests {
     fn tanh_gradient_at_zero_is_one() {
         let mut layer = Tanh::new();
         let x = Matrix::from_vec(1, 1, vec![0.0]);
-        let _ = layer.forward(x.clone(), true);
-        let dx = layer.backward(Matrix::from_vec(1, 1, vec![1.0]));
+        let _ = layer.forward(x.clone(), &[], true);
+        let dx = layer.backward(Matrix::from_vec(1, 1, vec![1.0]), &[], &mut []);
         assert!((dx.as_slice()[0] - 1.0).abs() < 1e-6);
     }
 
@@ -139,7 +139,7 @@ mod tests {
     fn relu_preserves_shape() {
         let mut layer = Relu::new();
         let x = Matrix::zeros(3, 5);
-        let y = layer.forward(x.clone(), false);
+        let y = layer.forward(x.clone(), &[], false);
         assert_eq!((y.rows(), y.cols()), (3, 5));
         assert_eq!(layer.out_dim(5), 5);
     }

@@ -50,7 +50,8 @@
 
 use crate::init::Init;
 use crate::layer::{Layer, Shape3};
-use fda_tensor::{matrix, matrix::Scratch, Matrix, Rng};
+use fda_tensor::matrix::{self, MatMut, MatRef, Scratch};
+use fda_tensor::{Matrix, Rng};
 use std::ops::Range;
 
 /// Column-matrix floats an inference forward lowers at a time: a chunk of
@@ -67,11 +68,9 @@ pub struct Conv2d {
     in_shape: Shape3,
     out_shape: Shape3,
     k: usize,
-    /// Weights as `out_c × (in_c·k·k)`.
-    w: Matrix,
-    b: Vec<f32>,
-    dw: Matrix,
-    db: Vec<f32>,
+    /// The initial `W` (`out_c × in_c·k·k`, row-major) then `b`, until
+    /// [`Layer::take_params`] moves them out.
+    init: Vec<f32>,
     /// Batched column matrix from the last forward
     /// (`in_c·k·k × batch·spatial`), or the last chunk of an inference
     /// forward. Shift lowering rewrites every position each step; under
@@ -355,8 +354,8 @@ impl Conv2d {
         let out_w = in_shape.w + 2 * pad - k + 1;
         let fan_in = in_shape.c * k * k;
         let fan_out = out_c * k * k;
-        let mut w = Matrix::zeros(out_c, fan_in);
-        init.fill(w.as_mut_slice(), fan_in, fan_out, rng);
+        let mut params = vec![0.0; out_c * fan_in + out_c];
+        init.fill(&mut params[..out_c * fan_in], fan_in, fan_out, rng);
         let out_shape = Shape3::new(out_c, out_h, out_w);
         let plan = build_copy_plan(in_shape, out_shape, k, pad);
         let shift = ShiftPlan::from_plan(&plan, in_shape, out_shape, k);
@@ -364,10 +363,7 @@ impl Conv2d {
             in_shape,
             out_shape,
             k,
-            w,
-            b: vec![0.0; out_c],
-            dw: Matrix::zeros(out_c, fan_in),
-            db: vec![0.0; out_c],
+            init: params,
             cols: Matrix::zeros(0, 0),
             cols_batch: 0,
             dcol: Matrix::zeros(0, 0),
@@ -387,6 +383,24 @@ impl Conv2d {
         self.out_shape
     }
 
+    /// Column-matrix rows: the `in_c·k·k` taps of one output pixel.
+    fn fan_in(&self) -> usize {
+        self.in_shape.c * self.k * self.k
+    }
+
+    /// Where `b` starts in a parameter or gradient window of `len` floats.
+    fn w_len(&self, len: usize) -> usize {
+        let w_len = self.out_shape.c * self.fan_in();
+        assert_eq!(len, w_len + self.out_shape.c, "conv: window size");
+        w_len
+    }
+
+    /// `W` as an `out_c × in_c·k·k` matrix, and `b`, of a parameter window.
+    fn weights<'a>(&self, p: &'a [f32]) -> (MatRef<'a>, &'a [f32]) {
+        let (w, b) = p.split_at(self.w_len(p.len()));
+        (MatRef::new(self.out_shape.c, self.fan_in(), w), b)
+    }
+
     /// (Re)shapes the `cols` lowering buffer for `batch` samples. A no-op
     /// when the batch size is unchanged — the common training case. Scratch
     /// is keyed on **capacity**, not exact shape: a batch-size change (the
@@ -400,7 +414,7 @@ impl Conv2d {
         if self.cols_batch == batch {
             return;
         }
-        let fan_in = self.in_shape.c * self.k * self.k;
+        let fan_in = self.fan_in();
         let n = batch * self.out_shape.spatial();
         if self.shift.is_some() {
             self.cols.reshape_scratch(fan_in, n);
@@ -429,9 +443,9 @@ impl Conv2d {
         }
     }
 
-    /// Adds the bias to the output columns `span` of every channel.
-    fn add_bias(&self, y: &mut Matrix, span: Range<usize>) {
-        for (c, &bias) in self.b.iter().enumerate() {
+    /// Adds the bias `b` to the output columns `span` of every channel.
+    fn add_bias(b: &[f32], y: &mut Matrix, span: Range<usize>) {
+        for (c, &bias) in b.iter().enumerate() {
             for v in &mut y.row_mut(c)[span.clone()] {
                 *v += bias;
             }
@@ -457,9 +471,9 @@ impl Conv2d {
 
     /// Checks an incoming gradient against the last forward and
     /// accumulates the parameter gradients (`dW += dy · colsᵀ`, `db += row
-    /// sums of dy`) — everything of the backward pass that is not the
-    /// input gradient.
-    fn accumulate_param_grads(&mut self, dy: &Matrix) {
+    /// sums of dy`) into `g` — everything of the backward pass that is not
+    /// the input gradient.
+    fn accumulate_param_grads(&mut self, dy: &Matrix, g: &mut [f32]) {
         let (oc, spatial) = (self.out_shape.c, self.out_shape.spatial());
         assert_eq!(
             dy.rows(),
@@ -477,17 +491,18 @@ impl Conv2d {
         );
         // One large GEMM for the whole batch; dy is already channel-major,
         // no staging gather.
-        matrix::gemm_a_bt_accumulate_with(dy, &self.cols, &mut self.dw, &mut self.scratch);
-        for c in 0..oc {
-            self.db[c] += fda_tensor::vector::sum(dy.row(c));
+        let (dw, db) = g.split_at_mut(self.w_len(g.len()));
+        let dw = MatMut::new(oc, self.fan_in(), dw);
+        matrix::gemm_a_bt_accumulate_with(dy.view(), self.cols.view(), dw, &mut self.scratch);
+        for (c, db) in db.iter_mut().enumerate() {
+            *db += fda_tensor::vector::sum(dy.row(c));
         }
     }
 
     /// `dL/dx`: `dcol = Wᵀ · dy`, then the col2im scatter.
-    fn input_gradient(&mut self, dy: &Matrix) -> Matrix {
-        let fan_in = self.in_shape.c * self.k * self.k;
-        self.dcol.resize_zeroed(fan_in, dy.cols());
-        matrix::gemm_at_b_accumulate_with(&self.w, dy, &mut self.dcol, &mut self.scratch);
+    fn input_gradient(&mut self, dy: &Matrix, w: MatRef) -> Matrix {
+        self.dcol.resize_zeroed(self.fan_in(), dy.cols());
+        matrix::gemm_at_b_accumulate_with(w, dy.view(), self.dcol.view_mut(), &mut self.scratch);
         self.scatter(&self.dcol)
     }
 
@@ -513,11 +528,7 @@ impl Conv2d {
     /// input-shaped matrix. Test/diagnostic support.
     pub fn col2im_batch(&self, dcol: &Matrix) -> Matrix {
         let spatial = self.out_shape.spatial();
-        assert_eq!(
-            dcol.rows(),
-            self.in_shape.c * self.k * self.k,
-            "conv: col2im rows mismatch"
-        );
+        assert_eq!(dcol.rows(), self.fan_in(), "conv: col2im rows mismatch");
         assert_eq!(
             dcol.cols() % spatial,
             0,
@@ -549,9 +560,10 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: Matrix, _train: bool) -> Matrix {
+    fn forward(&mut self, x: Matrix, p: &[f32], _train: bool) -> Matrix {
         let batch = self.in_shape.batch_of(&x, "conv input");
         let (oc, spatial) = (self.out_shape.c, self.out_shape.spatial());
+        let (w, b) = self.weights(p);
         self.ensure_buffers(batch);
         self.lower(&x, 0..batch);
         // One large GEMM for the whole batch; the product is already the
@@ -559,8 +571,8 @@ impl Layer for Conv2d {
         // the freshly zeroed output (numerically identical to the
         // clearing `gemm_into_with`, minus one redundant pass over y).
         let mut y = Matrix::zeros(oc, batch * spatial);
-        matrix::gemm_accumulate_with(&self.w, &self.cols, &mut y, &mut self.scratch);
-        self.add_bias(&mut y, 0..batch * spatial);
+        matrix::gemm_accumulate_with(w, self.cols.view(), y.view_mut(), &mut self.scratch);
+        Self::add_bias(b, &mut y, 0..batch * spatial);
         y
     }
 
@@ -570,10 +582,11 @@ impl Layer for Conv2d {
     /// keeps every chunk's GEMM on the whole batch's path, which is what
     /// makes this `forward(x, false)` bit for bit. `self.cols` ends up
     /// holding a chunk, so the training cache is invalidated.
-    fn forward_inference(&mut self, x: Matrix) -> Matrix {
+    fn forward_inference(&mut self, x: Matrix, p: &[f32]) -> Matrix {
         let batch = self.in_shape.batch_of(&x, "conv input");
         let (oc, spatial) = (self.out_shape.c, self.out_shape.spatial());
-        let fan_in = self.w.cols();
+        let (w, b) = self.weights(p);
+        let fan_in = self.fan_in();
         let mut y = Matrix::zeros(oc, batch * spatial);
         let target = INFER_CHUNK_FLOATS / fan_in;
         for span in matrix::column_chunks(oc, fan_in, batch * spatial, spatial, target) {
@@ -581,47 +594,31 @@ impl Layer for Conv2d {
             self.ensure_buffers(samples.len());
             self.lower(&x, samples);
             matrix::gemm_accumulate_cols_with(
-                &self.w,
-                &self.cols,
-                &mut y,
+                w,
+                self.cols.view(),
+                y.view_mut(),
                 span.start,
                 &mut self.scratch,
             );
-            self.add_bias(&mut y, span);
+            Self::add_bias(b, &mut y, span);
         }
         self.cols_batch = 0;
         y
     }
 
-    fn backward(&mut self, dy: Matrix) -> Matrix {
-        self.accumulate_param_grads(&dy);
-        self.input_gradient(&dy)
+    fn backward(&mut self, dy: Matrix, p: &[f32], g: &mut [f32]) -> Matrix {
+        self.accumulate_param_grads(&dy, g);
+        let (w, _) = self.weights(p);
+        self.input_gradient(&dy, w)
     }
 
     /// Skips the `Wᵀ · dy` GEMM, the `dcol` buffer and the col2im scatter.
-    fn backward_params_only(&mut self, dy: Matrix) {
-        self.accumulate_param_grads(&dy);
+    fn backward_params_only(&mut self, dy: Matrix, _p: &[f32], g: &mut [f32]) {
+        self.accumulate_param_grads(&dy, g);
     }
 
-    fn param_count(&self) -> usize {
-        self.w.len() + self.b.len()
-    }
-
-    fn params(&self) -> Vec<&[f32]> {
-        vec![self.w.as_slice(), &self.b]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut [f32]> {
-        vec![self.w.as_mut_slice(), &mut self.b]
-    }
-
-    fn grads(&self) -> Vec<&[f32]> {
-        vec![self.dw.as_slice(), &self.db]
-    }
-
-    fn zero_grads(&mut self) {
-        self.dw.clear();
-        self.db.iter_mut().for_each(|v| *v = 0.0);
+    fn take_params(&mut self) -> Vec<f32> {
+        std::mem::take(&mut self.init)
     }
 
     fn out_dim(&self, in_dim: usize) -> usize {
@@ -649,8 +646,7 @@ mod tests {
         let in_shape = Shape3::new(1, 3, 3);
         let mut conv = Conv2d::new(in_shape, 1, 2, 0, Init::GlorotUniform, &mut rng);
         // Kernel = [[1, 0], [0, 1]] (trace of each 2×2 patch), bias 0.5.
-        conv.w = Matrix::from_vec(1, 4, vec![1.0, 0.0, 0.0, 1.0]);
-        conv.b = vec![0.5];
+        let p = [1.0, 0.0, 0.0, 1.0, 0.5];
         // Channel-major, 1 channel × 1 sample: one row of the 3×3 plane.
         #[rustfmt::skip]
         let x = Matrix::from_vec(1, 9, vec![
@@ -658,7 +654,7 @@ mod tests {
             4.0, 5.0, 6.0,
             7.0, 8.0, 9.0,
         ]);
-        let y = conv.forward(x.clone(), true);
+        let y = conv.forward(x.clone(), &p, true);
         // Patches: (1+5), (2+6), (4+8), (5+9) plus bias.
         assert_eq!(y.as_slice(), &[6.5, 8.5, 12.5, 14.5]);
         assert_eq!((y.rows(), y.cols()), (1, 4), "output is channel-major");
@@ -668,22 +664,24 @@ mod tests {
     #[test]
     fn padding_preserves_spatial_size() {
         let mut rng = Rng::new(1);
-        let conv = Conv2d::new(Shape3::new(2, 5, 5), 4, 3, 1, Init::HeNormal, &mut rng);
+        let mut conv = Conv2d::new(Shape3::new(2, 5, 5), 4, 3, 1, Init::HeNormal, &mut rng);
         assert_eq!(conv.out_shape(), Shape3::new(4, 5, 5));
-        assert_eq!(conv.param_count(), 4 * 2 * 9 + 4);
+        assert_eq!(conv.take_params().len(), 4 * 2 * 9 + 4);
     }
 
     #[test]
     fn backward_bias_gradient_sums_spatial() {
         let mut rng = Rng::new(2);
         let mut conv = Conv2d::new(Shape3::new(1, 3, 3), 2, 2, 0, Init::HeNormal, &mut rng);
+        let p = conv.take_params();
+        let mut g = vec![0.0; p.len()];
         let x = Matrix::from_vec(1, 9, (0..9).map(|i| i as f32).collect());
-        let _ = conv.forward(x.clone(), true);
+        let _ = conv.forward(x.clone(), &p, true);
         // Channel-major gradient: 2 output channels × 4 spatial positions.
         let dy = Matrix::from_vec(2, 4, vec![1.0; 8]);
-        let _ = conv.backward(dy);
+        let _ = conv.backward(dy, &p, &mut g);
         // Each output channel has 4 spatial positions with grad 1.
-        assert_eq!(conv.grads()[1], &[4.0, 4.0]);
+        assert_eq!(&g[8..], &[4.0, 4.0]);
     }
 
     #[test]
@@ -711,14 +709,15 @@ mod tests {
     fn batch_forward_matches_per_sample() {
         let mut rng = Rng::new(4);
         let mut conv = Conv2d::new(Shape3::new(1, 4, 4), 2, 3, 1, Init::HeNormal, &mut rng);
+        let p = conv.take_params();
         // Channel-major: 1 channel × 3 sample blocks of 16.
         let mut x = Matrix::zeros(1, 3 * 16);
         Rng::new(9).fill_normal(x.as_mut_slice(), 0.0, 1.0);
-        let y_batch = conv.forward(x.clone(), true);
+        let y_batch = conv.forward(x.clone(), &p, true);
         let spatial = conv.out_shape().spatial();
         for s in 0..3 {
             let xi = Matrix::from_vec(1, 16, x.row(0)[s * 16..(s + 1) * 16].to_vec());
-            let yi = conv.forward(xi.clone(), true);
+            let yi = conv.forward(xi.clone(), &p, true);
             for c in 0..2 {
                 assert_eq!(
                     yi.row(c),
@@ -756,9 +755,10 @@ mod tests {
     fn sample_major_input_panics() {
         let mut rng = Rng::new(13);
         let mut conv = Conv2d::new(Shape3::new(2, 4, 4), 3, 3, 1, Init::HeNormal, &mut rng);
+        let p = conv.take_params();
         // A sample-major batch (4 samples × 32 features) has the wrong row
         // count for a 2-channel layer and must fail loudly.
-        let _ = conv.forward(Matrix::zeros(4, 32), true);
+        let _ = conv.forward(Matrix::zeros(4, 32), &p, true);
     }
 
     /// Changing batch size between forwards resizes the lowering buffers
@@ -767,16 +767,18 @@ mod tests {
     fn batch_size_change_is_safe() {
         let mut rng = Rng::new(7);
         let mut conv = Conv2d::new(Shape3::new(2, 5, 5), 3, 3, 1, Init::HeNormal, &mut rng);
+        let p = conv.take_params();
         let mut big = Matrix::zeros(2, 4 * 25);
         Rng::new(11).fill_normal(big.as_mut_slice(), 0.0, 1.0);
         let mut small = Matrix::zeros(2, 2 * 25);
         Rng::new(12).fill_normal(small.as_mut_slice(), 0.0, 1.0);
-        let _ = conv.forward(big.clone(), true);
-        let y_small = conv.forward(small.clone(), true);
+        let _ = conv.forward(big.clone(), &p, true);
+        let y_small = conv.forward(small.clone(), &p, true);
         // Fresh layer with identical weights for reference.
         let mut rng2 = Rng::new(7);
         let mut fresh = Conv2d::new(Shape3::new(2, 5, 5), 3, 3, 1, Init::HeNormal, &mut rng2);
-        let y_ref = fresh.forward(small.clone(), true);
+        let p_ref = fresh.take_params();
+        let y_ref = fresh.forward(small.clone(), &p_ref, true);
         assert_eq!(y_small.as_slice(), y_ref.as_slice());
     }
 
@@ -788,19 +790,20 @@ mod tests {
     fn ragged_eval_chunks_reuse_lowering_buffers() {
         let mut rng = Rng::new(8);
         let mut conv = Conv2d::new(Shape3::new(1, 6, 6), 2, 3, 1, Init::HeNormal, &mut rng);
+        let p = conv.take_params();
         let mut full = Matrix::zeros(1, 8 * 36);
         Rng::new(21).fill_normal(full.as_mut_slice(), 0.0, 1.0);
         let mut ragged = Matrix::zeros(1, 3 * 36);
         Rng::new(22).fill_normal(ragged.as_mut_slice(), 0.0, 1.0);
 
-        let y_full_1 = conv.forward(full.clone(), false);
+        let y_full_1 = conv.forward(full.clone(), &p, false);
         let cols_ptr = conv.cols.as_slice().as_ptr();
         // Ragged chunk shrinks, next pass grows back: both within capacity.
-        let y_ragged_1 = conv.forward(ragged.clone(), false);
+        let y_ragged_1 = conv.forward(ragged.clone(), &p, false);
         assert_eq!(conv.cols.as_slice().as_ptr(), cols_ptr, "cols reallocated");
-        let y_full_2 = conv.forward(full.clone(), false);
+        let y_full_2 = conv.forward(full.clone(), &p, false);
         assert_eq!(conv.cols.as_slice().as_ptr(), cols_ptr, "cols reallocated");
-        let y_ragged_2 = conv.forward(ragged.clone(), false);
+        let y_ragged_2 = conv.forward(ragged.clone(), &p, false);
 
         // Identical inputs ⇒ identical outputs across the reuse cycle.
         assert_eq!(y_full_1.as_slice(), y_full_2.as_slice());
@@ -909,15 +912,17 @@ mod tests {
             let shape = Shape3::new(2, 6, 5);
             let mut full = Conv2d::new(shape, 4, k, pad, Init::HeNormal, &mut Rng::new(9));
             let mut lean = Conv2d::new(shape, 4, k, pad, Init::HeNormal, &mut Rng::new(9));
+            let p = full.take_params();
+            let (mut g_full, mut g_lean) = (vec![0.0; p.len()], vec![0.0; p.len()]);
             let mut x = Matrix::zeros(2, 3 * 30);
             rng.fill_normal(x.as_mut_slice(), 0.0, 1.0);
-            let y = full.forward(x.clone(), true);
-            let _ = lean.forward(x, true);
+            let y = full.forward(x.clone(), &p, true);
+            let _ = lean.forward(x, &p, true);
             let mut dy = Matrix::zeros(y.rows(), y.cols());
             rng.fill_normal(dy.as_mut_slice(), 0.0, 1.0);
-            let _ = full.backward(dy.clone());
-            lean.backward_params_only(dy);
-            assert_eq!(full.grads(), lean.grads(), "k={k} pad={pad}");
+            let _ = full.backward(dy.clone(), &p, &mut g_full);
+            lean.backward_params_only(dy, &p, &mut g_lean);
+            assert_eq!(g_full, g_lean, "k={k} pad={pad}");
             assert!(lean.dcol.is_empty(), "params-only must not touch dcol");
         }
     }
@@ -940,13 +945,15 @@ mod tests {
         ];
         for &(shape, oc, k, pad) in &layers {
             let mut conv = Conv2d::new(shape, oc, k, pad, Init::HeNormal, &mut rng);
-            rng.fill_normal(&mut conv.b, 0.0, 1.0);
-            let per_chunk = (INFER_CHUNK_FLOATS / conv.w.cols()).div_ceil(shape.spatial());
+            let mut p = conv.take_params();
+            let w_len = conv.w_len(p.len());
+            rng.fill_normal(&mut p[w_len..], 0.0, 1.0);
+            let per_chunk = (INFER_CHUNK_FLOATS / conv.fan_in()).div_ceil(shape.spatial());
             for batch in [1, 31, 32, 33, 232, 256, per_chunk + 1, 2 * per_chunk + 1, 1] {
                 let mut x = Matrix::zeros(shape.c, batch * shape.spatial());
                 rng.fill_normal(x.as_mut_slice(), 0.0, 1.0);
-                let want = conv.forward(x.clone(), false);
-                let got = conv.forward_inference(x);
+                let want = conv.forward(x.clone(), &p, false);
+                let got = conv.forward_inference(x, &p);
                 assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
                 assert!(
                     same_bits(got.as_slice(), want.as_slice()),
@@ -961,10 +968,12 @@ mod tests {
     fn backward_after_inference_forward_panics() {
         let mut rng = Rng::new(0xD203);
         let mut conv = Conv2d::new(Shape3::new(1, 12, 12), 6, 3, 1, Init::HeNormal, &mut rng);
+        let p = conv.take_params();
+        let mut g = vec![0.0; p.len()];
         let mut x = Matrix::zeros(1, 32 * 144);
         rng.fill_normal(x.as_mut_slice(), 0.0, 1.0);
-        let y = conv.forward(x.clone(), true);
-        let _ = conv.forward_inference(x);
-        let _ = conv.backward(Matrix::zeros(y.rows(), y.cols()));
+        let y = conv.forward(x.clone(), &p, true);
+        let _ = conv.forward_inference(x, &p);
+        let _ = conv.backward(Matrix::zeros(y.rows(), y.cols()), &p, &mut g);
     }
 }

@@ -8,7 +8,8 @@
 
 use crate::init::Init;
 use crate::layer::{Layer, Shape3};
-use fda_tensor::{matrix, matrix::Scratch, Matrix, Rng};
+use fda_tensor::matrix::{self, MatMut, MatRef, Scratch};
+use fda_tensor::{Matrix, Rng};
 
 /// The conv→dense layout boundary: converts a channel-major activation
 /// (`c × batch·spatial`) into the sample-major `batch × c·spatial` matrix a
@@ -31,12 +32,12 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, x: Matrix, _train: bool) -> Matrix {
+    fn forward(&mut self, x: Matrix, _p: &[f32], _train: bool) -> Matrix {
         self.batch = self.shape.batch_of(&x, "flatten input");
         x.to_sample_major(self.batch)
     }
 
-    fn backward(&mut self, dy: Matrix) -> Matrix {
+    fn backward(&mut self, dy: Matrix, _p: &[f32], _g: &mut [f32]) -> Matrix {
         assert_eq!(
             dy.cols(),
             self.shape.len(),
@@ -71,16 +72,14 @@ impl Layer for Flatten {
 
 /// A dense layer `y = x·W + b` with `W ∈ R^{in×out}`, `b ∈ R^{out}`.
 ///
-/// Gradients accumulate across `backward` calls until [`Layer::zero_grads`];
-/// this matches mini-batch accumulation semantics and lets the optimizer
-/// consume a single flat gradient vector per step.
+/// Its parameter window is `W` (row-major) then `b`. Gradients accumulate
+/// into the gradient window across `backward` calls; the model zeroes it
+/// once per step.
 pub struct Dense {
     in_dim: usize,
     out_dim: usize,
-    w: Matrix,
-    b: Vec<f32>,
-    dw: Matrix,
-    db: Vec<f32>,
+    /// The initial `W` then `b` until [`Layer::take_params`] moves them out.
+    init: Vec<f32>,
     cache_x: Matrix,
     // GEMM packing arena, reused across steps.
     scratch: Scratch,
@@ -92,15 +91,12 @@ pub struct Dense {
 impl Dense {
     /// Creates a dense layer with the given initializer.
     pub fn new(in_dim: usize, out_dim: usize, init: Init, rng: &mut Rng) -> Self {
-        let mut w = Matrix::zeros(in_dim, out_dim);
-        init.fill(w.as_mut_slice(), in_dim, out_dim, rng);
+        let mut params = vec![0.0; in_dim * out_dim + out_dim];
+        init.fill(&mut params[..in_dim * out_dim], in_dim, out_dim, rng);
         Dense {
             in_dim,
             out_dim,
-            w,
-            b: vec![0.0; out_dim],
-            dw: Matrix::zeros(in_dim, out_dim),
-            db: vec![0.0; out_dim],
+            init: params,
             cache_x: Matrix::zeros(0, 0),
             scratch: Scratch::new(),
             w_t: Matrix::zeros(0, 0),
@@ -117,42 +113,52 @@ impl Dense {
         self.out_dim
     }
 
+    /// Where `b` starts in a parameter or gradient window of `len` floats.
+    fn w_len(&self, len: usize) -> usize {
+        assert_eq!(len, (self.in_dim + 1) * self.out_dim, "dense: window size");
+        self.in_dim * self.out_dim
+    }
+
     /// `y = x·W + b`.
-    fn affine(&mut self, x: &Matrix) -> Matrix {
+    fn affine(&mut self, x: &Matrix, p: &[f32]) -> Matrix {
         assert_eq!(x.cols(), self.in_dim, "dense: input width mismatch");
+        let (w, b) = p.split_at(self.w_len(p.len()));
         let mut y = Matrix::zeros(x.rows(), self.out_dim);
-        matrix::gemm_accumulate_with(x, &self.w, &mut y, &mut self.scratch);
+        let w = MatRef::new(self.in_dim, self.out_dim, w);
+        matrix::gemm_accumulate_with(x.view(), w, y.view_mut(), &mut self.scratch);
         for r in 0..y.rows() {
             let row = y.row_mut(r);
             for (c, v) in row.iter_mut().enumerate() {
-                *v += self.b[c];
+                *v += b[c];
             }
         }
         y
     }
 
     /// Checks an incoming gradient against the cached input and
-    /// accumulates `dW += xᵀ · dy`, `db += column sums of dy`.
-    fn accumulate_param_grads(&mut self, dy: &Matrix) {
+    /// accumulates `dW += xᵀ · dy`, `db += column sums of dy` into `g`.
+    fn accumulate_param_grads(&mut self, dy: &Matrix, g: &mut [f32]) {
         assert_eq!(dy.cols(), self.out_dim, "dense: grad width mismatch");
         assert_eq!(
             dy.rows(),
             self.cache_x.rows(),
             "dense: backward without matching forward"
         );
-        matrix::gemm_at_b_accumulate_with(&self.cache_x, dy, &mut self.dw, &mut self.scratch);
+        let (dw, db) = g.split_at_mut(self.w_len(g.len()));
+        let dw = MatMut::new(self.in_dim, self.out_dim, dw);
+        matrix::gemm_at_b_accumulate_with(self.cache_x.view(), dy.view(), dw, &mut self.scratch);
         for r in 0..dy.rows() {
             let row = dy.row(r);
             for (c, v) in row.iter().enumerate() {
-                self.db[c] += v;
+                db[c] += v;
             }
         }
     }
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, x: Matrix, _train: bool) -> Matrix {
-        let y = self.affine(&x);
+    fn forward(&mut self, x: Matrix, p: &[f32], _train: bool) -> Matrix {
+        let y = self.affine(&x, p);
         // Take ownership of the input as the backward cache — no copy.
         self.cache_x = x;
         y
@@ -160,55 +166,38 @@ impl Layer for Dense {
 
     /// Drops the input instead of caching it (and drops any older cache, so
     /// a stray `backward` fails its batch check).
-    fn forward_inference(&mut self, x: Matrix) -> Matrix {
+    fn forward_inference(&mut self, x: Matrix, p: &[f32]) -> Matrix {
         self.cache_x = Matrix::zeros(0, 0);
-        self.affine(&x)
+        self.affine(&x, p)
     }
 
-    fn backward(&mut self, dy: Matrix) -> Matrix {
-        self.accumulate_param_grads(&dy);
+    fn backward(&mut self, dy: Matrix, p: &[f32], g: &mut [f32]) -> Matrix {
+        self.accumulate_param_grads(&dy, g);
         // dx = dy · Wᵀ. Materializing Wᵀ (tiny, reused buffer) turns this
         // into a contiguous-B product eligible for the streaming mid
         // kernel, which beats the transpose-packed path at dense-layer
         // sizes.
+        let (w, _) = p.split_at(self.w_len(p.len()));
         if self.w_t.rows() != self.out_dim {
             self.w_t = Matrix::zeros(self.out_dim, self.in_dim);
         }
-        for r in 0..self.w.rows() {
-            let row = self.w.row(r);
+        for (r, row) in w.chunks_exact(self.out_dim).enumerate() {
             for (c, &v) in row.iter().enumerate() {
                 self.w_t.set(c, r, v);
             }
         }
         let mut dx = Matrix::zeros(dy.rows(), self.in_dim);
-        matrix::gemm_accumulate_with(&dy, &self.w_t, &mut dx, &mut self.scratch);
+        matrix::gemm_accumulate_with(dy.view(), self.w_t.view(), dx.view_mut(), &mut self.scratch);
         dx
     }
 
     /// Skips the `Wᵀ` materialisation and the `dy · Wᵀ` GEMM.
-    fn backward_params_only(&mut self, dy: Matrix) {
-        self.accumulate_param_grads(&dy);
+    fn backward_params_only(&mut self, dy: Matrix, _p: &[f32], g: &mut [f32]) {
+        self.accumulate_param_grads(&dy, g);
     }
 
-    fn param_count(&self) -> usize {
-        self.w.len() + self.b.len()
-    }
-
-    fn params(&self) -> Vec<&[f32]> {
-        vec![self.w.as_slice(), &self.b]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut [f32]> {
-        vec![self.w.as_mut_slice(), &mut self.b]
-    }
-
-    fn grads(&self) -> Vec<&[f32]> {
-        vec![self.dw.as_slice(), &self.db]
-    }
-
-    fn zero_grads(&mut self) {
-        self.dw.clear();
-        self.db.iter_mut().for_each(|v| *v = 0.0);
+    fn take_params(&mut self) -> Vec<f32> {
+        std::mem::take(&mut self.init)
     }
 
     fn out_dim(&self, in_dim: usize) -> usize {
@@ -225,11 +214,10 @@ mod tests {
     fn forward_known_values() {
         let mut rng = Rng::new(0);
         let mut layer = Dense::new(2, 2, Init::GlorotUniform, &mut rng);
-        // Overwrite with known weights: W = [[1,2],[3,4]], b = [10, 20].
-        layer.w = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        layer.b = vec![10.0, 20.0];
+        // Known weights: W = [[1,2],[3,4]], b = [10, 20].
+        let p = [1.0, 2.0, 3.0, 4.0, 10.0, 20.0];
         let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
-        let y = layer.forward(x.clone(), true);
+        let y = layer.forward(x.clone(), &p, true);
         assert_eq!(y.as_slice(), &[14.0, 26.0]);
     }
 
@@ -237,26 +225,29 @@ mod tests {
     fn backward_shapes_and_bias_grad() {
         let mut rng = Rng::new(1);
         let mut layer = Dense::new(3, 2, Init::HeNormal, &mut rng);
+        let p = layer.take_params();
+        let mut g = vec![0.0; p.len()];
         let x = Matrix::from_vec(4, 3, (0..12).map(|i| i as f32 * 0.1).collect());
-        let _ = layer.forward(x.clone(), true);
+        let _ = layer.forward(x.clone(), &p, true);
         let dy = Matrix::from_vec(4, 2, vec![1.0; 8]);
-        let dx = layer.backward(dy);
+        let dx = layer.backward(dy, &p, &mut g);
         assert_eq!(dx.rows(), 4);
         assert_eq!(dx.cols(), 3);
         // Bias gradient is the column sum of dy = 4 for each output.
-        assert_eq!(layer.grads()[1], &[4.0, 4.0]);
+        assert_eq!(&g[6..], &[4.0, 4.0]);
     }
 
     #[test]
     fn zero_grads_resets() {
         let mut rng = Rng::new(2);
-        let mut layer = Dense::new(2, 2, Init::HeNormal, &mut rng);
+        let mut m =
+            crate::Sequential::new("dense", 2).push(Dense::new(2, 2, Init::HeNormal, &mut rng));
         let x = Matrix::from_vec(1, 2, vec![1.0, -1.0]);
-        let _ = layer.forward(x.clone(), true);
-        let _ = layer.backward(Matrix::from_vec(1, 2, vec![1.0, 1.0]));
-        assert!(layer.grads().iter().any(|g| g.iter().any(|&v| v != 0.0)));
-        layer.zero_grads();
-        assert!(layer.grads().iter().all(|g| g.iter().all(|&v| v == 0.0)));
+        let _ = m.forward(&x, true);
+        let _ = m.backward(Matrix::from_vec(1, 2, vec![1.0, 1.0]));
+        assert!(m.grads_flat().iter().any(|&v| v != 0.0));
+        m.zero_grads();
+        assert!(m.grads_flat().iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -266,12 +257,12 @@ mod tests {
         // Channel-major: 2 channel rows × 2 sample blocks of 6.
         let mut x = Matrix::zeros(2, 12);
         Rng::new(5).fill_normal(x.as_mut_slice(), 0.0, 1.0);
-        let y = flat.forward(x.clone(), true);
+        let y = flat.forward(x.clone(), &[], true);
         assert_eq!((y.rows(), y.cols()), (2, 12), "flatten emits sample rows");
         // Sample 0's features are (c0 plane, c1 plane) in dataset order.
         assert_eq!(&y.row(0)[..6], &x.row(0)[..6]);
         assert_eq!(&y.row(0)[6..], &x.row(1)[..6]);
-        let dx = flat.backward(y.clone());
+        let dx = flat.backward(y.clone(), &[], &mut []);
         assert_eq!(dx.as_slice(), x.as_slice(), "backward is the inverse");
         assert_eq!(flat.out_dim(12), 12);
     }
@@ -282,15 +273,14 @@ mod tests {
         // A sample-major batch arriving at Flatten (the historical silent
         // wrong-answer) must fail loudly.
         let mut flat = Flatten::new(Shape3::new(3, 2, 2));
-        let _ = flat.forward(Matrix::zeros(4, 12), true);
+        let _ = flat.forward(Matrix::zeros(4, 12), &[], true);
     }
 
     #[test]
     fn param_count_matches_slices() {
         let mut rng = Rng::new(3);
-        let layer = Dense::new(5, 7, Init::GlorotUniform, &mut rng);
-        let total: usize = layer.params().iter().map(|p| p.len()).sum();
-        assert_eq!(total, layer.param_count());
-        assert_eq!(total, 5 * 7 + 7);
+        let mut layer = Dense::new(5, 7, Init::GlorotUniform, &mut rng);
+        assert_eq!(layer.take_params().len(), 5 * 7 + 7);
+        assert!(layer.take_params().is_empty(), "handed over once");
     }
 }

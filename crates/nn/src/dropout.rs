@@ -38,7 +38,7 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, mut x: Matrix, train: bool) -> Matrix {
+    fn forward(&mut self, mut x: Matrix, _p: &[f32], train: bool) -> Matrix {
         if !train || self.p == 0.0 {
             self.mask.clear();
             self.mask.resize(x.len(), 1.0);
@@ -62,12 +62,12 @@ impl Layer for Dropout {
 
     /// The identity, with no all-ones mask written (and the old mask
     /// dropped).
-    fn forward_inference(&mut self, x: Matrix) -> Matrix {
+    fn forward_inference(&mut self, x: Matrix, _p: &[f32]) -> Matrix {
         self.mask.clear();
         x
     }
 
-    fn backward(&mut self, dy: Matrix) -> Matrix {
+    fn backward(&mut self, dy: Matrix, _p: &[f32], _g: &mut [f32]) -> Matrix {
         assert_eq!(
             dy.len(),
             self.mask.len(),
@@ -93,7 +93,7 @@ mod tests {
     fn eval_mode_is_identity() {
         let mut layer = Dropout::new(0.5, 42);
         let x = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let y = layer.forward(x.clone(), false);
+        let y = layer.forward(x.clone(), &[], false);
         assert_eq!(y.as_slice(), x.as_slice());
     }
 
@@ -101,7 +101,7 @@ mod tests {
     fn train_mode_zeroes_and_scales() {
         let mut layer = Dropout::new(0.5, 7);
         let x = Matrix::from_vec(1, 1000, vec![1.0; 1000]);
-        let y = layer.forward(x.clone(), true);
+        let y = layer.forward(x.clone(), &[], true);
         let zeros = y.as_slice().iter().filter(|&&v| v == 0.0).count();
         let kept = y
             .as_slice()
@@ -116,7 +116,7 @@ mod tests {
     fn expected_value_preserved() {
         let mut layer = Dropout::new(0.2, 11);
         let x = Matrix::from_vec(1, 20_000, vec![1.0; 20_000]);
-        let y = layer.forward(x.clone(), true);
+        let y = layer.forward(x.clone(), &[], true);
         let mean: f32 = y.as_slice().iter().sum::<f32>() / 20_000.0;
         assert!((mean - 1.0).abs() < 0.05, "inverted dropout keeps E[y]=x");
     }
@@ -125,9 +125,9 @@ mod tests {
     fn backward_applies_same_mask() {
         let mut layer = Dropout::new(0.5, 3);
         let x = Matrix::from_vec(1, 100, vec![1.0; 100]);
-        let y = layer.forward(x.clone(), true);
+        let y = layer.forward(x.clone(), &[], true);
         let dy = Matrix::from_vec(1, 100, vec![1.0; 100]);
-        let dx = layer.backward(dy);
+        let dx = layer.backward(dy, &[], &mut []);
         assert_eq!(y.as_slice(), dx.as_slice(), "mask shared by fwd/bwd");
     }
 
@@ -135,7 +135,7 @@ mod tests {
     fn zero_rate_is_identity_even_in_train() {
         let mut layer = Dropout::new(0.0, 5);
         let x = Matrix::from_vec(1, 8, (0..8).map(|i| i as f32).collect());
-        let y = layer.forward(x.clone(), true);
+        let y = layer.forward(x.clone(), &[], true);
         assert_eq!(y.as_slice(), x.as_slice());
     }
 

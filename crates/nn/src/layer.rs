@@ -89,15 +89,19 @@ impl Shape3 {
 ///
 /// The contract mirrors classic define-by-layer backprop:
 ///
-/// 1. `forward(x, train)` computes outputs and caches whatever the backward
-///    pass needs (inputs, masks, argmaxes).
-/// 2. `backward(dy)` consumes the most recent cache, **accumulates**
-///    parameter gradients internally, and returns `dL/dx`.
+/// 1. `forward(x, p, train)` computes outputs and caches whatever the
+///    backward pass needs (inputs, masks, argmaxes).
+/// 2. `backward(dy, p, g)` consumes the most recent cache, **accumulates**
+///    parameter gradients into `g`, and returns `dL/dx`.
 ///    [`Layer::backward_params_only`] is the same minus the input gradient,
 ///    for the bottom layer of a stack; [`Layer::forward_inference`] is a
 ///    forward that owes no cache to anyone.
-/// 3. Parameter and gradient storage is exposed as ordered lists of flat
-///    slices so a [`crate::model::Sequential`] can present one flat vector.
+/// 3. A layer owns no parameters. [`crate::model::Sequential`] keeps every
+///    layer's parameters in one flat arena and its gradients in a second
+///    one of the same layout; each call borrows the layer's window of them
+///    (`p`, `g`: `W` row-major then `b`; empty for a parameter-free
+///    layer). The construction-time initial values move into the arena
+///    once, through [`Layer::take_params`].
 ///
 /// Activations are passed **by value**: element-wise layers (ReLU, dropout)
 /// transform their input in place and return the same allocation, and
@@ -108,15 +112,17 @@ impl Shape3 {
 /// `backward` must be preceded by a `forward` on the same input batch;
 /// implementations may panic otherwise.
 pub trait Layer: Send {
-    /// Forward pass. `train` enables training-only behaviour (dropout).
-    fn forward(&mut self, x: Matrix, train: bool) -> Matrix;
+    /// Forward pass with parameters `p`. `train` enables training-only
+    /// behaviour (dropout).
+    fn forward(&mut self, x: Matrix, p: &[f32], train: bool) -> Matrix;
 
     /// Backward pass: returns the gradient w.r.t. the layer input and
-    /// accumulates parameter gradients.
-    fn backward(&mut self, dy: Matrix) -> Matrix;
+    /// accumulates the parameter gradients into `g`.
+    fn backward(&mut self, dy: Matrix, p: &[f32], g: &mut [f32]) -> Matrix;
 
-    /// Inference-only forward pass: the outputs of `forward(x, false)`, bit
-    /// for bit, without the obligation to support a following `backward`.
+    /// Inference-only forward pass: the outputs of `forward(x, p, false)`,
+    /// bit for bit, without the obligation to support a following
+    /// `backward`.
     ///
     /// An override may skip everything `forward` does only for the backward
     /// pass — ReLU masks, pool argmaxes, the dense input cache — but must
@@ -125,8 +131,8 @@ pub trait Layer: Send {
     /// so a `backward` with no regular `forward` in between fails its
     /// "backward without matching forward" assertion instead of consuming
     /// stale state. Layout and shape assertions stay on.
-    fn forward_inference(&mut self, x: Matrix) -> Matrix {
-        self.forward(x, false)
+    fn forward_inference(&mut self, x: Matrix, p: &[f32]) -> Matrix {
+        self.forward(x, p, false)
     }
 
     /// Backward pass that accumulates the parameter gradients exactly as
@@ -137,34 +143,16 @@ pub trait Layer: Send {
     /// work that exists only to produce the input gradient (conv: the
     /// `Wᵀ·dy` GEMM and the col2im scatter; dense: `dy·Wᵀ`) and must leave
     /// the parameter gradients bit-identical to those of `backward`.
-    fn backward_params_only(&mut self, dy: Matrix) {
-        let _ = self.backward(dy);
+    fn backward_params_only(&mut self, dy: Matrix, p: &[f32], g: &mut [f32]) {
+        let _ = self.backward(dy, p, g);
     }
 
-    /// Number of scalar parameters in this layer.
-    fn param_count(&self) -> usize {
-        0
-    }
-
-    /// Ordered immutable views of the parameter tensors.
-    fn params(&self) -> Vec<&[f32]> {
+    /// Hands over the construction-time initial parameters (`W` row-major
+    /// then `b`), leaving none behind; their length is the layer's
+    /// parameter count. [`crate::model::Sequential::push`] calls it once.
+    fn take_params(&mut self) -> Vec<f32> {
         Vec::new()
     }
-
-    /// Ordered mutable views of the parameter tensors (same order as
-    /// [`Layer::params`]).
-    fn params_mut(&mut self) -> Vec<&mut [f32]> {
-        Vec::new()
-    }
-
-    /// Ordered immutable views of the accumulated gradients (same order and
-    /// shapes as [`Layer::params`]).
-    fn grads(&self) -> Vec<&[f32]> {
-        Vec::new()
-    }
-
-    /// Resets the accumulated gradients to zero.
-    fn zero_grads(&mut self) {}
 
     /// Output feature dimension given the (already validated) input width.
     ///

@@ -4,14 +4,17 @@
 //! backpropagation, losses, initializers, a [`Sequential`] container, and a
 //! model zoo mirroring the paper's architectures at CPU-tractable scale.
 //!
-//! ## Flat-parameter API
+//! ## Parameter arena
 //!
 //! FDA treats a model as a flat vector `w ∈ R^d`: worker drifts
 //! `u^(k) = w^(k) − w_t0`, AllReduce averages and sketches all operate on
-//! that view. Every [`Sequential`] therefore exposes
-//! [`Sequential::param_count`], [`Sequential::copy_params_to`],
-//! [`Sequential::load_params`] and [`Sequential::copy_grads_to`], which is
-//! the only interface the `fda-core` crate needs.
+//! that view. A [`Sequential`] stores exactly that vector: one `d`-length
+//! parameter arena and one gradient arena of the same layout (layers in
+//! push order, each `W` row-major then `b`). Layers own no parameters and
+//! borrow their window of both arenas per call. [`Sequential::params`]
+//! reads `w` without a copy, [`Sequential::arena_mut`] lends it to an
+//! in-place optimizer step, and [`Sequential::load_params`] overwrites it
+//! at a synchronization.
 //!
 //! ## Correctness
 //!

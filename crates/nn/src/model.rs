@@ -1,14 +1,23 @@
-//! The [`Sequential`] model container and its flat-parameter API.
+//! The [`Sequential`] model container and its parameter arena.
 
 use crate::layer::{Layer, Shape3};
 use crate::loss::{argmax, SoftmaxCrossEntropy};
 use fda_tensor::Matrix;
+use std::ops::Range;
 
-/// A feed-forward stack of layers with a single flat-parameter view.
+/// A feed-forward stack of layers over one flat parameter arena.
 ///
 /// Built with [`Sequential::new`] + [`Sequential::push`]; wiring is
 /// validated eagerly (each layer's expected input width must match the
 /// previous layer's output width).
+///
+/// # Parameter arena
+///
+/// The model owns its parameters as one `d`-length vector `w` and its
+/// gradients as a second one of the same layout: layers in push order,
+/// each as `W` (row-major) then `b`. Each layer borrows its window of both
+/// per call. [`Sequential::params`] is `w` itself, and
+/// [`Sequential::arena_mut`] lends it to an in-place optimizer step.
 ///
 /// # Activation layout
 ///
@@ -30,7 +39,10 @@ pub struct Sequential {
     /// `Some` iff the first layer consumes channel-major activations; the
     /// model input is converted at entry in that case.
     input_shape: Option<Shape3>,
-    layers: Vec<Box<dyn Layer>>,
+    /// Each layer with its window of `params` / `grads`.
+    layers: Vec<(Box<dyn Layer>, Range<usize>)>,
+    params: Vec<f32>,
+    grads: Vec<f32>,
     name: String,
 }
 
@@ -42,21 +54,28 @@ impl Sequential {
             out_dim: in_dim,
             input_shape: None,
             layers: Vec::new(),
+            params: Vec::new(),
+            grads: Vec::new(),
             name: name.into(),
         }
     }
 
-    /// Appends a layer, validating that its expected input width matches.
+    /// Appends a layer, validating that its expected input width matches,
+    /// and moves its initial parameters to the end of the arena.
     ///
     /// # Panics
     /// Panics (inside the layer's `out_dim`) if the wiring is inconsistent.
     #[must_use]
-    pub fn push(mut self, layer: impl Layer + 'static) -> Self {
+    pub fn push(mut self, mut layer: impl Layer + 'static) -> Self {
         self.out_dim = layer.out_dim(self.out_dim);
         if self.layers.is_empty() {
             self.input_shape = layer.in_shape3();
         }
-        self.layers.push(Box::new(layer));
+        let start = self.params.len();
+        self.params.extend(layer.take_params());
+        self.grads.resize(self.params.len(), 0.0);
+        self.layers
+            .push((Box::new(layer), start..self.params.len()));
         self
     }
 
@@ -104,7 +123,18 @@ impl Sequential {
 
     /// Total number of scalar parameters `d`.
     pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.param_count()).sum()
+        self.params.len()
+    }
+
+    /// The parameter vector `w` (the arena itself, no copy).
+    pub fn params(&self) -> &[f32] {
+        &self.params
+    }
+
+    /// The parameter arena, writable, beside the gradients of the last
+    /// `compute_gradients*` call: what an in-place optimizer step takes.
+    pub fn arena_mut(&mut self) -> (&mut [f32], &[f32]) {
+        (&mut self.params, &self.grads)
     }
 
     /// Forward pass through every layer (sample-major input batch; the
@@ -125,8 +155,8 @@ impl Sequential {
     pub fn forward_native(&mut self, x: Matrix, train: bool) -> Matrix {
         self.assert_native(&x);
         let mut h = x;
-        for layer in &mut self.layers {
-            h = layer.forward(h, train);
+        for (layer, span) in &mut self.layers {
+            h = layer.forward(h, &self.params[span.clone()], train);
         }
         h
     }
@@ -139,8 +169,8 @@ impl Sequential {
     fn infer_native(&mut self, x: Matrix) -> Matrix {
         self.assert_native(&x);
         let mut h = x;
-        for layer in &mut self.layers {
-            h = layer.forward_inference(h);
+        for (layer, span) in &mut self.layers {
+            h = layer.forward_inference(h, &self.params[span.clone()]);
         }
         h
     }
@@ -155,7 +185,8 @@ impl Sequential {
         }
     }
 
-    /// Backward pass; parameter gradients accumulate inside the layers.
+    /// Backward pass; parameter gradients accumulate into the gradient
+    /// arena.
     ///
     /// The returned input gradient is in the model's **native** input
     /// layout (channel-major for spatial models). The training entry points
@@ -164,8 +195,9 @@ impl Sequential {
     /// [`Layer::backward_params_only`]).
     pub fn backward(&mut self, dy: Matrix) -> Matrix {
         let mut g = dy;
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(g);
+        for (layer, span) in self.layers.iter_mut().rev() {
+            let (p, dp) = (&self.params[span.clone()], &mut self.grads[span.clone()]);
+            g = layer.backward(g, p, dp);
         }
         g
     }
@@ -173,14 +205,16 @@ impl Sequential {
     /// [`Sequential::backward`] minus the input gradient of the bottom
     /// layer; parameter gradients are bit-identical.
     fn backward_params_only(&mut self, dy: Matrix) {
-        let Some((first, rest)) = self.layers.split_first_mut() else {
+        let Some(((first, span), rest)) = self.layers.split_first_mut() else {
             return;
         };
         let mut g = dy;
-        for layer in rest.iter_mut().rev() {
-            g = layer.backward(g);
+        for (layer, span) in rest.iter_mut().rev() {
+            let (p, dp) = (&self.params[span.clone()], &mut self.grads[span.clone()]);
+            g = layer.backward(g, p, dp);
         }
-        first.backward_params_only(g);
+        let (p, dp) = (&self.params[span.clone()], &mut self.grads[span.clone()]);
+        first.backward_params_only(g, p, dp);
     }
 
     /// Softmax-CE loss of `logits` and the parameter-gradient backward
@@ -193,9 +227,7 @@ impl Sequential {
 
     /// Zeroes all accumulated gradients.
     pub fn zero_grads(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grads();
-        }
+        self.grads.fill(0.0);
     }
 
     /// Copies the flat parameter vector into `out`.
@@ -208,63 +240,31 @@ impl Sequential {
             self.param_count(),
             "copy_params_to: size mismatch"
         );
-        let mut off = 0;
-        for layer in &self.layers {
-            for p in layer.params() {
-                out[off..off + p.len()].copy_from_slice(p);
-                off += p.len();
-            }
-        }
+        out.copy_from_slice(&self.params);
     }
 
     /// Returns the flat parameter vector (allocating).
     pub fn params_flat(&self) -> Vec<f32> {
-        let mut out = vec![0.0; self.param_count()];
-        self.copy_params_to(&mut out);
-        out
+        self.params.clone()
     }
 
-    /// Loads a flat parameter vector into the layers.
+    /// Loads a flat parameter vector into the arena.
     ///
     /// # Panics
     /// Panics if `src.len() != self.param_count()`.
     pub fn load_params(&mut self, src: &[f32]) {
         assert_eq!(src.len(), self.param_count(), "load_params: size mismatch");
-        let mut off = 0;
-        for layer in &mut self.layers {
-            for p in layer.params_mut() {
-                p.copy_from_slice(&src[off..off + p.len()]);
-                off += p.len();
-            }
-        }
-    }
-
-    /// Copies the flat gradient vector into `out` (same layout as params).
-    pub fn copy_grads_to(&self, out: &mut [f32]) {
-        assert_eq!(
-            out.len(),
-            self.param_count(),
-            "copy_grads_to: size mismatch"
-        );
-        let mut off = 0;
-        for layer in &self.layers {
-            for g in layer.grads() {
-                out[off..off + g.len()].copy_from_slice(g);
-                off += g.len();
-            }
-        }
+        self.params.copy_from_slice(src);
     }
 
     /// Returns the flat gradient vector (allocating).
     pub fn grads_flat(&self) -> Vec<f32> {
-        let mut out = vec![0.0; self.param_count()];
-        self.copy_grads_to(&mut out);
-        out
+        self.grads.clone()
     }
 
     /// One supervised step's worth of gradients: forward in train mode,
     /// softmax-CE loss, backward. Gradients are zeroed first, so after this
-    /// call the layers hold exactly this batch's gradient.
+    /// call the gradient arena holds exactly this batch's gradient.
     ///
     /// Returns `(mean loss, #correct)`.
     pub fn compute_gradients(&mut self, x: &Matrix, labels: &[usize]) -> (f32, usize) {

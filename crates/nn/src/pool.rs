@@ -253,16 +253,16 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, x: Matrix, _train: bool) -> Matrix {
+    fn forward(&mut self, x: Matrix, _p: &[f32], _train: bool) -> Matrix {
         self.pool::<true>(&x)
     }
 
     /// No argmax is written (and the old ones are dropped).
-    fn forward_inference(&mut self, x: Matrix) -> Matrix {
+    fn forward_inference(&mut self, x: Matrix, _p: &[f32]) -> Matrix {
         self.pool::<false>(&x)
     }
 
-    fn backward(&mut self, dy: Matrix) -> Matrix {
+    fn backward(&mut self, dy: Matrix, _p: &[f32], _g: &mut [f32]) -> Matrix {
         assert_eq!(
             dy.rows(),
             self.out_shape.c,
@@ -319,7 +319,7 @@ impl GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, x: Matrix, _train: bool) -> Matrix {
+    fn forward(&mut self, x: Matrix, _p: &[f32], _train: bool) -> Matrix {
         let Shape3 { c, h, w } = self.in_shape;
         let hw = h * w;
         let batch = self.in_shape.batch_of(&x, "gap input");
@@ -336,7 +336,7 @@ impl Layer for GlobalAvgPool {
         y
     }
 
-    fn backward(&mut self, dy: Matrix) -> Matrix {
+    fn backward(&mut self, dy: Matrix, _p: &[f32], _g: &mut [f32]) -> Matrix {
         assert_eq!(dy.cols(), self.in_shape.c, "gap: grad width mismatch");
         assert_eq!(
             dy.rows(),
@@ -389,7 +389,7 @@ mod tests {
             9.0, 10.0,  13.0, 14.0,
             11.0, 12.0, 15.0, 16.0,
         ]);
-        let y = pool.forward(x.clone(), true);
+        let y = pool.forward(x.clone(), &[], true);
         assert_eq!(y.as_slice(), &[4.0, 8.0, 12.0, 16.0]);
     }
 
@@ -400,8 +400,8 @@ mod tests {
     fn maxpool_2x2_nan_and_tie_semantics() {
         let mut pool = MaxPool2d::new(Shape3::new(1, 2, 2), 2);
         let x = Matrix::from_vec(1, 4, vec![f32::NAN, 5.0, 1.0, 2.0]);
-        let _ = pool.forward(x, true);
-        let dx = pool.backward(Matrix::from_vec(1, 1, vec![3.0]));
+        let _ = pool.forward(x, &[], true);
+        let dx = pool.backward(Matrix::from_vec(1, 1, vec![3.0]), &[], &mut []);
         assert_eq!(
             dx.as_slice(),
             &[0.0, 3.0, 0.0, 0.0],
@@ -409,9 +409,9 @@ mod tests {
         );
         // Ties: the first of equal values (scan order t0,t1,b0,b1) wins.
         let x = Matrix::from_vec(1, 4, vec![7.0, 7.0, 7.0, 7.0]);
-        let y = pool.forward(x, true);
+        let y = pool.forward(x, &[], true);
         assert_eq!(y.as_slice(), &[7.0]);
-        let dx = pool.backward(Matrix::from_vec(1, 1, vec![1.0]));
+        let dx = pool.backward(Matrix::from_vec(1, 1, vec![1.0]), &[], &mut []);
         assert_eq!(dx.as_slice(), &[1.0, 0.0, 0.0, 0.0]);
     }
 
@@ -419,8 +419,8 @@ mod tests {
     fn maxpool_backward_routes_to_argmax() {
         let mut pool = MaxPool2d::new(Shape3::new(1, 2, 2), 2);
         let x = Matrix::from_vec(1, 4, vec![1.0, 9.0, 3.0, 2.0]);
-        let _ = pool.forward(x.clone(), true);
-        let dx = pool.backward(Matrix::from_vec(1, 1, vec![5.0]));
+        let _ = pool.forward(x.clone(), &[], true);
+        let dx = pool.backward(Matrix::from_vec(1, 1, vec![5.0]), &[], &mut []);
         assert_eq!(dx.as_slice(), &[0.0, 5.0, 0.0, 0.0]);
     }
 
@@ -430,7 +430,7 @@ mod tests {
         assert_eq!(pool.out_shape(), Shape3::new(3, 3, 3));
         // Channel-major: 3 channels × 2 sample blocks of 36.
         let x = Matrix::zeros(3, 2 * 36);
-        let y = pool.forward(x.clone(), true);
+        let y = pool.forward(x.clone(), &[], true);
         assert_eq!((y.rows(), y.cols()), (3, 2 * 9));
     }
 
@@ -443,10 +443,10 @@ mod tests {
         let mut pool = MaxPool2d::new(shape, 2);
         let mut x = Matrix::zeros(2, 3 * 16);
         Rng::new(31).fill_normal(x.as_mut_slice(), 0.0, 1.0);
-        let y = pool.forward(x.clone(), true);
+        let y = pool.forward(x.clone(), &[], true);
         let mut dy = Matrix::zeros(2, 3 * 4);
         Rng::new(32).fill_normal(dy.as_mut_slice(), 0.0, 1.0);
-        let dx = pool.backward(dy.clone());
+        let dx = pool.backward(dy.clone(), &[], &mut []);
         for s in 0..3 {
             // Slice sample s out of the channel-major batch.
             let mut xs = Matrix::zeros(2, 16);
@@ -458,8 +458,8 @@ mod tests {
                     .copy_from_slice(&dy.row(ch)[s * 4..(s + 1) * 4]);
             }
             let mut solo = MaxPool2d::new(shape, 2);
-            let ys = solo.forward(xs, true);
-            let dxs = solo.backward(dys);
+            let ys = solo.forward(xs, &[], true);
+            let dxs = solo.backward(dys, &[], &mut []);
             for ch in 0..2 {
                 assert_eq!(ys.row(ch), &y.row(ch)[s * 4..(s + 1) * 4], "fwd s={s}");
                 assert_eq!(dxs.row(ch), &dx.row(ch)[s * 16..(s + 1) * 16], "bwd s={s}");
@@ -472,10 +472,10 @@ mod tests {
         let mut gap = GlobalAvgPool::new(Shape3::new(2, 2, 2));
         // Channel-major: 2 channel rows × 1 sample block of 4.
         let x = Matrix::from_vec(2, 4, vec![1.0, 2.0, 3.0, 4.0, 10.0, 10.0, 10.0, 10.0]);
-        let y = gap.forward(x.clone(), true);
+        let y = gap.forward(x.clone(), &[], true);
         assert_eq!((y.rows(), y.cols()), (1, 2), "gap output is sample-major");
         assert_eq!(y.as_slice(), &[2.5, 10.0]);
-        let dx = gap.backward(Matrix::from_vec(1, 2, vec![4.0, 8.0]));
+        let dx = gap.backward(Matrix::from_vec(1, 2, vec![4.0, 8.0]), &[], &mut []);
         assert_eq!(dx.as_slice(), &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]);
     }
 
@@ -490,7 +490,7 @@ mod tests {
     fn wrong_layout_panics() {
         let mut pool = MaxPool2d::new(Shape3::new(3, 4, 4), 2);
         // Sample-major batch (2 × 48) has the wrong row count.
-        let _ = pool.forward(Matrix::zeros(2, 48), true);
+        let _ = pool.forward(Matrix::zeros(2, 48), &[], true);
     }
 
     /// (b) The two-stage 2×2 kernel against the generic window loop, bit
@@ -542,7 +542,7 @@ mod tests {
                     *v = palette[pick % palette.len()];
                 }
                 let mut pool = MaxPool2d::new(shape, 2);
-                let y = pool.forward(x.clone(), true);
+                let y = pool.forward(x.clone(), &[], true);
                 let mut want = Matrix::zeros(y.rows(), y.cols());
                 let mut want_arg = vec![0u32; y.len()];
                 pool_windows(&x, shape, 2, &mut want, Some(&mut want_arg));
@@ -553,7 +553,7 @@ mod tests {
 
                 let mut dy = Matrix::zeros(y.rows(), y.cols());
                 rng.fill_normal(dy.as_mut_slice(), 0.0, 1.0);
-                let dx = pool.backward(dy.clone());
+                let dx = pool.backward(dy.clone(), &[], &mut []);
                 let mut want_dx = vec![0.0f32; x.len()];
                 for (&i, &g) in want_arg.iter().zip(dy.as_slice()) {
                     want_dx[i as usize] += g;
@@ -562,7 +562,7 @@ mod tests {
                 assert_eq!(bits(&dx), bits(&want_dx), "{ctx}: backward");
 
                 // The inference forward: same outputs, no argmax kept.
-                let y_inf = pool.forward_inference(x.clone());
+                let y_inf = pool.forward_inference(x.clone(), &[]);
                 assert_eq!(bits(&y_inf), bits(&want), "{ctx}: inference outputs");
                 assert!(pool.argmax.is_empty(), "{ctx}: inference kept argmaxes");
             }
@@ -574,8 +574,8 @@ mod tests {
     fn backward_after_inference_forward_panics() {
         let mut pool = MaxPool2d::new(Shape3::new(1, 2, 2), 2);
         let x = Matrix::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]);
-        let _ = pool.forward(x.clone(), true);
-        let _ = pool.forward_inference(x);
-        let _ = pool.backward(Matrix::from_vec(1, 1, vec![1.0]));
+        let _ = pool.forward(x.clone(), &[], true);
+        let _ = pool.forward_inference(x, &[]);
+        let _ = pool.backward(Matrix::from_vec(1, 1, vec![1.0]), &[], &mut []);
     }
 }

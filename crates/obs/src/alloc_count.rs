@@ -21,16 +21,13 @@ pub struct CountingAlloc;
 thread_local! {
     // Const-init `Cell`s carry no destructor and no lazy initialization,
     // so the allocator can touch them without recursing.
-    static MIN_BYTES: Cell<usize> = const { Cell::new(0) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static LARGE_BYTES: Cell<usize> = const { Cell::new(usize::MAX) };
     static LARGE_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn record(size: usize) {
-    if MIN_BYTES.try_with(Cell::get).is_ok_and(|min| size >= min) {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-    }
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
     if LARGE_BYTES
         .try_with(Cell::get)
         .is_ok_and(|large| size >= large)
@@ -58,15 +55,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-/// This thread's allocations of at least [`set_min_bytes`] bytes (every
-/// allocation, by default).
+/// This thread's allocations.
 pub fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
-}
-
-/// Excludes this thread's allocations below `bytes` from [`allocs`].
-pub fn set_min_bytes(bytes: usize) {
-    MIN_BYTES.with(|c| c.set(bytes));
 }
 
 /// This thread's allocations of at least [`set_large_bytes`] bytes (none

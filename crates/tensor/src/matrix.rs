@@ -122,6 +122,16 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// The whole matrix as a GEMM operand.
+    pub fn view(&self) -> MatRef<'_> {
+        MatRef::new(self.rows, self.cols, &self.data)
+    }
+
+    /// The whole matrix as a GEMM output.
+    pub fn view_mut(&mut self) -> MatMut<'_> {
+        MatMut::new(self.rows, self.cols, &mut self.data)
+    }
+
     /// Transposed copy.
     pub fn transposed(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -257,6 +267,41 @@ impl Matrix {
             }
         }
         out
+    }
+}
+
+/// A borrowed row-major `rows × cols` GEMM operand: a [`Matrix::view`],
+/// or a window of a flat buffer such as a model's parameter arena.
+#[derive(Debug, Clone, Copy)]
+pub struct MatRef<'a> {
+    rows: usize,
+    cols: usize,
+    data: &'a [f32],
+}
+
+impl<'a> MatRef<'a> {
+    /// Views `data` as `rows × cols`; panics unless it has `rows · cols`
+    /// entries.
+    pub fn new(rows: usize, cols: usize, data: &'a [f32]) -> Self {
+        assert_eq!(data.len(), rows * cols, "MatRef::new: size mismatch");
+        MatRef { rows, cols, data }
+    }
+}
+
+/// The writable [`MatRef`]: a GEMM output.
+#[derive(Debug)]
+pub struct MatMut<'a> {
+    rows: usize,
+    cols: usize,
+    data: &'a mut [f32],
+}
+
+impl<'a> MatMut<'a> {
+    /// Views `data` as `rows × cols`; panics unless it has `rows · cols`
+    /// entries.
+    pub fn new(rows: usize, cols: usize, data: &'a mut [f32]) -> Self {
+        assert_eq!(data.len(), rows * cols, "MatMut::new: size mismatch");
+        MatMut { rows, cols, data }
     }
 }
 
@@ -931,10 +976,10 @@ fn gemm_driver(
 
 /// Shared `a·b` shape validation (kept separate so the overwrite entry
 /// points can check before clearing the output).
-fn assert_shapes(a: &Matrix, b: &Matrix, out: &Matrix) {
+fn assert_shapes(a: MatRef, b: MatRef, out_rows: usize, out_cols: usize) {
     assert_eq!(a.cols, b.rows, "gemm: inner dimension mismatch");
-    assert_eq!(out.rows, a.rows, "gemm: output rows mismatch");
-    assert_eq!(out.cols, b.cols, "gemm: output cols mismatch");
+    assert_eq!(out_rows, a.rows, "gemm: output rows mismatch");
+    assert_eq!(out_cols, b.cols, "gemm: output cols mismatch");
 }
 
 /// `out ← a · b` (shapes `m×k`, `k×n` → `m×n`), overwriting `out`, with a
@@ -944,18 +989,20 @@ fn assert_shapes(a: &Matrix, b: &Matrix, out: &Matrix) {
 /// Panics on any shape mismatch.
 pub fn gemm_into_with(a: &Matrix, b: &Matrix, out: &mut Matrix, scratch: &mut Scratch) {
     // Validate before mutating: a shape mismatch must not clobber `out`.
-    assert_shapes(a, b, out);
+    assert_shapes(a.view(), b.view(), out.rows, out.cols);
     out.clear();
-    gemm_accumulate_with(a, b, out, scratch);
+    gemm_accumulate_with(a.view(), b.view(), out.view_mut(), scratch);
 }
 
 /// `out ← out + a · b` — the accumulate form used for gradient accumulation.
 pub(crate) fn gemm_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    TL_SCRATCH.with(|s| gemm_accumulate_with(a, b, out, &mut s.borrow_mut()));
+    TL_SCRATCH
+        .with(|s| gemm_accumulate_with(a.view(), b.view(), out.view_mut(), &mut s.borrow_mut()));
 }
 
-/// [`gemm_accumulate`] with a caller-owned packing arena.
-pub fn gemm_accumulate_with(a: &Matrix, b: &Matrix, out: &mut Matrix, scratch: &mut Scratch) {
+/// [`gemm_accumulate`] on borrowed operands, with a caller-owned packing
+/// arena.
+pub fn gemm_accumulate_with(a: MatRef, b: MatRef, out: MatMut, scratch: &mut Scratch) {
     gemm_accumulate_with_kernel(simd::kernels(), a, b, out, scratch);
 }
 
@@ -964,24 +1011,24 @@ pub fn gemm_accumulate_with(a: &Matrix, b: &Matrix, out: &mut Matrix, scratch: &
 /// ISA arm in one process (obtain tables via [`simd::all_supported`]).
 pub fn gemm_accumulate_with_kernel(
     kn: &Kernels,
-    a: &Matrix,
-    b: &Matrix,
-    out: &mut Matrix,
+    a: MatRef,
+    b: MatRef,
+    out: MatMut,
     scratch: &mut Scratch,
 ) {
-    assert_shapes(a, b, out);
+    assert_shapes(a, b, out.rows, out.cols);
     gemm_driver(
         kn,
         a.rows,
         b.cols,
         a.cols,
-        &a.data,
+        a.data,
         a.cols,
         Layout::Normal,
-        &b.data,
+        b.data,
         b.cols,
         Layout::Normal,
-        &mut out.data,
+        out.data,
         b.cols,
         scratch,
     );
@@ -1032,9 +1079,9 @@ pub fn column_chunks(
 /// # Panics
 /// Panics on a shape mismatch or a window past `out`'s last column.
 pub fn gemm_accumulate_cols_with(
-    a: &Matrix,
-    b: &Matrix,
-    out: &mut Matrix,
+    a: MatRef,
+    b: MatRef,
+    out: MatMut,
     j0: usize,
     scratch: &mut Scratch,
 ) {
@@ -1054,10 +1101,10 @@ pub fn gemm_accumulate_cols_with(
         a.rows,
         b.cols,
         a.cols,
-        &a.data,
+        a.data,
         a.cols,
         Layout::Normal,
-        &b.data,
+        b.data,
         b.cols,
         Layout::Normal,
         &mut out.data[j0..],
@@ -1078,7 +1125,7 @@ pub fn gemm(a: &Matrix, b: &Matrix) -> Matrix {
 ///
 /// Shapes: `a` is `k×m`, `b` is `k×n`, `out` is `m×n`. Used by dense-layer
 /// weight gradients (`dW = xᵀ · dy`).
-pub fn gemm_at_b_accumulate_with(a: &Matrix, b: &Matrix, out: &mut Matrix, scratch: &mut Scratch) {
+pub fn gemm_at_b_accumulate_with(a: MatRef, b: MatRef, out: MatMut, scratch: &mut Scratch) {
     gemm_at_b_accumulate_with_kernel(simd::kernels(), a, b, out, scratch);
 }
 
@@ -1086,9 +1133,9 @@ pub fn gemm_at_b_accumulate_with(a: &Matrix, b: &Matrix, out: &mut Matrix, scrat
 /// support (see [`gemm_accumulate_with_kernel`]).
 pub fn gemm_at_b_accumulate_with_kernel(
     kn: &Kernels,
-    a: &Matrix,
-    b: &Matrix,
-    out: &mut Matrix,
+    a: MatRef,
+    b: MatRef,
+    out: MatMut,
     scratch: &mut Scratch,
 ) {
     assert_eq!(a.rows, b.rows, "gemm_at_b: row mismatch");
@@ -1099,13 +1146,13 @@ pub fn gemm_at_b_accumulate_with_kernel(
         a.cols,
         b.cols,
         a.rows,
-        &a.data,
+        a.data,
         a.cols,
         Layout::Transposed,
-        &b.data,
+        b.data,
         b.cols,
         Layout::Normal,
-        &mut out.data,
+        out.data,
         b.cols,
         scratch,
     );
@@ -1116,7 +1163,7 @@ pub fn gemm_at_b_accumulate_with_kernel(
 ///
 /// Shapes: `a` is `m×k`, `b` is `n×k`, `out` is `m×n`. Used by dense-layer
 /// input gradients (`dx = dy · Wᵀ`).
-pub fn gemm_a_bt_accumulate_with(a: &Matrix, b: &Matrix, out: &mut Matrix, scratch: &mut Scratch) {
+pub fn gemm_a_bt_accumulate_with(a: MatRef, b: MatRef, out: MatMut, scratch: &mut Scratch) {
     gemm_a_bt_accumulate_with_kernel(simd::kernels(), a, b, out, scratch);
 }
 
@@ -1124,9 +1171,9 @@ pub fn gemm_a_bt_accumulate_with(a: &Matrix, b: &Matrix, out: &mut Matrix, scrat
 /// support (see [`gemm_accumulate_with_kernel`]).
 pub fn gemm_a_bt_accumulate_with_kernel(
     kn: &Kernels,
-    a: &Matrix,
-    b: &Matrix,
-    out: &mut Matrix,
+    a: MatRef,
+    b: MatRef,
+    out: MatMut,
     scratch: &mut Scratch,
 ) {
     assert_eq!(a.cols, b.cols, "gemm_a_bt: inner dimension mismatch");
@@ -1137,13 +1184,13 @@ pub fn gemm_a_bt_accumulate_with_kernel(
         a.rows,
         b.rows,
         a.cols,
-        &a.data,
+        a.data,
         a.cols,
         Layout::Normal,
-        &b.data,
+        b.data,
         b.cols,
         Layout::Transposed,
-        &mut out.data,
+        out.data,
         b.rows,
         scratch,
     );
@@ -1259,7 +1306,7 @@ mod tests {
         let a = Matrix::random_normal(6, 3, 0.0, 1.0, &mut rng);
         let b = Matrix::random_normal(6, 4, 0.0, 1.0, &mut rng);
         let mut fast = Matrix::zeros(3, 4);
-        gemm_at_b_accumulate_with(&a, &b, &mut fast, &mut Scratch::new());
+        gemm_at_b_accumulate_with(a.view(), b.view(), fast.view_mut(), &mut Scratch::new());
         let slow = gemm(&a.transposed(), &b);
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
             assert!((x - y).abs() < 1e-4);
@@ -1272,7 +1319,7 @@ mod tests {
         let a = Matrix::random_normal(5, 3, 0.0, 1.0, &mut rng);
         let b = Matrix::random_normal(7, 3, 0.0, 1.0, &mut rng);
         let mut fast = Matrix::zeros(5, 7);
-        gemm_a_bt_accumulate_with(&a, &b, &mut fast, &mut Scratch::new());
+        gemm_a_bt_accumulate_with(a.view(), b.view(), fast.view_mut(), &mut Scratch::new());
         let slow = gemm(&a, &b.transposed());
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
             assert!((x - y).abs() < 1e-4);
@@ -1367,7 +1414,7 @@ mod tests {
             let at = a.transposed();
             let mut fast_t = Matrix::zeros(m, n);
             let mut slow_t = Matrix::zeros(m, n);
-            gemm_at_b_accumulate_with(&at, &b, &mut fast_t, &mut scratch);
+            gemm_at_b_accumulate_with(at.view(), b.view(), fast_t.view_mut(), &mut scratch);
             naive::gemm_at_b_accumulate(&at, &b, &mut slow_t);
             assert_close(&fast_t, &slow_t, k, &format!("{ctx} (at_b)"));
 
@@ -1375,7 +1422,7 @@ mod tests {
             let bt = b.transposed();
             let mut fast_bt = Matrix::zeros(m, n);
             let mut slow_bt = Matrix::zeros(m, n);
-            gemm_a_bt_accumulate_with(&a, &bt, &mut fast_bt, &mut scratch);
+            gemm_a_bt_accumulate_with(a.view(), bt.view(), fast_bt.view_mut(), &mut scratch);
             naive::gemm_a_bt_accumulate(&a, &bt, &mut slow_bt);
             assert_close(&fast_bt, &slow_bt, k, &format!("{ctx} (a_bt)"));
         }
@@ -1429,12 +1476,12 @@ mod tests {
         let b = Matrix::random_normal(70, 45, 0.0, 1.0, &mut rng);
         let mut scratch = Scratch::new();
         let mut with_scratch = Matrix::zeros(33, 45);
-        gemm_accumulate_with(&a, &b, &mut with_scratch, &mut scratch);
+        gemm_accumulate_with(a.view(), b.view(), with_scratch.view_mut(), &mut scratch);
         let auto = gemm(&a, &b);
         assert_eq!(with_scratch.as_slice(), auto.as_slice());
         let cap = (scratch.a_pack.capacity(), scratch.b_pack.capacity());
         let mut second = Matrix::zeros(33, 45);
-        gemm_accumulate_with(&a, &b, &mut second, &mut scratch);
+        gemm_accumulate_with(a.view(), b.view(), second.view_mut(), &mut scratch);
         assert_eq!(
             (scratch.a_pack.capacity(), scratch.b_pack.capacity()),
             cap,
@@ -1568,7 +1615,12 @@ mod tests {
                 gemm_accumulate(&a, &b, &mut public);
                 assert_eq!(bits(&public), bits(&want), "{ctx}: gemm_accumulate");
                 let mut public_t = seed.clone();
-                gemm_at_b_accumulate_with(&at, &b, &mut public_t, &mut Scratch::new());
+                gemm_at_b_accumulate_with(
+                    at.view(),
+                    b.view(),
+                    public_t.view_mut(),
+                    &mut Scratch::new(),
+                );
                 assert_eq!(
                     bits(&public_t),
                     bits(&want_t),
@@ -1651,7 +1703,13 @@ mod tests {
                             &mut want.data,
                         );
                         let mut got = seed.clone();
-                        gemm_a_bt_accumulate_with_kernel(kn, &a, &b, &mut got, &mut scratch);
+                        gemm_a_bt_accumulate_with_kernel(
+                            kn,
+                            a.view(),
+                            b.view(),
+                            got.view_mut(),
+                            &mut scratch,
+                        );
                         assert!(
                             same_bits(got.as_slice(), want.as_slice()),
                             "{} {m}×{n} k={k}",
@@ -1674,7 +1732,13 @@ mod tests {
         let b = Matrix::random_normal(n, k, 0.0, 1.0, &mut rng);
         for kn in simd::all_supported() {
             let mut out = Matrix::zeros(m, n);
-            gemm_a_bt_accumulate_with_kernel(kn, &a, &b, &mut out, &mut Scratch::new());
+            gemm_a_bt_accumulate_with_kernel(
+                kn,
+                a.view(),
+                b.view(),
+                out.view_mut(),
+                &mut Scratch::new(),
+            );
             for i in 0..m {
                 for j in 0..n {
                     if i == m - 1 || j == n - 1 {
@@ -1772,7 +1836,7 @@ mod tests {
                     let a = Matrix::random_normal(m, k, 0.0, 1.0, &mut rng);
                     let b = Matrix::random_normal(k, n, 0.0, 1.0, &mut rng);
                     let mut want = Matrix::zeros(m, n);
-                    gemm_accumulate_with(&a, &b, &mut want, &mut scratch);
+                    gemm_accumulate_with(a.view(), b.view(), want.view_mut(), &mut scratch);
                     let mut got = Matrix::zeros(m, n);
                     let mut next = 0;
                     for span in column_chunks(m, k, n, granule, target) {
@@ -1783,7 +1847,13 @@ mod tests {
                         for p in 0..k {
                             part.row_mut(p).copy_from_slice(&b.row(p)[span.clone()]);
                         }
-                        gemm_accumulate_cols_with(&a, &part, &mut got, span.start, &mut scratch);
+                        gemm_accumulate_cols_with(
+                            a.view(),
+                            part.view(),
+                            got.view_mut(),
+                            span.start,
+                            &mut scratch,
+                        );
                     }
                     assert_eq!(next, n, "{ctx}: ranges must cover 0..n");
                     assert!(same_bits(got.as_slice(), want.as_slice()), "{ctx}");

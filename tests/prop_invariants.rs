@@ -919,13 +919,13 @@ fn dispatched_gemm_matches_reference_under_every_kernel_arm() {
                 }
             };
             let mut out = Matrix::zeros(m, n);
-            gemm_accumulate_with_kernel(kn, &a, &b, &mut out, &mut scratch);
+            gemm_accumulate_with_kernel(kn, a.view(), b.view(), out.view_mut(), &mut scratch);
             check(&out, "a_b");
             let mut out = Matrix::zeros(m, n);
-            gemm_at_b_accumulate_with_kernel(kn, &at, &b, &mut out, &mut scratch);
+            gemm_at_b_accumulate_with_kernel(kn, at.view(), b.view(), out.view_mut(), &mut scratch);
             check(&out, "at_b");
             let mut out = Matrix::zeros(m, n);
-            gemm_a_bt_accumulate_with_kernel(kn, &a, &bt, &mut out, &mut scratch);
+            gemm_a_bt_accumulate_with_kernel(kn, a.view(), bt.view(), out.view_mut(), &mut scratch);
             check(&out, "a_bt");
         }
     }
