@@ -25,11 +25,11 @@
 
 use crate::cluster::{each_worker, Cluster, ClusterConfig};
 use crate::monitor::{ExactMonitor, LinearMonitor, LocalState, SketchMonitor, VarianceMonitor};
-use crate::round::{self, Server};
+use crate::round::{self, RoundLedger, RunLedger, Server};
 use crate::strategy::{StepOutcome, Strategy};
 use fda_comm::{CodecSpec, DownlinkSpec};
 use fda_data::TaskData;
-use fda_obs::{JsonlWriter, MembershipRecord, RoundEvent, RunEvent};
+use fda_obs::{JsonlWriter, MembershipRecord};
 use fda_sketch::SketchConfig;
 
 /// Registry histogram fed by phase 1 of every [`Fda::step`] (local
@@ -46,8 +46,7 @@ pub const HIST_ALLREDUCE_US: &str = "fda_step_allreduce_us";
 /// Per-round telemetry attached via [`Strategy::set_telemetry`].
 struct TelemetrySession {
     writer: JsonlWriter,
-    rounds: u32,
-    decisions: String,
+    decisions: Vec<bool>,
 }
 
 /// Which FDA variant to run.
@@ -229,36 +228,23 @@ impl Fda {
     /// bracket the state charge, so byte deltas are exact per frame kind;
     /// the simulator's measured total *is* its charged total (there is no
     /// socket to measure).
-    fn emit_round_event(
-        &mut self,
-        charged_before: u64,
-        charged_mid: u64,
-        synced: bool,
-        estimate: f32,
-    ) {
-        let alive = self.cluster.workers() as u32;
-        let theta = self.server.theta();
-        let codec = self.server.uplink().name().to_string();
-        let charged_total = self.cluster.comm_bytes();
+    fn emit_round_event(&mut self, charged_before: u64, charged_mid: u64, synced: bool) {
+        let charged = self.cluster.comm_bytes();
+        let ledger = RoundLedger {
+            source: "sim",
+            epoch: 1,
+            alive: self.cluster.workers() as u32,
+            state_bytes: charged_mid - charged_before,
+            model_bytes: charged - charged_mid,
+            charged_bytes: charged,
+            measured_bytes: charged,
+            deposit_us: Vec::new(),
+            drops: Vec::new(),
+        };
         if let Some(sess) = &mut self.telemetry {
-            sess.rounds += 1;
-            sess.decisions.push(if synced { '1' } else { '0' });
-            let event = RoundEvent {
-                source: "sim".into(),
-                round: sess.rounds,
-                epoch: 1,
-                alive,
-                decision: synced,
-                estimate,
-                theta,
-                codec,
-                state_bytes: charged_mid - charged_before,
-                model_bytes: charged_total - charged_mid,
-                charged_bytes: charged_total,
-                measured_bytes: charged_total,
-                deposit_us: Vec::new(),
-                drops: Vec::new(),
-            };
+            sess.decisions.push(synced);
+            let round = sess.decisions.len() as u32;
+            let event = self.server.round_event(round, ledger);
             let _ = sess.writer.write(&event.to_json());
         }
     }
@@ -268,19 +254,17 @@ impl Fda {
     fn emit_run_event(&mut self, mut sess: TelemetrySession) {
         let charged = self.cluster.comm_bytes();
         let workers = self.cluster.workers() as u32;
-        let event = RunEvent {
-            source: "sim".into(),
+        let event = round::run_event(RunLedger {
+            source: "sim",
             workers,
-            variant: self.name.clone(),
+            variant: &self.name,
             theta: self.server.theta(),
-            steps: sess.rounds,
+            codec: self.server.uplink().name(),
             syncs: self.server.syncs(),
-            decisions: std::mem::take(&mut sess.decisions),
-            codec: self.server.uplink().name().to_string(),
+            decisions: &sess.decisions,
             charged_bytes: charged,
             measured_payload_bytes: charged,
-            raw_tx_bytes: 0,
-            raw_rx_bytes: 0,
+            raw_bytes: (0, 0),
             survivors: (0..workers).collect(),
             membership: (0..workers)
                 .map(|w| MembershipRecord {
@@ -289,7 +273,7 @@ impl Fda {
                     event: "join".into(),
                 })
                 .collect(),
-        };
+        });
         let _ = sess.writer.write(&event.to_json());
         let _ = sess.writer.flush();
     }
@@ -353,7 +337,7 @@ impl Strategy for Fda {
         }
 
         if self.telemetry.is_some() {
-            self.emit_round_event(charged_before, charged_mid, synced, estimate);
+            self.emit_round_event(charged_before, charged_mid, synced);
         }
 
         StepOutcome {
@@ -369,8 +353,7 @@ impl Strategy for Fda {
         }
         self.telemetry = sink.map(|writer| TelemetrySession {
             writer,
-            rounds: 0,
-            decisions: String::new(),
+            decisions: Vec::new(),
         });
         true
     }

@@ -45,6 +45,7 @@ use fda_comm::{
     apply_delta_downlink_into, delta_downlink_into, Codec, CodecSpec, Dense32, DownlinkSpec,
     SimNetwork,
 };
+use fda_obs::{DropRecord, MembershipRecord, RoundEvent, RunEvent};
 use fda_optim::Optimizer;
 use fda_tensor::vector;
 
@@ -154,6 +155,8 @@ pub struct Server {
     payload: Vec<u8>,
     /// The decision broadcast, `[sync u8][dense S̄]`.
     decision: Vec<u8>,
+    /// `(H(S̄), sync)` of the last [`Server::decide`], for its round record.
+    last: (f32, bool),
     syncs: u64,
 }
 
@@ -203,6 +206,7 @@ impl Server {
             recon: Vec::new(),
             payload: Vec::new(),
             decision: Vec::new(),
+            last: (f32::NAN, false),
             syncs: 0,
         }
     }
@@ -296,6 +300,17 @@ impl Server {
     /// Panics if a monitor's `states` are empty or not all of its shape;
     /// transports validate deposits first.
     pub fn decide(
+        &mut self,
+        net: &mut SimNetwork,
+        pool: Option<&mut WorkerPool>,
+        states: &[&LocalState],
+        payloads: &[u64],
+    ) -> (f32, bool) {
+        self.last = self.reduce_states(net, pool, states, payloads);
+        self.last
+    }
+
+    fn reduce_states(
         &mut self,
         net: &mut SimNetwork,
         pool: Option<&mut WorkerPool>,
@@ -407,6 +422,108 @@ impl Server {
             Dense32.encode_into(&self.consensus, &mut self.payload);
         }
         &self.payload
+    }
+
+    /// The record of the round the last [`Server::decide`] decided: its
+    /// decision and estimate, Θ and the uplink codec come from here, the
+    /// rest from the driver's `ledger`. The one place a round record is
+    /// built, for the simulator and the socket alike.
+    pub fn round_event(&self, round: u32, ledger: RoundLedger) -> RoundEvent {
+        let (estimate, decision) = self.last;
+        RoundEvent {
+            source: ledger.source.into(),
+            round,
+            epoch: ledger.epoch,
+            alive: ledger.alive,
+            decision,
+            estimate,
+            theta: self.theta(),
+            codec: self.uplink.name().into(),
+            state_bytes: ledger.state_bytes,
+            model_bytes: ledger.model_bytes,
+            charged_bytes: ledger.charged_bytes,
+            measured_bytes: ledger.measured_bytes,
+            deposit_us: ledger.deposit_us,
+            drops: ledger.drops,
+        }
+    }
+}
+
+/// A driver's share of one round record ([`Server::round_event`]): who
+/// took part, and the bytes the round charged and measured.
+#[derive(Debug, Clone)]
+pub struct RoundLedger {
+    /// `"sim"` or `"net"`.
+    pub source: &'static str,
+    /// The membership epoch after the round.
+    pub epoch: u32,
+    /// Workers in the round's reduce.
+    pub alive: u32,
+    /// This round's state payload bytes.
+    pub state_bytes: u64,
+    /// This round's model payload bytes.
+    pub model_bytes: u64,
+    /// Cumulative charged bytes after the round.
+    pub charged_bytes: u64,
+    /// Cumulative measured payload bytes after the round.
+    pub measured_bytes: u64,
+    /// `(worker, µs)` deposit latencies; empty without deposits.
+    pub deposit_us: Vec<(u32, u64)>,
+    /// Workers dropped during the round.
+    pub drops: Vec<DropRecord>,
+}
+
+/// A driver's account of a finished run, for [`run_event`].
+#[derive(Debug, Clone)]
+pub struct RunLedger<'a> {
+    /// `"sim"` or `"net"`.
+    pub source: &'static str,
+    /// Workers the run started with.
+    pub workers: u32,
+    /// The sync policy's name.
+    pub variant: &'a str,
+    /// Θ; NaN without a monitor.
+    pub theta: f32,
+    /// The uplink codec's name.
+    pub codec: &'a str,
+    /// Synchronizations committed.
+    pub syncs: u64,
+    /// Every round's decision, in order.
+    pub decisions: &'a [bool],
+    /// Bytes charged under the simulator's convention.
+    pub charged_bytes: u64,
+    /// Payload bytes measured on a fabric; the charged bytes without one.
+    pub measured_payload_bytes: u64,
+    /// Raw `(tx, rx)` socket bytes; zero without sockets.
+    pub raw_bytes: (u64, u64),
+    /// Workers that finished, ascending.
+    pub survivors: Vec<u32>,
+    /// Every membership change.
+    pub membership: Vec<MembershipRecord>,
+}
+
+/// The end-of-run record of any driver: one round per decision, and the
+/// decisions as a `'0'`/`'1'` string.
+pub fn run_event(ledger: RunLedger) -> RunEvent {
+    RunEvent {
+        source: ledger.source.into(),
+        workers: ledger.workers,
+        variant: ledger.variant.into(),
+        theta: ledger.theta,
+        steps: ledger.decisions.len() as u32,
+        syncs: ledger.syncs,
+        decisions: ledger
+            .decisions
+            .iter()
+            .map(|&d| if d { '1' } else { '0' })
+            .collect(),
+        codec: ledger.codec.into(),
+        charged_bytes: ledger.charged_bytes,
+        measured_payload_bytes: ledger.measured_payload_bytes,
+        raw_tx_bytes: ledger.raw_bytes.0,
+        raw_rx_bytes: ledger.raw_bytes.1,
+        survivors: ledger.survivors,
+        membership: ledger.membership,
     }
 }
 

@@ -8,10 +8,13 @@
 //!
 //! Faults are injected at the message layer, step-indexed: each
 //! [`FaultAction`] fires when the worker is about to upload the state for
-//! a given step. That keeps the schedule independent of TCP segmentation
-//! and buffering, which a byte- or frame-counting stream wrapper would
-//! couple it to.
+//! a given step — the worker driver filters the machine's `State` send
+//! through `send_state`. That keeps the schedule independent of TCP
+//! segmentation and buffering, which a byte- or frame-counting stream
+//! wrapper would couple it to.
 
+use crate::frame::{encode_frame, FrameHead, FrameKind, Link, NetError};
+use std::io::Write as _;
 use std::time::Duration;
 
 /// Exit code a spawned worker process uses when a scripted fault tells it
@@ -70,7 +73,7 @@ impl FaultAction {
 
     /// Whether the fault is terminal for the connection (the worker will
     /// not complete the run on this connection).
-    pub fn is_terminal(&self) -> bool {
+    pub(crate) fn is_terminal(&self) -> bool {
         !matches!(self, FaultAction::StallState { .. })
     }
 
@@ -118,6 +121,60 @@ impl FaultAction {
             _ => Err(format!("fault spec '{s}': unknown kind or missing arg")),
         }
     }
+}
+
+/// Sends step `step`'s `State` frame through every scripted fault anchored
+/// to it: stalls first, then at most one terminal action in place of (or
+/// around) the clean send. `payload` is the already codec-encoded state —
+/// faults mangle the exact bytes a clean send would have produced.
+/// Returns the terminal action that ended the session, if one did; a
+/// truncation is the disconnect the coordinator also observes, so the
+/// rejoin machinery takes over.
+pub(crate) fn send_state(
+    link: &mut Link,
+    faults: &[FaultAction],
+    step: u32,
+    epoch: u32,
+    payload: &[u8],
+) -> Result<Option<FaultAction>, NetError> {
+    let mut actions: Vec<FaultAction> = faults
+        .iter()
+        .filter(|a| a.step() == step)
+        .copied()
+        .collect();
+    actions.sort_by_key(|a| a.is_terminal()); // stalls first, then at most one terminal
+    for action in actions {
+        match action {
+            FaultAction::StallState { ms, .. } => {
+                std::thread::sleep(Duration::from_millis(u64::from(ms)))
+            }
+            FaultAction::KillBeforeState(_) | FaultAction::ExitBeforeState(_) => {
+                return Ok(Some(action))
+            }
+            FaultAction::FlipStateBit { bit, .. } => {
+                // Corrupt the frame past the length field so the coordinator
+                // reads a complete frame and the checksum — not a short read
+                // — must catch it.
+                let mut frame = encode_frame(epoch, FrameKind::State, payload)?;
+                let b = bit as usize % ((frame.len() - 4) * 8);
+                frame[4 + b / 8] ^= 1 << (b % 8);
+                link.stream.write_all(&frame)?;
+                return Ok(None);
+            }
+            FaultAction::TruncateState { keep, .. } => {
+                let frame = encode_frame(epoch, FrameKind::State, payload)?;
+                link.stream
+                    .write_all(&frame[..(keep as usize).min(frame.len() - 1)])?;
+                let cut = std::io::ErrorKind::ConnectionAborted;
+                return Err(NetError::Disconnect(std::io::Error::new(
+                    cut,
+                    "scripted mid-frame truncation",
+                )));
+            }
+        }
+    }
+    link.write(&FrameHead::new(epoch, FrameKind::State, payload)?, payload)?;
+    Ok(None)
 }
 
 /// A full, replayable chaos schedule: per-worker faults plus the rounds at

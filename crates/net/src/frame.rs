@@ -40,6 +40,8 @@
 
 use fda_core::wire::DecodeError;
 use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 
 /// Protocol version exchanged in the hello handshake. Bump on any frame
 /// or payload layout change.
@@ -289,108 +291,74 @@ mod crc32c {
     }
 }
 
-/// Frame types of the coordinator/worker protocol, in handshake order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum FrameKind {
+/// Declares [`FrameKind`] from one table — variant, wire byte, label — so
+/// the label, the wire byte and the per-kind byte counter names
+/// (`net_{tx,rx}_bytes_<label>`) cannot drift apart.
+macro_rules! frame_kinds {
+    ($($(#[$doc:meta])* $kind:ident = $byte:literal, $label:literal;)*) => {
+        /// Frame types of the coordinator/worker protocol, in handshake order.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum FrameKind {
+            $($(#[$doc])* $kind = $byte,)*
+        }
+
+        impl FrameKind {
+            /// Lowercase label for metrics and event records.
+            pub fn label(&self) -> &'static str {
+                match self { $(FrameKind::$kind => $label,)* }
+            }
+
+            /// Per-kind transmit byte counter name (frame image bytes,
+            /// framing included) — fed by [`write_frame`].
+            fn tx_counter(&self) -> &'static str {
+                match self { $(FrameKind::$kind => concat!("net_tx_bytes_", $label),)* }
+            }
+
+            /// Per-kind receive byte counter name — fed by [`read_frame_into`].
+            fn rx_counter(&self) -> &'static str {
+                match self { $(FrameKind::$kind => concat!("net_rx_bytes_", $label),)* }
+            }
+
+            fn from_u8(b: u8) -> Option<FrameKind> {
+                match b { $($byte => Some(FrameKind::$kind),)* _ => None }
+            }
+        }
+    };
+}
+
+frame_kinds! {
     /// Worker → coordinator: protocol version + worker id + last-seen
     /// membership epoch (0 on a fresh join).
-    Hello = 1,
+    Hello = 1, "hello";
     /// Coordinator → worker: the job config (`wire::encode_job`).
-    Config = 2,
+    Config = 2, "config";
     /// Worker → coordinator: one round's local state
     /// (`wire::encode_state_coded` in the job's codec).
-    State = 3,
+    State = 3, "state";
     /// Coordinator → worker: sync decision + averaged state, `[sync u8]`
     /// then the dense state (`round::Server::avg_state_payload`).
-    AvgState = 4,
+    AvgState = 4, "avg_state";
     /// Worker → coordinator: full model parameters for a synchronization
     /// (`wire::encode_vector_coded` in the job's codec).
-    Model = 5,
+    Model = 5, "model";
     /// Coordinator → worker: the AllReduced consensus model.
-    AvgModel = 6,
+    AvgModel = 6, "avg_model";
     /// Worker → coordinator: final replica parameters after the last step,
     /// a dense vector (evaluation traffic — uncharged, like
     /// `Cluster::average_params`).
-    FinalModel = 7,
+    FinalModel = 7, "final_model";
     /// Coordinator → worker: run complete, close the connection.
-    Shutdown = 8,
+    Shutdown = 8, "shutdown";
     /// Coordinator → worker: versioned state handoff on (re)join — the
     /// round to resume from, the consensus model, and (when a sync has
     /// happened) the previous consensus for monitor reconstruction.
-    Resume = 9,
+    Resume = 9, "resume";
     /// Coordinator → worker: the downlink-codec-encoded delta between the
     /// previous consensus model and the round's AllReduce mean. Only sent
     /// when the job's `DownlinkSpec` is delta mode; rejoins still receive
     /// a dense `Resume`, so the handoff stays bitwise-exact.
-    AvgModelDelta = 10,
-}
-
-impl FrameKind {
-    /// Lowercase label for metrics and event records.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FrameKind::Hello => "hello",
-            FrameKind::Config => "config",
-            FrameKind::State => "state",
-            FrameKind::AvgState => "avg_state",
-            FrameKind::Model => "model",
-            FrameKind::AvgModel => "avg_model",
-            FrameKind::FinalModel => "final_model",
-            FrameKind::Shutdown => "shutdown",
-            FrameKind::Resume => "resume",
-            FrameKind::AvgModelDelta => "avg_model_delta",
-        }
-    }
-
-    /// Per-kind transmit byte counter name (frame image bytes, framing
-    /// included) — fed by [`write_frame`].
-    fn tx_counter(&self) -> &'static str {
-        match self {
-            FrameKind::Hello => "net_tx_bytes_hello",
-            FrameKind::Config => "net_tx_bytes_config",
-            FrameKind::State => "net_tx_bytes_state",
-            FrameKind::AvgState => "net_tx_bytes_avg_state",
-            FrameKind::Model => "net_tx_bytes_model",
-            FrameKind::AvgModel => "net_tx_bytes_avg_model",
-            FrameKind::FinalModel => "net_tx_bytes_final_model",
-            FrameKind::Shutdown => "net_tx_bytes_shutdown",
-            FrameKind::Resume => "net_tx_bytes_resume",
-            FrameKind::AvgModelDelta => "net_tx_bytes_avg_model_delta",
-        }
-    }
-
-    /// Per-kind receive byte counter name — fed by [`read_frame_into`].
-    fn rx_counter(&self) -> &'static str {
-        match self {
-            FrameKind::Hello => "net_rx_bytes_hello",
-            FrameKind::Config => "net_rx_bytes_config",
-            FrameKind::State => "net_rx_bytes_state",
-            FrameKind::AvgState => "net_rx_bytes_avg_state",
-            FrameKind::Model => "net_rx_bytes_model",
-            FrameKind::AvgModel => "net_rx_bytes_avg_model",
-            FrameKind::FinalModel => "net_rx_bytes_final_model",
-            FrameKind::Shutdown => "net_rx_bytes_shutdown",
-            FrameKind::Resume => "net_rx_bytes_resume",
-            FrameKind::AvgModelDelta => "net_rx_bytes_avg_model_delta",
-        }
-    }
-
-    fn from_u8(b: u8) -> Option<FrameKind> {
-        match b {
-            1 => Some(FrameKind::Hello),
-            2 => Some(FrameKind::Config),
-            3 => Some(FrameKind::State),
-            4 => Some(FrameKind::AvgState),
-            5 => Some(FrameKind::Model),
-            6 => Some(FrameKind::AvgModel),
-            7 => Some(FrameKind::FinalModel),
-            8 => Some(FrameKind::Shutdown),
-            9 => Some(FrameKind::Resume),
-            10 => Some(FrameKind::AvgModelDelta),
-            _ => None,
-        }
-    }
+    AvgModelDelta = 10, "avg_model_delta";
 }
 
 /// Errors of the socket transport, split by what the retry policy and the
@@ -488,7 +456,7 @@ impl From<DecodeError> for NetError {
 /// A byte stream with transmit/receive byte counters — the probe that
 /// turns "charged" traffic accounting into *measured* accounting. Counts
 /// every byte that crosses the wrapped stream, framing included.
-pub struct CountingStream<S> {
+pub(crate) struct CountingStream<S> {
     inner: S,
     tx: u64,
     rx: u64,
@@ -515,7 +483,7 @@ impl<S> CountingStream<S> {
     }
 
     /// The wrapped stream.
-    pub fn get_ref(&self) -> &S {
+    pub(crate) fn get_ref(&self) -> &S {
         &self.inner
     }
 }
@@ -549,6 +517,57 @@ impl<S: Write> Write for CountingStream<S> {
     }
 }
 
+/// One TCP connection of either side: the counted stream and a
+/// round-persistent receive buffer. Every frame is read with
+/// [`read_frame_into`] into the buffer — the payload of the last frame is
+/// [`Link::payload`], and steady-state reads never allocate, the buffer only
+/// growing to the largest frame the peer ever sends — and written with
+/// [`write_frame_with`].
+pub(crate) struct Link {
+    pub(crate) stream: CountingStream<TcpStream>,
+    rbuf: Vec<u8>,
+}
+
+impl Link {
+    /// Wraps a connected stream: blocking, `TCP_NODELAY`, and `io` as the
+    /// read and write timeout (the hang guard).
+    pub(crate) fn new(stream: TcpStream, io: Duration) -> Result<Link, NetError> {
+        stream.set_nonblocking(false)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(io))?;
+        stream.set_write_timeout(Some(io))?;
+        Ok(Link {
+            stream: CountingStream::new(stream),
+            rbuf: Vec::new(),
+        })
+    }
+
+    /// Reads the next frame, returning its kind and epoch stamp.
+    pub(crate) fn read(&mut self) -> Result<(FrameKind, u32), NetError> {
+        read_frame_into(&mut self.stream, &mut self.rbuf)
+    }
+
+    /// The payload of the last frame read.
+    pub(crate) fn payload(&self) -> &[u8] {
+        &self.rbuf[1..]
+    }
+
+    /// Writes one frame whose head was composed for `payload`.
+    pub(crate) fn write(&mut self, head: &FrameHead, payload: &[u8]) -> Result<(), NetError> {
+        write_frame_with(&mut self.stream, head, payload)
+    }
+
+    pub(crate) fn set_read_timeout(&self, t: Duration) -> Result<(), NetError> {
+        Ok(self.stream.get_ref().set_read_timeout(Some(t))?)
+    }
+
+    /// Shuts the connection down and returns its raw `(tx, rx)` bytes.
+    pub(crate) fn close(&self) -> (u64, u64) {
+        let _ = self.stream.get_ref().shutdown(std::net::Shutdown::Both);
+        (self.stream.tx_bytes(), self.stream.rx_bytes())
+    }
+}
+
 /// Validates a payload length against [`MAX_FRAME_BYTES`] and returns the
 /// frame's `len` field (kind byte + payload).
 fn frame_len(payload_len: usize) -> Result<u32, NetError> {
@@ -575,7 +594,6 @@ fn frame_len(payload_len: usize) -> Result<u32, NetError> {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FrameHead {
     bytes: [u8; 13],
-    epoch: u32,
     kind: FrameKind,
 }
 
@@ -592,12 +610,7 @@ impl FrameHead {
         bytes[4..8].copy_from_slice(&epoch_bytes);
         bytes[8..12].copy_from_slice(&crc.to_le_bytes());
         bytes[12] = kind as u8;
-        Ok(FrameHead { bytes, epoch, kind })
-    }
-
-    /// The membership epoch stamped on the frame.
-    pub(crate) fn epoch(&self) -> u32 {
-        self.epoch
+        Ok(FrameHead { bytes, kind })
     }
 }
 
@@ -979,7 +992,7 @@ mod tests {
     fn one_head_serves_every_target_of_a_broadcast() {
         let payload: Vec<u8> = (0..1000).map(|i| (i * 7) as u8).collect();
         let head = FrameHead::new(12, FrameKind::AvgModel, &payload).unwrap();
-        assert_eq!(head.epoch(), 12);
+        assert_eq!(head.bytes[4..8], 12u32.to_le_bytes());
         let reference = encode_frame(12, FrameKind::AvgModel, &payload).unwrap();
         for _ in 0..3 {
             let mut wire = Vec::new();

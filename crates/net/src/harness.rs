@@ -17,9 +17,10 @@
 //!   a worker the plan targets), and the coordinator result is returned
 //!   even when it is a typed failure like [`NetError::Quorum`].
 
-use crate::coordinator::{Coordinator, NetReport, RoundPolicy};
+use crate::coordinator::Coordinator;
 use crate::fault::{FaultPlan, RejoinPolicy};
 use crate::frame::NetError;
+use crate::machine::{NetReport, RoundPolicy};
 use crate::worker::{run_worker, WorkerOptions, WorkerOutcome};
 use fda_core::wire::JobSpec;
 use std::path::Path;
@@ -28,6 +29,9 @@ use std::time::{Duration, Instant};
 
 /// Default worker-connect window.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(20);
+
+/// The coordinator's per-read/per-write socket timeout on a clean run.
+const IO_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// How long spawned workers get to exit after shutdown before being
 /// killed.
@@ -54,32 +58,18 @@ pub fn run_with_thread_workers_telemetry(
     if let Some(path) = telemetry {
         coordinator.set_telemetry(path);
     }
-    let addr = coordinator.local_addr()?;
-    let k = spec.cluster.workers;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..k)
-            .map(|id| {
-                scope.spawn(move || -> Result<(), NetError> {
-                    let opts = WorkerOptions {
-                        connect_timeout: CONNECT_TIMEOUT,
-                        ..WorkerOptions::default()
-                    };
-                    run_worker(addr, id as u32, &opts).map(|_| ())
-                })
-            })
-            .collect();
-        let report = coordinator.run(spec);
-        for (id, h) in handles.into_iter().enumerate() {
-            let worker_result = h.join().expect("worker thread panicked");
-            // A coordinator error usually kills the workers too; report
-            // the coordinator's (root-cause) error first.
-            if report.is_ok() {
-                worker_result
-                    .map_err(|e| NetError::Protocol(format!("worker {id} failed: {e}")))?;
-            }
-        }
-        report
-    })
+    let opts = WorkerOptions {
+        connect_timeout: CONNECT_TIMEOUT,
+        ..WorkerOptions::default()
+    };
+    let (report, workers) = with_thread_workers(coordinator, spec, |_| opts.clone());
+    // A coordinator error usually kills the workers too; report the
+    // coordinator's (root-cause) error first.
+    let report = report?;
+    for (id, worker) in workers.into_iter().enumerate() {
+        worker.map_err(|e| NetError::Protocol(format!("worker {id} failed: {e}")))?;
+    }
+    Ok(report)
 }
 
 /// Runs `spec` with thread workers under a scripted fault plan.
@@ -108,28 +98,37 @@ pub fn run_chaos_with_thread_workers(
         Ok(c) => c,
         Err(e) => return (Err(e), Vec::new()),
     };
+    coordinator.set_timeouts(CONNECT_TIMEOUT, io_timeout);
+    coordinator.set_policy(policy);
+    with_thread_workers(coordinator, spec, |id| WorkerOptions {
+        connect_timeout: Duration::from_secs(5),
+        io_timeout,
+        rejoin,
+        faults: plan.faults_for(id),
+        exit_process_on_fault: false,
+        backoff_seed: 0x0DD_BA11 ^ u64::from(id),
+    })
+}
+
+/// Runs `coordinator` on the calling thread and worker `id` on a thread of
+/// its own under `opts(id)`, and returns every result.
+fn with_thread_workers(
+    coordinator: Coordinator,
+    spec: &JobSpec,
+    opts: impl Fn(u32) -> WorkerOptions,
+) -> (
+    Result<NetReport, NetError>,
+    Vec<Result<WorkerOutcome, NetError>>,
+) {
     let addr = match coordinator.local_addr() {
         Ok(a) => a,
         Err(e) => return (Err(e), Vec::new()),
     };
-    coordinator.set_timeouts(CONNECT_TIMEOUT, io_timeout);
-    coordinator.set_policy(policy);
-    let k = spec.cluster.workers;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..k)
+        let handles: Vec<_> = (0..spec.cluster.workers as u32)
             .map(|id| {
-                let faults = plan.faults_for(id as u32);
-                scope.spawn(move || {
-                    let opts = WorkerOptions {
-                        connect_timeout: Duration::from_secs(5),
-                        io_timeout,
-                        rejoin,
-                        faults,
-                        exit_process_on_fault: false,
-                        backoff_seed: 0x0DD_BA11 ^ id as u64,
-                    };
-                    run_worker(addr, id as u32, &opts)
-                })
+                let opts = opts(id);
+                scope.spawn(move || run_worker(addr, id, &opts))
             })
             .collect();
         let report = coordinator.run(spec);
@@ -137,11 +136,10 @@ pub fn run_chaos_with_thread_workers(
         // rejoin gets connection-refused promptly instead of parking on a
         // dead rendezvous until its io timeout.
         drop(coordinator);
-        let worker_results = handles
+        let workers = handles
             .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect();
-        (report, worker_results)
+            .map(|h| h.join().expect("worker thread panicked"));
+        (report, workers.collect())
     })
 }
 
@@ -228,12 +226,8 @@ fn spawn_workers(
 /// `worker --connect <addr> --id <k>` (the workspace's `fda_node`).
 /// Worker stderr is inherited so failures surface in test output.
 pub fn run_with_spawned_workers(spec: &JobSpec, node_bin: &Path) -> Result<NetReport, NetError> {
-    let coordinator = Coordinator::bind("127.0.0.1:0")?;
-    let addr = coordinator.local_addr()?;
-    let guard = spawn_workers(spec, node_bin, &addr.to_string(), &FaultPlan::new())?;
-    let report = coordinator.run(spec)?;
-    guard.reap(&vec![false; spec.cluster.workers])?;
-    Ok(report)
+    let (plan, policy) = (FaultPlan::new(), RoundPolicy::default());
+    run_chaos_with_spawned_workers_telemetry(spec, node_bin, &plan, policy, IO_TIMEOUT, None)
 }
 
 /// [`run_chaos_with_spawned_workers`] with an optional round-event JSONL

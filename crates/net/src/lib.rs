@@ -19,9 +19,9 @@
 //!    (`tests/net_parity.rs` at the workspace root).
 //! 2. **Measured = charged** — the simulator's byte accounting is
 //!    validated against the payloads that actually cross the sockets:
-//!    [`coordinator::NetReport::measured_payload_bytes`] (counted
+//!    [`NetReport::measured_payload_bytes`] (counted
 //!    frame-by-frame as they arrive) must equal
-//!    [`coordinator::NetReport::charged_bytes`] exactly; raw socket
+//!    [`NetReport::charged_bytes`] exactly; raw socket
 //!    counters additionally expose the (small) framing overhead the
 //!    paper's convention ignores.
 //!
@@ -37,17 +37,24 @@
 //!
 //! ## Layout
 //!
+//! * [`machine`] — the round protocol as two pure state machines,
+//!   [`CoordinatorMachine`] and [`WorkerMachine`]: frames, clock ticks and
+//!   closed links in; sends, closes, round records and the run's end out.
+//!   They own the round's halves ([`fda_core::round`]), membership, epochs,
+//!   the quorum, the deposit slots and the ledgers, and touch no socket
+//!   and no clock (`crates/net/tests/machines.rs` drives them in memory).
 //! * [`frame`] — length-prefixed, checksummed, epoch-stamped frame
-//!   protocol and byte counters.
+//!   protocol, byte counters, and the one link type both TCP drivers read
+//!   and write frames through.
 //! * [`protocol`] — typed control-plane messages (hello/config/shutdown),
-//!   the `Resume` handoff's encoder and decoder, and the stale-epoch
-//!   receive filter every receive goes through.
-//! * [`coordinator`] — the deposit → server reduce → broadcast
-//!   rendezvous, with per-round drop/quorum/rejoin handling.
-//! * [`worker`] — the per-process worker loop over the simulator's own
-//!   `Worker::step_once` and the round's replica half, with backoff
-//!   reconnect and scripted faults.
-//! * [`fault`] — deterministic fault plans, backoff, rejoin policy.
+//!   the `Resume` handoff's encoder and decoder, and the stale-epoch rule.
+//! * [`coordinator`] — the coordinator's TCP driver: accept and handshake,
+//!   parked rejoins, the id-order blocking read schedule under the deposit
+//!   deadline, encode-once fan-out, raw byte counters, JSONL telemetry.
+//! * [`worker`] — the worker's TCP driver: connect with backoff, sessions,
+//!   rejoin, and scripted faults on the state upload.
+//! * [`fault`] — deterministic fault plans, the fault filter, backoff,
+//!   rejoin policy.
 //! * [`harness`] — thread-worker and spawned-process run drivers, clean
 //!   and chaos variants.
 
@@ -55,18 +62,21 @@ pub mod coordinator;
 pub mod fault;
 pub mod frame;
 pub mod harness;
+pub mod machine;
 pub mod protocol;
 pub mod worker;
 
-pub use coordinator::{
-    run_event, Coordinator, DropReason, MemberEvent, MembershipEvent, NetReport, RoundPolicy,
-};
+pub use coordinator::{run_event, Coordinator};
 pub use fault::{Backoff, FaultAction, FaultPlan, RejoinPolicy, FAULT_EXIT_CODE};
 pub use frame::{FrameKind, NetError, PROTOCOL_VERSION};
 pub use harness::{
     run_chaos_with_spawned_workers, run_chaos_with_spawned_workers_telemetry,
     run_chaos_with_thread_workers, run_with_spawned_workers, run_with_thread_workers,
     run_with_thread_workers_telemetry,
+};
+pub use machine::{
+    CoordinatorMachine, DropReason, Input, MemberEvent, MembershipEvent, NetReport, Output,
+    RoundPolicy, To, WorkerMachine,
 };
 pub use protocol::{Msg, MAX_STALE_FRAMES};
 pub use worker::{run_worker, WorkerOptions, WorkerOutcome, WorkerSummary};

@@ -10,11 +10,11 @@
 //! worker knows its model's dimension.
 //!
 //! Every frame carries the coordinator's **membership epoch** in its
-//! header. Senders stamp frames with the last epoch they were told;
-//! receivers validate with [`recv_frame_at_epoch_into`], which *discards*
-//! frames from an older epoch (a zombie connection's in-flight deposit
-//! racing a drop/rejoin) instead of averaging them, and rejects frames
-//! claiming a future epoch as protocol violations.
+//! header. Senders stamp frames with the last epoch they were told; the
+//! coordinator machine validates every frame with [`check_epoch`], which
+//! *discards* frames from an older epoch (a zombie connection's in-flight
+//! deposit racing a drop/rejoin) instead of averaging them, and rejects
+//! frames claiming a future epoch as protocol violations.
 
 use crate::frame::{read_frame_into, write_frame, FrameKind, NetError, PROTOCOL_VERSION};
 use fda_comm::Dense32;
@@ -23,8 +23,8 @@ use fda_core::wire::{
 };
 use std::io::{Read, Write};
 
-/// How many consecutive stale-epoch frames [`recv_frame_at_epoch_into`]
-/// will discard on one connection before declaring the peer a protocol
+/// How many consecutive stale-epoch frames [`check_epoch`] will discard
+/// on one connection before declaring the peer a protocol
 /// violator. A legitimate zombie has at most a handful of in-flight
 /// frames; an endless stale stream is a broken or hostile peer.
 pub const MAX_STALE_FRAMES: u32 = 8;
@@ -137,15 +137,6 @@ impl Msg {
         let (kind, epoch) = read_frame_into(r, &mut buf)?;
         Ok((Msg::decode(kind, &buf[1..])?, epoch))
     }
-
-    /// Short name for protocol-error messages.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Msg::Hello { .. } => "hello",
-            Msg::Config(_) => "config",
-            Msg::Shutdown => "shutdown",
-        }
-    }
 }
 
 /// The `Resume` handoff payload, `[round u32][has_prev u8][model][prev?]`,
@@ -188,43 +179,32 @@ pub(crate) fn decode_resume(payload: &[u8], dim: usize) -> Result<Resume, NetErr
     ))
 }
 
-/// Receives the next frame stamped with exactly `epoch` into a
-/// caller-owned buffer: on success `buf` holds the frame's body
-/// uninterpreted (kind byte + payload, so the payload is `&buf[1..]`, as
-/// with [`read_frame_into`]).
+/// The epoch rule for one frame on a link whose peer was last sent
+/// `current`: `Ok(true)` delivers it, `Ok(false)` discards it.
 ///
-/// Frames from an **older** epoch are discarded (up to
-/// [`MAX_STALE_FRAMES`]) on their headers alone: they are the in-flight
-/// deposits of a connection that raced a membership change — a zombie's
+/// A frame from an **older** epoch is discarded on its header alone (up to
+/// [`MAX_STALE_FRAMES`] in a row, counted in `stale`): it is the in-flight
+/// deposit of a connection that raced a membership change — a zombie's
 /// state must be dropped, not averaged into `S̄`, and need not even be
 /// decodable. A frame claiming a **future** epoch is a protocol violation
-/// (the coordinator is the only epoch authority). The round loops hold one
-/// buffer per connection and call this, so steady-state receives allocate
-/// nothing.
-pub fn recv_frame_at_epoch_into<R: Read>(
-    r: &mut R,
-    epoch: u32,
-    buf: &mut Vec<u8>,
-) -> Result<FrameKind, NetError> {
-    let mut stale = 0u32;
-    loop {
-        let (kind, frame_epoch) = read_frame_into(r, buf)?;
-        if frame_epoch == epoch {
-            return Ok(kind);
-        }
-        if frame_epoch > epoch {
-            return Err(NetError::Protocol(format!(
-                "frame from future epoch {frame_epoch} (current {epoch})"
-            )));
-        }
-        stale += 1;
-        if stale > MAX_STALE_FRAMES {
-            return Err(NetError::Protocol(format!(
-                "more than {MAX_STALE_FRAMES} stale-epoch frames (last {frame_epoch}, \
-                 current {epoch})"
-            )));
-        }
+/// (the coordinator is the only epoch authority).
+pub fn check_epoch(epoch: u32, current: u32, stale: &mut u32) -> Result<bool, NetError> {
+    if epoch == current {
+        *stale = 0;
+        return Ok(true);
     }
+    if epoch > current {
+        return Err(NetError::Protocol(format!(
+            "frame from future epoch {epoch} (current {current})"
+        )));
+    }
+    *stale += 1;
+    if *stale > MAX_STALE_FRAMES {
+        return Err(NetError::Protocol(format!(
+            "more than {MAX_STALE_FRAMES} stale-epoch frames (last {epoch}, current {current})"
+        )));
+    }
+    Ok(false)
 }
 
 #[cfg(test)]
@@ -252,6 +232,17 @@ mod tests {
         }
     }
 
+    /// The first frame on `wire` that [`check_epoch`] delivers at `epoch`.
+    fn recv_at(wire: Vec<u8>, epoch: u32, buf: &mut Vec<u8>) -> Result<FrameKind, NetError> {
+        let (mut r, mut stale) = (std::io::Cursor::new(wire), 0);
+        loop {
+            let (kind, frame_epoch) = read_frame_into(&mut r, buf)?;
+            if check_epoch(frame_epoch, epoch, &mut stale)? {
+                return Ok(kind);
+            }
+        }
+    }
+
     fn roundtrip(msg: &Msg) -> (Msg, u32) {
         let mut buf: Vec<u8> = Vec::new();
         msg.send(&mut buf, 11).unwrap();
@@ -274,7 +265,7 @@ mod tests {
                 assert_eq!(last_epoch, 42);
                 assert_eq!(epoch, 11);
             }
-            (other, _) => panic!("wrong kind: {}", other.kind_name()),
+            (other, _) => panic!("wrong kind: {other:?}"),
         }
     }
 
@@ -303,7 +294,7 @@ mod tests {
         let through_a_frame = |kind, payload: &[u8], buf: &mut Vec<u8>| {
             let mut wire: Vec<u8> = Vec::new();
             write_frame(&mut wire, 11, kind, payload).unwrap();
-            let got = recv_frame_at_epoch_into(&mut std::io::Cursor::new(wire), 11, buf).unwrap();
+            let got = recv_at(wire, 11, buf).unwrap();
             assert_eq!(got, kind);
         };
         for fda in [
@@ -428,9 +419,7 @@ mod tests {
             &LinearMonitor::new().local_state(&[1.0, 2.0, 3.0]),
             &Dense32,
         );
-        let recv = |wire: Vec<u8>, buf: &mut Vec<u8>| {
-            recv_frame_at_epoch_into(&mut std::io::Cursor::new(wire), 5, buf)
-        };
+        let recv = |wire: Vec<u8>, buf: &mut Vec<u8>| recv_at(wire, 5, buf);
         let mut wire: Vec<u8> = Vec::new();
         write_frame(&mut wire, 3, FrameKind::State, &state).unwrap(); // stale
         write_frame(&mut wire, 4, FrameKind::State, &state).unwrap(); // stale

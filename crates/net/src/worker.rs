@@ -4,15 +4,16 @@
 //! simulator replica from the config frame —
 //! [`fda_core::cluster::ClusterConfig::build_worker`] derives model init,
 //! `w_0`, dropout stream, shard and batch order deterministically from
-//! `(seed, id)` — and then drives [`Worker::step_once`], the *same*
+//! `(seed, id)` — and then drives
+//! [`fda_core::cluster::Worker::step_once`], the *same*
 //! training code path the simulator's `Cluster::local_step` runs.
 //! Everything that crosses the process boundary goes through
 //! `fda_core::wire`, whose decode is exact (f32 bits round-trip), and the
 //! round's replica half ([`fda_core::round::Replica`]) computes the drift
 //! and local state, cross-checks the broadcast `S̄` and adopts the
 //! consensus, so the K-process trajectory is bit-identical to the
-//! K-worker simulator. The worker loop itself keeps sessions, faults and
-//! rejoin.
+//! K-worker simulator. All of that is the protocol's [`WorkerMachine`];
+//! this module is its TCP driver, which keeps sessions, faults and rejoin.
 //!
 //! # Sessions, faults and rejoin
 //!
@@ -20,7 +21,8 @@
 //! exponential backoff + jitter under `connect_timeout`), hello, `Config`,
 //! the versioned `Resume` handoff, then rounds from `Resume.round`
 //! onwards. Scripted [`FaultAction`]s fire when the session is about to
-//! upload a given step's state. If the session dies retryably
+//! upload a given step's state: the driver filters the machine's `State`
+//! send through them. If the session dies retryably
 //! (disconnect, timeout) and a [`RejoinPolicy`] is set, the worker opens a
 //! new session presenting its id + last-seen epoch; the coordinator's
 //! `Resume` tells it where to restart. A rejoin is a **warm restart**: the
@@ -29,16 +31,10 @@
 //! given the coordinator's admission schedule, though not a continuation
 //! of the dropped session's local trajectory.
 
-use crate::fault::{Backoff, FaultAction, RejoinPolicy, FAULT_EXIT_CODE};
-use crate::frame::{
-    encode_frame, read_frame_into, write_frame, CountingStream, FrameKind, NetError,
-};
-use crate::protocol::{decode_resume, Msg};
-use fda_comm::Dense32;
-use fda_core::cluster::Worker;
-use fda_core::round::Replica;
-use fda_core::wire::{encode_vector_coded_into, JobSpec};
-use std::io::Write as _;
+use crate::fault::{self, Backoff, FaultAction, RejoinPolicy, FAULT_EXIT_CODE};
+use crate::frame::{FrameHead, FrameKind, Link, NetError};
+use crate::machine::{Input, Output, WorkerMachine};
+use crate::protocol::Msg;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -105,110 +101,36 @@ impl Default for WorkerOptions {
     }
 }
 
-/// One connection's worth of protocol state.
-struct Session {
-    stream: CountingStream<TcpStream>,
+/// Connects with exponential backoff + jitter under the `connect_timeout`
+/// deadline, then sends the extended hello. The address is borrowed
+/// through the backoff loop — retries never clone it.
+fn connect<A: ToSocketAddrs + ?Sized>(
+    addr: &A,
     id: u32,
-    /// Epoch of the last frame received — stamped on everything this
-    /// session sends, so the coordinator can tell live deposits from a
-    /// zombie's.
-    epoch: u32,
-    /// Round-persistent receive buffer (frame bodies land here; the
-    /// payload of the last received frame is `rbuf[1..]`).
-    rbuf: Vec<u8>,
-}
-
-impl Session {
-    /// Connects with exponential backoff + jitter under the
-    /// `connect_timeout` deadline, then sends the extended hello. The
-    /// address is borrowed through the backoff loop — retries never clone
-    /// it.
-    fn connect<A: ToSocketAddrs + ?Sized>(
-        addr: &A,
-        id: u32,
-        last_epoch: u32,
-        opts: &WorkerOptions,
-        backoff: &mut Backoff,
-    ) -> Result<Session, NetError> {
-        let deadline = Instant::now() + opts.connect_timeout;
-        let stream = loop {
-            match TcpStream::connect(addr) {
-                Ok(s) => break s,
-                Err(e) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(NetError::from_io(e));
-                    }
-                    let wait = backoff
-                        .next_delay()
-                        .min(deadline.saturating_duration_since(now));
-                    std::thread::sleep(wait);
+    last_epoch: u32,
+    opts: &WorkerOptions,
+    backoff: &mut Backoff,
+) -> Result<Link, NetError> {
+    let deadline = Instant::now() + opts.connect_timeout;
+    let stream = loop {
+        match TcpStream::connect(addr) {
+            Ok(s) => break s,
+            Err(e) => {
+                let now = Instant::now();
+                if now >= deadline {
+                    return Err(NetError::from_io(e));
                 }
+                let wait = backoff
+                    .next_delay()
+                    .min(deadline.saturating_duration_since(now));
+                std::thread::sleep(wait);
             }
-        };
-        backoff.reset();
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(opts.io_timeout))?;
-        stream.set_write_timeout(Some(opts.io_timeout))?;
-        let mut stream = CountingStream::new(stream);
-        Msg::hello(id, last_epoch).send(&mut stream, last_epoch)?;
-        Ok(Session {
-            stream,
-            id,
-            epoch: last_epoch,
-            rbuf: Vec::new(),
-        })
-    }
-
-    fn recv(&mut self) -> Result<Msg, NetError> {
-        let kind = self.recv_frame()?;
-        Msg::decode(kind, &self.rbuf[1..])
-    }
-
-    /// Receives one frame into the session buffer without interpreting
-    /// the payload (it lands at `self.rbuf[1..]`).
-    fn recv_frame(&mut self) -> Result<FrameKind, NetError> {
-        let (kind, epoch) = read_frame_into(&mut self.stream, &mut self.rbuf)?;
-        self.epoch = epoch;
-        Ok(kind)
-    }
-
-    /// [`Session::recv_frame`] of a frame that must be of kind `want` —
-    /// the path of every payload carrying an `f32` run, which decodes
-    /// only into a buffer this replica shaped.
-    fn recv_kind(&mut self, want: FrameKind) -> Result<(), NetError> {
-        let kind = self.recv_frame()?;
-        if kind != want {
-            return Err(self.fail(&format!("expected {}, got {}", want.label(), kind.label())));
         }
-        Ok(())
-    }
-
-    /// Sends a pre-encoded payload as one frame — the path of every
-    /// payload carrying an `f32` run, which `Msg` does not represent.
-    fn send_frame(&mut self, kind: FrameKind, payload: &[u8]) -> Result<(), NetError> {
-        write_frame(&mut self.stream, self.epoch, kind, payload)
-    }
-
-    fn protocol_err(&self, expected: &str, got: &Msg) -> NetError {
-        self.fail(&format!("expected {expected}, got {}", got.kind_name()))
-    }
-
-    /// A protocol violation observed by this session.
-    fn fail(&self, why: &str) -> NetError {
-        NetError::Protocol(format!("worker {}: {why}", self.id))
-    }
-
-    fn shutdown(&self) {
-        let _ = self.stream.get_ref().shutdown(std::net::Shutdown::Both);
-    }
-}
-
-/// How one session ended (distinct from how the whole run ends: a
-/// retryable session error may turn into a rejoin).
-enum SessionEnd {
-    Completed { steps: u64 },
-    Faulted { step: u32, action: FaultAction },
+    };
+    backoff.reset();
+    let mut link = Link::new(stream, opts.io_timeout)?;
+    Msg::hello(id, last_epoch).send(&mut link.stream, last_epoch)?;
+    Ok(link)
 }
 
 /// Runs one worker to completion, surviving session loss when a
@@ -231,211 +153,124 @@ pub fn run_worker<A: ToSocketAddrs>(
     let mut syncs = 0u64;
 
     loop {
-        let mut session = Session::connect(&addr, id, last_epoch, opts, &mut backoff)?;
-        match run_session(&mut session, opts, &mut syncs) {
-            Ok(SessionEnd::Completed { steps }) => {
+        let mut link = connect(&addr, id, last_epoch, opts, &mut backoff)?;
+        let mut m = WorkerMachine::new(id, last_epoch);
+        let end = session(&mut link, &mut m, opts);
+        syncs += m.syncs();
+        match end {
+            Ok(WorkerOutcome::Completed(summary)) => {
                 return Ok(WorkerOutcome::Completed(WorkerSummary {
-                    steps,
                     syncs,
                     rejoins,
+                    ..summary
                 }));
             }
-            Ok(SessionEnd::Faulted { step, action }) => {
-                session.shutdown();
+            Ok(faulted) => {
+                link.close();
                 if opts.exit_process_on_fault {
                     std::process::exit(FAULT_EXIT_CODE);
                 }
-                return Ok(WorkerOutcome::Faulted { step, action });
+                return Ok(faulted);
             }
             Err(e) if e.is_retryable() && attempts_left > 0 => {
                 attempts_left -= 1;
                 rejoins += 1;
-                last_epoch = session.epoch;
-                session.shutdown();
+                last_epoch = m.epoch();
+                link.close();
             }
             Err(e) => return Err(e),
         }
     }
 }
 
-/// One session: `Config` → `Resume` handoff → rounds from `Resume.round`.
-fn run_session(
-    session: &mut Session,
+/// Drives one session's machine over its link until it ends: completed
+/// (with the steps it ran) or ended by a terminal scripted fault. Every
+/// `State` send goes through the step's scripted faults
+/// ([`fault::send_state`]).
+fn session(
+    link: &mut Link,
+    m: &mut WorkerMachine,
     opts: &WorkerOptions,
-    syncs: &mut u64,
-) -> Result<SessionEnd, NetError> {
-    let spec: JobSpec = match session.recv()? {
-        Msg::Config(job) => *job,
-        other => return Err(session.protocol_err("config", &other)),
-    };
-    if session.id as usize >= spec.cluster.workers {
-        let why = format!("id out of range for a job of K = {}", spec.cluster.workers);
-        return Err(session.fail(&why));
-    }
-    // The handoff is read as it arrives and decoded once the replica's
-    // dimension is known; nothing touches the session buffer in between.
-    session.recv_kind(FrameKind::Resume)?;
-
-    let task = spec.synth.generate(&spec.task_name);
-    let mut worker: Worker = spec.cluster.build_worker(&task.train, session.id as usize);
-    let dim = worker.model().param_count();
-    let (start_round, resume_model, resume_prev) = decode_resume(&session.rbuf[1..], dim)?;
-    // The versioned handoff. At formation it loads `w_0` into a replica
-    // already holding `w_0` — a bitwise no-op.
-    let mut replica = Replica::join(&spec, resume_model, resume_prev.as_deref());
-    worker.model_mut().load_params(replica.consensus());
-    // Round-persistent uplink scratch: every State/Model payload is
-    // encoded into this buffer in place, so steady-state rounds don't
-    // allocate on the send path.
-    let mut ubuf: Vec<u8> = Vec::new();
-
-    for step in start_round..spec.steps {
-        // (1) Local training — the simulator's exact code path.
-        worker.step_once(&task.train);
-
-        // (2) Local state from the drift — the point scripted faults hit.
-        ubuf.clear();
-        replica.state_payload(worker.model().params(), &mut ubuf);
-        match apply_faults(session, step, opts, &ubuf)? {
-            FaultOutcome::Sent => {}
-            FaultOutcome::Terminal(action) => {
-                return Ok(SessionEnd::Faulted { step, action });
-            }
-        }
-
-        // (3) The averaged state and the decision, checked against this
-        // replica's own shape and `H(S̄) > Θ`: a disagreement (a
-        // coordinator running different monitor code, a corrupted frame
-        // that still decoded) is a protocol error, not a silent
-        // divergence.
-        session.recv_kind(FrameKind::AvgState)?;
-        let sync = replica
-            .check(&session.rbuf[1..])
-            .map_err(|why| session.fail(&why))?;
-
-        // (4) Conditional model AllReduce.
-        if sync {
-            ubuf.clear();
-            replica.model_payload(worker.model().params(), &mut ubuf);
-            session.send_frame(FrameKind::Model, &ubuf)?;
-            session.recv_kind(if spec.downlink.is_dense() {
-                FrameKind::AvgModel
-            } else {
-                FrameKind::AvgModelDelta
-            })?;
-            let consensus = replica
-                .adopt(&session.rbuf[1..])
-                .map_err(|why| session.fail(&why))?;
-            worker.model_mut().load_params(consensus);
-            *syncs += 1;
-        }
-    }
-
-    // Final replica collection + shutdown.
-    ubuf.clear();
-    encode_vector_coded_into(&worker.params(), &Dense32, &mut ubuf);
-    session.send_frame(FrameKind::FinalModel, &ubuf)?;
-    match session.recv()? {
-        Msg::Shutdown => {}
-        other => return Err(session.protocol_err("shutdown", &other)),
-    }
-    Ok(SessionEnd::Completed {
-        steps: u64::from(spec.steps - start_round),
-    })
-}
-
-enum FaultOutcome {
-    /// The state frame went out (clean, delayed, or deliberately mangled).
-    Sent,
-    /// A terminal fault fired; the session is over by design.
-    Terminal(FaultAction),
-}
-
-/// Applies every scripted fault anchored to `step` in place of (or around)
-/// the state upload. `state_payload` is the already codec-encoded state —
-/// faults mangle the exact bytes a clean send would have produced.
-fn apply_faults(
-    session: &mut Session,
-    step: u32,
-    opts: &WorkerOptions,
-    state_payload: &[u8],
-) -> Result<FaultOutcome, NetError> {
-    let mut actions: Vec<FaultAction> = opts
-        .faults
-        .iter()
-        .filter(|a| a.step() == step)
-        .copied()
-        .collect();
-    actions.sort_by_key(|a| a.is_terminal()); // stalls first, then at most one terminal
-    for action in actions {
-        match action {
-            FaultAction::StallState { ms, .. } => {
-                std::thread::sleep(Duration::from_millis(u64::from(ms)));
-            }
-            FaultAction::KillBeforeState(_) => {
-                return Ok(FaultOutcome::Terminal(action));
-            }
-            FaultAction::ExitBeforeState(_) => {
-                if opts.exit_process_on_fault {
-                    std::process::exit(FAULT_EXIT_CODE);
+) -> Result<WorkerOutcome, NetError> {
+    loop {
+        let round = m.round();
+        while let Some(out) = m.poll() {
+            let Output::Send {
+                epoch,
+                kind,
+                payload,
+                ..
+            } = out
+            else {
+                if let Output::Done(steps) = out {
+                    let (syncs, rejoins) = (0, 0);
+                    return Ok(WorkerOutcome::Completed(WorkerSummary {
+                        steps: steps?,
+                        syncs,
+                        rejoins,
+                    }));
                 }
-                return Ok(FaultOutcome::Terminal(action));
-            }
-            FaultAction::FlipStateBit { bit, .. } => {
-                // Corrupt the frame past the length field so the
-                // coordinator reads a complete frame and the checksum —
-                // not a short read — must catch it.
-                let mut frame = encode_frame(session.epoch, FrameKind::State, state_payload)?;
-                let body_bits = (frame.len() - 4) * 8;
-                let b = bit as usize % body_bits;
-                frame[4 + b / 8] ^= 1 << (b % 8);
-                session.stream.write_all(&frame)?;
-                session.stream.flush()?;
-                return Ok(FaultOutcome::Sent);
-            }
-            FaultAction::TruncateState { keep, .. } => {
-                let frame = encode_frame(session.epoch, FrameKind::State, state_payload)?;
-                let keep = (keep as usize).min(frame.len().saturating_sub(1));
-                session.stream.write_all(&frame[..keep])?;
-                session.stream.flush()?;
-                session.shutdown();
-                // The session is unusable; surface it as the disconnect
-                // the coordinator also observes, so the rejoin machinery
-                // takes over.
-                return Err(NetError::Disconnect(std::io::Error::new(
-                    std::io::ErrorKind::ConnectionAborted,
-                    "scripted mid-frame truncation",
-                )));
+                continue;
+            };
+            if kind != FrameKind::State {
+                link.write(&FrameHead::new(epoch, kind, payload)?, payload)?;
+            } else if let Some(action) =
+                fault::send_state(link, &opts.faults, round, epoch, payload)?
+            {
+                return Ok(WorkerOutcome::Faulted {
+                    step: round,
+                    action,
+                });
             }
         }
+        let (kind, epoch) = link.read()?;
+        m.handle(Input::Frame {
+            from: 0,
+            kind,
+            epoch,
+            payload: link.payload(),
+        });
     }
-    session.send_frame(FrameKind::State, state_payload)?;
-    Ok(FaultOutcome::Sent)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{read_frame_into, write_frame};
+    use fda_comm::Dense32;
     use fda_core::cluster::ClusterConfig;
     use fda_core::fda::FdaConfig;
     use fda_core::monitor::LocalState;
+    use fda_core::wire::JobSpec;
     use fda_data::synth::SynthSpec;
     use std::net::TcpListener;
 
+    /// What the fake coordinator answers after the `Resume` handoff.
+    enum Reply {
+        /// Nothing: it holds the socket until the worker hangs up.
+        Nothing,
+        /// Reads the first state and answers with this `S̄` (no sync).
+        AvgState(LocalState),
+        /// Answers a `FinalModel` with `Shutdown`.
+        Shutdown,
+    }
+
+    const STEPS: u32 = 3;
+
     /// Runs worker `id` against a fake coordinator that hands it a K = 2
-    /// job and, given an `avg`, reads the worker's first state and answers
-    /// with `avg` as the round's `S̄`.
+    /// job of `STEPS` rounds resumed at `round`, then plays `reply`.
     fn against_fake_coordinator(
         id: u32,
         fda: FdaConfig,
-        avg: Option<LocalState>,
+        round: u32,
+        reply: Reply,
     ) -> Result<WorkerOutcome, NetError> {
         let spec = JobSpec {
             cluster: ClusterConfig::small_test(2),
             fda,
             codec: fda_comm::CodecSpec::Dense,
             downlink: fda_comm::DownlinkSpec::Dense,
-            steps: 3,
+            steps: STEPS,
             synth: SynthSpec {
                 n_train: 240,
                 n_test: 80,
@@ -450,22 +285,46 @@ mod tests {
             let (mut stream, _) = listener.accept().expect("accept");
             Msg::recv(&mut stream).expect("hello");
             Msg::Config(Box::new(spec)).send(&mut stream, 1).unwrap();
-            let resume = crate::protocol::encode_resume(0, &w0, None);
+            let resume = crate::protocol::encode_resume(round, &w0, None);
             // The worker may hang up before the handoff arrives.
             let _ = write_frame(&mut stream, 1, FrameKind::Resume, &resume);
-            if let Some(state) = avg {
-                let (kind, _) = read_frame_into(&mut stream, &mut Vec::new()).expect("state");
-                assert_eq!(kind, FrameKind::State);
-                let mut decision = vec![0u8]; // no sync
-                fda_core::wire::encode_state_coded_into(&state, &Dense32, &mut decision);
-                let _ = write_frame(&mut stream, 1, FrameKind::AvgState, &decision);
-                // Hold the socket until the worker hangs up.
-                let _ = std::io::Read::read(&mut stream, &mut [0u8; 1]);
+            let next = read_frame_into(&mut stream, &mut Vec::new());
+            match reply {
+                Reply::Nothing => {}
+                Reply::AvgState(state) => {
+                    assert_eq!(next.expect("state").0, FrameKind::State);
+                    let mut decision = vec![0u8]; // no sync
+                    fda_core::wire::encode_state_coded_into(&state, &Dense32, &mut decision);
+                    let _ = write_frame(&mut stream, 1, FrameKind::AvgState, &decision);
+                    // Hold the socket until the worker hangs up.
+                    let _ = std::io::Read::read(&mut stream, &mut [0u8; 1]);
+                }
+                Reply::Shutdown => {
+                    if let Ok((FrameKind::FinalModel, _)) = next {
+                        Msg::Shutdown.send(&mut stream, 1).unwrap();
+                    }
+                }
             }
         });
         let outcome = run_worker(addr, id, &WorkerOptions::default());
         coordinator.join().expect("fake coordinator");
         outcome
+    }
+
+    /// A handoff at the job's last round runs no round: the worker sends
+    /// its final replica and completes with zero steps. A handoff past it
+    /// is a protocol error, not a wrapped or panicking step count.
+    #[test]
+    fn worker_refuses_a_resume_past_the_jobs_end() {
+        let fda = FdaConfig::linear(0.01);
+        match against_fake_coordinator(0, fda, STEPS, Reply::Shutdown) {
+            Ok(WorkerOutcome::Completed(summary)) => assert_eq!(summary.steps, 0),
+            other => panic!("expected a completed run, got {other:?}"),
+        }
+        match against_fake_coordinator(0, fda, STEPS + 1, Reply::Shutdown) {
+            Err(NetError::Protocol(why)) => assert!(why.contains("past the job"), "{why}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
     }
 
     /// A broadcast `S̄` whose summary is not the job's — another monitor's
@@ -477,7 +336,8 @@ mod tests {
         let linear = LinearMonitor::new().local_state(&[0.5; 8]);
         let sketch = SketchMonitor::new(fda_sketch::SketchConfig::new(2, 8, 1), 8);
         for avg in [linear, sketch.local_state(&[0.5; 8])] {
-            match against_fake_coordinator(0, FdaConfig::sketch_auto(0.01), Some(avg)) {
+            match against_fake_coordinator(0, FdaConfig::sketch_auto(0.01), 0, Reply::AvgState(avg))
+            {
                 Err(NetError::Protocol(why)) => assert!(why.contains("shape"), "{why}"),
                 other => panic!("expected a protocol error, got {other:?}"),
             }
@@ -489,7 +349,7 @@ mod tests {
     /// back, not an out-of-range shard index inside `build_worker`.
     #[test]
     fn worker_refuses_a_job_its_id_does_not_fit() {
-        match against_fake_coordinator(5, FdaConfig::linear(0.01), None) {
+        match against_fake_coordinator(5, FdaConfig::linear(0.01), 0, Reply::Nothing) {
             Err(NetError::Protocol(why)) => assert!(why.contains("out of range"), "{why}"),
             other => panic!("expected a protocol error, got {other:?}"),
         }

@@ -784,13 +784,20 @@ fn frame_reader_is_total_and_checksummed_under_fuzz() {
 #[test]
 fn spliced_stale_epoch_frames_are_rejected() {
     use fda::comm::Dense32;
+    use fda::net::frame::read_frame_into;
     use fda::net::frame::write_frame;
-    use fda::net::protocol::recv_frame_at_epoch_into;
+    use fda::net::protocol::check_epoch;
     use fda::net::{Msg, NetError, MAX_STALE_FRAMES};
+    // The coordinator machine's epoch rule over one stream: the first
+    // frame it delivers.
     let recv = |stream: &[u8], epoch: u32| {
-        let mut buf = Vec::new();
-        let kind = recv_frame_at_epoch_into(&mut std::io::Cursor::new(stream), epoch, &mut buf)?;
-        Ok::<_, NetError>((kind, buf.split_off(1)))
+        let (mut r, mut buf, mut stale) = (std::io::Cursor::new(stream), Vec::new(), 0);
+        loop {
+            let (kind, frame_epoch) = read_frame_into(&mut r, &mut buf)?;
+            if check_epoch(frame_epoch, epoch, &mut stale)? {
+                return Ok::<_, NetError>((kind, buf.split_off(1)));
+            }
+        }
     };
     for case in 0..CASES {
         let mut rng = Rng::new(0xF1_0000 + case);
