@@ -1853,6 +1853,121 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the bit patterns of `xs`.
+    fn fnv(xs: &[f32]) -> u32 {
+        xs.iter()
+            .flat_map(|x| x.to_bits().to_le_bytes())
+            .fold(0x811c_9dc5, |h, b| (h ^ b as u32).wrapping_mul(0x0100_0193))
+    }
+
+    /// `n` floats spread over ±2048 from an integer hash, so the inputs are
+    /// the same on every host and need no libm.
+    fn int_vec(n: usize, mul: u32) -> Vec<f32> {
+        (0..n as u32)
+            .map(|i| ((i.wrapping_mul(mul) >> 8) as i32 - (1 << 23)) as f32 / 4096.0)
+            .collect()
+    }
+
+    /// One `rows × cols` tile of `ukr` over `kc`-deep strips `mr` / `nr`
+    /// wide, into an output that starts from integer-hashed values.
+    #[allow(clippy::type_complexity)]
+    fn run_tile(
+        ukr: unsafe fn(usize, *const f32, usize, *const f32, usize, *mut f32, usize, usize, usize),
+        (kc, mr, nr): (usize, usize, usize),
+        (rows, cols): (usize, usize),
+    ) -> Vec<f32> {
+        assert!(rows <= mr && 0 < cols && cols <= nr);
+        let a = int_vec(kc * mr, 2_654_435_761);
+        let b = int_vec(kc * nr, 2_246_822_519);
+        let mut c = int_vec(rows * cols, 3_266_489_917);
+        // SAFETY: `a` holds `kc·mr` and `b` `kc·nr` elements (strides `mr`
+        // and `nr`), and `c` is `rows × cols` with `ldc = cols`, which is
+        // the microkernel contract for this tile.
+        unsafe {
+            ukr(
+                kc,
+                a.as_ptr(),
+                mr,
+                b.as_ptr(),
+                nr,
+                c.as_mut_ptr(),
+                cols,
+                rows,
+                cols,
+            )
+        };
+        c
+    }
+
+    /// Every arm's reduction and GEMM tile bits, pinned per arm: `dot` and
+    /// `sum` at lengths around each arm's block and lane edges and at
+    /// LeNet's d = 3 586, one full and one ragged `microkernel` tile, and
+    /// the AVX-512 arm's 12-row `microkernel_tall`. The inputs come from
+    /// integers, so the expected bits hold on any host that runs the arm.
+    #[test]
+    fn known_answer_reduction_and_tile_bits_per_arm() {
+        const LENS: [usize; 8] = [1, 15, 16, 17, 63, 64, 65, 3_586];
+        // Per arm: `dot` bits and `sum` bits at each of LENS, then the FNV
+        // of the full tile, the ragged tile and the tall tile (0 when the
+        // arm has no taller tile).
+        let expected = |isa: Isa| -> ([u32; 8], [u32; 8], [u32; 3]) {
+            match isa {
+                Isa::Scalar => PIN_SCALAR,
+                Isa::Avx2 => PIN_AVX2,
+                Isa::Avx512 => PIN_AVX512,
+            }
+        };
+        for k in all_supported() {
+            let (want_dot, want_sum, want_tiles) = expected(k.isa);
+            for (i, &n) in LENS.iter().enumerate() {
+                let a = int_vec(n, 2_654_435_761);
+                let b = int_vec(n, 2_246_822_519);
+                let (d, s) = ((k.dot)(&a, &b), (k.sum)(&a));
+                assert_eq!(d.to_bits(), want_dot[i], "{} dot n={n}: {d}", k.name());
+                assert_eq!(s.to_bits(), want_sum[i], "{} sum n={n}: {s}", k.name());
+            }
+            let kc = 37;
+            let full = run_tile(k.microkernel, (kc, k.mr, k.nr), (k.mr, k.nr));
+            let ragged = run_tile(k.microkernel, (kc, k.mr, k.nr), (k.mr - 1, k.nr - 3));
+            let tall = if k.mr_tall > k.mr {
+                let tile = (k.mr_tall, k.nr);
+                fnv(&run_tile(k.microkernel_tall, (kc, k.mr_tall, k.nr), tile))
+            } else {
+                0
+            };
+            let got = [fnv(&full), fnv(&ragged), tall];
+            assert_eq!(got, want_tiles, "{} tiles", k.name());
+        }
+    }
+
+    // The pinned bits of `known_answer_reduction_and_tile_bits_per_arm`.
+    // Any change to an arm's lane association, block order or tile
+    // arithmetic moves at least one of them.
+    #[rustfmt::skip]
+    const PIN_SCALAR: ([u32; 8], [u32; 8], [u32; 3]) = (
+        [0x4a80_0000, 0x4a13_bb11, 0x4984_670a, 0x4868_12d8,
+         0x4b3f_babe, 0x4b72_c504, 0x4b72_7ef2, 0x4c49_b1bc],
+        [0xc500_0000, 0xc51b_3f1e, 0xc555_fefd, 0xc4e5_0ec4,
+         0xc4f5_9180, 0xc332_1ce0, 0x422f_2780, 0xc47c_47bc],
+        [0x27e8_853a, 0x3756_28c0, 0],
+    );
+    #[rustfmt::skip]
+    const PIN_AVX2: ([u32; 8], [u32; 8], [u32; 3]) = (
+        [0x4a80_0000, 0x4a13_bb11, 0x4984_670c, 0x4868_12e8,
+         0x4b3f_babf, 0x4b72_c504, 0x4b72_7ef2, 0x4c49_b1be],
+        [0xc500_0000, 0xc51b_3f1e, 0xc555_fefd, 0xc4e5_0ec4,
+         0xc4f5_917e, 0xc332_1cd0, 0x422f_27c0, 0xc47c_47c4],
+        [0x123a_4fe7, 0x2846_48d0, 0],
+    );
+    #[rustfmt::skip]
+    const PIN_AVX512: ([u32; 8], [u32; 8], [u32; 3]) = (
+        [0x4a80_0000, 0x4a13_bb11, 0x4984_670a, 0x4868_12d0,
+         0x4b3f_babf, 0x4b72_c506, 0x4b72_7ef4, 0x4c49_b1be],
+        [0xc500_0000, 0xc51b_3f1e, 0xc555_fefd, 0xc4e5_0ec4,
+         0xc4f5_917c, 0xc332_1cd0, 0x422f_27c0, 0xc47c_4788],
+        [0x9a60_888b, 0xe477_863e, 0xfa94_5f1e],
+    );
+
     /// Each arm's microkernel over packed-style strips matches an f64
     /// reference, full and ragged tiles.
     #[test]
