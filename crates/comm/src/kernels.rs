@@ -231,24 +231,18 @@ mod x86 {
         dequantize: |lo, hi, scale, src, dst| unsafe { dequantize_avx2(lo, hi, scale, src, dst) },
     };
 
-    /// # Safety
-    /// Host supports AVX2.
     #[target_feature(enable = "avx2")]
-    unsafe fn range_avx2(chunk: &[f32]) -> Option<(f32, f32)> {
+    fn range_avx2(chunk: &[f32]) -> Option<(f32, f32)> {
         wide::range(chunk)
     }
 
-    /// # Safety
-    /// Host supports AVX2.
     #[target_feature(enable = "avx2")]
-    unsafe fn quantize_avx2(lo: f32, scale: f32, src: &[f32], dst: &mut [u8]) {
+    fn quantize_avx2(lo: f32, scale: f32, src: &[f32], dst: &mut [u8]) {
         wide::quantize(lo, scale, src, dst)
     }
 
-    /// # Safety
-    /// Host supports AVX2.
     #[target_feature(enable = "avx2")]
-    unsafe fn dequantize_avx2(lo: f32, hi: f32, scale: f32, src: &[u8], dst: &mut [f32]) {
+    fn dequantize_avx2(lo: f32, hi: f32, scale: f32, src: &[u8], dst: &mut [f32]) {
         wide::dequantize(lo, hi, scale, src, dst)
     }
 }

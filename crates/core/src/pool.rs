@@ -285,6 +285,7 @@ impl<T> Copy for SendPtr<T> {}
 // pointer by lane id into non-overlapping elements/chunks, and the
 // rendezvous orders all accesses before the dispatcher's next use.
 unsafe impl<T> Send for SendPtr<T> {}
+// SAFETY: as for `Send`: lanes share the pointer but never an element.
 unsafe impl<T> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {

@@ -239,12 +239,9 @@ mod crc32c {
     /// combine, when it holds at least [`INTERLEAVE_MIN`] bytes; then one
     /// chain over what is left (all of a short buffer, < 24 bytes of a
     /// long one).
-    ///
-    /// # Safety
-    /// Host supports SSE4.2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "sse4.2")]
-    unsafe fn sse42(crc: u32, bytes: &[u8]) -> u32 {
+    fn sse42(crc: u32, bytes: &[u8]) -> u32 {
         use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
         let le = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
         let mut crc = crc as u64;
@@ -706,7 +703,7 @@ const GROW_STEP: usize = 1 << 20;
 /// membership epoch stamp are returned. Reusing one buffer per connection
 /// turns the read path's per-frame allocation into an amortized no-op
 /// (the buffer only grows to the largest frame seen). A buffer grows with
-/// the bytes that arrive, at most [`GROW_STEP`] ahead of them, so a header
+/// the bytes that arrive, at most 1 MiB ahead of them, so a header
 /// that merely claims a huge frame costs the receiver one step, not the
 /// claimed length.
 pub fn read_frame_into<R: Read>(

@@ -35,14 +35,14 @@
 //! shifted by `δ = (ky − pad)·w + (kx − pad)`, with the positions whose
 //! shifted partner falls outside its sample's plane forced to `+0.0`. So
 //! im2col is `in_c·k²` long bit-masked copies and col2im the same number of
-//! long masked adds ([`ShiftPlan`]), instead of thousands of short
+//! long masked adds (the crate-private `ShiftPlan`), instead of thousands of short
 //! `copy_from_slice` runs. The border is a **bitwise AND** with an
 //! all-ones / all-zeros lane mask, not a multiply: `0 · Inf` and `0 · NaN`
 //! are NaN, while a masked lane must contribute exactly nothing. Every
 //! position of `cols` is written on every lowering, so the buffer needs no
 //! zero-initialisation invariant and a batch-size change costs nothing.
 //!
-//! The copy plan ([`build_copy_plan`]) stays the single description of
+//! The copy plan (`build_copy_plan`) stays the single description of
 //! the geometry: the shift masks are derived from it, it is what the
 //! property suite inspects, and it drives the lowering of convs whose
 //! output width differs from the input width (no constant shift exists

@@ -16,7 +16,7 @@ use fda_tensor::Matrix;
 /// never wins, and a window with no element above `−∞` yields `−∞` with
 /// argmax 0 (the flat start of the input storage). The 2×2 window — every
 /// pool in the zoo — runs that scan branch-free in two vectorisable stages
-/// ([`pool2_row`]); other sizes take the generic window loop.
+/// (the private `pool2_row`); other sizes take the generic window loop.
 pub struct MaxPool2d {
     in_shape: Shape3,
     out_shape: Shape3,

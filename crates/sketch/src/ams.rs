@@ -1,4 +1,7 @@
-//! The AMS sketch: construction, linear combination, and L2 estimation.
+//! The AMS sketch: construction and L2 estimation. Sketches combine
+//! linearly through their raw counters ([`AmsSketch::as_slice`]): the
+//! round engine averages them with the other local-state summaries, as
+//! flat vectors, so this module has no arithmetic of its own for them.
 //!
 //! Construction is *plan-based*: a [`SketchConfig`] (shared by every worker,
 //! like the paper's common hash functions) expands into a [`SketchPlan`]
@@ -308,35 +311,6 @@ impl AmsSketch {
         }
         stats::median_f32(&row_estimates)
     }
-
-    /// `self ← self + α·other` — the linearity property (§3.1, property a).
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn axpy(&mut self, alpha: f32, other: &AmsSketch) {
-        assert_eq!(self.rows, other.rows, "sketch axpy: row mismatch");
-        assert_eq!(self.cols, other.cols, "sketch axpy: col mismatch");
-        fda_tensor::vector::axpy(alpha, &other.data, &mut self.data);
-    }
-
-    /// `self ← self · α`.
-    pub fn scale(&mut self, alpha: f32) {
-        fda_tensor::vector::scale(&mut self.data, alpha);
-    }
-
-    /// Average of several sketches — what AllReduce produces from the
-    /// workers' local-state sketches. Accumulates copy-first in input
-    /// order, the same association every AllReduce path in the workspace
-    /// uses, so sequential and chunk-parallel reductions agree bit-for-bit.
-    pub fn average(sketches: &[&AmsSketch]) -> AmsSketch {
-        assert!(!sketches.is_empty(), "sketch average: empty input");
-        let mut out = sketches[0].clone();
-        for s in &sketches[1..] {
-            out.axpy(1.0, s);
-        }
-        out.scale(1.0 / sketches.len() as f32);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -410,11 +384,11 @@ mod tests {
             .map(|(x, y)| alpha * x + beta * y)
             .collect();
         let sk_combo = plan.sketch(&combo);
-        // α·sk(a) + β·sk(b)
-        let mut lin = AmsSketch::zeros(3, 32);
-        lin.axpy(alpha, &plan.sketch(&a));
-        lin.axpy(beta, &plan.sketch(&b));
-        for (x, y) in sk_combo.as_slice().iter().zip(lin.as_slice()) {
+        // α·sk(a) + β·sk(b), counter by counter
+        let (sk_a, sk_b) = (plan.sketch(&a), plan.sketch(&b));
+        let lin = sk_a.as_slice().iter().zip(sk_b.as_slice());
+        let lin: Vec<f32> = lin.map(|(x, y)| alpha * x + beta * y).collect();
+        for (x, y) in sk_combo.as_slice().iter().zip(&lin) {
             assert!((x - y).abs() < 1e-3, "linearity violated: {x} vs {y}");
         }
     }
@@ -424,12 +398,12 @@ mod tests {
         let plan = SketchConfig::new(4, 64, 9).build_plan(300);
         let vs: Vec<Vec<f32>> = (0..5).map(|i| random_vec(i + 10, 300)).collect();
         let sketches: Vec<AmsSketch> = vs.iter().map(|v| plan.sketch(v)).collect();
-        let refs: Vec<&AmsSketch> = sketches.iter().collect();
-        let avg_sketch = AmsSketch::average(&refs);
+        let counters: Vec<&[f32]> = sketches.iter().map(|s| s.as_slice()).collect();
+        let avg_sketch = fda_tensor::vector::mean(&counters);
         let vrefs: Vec<&[f32]> = vs.iter().map(|v| v.as_slice()).collect();
         let avg_vec = fda_tensor::vector::mean(&vrefs);
         let sketch_of_avg = plan.sketch(&avg_vec);
-        for (x, y) in avg_sketch.as_slice().iter().zip(sketch_of_avg.as_slice()) {
+        for (x, y) in avg_sketch.iter().zip(sketch_of_avg.as_slice()) {
             assert!((x - y).abs() < 1e-3);
         }
     }

@@ -16,7 +16,9 @@
 //! The two crucial properties exploited by SketchFDA are
 //!
 //! 1. **linearity** — `sk(αa + βb) = α·sk(a) + β·sk(b)`, so AllReduce over
-//!    sketches produces the sketch of the averaged drift, and
+//!    sketches (an element-wise mean of their counters, taken by the round
+//!    engine like any other flat vector) produces the sketch of the
+//!    averaged drift, and
 //! 2. **dimension-independent accuracy** — ε and δ depend only on `l·m`,
 //!    never on `d`.
 //!

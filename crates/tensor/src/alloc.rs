@@ -8,9 +8,7 @@
 //! to retain freed memory makes steady-state training allocation-cheap
 //! without touching any call site.
 //!
-//! On non-glibc targets this is a no-op, and the default `retain-heap`
-//! cargo feature can be disabled by embedders that need freed memory
-//! returned to the OS mid-process.
+//! On targets other than linux-gnu this is a no-op.
 
 use std::sync::Once;
 
@@ -20,7 +18,10 @@ static INIT: Once = Once::new();
 /// thread-safe, called lazily from hot-path constructors).
 pub fn retain_heap() {
     INIT.call_once(|| {
-        #[cfg(all(target_os = "linux", target_env = "gnu", feature = "retain-heap"))]
+        #[cfg(all(target_os = "linux", target_env = "gnu"))]
+        // SAFETY: `mallopt` is glibc's, declared with its C signature; it
+        // takes two ints by value and only changes malloc's tuning, and
+        // both parameters below are ones glibc documents.
         unsafe {
             extern "C" {
                 fn mallopt(param: i32, value: i32) -> i32;
@@ -52,7 +53,9 @@ pub struct AlignedBuf {
     cap: usize,
 }
 
-// The buffer owns plain f32s; moving it between threads is safe.
+// SAFETY: the buffer uniquely owns its allocation of plain `f32`s (no
+// other handle to it exists), so moving it to another thread moves that
+// ownership, as for a `Vec<f32>`.
 unsafe impl Send for AlignedBuf {}
 
 impl AlignedBuf {
@@ -83,6 +86,10 @@ impl AlignedBuf {
     /// capacity is exceeded — the capacity-keyed scratch idiom.
     pub fn ensure(&mut self, n: usize) -> &mut [f32] {
         if n > self.cap {
+            // SAFETY: the freed block was allocated by this buffer with
+            // `layout(self.cap)`, and `take` drops the only pointer to it;
+            // the new block is checked for null before it is stored, with
+            // the layout `Drop` and the next growth free it with.
             unsafe {
                 if let Some(p) = self.ptr.take() {
                     std::alloc::dealloc(p.as_ptr() as *mut u8, Self::layout(self.cap));
@@ -100,6 +107,9 @@ impl AlignedBuf {
             }
         }
         match self.ptr {
+            // SAFETY: `p` points at `self.cap ≥ n` zero-initialised or
+            // written floats that this buffer owns, and the slice borrows
+            // `self` mutably, so nothing else can touch them.
             Some(p) => unsafe { std::slice::from_raw_parts_mut(p.as_ptr(), n) },
             // n == 0 and nothing allocated yet.
             None => &mut [],
@@ -110,6 +120,8 @@ impl AlignedBuf {
 impl Drop for AlignedBuf {
     fn drop(&mut self) {
         if let Some(p) = self.ptr {
+            // SAFETY: `p` was allocated by `ensure` with `layout(self.cap)`
+            // and is freed only here.
             unsafe { std::alloc::dealloc(p.as_ptr() as *mut u8, Self::layout(self.cap)) };
         }
     }

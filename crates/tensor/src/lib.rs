@@ -11,7 +11,7 @@
 //!   uniform / normal (Box–Muller) sampling, so every experiment in the
 //!   repository is reproducible from a seed.
 //! * [`vector`] — allocation-free hot-loop kernels over `&[f32]` slices
-//!   (dot, axpy, norms, in-place averaging) used by optimizers, monitors
+//!   (dot, sums, norms, in-place averaging) used by optimizers, monitors
 //!   and the communication layer.
 //! * [`simd`] — the runtime-dispatched kernel layer behind [`vector`] and
 //!   the GEMM: AVX-512 FMA, AVX2+FMA and scalar arms selected once per

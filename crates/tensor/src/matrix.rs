@@ -9,8 +9,8 @@
 //! (6×16) or the autovectorized scalar 4×16,
 //! selected once per process, so the packing geometry (`mr`/`nr` strip
 //! sizes) follows the dispatched arm while the blocking constants
-//! (`KC`/`MC`/`NC`) stay shared. The [`naive`] module keeps the original
-//! scalar loops as a reference for property tests and perf baselines.
+//! (`KC`/`MC`/`NC`) stay shared. A test-only `naive` module keeps the
+//! original scalar loops as the property tests' reference.
 //!
 //! All four GEMM variants (`A·B`, `Aᵀ·B`, `A·Bᵀ`, accumulate forms) share
 //! one packed driver; transposition happens during packing, so the hot
@@ -806,8 +806,8 @@ fn gemm_mid(
             let mut jr = jc;
             while jr < jc_hi {
                 let cols = nr.min(jc_hi - jr);
-                // SAFETY (microkernel contract, for the `mr`-row tile
-                // chosen above): the A block holds k·mr packed elements;
+                // SAFETY: the microkernel contract, for the `mr`-row tile
+                // chosen above: the A block holds k·mr packed elements;
                 // B row p reads exactly `b[p·ldb + jr .. p·ldb + jr + cols]`
                 // with `jr + cols ≤ n ≤ ldb`, all in bounds; the output
                 // tile `rows × cols` at `(ir, jr)` with row stride `ldo` is
@@ -944,7 +944,7 @@ fn gemm_driver(
                     while ir < mc {
                         let rows = mr.min(mc - ir);
                         let a_strip = a_pack[ir * kc..ir * kc + mr * kc].as_ptr();
-                        // SAFETY (microkernel contract): both strips are
+                        // SAFETY: the microkernel contract: both strips are
                         // fully packed (zero-padded to mr/nr), and the
                         // `rows × cols` output tile at `(ic + ir, jc + jr)`
                         // lies inside the `m × n` output of row stride
@@ -1000,7 +1000,7 @@ pub(crate) fn gemm_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         .with(|s| gemm_accumulate_with(a.view(), b.view(), out.view_mut(), &mut s.borrow_mut()));
 }
 
-/// [`gemm_accumulate`] on borrowed operands, with a caller-owned packing
+/// `out ← out + a · b` on borrowed operands, with a caller-owned packing
 /// arena.
 pub fn gemm_accumulate_with(a: MatRef, b: MatRef, out: MatMut, scratch: &mut Scratch) {
     gemm_accumulate_with_kernel(simd::kernels(), a, b, out, scratch);

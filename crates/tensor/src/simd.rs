@@ -1,10 +1,10 @@
 //! Runtime-dispatched SIMD kernel layer.
 //!
-//! Every wide loop in the workspace — the GEMM microkernel, the
-//! weight-gradient dot tiles, the flat-vector reductions (`dot`, `sum`,
-//! `dist_sq`), the BLAS-1 updates (`axpy`, `axpby`, `add_assign`, `scale`)
-//! and the AMS sketch bucket gather — funnels through one [`Kernels`] table
-//! selected **once** per process:
+//! Every wide loop of FDA's per-step arithmetic — the GEMM microkernel,
+//! the weight-gradient dot tiles, the flat-vector reductions (`dot`,
+//! `sum`), the element-wise mean steps (`add_assign`, `scale`) and the AMS
+//! sketch bucket gather — funnels through one [`Kernels`] table selected
+//! **once** per process:
 //!
 //! * **`avx512`** — AVX-512F FMA: 8×32 GEMM microkernel (16 zmm
 //!   accumulators, packed-panel prefetch) plus a 12×32 tall tile (24),
@@ -32,11 +32,24 @@
 //!
 //! # Safety model
 //!
-//! The intrinsics arms are `unsafe` at the leaves (`#[target_feature]`) but
-//! a `&'static Kernels` is only obtainable through [`kernels`],
-//! [`table_for`] or [`all_supported`], each of which gates on runtime
-//! feature detection — so the safe fn-pointer fields can never dispatch an
-//! instruction the host lacks.
+//! The intrinsics leaves are `#[target_feature]` functions. Those that
+//! take only slices and values — `dot`, `sum`, `add_assign`, `scale`, the
+//! horizontal sums and the dot tiles — are safe functions: their loops
+//! walk `as_chunks` array references, and `unsafe` is left in the per-arm
+//! load and store helpers, whose bounds are a fact of their `&[f32; N]`
+//! argument or of a lane mask no wider than the slice. Three contracts
+//! stay `unsafe`, each stated where it is declared:
+//!
+//! * the microkernels ([`Kernels::microkernel`]) take raw packed-panel
+//!   pointers and strides;
+//! * the sketch gather ([`Kernels::sketch_gather`]) reads `v` at table
+//!   indices it does not check;
+//! * calling a `#[target_feature]` leaf from the table's plain fn
+//!   pointers is `unsafe` because the compiler cannot see the feature.
+//!   A `&'static Kernels` is only obtainable through [`kernels`],
+//!   [`table_for`] or [`all_supported`], each of which gates on runtime
+//!   feature detection, so the safe fn-pointer fields can never dispatch
+//!   an instruction the host lacks.
 
 use std::sync::OnceLock;
 
@@ -182,12 +195,6 @@ pub struct Kernels {
     pub dot: fn(&[f32], &[f32]) -> f32,
     /// Sum of all elements.
     pub sum: fn(&[f32]) -> f32,
-    /// Squared Euclidean distance `‖a − b‖²`; panics on length mismatch.
-    pub dist_sq: fn(&[f32], &[f32]) -> f32,
-    /// `y ← y + α·x`; panics on length mismatch.
-    pub axpy: fn(f32, &[f32], &mut [f32]),
-    /// `y ← α·x + β·y`; panics on length mismatch.
-    pub axpby: fn(f32, &[f32], f32, &mut [f32]),
     /// `a ← a + b`; panics on length mismatch. Element-wise (no
     /// reassociation), so all arms agree bit-for-bit.
     pub add_assign: fn(&mut [f32], &[f32]),
@@ -433,9 +440,6 @@ pub(crate) mod scalar {
         dot_tiles,
         dot,
         sum,
-        dist_sq,
-        axpy,
-        axpby,
         add_assign,
         scale,
         sketch_gather,
@@ -571,33 +575,6 @@ pub(crate) mod scalar {
         acc.iter().sum::<f32>() + tail
     }
 
-    /// Squared distance; single accumulator (autovectorized).
-    pub fn dist_sq(a: &[f32], b: &[f32]) -> f32 {
-        assert_eq!(a.len(), b.len(), "dist_sq: length mismatch");
-        let mut s = 0.0f32;
-        for i in 0..a.len() {
-            let d = a[i] - b[i];
-            s += d * d;
-        }
-        s
-    }
-
-    /// `y ← y + α·x`.
-    pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-        assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-        for i in 0..x.len() {
-            y[i] += alpha * x[i];
-        }
-    }
-
-    /// `y ← α·x + β·y`.
-    pub fn axpby(alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {
-        assert_eq!(x.len(), y.len(), "axpby: length mismatch");
-        for i in 0..x.len() {
-            y[i] = alpha * x[i] + beta * y[i];
-        }
-    }
-
     /// `a ← a + b` (element-wise, no reassociation).
     pub fn add_assign(a: &mut [f32], b: &[f32]) {
         assert_eq!(a.len(), b.len(), "add_assign: length mismatch");
@@ -674,10 +651,13 @@ pub(crate) mod scalar {
 mod x86 {
     //! AVX2+FMA and AVX-512F arms.
     //!
-    //! Each leaf is an `unsafe fn` annotated `#[target_feature]`; the safe
-    //! fn-pointer wrappers stored in the tables are sound because tables
-    //! are only handed out after `is_x86_feature_detected!` succeeds (see
-    //! [`super::table_for`]).
+    //! Each leaf is a `#[target_feature]` function. The leaves over slices
+    //! and values are safe functions; the tables' closures call them in an
+    //! `unsafe` block whose proof is the runtime feature detection that
+    //! gates every table (see [`super::table_for`]). Slices reach the
+    //! intrinsics only through the per-arm load and store helpers
+    //! ([`load16`], [`load8`] and their kin), whose `&[f32; N]` argument or
+    //! lane mask is the bounds check.
     //!
     //! All loads are `loadu`: the packed GEMM panels are 64-byte aligned at
     //! the base (see `alloc::AlignedBuf`), but ragged `kc` panels and
@@ -705,18 +685,18 @@ mod x86 {
         microkernel: microkernel_avx512::<MR_512>,
         mr_tall: MR_TALL_512,
         microkernel_tall: microkernel_avx512::<MR_TALL_512>,
-        // SAFETY: the table is handed out only on AVX-512F hosts (see the
-        // module docs); `dot_tiles_avx512` checks its slices before any
-        // load.
+        // SAFETY: this table is handed out only on AVX-512F hosts (see the
+        // module docs), which is the leaf's one requirement.
         dot_tiles: |m, n, k, a, lda, b, ldb, out, ldo| unsafe {
             dot_tiles_avx512(m, n, k, a, lda, b, ldb, out, ldo)
         },
+        // SAFETY: as above.
         dot: |a, b| unsafe { dot_avx512(a, b) },
+        // SAFETY: as above.
         sum: |a| unsafe { sum_avx512(a) },
-        dist_sq: |a, b| unsafe { dist_sq_avx512(a, b) },
-        axpy: |alpha, x, y| unsafe { axpy_avx512(alpha, x, y) },
-        axpby: |alpha, x, beta, y| unsafe { axpby_avx512(alpha, x, beta, y) },
+        // SAFETY: as above.
         add_assign: |a, b| unsafe { add_assign_avx512(a, b) },
+        // SAFETY: as above.
         scale: |a, alpha| unsafe { scale_avx512(a, alpha) },
         sketch_gather: sketch_gather_avx512,
     };
@@ -814,12 +794,9 @@ mod x86 {
     /// `vmulps` + `vaddps` per lane is the portable arm's arithmetic and
     /// the tile shape only decides which loads are shared. A block side
     /// that is not a multiple of 4 ends on a 2-wide strip.
-    ///
-    /// # Safety
-    /// Host supports AVX-512F.
     #[target_feature(enable = "avx512f")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn dot_tiles_avx512(
+    fn dot_tiles_avx512(
         m: usize,
         n: usize,
         k: usize,
@@ -831,17 +808,13 @@ mod x86 {
         ldo: usize,
     ) {
         super::check_dot_tiles(m, n, k, a, lda, b, ldb, out, ldo);
-        let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
         let mut i = 0;
         while i < m {
             let rows = if m - i >= 4 { 4 } else { 2 };
             let mut j = 0;
             while j < n {
                 let cols = if n - j >= 4 { 4 } else { 2 };
-                // SAFETY: the tile's rows `i..i + rows` of A, `j..j + cols`
-                // of B and its output block lie inside the block the check
-                // above bounded.
-                let (a, b, out) = (ap.add(i * lda), bp.add(j * ldb), op.add(i * ldo + j));
+                let (a, b, out) = (&a[i * lda..], &b[j * ldb..], &mut out[i * ldo + j..]);
                 match (rows, cols) {
                     (4, 4) => dot_tile_avx512::<4, 4>(k, a, lda, b, ldb, out, ldo),
                     (4, _) => dot_tile_avx512::<4, 2>(k, a, lda, b, ldb, out, ldo),
@@ -854,51 +827,53 @@ mod x86 {
         }
     }
 
-    /// One `R × C` tile of [`dot_tiles_avx512`] at `a` / `b` / `out`.
-    ///
-    /// # Safety
-    /// Host supports AVX-512F; rows `0..R` of `a` and `0..C` of `b` (strides
-    /// `lda` / `ldb`) hold `k` readable floats each, and `out` is writable
-    /// at `r·ldo + c` for `r < R`, `c < C`.
+    /// One `R × C` tile of [`dot_tiles_avx512`]: rows `0..R` of `a` and
+    /// `0..C` of `b` (strides `lda` / `ldb`, `k` floats each) into
+    /// `out[r·ldo + c]`. Every slice is cut to its exact length before the
+    /// `k` loop, so the loop's indexing needs no bounds checks; a row or an
+    /// output element outside its slice panics first.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn dot_tile_avx512<const R: usize, const C: usize>(
+    fn dot_tile_avx512<const R: usize, const C: usize>(
         k: usize,
-        a: *const f32,
+        a: &[f32],
         lda: usize,
-        b: *const f32,
+        b: &[f32],
         ldb: usize,
-        out: *mut f32,
+        out: &mut [f32],
         ldo: usize,
     ) {
-        let k_main = k - k % DOT_LANES;
+        let a: [&[f32]; R] = std::array::from_fn(|r| &a[r * lda..][..k]);
+        let b: [&[f32]; C] = std::array::from_fn(|c| &b[c * ldb..][..k]);
+        let steps = k / DOT_LANES;
+        let a16 = a.map(|row| &row.as_chunks::<DOT_LANES>().0[..steps]);
+        let b16 = b.map(|row| &row.as_chunks::<DOT_LANES>().0[..steps]);
         let mut acc = [[_mm512_setzero_ps(); C]; R];
         let mut av = [_mm512_setzero_ps(); R];
         let mut bv = [_mm512_setzero_ps(); C];
-        let mut p = 0;
-        while p < k_main {
-            for (r, v) in av.iter_mut().enumerate() {
-                *v = _mm512_loadu_ps(a.add(r * lda + p));
+        for p in 0..steps {
+            for (v, row) in av.iter_mut().zip(&a16) {
+                *v = load16(&row[p]);
             }
-            for (c, v) in bv.iter_mut().enumerate() {
-                *v = _mm512_loadu_ps(b.add(c * ldb + p));
+            for (v, row) in bv.iter_mut().zip(&b16) {
+                *v = load16(&row[p]);
             }
             for (acc, &a) in acc.iter_mut().zip(&av) {
                 for (acc, &b) in acc.iter_mut().zip(&bv) {
                     *acc = _mm512_add_ps(*acc, _mm512_mul_ps(a, b));
                 }
             }
-            p += DOT_LANES;
         }
+        let k_main = steps * DOT_LANES;
         for (r, acc) in acc.iter().enumerate() {
             for (c, &acc) in acc.iter().enumerate() {
                 let mut lanes = [0.0f32; DOT_LANES];
-                _mm512_storeu_ps(lanes.as_mut_ptr(), acc);
+                store16(&mut lanes, acc);
                 let mut s: f32 = lanes.iter().sum();
-                for q in k_main..k {
-                    s += *a.add(r * lda + q) * *b.add(c * ldb + q);
+                for (x, y) in a[r][k_main..].iter().zip(&b[c][k_main..]) {
+                    s += x * y;
                 }
-                *out.add(r * ldo + c) += s;
+                out[r * ldo + c] += s;
             }
         }
     }
@@ -921,234 +896,129 @@ mod x86 {
         }
     }
 
-    /// Load mask for an `n < 16` element tail.
+    /// Mask of the low `min(n, 16)` lanes.
     #[inline]
     fn tail_mask16(n: usize) -> __mmask16 {
-        debug_assert!(n < 16);
-        (1u16 << n) - 1
+        ((1u32 << n.min(16)) - 1) as __mmask16
+    }
+
+    /// One zmm from 16 floats.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load16(a: &[f32; 16]) -> __m512 {
+        // SAFETY: `a` is 16 readable floats.
+        unsafe { _mm512_loadu_ps(a.as_ptr()) }
+    }
+
+    /// Stores one zmm into 16 floats.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn store16(a: &mut [f32; 16], v: __m512) {
+        // SAFETY: `a` is 16 writable floats.
+        unsafe { _mm512_storeu_ps(a.as_mut_ptr(), v) }
+    }
+
+    /// The first `min(a.len(), 16)` floats of `a` in the low lanes, zeros
+    /// above.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load_tail16(a: &[f32]) -> __m512 {
+        // SAFETY: the mask enables only lanes below `a.len()`; a masked-off
+        // lane is neither read nor able to fault.
+        unsafe { _mm512_maskz_loadu_ps(tail_mask16(a.len()), a.as_ptr()) }
+    }
+
+    /// Stores the low `min(a.len(), 16)` lanes of `v` into `a`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn store_tail16(a: &mut [f32], v: __m512) {
+        // SAFETY: the mask enables only lanes below `a.len()`; a masked-off
+        // lane is not written.
+        unsafe { _mm512_mask_storeu_ps(a.as_mut_ptr(), tail_mask16(a.len()), v) }
+    }
+
+    /// Horizontal sum of one zmm as a halving tree: lane `i` plus lane
+    /// `i + 8`, then [`hsum256`]'s tree. This is the tree of
+    /// `_mm512_reduce_add_ps`, written out so the arm's bits do not depend
+    /// on how the intrinsic is implemented.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn hsum512(v: __m512) -> f32 {
+        let hi = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(v)));
+        hsum256(_mm256_add_ps(_mm512_castps512_ps256(v), hi))
     }
 
     /// Dot product: 4×16-lane FMA accumulators, masked tail.
-    ///
-    /// # Safety
-    /// Host supports AVX-512F.
     #[target_feature(enable = "avx512f")]
-    unsafe fn dot_avx512(a: &[f32], b: &[f32]) -> f32 {
+    fn dot_avx512(a: &[f32], b: &[f32]) -> f32 {
         assert_eq!(a.len(), b.len(), "dot: length mismatch");
-        let n = a.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc0 = _mm512_setzero_ps();
-        let mut acc1 = _mm512_setzero_ps();
-        let mut acc2 = _mm512_setzero_ps();
-        let mut acc3 = _mm512_setzero_ps();
-        let mut i = 0;
-        while i + 64 <= n {
-            acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(ap.add(i)), _mm512_loadu_ps(bp.add(i)), acc0);
-            acc1 = _mm512_fmadd_ps(
-                _mm512_loadu_ps(ap.add(i + 16)),
-                _mm512_loadu_ps(bp.add(i + 16)),
-                acc1,
-            );
-            acc2 = _mm512_fmadd_ps(
-                _mm512_loadu_ps(ap.add(i + 32)),
-                _mm512_loadu_ps(bp.add(i + 32)),
-                acc2,
-            );
-            acc3 = _mm512_fmadd_ps(
-                _mm512_loadu_ps(ap.add(i + 48)),
-                _mm512_loadu_ps(bp.add(i + 48)),
-                acc3,
-            );
-            i += 64;
+        let (a64, a_rest) = a.as_chunks::<64>();
+        let (b64, b_rest) = b.as_chunks::<64>();
+        let mut acc = [_mm512_setzero_ps(); 4];
+        for (a, b) in a64.iter().zip(b64) {
+            let (a, b) = (a.as_chunks::<16>().0, b.as_chunks::<16>().0);
+            for (acc, (a, b)) in acc.iter_mut().zip(a.iter().zip(b)) {
+                *acc = _mm512_fmadd_ps(load16(a), load16(b), *acc);
+            }
         }
-        while i + 16 <= n {
-            acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(ap.add(i)), _mm512_loadu_ps(bp.add(i)), acc0);
-            i += 16;
+        let (a16, a_tail) = a_rest.as_chunks::<16>();
+        let (b16, b_tail) = b_rest.as_chunks::<16>();
+        for (a, b) in a16.iter().zip(b16) {
+            acc[0] = _mm512_fmadd_ps(load16(a), load16(b), acc[0]);
         }
-        if i < n {
-            let m = tail_mask16(n - i);
-            acc1 = _mm512_fmadd_ps(
-                _mm512_maskz_loadu_ps(m, ap.add(i)),
-                _mm512_maskz_loadu_ps(m, bp.add(i)),
-                acc1,
-            );
+        if !a_tail.is_empty() {
+            acc[1] = _mm512_fmadd_ps(load_tail16(a_tail), load_tail16(b_tail), acc[1]);
         }
-        let s01 = _mm512_add_ps(acc0, acc1);
-        let s23 = _mm512_add_ps(acc2, acc3);
-        _mm512_reduce_add_ps(_mm512_add_ps(s01, s23))
+        let [a0, a1, a2, a3] = acc;
+        hsum512(_mm512_add_ps(_mm512_add_ps(a0, a1), _mm512_add_ps(a2, a3)))
     }
 
     /// Sum: 4×16-lane accumulators, masked tail.
-    ///
-    /// # Safety
-    /// Host supports AVX-512F.
     #[target_feature(enable = "avx512f")]
-    unsafe fn sum_avx512(a: &[f32]) -> f32 {
-        let n = a.len();
-        let ap = a.as_ptr();
-        let mut acc0 = _mm512_setzero_ps();
-        let mut acc1 = _mm512_setzero_ps();
-        let mut acc2 = _mm512_setzero_ps();
-        let mut acc3 = _mm512_setzero_ps();
-        let mut i = 0;
-        while i + 64 <= n {
-            acc0 = _mm512_add_ps(acc0, _mm512_loadu_ps(ap.add(i)));
-            acc1 = _mm512_add_ps(acc1, _mm512_loadu_ps(ap.add(i + 16)));
-            acc2 = _mm512_add_ps(acc2, _mm512_loadu_ps(ap.add(i + 32)));
-            acc3 = _mm512_add_ps(acc3, _mm512_loadu_ps(ap.add(i + 48)));
-            i += 64;
+    fn sum_avx512(a: &[f32]) -> f32 {
+        let (a64, rest) = a.as_chunks::<64>();
+        let mut acc = [_mm512_setzero_ps(); 4];
+        for a in a64 {
+            for (acc, a) in acc.iter_mut().zip(a.as_chunks::<16>().0) {
+                *acc = _mm512_add_ps(*acc, load16(a));
+            }
         }
-        while i + 16 <= n {
-            acc0 = _mm512_add_ps(acc0, _mm512_loadu_ps(ap.add(i)));
-            i += 16;
+        let (a16, tail) = rest.as_chunks::<16>();
+        for a in a16 {
+            acc[0] = _mm512_add_ps(acc[0], load16(a));
         }
-        if i < n {
-            acc1 = _mm512_add_ps(acc1, _mm512_maskz_loadu_ps(tail_mask16(n - i), ap.add(i)));
+        if !tail.is_empty() {
+            acc[1] = _mm512_add_ps(acc[1], load_tail16(tail));
         }
-        let s01 = _mm512_add_ps(acc0, acc1);
-        let s23 = _mm512_add_ps(acc2, acc3);
-        _mm512_reduce_add_ps(_mm512_add_ps(s01, s23))
-    }
-
-    /// Squared distance: subtract + FMA, 2×16-lane accumulators.
-    ///
-    /// # Safety
-    /// Host supports AVX-512F.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn dist_sq_avx512(a: &[f32], b: &[f32]) -> f32 {
-        assert_eq!(a.len(), b.len(), "dist_sq: length mismatch");
-        let n = a.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc0 = _mm512_setzero_ps();
-        let mut acc1 = _mm512_setzero_ps();
-        let mut i = 0;
-        while i + 32 <= n {
-            let d0 = _mm512_sub_ps(_mm512_loadu_ps(ap.add(i)), _mm512_loadu_ps(bp.add(i)));
-            let d1 = _mm512_sub_ps(
-                _mm512_loadu_ps(ap.add(i + 16)),
-                _mm512_loadu_ps(bp.add(i + 16)),
-            );
-            acc0 = _mm512_fmadd_ps(d0, d0, acc0);
-            acc1 = _mm512_fmadd_ps(d1, d1, acc1);
-            i += 32;
-        }
-        while i + 16 <= n {
-            let d = _mm512_sub_ps(_mm512_loadu_ps(ap.add(i)), _mm512_loadu_ps(bp.add(i)));
-            acc0 = _mm512_fmadd_ps(d, d, acc0);
-            i += 16;
-        }
-        if i < n {
-            let m = tail_mask16(n - i);
-            let d = _mm512_sub_ps(
-                _mm512_maskz_loadu_ps(m, ap.add(i)),
-                _mm512_maskz_loadu_ps(m, bp.add(i)),
-            );
-            acc1 = _mm512_fmadd_ps(d, d, acc1);
-        }
-        _mm512_reduce_add_ps(_mm512_add_ps(acc0, acc1))
-    }
-
-    /// `y ← y + α·x` with FMA, masked tail store.
-    ///
-    /// # Safety
-    /// Host supports AVX-512F.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn axpy_avx512(alpha: f32, x: &[f32], y: &mut [f32]) {
-        assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-        let n = x.len();
-        let xp = x.as_ptr();
-        let yp = y.as_mut_ptr();
-        let av = _mm512_set1_ps(alpha);
-        let mut i = 0;
-        while i + 16 <= n {
-            let r = _mm512_fmadd_ps(av, _mm512_loadu_ps(xp.add(i)), _mm512_loadu_ps(yp.add(i)));
-            _mm512_storeu_ps(yp.add(i), r);
-            i += 16;
-        }
-        if i < n {
-            let m = tail_mask16(n - i);
-            let r = _mm512_fmadd_ps(
-                av,
-                _mm512_maskz_loadu_ps(m, xp.add(i)),
-                _mm512_maskz_loadu_ps(m, yp.add(i)),
-            );
-            _mm512_mask_storeu_ps(yp.add(i), m, r);
-        }
-    }
-
-    /// `y ← α·x + β·y` as `fma(α, x, β·y)`.
-    ///
-    /// # Safety
-    /// Host supports AVX-512F.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn axpby_avx512(alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {
-        assert_eq!(x.len(), y.len(), "axpby: length mismatch");
-        let n = x.len();
-        let xp = x.as_ptr();
-        let yp = y.as_mut_ptr();
-        let av = _mm512_set1_ps(alpha);
-        let bv = _mm512_set1_ps(beta);
-        let mut i = 0;
-        while i + 16 <= n {
-            let by = _mm512_mul_ps(bv, _mm512_loadu_ps(yp.add(i)));
-            let r = _mm512_fmadd_ps(av, _mm512_loadu_ps(xp.add(i)), by);
-            _mm512_storeu_ps(yp.add(i), r);
-            i += 16;
-        }
-        if i < n {
-            let m = tail_mask16(n - i);
-            let by = _mm512_mul_ps(bv, _mm512_maskz_loadu_ps(m, yp.add(i)));
-            let r = _mm512_fmadd_ps(av, _mm512_maskz_loadu_ps(m, xp.add(i)), by);
-            _mm512_mask_storeu_ps(yp.add(i), m, r);
-        }
+        let [a0, a1, a2, a3] = acc;
+        hsum512(_mm512_add_ps(_mm512_add_ps(a0, a1), _mm512_add_ps(a2, a3)))
     }
 
     /// `a ← a + b`, element-wise (bit-identical to the scalar arm).
-    ///
-    /// # Safety
-    /// Host supports AVX-512F.
     #[target_feature(enable = "avx512f")]
-    unsafe fn add_assign_avx512(a: &mut [f32], b: &[f32]) {
+    fn add_assign_avx512(a: &mut [f32], b: &[f32]) {
         assert_eq!(a.len(), b.len(), "add_assign: length mismatch");
-        let n = a.len();
-        let ap = a.as_mut_ptr();
-        let bp = b.as_ptr();
-        let mut i = 0;
-        while i + 16 <= n {
-            let r = _mm512_add_ps(_mm512_loadu_ps(ap.add(i)), _mm512_loadu_ps(bp.add(i)));
-            _mm512_storeu_ps(ap.add(i), r);
-            i += 16;
+        let (a16, a_tail) = a.as_chunks_mut::<16>();
+        let (b16, b_tail) = b.as_chunks::<16>();
+        for (a, b) in a16.iter_mut().zip(b16) {
+            store16(a, _mm512_add_ps(load16(a), load16(b)));
         }
-        if i < n {
-            let m = tail_mask16(n - i);
-            let r = _mm512_add_ps(
-                _mm512_maskz_loadu_ps(m, ap.add(i)),
-                _mm512_maskz_loadu_ps(m, bp.add(i)),
-            );
-            _mm512_mask_storeu_ps(ap.add(i), m, r);
+        if !a_tail.is_empty() {
+            let sum = _mm512_add_ps(load_tail16(a_tail), load_tail16(b_tail));
+            store_tail16(a_tail, sum);
         }
     }
 
     /// `a ← α·a`, element-wise (bit-identical to the scalar arm).
-    ///
-    /// # Safety
-    /// Host supports AVX-512F.
     #[target_feature(enable = "avx512f")]
-    unsafe fn scale_avx512(a: &mut [f32], alpha: f32) {
-        let n = a.len();
-        let ap = a.as_mut_ptr();
+    fn scale_avx512(a: &mut [f32], alpha: f32) {
         let av = _mm512_set1_ps(alpha);
-        let mut i = 0;
-        while i + 16 <= n {
-            _mm512_storeu_ps(ap.add(i), _mm512_mul_ps(av, _mm512_loadu_ps(ap.add(i))));
-            i += 16;
+        let (a16, tail) = a.as_chunks_mut::<16>();
+        for a in a16 {
+            store16(a, _mm512_mul_ps(av, load16(a)));
         }
-        if i < n {
-            let m = tail_mask16(n - i);
-            let r = _mm512_mul_ps(av, _mm512_maskz_loadu_ps(m, ap.add(i)));
-            _mm512_mask_storeu_ps(ap.add(i), m, r);
+        if !tail.is_empty() {
+            store_tail16(tail, _mm512_mul_ps(av, load_tail16(tail)));
         }
     }
 
@@ -1227,28 +1097,44 @@ mod x86 {
         mr_tall: MR_256,
         microkernel_tall: microkernel_avx2,
         dot_tiles: super::scalar::dot_tiles,
+        // SAFETY: this table is handed out only on AVX2+FMA hosts (see the
+        // module docs), which is the leaf's one requirement.
         dot: |a, b| unsafe { dot_avx2(a, b) },
+        // SAFETY: as above.
         sum: |a| unsafe { sum_avx2(a) },
-        dist_sq: |a, b| unsafe { dist_sq_avx2(a, b) },
-        axpy: |alpha, x, y| unsafe { axpy_avx2(alpha, x, y) },
-        axpby: |alpha, x, beta, y| unsafe { axpby_avx2(alpha, x, beta, y) },
+        // SAFETY: as above.
         add_assign: |a, b| unsafe { add_assign_avx2(a, b) },
+        // SAFETY: as above.
         scale: |a, alpha| unsafe { scale_avx2(a, alpha) },
         sketch_gather: sketch_gather_avx2,
     };
 
-    /// Horizontal sum of one ymm.
-    ///
-    /// # Safety
-    /// Host supports AVX.
+    /// Horizontal sum of one ymm as a halving tree — lane `i` plus lane
+    /// `i + 4`, then `i + 2`, then the last pair — the second half of
+    /// [`hsum512`]'s tree.
+    #[inline]
     #[target_feature(enable = "avx")]
-    unsafe fn hsum256(v: __m256) -> f32 {
-        let hi = _mm256_extractf128_ps(v, 1);
-        let lo = _mm256_castps256_ps128(v);
-        let s = _mm_add_ps(lo, hi);
+    fn hsum256(v: __m256) -> f32 {
+        let s = _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps::<1>(v));
         let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-        let s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
+        let s = _mm_add_ss(s, _mm_shuffle_ps::<1>(s, s));
         _mm_cvtss_f32(s)
+    }
+
+    /// One ymm from 8 floats.
+    #[inline]
+    #[target_feature(enable = "avx")]
+    fn load8(a: &[f32; 8]) -> __m256 {
+        // SAFETY: `a` is 8 readable floats.
+        unsafe { _mm256_loadu_ps(a.as_ptr()) }
+    }
+
+    /// Stores one ymm into 8 floats.
+    #[inline]
+    #[target_feature(enable = "avx")]
+    fn store8(a: &mut [f32; 8], v: __m256) {
+        // SAFETY: `a` is 8 writable floats.
+        unsafe { _mm256_storeu_ps(a.as_mut_ptr(), v) }
     }
 
     /// 6×16 FMA register tile: 12 ymm accumulators + 2 B vectors + 1
@@ -1329,229 +1215,93 @@ mod x86 {
     }
 
     /// Per-lane maskload masks for a `cols ≤ 16` wide tile: low vector,
-    /// high vector (a lane participates iff its sign bit is set).
+    /// high vector (a lane participates iff its sign bit is set, so lane
+    /// `l` of the low vector is all-ones iff `l < min(cols, 8)`).
     #[inline]
+    #[target_feature(enable = "avx2")]
     fn col_masks8(cols: usize) -> (__m256i, __m256i) {
         debug_assert!(cols <= 16);
-        // 8 set lanes followed by 8 clear lanes; sliding a window of 8
-        // over this table yields any 0..=8-lane prefix mask.
-        const TABLE: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
         let lo = cols.min(8);
-        let hi = cols - lo;
-        unsafe {
-            (
-                _mm256_loadu_si256(TABLE.as_ptr().add(8 - lo) as *const __m256i),
-                _mm256_loadu_si256(TABLE.as_ptr().add(8 - hi) as *const __m256i),
-            )
-        }
+        let hi = cols.min(16) - lo;
+        (
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(lo as i32), lane),
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(hi as i32), lane),
+        )
     }
 
     /// Dot product: 4×8-lane FMA accumulators, scalar tail.
-    ///
-    /// # Safety
-    /// Host supports AVX2+FMA.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
+    fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
         assert_eq!(a.len(), b.len(), "dot: length mismatch");
-        let n = a.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut acc2 = _mm256_setzero_ps();
-        let mut acc3 = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + 32 <= n {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)), acc0);
-            acc1 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(ap.add(i + 8)),
-                _mm256_loadu_ps(bp.add(i + 8)),
-                acc1,
-            );
-            acc2 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(ap.add(i + 16)),
-                _mm256_loadu_ps(bp.add(i + 16)),
-                acc2,
-            );
-            acc3 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(ap.add(i + 24)),
-                _mm256_loadu_ps(bp.add(i + 24)),
-                acc3,
-            );
-            i += 32;
+        let (a32, a_rest) = a.as_chunks::<32>();
+        let (b32, b_rest) = b.as_chunks::<32>();
+        let mut acc = [_mm256_setzero_ps(); 4];
+        for (a, b) in a32.iter().zip(b32) {
+            let (a, b) = (a.as_chunks::<8>().0, b.as_chunks::<8>().0);
+            for (acc, (a, b)) in acc.iter_mut().zip(a.iter().zip(b)) {
+                *acc = _mm256_fmadd_ps(load8(a), load8(b), *acc);
+            }
         }
-        while i + 8 <= n {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)), acc0);
-            i += 8;
+        let (a8, a_tail) = a_rest.as_chunks::<8>();
+        let (b8, b_tail) = b_rest.as_chunks::<8>();
+        for (a, b) in a8.iter().zip(b8) {
+            acc[0] = _mm256_fmadd_ps(load8(a), load8(b), acc[0]);
         }
         let mut tail = 0.0f32;
-        while i < n {
-            tail += a[i] * b[i];
-            i += 1;
+        for (x, y) in a_tail.iter().zip(b_tail) {
+            tail += x * y;
         }
-        let s = _mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3));
-        hsum256(s) + tail
+        let [a0, a1, a2, a3] = acc;
+        hsum256(_mm256_add_ps(_mm256_add_ps(a0, a1), _mm256_add_ps(a2, a3))) + tail
     }
 
     /// Sum: 4×8-lane accumulators, scalar tail.
-    ///
-    /// # Safety
-    /// Host supports AVX2+FMA.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn sum_avx2(a: &[f32]) -> f32 {
-        let n = a.len();
-        let ap = a.as_ptr();
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut acc2 = _mm256_setzero_ps();
-        let mut acc3 = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + 32 <= n {
-            acc0 = _mm256_add_ps(acc0, _mm256_loadu_ps(ap.add(i)));
-            acc1 = _mm256_add_ps(acc1, _mm256_loadu_ps(ap.add(i + 8)));
-            acc2 = _mm256_add_ps(acc2, _mm256_loadu_ps(ap.add(i + 16)));
-            acc3 = _mm256_add_ps(acc3, _mm256_loadu_ps(ap.add(i + 24)));
-            i += 32;
+    fn sum_avx2(a: &[f32]) -> f32 {
+        let (a32, rest) = a.as_chunks::<32>();
+        let mut acc = [_mm256_setzero_ps(); 4];
+        for a in a32 {
+            for (acc, a) in acc.iter_mut().zip(a.as_chunks::<8>().0) {
+                *acc = _mm256_add_ps(*acc, load8(a));
+            }
         }
-        while i + 8 <= n {
-            acc0 = _mm256_add_ps(acc0, _mm256_loadu_ps(ap.add(i)));
-            i += 8;
+        let (a8, tail) = rest.as_chunks::<8>();
+        for a in a8 {
+            acc[0] = _mm256_add_ps(acc[0], load8(a));
         }
-        let mut tail = 0.0f32;
-        while i < n {
-            tail += a[i];
-            i += 1;
+        let mut t = 0.0f32;
+        for x in tail {
+            t += x;
         }
-        let s = _mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3));
-        hsum256(s) + tail
-    }
-
-    /// Squared distance: subtract + FMA, scalar tail.
-    ///
-    /// # Safety
-    /// Host supports AVX2+FMA.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn dist_sq_avx2(a: &[f32], b: &[f32]) -> f32 {
-        assert_eq!(a.len(), b.len(), "dist_sq: length mismatch");
-        let n = a.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + 16 <= n {
-            let d0 = _mm256_sub_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)));
-            let d1 = _mm256_sub_ps(
-                _mm256_loadu_ps(ap.add(i + 8)),
-                _mm256_loadu_ps(bp.add(i + 8)),
-            );
-            acc0 = _mm256_fmadd_ps(d0, d0, acc0);
-            acc1 = _mm256_fmadd_ps(d1, d1, acc1);
-            i += 16;
-        }
-        while i + 8 <= n {
-            let d = _mm256_sub_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)));
-            acc0 = _mm256_fmadd_ps(d, d, acc0);
-            i += 8;
-        }
-        let mut tail = 0.0f32;
-        while i < n {
-            let d = a[i] - b[i];
-            tail += d * d;
-            i += 1;
-        }
-        hsum256(_mm256_add_ps(acc0, acc1)) + tail
-    }
-
-    /// `y ← y + α·x` with FMA, scalar tail.
-    ///
-    /// # Safety
-    /// Host supports AVX2+FMA.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn axpy_avx2(alpha: f32, x: &[f32], y: &mut [f32]) {
-        assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-        let n = x.len();
-        let xp = x.as_ptr();
-        let yp = y.as_mut_ptr();
-        let av = _mm256_set1_ps(alpha);
-        let mut i = 0;
-        while i + 8 <= n {
-            let r = _mm256_fmadd_ps(av, _mm256_loadu_ps(xp.add(i)), _mm256_loadu_ps(yp.add(i)));
-            _mm256_storeu_ps(yp.add(i), r);
-            i += 8;
-        }
-        while i < n {
-            // Match the vector body's fused multiply-add so every element
-            // of the result is computed the same way.
-            y[i] = alpha.mul_add(x[i], y[i]);
-            i += 1;
-        }
-    }
-
-    /// `y ← α·x + β·y` as `fma(α, x, β·y)`, scalar tail to match.
-    ///
-    /// # Safety
-    /// Host supports AVX2+FMA.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn axpby_avx2(alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {
-        assert_eq!(x.len(), y.len(), "axpby: length mismatch");
-        let n = x.len();
-        let xp = x.as_ptr();
-        let yp = y.as_mut_ptr();
-        let av = _mm256_set1_ps(alpha);
-        let bv = _mm256_set1_ps(beta);
-        let mut i = 0;
-        while i + 8 <= n {
-            let by = _mm256_mul_ps(bv, _mm256_loadu_ps(yp.add(i)));
-            let r = _mm256_fmadd_ps(av, _mm256_loadu_ps(xp.add(i)), by);
-            _mm256_storeu_ps(yp.add(i), r);
-            i += 8;
-        }
-        while i < n {
-            y[i] = alpha.mul_add(x[i], beta * y[i]);
-            i += 1;
-        }
+        let [a0, a1, a2, a3] = acc;
+        hsum256(_mm256_add_ps(_mm256_add_ps(a0, a1), _mm256_add_ps(a2, a3))) + t
     }
 
     /// `a ← a + b`, element-wise (bit-identical to the scalar arm).
-    ///
-    /// # Safety
-    /// Host supports AVX2+FMA.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn add_assign_avx2(a: &mut [f32], b: &[f32]) {
+    fn add_assign_avx2(a: &mut [f32], b: &[f32]) {
         assert_eq!(a.len(), b.len(), "add_assign: length mismatch");
-        let n = a.len();
-        let ap = a.as_mut_ptr();
-        let bp = b.as_ptr();
-        let mut i = 0;
-        while i + 8 <= n {
-            let r = _mm256_add_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)));
-            _mm256_storeu_ps(ap.add(i), r);
-            i += 8;
+        let (a8, a_tail) = a.as_chunks_mut::<8>();
+        let (b8, b_tail) = b.as_chunks::<8>();
+        for (a, b) in a8.iter_mut().zip(b8) {
+            store8(a, _mm256_add_ps(load8(a), load8(b)));
         }
-        while i < n {
-            a[i] += b[i];
-            i += 1;
+        for (x, y) in a_tail.iter_mut().zip(b_tail) {
+            *x += y;
         }
     }
 
     /// `a ← α·a`, element-wise (bit-identical to the scalar arm).
-    ///
-    /// # Safety
-    /// Host supports AVX2+FMA.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn scale_avx2(a: &mut [f32], alpha: f32) {
-        let n = a.len();
-        let ap = a.as_mut_ptr();
+    fn scale_avx2(a: &mut [f32], alpha: f32) {
         let av = _mm256_set1_ps(alpha);
-        let mut i = 0;
-        while i + 8 <= n {
-            _mm256_storeu_ps(ap.add(i), _mm256_mul_ps(av, _mm256_loadu_ps(ap.add(i))));
-            i += 8;
+        let (a8, tail) = a.as_chunks_mut::<8>();
+        for a in a8 {
+            store8(a, _mm256_mul_ps(av, load8(a)));
         }
-        while i < n {
-            a[i] *= alpha;
-            i += 1;
+        for x in tail {
+            *x *= alpha;
         }
     }
 
@@ -1680,11 +1430,6 @@ mod tests {
             let b = random_vec(&mut rng, n);
             let dot64: f64 = a.iter().zip(&b).map(|(&x, &y)| x as f64 * y as f64).sum();
             let sum64: f64 = a.iter().map(|&x| x as f64).sum();
-            let dist64: f64 = a
-                .iter()
-                .zip(&b)
-                .map(|(&x, &y)| (x as f64 - y as f64).powi(2))
-                .sum();
             let tol = 1e-5 * (1.0 + n as f64).sqrt();
             for k in all_supported() {
                 let name = k.name();
@@ -1698,42 +1443,6 @@ mod tests {
                     (s - sum64).abs() <= tol * (1.0 + sum64.abs()),
                     "{name} sum n={n}: {s} vs {sum64}"
                 );
-                let q = (k.dist_sq)(&a, &b) as f64;
-                assert!(
-                    (q - dist64).abs() <= tol * (1.0 + dist64.abs()),
-                    "{name} dist_sq n={n}: {q} vs {dist64}"
-                );
-            }
-        }
-    }
-
-    /// axpy/axpby agree with an f64 per-element reference on every arm.
-    #[test]
-    fn updates_match_f64_reference_on_every_arm() {
-        let mut rng = Rng::new(0xAE5);
-        for &n in &LENS {
-            let x = random_vec(&mut rng, n);
-            let y0 = random_vec(&mut rng, n);
-            for k in all_supported() {
-                let name = k.name();
-                let mut y = y0.clone();
-                (k.axpy)(0.37, &x, &mut y);
-                for i in 0..n {
-                    let want = 0.37f64 * x[i] as f64 + y0[i] as f64;
-                    assert!(
-                        (y[i] as f64 - want).abs() <= 1e-6 * (1.0 + want.abs()),
-                        "{name} axpy n={n} i={i}"
-                    );
-                }
-                let mut y = y0.clone();
-                (k.axpby)(-1.3, &x, 0.7, &mut y);
-                for i in 0..n {
-                    let want = -1.3f64 * x[i] as f64 + 0.7f64 * y0[i] as f64;
-                    assert!(
-                        (y[i] as f64 - want).abs() <= 1e-6 * (1.0 + want.abs()),
-                        "{name} axpby n={n} i={i}"
-                    );
-                }
             }
         }
     }
@@ -1982,6 +1691,9 @@ mod tests {
                 for (rows, cols) in [(mr, nr), (1, nr), (mr, 1), (mr - 1, nr - 3)] {
                     let mut c = vec![0.5f32; rows * cols.max(1)];
                     let ldc = cols.max(1);
+                    // SAFETY: `a` and `b` are whole `kc`-deep strips of
+                    // widths `mr` and `nr`, and `c` is `rows × ldc` with
+                    // `cols ≤ ldc`: the microkernel contract.
                     unsafe {
                         (k.microkernel)(
                             kc,

@@ -4,13 +4,14 @@
 //! `u_t^(k) = w_t^(k) − w_t0`, their squared norms, dot products with the
 //! heuristic direction ξ, and element-wise averages across workers
 //! (AllReduce). These kernels are the hot loops of the whole system, so the
-//! wide ones (`dot`, `sum`, `dist_sq`, `axpy`, `axpby`, `add_assign`,
-//! `scale` — and through them `norm_sq` and `mean_range_into`) delegate to
-//! the process-wide [`crate::simd`] kernel table: AVX-512 FMA or AVX2+FMA
-//! when the host has them, the original autovectorized scalar loops
-//! otherwise. Dispatch happens once per process, so every call within a
-//! run takes the same arithmetic path — the determinism arguments
-//! (copy-first reductions, chunked means) are unaffected.
+//! wide ones (`dot`, `sum`, `add_assign`, `scale` — and through them
+//! `norm_sq`, `mean_into` and `mean_range_into`) delegate to the
+//! process-wide [`crate::simd`] kernel table: AVX-512 FMA or AVX2+FMA when
+//! the host has them, the original autovectorized scalar loops otherwise.
+//! Dispatch happens once per process, so every call within a run takes the
+//! same arithmetic path — the determinism arguments (copy-first
+//! reductions, chunked means) are unaffected. The rest, `dist_sq` among
+//! them, are plain loops that compute the same bits on every arm.
 
 use crate::simd;
 
@@ -42,22 +43,20 @@ pub fn norm(a: &[f32]) -> f32 {
     norm_sq(a).sqrt()
 }
 
-/// Squared Euclidean distance `‖a − b‖₂²` without allocating the difference.
-#[inline]
+/// Squared Euclidean distance `‖a − b‖₂²` without allocating the
+/// difference: one accumulator in index order, on every kernel arm. Its
+/// one caller is [`variance_of`], a ground truth that no step computes.
+///
+/// # Panics
+/// Panics if the slices have different lengths.
 pub fn dist_sq(a: &[f32], b: &[f32]) -> f32 {
-    (simd::kernels().dist_sq)(a, b)
-}
-
-/// `y ← y + alpha * x` (BLAS axpy).
-#[inline]
-pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    (simd::kernels().axpy)(alpha, x, y)
-}
-
-/// `y ← alpha * x + beta * y`.
-#[inline]
-pub fn axpby(alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {
-    (simd::kernels().axpby)(alpha, x, beta, y)
+    assert_eq!(a.len(), b.len(), "dist_sq: length mismatch");
+    let mut s = 0.0f32;
+    for i in 0..a.len() {
+        let d = a[i] - b[i];
+        s += d * d;
+    }
+    s
 }
 
 /// `a ← a * alpha`. Element-wise, so every dispatch arm produces the same
@@ -241,16 +240,6 @@ mod tests {
             let naive: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
             assert!((dot(&a, &b) - naive).abs() <= 1e-3 * (1.0 + naive.abs()));
         }
-    }
-
-    #[test]
-    fn axpy_and_axpby() {
-        let x = vec![1.0, 2.0, 3.0];
-        let mut y = vec![10.0, 20.0, 30.0];
-        axpy(2.0, &x, &mut y);
-        assert_eq!(y, vec![12.0, 24.0, 36.0]);
-        axpby(1.0, &x, 0.5, &mut y);
-        assert_eq!(y, vec![7.0, 14.0, 21.0]);
     }
 
     #[test]

@@ -142,10 +142,10 @@ fn sketch_linearity() {
             .map(|(x, y)| alpha * x + beta * y)
             .collect();
         let direct = plan.sketch(&combo);
-        let mut lin = plan.sketch(&a);
-        lin.scale(alpha);
-        lin.axpy(beta, &plan.sketch(&b));
-        for (x, y) in direct.as_slice().iter().zip(lin.as_slice()) {
+        let (sk_a, sk_b) = (plan.sketch(&a), plan.sketch(&b));
+        let lin = sk_a.as_slice().iter().zip(sk_b.as_slice());
+        let lin: Vec<f32> = lin.map(|(x, y)| alpha * x + beta * y).collect();
+        for (x, y) in direct.as_slice().iter().zip(&lin) {
             assert!(
                 (x - y).abs() <= 1e-3 * (1.0 + x.abs()),
                 "case {case}: {x} vs {y}"
