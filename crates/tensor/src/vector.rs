@@ -49,7 +49,7 @@ pub fn norm(a: &[f32]) -> f32 {
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
-pub fn dist_sq(a: &[f32], b: &[f32]) -> f32 {
+fn dist_sq(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dist_sq: length mismatch");
     let mut s = 0.0f32;
     for i in 0..a.len() {
