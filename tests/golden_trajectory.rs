@@ -13,7 +13,10 @@
 //!    sequential trajectory bit-for-bit, per the repo's copy-first
 //!    worker-order reduction convention.
 //! 2. **Pinned hashes** (host-pinned): the sequential K = 4 trajectory must
-//!    match the constants below exactly. The wide arithmetic runs on the
+//!    match the constants below exactly, in two layers: the models and
+//!    decisions alone ([`GOLDEN_DECISION_HASHES`]), which no change to how
+//!    the estimate is formed or reported may move, and the full digest
+//!    with the estimate ([`GOLDEN_HASHES`]). The wide arithmetic runs on the
 //!    dispatched SIMD kernel arm (`fda_tensor::simd`), so the bits are
 //!    bound to the build host's best ISA (AVX-512 FMA on the perf host) —
 //!    a host without that arm, or a run under `FDA_FORCE_KERNEL`, lands on
@@ -48,6 +51,20 @@ const GOLDEN_HASHES: [u64; ROUNDS] = [
     0xcfa8afd0120f6b1c,
     0x66032717c68600fb,
     0x876ba893cb0923e9,
+];
+
+/// The same rounds digested without the variance estimate: every
+/// worker's parameters and the sync decision only. Re-pinned together
+/// with [`GOLDEN_HASHES`].
+const GOLDEN_DECISION_HASHES: [u64; ROUNDS] = [
+    0x78f52105b5e1a269,
+    0x0969f65beefba974,
+    0xa0b4d7c69c4c280c,
+    0xeb3bf7e0806c2026,
+    0x68f0b5954a464b5c,
+    0xd8d6ba1028ab6799,
+    0xb1b8c878580e67c6,
+    0x53953f6a0261bed5,
 ];
 
 fn task() -> TaskData {
@@ -91,20 +108,23 @@ impl Fnv {
     }
 }
 
-/// One round's digest: every worker's full parameter vector, the variance
-/// estimate and the sync decision, all by bit pattern.
-fn round_hash(fda: &Fda, synced: bool, estimate: Option<f32>) -> u64 {
+/// One round's digests, `(full, bare)`: every worker's full parameter
+/// vector and the sync decision, all by bit pattern — then, for the full
+/// digest only, the variance estimate.
+fn round_hash(fda: &Fda, synced: bool, estimate: Option<f32>) -> (u64, u64) {
     let mut h = Fnv::new();
     for w in 0..fda.cluster().workers() {
         h.write_f32_bits(&fda.cluster().worker(w).params());
     }
     h.write_u64(synced as u64);
+    let bare = h.0;
     h.write_u64(estimate.map_or(u64::MAX, |e| e.to_bits() as u64));
-    h.0
+    (h.0, bare)
 }
 
-/// Runs `ROUNDS` FDA steps and returns the per-round digests.
-fn run_trajectory(k: usize, parallel: bool, task: &TaskData) -> Vec<u64> {
+/// Runs `ROUNDS` FDA steps and returns the per-round `(full, bare)`
+/// digests.
+fn run_trajectory(k: usize, parallel: bool, task: &TaskData) -> Vec<(u64, u64)> {
     let mut fda = Fda::new(FdaConfig::linear(0.02), golden_config(k, parallel), task);
     (0..ROUNDS)
         .map(|_| {
@@ -112,6 +132,49 @@ fn run_trajectory(k: usize, parallel: bool, task: &TaskData) -> Vec<u64> {
             round_hash(&fda, r.synced, r.variance_estimate)
         })
         .collect()
+}
+
+/// The full and the bare digests of a run, as two lists.
+fn layers(run: &[(u64, u64)]) -> (Vec<u64>, Vec<u64>) {
+    run.iter().copied().unzip()
+}
+
+/// Whether the pinned layers apply on this host; prints the constants
+/// instead under `GOLDEN_PRINT`.
+fn pinned_arm() -> bool {
+    // The constants above are pinned under the AVX-512 kernel arm (the
+    // build host's dispatch default). On a host — or CI runner — whose
+    // dispatched arm differs, the trajectory lands on different (equally
+    // deterministic) bits, so comparing against these constants would be
+    // noise, not signal: skip with a note instead of failing. GitHub's
+    // shared runner fleet mixes AVX-512 and non-AVX-512 CPUs, so this
+    // gate is what keeps plain `cargo test` green there while the perf
+    // build host still exercises the pinned layer via tier-1.
+    let arm = fda::tensor::simd::kernels();
+    if std::env::var("GOLDEN_PRINT").is_ok() {
+        // Re-pinning is valid on any arm (the constants then belong to
+        // that arm — note it in the comment above), so the print path
+        // runs before the arm gate.
+        let (full, bare) = layers(&run_trajectory(4, false, &task()));
+        println!("// pinned under the {} arm", arm.name());
+        for (name, hashes) in [("GOLDEN_HASHES", full), ("GOLDEN_DECISION_HASHES", bare)] {
+            println!("const {name}: [u64; ROUNDS] = [");
+            for h in &hashes {
+                println!("    {h:#018x},");
+            }
+            println!("];");
+        }
+        return false;
+    }
+    if arm.isa != fda::tensor::simd::Isa::Avx512 {
+        eprintln!(
+            "skipping pinned-hash layer: hashes are pinned under the avx512 \
+             arm, dispatched arm here is {}",
+            arm.name()
+        );
+        return false;
+    }
+    true
 }
 
 /// Layer 1 (host-independent): pooled K ∈ {1, 2, 4} reproduces the
@@ -129,41 +192,29 @@ fn pooled_k124_bit_identical_to_sequential() {
     }
 }
 
-/// Layer 2 (host-pinned): the sequential K = 4 trajectory matches the
-/// golden hashes exactly.
+/// Layer 2a (host-pinned): the sequential K = 4 models and decisions
+/// match the golden hashes exactly, whatever estimate the rounds report.
+#[test]
+fn sequential_models_and_decisions_match_golden_hashes() {
+    if !pinned_arm() {
+        return;
+    }
+    let (_, got) = layers(&run_trajectory(4, false, &task()));
+    assert_eq!(
+        got, GOLDEN_DECISION_HASHES,
+        "models or decisions moved; if intentional, re-pin with \
+         GOLDEN_PRINT=1 (got {got:#018x?})"
+    );
+}
+
+/// Layer 2b (host-pinned): the sequential K = 4 trajectory, estimates
+/// included, matches the golden hashes exactly.
 #[test]
 fn sequential_trajectory_matches_golden_hashes() {
-    // The constants above are pinned under the AVX-512 kernel arm (the
-    // build host's dispatch default). On a host — or CI runner — whose
-    // dispatched arm differs, the trajectory lands on different (equally
-    // deterministic) bits, so comparing against these constants would be
-    // noise, not signal: skip with a note instead of failing. GitHub's
-    // shared runner fleet mixes AVX-512 and non-AVX-512 CPUs, so this
-    // gate is what keeps plain `cargo test` green there while the perf
-    // build host still exercises the pinned layer via tier-1.
-    let arm = fda::tensor::simd::kernels();
-    if std::env::var("GOLDEN_PRINT").is_ok() {
-        // Re-pinning is valid on any arm (the constants then belong to
-        // that arm — note it in the comment above), so the print path
-        // runs before the arm gate.
-        let got = run_trajectory(4, false, &task());
-        println!("// pinned under the {} arm", arm.name());
-        println!("const GOLDEN_HASHES: [u64; ROUNDS] = [");
-        for h in &got {
-            println!("    {h:#018x},");
-        }
-        println!("];");
+    if !pinned_arm() {
         return;
     }
-    if arm.isa != fda::tensor::simd::Isa::Avx512 {
-        eprintln!(
-            "skipping pinned-hash layer: hashes are pinned under the avx512 \
-             arm, dispatched arm here is {}",
-            arm.name()
-        );
-        return;
-    }
-    let got = run_trajectory(4, false, &task());
+    let (got, _) = layers(&run_trajectory(4, false, &task()));
     assert_eq!(
         got, GOLDEN_HASHES,
         "trajectory moved; if intentional, re-pin with GOLDEN_PRINT=1 \
@@ -177,15 +228,17 @@ fn sequential_trajectory_matches_golden_hashes() {
 #[test]
 fn golden_hash_is_sensitive() {
     let task = task();
-    let a = run_trajectory(2, false, &task);
+    let (a, a_bare) = layers(&run_trajectory(2, false, &task));
     let mut other_cfg = golden_config(2, false);
     other_cfg.seed ^= 1;
     let mut fda = Fda::new(FdaConfig::linear(0.02), other_cfg, &task);
-    let b: Vec<u64> = (0..ROUNDS)
+    let b: Vec<(u64, u64)> = (0..ROUNDS)
         .map(|_| {
             let r = fda.step();
             round_hash(&fda, r.synced, r.variance_estimate)
         })
         .collect();
+    let (b, b_bare) = layers(&b);
     assert_ne!(a, b, "digest insensitive to the model trajectory");
+    assert_ne!(a_bare, b_bare, "bare digest insensitive to the models");
 }

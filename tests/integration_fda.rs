@@ -260,3 +260,84 @@ fn parallel_mode_preserves_sync_decision_sequence() {
         }
     }
 }
+
+/// Algorithm 1 written out with full states, as the reference the
+/// simulator's round is pinned to: every worker's `LocalState` of its
+/// drift, their `LocalState::average`, the monitor's estimate and
+/// `violates`, and on a sync the id-order model mean loaded everywhere.
+/// For every monitor variant, K ∈ {2, 3, 4} and Θ ∈ {0, 0.05, f32::MAX},
+/// `Fda` makes the same decision and holds the same replica bits every
+/// round. Estimates and bytes are not compared.
+#[test]
+fn fda_matches_a_full_state_reference_loop() {
+    use fda::core::cluster::Cluster;
+    use fda::core::fda::violates;
+    use fda::core::monitor::LocalState;
+    use fda::tensor::vector;
+
+    let task = SynthSpec {
+        n_train: 240,
+        n_test: 40,
+        ..SynthSpec::synth_mnist()
+    }
+    .generate("differential");
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let variants = [
+        FdaVariant::Linear,
+        FdaVariant::Sketch(fda::sketch::SketchConfig::new(3, 16, 5)),
+        FdaVariant::SketchAuto,
+        FdaVariant::Exact,
+    ];
+    let mut seen = [false; 2];
+    for variant in variants {
+        for k in [2usize, 3, 4] {
+            for theta in [0.0f32, 0.05, f32::MAX] {
+                let config = FdaConfig { variant, theta };
+                let case = format!("{} K = {k} Θ = {theta}", variant.name());
+                let mut fda = Fda::new(config, cluster(k, 11), &task);
+                let mut reference = Cluster::new(cluster(k, 11), &task);
+                let mut monitor = variant.build_monitor(reference.dim());
+                let mut w_t0 = reference.worker(0).params();
+                for round in 0..24 {
+                    let synced = fda.step().synced;
+                    reference.local_step();
+                    let states: Vec<LocalState> = (0..k)
+                        .map(|w| {
+                            let mut drift = reference.worker(w).params();
+                            vector::sub_assign(&mut drift, &w_t0);
+                            monitor.local_state(&drift)
+                        })
+                        .collect();
+                    let avg = LocalState::average(&states);
+                    let sync = violates(monitor.estimate(&avg), theta);
+                    assert_eq!(synced, sync, "{case}: decision {round}");
+                    seen[sync as usize] = true;
+                    if sync {
+                        let models: Vec<Vec<f32>> =
+                            (0..k).map(|w| reference.worker(w).params()).collect();
+                        let mut mean = models[0].clone();
+                        for m in &models[1..] {
+                            vector::add_assign(&mut mean, m);
+                        }
+                        vector::scale(&mut mean, 1.0 / k as f32);
+                        reference.load_global(&mean);
+                        monitor.on_sync(&mean, &w_t0);
+                        w_t0 = mean;
+                    }
+                    for w in 0..k {
+                        assert_eq!(
+                            bits(&fda.cluster().worker(w).params()),
+                            bits(&reference.worker(w).params()),
+                            "{case}: worker {w} after round {round}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        seen,
+        [true, true],
+        "the sweep mixes quiet and syncing rounds"
+    );
+}
