@@ -37,7 +37,8 @@ use fda_sketch::SketchConfig;
 /// instead of a bespoke struct-return path.
 pub const HIST_LOCAL_STEP_US: &str = "fda_step_local_us";
 /// Registry histogram fed by phases 2–3 (drift + state build, state
-/// reduction, the `H(S̄)` estimate), in microseconds.
+/// reduction, the `H(S̄)` estimate — or the drift scalars alone on a round
+/// they settle), in microseconds.
 pub const HIST_MONITOR_US: &str = "fda_step_monitor_us";
 /// Registry histogram fed by phase 4 (the conditional model AllReduce;
 /// ~0 µs samples on rounds where the Round Invariant held).
@@ -157,6 +158,8 @@ pub struct Fda {
     /// Per-worker drift scratch `u_t^(k)` and local state, rebuilt in
     /// place each step; empty under a periodic policy.
     lanes: Vec<(Vec<f32>, LocalState)>,
+    /// The lanes' drift scalars, in id order, for phase A.
+    scalars: Vec<f32>,
     /// One encoded state summary at a time, on a coded uplink.
     enc: Vec<u8>,
     /// Charged bytes per worker of the round's coded state deposit.
@@ -193,6 +196,7 @@ impl Fda {
             cluster,
             server,
             name,
+            scalars: Vec::new(),
             enc: Vec::new(),
             payloads: Vec::new(),
             telemetry: None,
@@ -249,6 +253,33 @@ impl Fda {
         }
     }
 
+    /// Phase B: the summaries a scalar-first round still lacks, the coded
+    /// roundtrip on a coded uplink, then the server's state reduce and
+    /// decision.
+    fn reduce_states(&mut self, scalar_first: bool) -> (f32, bool) {
+        if scalar_first {
+            let monitor = self
+                .server
+                .monitor()
+                .expect("a scalar-first round has a monitor");
+            let (pool, workers, _) = self.cluster.parts();
+            each_worker(pool, workers, &mut self.lanes, |_, (drift, state)| {
+                monitor.summary_into(drift, state);
+            });
+        }
+        self.payloads.clear();
+        if let Some(codec) = self.server.coded_uplink() {
+            let scalar = if scalar_first { 0 } else { 4 };
+            for (_, s) in &mut self.lanes {
+                let bytes = round::roundtrip_in_place(codec, s.summary_slice_mut(), &mut self.enc);
+                self.payloads.push(scalar + bytes);
+            }
+        }
+        let states: Vec<&LocalState> = self.lanes.iter().map(|(_, s)| s).collect();
+        let (pool, _, net) = self.cluster.parts();
+        self.server.decide(net, pool, &states, &self.payloads)
+    }
+
     /// Writes the end-of-run summary and closes the stream (called when
     /// telemetry is detached or replaced).
     fn emit_run_event(&mut self, mut sess: TelemetrySession) {
@@ -293,34 +324,43 @@ impl Strategy for Fda {
             self.cluster.local_step()
         };
 
-        // (2)–(3) Local states from the parameters each local step just
-        //     produced (one pool lane per worker when pooled, into reused
-        //     buffers), then the state AllReduce and the decision. On a
-        //     coded uplink every summary is replaced by what a coordinator
-        //     reconstructs from its encoded deposit and charged at the
-        //     emitted bytes plus the raw 4-byte drift scalar (the codec
-        //     covers the summary only). A periodic policy has no lanes:
-        //     its decision is its schedule's.
+        // (2)–(3) Drifts and their scalars `‖u‖²` from the parameters each
+        //     local step just produced (one pool lane per worker when
+        //     pooled, into reused buffers); a scalar-first round settles on
+        //     their mean if it can (`Server::settle`, phase A). Otherwise
+        //     the summaries — built with the scalars on a full round — and
+        //     the state AllReduce and decision (phase B). On a coded uplink
+        //     every summary is replaced by what a coordinator reconstructs
+        //     from its encoded deposit and charged at the emitted bytes,
+        //     plus the raw 4-byte drift scalar unless phase A charged it
+        //     (the codec covers the summary only). A periodic policy has no
+        //     lanes: its decision is its schedule's.
         let (estimate, synced) = {
             let _span = fda_obs::histogram!(HIST_MONITOR_US).span();
+            let scalar_first = self.server.scalar_first();
             if let Some(monitor) = self.server.monitor() {
                 let w_t0 = self.server.consensus();
                 let (pool, workers, _) = self.cluster.parts();
                 each_worker(pool, workers, &mut self.lanes, |w, (drift, state)| {
-                    round::local_state_into(monitor, w.model().params(), w_t0, drift, state);
+                    round::drift_into(w.model().params(), w_t0, drift, state);
+                    if !scalar_first {
+                        monitor.summary_into(drift, state);
+                    }
                 });
             }
-            self.payloads.clear();
-            if let Some(codec) = self.server.coded_uplink() {
-                for (_, s) in &mut self.lanes {
-                    let bytes =
-                        round::roundtrip_in_place(codec, s.summary_slice_mut(), &mut self.enc);
-                    self.payloads.push(4 + bytes);
-                }
+            let settled = if scalar_first {
+                self.scalars.clear();
+                let scalars = self.lanes.iter().map(|(_, s)| s.drift_sq_norm);
+                self.scalars.extend(scalars);
+                let (_, _, net) = self.cluster.parts();
+                self.server.settle(net, &self.scalars)
+            } else {
+                None
+            };
+            match settled {
+                Some(m) => (m, false),
+                None => self.reduce_states(scalar_first),
             }
-            let states: Vec<&LocalState> = self.lanes.iter().map(|(_, s)| s).collect();
-            let (pool, _, net) = self.cluster.parts();
-            self.server.decide(net, pool, &states, &self.payloads)
         };
         let charged_mid = self.cluster.comm_bytes();
 
@@ -523,23 +563,35 @@ mod tests {
             assert!(!out.synced);
         }
         assert_eq!(fda.syncs(), 0);
-        // 20 steps × 3 workers × 8-byte linear state.
-        assert_eq!(fda.comm_bytes(), 20 * 3 * 8);
+        // 20 steps × 3 workers × the 4-byte drift scalar: Θ = f32::MAX
+        // certifies every round, so no summary is sent.
+        assert_eq!(fda.comm_bytes(), 20 * 3 * 4);
     }
 
     #[test]
     fn sketch_state_costs_dominate_linear_but_not_models() {
         let task = tiny_task();
         let k = 3;
-        let mut sketch = Fda::new(FdaConfig::sketch(f32::MAX), tiny_cluster_config(k), &task);
+        // Θ = 0: no round certifies, so every one ships the full state
+        // (and synchronizes).
+        let mut sketch = Fda::new(FdaConfig::sketch(0.0), tiny_cluster_config(k), &task);
         for _ in 0..5 {
-            sketch.step();
+            assert!(sketch.step().synced);
         }
         let per_step_per_worker = 5_004u64; // paper's 5 kB + scalar
-        assert_eq!(sketch.comm_bytes(), 5 * k as u64 * per_step_per_worker);
-        // Still far below one model payload per step.
         let model_bytes = sketch.cluster().dim() as u64 * 4;
+        assert_eq!(
+            sketch.comm_bytes(),
+            5 * k as u64 * (per_step_per_worker + model_bytes)
+        );
+        // Still far below one model payload per step.
         assert!(per_step_per_worker < model_bytes);
+        // Θ = f32::MAX: every round certifies on the 4-byte scalar alone.
+        let mut quiet = Fda::new(FdaConfig::sketch(f32::MAX), tiny_cluster_config(k), &task);
+        for _ in 0..5 {
+            assert!(!quiet.step().synced);
+        }
+        assert_eq!(quiet.comm_bytes(), 5 * k as u64 * 4);
     }
 
     #[test]

@@ -125,12 +125,19 @@ pub trait VarianceMonitor: Send + Sync {
 
     /// Writes a worker's local state into an existing, correctly-shaped
     /// slot — the borrow-friendly form the pooled runtime uses so the
-    /// steady state constructs states without allocating. Falls back to
-    /// [`VarianceMonitor::local_state`] (which allocates) on shape
-    /// mismatch; produces bit-identical values either way.
+    /// steady state constructs states without allocating: `‖u‖²`, then
+    /// [`VarianceMonitor::summary_into`]. Bit-identical to
+    /// [`VarianceMonitor::local_state`].
     fn local_state_into(&self, drift: &[f32], out: &mut LocalState) {
-        *out = self.local_state(drift);
+        out.drift_sq_norm = vector::norm_sq(drift);
+        self.summary_into(drift, out);
     }
+
+    /// Writes the summary of `drift` into `out`, leaving its `‖u‖²` alone:
+    /// the half of a local state that only a round the drift scalars
+    /// cannot settle needs (see `crate::round`). Falls back to an
+    /// allocating build on shape mismatch; bit-identical either way.
+    fn summary_into(&self, drift: &[f32], out: &mut LocalState);
 
     /// The estimation function `H(S̄_t)`: an over-estimate of `Var(w_t)`
     /// computed from the averaged state.
@@ -185,9 +192,8 @@ impl VarianceMonitor for SketchMonitor {
         }
     }
 
-    fn local_state_into(&self, drift: &[f32], out: &mut LocalState) {
+    fn summary_into(&self, drift: &[f32], out: &mut LocalState) {
         let _span = fda_obs::histogram!("fda_sketch_us").span();
-        out.drift_sq_norm = vector::norm_sq(drift);
         match &mut out.summary {
             StateSummary::Sketch(sk)
                 if sk.rows() == self.plan.config().rows && sk.cols() == self.plan.config().cols =>
@@ -253,14 +259,20 @@ impl VarianceMonitor for LinearMonitor {
     }
 
     fn local_state(&self, drift: &[f32]) -> LocalState {
+        let mut state = LocalState {
+            drift_sq_norm: vector::norm_sq(drift),
+            summary: StateSummary::Linear(0.0),
+        };
+        self.summary_into(drift, &mut state);
+        state
+    }
+
+    fn summary_into(&self, drift: &[f32], out: &mut LocalState) {
         let proj = match &self.xi {
             Some(xi) => vector::dot(xi, drift),
             None => 0.0,
         };
-        LocalState {
-            drift_sq_norm: vector::norm_sq(drift),
-            summary: StateSummary::Linear(proj),
-        }
+        out.summary = StateSummary::Linear(proj);
     }
 
     fn estimate(&self, avg: &LocalState) -> f32 {
@@ -319,8 +331,7 @@ impl VarianceMonitor for ExactMonitor {
         }
     }
 
-    fn local_state_into(&self, drift: &[f32], out: &mut LocalState) {
-        out.drift_sq_norm = vector::norm_sq(drift);
+    fn summary_into(&self, drift: &[f32], out: &mut LocalState) {
         match &mut out.summary {
             StateSummary::Exact(v) if v.len() == drift.len() => v.copy_from_slice(drift),
             summary => *summary = StateSummary::Exact(drift.to_vec()),

@@ -2,7 +2,17 @@
 //! state AllReduce → `H(S̄) > Θ` → conditional model AllReduce, in the two
 //! halves of the reference FedAvg's `client_update` / `server_update` cut.
 //!
-//! * [`Server`] reduces: [`Server::decide`] charges and averages the
+//! The state exchange runs in up to two phases. **Phase A**: every worker
+//! deposits only its 4-byte drift scalar `‖u_k‖²`, and a finite id-order
+//! mean `m ≤ Θ` settles the round quiet ([`certifies`]): every monitor's
+//! estimate is `m − t` with `t ≥ 0`, so it cannot exceed Θ either. **Phase
+//! B** runs when phase A cannot settle the round: the full states, today's
+//! `S̄` and `H(S̄) > Θ`. A round opens scalar-first (phase A, then B if
+//! needed) or full (phase B alone) by one mode rule the server keeps
+//! ([`Server::scalar_first`]) and broadcasts with each decision.
+//!
+//! * [`Server`] reduces: [`Server::settle`] charges the drift scalars and
+//!   settles a quiet round; [`Server::decide`] charges and averages the
 //!   deposited states and decides; [`Server::commit`] averages and charges
 //!   the models, forms the downlink and advances the consensus.
 //!
@@ -19,8 +29,9 @@
 //!
 //! The two payloads the server broadcasts are written and read here, each
 //! by one pair: [`Server::avg_state_payload`] / [`Replica::check`] for the
-//! decision `[sync u8][dense S̄]`, and [`Server::downlink_payload`] /
-//! [`Replica::adopt`] for the consensus `[dim u32][body]`.
+//! decision `[flags u8][dense S̄]`, or `[flags u8][m f32]` on a quiet
+//! round, and [`Server::downlink_payload`] / [`Replica::adopt`] for the
+//! consensus `[dim u32][body]`.
 //!
 //! The simulator (`Fda::step`) and the socket coordinator run the server,
 //! the socket worker runs the replica. There is no trait over the two: the
@@ -39,7 +50,8 @@ use crate::fda::{violates, FdaConfig};
 use crate::monitor::{LocalState, VarianceMonitor};
 use crate::pool::WorkerPool;
 use crate::wire::{
-    decode_state_coded_into, encode_state_coded_into, encode_vector_coded_into, JobSpec,
+    decode_state_coded_into, encode_state_coded_into, encode_summary_coded_into,
+    encode_vector_coded_into, JobSpec,
 };
 use fda_comm::{
     apply_delta_downlink_into, delta_downlink_into, Codec, CodecSpec, Dense32, DownlinkSpec,
@@ -95,17 +107,85 @@ pub(crate) fn roundtrip_in_place(codec: &dyn Codec, v: &mut [f32], enc: &mut Vec
     enc.len() as u64
 }
 
-/// Algorithm 1 line 6 for one replica: the drift `u = w − w_t0`, then the
-/// monitor's local state of it.
-pub(crate) fn local_state_into(
-    monitor: &dyn VarianceMonitor,
-    w: &[f32],
-    w_t0: &[f32],
-    drift: &mut [f32],
-    state: &mut LocalState,
-) {
+/// Algorithm 1 line 6 for one replica, up to its summary: the drift
+/// `u = w − w_t0` and its scalar `‖u‖²`, written into `state`.
+pub(crate) fn drift_into(w: &[f32], w_t0: &[f32], drift: &mut [f32], state: &mut LocalState) {
     vector::sub_into(w, w_t0, drift);
-    monitor.local_state_into(drift, state);
+    state.drift_sq_norm = vector::norm_sq(drift);
+}
+
+/// The id-order mean of the drift scalars, `Σ‖u_k‖² / K′` — the same sum
+/// and division as the `‖u‖²` of `S̄`, so phase A and phase B see the same
+/// `m`, bit for bit.
+fn scalar_mean(scalars: impl ExactSizeIterator<Item = f32>) -> f32 {
+    let k = scalars.len() as f32;
+    scalars.sum::<f32>() / k
+}
+
+/// Phase A's certificate: whether the mean drift scalar `m` decides "no
+/// sync" for a job of `dim` parameters whose states have `shape`, without
+/// the summaries.
+///
+/// Every monitor's `H(S̄)` is `m − t` with `t ≥ 0` or NaN (`‖ū‖²`,
+/// `⟨ξ, ū⟩²`, or the deflated sketch estimate), and IEEE subtraction of a
+/// non-negative number never rounds above the minuend; so a finite
+/// `m ≤ Θ` gives `H ≤ Θ` — unless `t` overflows to `+∞` and `H = −∞`
+/// fails closed. Each of the `s` summary entries (`s` = the summary
+/// length) is at most `Σ|u_i| ≤ √(d·‖u‖²)` in magnitude on every uplink
+/// codec (each reconstructs within its input's range), so `t ≤ d·s·m`
+/// up to rounding; the certificate also asks `2·d·s·m` to be finite. NaN
+/// and `±∞` never certify.
+pub fn certifies(m: f32, theta: f32, shape: &LocalState, dim: usize) -> bool {
+    let reach = 2.0 * dim as f32 * shape.summary_slice().len() as f32;
+    m <= theta && (m * reach).is_finite()
+}
+
+/// Flags of the decision byte that opens every decision broadcast.
+const SYNC: u8 = 1;
+/// The round was settled by phase A: the body is `m`, not `S̄`.
+const QUIET: u8 = 2;
+/// The next round opens scalar-first.
+const SCALAR_FIRST: u8 = 4;
+
+/// The mode rule: a round opens scalar-first iff no round since the last
+/// sync ran phase B and the previous sync interval's opening round was
+/// certifiable; the run's first round opens scalar-first. After a round
+/// falls through, the drift only grows until the next sync, so the rest
+/// of the interval goes full and pays no extra round trip; an interval
+/// that opened uncertifiable (Θ = 0) makes the next one open full.
+#[derive(Debug, Clone, Copy)]
+struct Opening {
+    /// Whether the previous interval's opening round was certifiable.
+    last_ok: bool,
+    /// Whether this interval's opening round was, once it ran.
+    this_ok: Option<bool>,
+    /// Whether a round of this interval ran phase B.
+    fell_through: bool,
+}
+
+impl Opening {
+    const FIRST: Opening = Opening {
+        last_ok: true,
+        this_ok: None,
+        fell_through: false,
+    };
+
+    fn scalar_first(&self) -> bool {
+        self.last_ok && !self.fell_through
+    }
+
+    /// Records a decided round: whether its scalars `certifiable`, whether
+    /// it was settled `quiet` by phase A, and whether it synchronized.
+    fn record(&mut self, certifiable: bool, quiet: bool, sync: bool) {
+        let opened = *self.this_ok.get_or_insert(certifiable);
+        self.fell_through |= !quiet;
+        if sync {
+            *self = Opening {
+                last_ok: opened,
+                ..Opening::FIRST
+            };
+        }
+    }
 }
 
 /// When a round synchronizes.
@@ -117,6 +197,7 @@ enum Schedule {
         monitor: Box<dyn VarianceMonitor>,
         theta: f32,
         avg: LocalState,
+        opening: Opening,
     },
     /// Every `period`-th round, `since` rounds after the last sync.
     Period { period: u64, since: u64 },
@@ -153,11 +234,24 @@ pub struct Server {
     recon: Vec<f32>,
     /// The downlink payload, `[dim u32][body]`.
     payload: Vec<u8>,
-    /// The decision broadcast, `[sync u8][dense S̄]`.
+    /// The decision broadcast, `[flags u8][dense S̄ or m]`.
     decision: Vec<u8>,
-    /// `(H(S̄), sync)` of the last [`Server::decide`], for its round record.
-    last: (f32, bool),
+    /// The last round's outcome, for its broadcast and round record.
+    last: Outcome,
+    /// Phase A charged this round's scalars and fell through: phase B
+    /// charges the summaries only.
+    scalars_charged: bool,
     syncs: u64,
+}
+
+/// What a round decided, for its broadcast and its record.
+#[derive(Debug, Clone, Copy)]
+struct Outcome {
+    /// `H(S̄)`, or `m` on a quiet round (an upper bound of it).
+    estimate: f32,
+    sync: bool,
+    /// Settled by phase A.
+    quiet: bool,
 }
 
 impl Server {
@@ -170,6 +264,7 @@ impl Server {
             monitor,
             theta: config.theta,
             avg,
+            opening: Opening::FIRST,
         };
         Server::with_schedule(schedule, None, w0)
     }
@@ -206,7 +301,12 @@ impl Server {
             recon: Vec::new(),
             payload: Vec::new(),
             decision: Vec::new(),
-            last: (f32::NAN, false),
+            last: Outcome {
+                estimate: f32::NAN,
+                sync: false,
+                quiet: false,
+            },
+            scalars_charged: false,
             syncs: 0,
         }
     }
@@ -288,10 +388,64 @@ impl Server {
         self.syncs
     }
 
+    /// Whether the next round opens scalar-first: its workers deposit
+    /// their drift scalars alone and [`Server::settle`] runs before any
+    /// [`Server::decide`]. Always false under a periodic policy.
+    pub fn scalar_first(&self) -> bool {
+        match &self.schedule {
+            Schedule::Monitor { opening, .. } => opening.scalar_first(),
+            Schedule::Period { .. } => false,
+        }
+    }
+
+    /// Phase A of a scalar-first round: charges the drift scalars
+    /// `‖u_k‖²` (given in id order) at 4 bytes per worker and, when their
+    /// mean `m` [`certifies`], settles the round with no sync, counts it
+    /// in `fda_certified_rounds` and returns `Some(m)` — the round's
+    /// estimate, an upper bound on `H(S̄)`.
+    /// `None` leaves the round to phase B: [`Server::decide`] over the
+    /// full states, which then charges the summaries only.
+    ///
+    /// # Panics
+    /// Panics unless [`Server::scalar_first`] holds.
+    pub fn settle(&mut self, net: &mut SimNetwork, scalars: &[f32]) -> Option<f32> {
+        assert!(
+            self.scalar_first(),
+            "round: settle outside a scalar-first round"
+        );
+        let dim = self.consensus.len();
+        let Schedule::Monitor {
+            theta,
+            avg,
+            opening,
+            ..
+        } = &mut self.schedule
+        else {
+            unreachable!("a scalar-first round has a monitor");
+        };
+        net.charge_allreduce(4);
+        let m = scalar_mean(scalars.iter().copied());
+        if !certifies(m, *theta, avg, dim) {
+            self.scalars_charged = true;
+            return None;
+        }
+        opening.record(true, true, false);
+        self.last = Outcome {
+            estimate: m,
+            sync: false,
+            quiet: true,
+        };
+        fda_obs::counter!("fda_certified_rounds").inc();
+        Some(m)
+    }
+
     /// The state AllReduce and the decision. Charges `net` the monitor's
     /// state size per worker on a dense job or `payloads[i]` (drift scalar
-    /// plus encoded summary) per worker on a coded one, averages `states`
-    /// (given in id order) into `S̄`, and returns `(H(S̄), violates(H, Θ))`.
+    /// plus encoded summary) per worker on a coded one — after a phase A
+    /// that fell through, the summary part alone: the state size less the
+    /// 4-byte scalar, or `payloads[i]` as the encoded summary — averages
+    /// `states` (given in id order) into `S̄`, and returns
+    /// `(H(S̄), violates(H, Θ))`.
     ///
     /// A periodic policy charges nothing, reads no states and returns
     /// `(NaN, whether this is a period's last round)`.
@@ -306,8 +460,13 @@ impl Server {
         states: &[&LocalState],
         payloads: &[u64],
     ) -> (f32, bool) {
-        self.last = self.reduce_states(net, pool, states, payloads);
-        self.last
+        let (estimate, sync) = self.reduce_states(net, pool, states, payloads);
+        self.last = Outcome {
+            estimate,
+            sync,
+            quiet: false,
+        };
+        (estimate, sync)
     }
 
     fn reduce_states(
@@ -317,12 +476,14 @@ impl Server {
         states: &[&LocalState],
         payloads: &[u64],
     ) -> (f32, bool) {
-        let (monitor, theta, avg) = match &mut self.schedule {
+        let dim = self.consensus.len();
+        let (monitor, theta, avg, opening) = match &mut self.schedule {
             Schedule::Monitor {
                 monitor,
                 theta,
                 avg,
-            } => (&**monitor, *theta, avg),
+                opening,
+            } => (&**monitor, *theta, avg, opening),
             Schedule::Period { period, since } => {
                 *since += 1;
                 let sync = *since == *period;
@@ -332,34 +493,45 @@ impl Server {
                 return (f32::NAN, sync);
             }
         };
+        let scalars_charged = std::mem::take(&mut self.scalars_charged);
         if self.coded {
             net.charge_per_worker(payloads);
         } else {
-            net.charge_allreduce(monitor.state_bytes());
+            net.charge_allreduce(monitor.state_bytes() - 4 * scalars_charged as u64);
         }
         assert!(
             !states.is_empty() && states.iter().all(|s| s.same_shape(avg)),
             "round: deposits must have the monitor's state shape"
         );
-        let drift_sq_norm =
-            states.iter().map(|s| s.drift_sq_norm).sum::<f32>() / states.len() as f32;
+        let drift_sq_norm = scalar_mean(states.iter().map(|s| s.drift_sq_norm));
         let summaries: Vec<&[f32]> = states.iter().map(|s| s.summary_slice()).collect();
         mean_into(pool, &summaries, avg.summary_slice_mut());
         avg.drift_sq_norm = drift_sq_norm;
         let estimate = monitor.estimate(avg);
-        (estimate, violates(estimate, theta))
+        let sync = violates(estimate, theta);
+        opening.record(certifies(drift_sq_norm, theta, avg, dim), false, sync);
+        (estimate, sync)
     }
 
-    /// The decision broadcast of the last [`Server::decide`]: the `sync`
-    /// byte it returned, then `S̄` dense, which is what [`Replica::check`]
-    /// reads.
+    /// The decision broadcast of the last round, which is what
+    /// [`Replica::check`] reads: the flags byte — the `sync` that
+    /// [`Server::decide`] returned, and whether the next round opens
+    /// scalar-first — then `S̄` dense; after a quiet [`Server::settle`],
+    /// the flags (`QUIET`, no sync) then `m`.
     ///
     /// # Panics
     /// Panics under a periodic policy.
     pub fn avg_state_payload(&mut self, sync: bool) -> &[u8] {
+        let next = if self.scalar_first() { SCALAR_FIRST } else { 0 };
         self.decision.clear();
-        self.decision.push(sync as u8);
-        encode_state_coded_into(self.schedule.avg(), &Dense32, &mut self.decision);
+        if self.last.quiet {
+            self.decision.push(QUIET | next);
+            self.decision
+                .extend_from_slice(&self.last.estimate.to_le_bytes());
+        } else {
+            self.decision.push(sync as u8 | next);
+            encode_state_coded_into(self.schedule.avg(), &Dense32, &mut self.decision);
+        }
         &self.decision
     }
 
@@ -424,18 +596,24 @@ impl Server {
         &self.payload
     }
 
-    /// The record of the round the last [`Server::decide`] decided: its
-    /// decision and estimate, Θ and the uplink codec come from here, the
-    /// rest from the driver's `ledger`. The one place a round record is
-    /// built, for the simulator and the socket alike.
+    /// The record of the round the last [`Server::settle`] or
+    /// [`Server::decide`] decided: its decision, estimate and whether phase
+    /// A settled it, Θ and the uplink codec come from here, the rest from
+    /// the driver's `ledger`. The one place a round record is built, for
+    /// the simulator and the socket alike.
     pub fn round_event(&self, round: u32, ledger: RoundLedger) -> RoundEvent {
-        let (estimate, decision) = self.last;
+        let Outcome {
+            estimate,
+            sync: decision,
+            quiet: certified,
+        } = self.last;
         RoundEvent {
             source: ledger.source.into(),
             round,
             epoch: ledger.epoch,
             alive: ledger.alive,
             decision,
+            certified,
             estimate,
             theta: self.theta(),
             codec: self.uplink.name().into(),
@@ -541,6 +719,10 @@ pub struct Replica {
     consensus: Vec<f32>,
     drift: Vec<f32>,
     state: LocalState,
+    /// Whether the round this replica trains next opens scalar-first.
+    scalar_first: bool,
+    /// A scalar-first deposit went out and its summary has not.
+    summary_due: bool,
     /// The broadcast `S̄`, decoded here; it keeps the job's state shape.
     avg: LocalState,
     /// The next consensus, decoded here before it is adopted.
@@ -550,12 +732,19 @@ pub struct Replica {
 impl Replica {
     /// Joins `spec` through the `Resume` handoff: `model` becomes `w_t0`
     /// and, after a sync, `on_sync(model, prev)` is replayed so LinearFDA's
-    /// ξ matches the workers that never left, bit for bit. The transport
-    /// decodes both into buffers of the replica's own dimension.
+    /// ξ matches the workers that never left, bit for bit; the first round
+    /// opens `scalar_first` or full, as the server's mode rule says. The
+    /// transport decodes both models into buffers of the replica's own
+    /// dimension.
     ///
     /// # Panics
     /// Panics if `prev` is not as long as `model`.
-    pub fn join(spec: &JobSpec, model: Vec<f32>, prev: Option<&[f32]>) -> Replica {
+    pub fn join(
+        spec: &JobSpec,
+        model: Vec<f32>,
+        prev: Option<&[f32]>,
+        scalar_first: bool,
+    ) -> Replica {
         let dim = model.len();
         let mut monitor = spec.fda.variant.build_monitor(dim);
         if let Some(prev) = prev {
@@ -573,6 +762,8 @@ impl Replica {
             downlink: spec.downlink.build(),
             consensus: model,
             drift,
+            scalar_first,
+            summary_due: false,
             scratch: Vec::new(),
         }
     }
@@ -582,11 +773,42 @@ impl Replica {
         &self.consensus
     }
 
-    /// Appends the coded local state of parameters `w` to `out`.
+    /// Whether the round this replica trains next opens scalar-first:
+    /// its deposit is [`Replica::drift_payload`], else
+    /// [`Replica::state_payload`].
+    pub fn scalar_first(&self) -> bool {
+        self.scalar_first
+    }
+
+    /// A full round's deposit: appends the coded local state of
+    /// parameters `w` to `out`.
     pub fn state_payload(&mut self, w: &[f32], out: &mut Vec<u8>) {
-        let (monitor, w_t0) = (self.monitor.as_ref(), &self.consensus);
-        local_state_into(monitor, w, w_t0, &mut self.drift, &mut self.state);
+        drift_into(w, &self.consensus, &mut self.drift, &mut self.state);
+        self.monitor.summary_into(&self.drift, &mut self.state);
         encode_state_coded_into(&self.state, self.uplink.as_ref(), out);
+        self.summary_due = false;
+    }
+
+    /// A scalar-first round's deposit: appends `‖u‖²` of the drift
+    /// `u = w − w_t0` as 4 raw bytes, and keeps the drift for
+    /// [`Replica::summary_payload`].
+    pub fn drift_payload(&mut self, w: &[f32], out: &mut Vec<u8>) {
+        drift_into(w, &self.consensus, &mut self.drift, &mut self.state);
+        out.extend_from_slice(&self.state.drift_sq_norm.to_le_bytes());
+        self.summary_due = true;
+    }
+
+    /// Phase B of a scalar-first round: appends the coded summary of the
+    /// kept drift — the full round's deposit less its scalar. An `Err`
+    /// unless a scalar-first deposit awaits it: a summary request in a
+    /// full round, or a second one in a round.
+    pub fn summary_payload(&mut self, out: &mut Vec<u8>) -> Result<(), String> {
+        if !std::mem::take(&mut self.summary_due) {
+            return Err("summary request without a scalar-first deposit".to_string());
+        }
+        self.monitor.summary_into(&self.drift, &mut self.state);
+        encode_summary_coded_into(&self.state, self.uplink.as_ref(), out);
+        Ok(())
     }
 
     /// Appends the coded model upload of parameters `w` to `out`.
@@ -594,25 +816,40 @@ impl Replica {
         encode_vector_coded_into(w, self.uplink.as_ref(), out);
     }
 
-    /// Checks a decision broadcast `[sync u8][dense S̄]` and returns its
-    /// decision. `S̄` is decoded into this replica's slot, whose shape the
-    /// header must match before anything is written, and `H(S̄) > Θ`
-    /// evaluated here must agree with `sync`.
+    /// Checks a decision broadcast `[flags u8][body]` and returns its
+    /// decision; the flags also set the next round's mode. A full body is
+    /// `S̄`, decoded into this replica's slot, whose shape the header must
+    /// match before anything is written, and `H(S̄) > Θ` evaluated here
+    /// must agree with `sync`. A quiet body is `m`, which must
+    /// [`certifies`] here.
     pub fn check(&mut self, payload: &[u8]) -> Result<bool, String> {
-        let (sync, avg) = match payload.split_first() {
-            Some((0, avg)) => (false, avg),
-            Some((1, avg)) => (true, avg),
-            Some((b, _)) => return Err(format!("bad sync byte {b}")),
-            None => return Err("empty averaged-state payload".to_string()),
+        let Some((&flags, body)) = payload.split_first() else {
+            return Err("empty averaged-state payload".to_string());
         };
-        decode_state_coded_into(avg, &mut self.avg, &Dense32)
-            .map_err(|e| format!("averaged state is not this job's state shape: {e}"))?;
-        let local = violates(self.monitor.estimate(&self.avg), self.theta);
-        if local != sync {
-            return Err(format!(
-                "local H(S̄) decision ({local}) disagrees with coordinator broadcast ({sync})"
-            ));
+        let sync = flags & SYNC != 0;
+        if flags & !(SYNC | QUIET | SCALAR_FIRST) != 0 || (sync && flags & QUIET != 0) {
+            return Err(format!("bad decision byte {flags}"));
         }
+        if flags & QUIET != 0 {
+            let m = match <[u8; 4]>::try_from(body) {
+                Ok(bytes) => f32::from_le_bytes(bytes),
+                Err(_) => return Err(format!("quiet decision of {} bytes", payload.len())),
+            };
+            if !certifies(m, self.theta, &self.avg, self.consensus.len()) {
+                return Err(format!("quiet decision on m = {m}, which does not certify"));
+            }
+        } else {
+            decode_state_coded_into(body, &mut self.avg, &Dense32)
+                .map_err(|e| format!("averaged state is not this job's state shape: {e}"))?;
+            let local = violates(self.monitor.estimate(&self.avg), self.theta);
+            if local != sync {
+                return Err(format!(
+                    "local H(S̄) decision ({local}) disagrees with coordinator broadcast ({sync})"
+                ));
+            }
+        }
+        self.scalar_first = flags & SCALAR_FIRST != 0;
+        self.summary_due = false;
         Ok(sync)
     }
 
@@ -870,8 +1107,8 @@ mod tests {
             };
             let monitor = variant.build_monitor(d);
             let mut server = Server::new(spec.fda, vec![0.0; d]);
-            let mut replica = Replica::join(&spec, vec![0.0; d], None);
-            let mut probe = Replica::join(&spec, vec![0.0; d], None);
+            let mut replica = Replica::join(&spec, vec![0.0; d], None, false);
+            let mut probe = Replica::join(&spec, vec![0.0; d], None, false);
             let mut seen = Vec::new();
             for scale in [0.01f32, 10.0] {
                 let states: Vec<LocalState> = (0..2)
@@ -939,8 +1176,8 @@ mod tests {
             let w0 = random_vec(&mut rng, d);
             let mut server = Server::new(spec.fda, w0.clone());
             server.set_downlink(downlink);
-            let mut replica = Replica::join(&spec, w0, None);
-            let mut probe = Replica::join(&spec, vec![0.0; d], None);
+            let mut replica = Replica::join(&spec, w0, None, false);
+            let mut probe = Replica::join(&spec, vec![0.0; d], None, false);
             for round in 0..3 {
                 let models = [random_vec(&mut rng, d), random_vec(&mut rng, d)];
                 let refs: Vec<&[f32]> = models.iter().map(|m| m.as_slice()).collect();

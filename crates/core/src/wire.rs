@@ -170,22 +170,39 @@ pub fn encode_state_coded(state: &LocalState, codec: &dyn Codec) -> Vec<u8> {
 /// serialization allocates nothing. Append semantics (callers clear), so
 /// payloads with a prefix (the avg-state sync byte) compose in place.
 pub fn encode_state_coded_into(state: &LocalState, codec: &dyn Codec, out: &mut Vec<u8>) {
+    encode_state_parts(state, Some(state.drift_sq_norm), codec, out);
+}
+
+/// The coded state without its drift scalar — `[tag][shape dims][codec
+/// payload]`, the phase-B half of a deposit whose scalar went ahead (see
+/// `crate::round`). The two halves carry the bytes of one
+/// [`encode_state_coded_into`] payload, and the same
+/// [`state_frame_overhead`].
+pub fn encode_summary_coded_into(state: &LocalState, codec: &dyn Codec, out: &mut Vec<u8>) {
+    encode_state_parts(state, None, codec, out);
+}
+
+fn encode_state_parts(
+    state: &LocalState,
+    scalar: Option<f32>,
+    codec: &dyn Codec,
+    out: &mut Vec<u8>,
+) {
+    out.push(match &state.summary {
+        StateSummary::Linear(_) => 0,
+        StateSummary::Sketch(_) => 1,
+        StateSummary::Exact(_) => 2,
+    });
+    if let Some(x) = scalar {
+        put_f32(out, x);
+    }
     match &state.summary {
-        StateSummary::Linear(_) => {
-            out.push(0);
-            put_f32(out, state.drift_sq_norm);
-        }
+        StateSummary::Linear(_) => {}
         StateSummary::Sketch(sk) => {
-            out.push(1);
-            put_f32(out, state.drift_sq_norm);
             put_u16(out, sk.rows() as u16);
             put_u16(out, sk.cols() as u16);
         }
-        StateSummary::Exact(v) => {
-            out.push(2);
-            put_f32(out, state.drift_sq_norm);
-            put_u32(out, v.len() as u32);
-        }
+        StateSummary::Exact(v) => put_u32(out, v.len() as u32),
     }
     codec.encode_into(state.summary_slice(), out);
 }
@@ -214,9 +231,32 @@ pub fn decode_state_coded_into(
     slot: &mut LocalState,
     codec: &dyn Codec,
 ) -> Result<(), DecodeError> {
+    decode_state_parts(buf, slot, true, codec)
+}
+
+/// Decodes an [`encode_summary_coded_into`] payload into `slot`'s summary
+/// under the rules of [`decode_state_coded_into`], leaving its drift
+/// scalar alone.
+pub fn decode_summary_coded_into(
+    buf: &[u8],
+    slot: &mut LocalState,
+    codec: &dyn Codec,
+) -> Result<(), DecodeError> {
+    decode_state_parts(buf, slot, false, codec)
+}
+
+fn decode_state_parts(
+    buf: &[u8],
+    slot: &mut LocalState,
+    with_scalar: bool,
+    codec: &dyn Codec,
+) -> Result<(), DecodeError> {
     let tag = *buf.first().ok_or(DecodeError::Truncated)?;
     let mut off = 1usize;
-    let drift_sq_norm = get_f32(buf, &mut off)?;
+    let drift_sq_norm = match with_scalar {
+        true => get_f32(buf, &mut off)?,
+        false => slot.drift_sq_norm,
+    };
     match (&slot.summary, tag) {
         (StateSummary::Linear(_), 0) => {}
         (StateSummary::Sketch(want), 1) => {

@@ -354,7 +354,8 @@ impl Coordinator {
                                     continue;
                                 }
                             };
-                            if let Some(t0) = t0.filter(|_| kind == FrameKind::State) {
+                            let opening = matches!(kind, FrameKind::State | FrameKind::Drift);
+                            if let Some(t0) = t0.filter(|_| opening) {
                                 deposit_us.push((from as u32, t0.elapsed().as_micros() as u64));
                             }
                             let payload = link.payload();

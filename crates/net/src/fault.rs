@@ -8,8 +8,8 @@
 //!
 //! Faults are injected at the message layer, step-indexed: each
 //! [`FaultAction`] fires when the worker is about to upload the state for
-//! a given step — the worker driver filters the machine's `State` send
-//! through `send_state`. That keeps the schedule independent of TCP
+//! a given step — the worker driver filters the machine's opening deposit
+//! (`State`, or a scalar-first round's `Drift`) through `send_state`. That keeps the schedule independent of TCP
 //! segmentation and buffering, which a byte- or frame-counting stream
 //! wrapper would couple it to.
 
@@ -123,10 +123,11 @@ impl FaultAction {
     }
 }
 
-/// Sends step `step`'s `State` frame through every scripted fault anchored
-/// to it: stalls first, then at most one terminal action in place of (or
-/// around) the clean send. `payload` is the already codec-encoded state —
-/// faults mangle the exact bytes a clean send would have produced.
+/// Sends step `step`'s opening deposit, a frame of `kind`, through every
+/// scripted fault anchored to it: stalls first, then at most one terminal
+/// action in place of (or around) the clean send. `payload` is the
+/// already encoded deposit — faults mangle the exact bytes a clean send
+/// would have produced.
 /// Returns the terminal action that ended the session, if one did; a
 /// truncation is the disconnect the coordinator also observes, so the
 /// rejoin machinery takes over.
@@ -135,6 +136,7 @@ pub(crate) fn send_state(
     faults: &[FaultAction],
     step: u32,
     epoch: u32,
+    kind: FrameKind,
     payload: &[u8],
 ) -> Result<Option<FaultAction>, NetError> {
     let mut actions: Vec<FaultAction> = faults
@@ -155,14 +157,14 @@ pub(crate) fn send_state(
                 // Corrupt the frame past the length field so the coordinator
                 // reads a complete frame and the checksum — not a short read
                 // — must catch it.
-                let mut frame = encode_frame(epoch, FrameKind::State, payload)?;
+                let mut frame = encode_frame(epoch, kind, payload)?;
                 let b = bit as usize % ((frame.len() - 4) * 8);
                 frame[4 + b / 8] ^= 1 << (b % 8);
                 link.stream.write_all(&frame)?;
                 return Ok(None);
             }
             FaultAction::TruncateState { keep, .. } => {
-                let frame = encode_frame(epoch, FrameKind::State, payload)?;
+                let frame = encode_frame(epoch, kind, payload)?;
                 link.stream
                     .write_all(&frame[..(keep as usize).min(frame.len() - 1)])?;
                 let cut = std::io::ErrorKind::ConnectionAborted;
@@ -173,7 +175,7 @@ pub(crate) fn send_state(
             }
         }
     }
-    link.write(&FrameHead::new(epoch, FrameKind::State, payload)?, payload)?;
+    link.write(&FrameHead::new(epoch, kind, payload)?, payload)?;
     Ok(None)
 }
 

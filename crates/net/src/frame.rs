@@ -64,7 +64,16 @@ use std::time::Duration;
 /// verifies any more — starting with its hello, so a real v4 peer is
 /// turned away by the checksum, and a peer that frames correctly but
 /// announces another version by the handshake's version check.
-pub const PROTOCOL_VERSION: u16 = 5;
+///
+/// v6: a round's state exchange runs in up to two phases. A scalar-first
+/// round opens with `Drift` deposits (the 4-byte `‖u‖²`); the coordinator
+/// settles it quiet — an `AvgState` of `[flags][m]` — or sends
+/// `SummaryRequest` and collects each worker's `Summary` (the `State`
+/// payload less its scalar) before today's decision. The `AvgState`
+/// decision byte became a flags byte (sync, quiet, next round
+/// scalar-first), and the `Resume` handoff's prev flag a flags byte that
+/// also carries the first round's mode. The job wire stays v3.
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Upper bound on one frame's `len` field (kind byte + payload), defined
 /// beside the job validation that sizes sketch states against it.
@@ -333,8 +342,9 @@ frame_kinds! {
     /// Worker → coordinator: one round's local state
     /// (`wire::encode_state_coded` in the job's codec).
     State = 3, "state";
-    /// Coordinator → worker: sync decision + averaged state, `[sync u8]`
-    /// then the dense state (`round::Server::avg_state_payload`).
+    /// Coordinator → worker: the decision, `[flags u8]` then the dense
+    /// averaged state — or, on a round the drift scalars settled, their
+    /// mean `m` (`round::Server::avg_state_payload`).
     AvgState = 4, "avg_state";
     /// Worker → coordinator: full model parameters for a synchronization
     /// (`wire::encode_vector_coded` in the job's codec).
@@ -356,6 +366,28 @@ frame_kinds! {
     /// when the job's `DownlinkSpec` is delta mode; rejoins still receive
     /// a dense `Resume`, so the handoff stays bitwise-exact.
     AvgModelDelta = 10, "avg_model_delta";
+    /// Worker → coordinator: a scalar-first round's deposit, the 4-byte
+    /// drift scalar `‖u‖²` (`round::Replica::drift_payload`).
+    Drift = 11, "drift";
+    /// Coordinator → worker: the drift scalars could not settle the
+    /// round; send the summary. Empty payload.
+    SummaryRequest = 12, "summary_request";
+    /// Worker → coordinator: the coded drift summary,
+    /// `wire::encode_summary_coded_into` in the job's codec — the `State`
+    /// payload less its scalar.
+    Summary = 13, "summary";
+}
+
+impl FrameKind {
+    /// Whether frames of this kind are a round's state deposits, which
+    /// the deposit deadline covers: a full `State`, or a scalar-first
+    /// round's `Drift` and `Summary`.
+    pub fn is_deposit(&self) -> bool {
+        matches!(
+            self,
+            FrameKind::State | FrameKind::Drift | FrameKind::Summary
+        )
+    }
 }
 
 /// Errors of the socket transport, split by what the retry policy and the
@@ -920,6 +952,9 @@ mod tests {
             FrameKind::Shutdown,
             FrameKind::Resume,
             FrameKind::AvgModelDelta,
+            FrameKind::Drift,
+            FrameKind::SummaryRequest,
+            FrameKind::Summary,
         ];
         for kind in kinds {
             for len in [0usize, 1, 12, 13, 4096, 1 << 20] {

@@ -21,6 +21,14 @@
 //! worker's slot, and the reduce runs over the slots in id order once every
 //! live worker has delivered or dropped — and [`CoordinatorMachine::wants`]
 //! tells a blocking driver which peer it still waits for, lowest id first.
+//!
+//! A round's state exchange follows the server's mode rule
+//! ([`Server::scalar_first`]): a full round collects `State` deposits and
+//! decides; a scalar-first round collects `Drift` deposits and either
+//! settles quiet on them or broadcasts `SummaryRequest`, collects every
+//! `Summary` and decides. Each phase is measured at its own K′, so a drop
+//! between the two keeps measured == charged.
+//!
 //! The worker owns its replica ([`fda_core::round::Replica`]), its
 //! [`Worker`] and the session's round counter; local training runs inside
 //! its frame handler, because it is compute, not I/O.
@@ -32,8 +40,8 @@ use fda_core::cluster::Worker;
 use fda_core::monitor::LocalState;
 use fda_core::round::{Replica, RoundLedger, Server};
 use fda_core::wire::{
-    decode_job, decode_state_coded_into, decode_vector_coded_into, encode_job,
-    encode_vector_coded_into, state_frame_overhead, JobSpec,
+    decode_job, decode_state_coded_into, decode_summary_coded_into, decode_vector_coded_into,
+    encode_job, encode_vector_coded_into, state_frame_overhead, JobSpec,
 };
 use fda_data::TaskData;
 use fda_obs::{DropRecord, RoundEvent};
@@ -282,8 +290,9 @@ pub struct CoordinatorMachine<'a> {
     /// The round's arithmetic and accounting: monitor, Θ, codecs, the
     /// consensus and the one before it (the `Resume` handoff), `S̄`.
     server: Server,
-    /// Uncharged self-description bytes of a state frame: a state charges
-    /// its raw 4-byte drift scalar plus the encoded summary, a model its
+    /// Uncharged self-description bytes of a state or summary frame: a
+    /// state charges its raw 4-byte drift scalar plus the encoded summary,
+    /// a summary the encoded summary, a drift its 4 bytes, a model its
     /// encoded payload minus the 4-byte length header.
     state_overhead: u64,
     /// The join handshake's `Config` or `Resume` payload, encoded when
@@ -326,6 +335,8 @@ pub struct CoordinatorMachine<'a> {
     /// The ids a finished phase reduces, ascending, and their charges.
     deposited: Vec<usize>,
     payloads: Vec<u64>,
+    /// Their drift scalars, for phase A.
+    scalars: Vec<f32>,
     /// With `records`, each round's record: events and measured bytes
     /// past `marks.0` and `marks.1` belong to the round, `marks.2` is the
     /// measured total after its states, `marks.3` its reduce's headcount.
@@ -376,6 +387,7 @@ impl<'a> CoordinatorMachine<'a> {
             downlink_len: 0,
             deposited: Vec::with_capacity(k),
             payloads: Vec::with_capacity(k),
+            scalars: Vec::with_capacity(k),
             records,
             marks: (0, 0, 0, 0),
         }
@@ -398,22 +410,20 @@ impl<'a> CoordinatorMachine<'a> {
             Phase::Collect(kind) => {
                 let from = (0..self.live.len()).find(|&i| self.live[i] && !self.delivered[i])?;
                 let left = |d: Duration| d.saturating_sub(self.now).max(Duration::from_millis(1));
-                Some((
-                    from,
-                    self.deadline.filter(|_| kind == FrameKind::State).map(left),
-                ))
+                Some((from, self.deadline.filter(|_| kind.is_deposit()).map(left)))
             }
             _ => None,
         }
     }
 
     /// Reacts to one input. The deposit deadline is armed by the first
-    /// tick of a round's deposit phase.
+    /// tick of each of a round's deposit phases.
     pub fn handle(&mut self, input: Input) {
         match input {
             Input::Tick(now) => {
                 self.now = now;
-                if self.phase == Phase::Collect(FrameKind::State) && self.deadline.is_none() {
+                let depositing = matches!(self.phase, Phase::Collect(kind) if kind.is_deposit());
+                if depositing && self.deadline.is_none() {
                     self.deadline = Some(now + self.policy.deposit_timeout);
                 }
             }
@@ -477,7 +487,7 @@ impl<'a> CoordinatorMachine<'a> {
             }
             FrameKind::Resume => {
                 let (model, prev) = (self.server.consensus(), self.server.previous());
-                self.join = encode_resume(self.round, model, prev);
+                self.join = encode_resume(self.round, model, prev, self.server.scalar_first());
                 &self.join
             }
             FrameKind::AvgState => {
@@ -562,12 +572,16 @@ impl<'a> CoordinatorMachine<'a> {
         }
     }
 
-    /// Waits for the next admission due this round, or opens the deposits.
+    /// Waits for the next admission due this round, or opens the deposits
+    /// in the round's mode.
     fn admit_next(&mut self) {
         let admissions = &self.policy.admissions[self.admit_from..];
         let Some(i) = admissions.iter().position(|&(r, _)| r == self.round) else {
             self.admit_from = 0;
-            return self.collect(FrameKind::State);
+            return self.collect(match self.server.scalar_first() {
+                true => FrameKind::Drift,
+                false => FrameKind::State,
+            });
         };
         let w = admissions[i].1 as usize;
         self.admit_from += i + 1;
@@ -610,8 +624,20 @@ impl<'a> CoordinatorMachine<'a> {
         }
         let (codec, len) = (self.server.uplink(), payload.len() as u64);
         self.sizes[id] = match kind {
+            FrameKind::Drift => {
+                let Ok(scalar) = <[u8; 4]>::try_from(payload) else {
+                    let why = format!("drift scalar of {len} bytes");
+                    return Err(NetError::Protocol(why));
+                };
+                self.state_slots[id].drift_sq_norm = f32::from_le_bytes(scalar);
+                len
+            }
             FrameKind::State => {
                 decode_state_coded_into(payload, &mut self.state_slots[id], codec)?;
+                len - self.state_overhead
+            }
+            FrameKind::Summary => {
+                decode_summary_coded_into(payload, &mut self.state_slots[id], codec)?;
                 len - self.state_overhead
             }
             FrameKind::Model => {
@@ -681,14 +707,43 @@ impl<'a> CoordinatorMachine<'a> {
             self.report.measured_payload_bytes += per_worker_bytes(bytes, alive);
         }
         match kind {
-            FrameKind::State => self.decide(),
+            FrameKind::Drift => self.settle(),
+            FrameKind::State | FrameKind::Summary => self.decide(),
             FrameKind::Model => self.commit(),
             _ => self.report(),
         }
     }
 
-    /// The server reduces the deposits and decides; its decision broadcast
-    /// goes out once, to every live worker.
+    /// Phase A: the server settles the round on the drift scalars — a
+    /// quiet decision broadcast goes out — or the summaries are asked for.
+    fn settle(&mut self) {
+        self.scalars.clear();
+        let scalars = self
+            .deposited
+            .iter()
+            .map(|&i| self.state_slots[i].drift_sq_norm);
+        self.scalars.extend(scalars);
+        match self.server.settle(&mut self.net, &self.scalars) {
+            Some(m) => {
+                self.marks.2 = self.report.measured_payload_bytes;
+                self.marks.3 = self.deposited.len() as u32;
+                self.report.estimates.push(m);
+                self.report.decisions.push(false);
+                self.queue
+                    .push_back(Queued::Send(To::Live, FrameKind::AvgState));
+                self.phase = Phase::Fanout(None);
+            }
+            None => {
+                self.queue
+                    .push_back(Queued::Send(To::Live, FrameKind::SummaryRequest));
+                self.phase = Phase::Fanout(Some(FrameKind::Summary));
+            }
+        }
+    }
+
+    /// The server reduces the deposits — full states, or phase A's
+    /// scalars completed by the summaries — and decides; its decision
+    /// broadcast goes out once, to every live worker.
     fn decide(&mut self) {
         self.marks.2 = self.report.measured_payload_bytes;
         self.marks.3 = self.deposited.len() as u32;
@@ -877,7 +932,10 @@ impl WorkerMachine {
     fn frame(&mut self, kind: FrameKind, payload: &[u8]) -> Result<bool, NetError> {
         let id = self.id;
         let fail = |why: String| NetError::Protocol(format!("worker {id}: {why}"));
-        if kind != self.expect {
+        // A deposit's answer is its decision or, in phase B of a
+        // scalar-first round, a summary request.
+        let requested = kind == FrameKind::SummaryRequest && self.expect == FrameKind::AvgState;
+        if kind != self.expect && !requested {
             return Err(fail(format!(
                 "expected {}, got {}",
                 self.expect.label(),
@@ -901,14 +959,15 @@ impl WorkerMachine {
             // already holding `w_0`, a bitwise no-op.
             let task = spec.synth.generate(&spec.task_name);
             let mut worker = spec.cluster.build_worker(&task.train, id as usize);
-            let (start, model, prev) = decode_resume(payload, worker.model().param_count())?;
+            let dim = worker.model().param_count();
+            let (start, model, prev, scalar_first) = decode_resume(payload, dim)?;
             if start > spec.steps {
                 return Err(fail(format!(
                     "resume at round {start} past the job's {} steps",
                     spec.steps
                 )));
             }
-            let replica = Replica::join(spec, model, prev.as_deref());
+            let replica = Replica::join(spec, model, prev.as_deref(), scalar_first);
             worker.model_mut().load_params(replica.consensus());
             let round = start;
             self.joined = Some(Joined {
@@ -922,6 +981,16 @@ impl WorkerMachine {
         }
         let j = self.joined.as_mut().expect("a session past its handoff");
         match kind {
+            // Phase B: the summary of the drift whose scalar went ahead.
+            FrameKind::SummaryRequest => {
+                if !payload.is_empty() {
+                    return Err(fail("summary request with a payload".to_string()));
+                }
+                self.ubuf.clear();
+                j.replica.summary_payload(&mut self.ubuf).map_err(fail)?;
+                self.out = Some(FrameKind::Summary);
+                return Ok(false);
+            }
             // The averaged state and the decision, checked against this
             // replica's own shape and `H(S̄) > Θ`: a disagreement is a
             // protocol error, not a silent divergence. On a sync, the
@@ -955,16 +1024,23 @@ impl WorkerMachine {
     }
 
     /// Local training — the simulator's exact code path — and the round's
-    /// coded state; past the last round, the final replica instead.
+    /// deposit in its mode: the drift scalar, or the coded state; past the
+    /// last round, the final replica instead.
     fn train(&mut self) {
         let steps = self.spec.as_ref().expect("a configured session").steps;
         let j = self.joined.as_mut().expect("a session past its handoff");
         self.ubuf.clear();
         if j.round < steps {
             j.worker.step_once(&j.task.train);
-            j.replica
-                .state_payload(j.worker.model().params(), &mut self.ubuf);
-            (self.out, self.expect) = (Some(FrameKind::State), FrameKind::AvgState);
+            let (w, out) = (j.worker.model().params(), &mut self.ubuf);
+            let kind = if j.replica.scalar_first() {
+                j.replica.drift_payload(w, out);
+                FrameKind::Drift
+            } else {
+                j.replica.state_payload(w, out);
+                FrameKind::State
+            };
+            (self.out, self.expect) = (Some(kind), FrameKind::AvgState);
         } else {
             encode_vector_coded_into(&j.worker.params(), &Dense32, &mut self.ubuf);
             (self.out, self.expect) = (Some(FrameKind::FinalModel), FrameKind::Shutdown);

@@ -185,8 +185,8 @@ pub fn run_worker<A: ToSocketAddrs>(
 
 /// Drives one session's machine over its link until it ends: completed
 /// (with the steps it ran) or ended by a terminal scripted fault. Every
-/// `State` send goes through the step's scripted faults
-/// ([`fault::send_state`]).
+/// round's opening deposit — a `State`, or a scalar-first round's `Drift`
+/// — goes through the step's scripted faults ([`fault::send_state`]).
 fn session(
     link: &mut Link,
     m: &mut WorkerMachine,
@@ -212,10 +212,10 @@ fn session(
                 }
                 continue;
             };
-            if kind != FrameKind::State {
+            if !matches!(kind, FrameKind::State | FrameKind::Drift) {
                 link.write(&FrameHead::new(epoch, kind, payload)?, payload)?;
             } else if let Some(action) =
-                fault::send_state(link, &opts.faults, round, epoch, payload)?
+                fault::send_state(link, &opts.faults, round, epoch, kind, payload)?
             {
                 return Ok(WorkerOutcome::Faulted {
                     step: round,
@@ -285,7 +285,7 @@ mod tests {
             let (mut stream, _) = listener.accept().expect("accept");
             Msg::recv(&mut stream).expect("hello");
             Msg::Config(Box::new(spec)).send(&mut stream, 1).unwrap();
-            let resume = crate::protocol::encode_resume(round, &w0, None);
+            let resume = crate::protocol::encode_resume(round, &w0, None, false);
             // The worker may hang up before the handoff arrives.
             let _ = write_frame(&mut stream, 1, FrameKind::Resume, &resume);
             let next = read_frame_into(&mut stream, &mut Vec::new());

@@ -74,21 +74,43 @@ fn per_round(job_of: impl Fn(u32) -> JobSpec) -> (f64, f64, u64) {
     (slope(long.0, short.0), slope(long.1, short.1), long.2)
 }
 
-/// The state-only fence: a Θ = ∞ job (the steady-state fast path). The
-/// budget has headroom over the observed cost but sits far below what any
-/// per-send encode buffer or per-recv `to_vec` would add.
+/// Per-round allocation budget of the coordinator on rounds without a
+/// sync. It has headroom over the observed cost but sits far below what
+/// any per-send encode buffer or per-recv `to_vec` would add.
+const BUDGET_PER_ROUND: f64 = 8.0;
+
+fn assert_within_budget(per_round: f64, leg: &str) {
+    assert!(
+        per_round <= BUDGET_PER_ROUND,
+        "{leg}: coordinator allocates {per_round:.1}/round; budget is \
+         {BUDGET_PER_ROUND}/round — did a per-round encode buffer or payload \
+         copy sneak back into the hot path?"
+    );
+}
+
+/// The state-only fence: a Θ = ∞ job (the steady-state fast path), whose
+/// every round the drift scalars settle (phase A alone).
 #[test]
 fn coordinator_round_loop_allocations_are_flat() {
     const K: usize = 3;
     let (per_round, _, syncs) = per_round(|steps| job(K, FdaConfig::linear(f32::INFINITY), steps));
     assert_eq!(syncs, 0, "Θ = ∞ must stay state-only");
-    const BUDGET_PER_ROUND: f64 = 8.0;
-    assert!(
-        per_round <= BUDGET_PER_ROUND,
-        "coordinator allocates {per_round:.1}/round; budget is \
-         {BUDGET_PER_ROUND}/round — did a per-round encode buffer or payload \
-         copy sneak back into the hot path?"
-    );
+    assert_within_budget(per_round, "certified rounds");
+}
+
+/// The phase-B fence: rounds the drift scalars cannot settle and that do
+/// not sync. One worker under the exact monitor has `H(S̄) = ‖u‖² − ‖u‖²
+/// = 0` exactly, so at Θ = 0 no round certifies (`m > 0`) and none
+/// syncs: the first falls through to its summaries, the rest run full.
+#[test]
+fn phase_b_rounds_without_a_sync_allocate_within_the_same_budget() {
+    let exact = FdaConfig {
+        variant: fda_core::fda::FdaVariant::Exact,
+        theta: 0.0,
+    };
+    let (per_round, _, syncs) = per_round(|steps| job(1, exact, steps));
+    assert_eq!(syncs, 0, "H = 0 never exceeds Θ = 0");
+    assert_within_budget(per_round, "phase-B rounds");
 }
 
 /// The synchronizing fence: a dense Θ = 0 SketchFDA job, where every

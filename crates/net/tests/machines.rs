@@ -17,7 +17,7 @@ use fda_core::wire::JobSpec;
 use fda_data::synth::SynthSpec;
 use fda_net::{
     run_chaos_with_thread_workers, CoordinatorMachine, DropReason, FaultAction, FaultPlan,
-    FrameKind, Input, NetReport, Output, RoundPolicy, To, WorkerMachine,
+    FrameKind, Input, NetError, NetReport, Output, RoundPolicy, To, WorkerMachine,
 };
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -45,7 +45,8 @@ fn spec(fda: FdaConfig, codec: CodecSpec, downlink: DownlinkSpec, steps: u32) ->
 /// deterministic: the coordinator's outputs first, then its oldest
 /// pending frame from the lowest worker id, then one frame to the lowest
 /// worker id that has one. With `lose = Some((id, round))`, worker `id`'s
-/// link closes where it would send its state for `round`.
+/// link closes where it would send its opening deposit (state or drift
+/// scalar) for `round`.
 fn run_in_memory(spec: &JobSpec, policy: &RoundPolicy, lose: Option<(usize, u32)>) -> NetReport {
     let k = spec.cluster.workers;
     let mut coordinator = CoordinatorMachine::new(spec, policy, false);
@@ -102,7 +103,8 @@ fn run_in_memory(spec: &JobSpec, policy: &RoundPolicy, lose: Option<(usize, u32)
         while let Some(out) = worker.poll() {
             match out {
                 Output::Send { kind, .. }
-                    if kind == FrameKind::State && lose == Some((id, round)) =>
+                    if matches!(kind, FrameKind::State | FrameKind::Drift)
+                        && lose == Some((id, round)) =>
                 {
                     workers[id] = None;
                     down[id].clear();
@@ -224,4 +226,193 @@ fn a_lost_worker_leaves_the_same_trajectory_in_memory_and_over_tcp() {
         memory.measured_payload_bytes, tcp.measured_payload_bytes,
         "measured"
     );
+}
+
+/// Drives one coordinator and its workers like `run_in_memory` until a
+/// worker sends a frame `stop` accepts, and returns that worker's id and
+/// the frame, undelivered.
+fn run_until(
+    coordinator: &mut CoordinatorMachine,
+    workers: &mut [WorkerMachine],
+    stop: impl Fn(&Frame) -> bool,
+) -> (usize, Frame) {
+    let k = workers.len();
+    let (mut down, mut up) = (vec![VecDeque::new(); k], vec![VecDeque::new(); k]);
+    loop {
+        while let Some(out) = coordinator.poll() {
+            if let Output::Send {
+                to,
+                epoch,
+                kind,
+                payload,
+            } = out
+            {
+                for (id, queue) in down.iter_mut().enumerate() {
+                    if to == To::Live || to == To::One(id) {
+                        queue.push_back((kind, epoch, payload.to_vec()));
+                    }
+                }
+            }
+        }
+        if let Some(id) = (0..k).find(|&id| !up[id].is_empty()) {
+            let (kind, epoch, payload): Frame = up[id].pop_front().expect("a pending frame");
+            coordinator.handle(Input::Frame {
+                from: id,
+                kind,
+                epoch,
+                payload: &payload,
+            });
+            continue;
+        }
+        let id = (0..k)
+            .find(|&id| !down[id].is_empty())
+            .expect("the protocol stalled");
+        let (kind, epoch, payload) = down[id].pop_front().expect("a pending frame");
+        workers[id].handle(Input::Frame {
+            from: 0,
+            kind,
+            epoch,
+            payload: &payload,
+        });
+        while let Some(out) = workers[id].poll() {
+            if let Output::Send {
+                epoch,
+                kind,
+                payload,
+                ..
+            } = out
+            {
+                let frame = (kind, epoch, payload.to_vec());
+                if stop(&frame) {
+                    return (id, frame);
+                }
+                up[id].push_back(frame);
+            }
+        }
+    }
+}
+
+/// The machines of `spec`, formed: the coordinator after its workers'
+/// hellos, and the workers.
+fn formed<'a>(
+    spec: &'a JobSpec,
+    policy: &'a RoundPolicy,
+) -> (CoordinatorMachine<'a>, Vec<WorkerMachine>) {
+    let mut coordinator = CoordinatorMachine::new(spec, policy, false);
+    (0..spec.cluster.workers).for_each(|id| coordinator.handle(Input::hello(id)));
+    let workers = (0..spec.cluster.workers)
+        .map(|id| WorkerMachine::new(id as u32, 0))
+        .collect();
+    (coordinator, workers)
+}
+
+/// A K = 2 LinearFDA job at Θ.
+fn two_workers(theta: f32) -> JobSpec {
+    JobSpec {
+        cluster: ClusterConfig::small_test(2),
+        ..spec(
+            FdaConfig::linear(theta),
+            CodecSpec::Dense,
+            DownlinkSpec::Dense,
+            4,
+        )
+    }
+}
+
+/// The next `Close` among the coordinator's outputs.
+fn next_close(coordinator: &mut CoordinatorMachine) -> Option<(usize, DropReason)> {
+    while let Some(out) = coordinator.poll() {
+        if let Output::Close { to, reason } = out {
+            return Some((to, reason));
+        }
+    }
+    None
+}
+
+/// Phase A's frames from a broken worker are protocol drops at the
+/// coordinator, never a panic: a drift scalar cut short or padded, and a
+/// summary nobody asked for (the round is collecting drift scalars).
+#[test]
+fn bad_phase_a_deposits_are_protocol_drops() {
+    let (spec, policy) = (two_workers(0.01), RoundPolicy::default());
+    let bad = [
+        (FrameKind::Drift, vec![0, 0, 0]),
+        (FrameKind::Drift, vec![0; 5]),
+        (FrameKind::Drift, Vec::new()),
+        (FrameKind::Summary, vec![0; 9]),
+    ];
+    for (kind, payload) in bad {
+        let (mut coordinator, mut workers) = formed(&spec, &policy);
+        // The run opens scalar-first: the first deposit is a drift.
+        let (id, (_, epoch, _)) =
+            run_until(&mut coordinator, &mut workers, |f| f.0 == FrameKind::Drift);
+        coordinator.handle(Input::Frame {
+            from: id,
+            kind,
+            epoch,
+            payload: &payload,
+        });
+        let case = format!("{kind:?} of {} bytes", payload.len());
+        assert_eq!(
+            next_close(&mut coordinator),
+            Some((id, DropReason::Protocol)),
+            "{case}"
+        );
+    }
+}
+
+/// A worker refuses what a broken coordinator answers its deposit with,
+/// as a protocol error and never a panic: a quiet decision on an `m`
+/// that does not certify (above Θ, NaN, or the wrong length), and a
+/// summary request in a full round. A certifying quiet decision is
+/// taken.
+#[test]
+fn bad_phase_a_answers_are_worker_protocol_errors() {
+    let (spec, policy) = (two_workers(0.0), RoundPolicy::default());
+    // Flags: quiet (2), next round scalar-first (4).
+    let quiet = |m: &[u8]| [&[2 | 4], m].concat();
+    let answers = [
+        (quiet(&0.5f32.to_le_bytes()), false),
+        (quiet(&f32::NAN.to_le_bytes()), false),
+        (quiet(&[0, 0, 0]), false),
+        (quiet(&0.0f32.to_le_bytes()), true),
+    ];
+    for (payload, taken) in answers {
+        let (mut coordinator, mut workers) = formed(&spec, &policy);
+        let (id, (_, epoch, _)) =
+            run_until(&mut coordinator, &mut workers, |f| f.0 == FrameKind::Drift);
+        let worker = &mut workers[id];
+        worker.handle(Input::Frame {
+            from: 0,
+            kind: FrameKind::AvgState,
+            epoch,
+            payload: &payload,
+        });
+        match worker.poll() {
+            Some(Output::Send { kind, .. }) if taken => assert_eq!(kind, FrameKind::Drift),
+            Some(Output::Done(Err(NetError::Protocol(why)))) if !taken => {
+                assert!(why.contains("quiet decision"), "{why}")
+            }
+            other => panic!("{payload:?}: unexpected {other:?}"),
+        }
+    }
+
+    // Θ = 0: round 0 falls through and syncs, so round 1 opens full.
+    let (mut coordinator, mut workers) = formed(&spec, &policy);
+    let (id, (_, epoch, _)) =
+        run_until(&mut coordinator, &mut workers, |f| f.0 == FrameKind::State);
+    let worker = &mut workers[id];
+    assert_eq!(worker.round(), 1);
+    worker.handle(Input::Frame {
+        from: 0,
+        kind: FrameKind::SummaryRequest,
+        epoch,
+        payload: &[],
+    });
+    match worker.poll() {
+        Some(Output::Done(Err(NetError::Protocol(why)))) => {
+            assert!(why.contains("summary request"), "{why}")
+        }
+        other => panic!("a summary request in a full round: {other:?}"),
+    }
 }

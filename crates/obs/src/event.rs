@@ -5,7 +5,9 @@
 //! transport emit the *same* schema (same keys, same JSON types, same
 //! order) so downstream tooling never branches on the source; the `source`
 //! field is the only difference. Bump [`SCHEMA_VERSION`] on any key
-//! addition, removal, or type change.
+//! removal or type change, or on an addition a v1 reader could not skip;
+//! an additive key that readers default when absent (the round event's
+//! `certified`) keeps the version.
 
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -41,6 +43,10 @@ pub struct RoundEvent {
     pub alive: u32,
     /// Whether `H(S̄) > Θ` triggered a model sync.
     pub decision: bool,
+    /// Whether the drift scalars alone settled the round (no sync, and
+    /// `estimate` is their mean, an upper bound on `H(S̄)`). Additive:
+    /// `false` when a stream predates it.
+    pub certified: bool,
     /// The variance estimate `H(S̄)` (serialized as `null` if non-finite).
     pub estimate: f32,
     pub theta: f32,
@@ -101,6 +107,7 @@ impl RoundEvent {
                         .collect(),
                 ),
             ),
+            ("certified".into(), Json::Bool(self.certified)),
         ])
     }
 
@@ -137,6 +144,10 @@ impl RoundEvent {
             epoch: req_u64(v, "epoch")? as u32,
             alive: req_u64(v, "alive")? as u32,
             decision: req_bool(v, "decision")?,
+            certified: match v.get("certified") {
+                None => false,
+                Some(c) => c.as_bool().ok_or("field \"certified\" must be a bool")?,
+            },
             estimate: req_f32_or_null(v, "estimate")?,
             theta: req_f32_or_null(v, "theta")?,
             codec: req_str(v, "codec")?,

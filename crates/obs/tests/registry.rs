@@ -130,6 +130,7 @@ fn sample_round_event() -> RoundEvent {
         epoch: 2,
         alive: 3,
         decision: true,
+        certified: false,
         estimate: 0.04321,
         theta: 0.02,
         codec: "uniform8".into(),

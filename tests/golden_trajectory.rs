@@ -48,9 +48,9 @@ const GOLDEN_HASHES: [u64; ROUNDS] = [
     0x11a52cfa9b399f0a,
     0xcca6ef051b18db2c,
     0xa0850abfdcb277fc,
-    0xcfa8afd0120f6b1c,
-    0x66032717c68600fb,
-    0x876ba893cb0923e9,
+    0xcecccac1ee1c1d76,
+    0x762016e14f0f9e0f,
+    0x09fe89d36e8efcd8,
 ];
 
 /// The same rounds digested without the variance estimate: every

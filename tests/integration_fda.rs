@@ -341,3 +341,76 @@ fn fda_matches_a_full_state_reference_loop() {
         "the sweep mixes quiet and syncing rounds"
     );
 }
+
+/// Each round charges the 4-byte drift scalar per worker when its mean
+/// certifies in a scalar-first round, and the full state otherwise (plus
+/// the models on a sync) — the mode rule replayed by hand: the run opens
+/// scalar-first, a round that runs phase B makes the rest of its sync
+/// interval full, and an interval opens scalar-first iff the previous
+/// interval's opening round was certifiable.
+#[test]
+fn fda_charges_the_scalar_on_certified_rounds_and_the_full_state_otherwise() {
+    use fda::core::cluster::Cluster;
+    use fda::core::monitor::LocalState;
+    use fda::core::round::certifies;
+    use fda::tensor::vector;
+
+    let task = SynthSpec {
+        n_train: 240,
+        n_test: 40,
+        ..SynthSpec::synth_mnist()
+    }
+    .generate("charges");
+    let mut certified = 0;
+    for variant in [
+        FdaVariant::Linear,
+        FdaVariant::Sketch(fda::sketch::SketchConfig::new(3, 16, 5)),
+    ] {
+        for k in [2usize, 3] {
+            for theta in [0.0f32, 0.05, f32::MAX] {
+                let case = format!("{} K = {k} Θ = {theta}", variant.name());
+                let mut fda = Fda::new(FdaConfig { variant, theta }, cluster(k, 12), &task);
+                let mut reference = Cluster::new(cluster(k, 12), &task);
+                let mut monitor = variant.build_monitor(reference.dim());
+                let d = reference.dim();
+                let mut w_t0 = reference.worker(0).params();
+                let (mut last_ok, mut this_ok, mut fell_through) = (true, None, false);
+                for round in 0..24 {
+                    let before = fda.comm_bytes();
+                    let synced = fda.step().synced;
+                    reference.local_step();
+                    let states: Vec<LocalState> = (0..k)
+                        .map(|w| {
+                            let mut drift = reference.worker(w).params();
+                            vector::sub_assign(&mut drift, &w_t0);
+                            monitor.local_state(&drift)
+                        })
+                        .collect();
+                    let m = LocalState::average(&states).drift_sq_norm;
+                    let certifiable = certifies(m, theta, &states[0], d);
+                    let quiet = last_ok && !fell_through && certifiable;
+                    let k = k as u64;
+                    let state = if quiet { 4 } else { monitor.state_bytes() };
+                    let models = if synced { d as u64 * 4 } else { 0 };
+                    assert_eq!(
+                        fda.comm_bytes() - before,
+                        k * (state + models),
+                        "{case}: round {round}"
+                    );
+                    assert!(!(quiet && synced), "{case}: a certified round syncs");
+                    certified += quiet as u32;
+                    let opened = *this_ok.get_or_insert(certifiable);
+                    fell_through |= !quiet;
+                    if synced {
+                        let mean = fda.cluster().worker(0).params();
+                        reference.load_global(&mean);
+                        monitor.on_sync(&mean, &w_t0);
+                        w_t0 = mean;
+                        (last_ok, this_ok, fell_through) = (opened, None, false);
+                    }
+                }
+            }
+        }
+    }
+    assert!(certified > 0, "the sweep certifies rounds");
+}

@@ -271,6 +271,57 @@ fn simulator_stream_is_schema_identical_to_net_stream() {
     sim_ledger(&sim_lines, &sim, spec.steps);
 }
 
+/// The simulator and the socket coordinator agree, round by round, on
+/// which rounds the drift scalars settled (`certified`), and on their
+/// decisions, estimates and state bytes — which on a certified round are
+/// the 4-byte scalar per worker, K′·4. The `fda_certified_rounds` counter
+/// counts every certified round.
+#[test]
+fn simulator_and_net_streams_agree_on_certified_rounds() {
+    let spec = JobSpec {
+        fda: FdaConfig::sketch_auto(0.05),
+        ..spec(3, 24)
+    };
+    fda::obs::set_enabled(true);
+    let counter = fda::obs::registry().counter("fda_certified_rounds");
+    let before = counter.get();
+    let net_path = temp_path("certified_net");
+    fda::net::run_with_thread_workers_telemetry(&spec, Some(&net_path)).expect("net run");
+    let net_lines = read_jsonl(&net_path).expect("net stream");
+    std::fs::remove_file(&net_path).ok();
+    let (net_rounds, _) = split_stream(&net_lines);
+
+    let task = spec.synth.generate(&spec.task_name);
+    let mut sim = Fda::new(spec.fda, spec.cluster.clone(), &task);
+    let sim_lines = sim_stream(&mut sim, spec.steps, "certified_sim");
+    let (sim_rounds, _) = sim_ledger(&sim_lines, &sim, spec.steps);
+
+    let certified = sim_rounds.iter().filter(|r| r.certified).count() as u64;
+    assert!(
+        certified > 0 && certified < u64::from(spec.steps),
+        "the run mixes certified and full rounds ({certified})"
+    );
+    for (s, n) in sim_rounds.iter().zip(&net_rounds) {
+        let round = s.round;
+        assert_eq!(s.certified, n.certified, "round {round}: certified");
+        assert_eq!(s.decision, n.decision, "round {round}: decision");
+        assert_eq!(
+            s.estimate.to_bits(),
+            n.estimate.to_bits(),
+            "round {round}: estimate"
+        );
+        assert_eq!(s.state_bytes, n.state_bytes, "round {round}: state bytes");
+        if s.certified {
+            assert!(!s.decision, "round {round}: a certified round syncs");
+            assert_eq!(s.state_bytes, u64::from(s.alive) * 4, "round {round}");
+        }
+    }
+    assert!(
+        counter.get() >= before + 2 * certified,
+        "both runs count their certified rounds"
+    );
+}
+
 /// Every baseline writes the FDA stream's schema: the same keys and JSON
 /// types, with a `null` estimate and Θ and no state bytes, a ledger that
 /// reconciles, and the baseline's display name as the run's variant.

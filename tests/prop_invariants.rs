@@ -1228,3 +1228,115 @@ fn coded_wire_frames_roundtrip_and_are_total() {
         }
     }
 }
+
+/// One entry of a `d`-long drift drawn from integers, in the case's
+/// `regime`: zeros and subnormals (either sign), moderate values, values
+/// whose squares sum to just under `f32::MAX` (so a sketch counter that
+/// adds a few of them overflows when squared), or any of those poisoned
+/// by NaN and `±∞`.
+fn certificate_entry(rng: &mut Rng, regime: u64, d: usize) -> f32 {
+    let sign = if rng.next_u64().is_multiple_of(2) {
+        1.0
+    } else {
+        -1.0
+    };
+    let pick = rng.next_u64() % 8;
+    let x = match (regime, pick) {
+        (3, 0) => [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][(rng.next_u64() % 3) as usize],
+        (0, 0..=3) | (1, 0) => 0.0,
+        (0, _) => f32::from_bits(1 + (rng.next_u64() % 0x007F_FFFF) as u32),
+        (2, _) => f32::MAX.sqrt() / (d as f32).sqrt() * (10 + rng.next_u64() % 5) as f32 / 16.0,
+        _ => ((rng.next_u64() % 4001) as f32 - 2000.0) / 256.0,
+    };
+    sign * x
+}
+
+/// Phase A's certificate is sound: for every monitor variant (LinearFDA
+/// with and without ξ, SketchFDA, the exact oracle), on a dense or coded
+/// uplink, whenever the mean drift scalar certifies, `H(S̄)` does not
+/// violate Θ. Inputs come from integers: ±0 and subnormals, Θ ∈ {0,
+/// f32::MAX, +∞} or a power of two, NaN and ±∞ drifts (which must fall
+/// through), and drifts large enough that the sketch term overflows to
+/// `+∞` — where `m ≤ Θ` alone would be wrong, and the certificate must
+/// refuse.
+#[test]
+fn certificate_never_hides_a_violation() {
+    use fda::core::fda::violates;
+    use fda::core::round::certifies;
+    let (mut certified, mut refused_overflow) = (0, 0);
+    for case in 0..4 * CASES {
+        let mut rng = Rng::new(0xCE27_0000 + case);
+        let (k, d) = (
+            1 + (rng.next_u64() % 4) as usize,
+            1 + (rng.next_u64() % 24) as usize,
+        );
+        let regime = rng.next_u64() % 4;
+        let drifts: Vec<Vec<f32>> = (0..k)
+            .map(|_| {
+                (0..d)
+                    .map(|_| certificate_entry(&mut rng, regime, d))
+                    .collect()
+            })
+            .collect();
+        let mut linear_xi = LinearMonitor::new();
+        let w: Vec<Vec<f32>> = (0..2)
+            .map(|_| (0..d).map(|_| certificate_entry(&mut rng, 1, d)).collect())
+            .collect();
+        linear_xi.on_sync(&w[0], &w[1]);
+        let (rows, cols) = (1 + 2 * (rng.next_u64() % 2), 1 + rng.next_u64() % 4);
+        let monitors: Vec<Box<dyn VarianceMonitor>> = vec![
+            Box::new(LinearMonitor::new()),
+            Box::new(linear_xi),
+            Box::new(SketchMonitor::new(
+                SketchConfig::new(rows as usize, cols as usize, case),
+                d,
+            )),
+            Box::new(ExactMonitor::new(d)),
+        ];
+        let exponent = (rng.next_u64() % 260) as i32 - 130;
+        let thetas = [0.0, f32::MAX, f32::INFINITY, 2f32.powi(exponent)];
+        let codecs = random_codecs(&mut rng);
+        for monitor in &monitors {
+            for codec in &codecs {
+                let states: Vec<LocalState> = drifts
+                    .iter()
+                    .map(|u| {
+                        let mut s = monitor.local_state(u);
+                        let mut enc = Vec::new();
+                        codec.encode_into(s.summary_slice(), &mut enc);
+                        let decoded = codec.decode_into(&enc, s.summary_slice_mut());
+                        decoded.expect("a codec decodes its own output");
+                        s
+                    })
+                    .collect();
+                let avg = LocalState::average(&states);
+                let (m, h) = (avg.drift_sq_norm, monitor.estimate(&avg));
+                for theta in thetas {
+                    let why = format!(
+                        "case {case}: {} / {} K = {k} d = {d}, m = {m}, H = {h}, Θ = {theta}",
+                        monitor.name(),
+                        codec.name()
+                    );
+                    if !m.is_finite() {
+                        assert!(!certifies(m, theta, &avg, d), "{why}: must fall through");
+                    } else if certifies(m, theta, &avg, d) {
+                        assert!(!violates(h, theta), "{why}: certified a violation");
+                        certified += 1;
+                    } else if m <= theta && violates(h, theta) {
+                        refused_overflow += 1;
+                    }
+                }
+            }
+        }
+    }
+    for (m, theta) in [(f32::NAN, f32::INFINITY), (f32::INFINITY, f32::INFINITY)] {
+        let shape = LinearMonitor::new().local_state(&[0.0]);
+        assert!(!certifies(m, theta, &shape, 1), "{m} ≤ {theta}");
+        assert!(!certifies(-m, theta, &shape, 1), "{} ≤ {theta}", -m);
+    }
+    assert!(certified > 0, "the sweep certifies rounds");
+    assert!(
+        refused_overflow > 0,
+        "the sweep reaches a finite m ≤ Θ whose sketch term overflows"
+    );
+}
