@@ -158,8 +158,6 @@ pub struct Fda {
     /// Per-worker drift scratch `u_t^(k)` and local state, rebuilt in
     /// place each step; empty under a periodic policy.
     lanes: Vec<(Vec<f32>, LocalState)>,
-    /// The lanes' drift scalars, in id order, for phase A.
-    scalars: Vec<f32>,
     /// One encoded state summary at a time, on a coded uplink.
     enc: Vec<u8>,
     /// Charged bytes per worker of the round's coded state deposit.
@@ -196,7 +194,6 @@ impl Fda {
             cluster,
             server,
             name,
-            scalars: Vec::new(),
             enc: Vec::new(),
             payloads: Vec::new(),
             telemetry: None,
@@ -349,11 +346,9 @@ impl Strategy for Fda {
                 });
             }
             let settled = if scalar_first {
-                self.scalars.clear();
                 let scalars = self.lanes.iter().map(|(_, s)| s.drift_sq_norm);
-                self.scalars.extend(scalars);
                 let (_, _, net) = self.cluster.parts();
-                self.server.settle(net, &self.scalars)
+                self.server.settle(net, scalars)
             } else {
                 None
             };

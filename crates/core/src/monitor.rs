@@ -10,6 +10,12 @@
 //! | [`SketchMonitor`] | AMS sketch `sk(u)`       | `l·m·4 + 4`       | prob. ≥ 1 − δ      |
 //! | [`LinearMonitor`] | scalar `⟨ξ, u⟩`          | `4 + 4`           | deterministic      |
 //! | [`ExactMonitor`]  | the full drift (oracle)  | `d·4 + 4`         | exact (tests only) |
+//!
+//! The bytes ([`VarianceMonitor::state_bytes`]) are those of a round that
+//! needs the summary. A round whose mean `‖u‖²` alone settles it
+//! (`crate::round::certifies`) ships the 4-byte scalar and no summary,
+//! whatever the monitor: every estimate is `mean‖u‖²` minus a
+//! non-negative term.
 
 use fda_sketch::{AmsSketch, SketchConfig, SketchPlan};
 use fda_tensor::vector;

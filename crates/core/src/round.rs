@@ -408,7 +408,11 @@ impl Server {
     ///
     /// # Panics
     /// Panics unless [`Server::scalar_first`] holds.
-    pub fn settle(&mut self, net: &mut SimNetwork, scalars: &[f32]) -> Option<f32> {
+    pub fn settle(
+        &mut self,
+        net: &mut SimNetwork,
+        scalars: impl ExactSizeIterator<Item = f32>,
+    ) -> Option<f32> {
         assert!(
             self.scalar_first(),
             "round: settle outside a scalar-first round"
@@ -424,7 +428,7 @@ impl Server {
             unreachable!("a scalar-first round has a monitor");
         };
         net.charge_allreduce(4);
-        let m = scalar_mean(scalars.iter().copied());
+        let m = scalar_mean(scalars);
         if !certifies(m, *theta, avg, dim) {
             self.scalars_charged = true;
             return None;

@@ -9,9 +9,9 @@
 //! Faults are injected at the message layer, step-indexed: each
 //! [`FaultAction`] fires when the worker is about to upload the state for
 //! a given step — the worker driver filters the machine's opening deposit
-//! (`State`, or a scalar-first round's `Drift`) through `send_state`. That keeps the schedule independent of TCP
-//! segmentation and buffering, which a byte- or frame-counting stream
-//! wrapper would couple it to.
+//! (`State`, or a scalar-first round's `Drift`) through `send_state`.
+//! That keeps the schedule independent of TCP segmentation and buffering,
+//! which a byte- or frame-counting stream wrapper would couple it to.
 
 use crate::frame::{encode_frame, FrameHead, FrameKind, Link, NetError};
 use std::io::Write as _;

@@ -382,7 +382,7 @@ impl FrameKind {
     /// Whether frames of this kind are a round's state deposits, which
     /// the deposit deadline covers: a full `State`, or a scalar-first
     /// round's `Drift` and `Summary`.
-    pub fn is_deposit(&self) -> bool {
+    pub(crate) fn is_deposit(&self) -> bool {
         matches!(
             self,
             FrameKind::State | FrameKind::Drift | FrameKind::Summary

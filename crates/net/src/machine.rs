@@ -335,8 +335,6 @@ pub struct CoordinatorMachine<'a> {
     /// The ids a finished phase reduces, ascending, and their charges.
     deposited: Vec<usize>,
     payloads: Vec<u64>,
-    /// Their drift scalars, for phase A.
-    scalars: Vec<f32>,
     /// With `records`, each round's record: events and measured bytes
     /// past `marks.0` and `marks.1` belong to the round, `marks.2` is the
     /// measured total after its states, `marks.3` its reduce's headcount.
@@ -387,7 +385,6 @@ impl<'a> CoordinatorMachine<'a> {
             downlink_len: 0,
             deposited: Vec::with_capacity(k),
             payloads: Vec::with_capacity(k),
-            scalars: Vec::with_capacity(k),
             records,
             marks: (0, 0, 0, 0),
         }
@@ -717,13 +714,9 @@ impl<'a> CoordinatorMachine<'a> {
     /// Phase A: the server settles the round on the drift scalars — a
     /// quiet decision broadcast goes out — or the summaries are asked for.
     fn settle(&mut self) {
-        self.scalars.clear();
-        let scalars = self
-            .deposited
-            .iter()
-            .map(|&i| self.state_slots[i].drift_sq_norm);
-        self.scalars.extend(scalars);
-        match self.server.settle(&mut self.net, &self.scalars) {
+        let slots = &self.state_slots;
+        let scalars = self.deposited.iter().map(|&i| slots[i].drift_sq_norm);
+        match self.server.settle(&mut self.net, scalars) {
             Some(m) => {
                 self.marks.2 = self.report.measured_payload_bytes;
                 self.marks.3 = self.deposited.len() as u32;
