@@ -44,10 +44,14 @@ fn spec(fda: FdaConfig, codec: CodecSpec, downlink: DownlinkSpec, steps: u32) ->
 /// Runs `spec` through the machines on one thread. The scheduler is
 /// deterministic: the coordinator's outputs first, then its oldest
 /// pending frame from the lowest worker id, then one frame to the lowest
-/// worker id that has one. With `lose = Some((id, round))`, worker `id`'s
-/// link closes where it would send its opening deposit (state or drift
-/// scalar) for `round`.
-fn run_in_memory(spec: &JobSpec, policy: &RoundPolicy, lose: Option<(usize, u32)>) -> NetReport {
+/// worker id that has one. With `lose = Some((id, round, kinds))`,
+/// worker `id`'s link closes where it would send a frame of one of
+/// `kinds` in `round`.
+fn run_in_memory(
+    spec: &JobSpec,
+    policy: &RoundPolicy,
+    lose: Option<(usize, u32, &[FrameKind])>,
+) -> NetReport {
     let k = spec.cluster.workers;
     let mut coordinator = CoordinatorMachine::new(spec, policy, false);
     let mut workers: Vec<Option<WorkerMachine>> = (0..k)
@@ -103,8 +107,9 @@ fn run_in_memory(spec: &JobSpec, policy: &RoundPolicy, lose: Option<(usize, u32)
         while let Some(out) = worker.poll() {
             match out {
                 Output::Send { kind, .. }
-                    if matches!(kind, FrameKind::State | FrameKind::Drift)
-                        && lose == Some((id, round)) =>
+                    if lose.is_some_and(|(w, r, kinds)| {
+                        (w, r) == (id, round) && kinds.contains(&kind)
+                    }) =>
                 {
                     workers[id] = None;
                     down[id].clear();
@@ -206,7 +211,8 @@ fn a_lost_worker_leaves_the_same_trajectory_in_memory_and_over_tcp() {
         deposit_timeout: Duration::from_secs(10),
         admissions: Vec::new(),
     };
-    let memory = run_in_memory(&spec, &policy, Some((2, 5)));
+    let deposits = [FrameKind::State, FrameKind::Drift];
+    let memory = run_in_memory(&spec, &policy, Some((2, 5, &deposits)));
     let plan = FaultPlan::new().fault(2, FaultAction::KillBeforeState(5));
     let io_timeout = Duration::from_secs(15);
     let (tcp, _) = run_chaos_with_thread_workers(&spec, &plan, policy, None, io_timeout);
@@ -290,6 +296,34 @@ fn run_until(
             }
         }
     }
+}
+
+/// Worker 2 of a K = 3 Θ = 0 run lost in round 0 after its drift scalar
+/// went out but before its summary did — between phase A and phase B —
+/// leaves the trajectory of a loss before the scalar: the same decisions,
+/// estimates and replicas. Its scalar is the only extra byte charge
+/// (4, charged at K = 3 before the drop), and measured == charged in both.
+#[test]
+fn a_worker_lost_between_the_phases_keeps_measured_equal_to_charged() {
+    let spec = spec(
+        FdaConfig::linear(0.0),
+        CodecSpec::Dense,
+        DownlinkSpec::Dense,
+        6,
+    );
+    let policy = RoundPolicy::default();
+    let before = run_in_memory(&spec, &policy, Some((2, 0, &[FrameKind::Drift])));
+    let between = run_in_memory(&spec, &policy, Some((2, 0, &[FrameKind::Summary])));
+    for report in [&before, &between] {
+        assert_eq!(report.survivors, vec![0, 1]);
+        assert_eq!(report.decisions, vec![true; 6], "Θ = 0 syncs every round");
+        assert_eq!(report.measured_payload_bytes, report.charged_bytes);
+    }
+    assert_eq!(bits(&before.estimates), bits(&between.estimates));
+    for (a, b) in before.worker_params.iter().zip(&between.worker_params) {
+        assert_eq!(bits(a), bits(b), "replicas");
+    }
+    assert_eq!(between.charged_bytes, before.charged_bytes + 4);
 }
 
 /// The machines of `spec`, formed: the coordinator after its workers'
