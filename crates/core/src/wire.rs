@@ -17,6 +17,9 @@
 //!   tag 2 (Exact):  [ len: u32 ]  [ len × f32 ]
 //! ```
 //!
+//! A summary ([`encode_summary_coded_into`]) is the same layout without
+//! `drift_sq_norm`: the half of a state a round sends after its scalar.
+//!
 //! Model/delta vectors are `[ len: u32 ][ len × f32 ]`. In both, the
 //! `f32` run is a codec payload ([`Codec`]); under the identity codec
 //! [`fda_comm::compress::Dense32`] it is the raw little-endian run shown.
