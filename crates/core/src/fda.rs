@@ -250,15 +250,10 @@ impl Fda {
         }
     }
 
-    /// Phase B: the summaries a scalar-first round still lacks, the coded
-    /// roundtrip on a coded uplink, then the server's state reduce and
-    /// decision.
-    fn reduce_states(&mut self, scalar_first: bool) -> (f32, bool) {
-        if scalar_first {
-            let monitor = self
-                .server
-                .monitor()
-                .expect("a scalar-first round has a monitor");
+    /// Phase B: the summaries, the coded roundtrip on a coded uplink, then
+    /// the server's state reduce and decision.
+    fn reduce_states(&mut self) -> (f32, bool) {
+        if let Some(monitor) = self.server.monitor() {
             let (pool, workers, _) = self.cluster.parts();
             each_worker(pool, workers, &mut self.lanes, |_, (drift, state)| {
                 monitor.summary_into(drift, state);
@@ -266,10 +261,9 @@ impl Fda {
         }
         self.payloads.clear();
         if let Some(codec) = self.server.coded_uplink() {
-            let scalar = if scalar_first { 0 } else { 4 };
             for (_, s) in &mut self.lanes {
                 let bytes = round::roundtrip_in_place(codec, s.summary_slice_mut(), &mut self.enc);
-                self.payloads.push(scalar + bytes);
+                self.payloads.push(bytes);
             }
         }
         let states: Vec<&LocalState> = self.lanes.iter().map(|(_, s)| s).collect();
@@ -323,29 +317,22 @@ impl Strategy for Fda {
 
         // (2)–(3) Drifts and their scalars `‖u‖²` from the parameters each
         //     local step just produced (one pool lane per worker when
-        //     pooled, into reused buffers); a scalar-first round settles on
-        //     their mean if it can (`Server::settle`, phase A). Otherwise
-        //     the summaries — built with the scalars on a full round — and
-        //     the state AllReduce and decision (phase B). On a coded uplink
-        //     every summary is replaced by what a coordinator reconstructs
-        //     from its encoded deposit and charged at the emitted bytes,
-        //     plus the raw 4-byte drift scalar unless phase A charged it
-        //     (the codec covers the summary only). A periodic policy has no
-        //     lanes: its decision is its schedule's.
+        //     pooled, into reused buffers), and the round settled on their
+        //     mean if it can (`Server::settle`, phase A). Otherwise the
+        //     summaries, and the state AllReduce and decision (phase B). On
+        //     a coded uplink every summary is replaced by what a
+        //     coordinator reconstructs from its encoded deposit and charged
+        //     at the emitted bytes (phase A charged the raw 4-byte drift
+        //     scalar; the codec covers the summary only). A periodic policy
+        //     has no lanes: its decision is its schedule's.
         let (estimate, synced) = {
             let _span = fda_obs::histogram!(HIST_MONITOR_US).span();
-            let scalar_first = self.server.scalar_first();
-            if let Some(monitor) = self.server.monitor() {
+            let settled = if self.server.monitor().is_some() {
                 let w_t0 = self.server.consensus();
                 let (pool, workers, _) = self.cluster.parts();
                 each_worker(pool, workers, &mut self.lanes, |w, (drift, state)| {
                     round::drift_into(w.model().params(), w_t0, drift, state);
-                    if !scalar_first {
-                        monitor.summary_into(drift, state);
-                    }
                 });
-            }
-            let settled = if scalar_first {
                 let scalars = self.lanes.iter().map(|(_, s)| s.drift_sq_norm);
                 let (_, _, net) = self.cluster.parts();
                 self.server.settle(net, scalars)
@@ -354,7 +341,7 @@ impl Strategy for Fda {
             };
             match settled {
                 Some(m) => (m, false),
-                None => self.reduce_states(scalar_first),
+                None => self.reduce_states(),
             }
         };
         let charged_mid = self.cluster.comm_bytes();
@@ -567,8 +554,8 @@ mod tests {
     fn sketch_state_costs_dominate_linear_but_not_models() {
         let task = tiny_task();
         let k = 3;
-        // Θ = 0: no round certifies, so every one ships the full state
-        // (and synchronizes).
+        // Θ = 0: no round certifies, so every one ships the scalar and
+        // then the summary, the full state's bytes (and synchronizes).
         let mut sketch = Fda::new(FdaConfig::sketch(0.0), tiny_cluster_config(k), &task);
         for _ in 0..5 {
             assert!(sketch.step().synced);

@@ -6,10 +6,8 @@
 //! deposits only its 4-byte drift scalar `‖u_k‖²`, and a finite id-order
 //! mean `m ≤ Θ` settles the round quiet ([`certifies`]): every monitor's
 //! estimate is `m − t` with `t ≥ 0`, so it cannot exceed Θ either. **Phase
-//! B** runs when phase A cannot settle the round: the full states, today's
-//! `S̄` and `H(S̄) > Θ`. A round opens scalar-first (phase A, then B if
-//! needed) or full (phase B alone) by one mode rule the server keeps
-//! ([`Server::scalar_first`]) and broadcasts with each decision.
+//! B** runs when phase A cannot settle the round: the summaries, today's
+//! `S̄` and `H(S̄) > Θ`. Every round of a monitor policy runs phase A.
 //!
 //! * [`Server`] reduces: [`Server::settle`] charges the drift scalars and
 //!   settles a quiet round; [`Server::decide`] charges and averages the
@@ -144,49 +142,6 @@ pub fn certifies(m: f32, theta: f32, shape: &LocalState, dim: usize) -> bool {
 const SYNC: u8 = 1;
 /// The round was settled by phase A: the body is `m`, not `S̄`.
 const QUIET: u8 = 2;
-/// The next round opens scalar-first.
-const SCALAR_FIRST: u8 = 4;
-
-/// The mode rule: a round opens scalar-first iff no round since the last
-/// sync ran phase B and the previous sync interval's opening round was
-/// certifiable; the run's first round opens scalar-first. After a round
-/// falls through, the drift only grows until the next sync, so the rest
-/// of the interval goes full and pays no extra round trip; an interval
-/// that opened uncertifiable (Θ = 0) makes the next one open full.
-#[derive(Debug, Clone, Copy)]
-struct Opening {
-    /// Whether the previous interval's opening round was certifiable.
-    last_ok: bool,
-    /// Whether this interval's opening round was, once it ran.
-    this_ok: Option<bool>,
-    /// Whether a round of this interval ran phase B.
-    fell_through: bool,
-}
-
-impl Opening {
-    const FIRST: Opening = Opening {
-        last_ok: true,
-        this_ok: None,
-        fell_through: false,
-    };
-
-    fn scalar_first(&self) -> bool {
-        self.last_ok && !self.fell_through
-    }
-
-    /// Records a decided round: whether its scalars `certifiable`, whether
-    /// it was settled `quiet` by phase A, and whether it synchronized.
-    fn record(&mut self, certifiable: bool, quiet: bool, sync: bool) {
-        let opened = *self.this_ok.get_or_insert(certifiable);
-        self.fell_through |= !quiet;
-        if sync {
-            *self = Opening {
-                last_ok: opened,
-                ..Opening::FIRST
-            };
-        }
-    }
-}
 
 /// When a round synchronizes.
 enum Schedule {
@@ -197,7 +152,6 @@ enum Schedule {
         monitor: Box<dyn VarianceMonitor>,
         theta: f32,
         avg: LocalState,
-        opening: Opening,
     },
     /// Every `period`-th round, `since` rounds after the last sync.
     Period { period: u64, since: u64 },
@@ -264,7 +218,6 @@ impl Server {
             monitor,
             theta: config.theta,
             avg,
-            opening: Opening::FIRST,
         };
         Server::with_schedule(schedule, None, w0)
     }
@@ -388,44 +341,24 @@ impl Server {
         self.syncs
     }
 
-    /// Whether the next round opens scalar-first: its workers deposit
-    /// their drift scalars alone and [`Server::settle`] runs before any
-    /// [`Server::decide`]. Always false under a periodic policy.
-    pub fn scalar_first(&self) -> bool {
-        match &self.schedule {
-            Schedule::Monitor { opening, .. } => opening.scalar_first(),
-            Schedule::Period { .. } => false,
-        }
-    }
-
-    /// Phase A of a scalar-first round: charges the drift scalars
-    /// `‖u_k‖²` (given in id order) at 4 bytes per worker and, when their
-    /// mean `m` [`certifies`], settles the round with no sync, counts it
-    /// in `fda_certified_rounds` and returns `Some(m)` — the round's
-    /// estimate, an upper bound on `H(S̄)`.
+    /// Phase A, which opens every round of a monitor policy: charges the
+    /// drift scalars `‖u_k‖²` (given in id order) at 4 bytes per worker
+    /// and, when their mean `m` [`certifies`], settles the round with no
+    /// sync, counts it in `fda_certified_rounds` and returns `Some(m)` —
+    /// the round's estimate, an upper bound on `H(S̄)`.
     /// `None` leaves the round to phase B: [`Server::decide`] over the
     /// full states, which then charges the summaries only.
     ///
     /// # Panics
-    /// Panics unless [`Server::scalar_first`] holds.
+    /// Panics under a periodic policy.
     pub fn settle(
         &mut self,
         net: &mut SimNetwork,
         scalars: impl ExactSizeIterator<Item = f32>,
     ) -> Option<f32> {
-        assert!(
-            self.scalar_first(),
-            "round: settle outside a scalar-first round"
-        );
         let dim = self.consensus.len();
-        let Schedule::Monitor {
-            theta,
-            avg,
-            opening,
-            ..
-        } = &mut self.schedule
-        else {
-            unreachable!("a scalar-first round has a monitor");
+        let Schedule::Monitor { theta, avg, .. } = &self.schedule else {
+            panic!("round: a periodic policy settles no round on drift scalars");
         };
         net.charge_allreduce(4);
         let m = scalar_mean(scalars);
@@ -433,7 +366,6 @@ impl Server {
             self.scalars_charged = true;
             return None;
         }
-        opening.record(true, true, false);
         self.last = Outcome {
             estimate: m,
             sync: false,
@@ -480,14 +412,12 @@ impl Server {
         states: &[&LocalState],
         payloads: &[u64],
     ) -> (f32, bool) {
-        let dim = self.consensus.len();
-        let (monitor, theta, avg, opening) = match &mut self.schedule {
+        let (monitor, theta, avg) = match &mut self.schedule {
             Schedule::Monitor {
                 monitor,
                 theta,
                 avg,
-                opening,
-            } => (&**monitor, *theta, avg, opening),
+            } => (&**monitor, *theta, avg),
             Schedule::Period { period, since } => {
                 *since += 1;
                 let sync = *since == *period;
@@ -512,28 +442,24 @@ impl Server {
         mean_into(pool, &summaries, avg.summary_slice_mut());
         avg.drift_sq_norm = drift_sq_norm;
         let estimate = monitor.estimate(avg);
-        let sync = violates(estimate, theta);
-        opening.record(certifies(drift_sq_norm, theta, avg, dim), false, sync);
-        (estimate, sync)
+        (estimate, violates(estimate, theta))
     }
 
     /// The decision broadcast of the last round, which is what
-    /// [`Replica::check`] reads: the flags byte — the `sync` that
-    /// [`Server::decide`] returned, and whether the next round opens
-    /// scalar-first — then `S̄` dense; after a quiet [`Server::settle`],
-    /// the flags (`QUIET`, no sync) then `m`.
+    /// [`Replica::check`] reads: the flags byte — whether
+    /// [`Server::decide`] synchronized — then `S̄` dense; after a quiet
+    /// [`Server::settle`], the flags (`QUIET`, no sync) then `m`.
     ///
     /// # Panics
     /// Panics under a periodic policy.
-    pub fn avg_state_payload(&mut self, sync: bool) -> &[u8] {
-        let next = if self.scalar_first() { SCALAR_FIRST } else { 0 };
+    pub fn avg_state_payload(&mut self) -> &[u8] {
         self.decision.clear();
         if self.last.quiet {
-            self.decision.push(QUIET | next);
+            self.decision.push(QUIET);
             self.decision
                 .extend_from_slice(&self.last.estimate.to_le_bytes());
         } else {
-            self.decision.push(sync as u8 | next);
+            self.decision.push(self.last.sync as u8);
             encode_state_coded_into(self.schedule.avg(), &Dense32, &mut self.decision);
         }
         &self.decision
@@ -723,9 +649,7 @@ pub struct Replica {
     consensus: Vec<f32>,
     drift: Vec<f32>,
     state: LocalState,
-    /// Whether the round this replica trains next opens scalar-first.
-    scalar_first: bool,
-    /// A scalar-first deposit went out and its summary has not.
+    /// The drift scalar went out and its summary has not.
     summary_due: bool,
     /// The broadcast `S̄`, decoded here; it keeps the job's state shape.
     avg: LocalState,
@@ -736,19 +660,12 @@ pub struct Replica {
 impl Replica {
     /// Joins `spec` through the `Resume` handoff: `model` becomes `w_t0`
     /// and, after a sync, `on_sync(model, prev)` is replayed so LinearFDA's
-    /// ξ matches the workers that never left, bit for bit; the first round
-    /// opens `scalar_first` or full, as the server's mode rule says. The
-    /// transport decodes both models into buffers of the replica's own
-    /// dimension.
+    /// ξ matches the workers that never left, bit for bit. The transport
+    /// decodes both models into buffers of the replica's own dimension.
     ///
     /// # Panics
     /// Panics if `prev` is not as long as `model`.
-    pub fn join(
-        spec: &JobSpec,
-        model: Vec<f32>,
-        prev: Option<&[f32]>,
-        scalar_first: bool,
-    ) -> Replica {
+    pub fn join(spec: &JobSpec, model: Vec<f32>, prev: Option<&[f32]>) -> Replica {
         let dim = model.len();
         let mut monitor = spec.fda.variant.build_monitor(dim);
         if let Some(prev) = prev {
@@ -766,7 +683,6 @@ impl Replica {
             downlink: spec.downlink.build(),
             consensus: model,
             drift,
-            scalar_first,
             summary_due: false,
             scratch: Vec::new(),
         }
@@ -777,38 +693,20 @@ impl Replica {
         &self.consensus
     }
 
-    /// Whether the round this replica trains next opens scalar-first:
-    /// its deposit is [`Replica::drift_payload`], else
-    /// [`Replica::state_payload`].
-    pub fn scalar_first(&self) -> bool {
-        self.scalar_first
-    }
-
-    /// A full round's deposit: appends the coded local state of
-    /// parameters `w` to `out`.
-    pub fn state_payload(&mut self, w: &[f32], out: &mut Vec<u8>) {
-        drift_into(w, &self.consensus, &mut self.drift, &mut self.state);
-        self.monitor.summary_into(&self.drift, &mut self.state);
-        encode_state_coded_into(&self.state, self.uplink.as_ref(), out);
-        self.summary_due = false;
-    }
-
-    /// A scalar-first round's deposit: appends `‖u‖²` of the drift
-    /// `u = w − w_t0` as 4 raw bytes, and keeps the drift for
-    /// [`Replica::summary_payload`].
+    /// A round's deposit: appends `‖u‖²` of the drift `u = w − w_t0` as 4
+    /// raw bytes, and keeps the drift for [`Replica::summary_payload`].
     pub fn drift_payload(&mut self, w: &[f32], out: &mut Vec<u8>) {
         drift_into(w, &self.consensus, &mut self.drift, &mut self.state);
         out.extend_from_slice(&self.state.drift_sq_norm.to_le_bytes());
         self.summary_due = true;
     }
 
-    /// Phase B of a scalar-first round: appends the coded summary of the
-    /// kept drift — the full round's deposit less its scalar. An `Err`
-    /// unless a scalar-first deposit awaits it: a summary request in a
-    /// full round, or a second one in a round.
+    /// Phase B: appends the coded summary of the kept drift — the full
+    /// local state less its scalar. An `Err` unless a drift scalar awaits
+    /// it: a second request in a round, or one before any deposit.
     pub fn summary_payload(&mut self, out: &mut Vec<u8>) -> Result<(), String> {
         if !std::mem::take(&mut self.summary_due) {
-            return Err("summary request without a scalar-first deposit".to_string());
+            return Err("summary request without a drift scalar awaiting it".to_string());
         }
         self.monitor.summary_into(&self.drift, &mut self.state);
         encode_summary_coded_into(&self.state, self.uplink.as_ref(), out);
@@ -821,20 +719,30 @@ impl Replica {
     }
 
     /// Checks a decision broadcast `[flags u8][body]` and returns its
-    /// decision; the flags also set the next round's mode. A full body is
-    /// `S̄`, decoded into this replica's slot, whose shape the header must
-    /// match before anything is written, and `H(S̄) > Θ` evaluated here
-    /// must agree with `sync`. A quiet body is `m`, which must
-    /// [`certifies`] here.
+    /// decision. A quiet body answers only a drift scalar whose summary was
+    /// not asked for, a full body only a summary: the other way round, the
+    /// coordinator and this replica disagree on the round's phase. A full
+    /// body is `S̄`, decoded into this replica's slot, whose shape the
+    /// header must match before anything is written, and `H(S̄) > Θ`
+    /// evaluated here must agree with `sync`. A quiet body is `m`, which
+    /// must [`certifies`] here.
     pub fn check(&mut self, payload: &[u8]) -> Result<bool, String> {
         let Some((&flags, body)) = payload.split_first() else {
             return Err("empty averaged-state payload".to_string());
         };
-        let sync = flags & SYNC != 0;
-        if flags & !(SYNC | QUIET | SCALAR_FIRST) != 0 || (sync && flags & QUIET != 0) {
+        let (sync, quiet) = (flags & SYNC != 0, flags & QUIET != 0);
+        if flags & !(SYNC | QUIET) != 0 || (sync && quiet) {
             return Err(format!("bad decision byte {flags}"));
         }
-        if flags & QUIET != 0 {
+        if quiet != self.summary_due {
+            return Err(match quiet {
+                true => "quiet decision after the summary was sent".to_string(),
+                false => {
+                    "full decision on a drift scalar whose summary was not asked for".to_string()
+                }
+            });
+        }
+        if quiet {
             let m = match <[u8; 4]>::try_from(body) {
                 Ok(bytes) => f32::from_le_bytes(bytes),
                 Err(_) => return Err(format!("quiet decision of {} bytes", payload.len())),
@@ -852,7 +760,6 @@ impl Replica {
                 ));
             }
         }
-        self.scalar_first = flags & SCALAR_FIRST != 0;
         self.summary_due = false;
         Ok(sync)
     }
@@ -1046,25 +953,26 @@ mod tests {
         assert_eq!(net.total_bytes(), charged.total_bytes());
     }
 
-    /// Known-answer bytes of the decision broadcast: the sync byte, then
-    /// `S̄` in the dense state layout of `wire` (here a Linear state).
+    /// Known-answer bytes of the decision broadcast: the sync byte of the
+    /// server's own decision, then `S̄` in the dense state layout of
+    /// `wire` (here a Linear state, `H = 2 − 0.5² = 1.75`).
     #[test]
     fn round_avg_state_payload_known_answer() {
-        let mut server = Server::new(FdaConfig::linear(1.0), vec![0.0; 4]);
         let deposit = LocalState {
             drift_sq_norm: 2.0,
             summary: crate::monitor::StateSummary::Linear(0.5),
         };
-        server.decide(&mut SimNetwork::new(1), None, &[&deposit], &[]);
-        #[rustfmt::skip]
-        let want = [
-            1, // sync
-            0, 0x00, 0x00, 0x00, 0x40, // Linear, ‖u‖² = 2.0
-            0x00, 0x00, 0x00, 0x3F, // proj 0.5
-        ];
-        assert_eq!(server.avg_state_payload(true), want);
-        assert_eq!(server.avg_state_payload(false)[1..], want[1..]);
-        assert_eq!(server.avg_state_payload(false)[0], 0);
+        for (theta, sync) in [(1.0, 1), (2.0, 0)] {
+            let mut server = Server::new(FdaConfig::linear(theta), vec![0.0; 4]);
+            server.decide(&mut SimNetwork::new(1), None, &[&deposit], &[]);
+            #[rustfmt::skip]
+            let want = [
+                sync,
+                0, 0x00, 0x00, 0x00, 0x40, // Linear, ‖u‖² = 2.0
+                0x00, 0x00, 0x00, 0x3F, // proj 0.5
+            ];
+            assert_eq!(server.avg_state_payload(), want, "Θ = {theta}");
+        }
     }
 
     /// A replica reads the server's decision broadcast back as the server's
@@ -1111,8 +1019,8 @@ mod tests {
             };
             let monitor = variant.build_monitor(d);
             let mut server = Server::new(spec.fda, vec![0.0; d]);
-            let mut replica = Replica::join(&spec, vec![0.0; d], None, false);
-            let mut probe = Replica::join(&spec, vec![0.0; d], None, false);
+            let mut replica = Replica::join(&spec, vec![0.0; d], None);
+            let mut probe = Replica::join(&spec, vec![0.0; d], None);
             let mut seen = Vec::new();
             for scale in [0.01f32, 10.0] {
                 let states: Vec<LocalState> = (0..2)
@@ -1124,7 +1032,7 @@ mod tests {
                     .collect();
                 let refs: Vec<&LocalState> = states.iter().collect();
                 let (_, sync) = server.decide(&mut SimNetwork::new(2), None, &refs, &[]);
-                let payload = server.avg_state_payload(sync).to_vec();
+                let payload = server.avg_state_payload().to_vec();
                 let case = (monitor.name(), scale);
                 assert_eq!(replica.check(&payload), Ok(sync), "{case:?}");
                 seen.push(sync);
@@ -1180,8 +1088,8 @@ mod tests {
             let w0 = random_vec(&mut rng, d);
             let mut server = Server::new(spec.fda, w0.clone());
             server.set_downlink(downlink);
-            let mut replica = Replica::join(&spec, w0, None, false);
-            let mut probe = Replica::join(&spec, vec![0.0; d], None, false);
+            let mut replica = Replica::join(&spec, w0, None);
+            let mut probe = Replica::join(&spec, vec![0.0; d], None);
             for round in 0..3 {
                 let models = [random_vec(&mut rng, d), random_vec(&mut rng, d)];
                 let refs: Vec<&[f32]> = models.iter().map(|m| m.as_slice()).collect();

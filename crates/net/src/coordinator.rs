@@ -354,8 +354,7 @@ impl Coordinator {
                                     continue;
                                 }
                             };
-                            let opening = matches!(kind, FrameKind::State | FrameKind::Drift);
-                            if let Some(t0) = t0.filter(|_| opening) {
+                            if let Some(t0) = t0.filter(|_| kind == FrameKind::Drift) {
                                 deposit_us.push((from as u32, t0.elapsed().as_micros() as u64));
                             }
                             let payload = link.payload();

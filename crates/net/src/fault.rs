@@ -8,10 +8,10 @@
 //!
 //! Faults are injected at the message layer, step-indexed: each
 //! [`FaultAction`] fires when the worker is about to upload the state for
-//! a given step — the worker driver filters the machine's opening deposit
-//! (`State`, or a scalar-first round's `Drift`) through `send_state`.
-//! That keeps the schedule independent of TCP segmentation and buffering,
-//! which a byte- or frame-counting stream wrapper would couple it to.
+//! a given step — the worker driver filters the machine's `Drift` deposit
+//! through `send_state`. That keeps the schedule independent of TCP
+//! segmentation and buffering, which a byte- or frame-counting stream
+//! wrapper would couple it to.
 
 use crate::frame::{encode_frame, FrameHead, FrameKind, Link, NetError};
 use std::io::Write as _;
@@ -123,11 +123,11 @@ impl FaultAction {
     }
 }
 
-/// Sends step `step`'s opening deposit, a frame of `kind`, through every
-/// scripted fault anchored to it: stalls first, then at most one terminal
-/// action in place of (or around) the clean send. `payload` is the
-/// already encoded deposit — faults mangle the exact bytes a clean send
-/// would have produced.
+/// Sends step `step`'s `Drift` deposit through every scripted fault
+/// anchored to it: stalls first, then at most one terminal action in
+/// place of (or around) the clean send. `payload` is the already encoded
+/// drift scalar — faults mangle the exact bytes a clean send would have
+/// produced.
 /// Returns the terminal action that ended the session, if one did; a
 /// truncation is the disconnect the coordinator also observes, so the
 /// rejoin machinery takes over.
@@ -136,7 +136,6 @@ pub(crate) fn send_state(
     faults: &[FaultAction],
     step: u32,
     epoch: u32,
-    kind: FrameKind,
     payload: &[u8],
 ) -> Result<Option<FaultAction>, NetError> {
     let mut actions: Vec<FaultAction> = faults
@@ -157,14 +156,14 @@ pub(crate) fn send_state(
                 // Corrupt the frame past the length field so the coordinator
                 // reads a complete frame and the checksum — not a short read
                 // — must catch it.
-                let mut frame = encode_frame(epoch, kind, payload)?;
+                let mut frame = encode_frame(epoch, FrameKind::Drift, payload)?;
                 let b = bit as usize % ((frame.len() - 4) * 8);
                 frame[4 + b / 8] ^= 1 << (b % 8);
                 link.stream.write_all(&frame)?;
                 return Ok(None);
             }
             FaultAction::TruncateState { keep, .. } => {
-                let frame = encode_frame(epoch, kind, payload)?;
+                let frame = encode_frame(epoch, FrameKind::Drift, payload)?;
                 link.stream
                     .write_all(&frame[..(keep as usize).min(frame.len() - 1)])?;
                 let cut = std::io::ErrorKind::ConnectionAborted;
@@ -175,7 +174,7 @@ pub(crate) fn send_state(
             }
         }
     }
-    link.write(&FrameHead::new(epoch, kind, payload)?, payload)?;
+    link.write(&FrameHead::new(epoch, FrameKind::Drift, payload)?, payload)?;
     Ok(None)
 }
 

@@ -65,14 +65,13 @@ use std::time::Duration;
 /// turned away by the checksum, and a peer that frames correctly but
 /// announces another version by the handshake's version check.
 ///
-/// v6: a round's state exchange runs in up to two phases. A scalar-first
-/// round opens with `Drift` deposits (the 4-byte `‖u‖²`); the coordinator
+/// v6: a round's state exchange runs in up to two phases. Every round
+/// opens with `Drift` deposits (the 4-byte `‖u‖²`); the coordinator
 /// settles it quiet — an `AvgState` of `[flags][m]` — or sends
-/// `SummaryRequest` and collects each worker's `Summary` (the `State`
+/// `SummaryRequest` and collects each worker's `Summary` (the old `State`
 /// payload less its scalar) before today's decision. The `AvgState`
-/// decision byte became a flags byte (sync, quiet, next round
-/// scalar-first), and the `Resume` handoff's prev flag a flags byte that
-/// also carries the first round's mode. The job wire stays v3.
+/// decision byte became a flags byte (sync, quiet), and no peer sends
+/// `State` any more. The job wire stays v3.
 pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Upper bound on one frame's `len` field (kind byte + payload), defined
@@ -340,7 +339,8 @@ frame_kinds! {
     /// Coordinator → worker: the job config (`wire::encode_job`).
     Config = 2, "config";
     /// Worker → coordinator: one round's local state
-    /// (`wire::encode_state_coded` in the job's codec).
+    /// (`wire::encode_state_coded` in the job's codec). Not sent since v6,
+    /// which splits it into `Drift` and `Summary`: out of phase everywhere.
     State = 3, "state";
     /// Coordinator → worker: the decision, `[flags u8]` then the dense
     /// averaged state — or, on a round the drift scalars settled, their
@@ -366,27 +366,23 @@ frame_kinds! {
     /// when the job's `DownlinkSpec` is delta mode; rejoins still receive
     /// a dense `Resume`, so the handoff stays bitwise-exact.
     AvgModelDelta = 10, "avg_model_delta";
-    /// Worker → coordinator: a scalar-first round's deposit, the 4-byte
-    /// drift scalar `‖u‖²` (`round::Replica::drift_payload`).
+    /// Worker → coordinator: a round's deposit, the 4-byte drift scalar
+    /// `‖u‖²` (`round::Replica::drift_payload`).
     Drift = 11, "drift";
     /// Coordinator → worker: the drift scalars could not settle the
     /// round; send the summary. Empty payload.
     SummaryRequest = 12, "summary_request";
     /// Worker → coordinator: the coded drift summary,
-    /// `wire::encode_summary_coded_into` in the job's codec — the `State`
-    /// payload less its scalar.
+    /// `wire::encode_summary_coded_into` in the job's codec — the local
+    /// state less its scalar.
     Summary = 13, "summary";
 }
 
 impl FrameKind {
     /// Whether frames of this kind are a round's state deposits, which
-    /// the deposit deadline covers: a full `State`, or a scalar-first
-    /// round's `Drift` and `Summary`.
+    /// the deposit deadline covers: its `Drift` and `Summary`.
     pub(crate) fn is_deposit(&self) -> bool {
-        matches!(
-            self,
-            FrameKind::State | FrameKind::Drift | FrameKind::Summary
-        )
+        matches!(self, FrameKind::Drift | FrameKind::Summary)
     }
 }
 

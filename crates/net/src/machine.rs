@@ -22,12 +22,10 @@
 //! live worker has delivered or dropped — and [`CoordinatorMachine::wants`]
 //! tells a blocking driver which peer it still waits for, lowest id first.
 //!
-//! A round's state exchange follows the server's mode rule
-//! ([`Server::scalar_first`]): a full round collects `State` deposits and
-//! decides; a scalar-first round collects `Drift` deposits and either
-//! settles quiet on them or broadcasts `SummaryRequest`, collects every
-//! `Summary` and decides. Each phase is measured at its own K′, so a drop
-//! between the two keeps measured == charged.
+//! A round's state exchange collects `Drift` deposits and either settles
+//! quiet on them ([`Server::settle`]) or broadcasts `SummaryRequest`,
+//! collects every `Summary` and decides. Each phase is measured at its
+//! own K′, so a drop between the two keeps measured == charged.
 //!
 //! The worker owns its replica ([`fda_core::round::Replica`]), its
 //! [`Worker`] and the session's round counter; local training runs inside
@@ -40,8 +38,8 @@ use fda_core::cluster::Worker;
 use fda_core::monitor::LocalState;
 use fda_core::round::{Replica, RoundLedger, Server};
 use fda_core::wire::{
-    decode_job, decode_state_coded_into, decode_summary_coded_into, decode_vector_coded_into,
-    encode_job, encode_vector_coded_into, state_frame_overhead, JobSpec,
+    decode_job, decode_summary_coded_into, decode_vector_coded_into, encode_job,
+    encode_vector_coded_into, state_frame_overhead, JobSpec,
 };
 use fda_data::TaskData;
 use fda_obs::{DropRecord, RoundEvent};
@@ -290,9 +288,8 @@ pub struct CoordinatorMachine<'a> {
     /// The round's arithmetic and accounting: monitor, Θ, codecs, the
     /// consensus and the one before it (the `Resume` handoff), `S̄`.
     server: Server,
-    /// Uncharged self-description bytes of a state or summary frame: a
-    /// state charges its raw 4-byte drift scalar plus the encoded summary,
-    /// a summary the encoded summary, a drift its 4 bytes, a model its
+    /// Uncharged self-description bytes of a summary frame, which charges
+    /// its encoded summary; a drift charges its 4 bytes, a model its
     /// encoded payload minus the 4-byte length header.
     state_overhead: u64,
     /// The join handshake's `Config` or `Resume` payload, encoded when
@@ -484,13 +481,10 @@ impl<'a> CoordinatorMachine<'a> {
             }
             FrameKind::Resume => {
                 let (model, prev) = (self.server.consensus(), self.server.previous());
-                self.join = encode_resume(self.round, model, prev, self.server.scalar_first());
+                self.join = encode_resume(self.round, model, prev);
                 &self.join
             }
-            FrameKind::AvgState => {
-                let sync = self.report.decisions.last() == Some(&true);
-                self.server.avg_state_payload(sync)
-            }
+            FrameKind::AvgState => self.server.avg_state_payload(),
             FrameKind::AvgModel | FrameKind::AvgModelDelta => {
                 let payload = self.server.downlink_payload();
                 self.downlink_len = payload.len() as u64;
@@ -569,16 +563,12 @@ impl<'a> CoordinatorMachine<'a> {
         }
     }
 
-    /// Waits for the next admission due this round, or opens the deposits
-    /// in the round's mode.
+    /// Waits for the next admission due this round, or opens the deposits.
     fn admit_next(&mut self) {
         let admissions = &self.policy.admissions[self.admit_from..];
         let Some(i) = admissions.iter().position(|&(r, _)| r == self.round) else {
             self.admit_from = 0;
-            return self.collect(match self.server.scalar_first() {
-                true => FrameKind::Drift,
-                false => FrameKind::State,
-            });
+            return self.collect(FrameKind::Drift);
         };
         let w = admissions[i].1 as usize;
         self.admit_from += i + 1;
@@ -628,10 +618,6 @@ impl<'a> CoordinatorMachine<'a> {
                 };
                 self.state_slots[id].drift_sq_norm = f32::from_le_bytes(scalar);
                 len
-            }
-            FrameKind::State => {
-                decode_state_coded_into(payload, &mut self.state_slots[id], codec)?;
-                len - self.state_overhead
             }
             FrameKind::Summary => {
                 decode_summary_coded_into(payload, &mut self.state_slots[id], codec)?;
@@ -705,7 +691,7 @@ impl<'a> CoordinatorMachine<'a> {
         }
         match kind {
             FrameKind::Drift => self.settle(),
-            FrameKind::State | FrameKind::Summary => self.decide(),
+            FrameKind::Summary => self.decide(),
             FrameKind::Model => self.commit(),
             _ => self.report(),
         }
@@ -734,9 +720,9 @@ impl<'a> CoordinatorMachine<'a> {
         }
     }
 
-    /// The server reduces the deposits — full states, or phase A's
-    /// scalars completed by the summaries — and decides; its decision
-    /// broadcast goes out once, to every live worker.
+    /// Phase B: the server reduces phase A's scalars completed by the
+    /// summaries and decides; its decision broadcast goes out once, to
+    /// every live worker.
     fn decide(&mut self) {
         self.marks.2 = self.report.measured_payload_bytes;
         self.marks.3 = self.deposited.len() as u32;
@@ -836,7 +822,7 @@ pub struct WorkerMachine {
     expect: FrameKind,
     spec: Option<JobSpec>,
     joined: Option<Joined>,
-    /// Round-persistent uplink scratch: every State/Model payload is
+    /// Round-persistent uplink scratch: every deposit and model payload is
     /// encoded into this buffer in place.
     ubuf: Vec<u8>,
     out: Option<FrameKind>,
@@ -925,8 +911,8 @@ impl WorkerMachine {
     fn frame(&mut self, kind: FrameKind, payload: &[u8]) -> Result<bool, NetError> {
         let id = self.id;
         let fail = |why: String| NetError::Protocol(format!("worker {id}: {why}"));
-        // A deposit's answer is its decision or, in phase B of a
-        // scalar-first round, a summary request.
+        // A drift scalar's answer is its decision or, in phase B, a
+        // summary request.
         let requested = kind == FrameKind::SummaryRequest && self.expect == FrameKind::AvgState;
         if kind != self.expect && !requested {
             return Err(fail(format!(
@@ -953,14 +939,14 @@ impl WorkerMachine {
             let task = spec.synth.generate(&spec.task_name);
             let mut worker = spec.cluster.build_worker(&task.train, id as usize);
             let dim = worker.model().param_count();
-            let (start, model, prev, scalar_first) = decode_resume(payload, dim)?;
+            let (start, model, prev) = decode_resume(payload, dim)?;
             if start > spec.steps {
                 return Err(fail(format!(
                     "resume at round {start} past the job's {} steps",
                     spec.steps
                 )));
             }
-            let replica = Replica::join(spec, model, prev.as_deref(), scalar_first);
+            let replica = Replica::join(spec, model, prev.as_deref());
             worker.model_mut().load_params(replica.consensus());
             let round = start;
             self.joined = Some(Joined {
@@ -1017,23 +1003,17 @@ impl WorkerMachine {
     }
 
     /// Local training — the simulator's exact code path — and the round's
-    /// deposit in its mode: the drift scalar, or the coded state; past the
-    /// last round, the final replica instead.
+    /// deposit, the drift scalar; past the last round, the final replica
+    /// instead.
     fn train(&mut self) {
         let steps = self.spec.as_ref().expect("a configured session").steps;
         let j = self.joined.as_mut().expect("a session past its handoff");
         self.ubuf.clear();
         if j.round < steps {
             j.worker.step_once(&j.task.train);
-            let (w, out) = (j.worker.model().params(), &mut self.ubuf);
-            let kind = if j.replica.scalar_first() {
-                j.replica.drift_payload(w, out);
-                FrameKind::Drift
-            } else {
-                j.replica.state_payload(w, out);
-                FrameKind::State
-            };
-            (self.out, self.expect) = (Some(kind), FrameKind::AvgState);
+            j.replica
+                .drift_payload(j.worker.model().params(), &mut self.ubuf);
+            (self.out, self.expect) = (Some(FrameKind::Drift), FrameKind::AvgState);
         } else {
             encode_vector_coded_into(&j.worker.params(), &Dense32, &mut self.ubuf);
             (self.out, self.expect) = (Some(FrameKind::FinalModel), FrameKind::Shutdown);

@@ -142,23 +142,12 @@ impl Msg {
     }
 }
 
-/// `Resume` flag: the previous consensus follows the model.
-const RESUME_PREV: u8 = 1;
-/// `Resume` flag: the first round opens scalar-first.
-const RESUME_SCALAR_FIRST: u8 = 2;
-
-/// The `Resume` handoff payload, `[round u32][flags u8][model][prev?]`,
-/// each model a dense vector frame `[dim u32][dim × f32]`; the flags say
-/// whether `prev` follows and whether the first round opens scalar-first.
-pub(crate) fn encode_resume(
-    round: u32,
-    model: &[f32],
-    prev: Option<&[f32]>,
-    scalar_first: bool,
-) -> Vec<u8> {
+/// The `Resume` handoff payload, `[round u32][has_prev u8][model][prev?]`,
+/// each model a dense vector frame `[dim u32][dim × f32]`.
+pub(crate) fn encode_resume(round: u32, model: &[f32], prev: Option<&[f32]>) -> Vec<u8> {
     let mut p = Vec::with_capacity(9 + model.len() * 4);
     p.extend_from_slice(&round.to_le_bytes());
-    p.push((prev.is_some() as u8 * RESUME_PREV) | (scalar_first as u8 * RESUME_SCALAR_FIRST));
+    p.push(prev.is_some() as u8);
     encode_vector_coded_into(model, &Dense32, &mut p);
     if let Some(prev) = prev {
         encode_vector_coded_into(prev, &Dense32, &mut p);
@@ -167,33 +156,29 @@ pub(crate) fn encode_resume(
 }
 
 /// A decoded `Resume` handoff: the round to resume at, the consensus
-/// model, the previous consensus once a sync has happened, and whether
-/// the first round opens scalar-first.
-pub(crate) type Resume = (u32, Vec<f32>, Option<Vec<f32>>, bool);
+/// model, and the previous consensus once a sync has happened.
+pub(crate) type Resume = (u32, Vec<f32>, Option<Vec<f32>>);
 
 /// Decodes a `Resume` payload for a replica of `dim` parameters: each
 /// model is decoded into a fresh `dim`-sized buffer, and a header naming
 /// another dimension is refused before anything is written.
 pub(crate) fn decode_resume(payload: &[u8], dim: usize) -> Result<Resume, NetError> {
     let model = |bytes: &[u8]| decode_vector_coded(bytes, dim, &Dense32);
-    let Some((&[r0, r1, r2, r3, flags], models)) = payload.split_first_chunk::<5>() else {
+    let Some((&[r0, r1, r2, r3, has_prev], models)) = payload.split_first_chunk::<5>() else {
         return Err(NetError::Protocol("resume payload too short".to_string()));
     };
-    if flags & !(RESUME_PREV | RESUME_SCALAR_FIRST) != 0 {
-        return Err(NetError::Protocol(format!("bad resume flags {flags}")));
-    }
-    let (model_bytes, prev_bytes) = match flags & RESUME_PREV {
+    let (model_bytes, prev_bytes) = match has_prev {
         0 => (models, None),
-        _ => match models.split_at_checked(4 + dim * 4) {
+        1 => match models.split_at_checked(4 + dim * 4) {
             Some((m, p)) => (m, Some(p)),
             None => return Err(NetError::Protocol("resume payload too short".to_string())),
         },
+        b => return Err(NetError::Protocol(format!("bad resume prev flag {b}"))),
     };
     Ok((
         u32::from_le_bytes([r0, r1, r2, r3]),
         model(model_bytes)?,
         prev_bytes.map(model).transpose()?,
-        flags & RESUME_SCALAR_FIRST != 0,
     ))
 }
 
@@ -337,12 +322,8 @@ mod tests {
             let mut server = Server::new(fda, vec![0.0; drift.len()]);
             let mut net = fda_comm::SimNetwork::new(1);
             let (_, sync) = server.decide(&mut net, None, &[&state], &[]);
-            through_a_frame(
-                FrameKind::AvgState,
-                server.avg_state_payload(sync),
-                &mut buf,
-            );
-            let mut replica = Replica::join(&job(fda), vec![0.0; drift.len()], None, false);
+            through_a_frame(FrameKind::AvgState, server.avg_state_payload(), &mut buf);
+            let mut replica = Replica::join(&job(fda), vec![0.0; drift.len()], None);
             assert_eq!(replica.check(&buf[1..]), Ok(sync));
             assert_eq!(
                 decode_state_coded(&buf[2..], &state, &Dense32).unwrap(),
@@ -352,28 +333,27 @@ mod tests {
     }
 
     /// Known-answer bytes of the `Resume` payload with and without the
-    /// previous model and the scalar-first flag, and the handoff decoded
-    /// at the replica's dimension; another dimension, a cut, trailing
-    /// bytes and a bad flag are refused.
+    /// previous model, and the handoff decoded at the replica's dimension;
+    /// another dimension, a cut, trailing bytes and a bad flag are refused.
     #[test]
     fn resume_roundtrip_with_and_without_prev() {
         let (model, prev) = ([1.0f32, 2.0], [0.5f32, -1.0]);
         #[rustfmt::skip]
         let want: &[u8] = &[
-            6, 0, 0, 0, 1, // round 6, has prev, opens full
+            6, 0, 0, 0, 1, // round 6, has prev
             2, 0, 0, 0, 0x00, 0x00, 0x80, 0x3F, 0x00, 0x00, 0x00, 0x40, // model
             2, 0, 0, 0, 0x00, 0x00, 0x00, 0x3F, 0x00, 0x00, 0x80, 0xBF, // prev
         ];
-        assert_eq!(encode_resume(6, &model, Some(&prev), false), want);
-        let without = [&want[..4], &[2], &want[5..17]].concat();
-        assert_eq!(encode_resume(6, &model, None, true), without);
+        assert_eq!(encode_resume(6, &model, Some(&prev)), want);
+        let without = [&want[..4], &[0], &want[5..17]].concat();
+        assert_eq!(encode_resume(6, &model, None), without);
         let decoded = decode_resume(want, 2).unwrap();
-        assert_eq!(decoded, (6, model.to_vec(), Some(prev.to_vec()), false));
+        assert_eq!(decoded, (6, model.to_vec(), Some(prev.to_vec())));
         assert_eq!(
             decode_resume(&without, 2).unwrap(),
-            (6, model.to_vec(), None, true)
+            (6, model.to_vec(), None)
         );
-        let bad_flag = [&want[..4], &[4], &want[5..]].concat();
+        let bad_flag = [&want[..4], &[2], &want[5..]].concat();
         let trailing = [want, &[0]].concat();
         for (bytes, dim) in [
             (want, 3),

@@ -185,8 +185,8 @@ pub fn run_worker<A: ToSocketAddrs>(
 
 /// Drives one session's machine over its link until it ends: completed
 /// (with the steps it ran) or ended by a terminal scripted fault. Every
-/// round's opening deposit — a `State`, or a scalar-first round's `Drift`
-/// — goes through the step's scripted faults ([`fault::send_state`]).
+/// round's `Drift` deposit goes through the step's scripted faults
+/// ([`fault::send_state`]).
 fn session(
     link: &mut Link,
     m: &mut WorkerMachine,
@@ -212,10 +212,10 @@ fn session(
                 }
                 continue;
             };
-            if !matches!(kind, FrameKind::State | FrameKind::Drift) {
+            if kind != FrameKind::Drift {
                 link.write(&FrameHead::new(epoch, kind, payload)?, payload)?;
             } else if let Some(action) =
-                fault::send_state(link, &opts.faults, round, epoch, kind, payload)?
+                fault::send_state(link, &opts.faults, round, epoch, payload)?
             {
                 return Ok(WorkerOutcome::Faulted {
                     step: round,
@@ -249,7 +249,8 @@ mod tests {
     enum Reply {
         /// Nothing: it holds the socket until the worker hangs up.
         Nothing,
-        /// Reads the first state and answers with this `S̄` (no sync).
+        /// Reads the first drift scalar, asks for its summary and answers
+        /// with this `S̄` (no sync).
         AvgState(LocalState),
         /// Answers a `FinalModel` with `Shutdown`.
         Shutdown,
@@ -285,14 +286,17 @@ mod tests {
             let (mut stream, _) = listener.accept().expect("accept");
             Msg::recv(&mut stream).expect("hello");
             Msg::Config(Box::new(spec)).send(&mut stream, 1).unwrap();
-            let resume = crate::protocol::encode_resume(round, &w0, None, false);
+            let resume = crate::protocol::encode_resume(round, &w0, None);
             // The worker may hang up before the handoff arrives.
             let _ = write_frame(&mut stream, 1, FrameKind::Resume, &resume);
             let next = read_frame_into(&mut stream, &mut Vec::new());
             match reply {
                 Reply::Nothing => {}
                 Reply::AvgState(state) => {
-                    assert_eq!(next.expect("state").0, FrameKind::State);
+                    assert_eq!(next.expect("drift").0, FrameKind::Drift);
+                    let _ = write_frame(&mut stream, 1, FrameKind::SummaryRequest, &[]);
+                    let summary = read_frame_into(&mut stream, &mut Vec::new());
+                    assert_eq!(summary.expect("summary").0, FrameKind::Summary);
                     let mut decision = vec![0u8]; // no sync
                     fda_core::wire::encode_state_coded_into(&state, &Dense32, &mut decision);
                     let _ = write_frame(&mut stream, 1, FrameKind::AvgState, &decision);

@@ -74,9 +74,9 @@ fn per_round(job_of: impl Fn(u32) -> JobSpec) -> (f64, f64, u64) {
     (slope(long.0, short.0), slope(long.1, short.1), long.2)
 }
 
-/// Per-round allocation budget of the coordinator on rounds without a
-/// sync. It has headroom over the observed cost but sits far below what
-/// any per-send encode buffer or per-recv `to_vec` would add.
+/// Per-round allocation budget of the coordinator, on rounds with and
+/// without a sync. It has headroom over the observed cost but sits far
+/// below what any per-send encode buffer or per-recv `to_vec` would add.
 const BUDGET_PER_ROUND: f64 = 8.0;
 
 fn assert_within_budget(per_round: f64, leg: &str) {
@@ -101,7 +101,8 @@ fn coordinator_round_loop_allocations_are_flat() {
 /// The phase-B fence: rounds the drift scalars cannot settle and that do
 /// not sync. One worker under the exact monitor has `H(S̄) = ‖u‖² − ‖u‖²
 /// = 0` exactly, so at Θ = 0 no round certifies (`m > 0`) and none
-/// syncs: the first falls through to its summaries, the rest run full.
+/// syncs: every round runs `Drift` → `SummaryRequest` → `Summary` →
+/// `AvgState`.
 #[test]
 fn phase_b_rounds_without_a_sync_allocate_within_the_same_budget() {
     let exact = FdaConfig {
@@ -114,10 +115,11 @@ fn phase_b_rounds_without_a_sync_allocate_within_the_same_budget() {
 }
 
 /// The synchronizing fence: a dense Θ = 0 SketchFDA job, where every
-/// round deposits a sketch and a model from every worker and broadcasts
-/// the consensus. Each upload is decoded into its worker's slot, so the
-/// coordinator allocates nothing model-sized per round, and its per-round
-/// count does not grow with K.
+/// round falls through phase A — a drift scalar, a summary request and a
+/// sketch from every worker — then deposits a model from every worker and
+/// broadcasts the consensus. Each upload is decoded into its worker's
+/// slot, so the coordinator allocates nothing model-sized per round, and
+/// its per-round count stays within the budget and does not grow with K.
 #[test]
 fn synchronizing_rounds_allocate_nothing_model_sized_at_any_k() {
     let cluster = ClusterConfig::small_test(1);
@@ -132,6 +134,7 @@ fn synchronizing_rounds_allocate_nothing_model_sized_at_any_k() {
             "K = {k}: the coordinator allocates {large:.1} model-sized buffers per \
              round — is an upload decoded into a fresh Vec again?"
         );
+        assert_within_budget(all, &format!("K = {k}: phase-B rounds that sync"));
         slopes.push(all);
     }
     assert_eq!(

@@ -211,8 +211,7 @@ fn a_lost_worker_leaves_the_same_trajectory_in_memory_and_over_tcp() {
         deposit_timeout: Duration::from_secs(10),
         admissions: Vec::new(),
     };
-    let deposits = [FrameKind::State, FrameKind::Drift];
-    let memory = run_in_memory(&spec, &policy, Some((2, 5, &deposits)));
+    let memory = run_in_memory(&spec, &policy, Some((2, 5, &[FrameKind::Drift])));
     let plan = FaultPlan::new().fault(2, FaultAction::KillBeforeState(5));
     let io_timeout = Duration::from_secs(15);
     let (tcp, _) = run_chaos_with_thread_workers(&spec, &plan, policy, None, io_timeout);
@@ -377,7 +376,6 @@ fn bad_phase_a_deposits_are_protocol_drops() {
     ];
     for (kind, payload) in bad {
         let (mut coordinator, mut workers) = formed(&spec, &policy);
-        // The run opens scalar-first: the first deposit is a drift.
         let (id, (_, epoch, _)) =
             run_until(&mut coordinator, &mut workers, |f| f.0 == FrameKind::Drift);
         coordinator.handle(Input::Frame {
@@ -395,23 +393,36 @@ fn bad_phase_a_deposits_are_protocol_drops() {
     }
 }
 
-/// A worker refuses what a broken coordinator answers its deposit with,
+/// A worker refuses what a broken coordinator answers its deposits with,
 /// as a protocol error and never a panic: a quiet decision on an `m`
-/// that does not certify (above Θ, NaN, or the wrong length), and a
-/// summary request in a full round. A certifying quiet decision is
-/// taken.
+/// that does not certify (above Θ, NaN, or the wrong length), a full
+/// decision on a drift scalar whose summary was never asked for, and —
+/// once its summary went out — a quiet decision or a second summary
+/// request. A certifying quiet decision is taken.
 #[test]
 fn bad_phase_a_answers_are_worker_protocol_errors() {
+    use fda_comm::Dense32;
+    use fda_core::monitor::{LocalState, StateSummary};
     let (spec, policy) = (two_workers(0.0), RoundPolicy::default());
-    // Flags: quiet (2), next round scalar-first (4).
-    let quiet = |m: &[u8]| [&[2 | 4], m].concat();
+    // Flags: quiet (2); none: a full decision without a sync.
+    let quiet = |m: &[u8]| [&[2], m].concat();
+    let linear = LocalState {
+        drift_sq_norm: 0.0,
+        summary: StateSummary::Linear(0.0),
+    };
+    let full = [
+        &[0],
+        &fda_core::wire::encode_state_coded(&linear, &Dense32)[..],
+    ]
+    .concat();
     let answers = [
-        (quiet(&0.5f32.to_le_bytes()), false),
-        (quiet(&f32::NAN.to_le_bytes()), false),
-        (quiet(&[0, 0, 0]), false),
-        (quiet(&0.0f32.to_le_bytes()), true),
+        (quiet(&0.5f32.to_le_bytes()), Some("does not certify")),
+        (quiet(&f32::NAN.to_le_bytes()), Some("does not certify")),
+        (quiet(&[0, 0, 0]), Some("quiet decision of")),
+        (full, Some("not asked for")),
+        (quiet(&0.0f32.to_le_bytes()), None),
     ];
-    for (payload, taken) in answers {
+    for (payload, refused) in answers {
         let (mut coordinator, mut workers) = formed(&spec, &policy);
         let (id, (_, epoch, _)) =
             run_until(&mut coordinator, &mut workers, |f| f.0 == FrameKind::Drift);
@@ -422,31 +433,41 @@ fn bad_phase_a_answers_are_worker_protocol_errors() {
             epoch,
             payload: &payload,
         });
-        match worker.poll() {
-            Some(Output::Send { kind, .. }) if taken => assert_eq!(kind, FrameKind::Drift),
-            Some(Output::Done(Err(NetError::Protocol(why)))) if !taken => {
-                assert!(why.contains("quiet decision"), "{why}")
+        match (worker.poll(), refused) {
+            (Some(Output::Send { kind, .. }), None) => assert_eq!(kind, FrameKind::Drift),
+            (Some(Output::Done(Err(NetError::Protocol(why)))), Some(what)) => {
+                assert!(why.contains(what), "{why}")
             }
-            other => panic!("{payload:?}: unexpected {other:?}"),
+            (other, _) => panic!("{payload:?}: unexpected {other:?}"),
         }
     }
 
-    // Θ = 0: round 0 falls through and syncs, so round 1 opens full.
-    let (mut coordinator, mut workers) = formed(&spec, &policy);
-    let (id, (_, epoch, _)) =
-        run_until(&mut coordinator, &mut workers, |f| f.0 == FrameKind::State);
-    let worker = &mut workers[id];
-    assert_eq!(worker.round(), 1);
-    worker.handle(Input::Frame {
-        from: 0,
-        kind: FrameKind::SummaryRequest,
-        epoch,
-        payload: &[],
-    });
-    match worker.poll() {
-        Some(Output::Done(Err(NetError::Protocol(why)))) => {
-            assert!(why.contains("summary request"), "{why}")
+    // Θ = 0: round 0 falls through to the summaries.
+    let after_the_summary = [
+        (
+            FrameKind::AvgState,
+            quiet(&0.0f32.to_le_bytes()),
+            "after the summary",
+        ),
+        (FrameKind::SummaryRequest, Vec::new(), "summary request"),
+    ];
+    for (kind, payload, what) in after_the_summary {
+        let (mut coordinator, mut workers) = formed(&spec, &policy);
+        let (id, (_, epoch, _)) = run_until(&mut coordinator, &mut workers, |f| {
+            f.0 == FrameKind::Summary
+        });
+        let worker = &mut workers[id];
+        worker.handle(Input::Frame {
+            from: 0,
+            kind,
+            epoch,
+            payload: &payload,
+        });
+        match worker.poll() {
+            Some(Output::Done(Err(NetError::Protocol(why)))) => {
+                assert!(why.contains(what), "{why}")
+            }
+            other => panic!("{kind:?} after the summary: unexpected {other:?}"),
         }
-        other => panic!("a summary request in a full round: {other:?}"),
     }
 }

@@ -343,11 +343,8 @@ fn fda_matches_a_full_state_reference_loop() {
 }
 
 /// Each round charges the 4-byte drift scalar per worker when its mean
-/// certifies in a scalar-first round, and the full state otherwise (plus
-/// the models on a sync) — the mode rule replayed by hand: the run opens
-/// scalar-first, a round that runs phase B makes the rest of its sync
-/// interval full, and an interval opens scalar-first iff the previous
-/// interval's opening round was certifiable.
+/// certifies, and the full state otherwise — the scalar, then the
+/// summary — plus the models on a sync.
 #[test]
 fn fda_charges_the_scalar_on_certified_rounds_and_the_full_state_otherwise() {
     use fda::core::cluster::Cluster;
@@ -374,7 +371,6 @@ fn fda_charges_the_scalar_on_certified_rounds_and_the_full_state_otherwise() {
                 let mut monitor = variant.build_monitor(reference.dim());
                 let d = reference.dim();
                 let mut w_t0 = reference.worker(0).params();
-                let (mut last_ok, mut this_ok, mut fell_through) = (true, None, false);
                 for round in 0..24 {
                     let before = fda.comm_bytes();
                     let synced = fda.step().synced;
@@ -387,8 +383,7 @@ fn fda_charges_the_scalar_on_certified_rounds_and_the_full_state_otherwise() {
                         })
                         .collect();
                     let m = LocalState::average(&states).drift_sq_norm;
-                    let certifiable = certifies(m, theta, &states[0], d);
-                    let quiet = last_ok && !fell_through && certifiable;
+                    let quiet = certifies(m, theta, &states[0], d);
                     let k = k as u64;
                     let state = if quiet { 4 } else { monitor.state_bytes() };
                     let models = if synced { d as u64 * 4 } else { 0 };
@@ -399,14 +394,11 @@ fn fda_charges_the_scalar_on_certified_rounds_and_the_full_state_otherwise() {
                     );
                     assert!(!(quiet && synced), "{case}: a certified round syncs");
                     certified += quiet as u32;
-                    let opened = *this_ok.get_or_insert(certifiable);
-                    fell_through |= !quiet;
                     if synced {
                         let mean = fda.cluster().worker(0).params();
                         reference.load_global(&mean);
                         monitor.on_sync(&mean, &w_t0);
                         w_t0 = mean;
-                        (last_ok, this_ok, fell_through) = (opened, None, false);
                     }
                 }
             }

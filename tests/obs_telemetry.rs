@@ -299,7 +299,7 @@ fn simulator_and_net_streams_agree_on_certified_rounds() {
     let certified = sim_rounds.iter().filter(|r| r.certified).count() as u64;
     assert!(
         certified > 0 && certified < u64::from(spec.steps),
-        "the run mixes certified and full rounds ({certified})"
+        "the run mixes certified and phase-B rounds ({certified})"
     );
     for (s, n) in sim_rounds.iter().zip(&net_rounds) {
         let round = s.round;
