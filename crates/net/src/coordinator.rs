@@ -1,16 +1,21 @@
 //! The TCP coordinator: the driver that runs a [`CoordinatorMachine`] over
 //! sockets.
 //!
-//! One FDA round on the wire is the same three-phase rendezvous as the
-//! simulator's pooled reduction, with sockets in place of the pool's lanes:
+//! One FDA round on the wire is the simulator's round with sockets in
+//! place of the pool's lanes (protocol v6):
 //!
-//! 1. **deposit** — every live worker uploads its local state frame;
-//! 2. **reduce** — the round's server half ([`fda_core::round::Server`],
-//!    the one the simulator runs) averages the decoded states **in
-//!    worker-id order**, evaluates `H(S̄_t)`, and decides;
-//! 3. **broadcast** — every live worker receives the averaged state plus
-//!    the decision, so the conditional model AllReduce is
-//!    cluster-consistent without an extra round.
+//! 1. **phase A** — every live worker deposits its 4-byte drift scalar
+//!    (`Drift`); the round's server half ([`fda_core::round::Server`], the
+//!    one the simulator runs) reduces them **in worker-id order**, and if
+//!    their mean certifies the round quiet it broadcasts that mean as the
+//!    decision (`AvgState`);
+//! 2. **phase B** — otherwise it asks for the summaries
+//!    (`SummaryRequest`), reduces the `Summary` deposits in id order,
+//!    evaluates `H(S̄_t)` and broadcasts `S̄` with the decision;
+//! 3. **sync** — on a sync every live worker uploads its `Model`, and the
+//!    consensus goes back as `AvgModel` or `AvgModelDelta`. The decision
+//!    broadcast makes that AllReduce cluster-consistent without an extra
+//!    round.
 //!
 //! The protocol — membership, epochs, the quorum, deposits, the reduce,
 //! the ledgers, the trajectory — is the machine's ([`crate::machine`]).

@@ -1,17 +1,20 @@
-//! Deterministic fault injection for the socket transport.
+//! Scripted faults for the socket transport: what only a real socket can
+//! show.
 //!
-//! Chaos testing a distributed protocol is only useful if a failing run
-//! can be *replayed*: a [`FaultPlan`] is a pure value — which worker does
-//! what, at which step, plus when the coordinator re-admits a rejoiner —
-//! so the same plan always produces the same membership trajectory, and
-//! the surviving workers' numerics are bit-identical across repeats.
+//! The machines' failure model is searched exhaustively in memory
+//! (`crates/net/tests/machines.rs`); these faults exist for the paths a
+//! socket adds — a process that dies, a read timeout, a checksum that
+//! fails on a live link, a reconnect. A [`FaultPlan`] is a pure value
+//! (which worker does what, at which step), so the same plan under the
+//! same [`crate::RoundPolicy`] admission schedule replays the same
+//! membership trajectory bit for bit.
 //!
 //! Faults are injected at the message layer, step-indexed: each
-//! [`FaultAction`] fires when the worker is about to upload the state for
-//! a given step — the worker driver filters the machine's `Drift` deposit
-//! through `send_state`. That keeps the schedule independent of TCP
-//! segmentation and buffering, which a byte- or frame-counting stream
-//! wrapper would couple it to.
+//! [`FaultAction`] fires when the worker is about to send a given step's
+//! `Drift` deposit — the worker driver filters that send through
+//! `send_state`. That keeps the schedule independent of TCP segmentation
+//! and buffering, which a byte- or frame-counting stream wrapper would
+//! couple it to.
 
 use crate::frame::{encode_frame, FrameHead, FrameKind, Link, NetError};
 use std::io::Write as _;
@@ -21,18 +24,14 @@ use std::time::Duration;
 /// to die (distinguishable from a genuine crash in the harness reaper).
 pub const FAULT_EXIT_CODE: i32 = 86;
 
-/// One scripted fault, anchored to the step whose state upload it hits.
+/// One scripted fault, anchored to the step whose `Drift` deposit it hits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
-    /// Shut the socket down instead of sending step `N`'s state: the
-    /// coordinator sees a clean disconnect. The worker stays alive (thread
-    /// mode) and reports a `Faulted` outcome, or exits with
-    /// [`FAULT_EXIT_CODE`] in process mode.
+    /// Shut the socket down instead of sending step `N`'s deposit: the
+    /// coordinator sees a clean disconnect, and the worker run ends
+    /// `Faulted` (`fda_node` exits with [`FAULT_EXIT_CODE`]).
     KillBeforeState(u32),
-    /// Like [`FaultAction::KillBeforeState`], but a spawned worker exits
-    /// the whole process immediately — the hard-kill variant.
-    ExitBeforeState(u32),
-    /// Sleep for the given milliseconds before sending step `N`'s state —
+    /// Sleep for the given milliseconds before sending step `N`'s deposit —
     /// long stalls trip the coordinator's deposit deadline (timeout drop),
     /// short ones just add latency.
     StallState {
@@ -41,7 +40,7 @@ pub enum FaultAction {
         /// Delay in milliseconds.
         ms: u32,
     },
-    /// Flip one bit of step `N`'s encoded state frame (past the length
+    /// Flip one bit of step `N`'s encoded deposit frame (past the length
     /// field, so the coordinator reads a full frame and the checksum —
     /// not a short read — catches it).
     FlipStateBit {
@@ -64,7 +63,7 @@ impl FaultAction {
     /// The step this fault fires at.
     pub fn step(&self) -> u32 {
         match *self {
-            FaultAction::KillBeforeState(s) | FaultAction::ExitBeforeState(s) => s,
+            FaultAction::KillBeforeState(s) => s,
             FaultAction::StallState { step, .. }
             | FaultAction::FlipStateBit { step, .. }
             | FaultAction::TruncateState { step, .. } => step,
@@ -82,7 +81,6 @@ impl FaultAction {
     pub fn to_arg(&self) -> String {
         match *self {
             FaultAction::KillBeforeState(s) => format!("kill@{s}"),
-            FaultAction::ExitBeforeState(s) => format!("exit@{s}"),
             FaultAction::StallState { step, ms } => format!("stall@{step}:{ms}"),
             FaultAction::FlipStateBit { step, bit } => format!("flip@{step}:{bit}"),
             FaultAction::TruncateState { step, keep } => format!("trunc@{step}:{keep}"),
@@ -105,7 +103,6 @@ impl FaultAction {
         let step = parse_u32(step_str)?;
         match (name, arg) {
             ("kill", None) => Ok(FaultAction::KillBeforeState(step)),
-            ("exit", None) => Ok(FaultAction::ExitBeforeState(step)),
             ("stall", Some(a)) => Ok(FaultAction::StallState {
                 step,
                 ms: parse_u32(a)?,
@@ -149,9 +146,7 @@ pub(crate) fn send_state(
             FaultAction::StallState { ms, .. } => {
                 std::thread::sleep(Duration::from_millis(u64::from(ms)))
             }
-            FaultAction::KillBeforeState(_) | FaultAction::ExitBeforeState(_) => {
-                return Ok(Some(action))
-            }
+            FaultAction::KillBeforeState(_) => return Ok(Some(action)),
             FaultAction::FlipStateBit { bit, .. } => {
                 // Corrupt the frame past the length field so the coordinator
                 // reads a complete frame and the checksum — not a short read
@@ -178,24 +173,17 @@ pub(crate) fn send_state(
     Ok(None)
 }
 
-/// A full, replayable chaos schedule: per-worker faults plus the rounds at
-/// which the coordinator re-admits rejoining workers.
-///
-/// The admission schedule is what makes *rejoin* deterministic: a
-/// reconnect's timing depends on OS scheduling and backoff sleeps, so the
-/// coordinator parks arriving rejoiners and admits each at its scripted
-/// round — waiting for it if it has not arrived yet — exactly like a
-/// scripted network in a simulation-tested system.
+/// A replayable fault schedule: `(worker_id, action)` pairs. When the
+/// coordinator re-admits a faulted worker is the round policy's
+/// ([`crate::RoundPolicy::admissions`]).
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// `(worker_id, action)` pairs.
     pub faults: Vec<(u32, FaultAction)>,
-    /// `(round, worker_id)`: re-admit `worker_id` at the start of `round`.
-    pub admissions: Vec<(u32, u32)>,
 }
 
 impl FaultPlan {
-    /// An empty plan (no faults, no scheduled admissions).
+    /// An empty plan (no faults).
     pub fn new() -> FaultPlan {
         FaultPlan::default()
     }
@@ -206,37 +194,8 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules `worker`'s re-admission at the start of `round`.
-    pub fn admit(mut self, round: u32, worker: u32) -> FaultPlan {
-        self.admissions.push((round, worker));
-        self
-    }
-
-    /// Derives a plan from a seed: each worker independently draws whether
-    /// it dies (kill or exit) at some mid-run step. Purely a convenience
-    /// for randomized chaos sweeps — the plan, once drawn, is a value and
-    /// replays exactly.
-    pub fn from_seed(seed: u64, workers: u32, steps: u32) -> FaultPlan {
-        let mut rng = SplitMix64::new(seed);
-        let mut plan = FaultPlan::new();
-        for w in 0..workers {
-            // ~1 in 3 workers faults; never all of them (worker 0 is spared
-            // so a drawn plan always keeps quorum ≥ 1).
-            if w > 0 && rng.next().is_multiple_of(3) && steps > 1 {
-                let step = 1 + (rng.next() % u64::from(steps - 1)) as u32;
-                let action = if rng.next().is_multiple_of(2) {
-                    FaultAction::KillBeforeState(step)
-                } else {
-                    FaultAction::ExitBeforeState(step)
-                };
-                plan.faults.push((w, action));
-            }
-        }
-        plan
-    }
-
     /// The faults scheduled for one worker, in step order.
-    pub fn faults_for(&self, worker: u32) -> Vec<FaultAction> {
+    fn faults_for(&self, worker: u32) -> Vec<FaultAction> {
         let mut v: Vec<FaultAction> = self
             .faults
             .iter()
@@ -262,34 +221,18 @@ impl FaultPlan {
     }
 }
 
-/// How a worker retries after losing its connection mid-run.
-#[derive(Debug, Clone, Copy)]
-pub struct RejoinPolicy {
-    /// Reconnect attempts before giving up (each attempt is itself a
-    /// backoff-paced connect loop under `connect_timeout`).
-    pub max_attempts: u32,
-    /// First backoff delay.
-    pub base_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-}
+/// First reconnect backoff delay.
+pub(crate) const BACKOFF_BASE: Duration = Duration::from_millis(20);
 
-impl Default for RejoinPolicy {
-    fn default() -> RejoinPolicy {
-        RejoinPolicy {
-            max_attempts: 5,
-            base_backoff: Duration::from_millis(20),
-            max_backoff: Duration::from_millis(500),
-        }
-    }
-}
+/// Reconnect backoff ceiling.
+pub(crate) const BACKOFF_CAP: Duration = Duration::from_millis(500);
 
 /// Exponential backoff with jitter: delay `i` is uniform in
 /// `[base·2^i / 2, base·2^i)`, capped at `cap` — the standard
 /// "decorrelated-ish" shape that avoids reconnect stampedes while keeping
 /// the expected delay growing geometrically.
 #[derive(Debug)]
-pub struct Backoff {
+pub(crate) struct Backoff {
     base: Duration,
     cap: Duration,
     attempt: u32,
@@ -298,7 +241,7 @@ pub struct Backoff {
 
 impl Backoff {
     /// Creates a backoff sequence; `seed` only perturbs the jitter.
-    pub fn new(base: Duration, cap: Duration, seed: u64) -> Backoff {
+    pub(crate) fn new(base: Duration, cap: Duration, seed: u64) -> Backoff {
         Backoff {
             base,
             cap,
@@ -308,7 +251,7 @@ impl Backoff {
     }
 
     /// The next delay in the sequence.
-    pub fn next_delay(&mut self) -> Duration {
+    pub(crate) fn next_delay(&mut self) -> Duration {
         let exp = self.attempt.min(16); // 2^16 · base already ≫ any cap we use
         self.attempt += 1;
         let full = self
@@ -321,12 +264,12 @@ impl Backoff {
     }
 
     /// Resets the sequence to the first delay (after a successful connect).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.attempt = 0;
     }
 }
 
-/// SplitMix64 — tiny, dependency-free PRNG for jitter and plan drawing.
+/// SplitMix64 — tiny, dependency-free PRNG for backoff jitter.
 /// Not used anywhere numerics-bearing.
 #[derive(Debug, Clone)]
 pub(crate) struct SplitMix64 {
@@ -358,7 +301,7 @@ mod tests {
     fn fault_arg_roundtrip() {
         let actions = [
             FaultAction::KillBeforeState(3),
-            FaultAction::ExitBeforeState(0),
+            FaultAction::KillBeforeState(0),
             FaultAction::StallState { step: 2, ms: 1500 },
             FaultAction::FlipStateBit { step: 4, bit: 17 },
             FaultAction::TruncateState { step: 1, keep: 9 },
@@ -369,19 +312,8 @@ mod tests {
         assert!(FaultAction::parse_arg("kill").is_err());
         assert!(FaultAction::parse_arg("stall@2").is_err());
         assert!(FaultAction::parse_arg("blowup@2").is_err());
+        assert!(FaultAction::parse_arg("exit@2").is_err());
         assert!(FaultAction::parse_arg("flip@x:1").is_err());
-    }
-
-    #[test]
-    fn plan_from_seed_is_deterministic_and_spares_worker_zero() {
-        let a = FaultPlan::from_seed(1234, 8, 20);
-        let b = FaultPlan::from_seed(1234, 8, 20);
-        assert_eq!(a.faults, b.faults);
-        assert!(!a.has_fault(0), "worker 0 must never be scheduled to die");
-        let c = FaultPlan::from_seed(99, 8, 20);
-        // Different seeds draw different plans with overwhelming likelihood;
-        // this seed pair does differ.
-        assert_ne!(a.faults, c.faults);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! * **membership versioning** — `epoch` is the coordinator's membership
 //!   epoch (bumped on every worker drop or rejoin), so a stale deposit
 //!   from a zombie connection is rejected instead of averaged (see
-//!   `protocol::recv_frame_at_epoch_into` and the coordinator's failure
+//!   [`crate::protocol::check_epoch`] and the coordinator's failure
 //!   model).
 //!
 //! A frame's 13-byte head depends on the payload only through the

@@ -10,18 +10,18 @@
 //!   from an `fda_node` binary; the multi-process deployment the paper's
 //!   byte accounting is ultimately about. Child processes are killed if
 //!   the coordinator fails, so a wedged worker cannot leak past the run.
-//! * [`run_chaos_with_thread_workers`] / [`run_chaos_with_spawned_workers`]
-//!   — the same two drivers under a scripted [`FaultPlan`]: scripted
-//!   deaths are *expected* (the thread variant returns every worker's
-//!   individual result; the spawned variant accepts any exit status from
-//!   a worker the plan targets), and the coordinator result is returned
-//!   even when it is a typed failure like [`NetError::Quorum`].
+//! * [`run_chaos_with_spawned_workers_telemetry`] — the spawned driver
+//!   under a scripted [`FaultPlan`] and a [`RoundPolicy`]: a worker the
+//!   plan targets may exit with any status, every worker the policy
+//!   re-admits is started with `--rejoin`, and the coordinator result is
+//!   returned even when it is a typed failure like [`NetError::Quorum`].
+//!   `fda_node demo` runs on it.
 
 use crate::coordinator::Coordinator;
-use crate::fault::{FaultPlan, RejoinPolicy};
+use crate::fault::FaultPlan;
 use crate::frame::NetError;
 use crate::machine::{NetReport, RoundPolicy};
-use crate::worker::{run_worker, WorkerOptions, WorkerOutcome};
+use crate::worker::{run_worker, WorkerOptions};
 use fda_core::wire::JobSpec;
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
@@ -58,11 +58,28 @@ pub fn run_with_thread_workers_telemetry(
     if let Some(path) = telemetry {
         coordinator.set_telemetry(path);
     }
+    let addr = coordinator.local_addr()?;
     let opts = WorkerOptions {
         connect_timeout: CONNECT_TIMEOUT,
         ..WorkerOptions::default()
     };
-    let (report, workers) = with_thread_workers(coordinator, spec, |_| opts.clone());
+    let (report, workers) = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..spec.cluster.workers as u32)
+            .map(|id| {
+                let opts = &opts;
+                scope.spawn(move || run_worker(addr, id, opts))
+            })
+            .collect();
+        let report = coordinator.run(spec);
+        // Unbind the listener before joining: a worker still retrying a
+        // connect gets connection-refused promptly instead of parking on a
+        // dead rendezvous until its io timeout.
+        drop(coordinator);
+        let workers = handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread panicked"));
+        (report, workers.collect::<Vec<_>>())
+    });
     // A coordinator error usually kills the workers too; report the
     // coordinator's (root-cause) error first.
     let report = report?;
@@ -70,77 +87,6 @@ pub fn run_with_thread_workers_telemetry(
         worker.map_err(|e| NetError::Protocol(format!("worker {id} failed: {e}")))?;
     }
     Ok(report)
-}
-
-/// Runs `spec` with thread workers under a scripted fault plan.
-///
-/// Returns the coordinator's result **and** every worker's individual
-/// result, because under chaos both sides' endings are assertions: a
-/// worker may legitimately finish [`WorkerOutcome::Faulted`] or with a
-/// disconnect error while the coordinator completes with K′ survivors —
-/// or the coordinator may abort with [`NetError::Quorum`] while workers
-/// ran fine. `io_timeout` bounds every socket wait so an injected hang
-/// converts to a timeout instead of wedging the scope join.
-///
-/// # Panics
-/// Panics if a worker thread panics.
-pub fn run_chaos_with_thread_workers(
-    spec: &JobSpec,
-    plan: &FaultPlan,
-    policy: RoundPolicy,
-    rejoin: Option<RejoinPolicy>,
-    io_timeout: Duration,
-) -> (
-    Result<NetReport, NetError>,
-    Vec<Result<WorkerOutcome, NetError>>,
-) {
-    let mut coordinator = match Coordinator::bind("127.0.0.1:0") {
-        Ok(c) => c,
-        Err(e) => return (Err(e), Vec::new()),
-    };
-    coordinator.set_timeouts(CONNECT_TIMEOUT, io_timeout);
-    coordinator.set_policy(policy);
-    with_thread_workers(coordinator, spec, |id| WorkerOptions {
-        connect_timeout: Duration::from_secs(5),
-        io_timeout,
-        rejoin,
-        faults: plan.faults_for(id),
-        exit_process_on_fault: false,
-        backoff_seed: 0x0DD_BA11 ^ u64::from(id),
-    })
-}
-
-/// Runs `coordinator` on the calling thread and worker `id` on a thread of
-/// its own under `opts(id)`, and returns every result.
-fn with_thread_workers(
-    coordinator: Coordinator,
-    spec: &JobSpec,
-    opts: impl Fn(u32) -> WorkerOptions,
-) -> (
-    Result<NetReport, NetError>,
-    Vec<Result<WorkerOutcome, NetError>>,
-) {
-    let addr = match coordinator.local_addr() {
-        Ok(a) => a,
-        Err(e) => return (Err(e), Vec::new()),
-    };
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..spec.cluster.workers as u32)
-            .map(|id| {
-                let opts = opts(id);
-                scope.spawn(move || run_worker(addr, id, &opts))
-            })
-            .collect();
-        let report = coordinator.run(spec);
-        // Unbind the listener before joining: a worker still retrying a
-        // rejoin gets connection-refused promptly instead of parking on a
-        // dead rendezvous until its io timeout.
-        drop(coordinator);
-        let workers = handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"));
-        (report, workers.collect())
-    })
 }
 
 /// Kills still-running children on drop, so a failed run cannot leak
@@ -194,23 +140,32 @@ impl Drop for ReapGuard {
     }
 }
 
+/// Spawns the K workers; each worker the admission schedule re-admits
+/// gets one reconnect attempt per scheduled admission.
 fn spawn_workers(
     spec: &JobSpec,
     node_bin: &Path,
     addr: &str,
     plan: &FaultPlan,
+    policy: &RoundPolicy,
 ) -> Result<ReapGuard, NetError> {
     let mut guard = ReapGuard {
         children: Vec::new(),
     };
-    for id in 0..spec.cluster.workers {
+    for id in 0..spec.cluster.workers as u32 {
+        let admissions = policy.admissions.iter().filter(|&&(_, w)| w == id);
+        let rejoin = match admissions.count() {
+            0 => Vec::new(),
+            n => vec!["--rejoin".to_string(), n.to_string()],
+        };
         let child = Command::new(node_bin)
             .arg("worker")
             .arg("--connect")
             .arg(addr)
             .arg("--id")
             .arg(id.to_string())
-            .args(plan.worker_args(id as u32))
+            .args(plan.worker_args(id))
+            .args(rejoin)
             .stdin(Stdio::null())
             .stdout(Stdio::null())
             .stderr(Stdio::inherit())
@@ -230,8 +185,12 @@ pub fn run_with_spawned_workers(spec: &JobSpec, node_bin: &Path) -> Result<NetRe
     run_chaos_with_spawned_workers_telemetry(spec, node_bin, &plan, policy, IO_TIMEOUT, None)
 }
 
-/// [`run_chaos_with_spawned_workers`] with an optional round-event JSONL
-/// sink (the [`fda_obs`] schema, streamed by the coordinator).
+/// Runs `spec` with spawned worker processes under a scripted fault plan
+/// and `policy`, streaming round events to an optional JSONL sink (the
+/// [`fda_obs`] schema). Workers the plan targets are passed their
+/// `--fault` scripts and may exit with any status; untargeted workers must
+/// still exit cleanly. The coordinator's result is returned as-is — a
+/// typed [`NetError::Quorum`] is a valid, asserted-on ending.
 pub fn run_chaos_with_spawned_workers_telemetry(
     spec: &JobSpec,
     node_bin: &Path,
@@ -246,8 +205,8 @@ pub fn run_chaos_with_spawned_workers_telemetry(
     }
     let addr = coordinator.local_addr()?;
     coordinator.set_timeouts(CONNECT_TIMEOUT, io_timeout);
+    let guard = spawn_workers(spec, node_bin, &addr.to_string(), plan, &policy)?;
     coordinator.set_policy(policy);
-    let guard = spawn_workers(spec, node_bin, &addr.to_string(), plan)?;
     let report = coordinator.run(spec);
     drop(coordinator);
     let fault_expected: Vec<bool> = (0..spec.cluster.workers)
@@ -255,22 +214,6 @@ pub fn run_chaos_with_spawned_workers_telemetry(
         .collect();
     guard.reap(&fault_expected)?;
     report
-}
-
-/// Runs `spec` with spawned worker processes under a scripted fault plan:
-/// the multi-process chaos driver. Workers the plan targets are passed
-/// their `--fault` scripts on the command line and may exit with any
-/// status; untargeted workers must still exit cleanly. The coordinator's
-/// result is returned as-is — a typed [`NetError::Quorum`] is a valid,
-/// asserted-on ending.
-pub fn run_chaos_with_spawned_workers(
-    spec: &JobSpec,
-    node_bin: &Path,
-    plan: &FaultPlan,
-    policy: RoundPolicy,
-    io_timeout: Duration,
-) -> Result<NetReport, NetError> {
-    run_chaos_with_spawned_workers_telemetry(spec, node_bin, plan, policy, io_timeout, None)
 }
 
 #[cfg(test)]

@@ -29,11 +29,13 @@
 //! Rounds have a deposit deadline and a `min_workers` quorum; a worker
 //! that times out, disconnects or corrupts a frame is dropped from the
 //! round (the id-order reduce runs over the survivors), dropped workers
-//! can rejoin through a versioned `Resume` handoff, every frame carries a
-//! membership epoch so zombie deposits are rejected, and the whole thing
-//! is driven by a seeded, replayable [`fault::FaultPlan`]
-//! (`tests/net_faults.rs` at the workspace root; DESIGN.md § "Failure
-//! model").
+//! can rejoin through a versioned `Resume` handoff at a scheduled round,
+//! and every frame carries a membership epoch so zombie deposits are
+//! rejected. Every single-fault placement at K = 3 is enumerated on the
+//! machines in memory (`crates/net/tests/machines.rs`); what only a socket
+//! adds is exercised with scripted [`fault::FaultPlan`]s over spawned
+//! processes (`tests/net_faults.rs` at the workspace root; DESIGN.md §
+//! "Failure model").
 //!
 //! ## Layout
 //!
@@ -52,11 +54,10 @@
 //!   parked rejoins, the id-order blocking read schedule under the deposit
 //!   deadline, encode-once fan-out, raw byte counters, JSONL telemetry.
 //! * [`worker`] — the worker's TCP driver: connect with backoff, sessions,
-//!   rejoin, and scripted faults on the state upload.
-//! * [`fault`] — deterministic fault plans, the fault filter, backoff,
-//!   rejoin policy.
-//! * [`harness`] — thread-worker and spawned-process run drivers, clean
-//!   and chaos variants.
+//!   rejoin, and scripted faults on the `Drift` deposit.
+//! * [`fault`] — scripted fault plans, the fault filter, backoff.
+//! * [`harness`] — the thread-worker run driver, and the spawned-process
+//!   driver, clean or under a fault plan.
 
 pub mod coordinator;
 pub mod fault;
@@ -67,11 +68,10 @@ pub mod protocol;
 pub mod worker;
 
 pub use coordinator::{run_event, Coordinator};
-pub use fault::{Backoff, FaultAction, FaultPlan, RejoinPolicy, FAULT_EXIT_CODE};
+pub use fault::{FaultAction, FaultPlan, FAULT_EXIT_CODE};
 pub use frame::{FrameKind, NetError, PROTOCOL_VERSION};
 pub use harness::{
-    run_chaos_with_spawned_workers, run_chaos_with_spawned_workers_telemetry,
-    run_chaos_with_thread_workers, run_with_spawned_workers, run_with_thread_workers,
+    run_chaos_with_spawned_workers_telemetry, run_with_spawned_workers, run_with_thread_workers,
     run_with_thread_workers_telemetry,
 };
 pub use machine::{

@@ -431,7 +431,8 @@ impl<'a> CoordinatorMachine<'a> {
                 epoch,
                 payload,
             } if from < self.live.len() => {
-                if kind == FrameKind::Hello {
+                // A live worker's hello is out of phase like any other kind.
+                if kind == FrameKind::Hello && !self.live[from] {
                     return self.join(from);
                 }
                 if let Err(e) = self.deposit(from, kind, epoch, payload) {

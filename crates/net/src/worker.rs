@@ -21,17 +21,17 @@
 //! exponential backoff + jitter under `connect_timeout`), hello, `Config`,
 //! the versioned `Resume` handoff, then rounds from `Resume.round`
 //! onwards. Scripted [`FaultAction`]s fire when the session is about to
-//! upload a given step's state: the driver filters the machine's `State`
-//! send through them. If the session dies retryably
-//! (disconnect, timeout) and a [`RejoinPolicy`] is set, the worker opens a
-//! new session presenting its id + last-seen epoch; the coordinator's
-//! `Resume` tells it where to restart. A rejoin is a **warm restart**: the
+//! send a given step's `Drift` deposit: the driver filters that send
+//! through them. If the session dies retryably (disconnect, timeout) and
+//! [`WorkerOptions::rejoin`] has attempts left, the worker opens a new
+//! session presenting its id + last-seen epoch; the coordinator's `Resume`
+//! tells it where to restart. A rejoin is a **warm restart**: the
 //! replica, optimizer state and data stream are rebuilt from `(seed, id)`
 //! and the parameters are loaded from the consensus model — deterministic
 //! given the coordinator's admission schedule, though not a continuation
 //! of the dropped session's local trajectory.
 
-use crate::fault::{self, Backoff, FaultAction, RejoinPolicy, FAULT_EXIT_CODE};
+use crate::fault::{self, Backoff, FaultAction, BACKOFF_BASE, BACKOFF_CAP};
 use crate::frame::{FrameHead, FrameKind, Link, NetError};
 use crate::machine::{Input, Output, WorkerMachine};
 use crate::protocol::Msg;
@@ -55,9 +55,8 @@ pub struct WorkerSummary {
 pub enum WorkerOutcome {
     /// Ran every remaining round through shutdown.
     Completed(WorkerSummary),
-    /// A terminal scripted fault ended the run on purpose. Spawned worker
-    /// processes exit with [`FAULT_EXIT_CODE`] instead of returning this
-    /// (see [`WorkerOptions::exit_process_on_fault`]).
+    /// A terminal scripted fault ended the run on purpose; `fda_node`
+    /// exits with [`crate::FAULT_EXIT_CODE`] on it.
     Faulted {
         /// Step the fault fired at.
         step: u32,
@@ -74,18 +73,12 @@ pub struct WorkerOptions {
     pub connect_timeout: Duration,
     /// Per-read/per-write socket timeout (the hang guard).
     pub io_timeout: Duration,
-    /// When set, retryable session failures trigger reconnect attempts;
-    /// when `None`, the first failure is final.
-    pub rejoin: Option<RejoinPolicy>,
+    /// Reconnect attempts after a retryable session failure; each is a
+    /// backoff-paced connect loop under `connect_timeout`. With 0 the first
+    /// failure is final.
+    pub rejoin: u32,
     /// Scripted faults for this worker.
     pub faults: Vec<FaultAction>,
-    /// Spawned processes set this so a terminal fault exits the process
-    /// with [`FAULT_EXIT_CODE`] (the harness reaper treats that exit as
-    /// scripted); in-process (thread) workers leave it false and return
-    /// [`WorkerOutcome::Faulted`] instead.
-    pub exit_process_on_fault: bool,
-    /// Perturbs backoff jitter only — never numerics.
-    pub backoff_seed: u64,
 }
 
 impl Default for WorkerOptions {
@@ -93,10 +86,8 @@ impl Default for WorkerOptions {
         WorkerOptions {
             connect_timeout: Duration::from_secs(20),
             io_timeout: Duration::from_secs(60),
-            rejoin: None,
+            rejoin: 0,
             faults: Vec::new(),
-            exit_process_on_fault: false,
-            backoff_seed: 0,
         }
     }
 }
@@ -133,22 +124,18 @@ fn connect<A: ToSocketAddrs + ?Sized>(
     Ok(link)
 }
 
-/// Runs one worker to completion, surviving session loss when a
-/// [`RejoinPolicy`] is configured. This is the entry point for both
-/// in-process (thread) workers and the `fda_node worker` binary.
+/// Runs one worker to completion, surviving up to
+/// [`WorkerOptions::rejoin`] session losses. This is the entry point for
+/// both in-process (thread) workers and the `fda_node worker` binary.
 pub fn run_worker<A: ToSocketAddrs>(
     addr: A,
     id: u32,
     opts: &WorkerOptions,
 ) -> Result<WorkerOutcome, NetError> {
-    let policy = opts.rejoin.unwrap_or_default();
-    let mut backoff = Backoff::new(
-        policy.base_backoff,
-        policy.max_backoff,
-        opts.backoff_seed ^ (0x5EED ^ u64::from(id)).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-    );
+    let seed = (0x5EED ^ u64::from(id)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut backoff = Backoff::new(BACKOFF_BASE, BACKOFF_CAP, seed);
     let mut last_epoch = 0u32;
-    let mut attempts_left = opts.rejoin.map(|p| p.max_attempts).unwrap_or(0);
+    let mut attempts_left = opts.rejoin;
     let mut rejoins = 0u64;
     let mut syncs = 0u64;
 
@@ -167,9 +154,6 @@ pub fn run_worker<A: ToSocketAddrs>(
             }
             Ok(faulted) => {
                 link.close();
-                if opts.exit_process_on_fault {
-                    std::process::exit(FAULT_EXIT_CODE);
-                }
                 return Ok(faulted);
             }
             Err(e) if e.is_retryable() && attempts_left > 0 => {

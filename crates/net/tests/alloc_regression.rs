@@ -5,17 +5,23 @@
 //! may only add the constant per-round bookkeeping (the reduce's
 //! reference lists, the round log), never per-byte work like frame
 //! re-encoding, `to_vec` copies of received payloads, or a decoded upload.
+//! The worker's side is pinned exactly: its machine allocates nothing per
+//! round beyond local training but the sketch estimate's three.
 //!
 //! Measured with a *thread-local* counter inside the global allocator:
 //! `run_with_thread_workers` runs the coordinator on the calling thread
 //! and the workers on their own threads, so the calling thread's count is
-//! exactly the coordinator's. Lives in its own test binary so the
-//! counting allocator is isolated from the other suites.
+//! exactly the coordinator's; the in-memory driver counts only inside the
+//! worker machines' calls. Lives in its own test binary so the counting
+//! allocator is isolated from the other suites.
+
+mod in_memory;
 
 use fda_core::cluster::ClusterConfig;
 use fda_core::fda::FdaConfig;
 use fda_core::wire::JobSpec;
 use fda_data::synth::SynthSpec;
+use fda_net::RoundPolicy;
 use fda_obs::alloc_count::{allocs, large_allocs, set_large_bytes, CountingAlloc};
 
 #[global_allocator]
@@ -140,5 +146,60 @@ fn synchronizing_rounds_allocate_nothing_model_sized_at_any_k() {
     assert_eq!(
         slopes[0], slopes[1],
         "the coordinator's per-round allocations grow with K ({slopes:?} at K = 2, 3)"
+    );
+}
+
+/// One worker machine's allocations per round beyond local training: the
+/// slope of the machines' own count (inside their `handle` and `poll`
+/// calls) between two in-memory run lengths, less the slope of as many
+/// bare `Worker::step_once` calls on workers built the same way, per
+/// worker. Also returns the long run's sync count.
+fn worker_machine_per_round(job_of: impl Fn(u32) -> JobSpec) -> (f64, u64) {
+    let (short_n, long_n) = (6u32, 30u32);
+    let beyond_training = |steps: u32| {
+        let spec = job_of(steps);
+        let run = in_memory::run_in_memory(&spec, &RoundPolicy::default(), &[]);
+        let syncs = run.report.expect("an in-memory run").syncs;
+        let task = spec.synth.generate(&spec.task_name);
+        let mut training = 0;
+        for id in 0..spec.cluster.workers {
+            let mut worker = spec.cluster.build_worker(&task.train, id);
+            let before = allocs();
+            for _ in 0..steps {
+                worker.step_once(&task.train);
+            }
+            training += allocs() - before;
+        }
+        (run.worker_allocs as f64 - training as f64, syncs)
+    };
+    let (short, _) = beyond_training(short_n);
+    let (long, syncs) = beyond_training(long_n);
+    let k = job_of(long_n).cluster.workers as f64;
+    ((long - short) / f64::from(long_n - short_n) / k, syncs)
+}
+
+/// The worker-side fence, pinned exactly, so that one per-round copy of a
+/// drift, summary or model payload fails it. A certified round (Θ = ∞)
+/// allocates nothing beyond local training. A phase-B round that syncs
+/// (dense SketchFDA, Θ = 0) allocates 3, all in `Replica::check` →
+/// `SketchMonitor::estimate` → `AmsSketch::estimate_sq_norm`: its row
+/// `Vec`, `median_f32`'s f64 copy and the sorted copy `stats::quantile`
+/// makes. ROADMAP item 17 takes those 3 to 0.
+#[test]
+fn worker_machines_allocate_nothing_per_round_beyond_training_and_the_estimate() {
+    const K: usize = 3;
+    let (certified, syncs) =
+        worker_machine_per_round(|steps| job(K, FdaConfig::linear(f32::INFINITY), steps));
+    assert_eq!(syncs, 0, "Θ = ∞ must stay state-only");
+    assert_eq!(
+        certified, 0.0,
+        "certified rounds: a worker allocates {certified}/round"
+    );
+    let (phase_b, syncs) =
+        worker_machine_per_round(|steps| job(K, FdaConfig::sketch_auto(0.0), steps));
+    assert_eq!(syncs, 30, "Θ = 0 syncs every round");
+    assert_eq!(
+        phase_b, 3.0,
+        "phase-B rounds that sync: a worker allocates {phase_b}/round"
     );
 }

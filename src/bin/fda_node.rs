@@ -4,11 +4,11 @@
 //!
 //! * `fda_node worker --connect <addr> --id <k>` — join a coordinator as
 //!   worker `k`; the job config arrives over the socket. `--fault <spec>`
-//!   (repeatable; e.g. `kill@3`, `stall@2:500`, `flip@4:17`, `trunc@1:9`,
-//!   `exit@5`) injects scripted faults, `--rejoin <attempts>` enables
-//!   reconnect-with-resume after a lost session. A terminal scripted
-//!   fault exits with code 86 so harnesses can tell scripted deaths from
-//!   crashes.
+//!   (repeatable; `kill@3`, `stall@2:500`, `flip@4:17`, `trunc@1:9`)
+//!   injects a scripted fault at that step's `Drift` deposit, and
+//!   `--rejoin <attempts>` allows that many reconnects with `Resume` after
+//!   a lost session. A `kill` exits with code 86 so harnesses can tell
+//!   scripted deaths from crashes.
 //! * `fda_node coordinator --workers <K> [options]` — bind, wait for `K`
 //!   externally started workers, run the job, print a JSON report.
 //! * `fda_node demo --workers <K> [options]` — coordinator that spawns its
@@ -35,7 +35,7 @@ use fda::data::synth::SynthSpec;
 use fda::data::Partition;
 use fda::net::{
     run_chaos_with_spawned_workers_telemetry, run_event, run_worker, Coordinator, FaultAction,
-    FaultPlan, NetReport, RejoinPolicy, RoundPolicy, WorkerOptions, WorkerOutcome, FAULT_EXIT_CODE,
+    FaultPlan, NetReport, RoundPolicy, WorkerOptions, WorkerOutcome, FAULT_EXIT_CODE,
 };
 use fda::nn::zoo::ModelId;
 use fda::optim::OptimizerKind;
@@ -54,7 +54,7 @@ fn usage() -> ! {
          --codec dense|uniform8[:chunk]|topk:<k>|driftmask:<t>\n               \
          --min-workers <n>  --deposit-timeout-ms <ms>\n               \
          --telemetry <path>  --metrics-addr <addr>\n\n\
-         fault specs: kill@N  exit@N  stall@N:<ms>  flip@N:<bit>  trunc@N:<keep>"
+         fault specs (at step N's drift deposit): kill@N  stall@N:<ms>  flip@N:<bit>  trunc@N:<keep>"
     );
     std::process::exit(2);
 }
@@ -208,16 +208,10 @@ fn main() {
                     })
                 })
                 .collect();
-            let rejoin_attempts: u32 = parse(&args, "--rejoin", 0u32);
             let opts = WorkerOptions {
                 connect_timeout: timeout,
-                rejoin: (rejoin_attempts > 0).then(|| RejoinPolicy {
-                    max_attempts: rejoin_attempts,
-                    ..RejoinPolicy::default()
-                }),
+                rejoin: parse(&args, "--rejoin", 0u32),
                 faults,
-                exit_process_on_fault: true,
-                backoff_seed: u64::from(id),
                 ..WorkerOptions::default()
             };
             match run_worker(addr.as_str(), id, &opts) {
@@ -227,8 +221,6 @@ fn main() {
                         summary.steps, summary.syncs, summary.rejoins
                     );
                 }
-                // `exit_process_on_fault` normally exits before this arm;
-                // keep it as a backstop so the contract holds regardless.
                 Ok(WorkerOutcome::Faulted { step, action }) => {
                     eprintln!(
                         "fda_node worker {id}: scripted fault {} at step {step}",

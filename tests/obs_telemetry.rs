@@ -154,7 +154,7 @@ fn sim_ledger(lines: &[Json], sim: &Fda, steps: u32) -> (Vec<RoundEvent>, RunEve
 fn k4_faulted_process_run_round_events_reconcile() {
     let spec = spec(4, 8);
     let node_bin = Path::new(env!("CARGO_BIN_EXE_fda_node"));
-    let plan = FaultPlan::new().fault(2, FaultAction::ExitBeforeState(4));
+    let plan = FaultPlan::new().fault(2, FaultAction::KillBeforeState(4));
     let policy = RoundPolicy {
         min_workers: 2,
         deposit_timeout: Duration::from_secs(10),
