@@ -780,18 +780,15 @@ enum Ending {
     Taken,
 }
 
-/// The endings each mutation may have: a frame of the wrong kind, from a
-/// future epoch or cut short is refused; a stale one is skipped; flipped
-/// bits or random bytes under the right kind may still be well formed.
-/// The worker takes the coordinator's epoch stamp as authoritative.
-fn allowed(m: Mutation, coordinator: bool) -> &'static [Ending] {
-    match (m, coordinator) {
-        (Mutation::Kind | Mutation::Future | Mutation::Truncated, true) => &[Ending::Dropped],
-        (Mutation::Stale, true) => &[Ending::Skipped],
-        (Mutation::Flipped | Mutation::Garbage, true) => &[Ending::Dropped, Ending::Taken],
-        (Mutation::Kind | Mutation::Truncated, false) => &[Ending::Refused],
-        (Mutation::Stale | Mutation::Future, false) => &[Ending::Taken],
-        (Mutation::Flipped | Mutation::Garbage, false) => &[Ending::Refused, Ending::Taken],
+/// Whether mutation `m` may end as `ending` at a machine that refuses a
+/// frame as `refused`: a frame of the wrong kind, from a future epoch or
+/// cut short is refused; a stale one is skipped; flipped bits or random
+/// bytes under the right kind may still be well formed.
+fn allowed(m: Mutation, ending: Ending, refused: Ending) -> bool {
+    match m {
+        Mutation::Kind | Mutation::Future | Mutation::Truncated => ending == refused,
+        Mutation::Stale => ending == Ending::Skipped,
+        Mutation::Flipped | Mutation::Garbage => ending == refused || ending == Ending::Taken,
     }
 }
 
@@ -911,7 +908,7 @@ fn mutate_coordinator_frames(job: Job, per_frame: usize, seed: u64) -> usize {
             let mut c = coordinator_after(&spec, &policy, &log, n);
             let ending = coordinator_takes(&mut c, *from, &mutated);
             let case = format!("{job:?}: {m:?} {:?} at coordinator input {n}", frame.0);
-            assert!(allowed(m, true).contains(&ending), "{case}: {ending:?}");
+            assert!(allowed(m, ending, Ending::Dropped), "{case}: {ending:?}");
             inputs += 1;
         }
     }
@@ -921,7 +918,8 @@ fn mutate_coordinator_frames(job: Job, per_frame: usize, seed: u64) -> usize {
 /// The byte mutator at a worker: before each frame a fault-free run
 /// delivered to worker 0 — the job, the handoff, every decision kind,
 /// the consensus and the shutdown — mutations of it, each stamped with a
-/// random stale, current or future epoch, are fed to the worker as it
+/// random stale, current or future epoch (the worker takes the
+/// coordinator's stamp as authoritative), are fed to the worker as it
 /// stands there. A refused input leaves it where it was; one it takes
 /// moves it on, so it is rebuilt, at most [`MAX_REBUILDS`] times a frame.
 /// Returns the number of inputs.
@@ -959,7 +957,7 @@ fn mutate_worker_frames(job: Job, per_frame: usize, seed: u64) -> usize {
             mutated.1 = (frame.1 + mix.below(3) as u32).saturating_sub(1);
             let ending = worker_takes(&mut w, &mutated);
             let case = format!("{job:?}: {m:?} {:?} at worker input {n}", frame.0);
-            assert!(allowed(m, false).contains(&ending), "{case}: {ending:?}");
+            assert!(allowed(m, ending, Ending::Refused), "{case}: {ending:?}");
             if ending == Ending::Taken {
                 w = worker_after(0, &log, n);
                 rebuilds += 1;
