@@ -19,16 +19,18 @@
 //!
 //! The protocol — membership, epochs, the quorum, deposits, the reduce,
 //! the ledgers, the trajectory — is the machine's ([`crate::machine`]).
-//! What this driver owns is I/O: accepting workers and their hello
-//! handshake, parking reconnects until the schedule admits them, the
-//! blocking read schedule (the machine's [`CoordinatorMachine::wants`]: the lowest live id that
-//! has not delivered, under the deposit deadline mapped onto the socket's
-//! read timeout), the encode-once fan-out of each broadcast, the raw byte
-//! counters, and writing the JSONL telemetry.
+//! What this driver owns is I/O: one accept path for formation's K
+//! workers and each scheduled rejoin (hello handshake, every other
+//! connection parked until its turn), the blocking read schedule (the
+//! machine's [`CoordinatorMachine::wants`]: the lowest live id that has
+//! not delivered, under the collection's deadline mapped onto the
+//! socket's read timeout), the encode-once fan-out of each broadcast, the
+//! raw byte counters, and writing the JSONL telemetry.
 //!
 //! # Failure model
 //!
-//! Each round has a deposit deadline and a `min_workers` quorum
+//! Each collection — drift scalars, summaries, models, final replicas —
+//! has a deadline and each round a `min_workers` quorum
 //! ([`RoundPolicy`]). A worker that times out, disconnects, or sends a
 //! malformed frame is **dropped from the round**: its deposit is
 //! discarded, the id-order reduce runs over the survivor set, and the run
@@ -53,11 +55,18 @@ use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+/// How long formation waits for all K workers to connect, and a scheduled
+/// re-admission for its worker.
+const ACCEPT_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The socket timeout of the hello read and of every write: a worker that
+/// does not drain its receive buffer is dropped instead of wedging the
+/// rendezvous. Reads past the handshake run under the machine's deadline.
+const IO_TIMEOUT: Duration = Duration::from_secs(60);
+
 /// The rendezvous server side of the transport.
 pub struct Coordinator {
     listener: TcpListener,
-    accept_timeout: Duration,
-    read_timeout: Duration,
     policy: RoundPolicy,
     telemetry: Option<PathBuf>,
 }
@@ -120,8 +129,6 @@ impl Coordinator {
         let listener = TcpListener::bind(addr)?;
         Ok(Coordinator {
             listener,
-            accept_timeout: Duration::from_secs(30),
-            read_timeout: Duration::from_secs(60),
             policy: RoundPolicy::default(),
             telemetry: None,
         })
@@ -130,17 +137,6 @@ impl Coordinator {
     /// The bound address workers should connect to.
     pub fn local_addr(&self) -> Result<std::net::SocketAddr, NetError> {
         Ok(self.listener.local_addr()?)
-    }
-
-    /// Replaces the hang guards: how long to wait for all `K` workers to
-    /// connect (also the wait budget for a scheduled re-admission), and
-    /// the per-read/per-write socket timeout outside the deposit phase. A
-    /// worker that stalls past the I/O timeout — silent on a read, or not
-    /// draining its receive buffer on a write — is dropped (or fails the
-    /// run, during formation) instead of wedging the rendezvous forever.
-    pub fn set_timeouts(&mut self, accept: Duration, io: Duration) {
-        self.accept_timeout = accept;
-        self.read_timeout = io;
     }
 
     /// Replaces the per-round liveness policy (quorum, deposit deadline,
@@ -159,19 +155,21 @@ impl Coordinator {
         self.telemetry = Some(path.into());
     }
 
-    /// Accepts one connection and completes the hello handshake, returning
-    /// the claimed worker id and the link.
-    fn handshake(&self, stream: TcpStream, k: usize) -> Result<(usize, Link), NetError> {
-        let mut link = Link::new(stream, self.read_timeout)?;
-        let (kind, _) = link.read()?;
-        let Msg::Hello {
+    /// Reads a new connection's hello: the claimed worker id and the link,
+    /// or `None` for a stray — a connection that sends no hello or claims
+    /// an id outside `0..k`, which harms only itself. A peer that speaks
+    /// another protocol version fails the run: that is a deployment
+    /// error, not a stray.
+    fn handshake(stream: TcpStream, k: usize) -> Result<Option<(usize, Link)>, NetError> {
+        let mut link = Link::new(stream, IO_TIMEOUT)?;
+        let hello = link
+            .read()
+            .and_then(|(kind, _)| Msg::decode(kind, link.payload()));
+        let Ok(Msg::Hello {
             version, worker_id, ..
-        } = Msg::decode(kind, link.payload())?
+        }) = hello
         else {
-            return Err(NetError::Protocol(format!(
-                "expected hello, got {}",
-                kind.label()
-            )));
+            return Ok(None);
         };
         let id = worker_id as usize;
         if version != PROTOCOL_VERSION {
@@ -179,67 +177,35 @@ impl Coordinator {
                 "worker {id} speaks protocol v{version}, coordinator v{PROTOCOL_VERSION}"
             )));
         }
-        if id >= k {
-            return Err(NetError::Protocol(format!(
-                "worker id {id} out of range for K = {k}"
-            )));
-        }
-        Ok((id, link))
+        Ok((id < k).then_some((id, link)))
     }
 
-    /// Accepts `k` workers, handshakes, and indexes them by worker id.
-    fn accept_workers(&self, k: usize) -> Result<Vec<Option<Link>>, NetError> {
-        self.listener.set_nonblocking(true)?;
-        let deadline = Instant::now() + self.accept_timeout;
-        let mut slots: Vec<Option<Link>> = (0..k).map(|_| None).collect();
-        let mut accepted = 0usize;
-        while accepted < k {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let (id, link) = self.handshake(stream, k)?;
-                    if slots[id].is_some() {
-                        return Err(NetError::Protocol(format!("duplicate worker id {id}")));
-                    }
-                    slots[id] = Some(link);
-                    accepted += 1;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Err(NetError::Protocol(format!(
-                            "only {accepted}/{k} workers connected within {:?}",
-                            self.accept_timeout
-                        )));
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => return Err(NetError::Io(e)),
-            }
-        }
-        Ok(slots)
-    }
-
-    /// Waits for the scheduled rejoin of worker `id` to reconnect, parking
-    /// every other reconnect meanwhile. A hello claiming a currently-live
-    /// id is a zombie and its connection is closed; a second reconnect of
-    /// the same parked id replaces the first (the worker retried).
-    fn await_rejoin(&self, id: usize, round: u32, links: &mut Links) -> Result<Link, NetError> {
-        let deadline = Instant::now() + self.accept_timeout;
+    /// Waits until worker `id` connects, parking every other connection
+    /// meanwhile: formation's K workers and each scheduled rejoin all come
+    /// in through here. A hello claiming a live id (a zombie, or a
+    /// duplicate) has its connection closed; a second connection of a
+    /// parked id replaces the first (the worker retried); a stray harms
+    /// only itself.
+    fn admit(
+        &self,
+        id: usize,
+        round: u32,
+        deadline: Instant,
+        links: &mut Links,
+    ) -> Result<Link, NetError> {
         loop {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    match self.handshake(stream, links.live.len()) {
-                        Ok((pid, link)) if links.live[pid].is_some() => links.retire(link),
-                        Ok((pid, link)) => {
+                    match Self::handshake(stream, links.live.len())? {
+                        Some((pid, link)) if links.live[pid].is_some() => links.retire(link),
+                        Some((pid, link)) => {
                             if let Some(pos) = links.parked.iter().position(|(p, _)| *p == pid) {
                                 let (_, old) = links.parked.swap_remove(pos);
                                 links.retire(old);
                             }
                             links.parked.push((pid, link));
                         }
-                        // A reconnect that fails its own handshake harms
-                        // only itself; the run goes on.
-                        Err(NetError::Io(e)) => return Err(NetError::Io(e)),
-                        Err(_) => {}
+                        None => {}
                     }
                     continue;
                 }
@@ -251,9 +217,8 @@ impl Coordinator {
             }
             if Instant::now() >= deadline {
                 return Err(NetError::Protocol(format!(
-                    "scheduled rejoin of worker {id} at round {round} did not arrive \
-                     within {:?}",
-                    self.accept_timeout
+                    "worker {id}, due at round {round}, did not connect within {:?}",
+                    ACCEPT_TIMEOUT
                 )));
             }
             std::thread::sleep(Duration::from_millis(2));
@@ -267,7 +232,7 @@ impl Coordinator {
     ///
     /// The loop feeds the machine: each link failure as `Closed`, then its
     /// outputs, then — when it has none — a tick and the frame (or the
-    /// rejoin) it wants, read under the deposit deadline it maps onto
+    /// rejoin) it wants, read under the collection's deadline it maps onto
     /// the socket's read timeout.
     pub fn run(&self, spec: &JobSpec) -> Result<NetReport, NetError> {
         spec.validate()
@@ -279,15 +244,19 @@ impl Coordinator {
         // The machine (model, monitor, sketch plan) is built while the
         // workers connect, not after.
         let mut m = CoordinatorMachine::new(spec, &self.policy, tele.is_some());
-        let live = self.accept_workers(spec.cluster.workers)?;
-        let (parked, raw, failed) = (Vec::new(), (0, 0), Vec::new());
         let mut links = Links {
-            live,
-            parked,
-            raw,
-            failed,
+            live: (0..spec.cluster.workers).map(|_| None).collect(),
+            parked: Vec::new(),
+            raw: (0, 0),
+            failed: Vec::new(),
         };
-        (0..spec.cluster.workers).for_each(|id| m.handle(Input::hello(id)));
+        // Formation: all K workers under one accept deadline.
+        self.listener.set_nonblocking(true)?;
+        let deadline = Instant::now() + ACCEPT_TIMEOUT;
+        for id in 0..spec.cluster.workers {
+            links.live[id] = Some(self.admit(id, 0, deadline, &mut links)?);
+            m.handle(Input::hello(id));
+        }
         let start = Instant::now();
         let mut deposit_us: Vec<(u32, u64)> = Vec::new();
         loop {
@@ -337,21 +306,16 @@ impl Coordinator {
                     m.handle(Input::Tick(start.elapsed()));
                     match m.wants() {
                         Some((id, _)) if links.live[id].is_none() => {
-                            links.live[id] = Some(self.await_rejoin(id, m.round(), &mut links)?);
+                            let deadline = Instant::now() + ACCEPT_TIMEOUT;
+                            let link = self.admit(id, m.round(), deadline, &mut links)?;
+                            links.live[id] = Some(link);
                             m.handle(Input::hello(id));
                         }
                         Some((from, within)) => {
                             let link = links.live[from].as_mut().expect("a live worker has a link");
-                            let t0 = (tele.is_some() && within.is_some()).then(Instant::now);
-                            let read = match within {
-                                Some(t) => link
-                                    .set_read_timeout(t)
-                                    .and_then(|()| link.read())
-                                    .and_then(|r| {
-                                        link.set_read_timeout(self.read_timeout).map(|()| r)
-                                    }),
-                                None => link.read(),
-                            };
+                            let within = within.expect("every collection runs under a deadline");
+                            let t0 = tele.is_some().then(Instant::now);
+                            let read = link.set_read_timeout(within).and_then(|()| link.read());
                             let (kind, epoch) = match read {
                                 Ok(head) => head,
                                 Err(e) => {

@@ -378,14 +378,6 @@ frame_kinds! {
     Summary = 13, "summary";
 }
 
-impl FrameKind {
-    /// Whether frames of this kind are a round's state deposits, which
-    /// the deposit deadline covers: its `Drift` and `Summary`.
-    pub(crate) fn is_deposit(&self) -> bool {
-        matches!(self, FrameKind::Drift | FrameKind::Summary)
-    }
-}
-
 /// Errors of the socket transport, split by what the retry policy and the
 /// coordinator's drop accounting need to distinguish.
 #[derive(Debug)]
@@ -641,8 +633,8 @@ impl FrameHead {
 
 /// Composes one frame's full byte image — head and payload in one owned
 /// buffer. The reference encoder [`write_frame`] is pinned against, and
-/// the surface the fault-injection layer corrupts or truncates a
-/// *realistic* frame through before it hits the socket.
+/// the image the TCP smoke tests' fault relay cuts short or bit-flips, so
+/// a fault mangles a *realistic* frame.
 pub fn encode_frame(epoch: u32, kind: FrameKind, payload: &[u8]) -> Result<Vec<u8>, NetError> {
     let head = FrameHead::new(epoch, kind, payload)?;
     let mut buf = Vec::with_capacity(13 + payload.len());

@@ -8,30 +8,22 @@
 //!   measurement, sockets still real).
 //! * [`run_with_spawned_workers`] — workers are **OS processes** spawned
 //!   from an `fda_node` binary; the multi-process deployment the paper's
-//!   byte accounting is ultimately about. Child processes are killed if
-//!   the coordinator fails, so a wedged worker cannot leak past the run.
-//! * [`run_chaos_with_spawned_workers_telemetry`] — the spawned driver
-//!   under a scripted [`FaultPlan`] and a [`RoundPolicy`]: a worker the
-//!   plan targets may exit with any status, every worker the policy
-//!   re-admits is started with `--rejoin`, and the coordinator result is
-//!   returned even when it is a typed failure like [`NetError::Quorum`].
-//!   `fda_node demo` runs on it.
+//!   byte accounting is ultimately about. It composes a bound
+//!   [`Coordinator`] with [`SpawnedWorkers`], the spawn-and-reap type a
+//!   caller with its own policy, telemetry or worker address (`fda_node
+//!   demo`, the fault relay of the TCP smoke tests) composes the same way.
+//!   Child processes are killed if the run fails, so a wedged worker
+//!   cannot leak past it.
 
 use crate::coordinator::Coordinator;
-use crate::fault::FaultPlan;
 use crate::frame::NetError;
 use crate::machine::{NetReport, RoundPolicy};
 use crate::worker::{run_worker, WorkerOptions};
 use fda_core::wire::JobSpec;
+use std::net::SocketAddr;
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
-
-/// Default worker-connect window.
-const CONNECT_TIMEOUT: Duration = Duration::from_secs(20);
-
-/// The coordinator's per-read/per-write socket timeout on a clean run.
-const IO_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// How long spawned workers get to exit after shutdown before being
 /// killed.
@@ -59,10 +51,7 @@ pub fn run_with_thread_workers_telemetry(
         coordinator.set_telemetry(path);
     }
     let addr = coordinator.local_addr()?;
-    let opts = WorkerOptions {
-        connect_timeout: CONNECT_TIMEOUT,
-        ..WorkerOptions::default()
-    };
+    let opts = WorkerOptions::default();
     let (report, workers) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..spec.cluster.workers as u32)
             .map(|id| {
@@ -89,20 +78,73 @@ pub fn run_with_thread_workers_telemetry(
     Ok(report)
 }
 
-/// Kills still-running children on drop, so a failed run cannot leak
+/// The K worker processes of one run, spawned from an `fda_node` binary.
+/// Still-running children are killed on drop, so a failed run cannot leak
 /// worker processes.
-struct ReapGuard {
+pub struct SpawnedWorkers {
     children: Vec<Child>,
 }
 
-impl ReapGuard {
+impl SpawnedWorkers {
+    /// Spawns `spec`'s K workers from `node_bin` — a binary accepting
+    /// `worker --connect <addr> --id <k> [--rejoin <n>]`, the workspace's
+    /// `fda_node` — to connect to `addr`; each worker `policy` re-admits
+    /// gets one reconnect attempt per scheduled admission. Worker stderr
+    /// is inherited so failures surface in test output.
+    pub fn spawn(
+        spec: &JobSpec,
+        node_bin: &Path,
+        addr: SocketAddr,
+        policy: &RoundPolicy,
+    ) -> Result<SpawnedWorkers, NetError> {
+        let mut workers = SpawnedWorkers {
+            children: Vec::new(),
+        };
+        for id in 0..spec.cluster.workers as u32 {
+            let admissions = policy.admissions.iter().filter(|&&(_, w)| w == id);
+            let rejoin = match admissions.count() {
+                0 => Vec::new(),
+                n => vec!["--rejoin".to_string(), n.to_string()],
+            };
+            let child = Command::new(node_bin)
+                .arg("worker")
+                .arg("--connect")
+                .arg(addr.to_string())
+                .arg("--id")
+                .arg(id.to_string())
+                .args(rejoin)
+                .stdin(Stdio::null())
+                .stdout(Stdio::null())
+                .stderr(Stdio::inherit())
+                .spawn()?;
+            workers.children.push(child);
+        }
+        Ok(workers)
+    }
+
+    /// Runs `spec` on `coordinator` — its policy and telemetry as set —
+    /// with these workers, unbinds it, and reaps them. Every worker must
+    /// exit cleanly, except those `may_fail` names and, when the run
+    /// failed, all of them. The coordinator's result is returned as is: a
+    /// typed [`NetError::Quorum`] is a valid, asserted-on ending.
+    pub fn run(
+        self,
+        coordinator: Coordinator,
+        spec: &JobSpec,
+        may_fail: impl Fn(usize) -> bool,
+    ) -> Result<NetReport, NetError> {
+        let report = coordinator.run(spec);
+        // Unbind the listener before reaping: a worker still retrying a
+        // connect is refused instead of waiting out its connect timeout.
+        drop(coordinator);
+        self.reap(|id| report.is_err() || may_fail(id))?;
+        report
+    }
+
     /// Waits for every child to exit, killing laggards after
     /// [`REAP_TIMEOUT`]. Returns an error naming the first child that
-    /// exited unsuccessfully, unless `fault_expected` marks it as a
-    /// scripted casualty (any exit status accepted — a scripted death may
-    /// surface as [`crate::fault::FAULT_EXIT_CODE`] or as a nonzero error
-    /// exit, depending on where the fault cut the protocol).
-    fn reap(mut self, fault_expected: &[bool]) -> Result<(), NetError> {
+    /// exited unsuccessfully, unless `may_fail` names it.
+    fn reap(mut self, may_fail: impl Fn(usize) -> bool) -> Result<(), NetError> {
         let deadline = Instant::now() + REAP_TIMEOUT;
         for (id, child) in self.children.iter_mut().enumerate() {
             let status = loop {
@@ -118,7 +160,7 @@ impl ReapGuard {
                     Err(e) => return Err(NetError::Io(e)),
                 }
             };
-            if !status.success() && !fault_expected.get(id).copied().unwrap_or(false) {
+            if !status.success() && !may_fail(id) {
                 // Return without clearing: `Drop` still kills the
                 // remaining (possibly wedged) siblings.
                 return Err(NetError::Protocol(format!(
@@ -131,7 +173,7 @@ impl ReapGuard {
     }
 }
 
-impl Drop for ReapGuard {
+impl Drop for SpawnedWorkers {
     fn drop(&mut self) {
         for child in &mut self.children {
             let _ = child.kill();
@@ -140,89 +182,25 @@ impl Drop for ReapGuard {
     }
 }
 
-/// Spawns the K workers; each worker the admission schedule re-admits
-/// gets one reconnect attempt per scheduled admission.
-fn spawn_workers(
-    spec: &JobSpec,
-    node_bin: &Path,
-    addr: &str,
-    plan: &FaultPlan,
-    policy: &RoundPolicy,
-) -> Result<ReapGuard, NetError> {
-    let mut guard = ReapGuard {
-        children: Vec::new(),
-    };
-    for id in 0..spec.cluster.workers as u32 {
-        let admissions = policy.admissions.iter().filter(|&&(_, w)| w == id);
-        let rejoin = match admissions.count() {
-            0 => Vec::new(),
-            n => vec!["--rejoin".to_string(), n.to_string()],
-        };
-        let child = Command::new(node_bin)
-            .arg("worker")
-            .arg("--connect")
-            .arg(addr)
-            .arg("--id")
-            .arg(id.to_string())
-            .args(plan.worker_args(id))
-            .args(rejoin)
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::inherit())
-            .spawn()?;
-        guard.children.push(child);
-    }
-    Ok(guard)
-}
-
-/// Runs `spec` with `K` spawned `fda_node` worker processes.
-///
-/// `node_bin` must be a binary accepting
-/// `worker --connect <addr> --id <k>` (the workspace's `fda_node`).
-/// Worker stderr is inherited so failures surface in test output.
+/// Runs `spec` with `K` spawned `fda_node` worker processes under the
+/// default [`RoundPolicy`].
 pub fn run_with_spawned_workers(spec: &JobSpec, node_bin: &Path) -> Result<NetReport, NetError> {
-    let (plan, policy) = (FaultPlan::new(), RoundPolicy::default());
-    run_chaos_with_spawned_workers_telemetry(spec, node_bin, &plan, policy, IO_TIMEOUT, None)
-}
-
-/// Runs `spec` with spawned worker processes under a scripted fault plan
-/// and `policy`, streaming round events to an optional JSONL sink (the
-/// [`fda_obs`] schema). Workers the plan targets are passed their
-/// `--fault` scripts and may exit with any status; untargeted workers must
-/// still exit cleanly. The coordinator's result is returned as-is — a
-/// typed [`NetError::Quorum`] is a valid, asserted-on ending.
-pub fn run_chaos_with_spawned_workers_telemetry(
-    spec: &JobSpec,
-    node_bin: &Path,
-    plan: &FaultPlan,
-    policy: RoundPolicy,
-    io_timeout: Duration,
-    telemetry: Option<&Path>,
-) -> Result<NetReport, NetError> {
-    let mut coordinator = Coordinator::bind("127.0.0.1:0")?;
-    if let Some(path) = telemetry {
-        coordinator.set_telemetry(path);
-    }
+    let coordinator = Coordinator::bind("127.0.0.1:0")?;
     let addr = coordinator.local_addr()?;
-    coordinator.set_timeouts(CONNECT_TIMEOUT, io_timeout);
-    let guard = spawn_workers(spec, node_bin, &addr.to_string(), plan, &policy)?;
-    coordinator.set_policy(policy);
-    let report = coordinator.run(spec);
-    drop(coordinator);
-    let fault_expected: Vec<bool> = (0..spec.cluster.workers)
-        .map(|id| plan.has_fault(id as u32) || report.is_err())
-        .collect();
-    guard.reap(&fault_expected)?;
-    report
+    let workers = SpawnedWorkers::spawn(spec, node_bin, addr, &RoundPolicy::default())?;
+    workers.run(coordinator, spec, |_| false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{write_frame, FrameKind};
+    use crate::protocol::Msg;
     use fda_core::cluster::ClusterConfig;
     use fda_core::fda::{Fda, FdaConfig};
     use fda_core::strategy::Strategy;
     use fda_data::synth::SynthSpec;
+    use std::net::TcpStream;
 
     fn tiny_spec(k: usize, fda: FdaConfig, steps: u32) -> JobSpec {
         JobSpec {
@@ -280,6 +258,45 @@ mod tests {
         // A fault-free run keeps everyone: K joins, zero drops.
         assert_eq!(report.survivors, vec![0, 1]);
         assert_eq!(report.events.len(), 2);
+    }
+
+    /// Formation admits workers through the accept-and-park path a rejoin
+    /// takes: stray connections — a hello claiming an id out of range, a
+    /// frame that is no hello, a connection closed before its hello —
+    /// harm only themselves, and the run is the one they never joined.
+    #[test]
+    fn bad_hellos_do_not_abort_formation() {
+        let spec = tiny_spec(2, FdaConfig::linear(0.02), 4);
+        let clean = run_with_thread_workers(&spec).expect("clean run");
+
+        let coordinator = Coordinator::bind("127.0.0.1:0").expect("bind");
+        let addr = coordinator.local_addr().expect("addr");
+        let strays: Vec<TcpStream> = [Some(FrameKind::Hello), Some(FrameKind::Drift), None]
+            .into_iter()
+            .filter_map(|kind| {
+                let mut stray = TcpStream::connect(addr).expect("connect");
+                // With no kind, the stray closes before its hello.
+                match kind? {
+                    FrameKind::Hello => Msg::hello(7, 0).send(&mut stray, 0),
+                    kind => write_frame(&mut stray, 0, kind, &[0; 4]),
+                }
+                .expect("stray hello");
+                Some(stray)
+            })
+            .collect();
+        let report = std::thread::scope(|scope| {
+            for id in 0..2 {
+                scope.spawn(move || run_worker(addr, id, &WorkerOptions::default()));
+            }
+            coordinator.run(&spec)
+        })
+        .expect("formation survives bad hellos");
+        drop(strays);
+        assert_eq!(report.decisions, clean.decisions);
+        assert_eq!(report.estimates, clean.estimates);
+        assert_eq!(report.worker_params, clean.worker_params);
+        assert_eq!(report.events, clean.events);
+        assert_eq!(report.measured_payload_bytes, report.charged_bytes);
     }
 
     /// K = 1 degenerate cluster: runs, charges nothing (the accounting

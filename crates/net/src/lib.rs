@@ -26,16 +26,18 @@
 //!    paper's convention ignores.
 //!
 //! A third property arrived with the failure layer: **churn survival**.
-//! Rounds have a deposit deadline and a `min_workers` quorum; a worker
-//! that times out, disconnects or corrupts a frame is dropped from the
-//! round (the id-order reduce runs over the survivors), dropped workers
-//! can rejoin through a versioned `Resume` handoff at a scheduled round,
-//! and every frame carries a membership epoch so zombie deposits are
-//! rejected. Every single-fault placement at K = 3 is enumerated on the
-//! machines in memory (`crates/net/tests/machines.rs`); what only a socket
-//! adds is exercised with scripted [`fault::FaultPlan`]s over spawned
-//! processes (`tests/net_faults.rs` at the workspace root; DESIGN.md §
-//! "Failure model").
+//! Every collection runs under a deadline and every round under a
+//! `min_workers` quorum; a worker that times out, disconnects or corrupts
+//! a frame is dropped from the round (the id-order reduce runs over the
+//! survivors), dropped workers can rejoin through a versioned `Resume`
+//! handoff at a scheduled round, and every frame carries a membership
+//! epoch so zombie deposits are rejected. Every single-fault placement at
+//! K = 3 is enumerated on the machines in memory
+//! (`crates/net/tests/machines.rs`); what only a socket adds is exercised
+//! over spawned processes by the same fault values, injected at frame
+//! boundaries by a test relay between the coordinator and its workers
+//! (`tests/net_faults.rs` at the workspace root; DESIGN.md § "Failure
+//! model").
 //!
 //! ## Layout
 //!
@@ -50,17 +52,16 @@
 //!   and write frames through.
 //! * [`protocol`] — typed control-plane messages (hello/config/shutdown),
 //!   the `Resume` handoff's encoder and decoder, and the stale-epoch rule.
-//! * [`coordinator`] — the coordinator's TCP driver: accept and handshake,
-//!   parked rejoins, the id-order blocking read schedule under the deposit
-//!   deadline, encode-once fan-out, raw byte counters, JSONL telemetry.
+//! * [`coordinator`] — the coordinator's TCP driver: one accept-and-park
+//!   path for formation and rejoins, the id-order blocking read schedule
+//!   under each collection's deadline, encode-once fan-out, raw byte
+//!   counters, JSONL telemetry.
 //! * [`worker`] — the worker's TCP driver: connect with backoff, sessions,
-//!   rejoin, and scripted faults on the `Drift` deposit.
-//! * [`fault`] — scripted fault plans, the fault filter, backoff.
+//!   rejoin.
 //! * [`harness`] — the thread-worker run driver, and the spawned-process
-//!   driver, clean or under a fault plan.
+//!   driver with its spawn-and-reap type.
 
 pub mod coordinator;
-pub mod fault;
 pub mod frame;
 pub mod harness;
 pub mod machine;
@@ -68,15 +69,14 @@ pub mod protocol;
 pub mod worker;
 
 pub use coordinator::{run_event, Coordinator};
-pub use fault::{FaultAction, FaultPlan, FAULT_EXIT_CODE};
 pub use frame::{FrameKind, NetError, PROTOCOL_VERSION};
 pub use harness::{
-    run_chaos_with_spawned_workers_telemetry, run_with_spawned_workers, run_with_thread_workers,
-    run_with_thread_workers_telemetry,
+    run_with_spawned_workers, run_with_thread_workers, run_with_thread_workers_telemetry,
+    SpawnedWorkers,
 };
 pub use machine::{
     CoordinatorMachine, DropReason, Input, MemberEvent, MembershipEvent, NetReport, Output,
     RoundPolicy, To, WorkerMachine,
 };
 pub use protocol::{Msg, MAX_STALE_FRAMES};
-pub use worker::{run_worker, WorkerOptions, WorkerOutcome, WorkerSummary};
+pub use worker::{run_worker, WorkerOptions, WorkerSummary};

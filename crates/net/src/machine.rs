@@ -50,7 +50,7 @@ use std::time::Duration;
 /// Why the coordinator dropped a worker from the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropReason {
-    /// Missed the round's deposit deadline.
+    /// Missed a collection's deadline.
     Timeout,
     /// Socket closed or reset mid-protocol.
     Disconnect,
@@ -112,8 +112,9 @@ pub struct MembershipEvent {
 pub struct RoundPolicy {
     /// Abort with [`NetError::Quorum`] when fewer workers remain.
     pub min_workers: usize,
-    /// Budget for collecting all of a round's deposits; a worker whose
-    /// state has not arrived when the budget runs out is dropped.
+    /// Budget for each collection — a round's drift scalars, its
+    /// summaries, its models, and the final replicas; a worker whose frame
+    /// has not arrived when the budget runs out is dropped.
     pub deposit_timeout: Duration,
     /// `(round, worker_id)`: re-admit `worker_id` at the start of `round`,
     /// *waiting* for it if it has not reconnected yet. Scheduling
@@ -392,32 +393,32 @@ impl<'a> CoordinatorMachine<'a> {
         self.round
     }
 
-    /// The worker a blocking driver should wait on next, and within what
-    /// is left of the deposit deadline (at least 1 ms) when the phase runs
-    /// under it: the lowest live id that has not delivered this phase, or
-    /// the scheduled rejoiner — a dropped worker, whose hello on a new link
-    /// the driver waits for. `None` once the run is over or while outputs
-    /// are pending.
+    /// The worker a blocking driver should wait on next: the lowest live
+    /// id that has not delivered this collection, within what is left of
+    /// its deadline (at least 1 ms; `None` before the first tick armed
+    /// it), or the scheduled rejoiner — a dropped worker, whose hello on a
+    /// new link the driver waits for, with no deadline. `None` once the run
+    /// is over or while outputs are pending.
     pub fn wants(&self) -> Option<(usize, Option<Duration>)> {
         match self.phase {
             Phase::Admit(id) => Some((id, None)),
-            Phase::Collect(kind) => {
+            Phase::Collect(_) => {
                 let from = (0..self.live.len()).find(|&i| self.live[i] && !self.delivered[i])?;
                 let left = |d: Duration| d.saturating_sub(self.now).max(Duration::from_millis(1));
-                Some((from, self.deadline.filter(|_| kind.is_deposit()).map(left)))
+                Some((from, self.deadline.map(left)))
             }
             _ => None,
         }
     }
 
-    /// Reacts to one input. The deposit deadline is armed by the first
-    /// tick of each of a round's deposit phases.
+    /// Reacts to one input. The deadline is armed by the first tick of
+    /// each collection.
     pub fn handle(&mut self, input: Input) {
         match input {
             Input::Tick(now) => {
                 self.now = now;
-                let depositing = matches!(self.phase, Phase::Collect(kind) if kind.is_deposit());
-                if depositing && self.deadline.is_none() {
+                let collecting = matches!(self.phase, Phase::Collect(_));
+                if collecting && self.deadline.is_none() {
                     self.deadline = Some(now + self.policy.deposit_timeout);
                 }
             }
@@ -821,7 +822,8 @@ pub struct WorkerMachine {
     epoch: u32,
     /// The next frame kind the protocol allows.
     expect: FrameKind,
-    spec: Option<JobSpec>,
+    /// The job and its model's dimension `d`.
+    spec: Option<(JobSpec, usize)>,
     joined: Option<Joined>,
     /// Round-persistent uplink scratch: every deposit and model payload is
     /// encoded into this buffer in place.
@@ -928,25 +930,26 @@ impl WorkerMachine {
                 let k = spec.cluster.workers;
                 return Err(fail(format!("id out of range for a job of K = {k}")));
             }
-            self.spec = Some(spec);
+            let dim = spec.cluster.model.build(spec.cluster.seed, 0).param_count();
+            self.spec = Some((spec, dim));
             self.expect = FrameKind::Resume;
             return Ok(false);
         }
-        let spec = self.spec.as_ref().expect("a configured session");
+        let (spec, dim) = self.spec.as_ref().expect("a configured session");
         if kind == FrameKind::Resume {
-            // The versioned handoff: the replica rebuilt from `(seed, id)`
-            // and the consensus loaded — at formation `w_0` into a replica
-            // already holding `w_0`, a bitwise no-op.
-            let task = spec.synth.generate(&spec.task_name);
-            let mut worker = spec.cluster.build_worker(&task.train, id as usize);
-            let dim = worker.model().param_count();
-            let (start, model, prev) = decode_resume(payload, dim)?;
+            // The versioned handoff, checked before anything is built: the
+            // replica rebuilt from `(seed, id)` and the consensus loaded —
+            // at formation `w_0` into a replica already holding `w_0`, a
+            // bitwise no-op.
+            let (start, model, prev) = decode_resume(payload, *dim)?;
             if start > spec.steps {
                 return Err(fail(format!(
                     "resume at round {start} past the job's {} steps",
                     spec.steps
                 )));
             }
+            let task = spec.synth.generate(&spec.task_name);
+            let mut worker = spec.cluster.build_worker(&task.train, id as usize);
             let replica = Replica::join(spec, model, prev.as_deref());
             worker.model_mut().load_params(replica.consensus());
             let round = start;
@@ -1007,7 +1010,7 @@ impl WorkerMachine {
     /// deposit, the drift scalar; past the last round, the final replica
     /// instead.
     fn train(&mut self) {
-        let steps = self.spec.as_ref().expect("a configured session").steps;
+        let steps = self.spec.as_ref().expect("a configured session").0.steps;
         let j = self.joined.as_mut().expect("a session past its handoff");
         self.ubuf.clear();
         if j.round < steps {

@@ -13,16 +13,14 @@
 //! and local state, cross-checks the broadcast `S̄` and adopts the
 //! consensus, so the K-process trajectory is bit-identical to the
 //! K-worker simulator. All of that is the protocol's [`WorkerMachine`];
-//! this module is its TCP driver, which keeps sessions, faults and rejoin.
+//! this module is its TCP driver, which keeps sessions and rejoin.
 //!
-//! # Sessions, faults and rejoin
+//! # Sessions and rejoin
 //!
 //! One *session* is one connection's worth of protocol: connect (with
 //! exponential backoff + jitter under `connect_timeout`), hello, `Config`,
 //! the versioned `Resume` handoff, then rounds from `Resume.round`
-//! onwards. Scripted [`FaultAction`]s fire when the session is about to
-//! send a given step's `Drift` deposit: the driver filters that send
-//! through them. If the session dies retryably (disconnect, timeout) and
+//! onwards. If the session dies retryably (disconnect, timeout) and
 //! [`WorkerOptions::rejoin`] has attempts left, the worker opens a new
 //! session presenting its id + last-seen epoch; the coordinator's `Resume`
 //! tells it where to restart. A rejoin is a **warm restart**: the
@@ -31,8 +29,7 @@
 //! given the coordinator's admission schedule, though not a continuation
 //! of the dropped session's local trajectory.
 
-use crate::fault::{self, Backoff, FaultAction, BACKOFF_BASE, BACKOFF_CAP};
-use crate::frame::{FrameHead, FrameKind, Link, NetError};
+use crate::frame::{FrameHead, Link, NetError};
 use crate::machine::{Input, Output, WorkerMachine};
 use crate::protocol::Msg;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -50,21 +47,6 @@ pub struct WorkerSummary {
     pub rejoins: u64,
 }
 
-/// How a worker run ended.
-#[derive(Debug, Clone, Copy)]
-pub enum WorkerOutcome {
-    /// Ran every remaining round through shutdown.
-    Completed(WorkerSummary),
-    /// A terminal scripted fault ended the run on purpose; `fda_node`
-    /// exits with [`crate::FAULT_EXIT_CODE`] on it.
-    Faulted {
-        /// Step the fault fired at.
-        step: u32,
-        /// The scripted action.
-        action: FaultAction,
-    },
-}
-
 /// Knobs for one worker run.
 #[derive(Debug, Clone)]
 pub struct WorkerOptions {
@@ -77,8 +59,6 @@ pub struct WorkerOptions {
     /// backoff-paced connect loop under `connect_timeout`. With 0 the first
     /// failure is final.
     pub rejoin: u32,
-    /// Scripted faults for this worker.
-    pub faults: Vec<FaultAction>,
 }
 
 impl Default for WorkerOptions {
@@ -87,7 +67,6 @@ impl Default for WorkerOptions {
             connect_timeout: Duration::from_secs(20),
             io_timeout: Duration::from_secs(60),
             rejoin: 0,
-            faults: Vec::new(),
         }
     }
 }
@@ -131,7 +110,7 @@ pub fn run_worker<A: ToSocketAddrs>(
     addr: A,
     id: u32,
     opts: &WorkerOptions,
-) -> Result<WorkerOutcome, NetError> {
+) -> Result<WorkerSummary, NetError> {
     let seed = (0x5EED ^ u64::from(id)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let mut backoff = Backoff::new(BACKOFF_BASE, BACKOFF_CAP, seed);
     let mut last_epoch = 0u32;
@@ -142,19 +121,15 @@ pub fn run_worker<A: ToSocketAddrs>(
     loop {
         let mut link = connect(&addr, id, last_epoch, opts, &mut backoff)?;
         let mut m = WorkerMachine::new(id, last_epoch);
-        let end = session(&mut link, &mut m, opts);
+        let end = session(&mut link, &mut m);
         syncs += m.syncs();
         match end {
-            Ok(WorkerOutcome::Completed(summary)) => {
-                return Ok(WorkerOutcome::Completed(WorkerSummary {
+            Ok(steps) => {
+                return Ok(WorkerSummary {
+                    steps,
                     syncs,
                     rejoins,
-                    ..summary
-                }));
-            }
-            Ok(faulted) => {
-                link.close();
-                return Ok(faulted);
+                })
             }
             Err(e) if e.is_retryable() && attempts_left > 0 => {
                 attempts_left -= 1;
@@ -167,44 +142,20 @@ pub fn run_worker<A: ToSocketAddrs>(
     }
 }
 
-/// Drives one session's machine over its link until it ends: completed
-/// (with the steps it ran) or ended by a terminal scripted fault. Every
-/// round's `Drift` deposit goes through the step's scripted faults
-/// ([`fault::send_state`]).
-fn session(
-    link: &mut Link,
-    m: &mut WorkerMachine,
-    opts: &WorkerOptions,
-) -> Result<WorkerOutcome, NetError> {
+/// Drives one session's machine over its link until it ends, returning
+/// the steps it ran.
+fn session(link: &mut Link, m: &mut WorkerMachine) -> Result<u64, NetError> {
     loop {
-        let round = m.round();
         while let Some(out) = m.poll() {
-            let Output::Send {
-                epoch,
-                kind,
-                payload,
-                ..
-            } = out
-            else {
-                if let Output::Done(steps) = out {
-                    let (syncs, rejoins) = (0, 0);
-                    return Ok(WorkerOutcome::Completed(WorkerSummary {
-                        steps: steps?,
-                        syncs,
-                        rejoins,
-                    }));
-                }
-                continue;
-            };
-            if kind != FrameKind::Drift {
-                link.write(&FrameHead::new(epoch, kind, payload)?, payload)?;
-            } else if let Some(action) =
-                fault::send_state(link, &opts.faults, round, epoch, payload)?
-            {
-                return Ok(WorkerOutcome::Faulted {
-                    step: round,
-                    action,
-                });
+            match out {
+                Output::Send {
+                    epoch,
+                    kind,
+                    payload,
+                    ..
+                } => link.write(&FrameHead::new(epoch, kind, payload)?, payload)?,
+                Output::Done(steps) => return steps,
+                Output::Close { .. } | Output::Round(_) => {}
             }
         }
         let (kind, epoch) = link.read()?;
@@ -217,10 +168,82 @@ fn session(
     }
 }
 
+/// First reconnect backoff delay.
+const BACKOFF_BASE: Duration = Duration::from_millis(20);
+
+/// Reconnect backoff ceiling.
+const BACKOFF_CAP: Duration = Duration::from_millis(500);
+
+/// Exponential backoff with jitter: delay `i` is uniform in
+/// `[base·2^i / 2, base·2^i)`, capped at `cap` — the standard
+/// "decorrelated-ish" shape that avoids reconnect stampedes while keeping
+/// the expected delay growing geometrically.
+#[derive(Debug)]
+struct Backoff {
+    base: Duration,
+    cap: Duration,
+    attempt: u32,
+    rng: SplitMix64,
+}
+
+impl Backoff {
+    /// Creates a backoff sequence; `seed` only perturbs the jitter.
+    fn new(base: Duration, cap: Duration, seed: u64) -> Backoff {
+        Backoff {
+            base,
+            cap,
+            attempt: 0,
+            rng: SplitMix64::new(seed),
+        }
+    }
+
+    /// The next delay in the sequence.
+    fn next_delay(&mut self) -> Duration {
+        let exp = self.attempt.min(16); // 2^16 · base already ≫ any cap we use
+        self.attempt += 1;
+        let full = self
+            .base
+            .saturating_mul(1u32 << exp)
+            .min(self.cap)
+            .as_micros() as u64;
+        let jittered = full / 2 + self.rng.next() % (full / 2 + 1);
+        Duration::from_micros(jittered)
+    }
+
+    /// Resets the sequence to the first delay (after a successful connect).
+    fn reset(&mut self) {
+        self.attempt = 0;
+    }
+}
+
+/// SplitMix64 — tiny, dependency-free PRNG for backoff jitter.
+/// Not used anywhere numerics-bearing.
+#[derive(Debug, Clone)]
+struct SplitMix64 {
+    state: u64,
+}
+
+impl SplitMix64 {
+    /// Seeds the generator.
+    fn new(seed: u64) -> SplitMix64 {
+        SplitMix64 { state: seed }
+    }
+
+    /// Next 64-bit value.
+    #[allow(clippy::should_implement_trait)] // not an Iterator; infinite stream
+    fn next(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{read_frame_into, write_frame};
+    use crate::frame::{read_frame_into, write_frame, FrameKind};
     use fda_comm::Dense32;
     use fda_core::cluster::ClusterConfig;
     use fda_core::fda::FdaConfig;
@@ -249,7 +272,7 @@ mod tests {
         fda: FdaConfig,
         round: u32,
         reply: Reply,
-    ) -> Result<WorkerOutcome, NetError> {
+    ) -> Result<WorkerSummary, NetError> {
         let spec = JobSpec {
             cluster: ClusterConfig::small_test(2),
             fda,
@@ -306,7 +329,7 @@ mod tests {
     fn worker_refuses_a_resume_past_the_jobs_end() {
         let fda = FdaConfig::linear(0.01);
         match against_fake_coordinator(0, fda, STEPS, Reply::Shutdown) {
-            Ok(WorkerOutcome::Completed(summary)) => assert_eq!(summary.steps, 0),
+            Ok(summary) => assert_eq!(summary.steps, 0),
             other => panic!("expected a completed run, got {other:?}"),
         }
         match against_fake_coordinator(0, fda, STEPS + 1, Reply::Shutdown) {
@@ -341,5 +364,25 @@ mod tests {
             Err(NetError::Protocol(why)) => assert!(why.contains("out of range"), "{why}"),
             other => panic!("expected a protocol error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn backoff_grows_and_respects_cap() {
+        let mut b = Backoff::new(Duration::from_millis(10), Duration::from_millis(100), 7);
+        let d0 = b.next_delay();
+        assert!(
+            d0 >= Duration::from_millis(5)
+                && d0 < Duration::from_millis(10) + Duration::from_micros(1)
+        );
+        // After many attempts every delay sits in [cap/2, cap].
+        for _ in 0..10 {
+            b.next_delay();
+        }
+        for _ in 0..5 {
+            let d = b.next_delay();
+            assert!(d >= Duration::from_millis(50) && d <= Duration::from_millis(100));
+        }
+        b.reset();
+        assert!(b.next_delay() < Duration::from_millis(11));
     }
 }

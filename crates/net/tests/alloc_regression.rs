@@ -21,7 +21,7 @@ use fda_core::cluster::ClusterConfig;
 use fda_core::fda::FdaConfig;
 use fda_core::wire::JobSpec;
 use fda_data::synth::SynthSpec;
-use fda_net::RoundPolicy;
+use fda_net::{FrameKind, Input, Output, RoundPolicy, WorkerMachine};
 use fda_obs::alloc_count::{allocs, large_allocs, set_large_bytes, CountingAlloc};
 
 #[global_allocator]
@@ -201,5 +201,39 @@ fn worker_machines_allocate_nothing_per_round_beyond_training_and_the_estimate()
     assert_eq!(
         phase_b, 3.0,
         "phase-B rounds that sync: a worker allocates {phase_b}/round"
+    );
+}
+
+/// A handoff is checked before anything is built for it: a truncated
+/// `Resume` is refused on its own bytes, so refusing it allocates a
+/// handful of times, not the task generation and replica build (a
+/// dataset's worth of allocations) that a valid one pays for.
+#[test]
+fn a_truncated_resume_is_refused_before_the_replica_is_built() {
+    let spec = job(2, FdaConfig::linear(0.01), 3);
+    let run = in_memory::run_in_memory(&spec, &RoundPolicy::default(), &[]);
+    let mut to_worker = run.to_workers.into_iter().filter(|(id, _)| *id == 0);
+    let (_, (config, epoch, job)) = to_worker.next().expect("the job");
+    let (_, (resume, _, handoff)) = to_worker.next().expect("the handoff");
+    assert_eq!((config, resume), (FrameKind::Config, FrameKind::Resume));
+    let mut worker = WorkerMachine::new(0, 0);
+    let frame = |kind, payload| Input::Frame {
+        from: 0,
+        kind,
+        epoch,
+        payload,
+    };
+    worker.handle(frame(config, &job));
+    while worker.poll().is_some() {}
+
+    let before = allocs();
+    worker.handle(frame(resume, &handoff[..handoff.len() / 2]));
+    let refused = matches!(worker.poll(), Some(Output::Done(Err(_))));
+    let spent = allocs() - before;
+    assert!(refused, "a truncated handoff is a protocol error");
+    assert!(
+        spent <= 8,
+        "refusing a truncated Resume allocated {spent} times — is the task \
+         generated before the handoff is decoded again?"
     );
 }

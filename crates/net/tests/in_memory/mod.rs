@@ -20,11 +20,6 @@ use std::time::Duration;
 /// Virtual time one frame spends on a link.
 pub const LATENCY: Duration = Duration::from_millis(1);
 
-/// The coordinator's socket read timeout outside a deposit deadline (the
-/// TCP `Coordinator`'s default): what a held `Model` or `FinalModel`
-/// waits out.
-pub const IO_TIMEOUT: Duration = Duration::from_secs(60);
-
 /// A frame in flight: kind, epoch stamp, payload.
 pub type Frame = (FrameKind, u32, Vec<u8>);
 
@@ -38,10 +33,10 @@ pub enum Action {
     /// The frame arrives but fails on receipt — a checksum or decode
     /// failure: `Closed { Protocol }`.
     Corrupt,
-    /// The frame is held past the coordinator's deadline (the deposit
-    /// deadline, or [`IO_TIMEOUT`] where none runs): a `Tick` at the
-    /// deadline, then `Closed { Timeout }` — what the TCP driver does with
-    /// `wants()`' `within` as its read timeout.
+    /// The frame is held past the deadline of the coordinator's
+    /// collection: a `Tick` at the deadline, then `Closed { Timeout }` —
+    /// what the TCP driver does with `wants()`' `within` as its read
+    /// timeout.
     HoldPast,
     /// The frame is held, then delivered halfway to the deadline.
     HoldInside,
@@ -237,7 +232,7 @@ pub fn run_in_memory(spec: &JobSpec, policy: &RoundPolicy, faults: &[Fault]) -> 
         }
         if let Some((from, within)) = wants.filter(|&(id, _)| peers[id].held.is_some()) {
             let (round, frame, action) = peers[from].held.take().expect("a held frame");
-            let wait = within.unwrap_or(IO_TIMEOUT);
+            let wait = within.expect("every collection runs under a deadline");
             if action == Action::HoldPast {
                 now += wait;
                 c.handle(Input::Tick(now));

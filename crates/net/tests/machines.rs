@@ -23,7 +23,7 @@ use fda_net::{
     CoordinatorMachine, DropReason, FrameKind, Input, MemberEvent, MembershipEvent, NetError,
     NetReport, Output, RoundPolicy, To, WorkerMachine,
 };
-use in_memory::{run_in_memory, Action, Fault, Frame, IO_TIMEOUT, LATENCY};
+use in_memory::{run_in_memory, Action, Fault, Frame, LATENCY};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -471,11 +471,11 @@ fn trajectory(report: &NetReport, reasons: bool) -> Trajectory {
 
 /// The latest a run of `spec` may end in virtual time: every frame of a
 /// fault-free run and of one re-admission on the wire for [`LATENCY`]
-/// each, plus one wait of the longest deadline.
+/// each, plus one wait of the deadline.
 fn time_bound(spec: &JobSpec) -> Duration {
     let k = spec.cluster.workers as u32;
     let frames = 2 * (k + 1) * (3 * spec.steps + 4);
-    LATENCY * frames + DEADLINE.max(IO_TIMEOUT)
+    LATENCY * frames + DEADLINE
 }
 
 /// Every single-fault placement on `job`'s fault-free run — each worker
@@ -934,12 +934,6 @@ fn mutate_worker_frames(job: Job, per_frame: usize, seed: u64) -> usize {
     for (n, frame) in log.iter().enumerate() {
         let mut w = worker_after(0, &log, n);
         let mut rebuilds = 0;
-        // A handoff is decoded after the replica is built: keep it short.
-        let per_frame = if frame.0 == FrameKind::Resume {
-            per_frame / 16
-        } else {
-            per_frame
-        };
         for i in 0..per_frame {
             let cycle: &[Mutation] = match rebuilds < MAX_REBUILDS {
                 true => &[

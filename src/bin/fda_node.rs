@@ -3,18 +3,14 @@
 //! Roles:
 //!
 //! * `fda_node worker --connect <addr> --id <k>` — join a coordinator as
-//!   worker `k`; the job config arrives over the socket. `--fault <spec>`
-//!   (repeatable; `kill@3`, `stall@2:500`, `flip@4:17`, `trunc@1:9`)
-//!   injects a scripted fault at that step's `Drift` deposit, and
+//!   worker `k`; the job config arrives over the socket.
 //!   `--rejoin <attempts>` allows that many reconnects with `Resume` after
-//!   a lost session. A `kill` exits with code 86 so harnesses can tell
-//!   scripted deaths from crashes.
+//!   a lost session.
 //! * `fda_node coordinator --workers <K> [options]` — bind, wait for `K`
 //!   externally started workers, run the job, print a JSON report.
 //! * `fda_node demo --workers <K> [options]` — coordinator that spawns its
 //!   own `K` worker processes from this binary (the one-command loopback
-//!   deployment; also what the parity suite drives). `--fault <w>:<spec>`
-//!   scripts a fault into spawned worker `w`.
+//!   deployment; also what the parity suite drives).
 //!
 //! Common options (coordinator/demo): `--model lenet5`, `--variant
 //! sketch|linear|exact`, `--theta <f32>`, `--steps <n>`, `--seed <n>`,
@@ -34,8 +30,8 @@ use fda::core::wire::JobSpec;
 use fda::data::synth::SynthSpec;
 use fda::data::Partition;
 use fda::net::{
-    run_chaos_with_spawned_workers_telemetry, run_event, run_worker, Coordinator, FaultAction,
-    FaultPlan, NetReport, RoundPolicy, WorkerOptions, WorkerOutcome, FAULT_EXIT_CODE,
+    run_event, run_worker, Coordinator, NetError, NetReport, RoundPolicy, SpawnedWorkers,
+    WorkerOptions,
 };
 use fda::nn::zoo::ModelId;
 use fda::optim::OptimizerKind;
@@ -45,16 +41,15 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage:\n  fda_node worker --connect <addr> --id <k> [--timeout-secs <t>]\n               \
-         [--fault <spec>]... [--rejoin <attempts>]\n  \
+         [--rejoin <attempts>]\n  \
          fda_node coordinator --workers <K> [--listen <addr>] [job options]\n  \
-         fda_node demo --workers <K> [--fault <w>:<spec>]... [job options]\n\n\
+         fda_node demo --workers <K> [job options]\n\n\
          job options: --model lenet5|vgg16|densenet121|densenet201|transfer\n               \
          --variant sketch|linear|exact  --theta <f32>  --steps <n>\n               \
          --seed <n>  --batch <n>  --train <n>  --test <n>\n               \
          --codec dense|uniform8[:chunk]|topk:<k>|driftmask:<t>\n               \
          --min-workers <n>  --deposit-timeout-ms <ms>\n               \
-         --telemetry <path>  --metrics-addr <addr>\n\n\
-         fault specs (at step N's drift deposit): kill@N  stall@N:<ms>  flip@N:<bit>  trunc@N:<keep>"
+         --telemetry <path>  --metrics-addr <addr>"
     );
     std::process::exit(2);
 }
@@ -64,15 +59,6 @@ fn opt_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
         .map(|i| args.get(i + 1).unwrap_or_else(|| usage()).clone())
-}
-
-/// Pulls every value following a repeatable `--flag`.
-fn opt_values(args: &[String], flag: &str) -> Vec<String> {
-    args.iter()
-        .enumerate()
-        .filter(|(_, a)| *a == flag)
-        .map(|(i, _)| args.get(i + 1).unwrap_or_else(|| usage()).clone())
-        .collect()
 }
 
 fn parse<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
@@ -199,34 +185,17 @@ fn main() {
                 usage();
             }
             let timeout = Duration::from_secs(parse(&args, "--timeout-secs", 20u64));
-            let faults: Vec<FaultAction> = opt_values(&args, "--fault")
-                .iter()
-                .map(|s| {
-                    FaultAction::parse_arg(s).unwrap_or_else(|e| {
-                        eprintln!("fda_node worker {id}: {e}");
-                        std::process::exit(2);
-                    })
-                })
-                .collect();
             let opts = WorkerOptions {
                 connect_timeout: timeout,
                 rejoin: parse(&args, "--rejoin", 0u32),
-                faults,
                 ..WorkerOptions::default()
             };
             match run_worker(addr.as_str(), id, &opts) {
-                Ok(WorkerOutcome::Completed(summary)) => {
+                Ok(summary) => {
                     eprintln!(
                         "fda_node worker {id}: done ({} steps, {} syncs, {} rejoins)",
                         summary.steps, summary.syncs, summary.rejoins
                     );
-                }
-                Ok(WorkerOutcome::Faulted { step, action }) => {
-                    eprintln!(
-                        "fda_node worker {id}: scripted fault {} at step {step}",
-                        action.to_arg()
-                    );
-                    std::process::exit(FAULT_EXIT_CODE);
                 }
                 Err(e) => {
                     eprintln!("fda_node worker {id}: {e}");
@@ -261,36 +230,20 @@ fn main() {
         }
         Some("demo") => {
             let spec = job_from_args(&args);
-            let mut plan = FaultPlan::new();
-            for spec_str in opt_values(&args, "--fault") {
-                let parsed = spec_str
-                    .split_once(':')
-                    .ok_or_else(|| format!("demo fault '{spec_str}': expected <worker>:<spec>"))
-                    .and_then(|(w, rest)| {
-                        let worker: u32 = w
-                            .parse()
-                            .map_err(|_| format!("demo fault '{spec_str}': bad worker '{w}'"))?;
-                        Ok((worker, FaultAction::parse_arg(rest)?))
-                    });
-                match parsed {
-                    Ok((worker, action)) => plan = plan.fault(worker, action),
-                    Err(e) => {
-                        eprintln!("fda_node demo: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
             let node_bin = std::env::current_exe().expect("own binary path");
             let policy = round_policy_from_args(&args);
             let (telemetry, _metrics) = obs_from_args(&args);
-            match run_chaos_with_spawned_workers_telemetry(
-                &spec,
-                &node_bin,
-                &plan,
-                policy,
-                Duration::from_secs(60),
-                telemetry.as_deref(),
-            ) {
+            let run = || -> Result<NetReport, NetError> {
+                let mut coordinator = Coordinator::bind("127.0.0.1:0")?;
+                let addr = coordinator.local_addr()?;
+                if let Some(path) = telemetry {
+                    coordinator.set_telemetry(path);
+                }
+                let workers = SpawnedWorkers::spawn(&spec, &node_bin, addr, &policy)?;
+                coordinator.set_policy(policy);
+                workers.run(coordinator, &spec, |_| false)
+            };
+            match run() {
                 Ok(report) => print_report(&report, &spec),
                 Err(e) => {
                     eprintln!("fda_node demo: {e}");

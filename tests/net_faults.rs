@@ -4,16 +4,18 @@
 //! The machines' failure model is searched exhaustively in memory: every
 //! single-fault placement at K = 3 runs in `crates/net/tests/machines.rs`.
 //! This suite keeps the scenarios worth a name, on the same in-memory
-//! driver, and over TCP one smoke test per path only a socket has — process
-//! death, the deposit deadline mapped onto the read timeout, a checksum
-//! failure on a live link, and reconnect, parking and `Resume` across
-//! processes — all on the spawned-process runner `fda_node demo` uses.
+//! driver, and over TCP one smoke test per path only a socket has — a
+//! dead link, the collection deadline mapped onto the read timeout (on a
+//! deposit and on a model upload), a checksum failure on a live link, and
+//! reconnect, parking and `Resume` across processes. The TCP tests run
+//! spawned `fda_node` workers behind the frame relay of `relay/mod.rs`,
+//! which injects the very [`Fault`] values the in-memory driver takes.
 //!
-//! The load-bearing claim is **replayability**: a fault plan is a pure
+//! The load-bearing claim is **replayability**: a fault list is a pure
 //! value, the coordinator's reduce runs in worker-id order over the
 //! survivor set, and rejoins happen at scheduled rounds — so running the
-//! same plan twice must produce bit-identical decisions, estimates, final
-//! parameters, and membership logs.
+//! same faults twice must produce bit-identical decisions, estimates,
+//! final parameters, and membership logs.
 //!
 //! Hang guard: every socket carries an in-code timeout and the CI job
 //! wraps the suite in an outer `timeout`, so an injected stall converts
@@ -21,20 +23,20 @@
 
 #[path = "../crates/net/tests/in_memory/mod.rs"]
 mod in_memory;
+mod relay;
 
 use fda::core::cluster::ClusterConfig;
 use fda::core::fda::FdaConfig;
 use fda::core::wire::JobSpec;
 use fda::data::synth::SynthSpec;
 use fda::net::{
-    run_chaos_with_spawned_workers_telemetry, DropReason, FaultAction, FaultPlan, FrameKind,
-    MemberEvent, MembershipEvent, NetError, NetReport, RoundPolicy,
+    run_with_spawned_workers, DropReason, FrameKind, MemberEvent, MembershipEvent, NetError,
+    NetReport, RoundPolicy,
 };
 use in_memory::{run_in_memory, Action, Fault};
+use relay::run_relayed;
 use std::path::Path;
 use std::time::Duration;
-
-const IO_TIMEOUT: Duration = Duration::from_secs(15);
 
 fn spec(k: usize, steps: u32) -> JobSpec {
     JobSpec {
@@ -63,21 +65,20 @@ fn policy(min_workers: usize) -> RoundPolicy {
     }
 }
 
-/// Runs `spec` over spawned `fda_node` worker processes under `plan`.
-fn spawned(spec: &JobSpec, plan: &FaultPlan, policy: RoundPolicy) -> Result<NetReport, NetError> {
-    let node_bin = Path::new(env!("CARGO_BIN_EXE_fda_node"));
-    run_chaos_with_spawned_workers_telemetry(spec, node_bin, plan, policy, IO_TIMEOUT, None)
+/// `action` on worker `worker`'s round-`round` frame of `kind`.
+fn fault(worker: usize, round: u32, kind: FrameKind, action: Action) -> Fault {
+    Fault {
+        worker,
+        round,
+        kind,
+        action,
+    }
 }
 
 /// Worker `worker`'s link closing before it sends its round-`round`
 /// drift scalar: a kill, or a frame truncated on the wire.
 fn lose(worker: usize, round: u32) -> Fault {
-    Fault {
-        worker,
-        round,
-        kind: FrameKind::Drift,
-        action: Action::Disconnect,
-    }
+    fault(worker, round, FrameKind::Drift, Action::Disconnect)
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -127,16 +128,19 @@ fn drops_of(report: &NetReport) -> Vec<MembershipEvent> {
         .collect()
 }
 
-/// The acceptance scenario: K = 4 spawned worker **processes**, worker 2
-/// scripted to die (process exit) before its step-4 deposit. The run must
-/// complete with K′ = 3 survivors, and twice with the same plan must be
-/// bit-identical end to end.
+/// The acceptance scenario: K = 4 spawned worker **processes**, worker 2's
+/// link cut in its round-4 deposit. The run must complete with K′ = 3
+/// survivors, and twice with the same fault must be bit-identical end to
+/// end.
 #[test]
 fn k4_process_kill_survives_with_k3_bit_identically() {
     let spec = spec(4, 8);
-    let plan = FaultPlan::new().fault(2, FaultAction::KillBeforeState(4));
+    let faults = [lose(2, 4)];
 
-    let run = || spawned(&spec, &plan, policy(2)).expect("chaos run should survive a single death");
+    let run = || {
+        run_relayed(&spec, &policy(2), &faults, None)
+            .expect("chaos run should survive a single death")
+    };
     let a = run();
     let b = run();
 
@@ -150,7 +154,7 @@ fn k4_process_kill_survives_with_k3_bit_identically() {
             worker: 2,
             event: MemberEvent::Dropped(DropReason::Disconnect),
         }],
-        "exactly one drop, at the scripted round"
+        "exactly one drop, at the faulted round"
     );
     assert!(
         a.decisions.iter().any(|&d| d),
@@ -159,17 +163,17 @@ fn k4_process_kill_survives_with_k3_bit_identically() {
     assert_bit_identical(&a, &b, "k4 process kill");
 }
 
-/// Worker 2 lost at round 5 of a K = 3 run: its link closed in memory, or
-/// its process killed before its deposit under the TCP driver. Both
+/// Worker 2 lost at round 5 of a K = 3 run: one fault, its link closed
+/// in memory or cut mid-frame by the relay under the TCP driver. Both
 /// drivers leave the same decisions, estimates, survivors, membership log,
 /// replicas and byte ledgers: the failure model lives in the machine.
 #[test]
 fn a_lost_worker_leaves_the_same_trajectory_in_memory_and_over_tcp() {
     let spec = spec(3, 8);
-    let memory = run_in_memory(&spec, &policy(1), &[lose(2, 5)]);
+    let faults = [lose(2, 5)];
+    let memory = run_in_memory(&spec, &policy(1), &faults);
     let memory = memory.report.expect("the in-memory run survives one loss");
-    let plan = FaultPlan::new().fault(2, FaultAction::KillBeforeState(5));
-    let tcp = spawned(&spec, &plan, policy(1)).expect("the TCP run survives one loss");
+    let tcp = run_relayed(&spec, &policy(1), &faults, None).expect("the TCP run survives one loss");
 
     assert_eq!(memory.survivors, vec![0, 1]);
     assert_bit_identical(&memory, &tcp, "in memory vs over TCP");
@@ -217,9 +221,10 @@ fn zero_quorum_aborts_when_every_worker_is_gone() {
 #[test]
 fn corrupt_frame_drops_worker_as_protocol_violation() {
     let spec = spec(3, 6);
-    let plan = FaultPlan::new().fault(1, FaultAction::FlipStateBit { step: 2, bit: 137 });
+    let faults = [fault(1, 2, FrameKind::Drift, Action::Corrupt)];
 
-    let run = || spawned(&spec, &plan, policy(1)).expect("run survives a corrupt frame");
+    let run =
+        || run_relayed(&spec, &policy(1), &faults, None).expect("run survives a corrupt frame");
     let a = run();
     let b = run();
 
@@ -235,19 +240,25 @@ fn corrupt_frame_drops_worker_as_protocol_violation() {
     assert_bit_identical(&a, &b, "corrupt frame");
 }
 
-/// A worker process that stalls past the deposit deadline trips the
-/// socket read timeout the deadline maps onto and is dropped as a
-/// timeout; the round completes with the remaining workers.
+/// A 250 ms deadline, which the relay's holds are measured in: a frame
+/// held past it arrives after 1 s.
+fn tight() -> RoundPolicy {
+    RoundPolicy {
+        deposit_timeout: Duration::from_millis(250),
+        ..policy(1)
+    }
+}
+
+/// A deposit held past the deadline trips the socket read timeout the
+/// deadline maps onto and its worker is dropped as a timeout; the round
+/// completes with the remaining workers.
 #[test]
 fn stalled_worker_is_dropped_on_deposit_deadline() {
     let spec = spec(3, 5);
-    let plan = FaultPlan::new().fault(2, FaultAction::StallState { step: 1, ms: 1_000 });
-    let tight = RoundPolicy {
-        deposit_timeout: Duration::from_millis(250),
-        ..policy(1)
-    };
+    let faults = [fault(2, 1, FrameKind::Drift, Action::HoldPast)];
 
-    let report = spawned(&spec, &plan, tight).expect("run survives a stalled worker");
+    let report =
+        run_relayed(&spec, &tight(), &faults, None).expect("run survives a stalled worker");
     assert_eq!(report.survivors, vec![0, 1]);
     assert_eq!(report.decisions.len(), 5, "all rounds ran");
     assert_eq!(
@@ -260,22 +271,70 @@ fn stalled_worker_is_dropped_on_deposit_deadline() {
     );
 }
 
+/// A model upload held past the deadline is a timeout drop like a late
+/// deposit: every collection, not only the drift scalars and summaries,
+/// runs under the deadline, so a stalled upload costs the round 250 ms,
+/// not the socket's 60 s I/O timeout. Θ = 0 syncs every round.
+#[test]
+fn stalled_model_upload_is_dropped_on_the_deadline() {
+    let mut spec = spec(3, 4);
+    spec.fda = FdaConfig::linear(0.0);
+    let faults = [fault(2, 1, FrameKind::Model, Action::HoldPast)];
+
+    let report =
+        run_relayed(&spec, &tight(), &faults, None).expect("run survives a stalled upload");
+    assert_eq!(report.survivors, vec![0, 1]);
+    assert_eq!(report.decisions, vec![true; 4], "all rounds ran and synced");
+    assert_eq!(
+        drops_of(&report),
+        vec![MembershipEvent {
+            round: 1,
+            worker: 2,
+            event: MemberEvent::Dropped(DropReason::Timeout),
+        }]
+    );
+    assert_eq!(report.measured_payload_bytes, report.charged_bytes);
+}
+
+/// The relay is transparent: with no fault, a relayed run of spawned
+/// workers is the direct spawned runner's run — every report field,
+/// the raw socket byte counters included. A frame held inside the
+/// deadline changes none of it either (held 500 ms of a 1 s deadline, a
+/// margin a slow debug step cannot eat).
+#[test]
+fn a_fault_free_relayed_run_equals_the_direct_spawned_run() {
+    let spec = spec(3, 6);
+    let node_bin = Path::new(env!("CARGO_BIN_EXE_fda_node"));
+    let direct = run_with_spawned_workers(&spec, node_bin).expect("direct run");
+    let relayed = run_relayed(&spec, &RoundPolicy::default(), &[], None).expect("relayed run");
+    assert!(direct.raw_rx_bytes > direct.measured_payload_bytes);
+    assert_eq!(format!("{direct:?}"), format!("{relayed:?}"));
+
+    let held = [fault(1, 3, FrameKind::Drift, Action::HoldInside)];
+    let inside = RoundPolicy {
+        deposit_timeout: Duration::from_secs(1),
+        ..policy(1)
+    };
+    let held = run_relayed(&spec, &inside, &held, None).expect("held run");
+    assert_eq!(format!("{direct:?}"), format!("{held:?}"));
+}
+
 /// The full elastic loop across processes: worker 3's deposit frame is
-/// truncated mid-wire at round 2 (a disconnect), its process reconnects
-/// with backoff and is parked, and the scheduled admission re-admits it
-/// at round 5 through the versioned `Resume` handoff. All four workers
+/// cut mid-wire at round 2 (a disconnect), its process reconnects with
+/// backoff and is parked, and the scheduled admission re-admits it at
+/// round 5 through the versioned `Resume` handoff. All four workers
 /// finish; the whole churn trajectory — including the rejoined replica's
 /// parameters — is bit-identical across repeats.
 #[test]
 fn truncated_worker_rejoins_at_scheduled_round_bit_identically() {
     let spec = spec(4, 9);
-    let plan = FaultPlan::new().fault(3, FaultAction::TruncateState { step: 2, keep: 9 });
+    let faults = [lose(3, 2)];
     let policy = RoundPolicy {
         admissions: vec![(5, 3)],
         ..policy(1)
     };
 
-    let run = || spawned(&spec, &plan, policy.clone()).expect("elastic run completes");
+    let run = || run_relayed(&spec, &policy, &faults, None).expect("elastic run completes");
     let a = run();
     let b = run();
 

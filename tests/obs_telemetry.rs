@@ -16,17 +16,20 @@
 //!    stdout; this is the parse-don't-regex regression test for the run
 //!    report.
 
+#[path = "../crates/net/tests/in_memory/mod.rs"]
+mod in_memory;
+mod relay;
+
 use fda::core::cluster::ClusterConfig;
 use fda::core::fda::{Fda, FdaConfig};
 use fda::core::strategy::Strategy;
 use fda::core::wire::JobSpec;
 use fda::data::synth::SynthSpec;
-use fda::net::{
-    run_chaos_with_spawned_workers_telemetry, FaultAction, FaultPlan, MemberEvent, RoundPolicy,
-};
+use fda::net::{FrameKind, MemberEvent, RoundPolicy};
 use fda::obs::{read_jsonl, Json, JsonlWriter, RoundEvent, RunEvent, SCHEMA_VERSION};
 use fda::optim::OptimizerKind;
-use std::path::{Path, PathBuf};
+use in_memory::{Action, Fault};
+use std::path::PathBuf;
 use std::time::Duration;
 
 fn spec(k: usize, steps: u32) -> JobSpec {
@@ -147,14 +150,19 @@ fn sim_ledger(lines: &[Json], sim: &Fda, steps: u32) -> (Vec<RoundEvent>, RunEve
     (rounds, run)
 }
 
-/// K = 4 spawned `fda_node` processes, one scripted death, telemetry on:
-/// the JSONL byte ledger must reconcile with the coordinator's report and
-/// the drop records must match the membership buckets.
+/// K = 4 spawned `fda_node` processes, one link cut mid-frame by the
+/// fault relay, telemetry on: the JSONL byte ledger must reconcile with
+/// the coordinator's report and the drop records must match the
+/// membership buckets.
 #[test]
 fn k4_faulted_process_run_round_events_reconcile() {
     let spec = spec(4, 8);
-    let node_bin = Path::new(env!("CARGO_BIN_EXE_fda_node"));
-    let plan = FaultPlan::new().fault(2, FaultAction::KillBeforeState(4));
+    let faults = [Fault {
+        worker: 2,
+        round: 4,
+        kind: FrameKind::Drift,
+        action: Action::Disconnect,
+    }];
     let policy = RoundPolicy {
         min_workers: 2,
         deposit_timeout: Duration::from_secs(10),
@@ -162,15 +170,8 @@ fn k4_faulted_process_run_round_events_reconcile() {
     };
     let path = temp_path("k4_faulted");
 
-    let report = run_chaos_with_spawned_workers_telemetry(
-        &spec,
-        node_bin,
-        &plan,
-        policy,
-        Duration::from_secs(60),
-        Some(&path),
-    )
-    .expect("chaos run survives one death");
+    let report = relay::run_relayed(&spec, &policy, &faults, Some(&path))
+        .expect("chaos run survives one death");
 
     let lines = read_jsonl(&path).expect("telemetry stream readable");
     std::fs::remove_file(&path).ok();
@@ -221,7 +222,7 @@ fn k4_faulted_process_run_round_events_reconcile() {
     assert_eq!(jsonl_drops, report_drops, "drop buckets diverged");
     assert!(
         jsonl_drops.iter().any(|(_, w, _)| *w == 2),
-        "the scripted death of worker 2 must be recorded"
+        "the loss of worker 2 must be recorded"
     );
 
     // The faulted round carries the shrunken quorum and a bumped epoch.
