@@ -462,6 +462,27 @@ mod tests {
             }
             assert_eq!(fda.syncs(), 3, "{}", fda.name());
             assert!(counter.get() >= before + 3, "{}: counter", fda.name());
+
+            // One NaN conv1 weight on one LeNet worker. Its loss stays
+            // finite (the NaN channel's windows pool to −∞ and the ReLU
+            // after the pool maps them to 0), but the weight itself drifts
+            // as NaN: the next round still fails closed and synchronizes.
+            let mut fda = Fda::new(config, tiny_cluster_config(3), &task);
+            assert!(!fda.step().synced, "{}: healthy round", fda.name());
+            let model = fda.cluster_mut().worker_mut(2).model_mut();
+            let mut params = model.params_flat();
+            params[0] = f32::NAN;
+            model.load_params(&params);
+            let x = fda_tensor::Matrix::zeros(2, model.in_dim());
+            assert!(model.evaluate(&x, &[0, 1]).0.is_finite(), "{}", fda.name());
+            let out = fda.step();
+            let estimate = out.variance_estimate.expect("fda reports estimates");
+            assert!(!estimate.is_finite(), "{}: one NaN weight", fda.name());
+            assert!(
+                out.synced,
+                "{}: one NaN weight must synchronize",
+                fda.name()
+            );
         }
     }
 

@@ -59,10 +59,18 @@ use std::time::{Duration, Instant};
 /// re-admission for its worker.
 const ACCEPT_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// The socket timeout of the hello read and of every write: a worker that
-/// does not drain its receive buffer is dropped instead of wedging the
-/// rendezvous. Reads past the handshake run under the machine's deadline.
+/// The socket timeout of every write, and of an admitted link's reads: a
+/// worker that does not drain its receive buffer is dropped instead of
+/// wedging the rendezvous. Each collection's read then runs under the
+/// machine's deadline.
 const IO_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// The longest a new connection's hello may take (less if the accept
+/// deadline is nearer). The hello is read on the accept path, so a
+/// connection that sends nothing holds formation or a re-admission for
+/// this long, not for [`IO_TIMEOUT`]; a worker sends its hello as soon as
+/// it connects.
+const HELLO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// The rendezvous server side of the transport.
 pub struct Coordinator {
@@ -155,13 +163,21 @@ impl Coordinator {
         self.telemetry = Some(path.into());
     }
 
-    /// Reads a new connection's hello: the claimed worker id and the link,
-    /// or `None` for a stray — a connection that sends no hello or claims
-    /// an id outside `0..k`, which harms only itself. A peer that speaks
-    /// another protocol version fails the run: that is a deployment
-    /// error, not a stray.
-    fn handshake(stream: TcpStream, k: usize) -> Result<Option<(usize, Link)>, NetError> {
+    /// Reads a new connection's hello, waiting at most [`HELLO_TIMEOUT`]
+    /// and never past `deadline`: the claimed worker id and the link, or
+    /// `None` for a stray — a connection that sends no hello in time or
+    /// claims an id outside `0..k`, which harms only itself. A peer that
+    /// speaks another protocol version fails the run: that is a
+    /// deployment error, not a stray.
+    fn handshake(
+        stream: TcpStream,
+        k: usize,
+        deadline: Instant,
+    ) -> Result<Option<(usize, Link)>, NetError> {
         let mut link = Link::new(stream, IO_TIMEOUT)?;
+        // The socket refuses a zero timeout, so an expired deadline waits 1 ms.
+        let left = deadline.saturating_duration_since(Instant::now());
+        link.set_read_timeout(HELLO_TIMEOUT.min(left).max(Duration::from_millis(1)))?;
         let hello = link
             .read()
             .and_then(|(kind, _)| Msg::decode(kind, link.payload()));
@@ -177,7 +193,11 @@ impl Coordinator {
                 "worker {id} speaks protocol v{version}, coordinator v{PROTOCOL_VERSION}"
             )));
         }
-        Ok((id < k).then_some((id, link)))
+        if id >= k {
+            return Ok(None);
+        }
+        link.set_read_timeout(IO_TIMEOUT)?;
+        Ok(Some((id, link)))
     }
 
     /// Waits until worker `id` connects, parking every other connection
@@ -196,7 +216,7 @@ impl Coordinator {
         loop {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    match Self::handshake(stream, links.live.len())? {
+                    match Self::handshake(stream, links.live.len(), deadline)? {
                         Some((pid, link)) if links.live[pid].is_some() => links.retire(link),
                         Some((pid, link)) => {
                             if let Some(pos) = links.parked.iter().position(|(p, _)| *p == pid) {

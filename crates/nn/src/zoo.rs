@@ -8,6 +8,13 @@
 //! ConvNeXtLarge-head` is preserved because communication cost scales
 //! linearly in `d` and the paper's comparisons are per-model.
 //!
+//! Each conv stage ends **pool, then ReLU**: `MaxPool2d` runs on the raw
+//! conv output and the `Relu` after it on a quarter of the elements (so
+//! does its mask). That is the textbook conv → ReLU → pool stage bit for
+//! bit: `max_i max(x_i, 0) = max(max_i x_i, 0)`, the max only selects, and
+//! both orders route a window's nonzero gradient to the same element
+//! (DESIGN.md, "Pool before ReLU", has the NaN and ±0 cases).
+//!
 //! | Zoo id           | Paper model (d)        | Ours (d)    | Input        |
 //! |------------------|------------------------|-------------|--------------|
 //! | `Lenet5`         | LeNet-5 (62K)          | ≈3.7K       | 1×12×12      |
@@ -108,7 +115,7 @@ impl ModelId {
     }
 }
 
-/// LeNet-5 analogue: two conv/pool stages and two dense layers
+/// LeNet-5 analogue: two conv → pool → ReLU stages and two dense layers
 /// (Glorot uniform, as in the paper §4.1).
 fn lenet5_synth(rng: &mut Rng) -> Sequential {
     let input = Shape3::new(1, 12, 12);
@@ -120,19 +127,20 @@ fn lenet5_synth(rng: &mut Rng) -> Sequential {
     let flat = p2_shape.len();
     Sequential::new("lenet5-synth", input.len())
         .push(c1)
-        .push(Relu::new())
         .push(p1)
-        .push(c2)
         .push(Relu::new())
+        .push(c2)
         .push(p2)
+        .push(Relu::new())
         .push(Flatten::new(p2_shape))
         .push(Dense::new(flat, 24, Init::GlorotUniform, rng))
         .push(Relu::new())
         .push(Dense::new(24, 10, Init::GlorotUniform, rng))
 }
 
-/// VGG16* analogue: stacked double-conv blocks and a three-layer dense
-/// head, mirroring the paper's cut-down VGG16 (Glorot uniform).
+/// VGG16* analogue: stacked double-conv blocks, each ending pool → ReLU,
+/// and a three-layer dense head, mirroring the paper's cut-down VGG16
+/// (Glorot uniform).
 fn vgg16star_synth(rng: &mut Rng) -> Sequential {
     let input = Shape3::new(1, 12, 12);
     let c1a = Conv2d::new(input, 8, 3, 1, Init::GlorotUniform, rng);
@@ -147,13 +155,13 @@ fn vgg16star_synth(rng: &mut Rng) -> Sequential {
         .push(c1a)
         .push(Relu::new())
         .push(c1b)
-        .push(Relu::new())
         .push(p1)
+        .push(Relu::new())
         .push(c2a)
         .push(Relu::new())
         .push(c2b)
-        .push(Relu::new())
         .push(p2)
+        .push(Relu::new())
         .push(Flatten::new(p2_shape))
         .push(Dense::new(flat, 48, Init::GlorotUniform, rng))
         .push(Relu::new())
@@ -162,8 +170,9 @@ fn vgg16star_synth(rng: &mut Rng) -> Sequential {
         .push(Dense::new(32, 10, Init::GlorotUniform, rng))
 }
 
-/// DenseNet121 analogue: deeper conv stack with dropout 0.2 (He normal,
-/// as the paper prescribes for the DenseNets).
+/// DenseNet121 analogue: deeper conv stack (each block ending pool →
+/// ReLU) with dropout 0.2 (He normal, as the paper prescribes for the
+/// DenseNets).
 fn densenet121_synth(rng: &mut Rng, stochastic_seed: u64) -> Sequential {
     let input = Shape3::new(3, 8, 8);
     let c1a = Conv2d::new(input, 12, 3, 1, Init::HeNormal, rng);
@@ -178,13 +187,13 @@ fn densenet121_synth(rng: &mut Rng, stochastic_seed: u64) -> Sequential {
         .push(c1a)
         .push(Relu::new())
         .push(c1b)
-        .push(Relu::new())
         .push(p1)
+        .push(Relu::new())
         .push(c2a)
         .push(Relu::new())
         .push(c2b)
-        .push(Relu::new())
         .push(p2)
+        .push(Relu::new())
         .push(Flatten::new(p2_shape))
         .push(Dropout::new(0.2, stochastic_seed.wrapping_add(1)))
         .push(Dense::new(flat, 64, Init::HeNormal, rng))
@@ -209,13 +218,13 @@ fn densenet201_synth(rng: &mut Rng, stochastic_seed: u64) -> Sequential {
         .push(c1a)
         .push(Relu::new())
         .push(c1b)
-        .push(Relu::new())
         .push(p1)
+        .push(Relu::new())
         .push(c2a)
         .push(Relu::new())
         .push(c2b)
-        .push(Relu::new())
         .push(p2)
+        .push(Relu::new())
         .push(Flatten::new(p2_shape))
         .push(Dropout::new(0.2, stochastic_seed.wrapping_add(1)))
         .push(Dense::new(flat, 96, Init::HeNormal, rng))
@@ -237,6 +246,7 @@ fn transfer_head(rng: &mut Rng) -> Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::Layer;
 
     #[test]
     fn zoo_builds_and_size_ordering_matches_paper() {
@@ -334,6 +344,202 @@ mod tests {
                 "{}: gradients diverged",
                 id.name()
             );
+        }
+    }
+
+    /// The in-shapes of the zoo's eight pools: LeNet, VGG16*, DenseNet121
+    /// and DenseNet201, two stages each.
+    const ZOO_POOLS: [(usize, usize, usize); 8] = [
+        (6, 12, 12),
+        (12, 6, 6),
+        (8, 12, 12),
+        (16, 6, 6),
+        (12, 8, 8),
+        (24, 4, 4),
+        (16, 8, 8),
+        (32, 4, 4),
+    ];
+
+    fn bits(m: &fda_tensor::Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `MaxPool2d` then `Relu` (the zoo's order) against `Relu` then
+    /// `MaxPool2d`, on every pool shape of the zoo at batches 1, 3 and 32,
+    /// over integer-drawn inputs: ±0 in every sign pattern over a window's
+    /// four slots, subnormals, exact ties, −∞ and NaN (whole windows of
+    /// them too), and finite gradients of both signs and both zeros.
+    ///
+    /// The training and the inference forward agree bit for bit. The input
+    /// gradients agree as values; their bits differ in one place only: in
+    /// a window whose max is not above 0, ReLU-first scales the gradient
+    /// routed to the window's first element by its zero mask, so a negative
+    /// `g` leaves `g·0 = −0.0` there, where pool-first adds `g·0` into a
+    /// `+0.0` buffer and leaves `+0.0`. The conv that receives that
+    /// gradient starts its sums at `+0.0`, so its parameter and input
+    /// gradients agree bit for bit.
+    #[test]
+    fn differential_pool_then_relu_matches_relu_then_pool() {
+        use fda_tensor::Matrix;
+        let tiny = f32::from_bits(1);
+        let palette = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            2.0,
+            -2.0,
+            tiny,
+            -tiny,
+            f32::from_bits(0x007f_ffff),
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let grads = [-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0];
+        let mut rng = Rng::new(0x9001);
+        let mut pick = |n: usize| rng.below(n as u64) as usize;
+        for &(c, h, w) in &ZOO_POOLS {
+            let shape = Shape3::new(c, h, w);
+            let (oh, ow) = (h / 2, w / 2);
+            for batch in [1usize, 3, 32] {
+                let ctx = format!("{shape:?} batch={batch}");
+                let mut x = Matrix::zeros(c, batch * h * w);
+                for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+                    let (y, xx) = ((i % (h * w)) / w, i % w);
+                    let window = (i / (h * w)) * oh * ow + (y / 2) * ow + xx / 2;
+                    let slot = (y % 2) * 2 + xx % 2;
+                    // A quarter of the windows are ±0 only, a quarter
+                    // constant (ties, all-NaN and all-−∞ among them).
+                    *v = match window % 4 {
+                        0 if (window / 4) >> slot & 1 == 1 => -0.0,
+                        0 => 0.0,
+                        1 => palette[(window / 4) % palette.len()],
+                        _ => palette[pick(palette.len())],
+                    };
+                }
+                let mut dy = Matrix::zeros(c, batch * oh * ow);
+                for v in dy.as_mut_slice() {
+                    *v = grads[pick(grads.len())];
+                }
+                let (mut relu_a, mut pool_a) = (Relu::new(), MaxPool2d::new(shape, 2));
+                let (mut pool_b, mut relu_b) = (MaxPool2d::new(shape, 2), Relu::new());
+                let ya = pool_a.forward(relu_a.forward(x.clone(), &[], true), &[], true);
+                let yb = relu_b.forward(pool_b.forward(x.clone(), &[], true), &[], true);
+                assert_eq!(bits(&ya), bits(&yb), "{ctx}: forward");
+                let dxa = relu_a.backward(pool_a.backward(dy.clone(), &[], &mut []), &[], &mut []);
+                let dxb = pool_b.backward(relu_b.backward(dy, &[], &mut []), &[], &mut []);
+                for (i, (&a, &b)) in dxa.as_slice().iter().zip(dxb.as_slice()).enumerate() {
+                    let same = a.to_bits() == b.to_bits();
+                    let zero_sign = a.to_bits() == (-0.0f32).to_bits() && b.to_bits() == 0;
+                    assert!(same || zero_sign, "{ctx}: dx[{i}] {a:?} vs {b:?}");
+                }
+                let ia = pool_a.forward_inference(relu_a.forward_inference(x.clone(), &[]), &[]);
+                let ib = relu_b.forward_inference(pool_b.forward_inference(x, &[]), &[]);
+                assert_eq!(bits(&ia), bits(&ib), "{ctx}: inference forward");
+
+                // The conv below the stage takes both input gradients.
+                let mut conv_input = Matrix::zeros(2, batch * h * w);
+                Rng::new(5).fill_normal(conv_input.as_mut_slice(), 0.0, 1.0);
+                let conv_backward = |dx: Matrix| {
+                    let mut conv = Conv2d::new(
+                        Shape3::new(2, h, w),
+                        c,
+                        3,
+                        1,
+                        Init::HeNormal,
+                        &mut Rng::new(6),
+                    );
+                    let p = conv.take_params();
+                    let _ = conv.forward(conv_input.clone(), &p, true);
+                    let mut g = vec![0.0; p.len()];
+                    let dx = conv.backward(dx, &p, &mut g);
+                    (g.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), bits(&dx))
+                };
+                assert_eq!(conv_backward(dxa), conv_backward(dxb), "{ctx}: conv below");
+            }
+        }
+    }
+
+    /// A conv model of the zoo in the textbook order, `Relu` before each
+    /// `MaxPool2d`, from the same layers and the same RNG draws as
+    /// [`ModelId::build`]: convs in stage order, then the dense head, each
+    /// dropout seeded `stochastic_seed + 1, + 2, …` ahead of its dense.
+    fn relu_then_pool(id: ModelId, init_seed: u64, stochastic_seed: u64) -> Sequential {
+        let (init, convs, widths, head, dropout): (_, _, &[usize], &[usize], _) = match id {
+            ModelId::Lenet5 => (Init::GlorotUniform, 1, &[6, 12], &[24], false),
+            ModelId::Vgg16Star => (Init::GlorotUniform, 2, &[8, 16], &[48, 32], false),
+            ModelId::DenseNet121 => (Init::HeNormal, 2, &[12, 24], &[64], true),
+            ModelId::DenseNet201 => (Init::HeNormal, 2, &[16, 32], &[96], true),
+            ModelId::TransferHead => unreachable!("the transfer head has no pool"),
+        };
+        let mut rng = Rng::new(init_seed);
+        let mut shape = id.input_shape();
+        let mut model = Sequential::new(id.name(), shape.len());
+        for &width in widths {
+            for _ in 0..convs {
+                let conv = Conv2d::new(shape, width, 3, 1, init, &mut rng);
+                shape = conv.out_shape();
+                model = model.push(conv).push(Relu::new());
+            }
+            let pool = MaxPool2d::new(shape, 2);
+            shape = pool.out_shape();
+            model = model.push(pool);
+        }
+        model = model.push(Flatten::new(shape));
+        let mut fan_in = shape.len();
+        for (i, &fan_out) in head.iter().chain([&id.classes()]).enumerate() {
+            if dropout {
+                model = model.push(Dropout::new(
+                    0.2,
+                    stochastic_seed.wrapping_add(i as u64 + 1),
+                ));
+            }
+            model = model.push(Dense::new(fan_in, fan_out, init, &mut rng));
+            if i < head.len() {
+                model = model.push(Relu::new());
+            }
+            fan_in = fan_out;
+        }
+        model
+    }
+
+    /// Every conv model of the zoo against its textbook-order twin, bit
+    /// for bit: parameters, loss, correct count and gradients of a training
+    /// step (dropout masks included), and `evaluate_batched` accuracy.
+    #[test]
+    fn differential_zoo_models_match_relu_then_pool_builders() {
+        use fda_tensor::Matrix;
+        for id in [
+            ModelId::Lenet5,
+            ModelId::Vgg16Star,
+            ModelId::DenseNet121,
+            ModelId::DenseNet201,
+        ] {
+            let mut zoo = id.build(11, 12);
+            let mut twin = relu_then_pool(id, 11, 12);
+            assert_eq!(zoo.params_flat(), twin.params_flat(), "{}: init", id.name());
+            let mut rng = Rng::new(13);
+            for batch in [1usize, 32] {
+                let mut x = Matrix::zeros(batch, zoo.in_dim());
+                rng.fill_normal(x.as_mut_slice(), 0.0, 1.0);
+                let labels: Vec<usize> = (0..batch).map(|i| i % id.classes()).collect();
+                let (la, ca) = zoo.compute_gradients(&x, &labels);
+                let (lb, cb) = twin.compute_gradients(&x, &labels);
+                let ctx = format!("{} batch={batch}", id.name());
+                assert_eq!((la.to_bits(), ca), (lb.to_bits(), cb), "{ctx}: loss");
+                let g = |m: &Sequential| m.grads_flat().iter().map(|v| v.to_bits()).collect();
+                let (ga, gb): (Vec<u32>, Vec<u32>) = (g(&zoo), g(&twin));
+                assert_eq!(ga, gb, "{ctx}: gradients");
+            }
+            let mut x = Matrix::zeros(300, zoo.in_dim());
+            rng.fill_normal(x.as_mut_slice(), 0.0, 1.0);
+            let labels: Vec<usize> = (0..300).map(|i| i % id.classes()).collect();
+            let eval = |m: &mut Sequential| {
+                let (loss, acc) = m.evaluate(&x, &labels);
+                let batched = m.evaluate_batched(&x, &labels, 128);
+                (loss.to_bits(), acc.to_bits(), batched.to_bits())
+            };
+            assert_eq!(eval(&mut zoo), eval(&mut twin), "{}: evaluation", id.name());
         }
     }
 

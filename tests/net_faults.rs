@@ -34,9 +34,9 @@ use fda::net::{
     NetReport, RoundPolicy,
 };
 use in_memory::{run_in_memory, Action, Fault};
-use relay::run_relayed;
+use relay::{run_relayed, run_relayed_behind_silent_peer};
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn spec(k: usize, steps: u32) -> JobSpec {
     JobSpec {
@@ -317,6 +317,26 @@ fn a_fault_free_relayed_run_equals_the_direct_spawned_run() {
     };
     let held = run_relayed(&spec, &inside, &held, None).expect("held run");
     assert_eq!(format!("{direct:?}"), format!("{held:?}"));
+}
+
+/// A connection that reaches the coordinator ahead of the workers and
+/// never sends its hello is a stray, not a stall: the accept path waits
+/// out a short hello timeout on it (2 s), not the 60 s socket timeout, and
+/// forms the cluster from the workers queued behind it. The run ends well
+/// inside formation's 30 s accept budget and is the run without it.
+#[test]
+fn a_silent_connection_does_not_stall_formation() {
+    let spec = spec(2, 4);
+    let policy = RoundPolicy::default();
+    let t0 = Instant::now();
+    let behind = run_relayed_behind_silent_peer(&spec, &policy).expect("run past a silent peer");
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_secs(10),
+        "formation stalled for {took:?}"
+    );
+    let plain = run_relayed(&spec, &policy, &[], None).expect("relayed run");
+    assert_eq!(format!("{plain:?}"), format!("{behind:?}"));
 }
 
 /// The full elastic loop across processes: worker 3's deposit frame is

@@ -43,12 +43,38 @@ pub fn run_relayed(
     faults: &[Fault],
     telemetry: Option<&Path>,
 ) -> Result<NetReport, NetError> {
+    run(spec, policy, faults, telemetry, false)
+}
+
+/// Runs `spec` like [`run_relayed`] without faults, behind one relayed
+/// connection that reaches the coordinator ahead of every worker and then
+/// sends nothing until the run ends.
+#[allow(dead_code)] // obs_telemetry.rs shares this module and runs none
+pub fn run_relayed_behind_silent_peer(
+    spec: &JobSpec,
+    policy: &RoundPolicy,
+) -> Result<NetReport, NetError> {
+    run(spec, policy, &[], None, true)
+}
+
+fn run(
+    spec: &JobSpec,
+    policy: &RoundPolicy,
+    faults: &[Fault],
+    telemetry: Option<&Path>,
+    silent_peer: bool,
+) -> Result<NetReport, NetError> {
     let mut coordinator = Coordinator::bind("127.0.0.1:0")?;
     if let Some(path) = telemetry {
         coordinator.set_telemetry(path);
     }
     coordinator.set_policy(policy.clone());
     let relay = Relay::start(coordinator.local_addr()?, faults, policy.deposit_timeout)?;
+    // The relay accepts in arrival order, so this connection reaches the
+    // coordinator's backlog before any spawned worker's.
+    let _silent = silent_peer
+        .then(|| TcpStream::connect(relay.addr))
+        .transpose()?;
     let node_bin = Path::new(env!("CARGO_BIN_EXE_fda_node"));
     let workers = SpawnedWorkers::spawn(spec, node_bin, relay.addr, policy)?;
     let report = workers.run(coordinator, spec, |id| {
