@@ -16,7 +16,13 @@ use crate::strategy::Strategy;
 use fda_data::TaskData;
 use fda_nn::Sequential;
 
-/// Stop conditions and evaluation cadence for a run.
+/// Steps between test-accuracy evaluations.
+const EVAL_EVERY: u64 = 10;
+
+/// Mini-batch size of the evaluation forward passes.
+const EVAL_BATCH: usize = 256;
+
+/// Stop conditions for a run, which evaluates every 10 steps.
 ///
 /// Telemetry is attached to the strategy, not the run: call
 /// [`Strategy::set_telemetry`] before [`run_to_target`].
@@ -26,20 +32,14 @@ pub struct RunConfig {
     pub accuracy_target: f32,
     /// Hard cap on in-parallel steps (non-convergence guard).
     pub max_steps: u64,
-    /// Steps between test-accuracy evaluations.
-    pub eval_every: u64,
-    /// Mini-batch size used during evaluation forward passes.
-    pub eval_batch: usize,
 }
 
 impl RunConfig {
-    /// A sensible default: evaluate every 10 steps, cap at `max_steps`.
+    /// A run to `accuracy_target`, capped at `max_steps`.
     pub fn to_target(accuracy_target: f32, max_steps: u64) -> RunConfig {
         RunConfig {
             accuracy_target,
             max_steps,
-            eval_every: 10,
-            eval_batch: 256,
         }
     }
 }
@@ -84,7 +84,6 @@ pub struct RunResult {
 /// deterministic.
 pub fn run_to_target(strategy: &mut dyn Strategy, task: &TaskData, cfg: &RunConfig) -> RunResult {
     assert!(cfg.max_steps > 0, "run: max_steps must be positive");
-    assert!(cfg.eval_every > 0, "run: eval_every must be positive");
     let model_id = strategy.cluster().config().model;
     let mut eval_model = model_id.build(0, 0);
     let mut best_test = 0.0f32;
@@ -93,19 +92,19 @@ pub fn run_to_target(strategy: &mut dyn Strategy, task: &TaskData, cfg: &RunConf
 
     // Evaluate the untrained global model once so every trace starts at
     // step zero (useful for Figure-7 style plots).
-    let p0 = evaluate(strategy, task, cfg, &mut eval_model);
+    let p0 = evaluate(strategy, task, &mut eval_model);
     best_test = best_test.max(p0.test_acc);
     reached |= p0.test_acc >= cfg.accuracy_target;
     trace.push(p0);
 
     while !reached && strategy.steps() < cfg.max_steps {
-        for _ in 0..cfg.eval_every {
+        for _ in 0..EVAL_EVERY {
             strategy.step();
             if strategy.steps() >= cfg.max_steps {
                 break;
             }
         }
-        let point = evaluate(strategy, task, cfg, &mut eval_model);
+        let point = evaluate(strategy, task, &mut eval_model);
         best_test = best_test.max(point.test_acc);
         reached |= point.test_acc >= cfg.accuracy_target;
         trace.push(point);
@@ -125,13 +124,12 @@ pub fn run_to_target(strategy: &mut dyn Strategy, task: &TaskData, cfg: &RunConf
 fn evaluate(
     strategy: &mut dyn Strategy,
     task: &TaskData,
-    cfg: &RunConfig,
     eval_model: &mut Sequential,
 ) -> TracePoint {
     let params = strategy.global_params();
     eval_model.load_params(&params);
     let test_acc =
-        eval_model.evaluate_batched(task.test.features(), task.test.labels(), cfg.eval_batch);
+        eval_model.evaluate_batched(task.test.features(), task.test.labels(), EVAL_BATCH);
     TracePoint {
         step: strategy.steps(),
         comm_bytes: strategy.comm_bytes(),

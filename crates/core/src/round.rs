@@ -25,11 +25,13 @@
 //! * [`Replica`] is one worker's side: its local state and coded upload,
 //!   the check of the broadcast `S̄`, and adopting the consensus.
 //!
-//! The two payloads the server broadcasts are written and read here, each
-//! by one pair: [`Server::avg_state_payload`] / [`Replica::check`] for the
-//! decision `[flags u8][dense S̄]`, or `[flags u8][m f32]` on a quiet
-//! round, and [`Server::downlink_payload`] / [`Replica::adopt`] for the
-//! consensus `[dim u32][body]`.
+//! The three payloads the server broadcasts are written and read here,
+//! each by one pair: [`Server::avg_state_payload`] / [`Replica::check`] for
+//! the decision `[flags u8][dense S̄]`, or `[flags u8][m f32]` on a quiet
+//! round; [`Server::downlink_payload`] / [`Replica::adopt`] for the
+//! consensus `[dim u32][body]`; and [`Server::resume_payload`] /
+//! [`Replica::resume`] for the handoff that admits a worker,
+//! `[round u32][has_prev u8][model][prev?]`.
 //!
 //! The simulator (`Fda::step`) and the socket coordinator run the server,
 //! the socket worker runs the replica. There is no trait over the two: the
@@ -48,8 +50,8 @@ use crate::fda::{violates, FdaConfig};
 use crate::monitor::{LocalState, VarianceMonitor};
 use crate::pool::WorkerPool;
 use crate::wire::{
-    decode_state_coded_into, encode_state_coded_into, encode_summary_coded_into,
-    encode_vector_coded_into, JobSpec,
+    decode_state_coded_into, decode_vector_coded_into, encode_state_coded_into,
+    encode_summary_coded_into, encode_vector_coded_into, JobSpec,
 };
 use fda_comm::{
     apply_delta_downlink_into, delta_downlink_into, Codec, CodecSpec, Dense32, DownlinkSpec,
@@ -331,11 +333,6 @@ impl Server {
         &self.consensus
     }
 
-    /// The consensus before [`Server::consensus`], once there was a sync.
-    pub fn previous(&self) -> Option<&[f32]> {
-        (self.syncs > 0).then_some(self.prev.as_slice())
-    }
-
     /// Synchronizations committed so far.
     pub fn syncs(&self) -> u64 {
         self.syncs
@@ -514,6 +511,21 @@ impl Server {
         self.syncs += 1;
     }
 
+    /// Appends the handoff that admits a worker at `round`, which is what
+    /// [`Replica::resume`] reads: `[round u32][has_prev u8]`, the
+    /// consensus, then — once there was a sync — the consensus before it,
+    /// each a dense vector `[dim u32][dim × f32]`. It is dense under every
+    /// downlink, so a rejoined replica holds the consensus bit for bit.
+    pub fn resume_payload(&self, round: u32, out: &mut Vec<u8>) {
+        let synced = self.syncs > 0;
+        out.extend_from_slice(&round.to_le_bytes());
+        out.push(synced as u8);
+        encode_vector_coded_into(&self.consensus, &Dense32, out);
+        if synced {
+            encode_vector_coded_into(&self.prev, &Dense32, out);
+        }
+    }
+
     /// The last commit's consensus broadcast, `[dim u32][body]`: the delta
     /// the commit coded or, on a dense downlink, the consensus as a raw
     /// `f32` run, encoded on demand (the simulator never asks).
@@ -658,34 +670,60 @@ pub struct Replica {
 }
 
 impl Replica {
-    /// Joins `spec` through the `Resume` handoff: `model` becomes `w_t0`
-    /// and, after a sync, `on_sync(model, prev)` is replayed so LinearFDA's
-    /// ξ matches the workers that never left, bit for bit. The transport
-    /// decodes both models into buffers of the replica's own dimension.
-    ///
-    /// # Panics
-    /// Panics if `prev` is not as long as `model`.
-    pub fn join(spec: &JobSpec, model: Vec<f32>, prev: Option<&[f32]>) -> Replica {
-        let dim = model.len();
+    /// Joins `spec`, whose model has `dim` parameters, through the handoff
+    /// [`Server::resume_payload`] wrote, and returns the round it resumes
+    /// at: the consensus becomes `w_t0` and, after a sync, `on_sync(model,
+    /// prev)` is replayed so LinearFDA's ξ matches the workers that never
+    /// left, bit for bit. Both models are decoded into the replica's own
+    /// buffers. A cut or padded payload, a model of another dimension, a
+    /// bad flag or a round past the job's end is an `Err`, refused before
+    /// the monitor is built.
+    pub fn resume(spec: &JobSpec, dim: usize, payload: &[u8]) -> Result<(u32, Replica), String> {
+        let short = || format!("resume payload of {} bytes", payload.len());
+        let Some((&[r0, r1, r2, r3, has_prev], models)) = payload.split_first_chunk::<5>() else {
+            return Err(short());
+        };
+        let round = u32::from_le_bytes([r0, r1, r2, r3]);
+        if round > spec.steps {
+            return Err(format!(
+                "resume at round {round} past the job's {} steps",
+                spec.steps
+            ));
+        }
+        let (model_bytes, prev_bytes) = match has_prev {
+            0 => (models, None),
+            1 => match models.split_at_checked(4 + dim * 4) {
+                Some((m, p)) => (m, Some(p)),
+                None => return Err(short()),
+            },
+            b => return Err(format!("bad resume prev flag {b}")),
+        };
+        let (mut consensus, mut scratch) = (vec![0.0; dim], Vec::new());
+        let undecodable = |e| format!("undecodable resume model: {e}");
+        decode_vector_coded_into(model_bytes, &mut consensus, &Dense32).map_err(undecodable)?;
+        if let Some(prev_bytes) = prev_bytes {
+            scratch.resize(dim, 0.0);
+            decode_vector_coded_into(prev_bytes, &mut scratch, &Dense32).map_err(undecodable)?;
+        }
         let mut monitor = spec.fda.variant.build_monitor(dim);
-        if let Some(prev) = prev {
-            assert_eq!(prev.len(), dim, "round: resume models of two lengths");
-            monitor.on_sync(&model, prev);
+        if prev_bytes.is_some() {
+            monitor.on_sync(&consensus, &scratch);
         }
         let drift = vec![0.0; dim];
         let state = monitor.local_state(&drift);
-        Replica {
+        let replica = Replica {
             avg: state.clone(),
             state,
             monitor,
             theta: spec.fda.theta,
             uplink: spec.codec.build(),
             downlink: spec.downlink.build(),
-            consensus: model,
+            consensus,
             drift,
             summary_due: false,
-            scratch: Vec::new(),
-        }
+            scratch,
+        };
+        Ok((round, replica))
     }
 
     /// `w_t0`, the current consensus.
@@ -808,6 +846,27 @@ mod tests {
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A job of `steps` rounds under `fda`, `downlink`.
+    fn job(fda: FdaConfig, downlink: DownlinkSpec, steps: u32) -> JobSpec {
+        JobSpec {
+            cluster: crate::cluster::ClusterConfig::small_test(2),
+            fda,
+            codec: CodecSpec::Dense,
+            downlink,
+            steps,
+            synth: fda_data::synth::SynthSpec::synth_mnist(),
+            task_name: String::new(),
+        }
+    }
+
+    /// A replica of `spec` admitted at round 0 through `server`'s handoff.
+    fn joined(spec: &JobSpec, server: &Server) -> Replica {
+        let mut handoff = Vec::new();
+        server.resume_payload(0, &mut handoff);
+        let dim = server.consensus().len();
+        Replica::resume(spec, dim, &handoff).expect("own handoff").1
     }
 
     /// `S̄` is `LocalState::average` bit for bit for every summary kind,
@@ -1005,22 +1064,15 @@ mod tests {
         }))
         .collect();
         for variant in kinds {
-            let spec = JobSpec {
-                cluster: crate::cluster::ClusterConfig::small_test(2),
-                fda: FdaConfig {
-                    variant,
-                    theta: 0.5,
-                },
-                codec: CodecSpec::Dense,
-                downlink: DownlinkSpec::Dense,
-                steps: 1,
-                synth: fda_data::synth::SynthSpec::synth_mnist(),
-                task_name: String::new(),
+            let fda = FdaConfig {
+                variant,
+                theta: 0.5,
             };
+            let spec = job(fda, DownlinkSpec::Dense, 1);
             let monitor = variant.build_monitor(d);
             let mut server = Server::new(spec.fda, vec![0.0; d]);
-            let mut replica = Replica::join(&spec, vec![0.0; d], None);
-            let mut probe = Replica::join(&spec, vec![0.0; d], None);
+            let mut replica = joined(&spec, &server);
+            let mut probe = joined(&spec, &server);
             let mut seen = Vec::new();
             for scale in [0.01f32, 10.0] {
                 let states: Vec<LocalState> = (0..2)
@@ -1076,20 +1128,11 @@ mod tests {
             codec: CodecSpec::Uniform8 { chunk: 64 },
         };
         for downlink in [DownlinkSpec::Dense, delta] {
-            let spec = JobSpec {
-                cluster: crate::cluster::ClusterConfig::small_test(2),
-                fda: FdaConfig::linear(0.0),
-                codec: CodecSpec::Dense,
-                downlink,
-                steps: 1,
-                synth: fda_data::synth::SynthSpec::synth_mnist(),
-                task_name: String::new(),
-            };
-            let w0 = random_vec(&mut rng, d);
-            let mut server = Server::new(spec.fda, w0.clone());
+            let spec = job(FdaConfig::linear(0.0), downlink, 1);
+            let mut server = Server::new(spec.fda, random_vec(&mut rng, d));
             server.set_downlink(downlink);
-            let mut replica = Replica::join(&spec, w0, None);
-            let mut probe = Replica::join(&spec, vec![0.0; d], None);
+            let mut replica = joined(&spec, &server);
+            let mut probe = joined(&spec, &server);
             for round in 0..3 {
                 let models = [random_vec(&mut rng, d), random_vec(&mut rng, d)];
                 let refs: Vec<&[f32]> = models.iter().map(|m| m.as_slice()).collect();
@@ -1114,6 +1157,61 @@ mod tests {
                 let adopted = replica.adopt(&payload).expect("own payload").to_vec();
                 assert_eq!(bits(&adopted), bits(server.consensus()), "{case:?}");
             }
+        }
+    }
+
+    /// Known-answer bytes of the handoff with and without the previous
+    /// consensus, and the handoff resumed at the replica's dimension —
+    /// both models in the replica's own buffers. Another dimension, a cut,
+    /// trailing bytes, a bad flag and a round past the job's end are
+    /// refused.
+    #[test]
+    fn resume_roundtrip_with_and_without_prev() {
+        let (model, prev) = ([1.0f32, 2.0], [0.5f32, -1.0]);
+        #[rustfmt::skip]
+        let want: &[u8] = &[
+            6, 0, 0, 0, 1, // round 6, has prev
+            2, 0, 0, 0, 0x00, 0x00, 0x80, 0x3F, 0x00, 0x00, 0x00, 0x40, // model
+            2, 0, 0, 0, 0x00, 0x00, 0x00, 0x3F, 0x00, 0x00, 0x80, 0xBF, // prev
+        ];
+        let spec = job(FdaConfig::linear(0.0), DownlinkSpec::Dense, 6);
+        let mut synced = Server::new(spec.fda, prev.to_vec());
+        synced.commit(&mut SimNetwork::new(1), None, &[&model], &[]);
+        let (mut with, mut without) = (Vec::new(), Vec::new());
+        synced.resume_payload(6, &mut with);
+        Server::new(spec.fda, model.to_vec()).resume_payload(6, &mut without);
+        assert_eq!(with, want);
+        assert_eq!(without, [&want[..4], &[0], &want[5..17]].concat());
+
+        let (round, replica) = Replica::resume(&spec, 2, want).unwrap();
+        assert_eq!(
+            (round, replica.consensus(), &replica.scratch[..]),
+            (6, &model[..], &prev[..])
+        );
+        let (round, replica) = Replica::resume(&spec, 2, &without).unwrap();
+        assert_eq!(
+            (round, replica.consensus(), replica.scratch.len()),
+            (6, &model[..], 0)
+        );
+
+        let bad_flag = [&want[..4], &[2], &want[5..]].concat();
+        let trailing = [want, &[0]].concat();
+        let short_job = job(spec.fda, DownlinkSpec::Dense, 5);
+        for (job, bytes, dim) in [
+            (&spec, want, 3),
+            (&spec, &without[..], 1),
+            (&spec, &want[..want.len() - 1], 2),
+            (&spec, &without[..4], 2),
+            (&spec, &trailing[..], 2),
+            (&spec, &bad_flag[..], 2),
+            (&short_job, want, 2),
+        ] {
+            assert!(
+                Replica::resume(job, dim, bytes).is_err(),
+                "{} bytes at {dim}, {} steps",
+                bytes.len(),
+                job.steps
+            );
         }
     }
 }

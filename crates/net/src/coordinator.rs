@@ -20,8 +20,8 @@
 //! The protocol — membership, epochs, the quorum, deposits, the reduce,
 //! the ledgers, the trajectory — is the machine's ([`crate::machine`]).
 //! What this driver owns is I/O: one accept path for formation's K
-//! workers and each scheduled rejoin (hello handshake, every other
-//! connection parked until its turn), the blocking read schedule (the
+//! workers and each scheduled rejoin (hellos read as they arrive, every
+//! other worker parked until its turn), the blocking read schedule (the
 //! machine's [`CoordinatorMachine::wants`]: the lowest live id that has
 //! not delivered, under the collection's deadline mapped onto the
 //! socket's read timeout), the encode-once fan-out of each broadcast, the
@@ -43,15 +43,14 @@
 //! ([`RoundPolicy::admissions`]) via the versioned `Resume` handoff. The
 //! full argument lives in DESIGN.md § "Failure model".
 
-use crate::frame::{FrameHead, FrameKind, Link, NetError, PROTOCOL_VERSION};
+use crate::frame::{FrameHead, FrameKind, Hello, Link, NetError, PROTOCOL_VERSION};
 use crate::machine::{
     CoordinatorMachine, DropReason, Input, MemberEvent, NetReport, Output, RoundPolicy, To,
 };
-use crate::protocol::Msg;
 use fda_core::round::{self, RunLedger};
 use fda_core::wire::JobSpec;
 use fda_obs::{JsonlWriter, MembershipRecord, RunEvent};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -59,17 +58,10 @@ use std::time::{Duration, Instant};
 /// re-admission for its worker.
 const ACCEPT_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// The socket timeout of every write, and of an admitted link's reads: a
-/// worker that does not drain its receive buffer is dropped instead of
-/// wedging the rendezvous. Each collection's read then runs under the
-/// machine's deadline.
-const IO_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// The longest a new connection's hello may take (less if the accept
-/// deadline is nearer). The hello is read on the accept path, so a
-/// connection that sends nothing holds formation or a re-admission for
-/// this long, not for [`IO_TIMEOUT`]; a worker sends its hello as soon as
-/// it connects.
+/// The longest a new connection may take to send its hello before it is
+/// closed. Hellos are read as they arrive, beside the accept loop, so a
+/// connection that sends nothing holds up no other; a worker sends its
+/// hello as soon as it connects.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// The rendezvous server side of the transport.
@@ -80,10 +72,13 @@ pub struct Coordinator {
 }
 
 /// The links of one run: one slot per worker id, `None` while the worker
-/// is dropped; reconnects parked until their scheduled admission; the raw
-/// bytes of closed links; and the failures the machine has yet to hear of.
+/// is dropped; new connections whose hello has not all arrived, with when
+/// each was accepted; reconnects parked until their scheduled admission;
+/// the raw bytes of closed links; and the failures the machine has yet to
+/// hear of.
 struct Links {
     live: Vec<Option<Link>>,
+    pending: Vec<(Link, Instant)>,
     parked: Vec<(usize, Link)>,
     raw: (u64, u64),
     failed: Vec<(usize, NetError)>,
@@ -115,6 +110,54 @@ impl Links {
                 self.fail(id, e);
             }
         }
+    }
+
+    /// Reads what has arrived of each pending hello, without blocking, and
+    /// parks each whole one. A stray — no hello within [`HELLO_TIMEOUT`],
+    /// or a frame that is no hello — is closed and harms only itself.
+    fn poll_hellos(&mut self) -> Result<(), NetError> {
+        let mut i = 0;
+        while i < self.pending.len() {
+            let (link, since) = &mut self.pending[i];
+            match link.poll_hello() {
+                Ok(None) if since.elapsed() < HELLO_TIMEOUT => i += 1,
+                Ok(Some(hello)) => {
+                    let (link, _) = self.pending.swap_remove(i);
+                    self.park(hello, link)?;
+                }
+                _ => drop(self.pending.swap_remove(i)),
+            }
+        }
+        Ok(())
+    }
+
+    /// Parks `link` under the id its hello claims: a second connection of
+    /// a parked id replaces the first (the worker retried), and a hello
+    /// claiming a live id (a zombie, or a duplicate) or an id outside
+    /// `0..k` has its connection closed. A peer that speaks another
+    /// protocol version fails the run: that is a deployment error, not a
+    /// stray.
+    fn park(&mut self, hello: Hello, link: Link) -> Result<(), NetError> {
+        let (version, id) = (hello.version, hello.worker_id as usize);
+        if version != PROTOCOL_VERSION {
+            return Err(NetError::Protocol(format!(
+                "worker {id} speaks protocol v{version}, coordinator v{PROTOCOL_VERSION}"
+            )));
+        }
+        if id >= self.live.len() {
+            return Ok(());
+        }
+        link.stream.get_ref().set_nonblocking(false)?;
+        if self.live[id].is_some() {
+            self.retire(link);
+            return Ok(());
+        }
+        if let Some(pos) = self.parked.iter().position(|(p, _)| *p == id) {
+            let (_, old) = self.parked.swap_remove(pos);
+            self.retire(old);
+        }
+        self.parked.push((id, link));
+        Ok(())
     }
 
     /// Raw `(tx, rx)` bytes of every link the run opened.
@@ -163,49 +206,12 @@ impl Coordinator {
         self.telemetry = Some(path.into());
     }
 
-    /// Reads a new connection's hello, waiting at most [`HELLO_TIMEOUT`]
-    /// and never past `deadline`: the claimed worker id and the link, or
-    /// `None` for a stray — a connection that sends no hello in time or
-    /// claims an id outside `0..k`, which harms only itself. A peer that
-    /// speaks another protocol version fails the run: that is a
-    /// deployment error, not a stray.
-    fn handshake(
-        stream: TcpStream,
-        k: usize,
-        deadline: Instant,
-    ) -> Result<Option<(usize, Link)>, NetError> {
-        let mut link = Link::new(stream, IO_TIMEOUT)?;
-        // The socket refuses a zero timeout, so an expired deadline waits 1 ms.
-        let left = deadline.saturating_duration_since(Instant::now());
-        link.set_read_timeout(HELLO_TIMEOUT.min(left).max(Duration::from_millis(1)))?;
-        let hello = link
-            .read()
-            .and_then(|(kind, _)| Msg::decode(kind, link.payload()));
-        let Ok(Msg::Hello {
-            version, worker_id, ..
-        }) = hello
-        else {
-            return Ok(None);
-        };
-        let id = worker_id as usize;
-        if version != PROTOCOL_VERSION {
-            return Err(NetError::Protocol(format!(
-                "worker {id} speaks protocol v{version}, coordinator v{PROTOCOL_VERSION}"
-            )));
-        }
-        if id >= k {
-            return Ok(None);
-        }
-        link.set_read_timeout(IO_TIMEOUT)?;
-        Ok(Some((id, link)))
-    }
-
-    /// Waits until worker `id` connects, parking every other connection
-    /// meanwhile: formation's K workers and each scheduled rejoin all come
-    /// in through here. A hello claiming a live id (a zombie, or a
-    /// duplicate) has its connection closed; a second connection of a
-    /// parked id replaces the first (the worker retried); a stray harms
-    /// only itself.
+    /// Waits until worker `id` connects: formation's K workers and each
+    /// scheduled rejoin all come in through here. Every new connection
+    /// waits among the pending hellos, which are read as they arrive
+    /// ([`Links::poll_hellos`]) — a new one at once — so no connection
+    /// holds up another, and every other worker's is parked until its
+    /// turn.
     fn admit(
         &self,
         id: usize,
@@ -214,24 +220,17 @@ impl Coordinator {
         links: &mut Links,
     ) -> Result<Link, NetError> {
         loop {
-            match self.listener.accept() {
+            let accepted = match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    match Self::handshake(stream, links.live.len(), deadline)? {
-                        Some((pid, link)) if links.live[pid].is_some() => links.retire(link),
-                        Some((pid, link)) => {
-                            if let Some(pos) = links.parked.iter().position(|(p, _)| *p == pid) {
-                                let (_, old) = links.parked.swap_remove(pos);
-                                links.retire(old);
-                            }
-                            links.parked.push((pid, link));
-                        }
-                        None => {}
-                    }
-                    continue;
+                    let link = Link::new(stream)?;
+                    link.stream.get_ref().set_nonblocking(true)?;
+                    links.pending.push((link, Instant::now()));
+                    true
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => false,
                 Err(e) => return Err(NetError::Io(e)),
-            }
+            };
+            links.poll_hellos()?;
             if let Some(pos) = links.parked.iter().position(|(pid, _)| *pid == id) {
                 return Ok(links.parked.swap_remove(pos).1);
             }
@@ -241,7 +240,9 @@ impl Coordinator {
                     ACCEPT_TIMEOUT
                 )));
             }
-            std::thread::sleep(Duration::from_millis(2));
+            if !accepted {
+                std::thread::sleep(Duration::from_millis(2));
+            }
         }
     }
 
@@ -266,6 +267,7 @@ impl Coordinator {
         let mut m = CoordinatorMachine::new(spec, &self.policy, tele.is_some());
         let mut links = Links {
             live: (0..spec.cluster.workers).map(|_| None).collect(),
+            pending: Vec::new(),
             parked: Vec::new(),
             raw: (0, 0),
             failed: Vec::new(),

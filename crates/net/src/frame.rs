@@ -30,8 +30,11 @@
 //! * **membership versioning** — `epoch` is the coordinator's membership
 //!   epoch (bumped on every worker drop or rejoin), so a stale deposit
 //!   from a zombie connection is rejected instead of averaged (see
-//!   [`crate::protocol::check_epoch`] and the coordinator's failure
+//!   [`crate::machine::check_epoch`] and the coordinator's failure
 //!   model).
+//!
+//! Every connection opens with a [`Hello`] from the worker, the frame
+//! that gates the protocol version.
 //!
 //! A frame's 13-byte head depends on the payload only through the
 //! checksum, and not on the recipient at all, so a broadcast composes it
@@ -77,6 +80,56 @@ pub const PROTOCOL_VERSION: u16 = 6;
 /// Upper bound on one frame's `len` field (kind byte + payload), defined
 /// beside the job validation that sizes sketch states against it.
 pub use fda_core::wire::MAX_FRAME_BYTES;
+
+/// The socket timeout of every write on either end, and of every read
+/// that runs under no deadline of its own: a peer that stops draining or
+/// sending is dropped instead of wedging the rendezvous.
+const IO_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// The handshake every connection opens with, worker → coordinator:
+/// `[version u16][worker_id u32][last_epoch u32]`. The layout is the one
+/// every peer since v2 speaks, so a peer of any version can be told
+/// apart by it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hello {
+    /// Must equal [`PROTOCOL_VERSION`].
+    pub version: u16,
+    /// The worker's stable id in `0..K` — the reduction order key.
+    pub worker_id: u32,
+    /// The membership epoch the worker last observed: 0 on a fresh join,
+    /// the last epoch it was sent on a reconnect.
+    pub last_epoch: u32,
+}
+
+/// Bytes of a hello frame on the wire: the 13-byte head and the payload.
+const HELLO_FRAME_BYTES: usize = 13 + 10;
+
+impl Hello {
+    /// The hello's payload.
+    pub fn encode(&self) -> [u8; 10] {
+        let mut p = [0u8; 10];
+        p[0..2].copy_from_slice(&self.version.to_le_bytes());
+        p[2..6].copy_from_slice(&self.worker_id.to_le_bytes());
+        p[6..10].copy_from_slice(&self.last_epoch.to_le_bytes());
+        p
+    }
+
+    /// Decodes a frame as a hello: a frame of another kind, or a payload
+    /// of another length, is a protocol error.
+    pub fn decode(kind: FrameKind, payload: &[u8]) -> Result<Hello, NetError> {
+        let (FrameKind::Hello, &[v0, v1, i0, i1, i2, i3, e0, e1, e2, e3]) = (kind, payload) else {
+            let (kind, len) = (kind.label(), payload.len());
+            return Err(NetError::Protocol(format!(
+                "{kind} frame of {len} bytes where a hello was due"
+            )));
+        };
+        Ok(Hello {
+            version: u16::from_le_bytes([v0, v1]),
+            worker_id: u32::from_le_bytes([i0, i1, i2, i3]),
+            last_epoch: u32::from_le_bytes([e0, e1, e2, e3]),
+        })
+    }
+}
 
 /// FNV-1a 32-bit hash — the frame checksum of protocol v2–v4, one
 /// dependent multiply per byte. No transport path computes it any more
@@ -546,17 +599,39 @@ pub(crate) struct Link {
 }
 
 impl Link {
-    /// Wraps a connected stream: blocking, `TCP_NODELAY`, and `io` as the
-    /// read and write timeout (the hang guard).
-    pub(crate) fn new(stream: TcpStream, io: Duration) -> Result<Link, NetError> {
+    /// Wraps a connected stream: blocking, `TCP_NODELAY`, and
+    /// [`IO_TIMEOUT`] as the read and write timeout (the hang guard).
+    pub(crate) fn new(stream: TcpStream) -> Result<Link, NetError> {
         stream.set_nonblocking(false)?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(io))?;
-        stream.set_write_timeout(Some(io))?;
+        stream.set_read_timeout(Some(IO_TIMEOUT))?;
+        stream.set_write_timeout(Some(IO_TIMEOUT))?;
         Ok(Link {
             stream: CountingStream::new(stream),
             rbuf: Vec::new(),
         })
+    }
+
+    /// Reads what has arrived of the hello that opens a new connection,
+    /// without waiting for the rest: `Ok(None)` until the whole frame is
+    /// in, then its hello. Reads the frame's fixed length and no further,
+    /// so the link is left at the frame boundary. The socket must be
+    /// nonblocking.
+    pub(crate) fn poll_hello(&mut self) -> Result<Option<Hello>, NetError> {
+        let mut chunk = [0u8; HELLO_FRAME_BYTES];
+        let want = HELLO_FRAME_BYTES - self.rbuf.len();
+        match self.stream.read(&mut chunk[..want]) {
+            Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into()),
+            Ok(n) => self.rbuf.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+            Err(e) => return Err(e.into()),
+        }
+        if self.rbuf.len() < HELLO_FRAME_BYTES {
+            return Ok(None);
+        }
+        let frame = std::mem::take(&mut self.rbuf);
+        let (kind, _) = read_frame_into(&mut &frame[..], &mut self.rbuf)?;
+        Hello::decode(kind, self.payload()).map(Some)
     }
 
     /// Reads the next frame, returning its kind and epoch stamp.
@@ -1105,6 +1180,57 @@ mod tests {
         assert_eq!(n, 5);
         assert_eq!(cs.tx_bytes(), 5);
         assert_eq!(inner, vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn hello_roundtrip() {
+        let hello = Hello {
+            version: PROTOCOL_VERSION,
+            worker_id: 3,
+            last_epoch: 42,
+        };
+        let mut wire: Vec<u8> = Vec::new();
+        write_frame(&mut wire, 11, FrameKind::Hello, &hello.encode()).unwrap();
+        let (kind, epoch, payload) = read_frame(&mut std::io::Cursor::new(wire)).unwrap();
+        assert_eq!(epoch, 11);
+        assert_eq!(Hello::decode(kind, &payload).unwrap(), hello);
+        for (kind, len) in [
+            (FrameKind::Hello, 9),
+            (FrameKind::Hello, 11),
+            (FrameKind::Shutdown, 10),
+        ] {
+            assert!(matches!(
+                Hello::decode(kind, &vec![0; len]),
+                Err(NetError::Protocol(_))
+            ));
+        }
+    }
+
+    /// The whole hello frame of worker 3, last epoch 42, stamped with
+    /// epoch 11, byte for byte as protocol v6 has always written it: the
+    /// version gate's layout must not move.
+    #[test]
+    fn hello_frame_known_answer() {
+        #[rustfmt::skip]
+        const WANT: [u8; HELLO_FRAME_BYTES] = [
+            0x0B, 0x00, 0x00, 0x00, // len 11
+            0x0B, 0x00, 0x00, 0x00, // epoch 11
+            0x70, 0x70, 0xC0, 0xAB, // CRC-32C
+            0x01, // Hello
+            0x06, 0x00, // version 6
+            0x03, 0x00, 0x00, 0x00, // worker 3
+            0x2A, 0x00, 0x00, 0x00, // last epoch 42
+        ];
+        let hello = Hello {
+            version: 6,
+            worker_id: 3,
+            last_epoch: 42,
+        };
+        assert_eq!(PROTOCOL_VERSION, 6);
+        assert_eq!(
+            encode_frame(11, FrameKind::Hello, &hello.encode()).unwrap(),
+            WANT
+        );
     }
 
     /// The retained FNV export keeps its historical values (the

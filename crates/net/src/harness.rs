@@ -194,8 +194,7 @@ pub fn run_with_spawned_workers(spec: &JobSpec, node_bin: &Path) -> Result<NetRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{write_frame, FrameKind};
-    use crate::protocol::Msg;
+    use crate::frame::{write_frame, FrameKind, Hello, PROTOCOL_VERSION};
     use fda_core::cluster::ClusterConfig;
     use fda_core::fda::{Fda, FdaConfig};
     use fda_core::strategy::Strategy;
@@ -271,13 +270,19 @@ mod tests {
 
         let coordinator = Coordinator::bind("127.0.0.1:0").expect("bind");
         let addr = coordinator.local_addr().expect("addr");
+        let hello = Hello {
+            version: PROTOCOL_VERSION,
+            worker_id: 7,
+            last_epoch: 0,
+        }
+        .encode();
         let strays: Vec<TcpStream> = [Some(FrameKind::Hello), Some(FrameKind::Drift), None]
             .into_iter()
             .filter_map(|kind| {
                 let mut stray = TcpStream::connect(addr).expect("connect");
                 // With no kind, the stray closes before its hello.
                 match kind? {
-                    FrameKind::Hello => Msg::hello(7, 0).send(&mut stray, 0),
+                    FrameKind::Hello => write_frame(&mut stray, 0, FrameKind::Hello, &hello),
                     kind => write_frame(&mut stray, 0, kind, &[0; 4]),
                 }
                 .expect("stray hello");

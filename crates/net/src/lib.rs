@@ -47,11 +47,11 @@
 //!   They own the round's halves ([`fda_core::round`]), membership, epochs,
 //!   the quorum, the deposit slots and the ledgers, and touch no socket
 //!   and no clock (`crates/net/tests/machines.rs` drives them in memory).
+//!   The stale-epoch rule lives here too; the `Resume` handoff is the
+//!   round engine's (`Server::resume_payload` / `Replica::resume`).
 //! * [`frame`] — length-prefixed, checksummed, epoch-stamped frame
-//!   protocol, byte counters, and the one link type both TCP drivers read
-//!   and write frames through.
-//! * [`protocol`] — typed control-plane messages (hello/config/shutdown),
-//!   the `Resume` handoff's encoder and decoder, and the stale-epoch rule.
+//!   protocol, the hello every connection opens with, byte counters, and
+//!   the one link type both TCP drivers read and write frames through.
 //! * [`coordinator`] — the coordinator's TCP driver: one accept-and-park
 //!   path for formation and rejoins, the id-order blocking read schedule
 //!   under each collection's deadline, encode-once fan-out, raw byte
@@ -65,18 +65,16 @@ pub mod coordinator;
 pub mod frame;
 pub mod harness;
 pub mod machine;
-pub mod protocol;
 pub mod worker;
 
 pub use coordinator::{run_event, Coordinator};
-pub use frame::{FrameKind, NetError, PROTOCOL_VERSION};
+pub use frame::{FrameKind, Hello, NetError, PROTOCOL_VERSION};
 pub use harness::{
     run_with_spawned_workers, run_with_thread_workers, run_with_thread_workers_telemetry,
     SpawnedWorkers,
 };
 pub use machine::{
     CoordinatorMachine, DropReason, Input, MemberEvent, MembershipEvent, NetReport, Output,
-    RoundPolicy, To, WorkerMachine,
+    RoundPolicy, To, WorkerMachine, MAX_STALE_FRAMES,
 };
-pub use protocol::{Msg, MAX_STALE_FRAMES};
 pub use worker::{run_worker, WorkerOptions, WorkerSummary};

@@ -32,7 +32,6 @@
 //! its frame handler, because it is compute, not I/O.
 
 use crate::frame::{FrameKind, NetError};
-use crate::protocol::{check_epoch, decode_resume, encode_resume, Msg};
 use fda_comm::{sim::per_worker_bytes, Dense32, SimNetwork};
 use fda_core::cluster::Worker;
 use fda_core::monitor::LocalState;
@@ -46,6 +45,40 @@ use fda_obs::{DropRecord, RoundEvent};
 use fda_tensor::vector;
 use std::collections::VecDeque;
 use std::time::Duration;
+
+/// How many consecutive stale-epoch frames [`check_epoch`] will discard
+/// on one connection before declaring the peer a protocol
+/// violator. A legitimate zombie has at most a handful of in-flight
+/// frames; an endless stale stream is a broken or hostile peer.
+pub const MAX_STALE_FRAMES: u32 = 8;
+
+/// The epoch rule for one frame on a link whose peer was last sent
+/// `current`: `Ok(true)` delivers it, `Ok(false)` discards it.
+///
+/// A frame from an **older** epoch is discarded on its header alone (up to
+/// [`MAX_STALE_FRAMES`] in a row, counted in `stale`): it is the in-flight
+/// deposit of a connection that raced a membership change — a zombie's
+/// state must be dropped, not averaged into `S̄`, and need not even be
+/// decodable. A frame claiming a **future** epoch is a protocol violation
+/// (the coordinator is the only epoch authority).
+pub fn check_epoch(epoch: u32, current: u32, stale: &mut u32) -> Result<bool, NetError> {
+    if epoch == current {
+        *stale = 0;
+        return Ok(true);
+    }
+    if epoch > current {
+        return Err(NetError::Protocol(format!(
+            "frame from future epoch {epoch} (current {current})"
+        )));
+    }
+    *stale += 1;
+    if *stale > MAX_STALE_FRAMES {
+        return Err(NetError::Protocol(format!(
+            "more than {MAX_STALE_FRAMES} stale-epoch frames (last {epoch}, current {current})"
+        )));
+    }
+    Ok(false)
+}
 
 /// Why the coordinator dropped a worker from the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -482,8 +515,8 @@ impl<'a> CoordinatorMachine<'a> {
                 &self.join
             }
             FrameKind::Resume => {
-                let (model, prev) = (self.server.consensus(), self.server.previous());
-                self.join = encode_resume(self.round, model, prev);
+                self.join.clear();
+                self.server.resume_payload(self.round, &mut self.join);
                 &self.join
             }
             FrameKind::AvgState => self.server.avg_state_payload(),
@@ -937,20 +970,13 @@ impl WorkerMachine {
         }
         let (spec, dim) = self.spec.as_ref().expect("a configured session");
         if kind == FrameKind::Resume {
-            // The versioned handoff, checked before anything is built: the
-            // replica rebuilt from `(seed, id)` and the consensus loaded —
-            // at formation `w_0` into a replica already holding `w_0`, a
-            // bitwise no-op.
-            let (start, model, prev) = decode_resume(payload, *dim)?;
-            if start > spec.steps {
-                return Err(fail(format!(
-                    "resume at round {start} past the job's {} steps",
-                    spec.steps
-                )));
-            }
+            // The versioned handoff, checked before the task is generated:
+            // the replica rebuilt from `(seed, id)` and the consensus
+            // loaded — at formation `w_0` into a replica already holding
+            // `w_0`, a bitwise no-op.
+            let (start, replica) = Replica::resume(spec, *dim, payload).map_err(fail)?;
             let task = spec.synth.generate(&spec.task_name);
             let mut worker = spec.cluster.build_worker(&task.train, id as usize);
-            let replica = Replica::join(spec, model, prev.as_deref());
             worker.model_mut().load_params(replica.consensus());
             let round = start;
             self.joined = Some(Joined {
@@ -992,7 +1018,9 @@ impl WorkerMachine {
                 }
             }
             FrameKind::Shutdown => {
-                Msg::decode(kind, payload)?;
+                if !payload.is_empty() {
+                    return Err(fail("shutdown with a payload".to_string()));
+                }
                 self.done = Some(Ok(u64::from(spec.steps - j.start)));
                 return Ok(false);
             }
@@ -1022,5 +1050,158 @@ impl WorkerMachine {
             encode_vector_coded_into(&j.worker.params(), &Dense32, &mut self.ubuf);
             (self.out, self.expect) = (Some(FrameKind::FinalModel), FrameKind::Shutdown);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::{read_frame_into, write_frame};
+    use fda_core::fda::FdaConfig;
+    use fda_core::monitor::{LinearMonitor, SketchMonitor, VarianceMonitor};
+    use fda_core::wire::{decode_state_coded, decode_vector_coded, encode_state_coded};
+    use fda_sketch::SketchConfig;
+
+    fn job(fda: FdaConfig) -> JobSpec {
+        JobSpec {
+            cluster: fda_core::cluster::ClusterConfig::small_test(2),
+            fda,
+            codec: fda_comm::CodecSpec::Dense,
+            downlink: fda_comm::DownlinkSpec::Dense,
+            steps: 4,
+            synth: fda_data::synth::SynthSpec {
+                n_train: 64,
+                n_test: 16,
+                ..fda_data::synth::SynthSpec::synth_mnist()
+            },
+            task_name: "machine".to_string(),
+        }
+    }
+
+    /// The first frame on `wire` that [`check_epoch`] delivers at `epoch`.
+    fn recv_at(wire: Vec<u8>, epoch: u32, buf: &mut Vec<u8>) -> Result<FrameKind, NetError> {
+        let (mut r, mut stale) = (std::io::Cursor::new(wire), 0);
+        loop {
+            let (kind, frame_epoch) = read_frame_into(&mut r, buf)?;
+            if check_epoch(frame_epoch, epoch, &mut stale)? {
+                return Ok(kind);
+            }
+        }
+    }
+
+    /// A local state survives the data-plane frame (through the epoch
+    /// filter) bit for bit, and the server's decision broadcast reaches a
+    /// replica, which reads back the server's decision.
+    #[test]
+    fn state_and_avg_state_roundtrip_bitwise() {
+        let drift: Vec<f32> = (0..96).map(|i| (i as f32 * 0.11).sin()).collect();
+        let through_a_frame = |kind, payload: &[u8], buf: &mut Vec<u8>| {
+            let mut wire: Vec<u8> = Vec::new();
+            write_frame(&mut wire, 11, kind, payload).unwrap();
+            let got = recv_at(wire, 11, buf).unwrap();
+            assert_eq!(got, kind);
+        };
+        for fda in [
+            FdaConfig::linear(0.01),
+            FdaConfig {
+                variant: fda_core::fda::FdaVariant::Sketch(SketchConfig::new(3, 16, 5)),
+                theta: 0.01,
+            },
+        ] {
+            let state = fda.variant.build_monitor(drift.len()).local_state(&drift);
+            let mut buf = Vec::new();
+            through_a_frame(
+                FrameKind::State,
+                &encode_state_coded(&state, &Dense32),
+                &mut buf,
+            );
+            assert_eq!(
+                decode_state_coded(&buf[1..], &state, &Dense32).unwrap(),
+                state
+            );
+
+            let mut server = Server::new(fda, vec![0.0; drift.len()]);
+            let mut handoff = Vec::new();
+            server.resume_payload(0, &mut handoff);
+            let (_, mut replica) = Replica::resume(&job(fda), drift.len(), &handoff).unwrap();
+            let mut net = fda_comm::SimNetwork::new(1);
+            let (_, sync) = server.decide(&mut net, None, &[&state], &[]);
+            through_a_frame(FrameKind::AvgState, server.avg_state_payload(), &mut buf);
+            assert_eq!(replica.check(&buf[1..]), Ok(sync));
+            assert_eq!(
+                decode_state_coded(&buf[2..], &state, &Dense32).unwrap(),
+                state
+            );
+        }
+    }
+
+    /// A parameter vector round-trips as the final model, decoded into a
+    /// slot of the receiver's dimension, and as a dense model upload its
+    /// accounted payload — the frame payload minus the 4-byte length
+    /// header — is `d·4`.
+    #[test]
+    fn model_roundtrip_and_accounting() {
+        let v: Vec<f32> = (0..1000).map(|i| i as f32 * 0.5).collect();
+        let upload = fda_core::wire::encode_vector_coded(&v, &Dense32);
+        let mut wire: Vec<u8> = Vec::new();
+        write_frame(&mut wire, 11, FrameKind::FinalModel, &upload).unwrap();
+        let mut buf = Vec::new();
+        let (kind, _) = read_frame_into(&mut std::io::Cursor::new(wire), &mut buf).unwrap();
+        assert_eq!(kind, FrameKind::FinalModel);
+        let mut slot = vec![0.0f32; 1000];
+        decode_vector_coded_into(&buf[1..], &mut slot, &Dense32).unwrap();
+        assert_eq!(slot, v);
+        assert_eq!(upload.len() as u64 - 4, 4000);
+    }
+
+    /// A dense state frame's accounted payload — the frame payload minus
+    /// its uncharged tag/shape header — is the monitor's `state_bytes`,
+    /// the exact quantity the simulator charges per step.
+    #[test]
+    fn state_accounting_matches_monitor_convention() {
+        let drift: Vec<f32> = (0..64).map(|i| i as f32).collect();
+        let lin = LinearMonitor::new();
+        let sk = SketchMonitor::new(SketchConfig::new(5, 25, 1), 64);
+        for (state, charged) in [
+            (lin.local_state(&drift), lin.state_bytes()),
+            (sk.local_state(&drift), sk.state_bytes()),
+        ] {
+            let accounted =
+                encode_state_coded(&state, &Dense32).len() as u64 - state_frame_overhead(&state);
+            assert_eq!(accounted, charged);
+        }
+    }
+
+    /// The zombie guard: stale-epoch frames are skipped, the current-epoch
+    /// frame behind them is delivered, future epochs and stale floods are
+    /// protocol errors.
+    #[test]
+    fn stale_epochs_skipped_future_rejected() {
+        let state = encode_state_coded(
+            &LinearMonitor::new().local_state(&[1.0, 2.0, 3.0]),
+            &Dense32,
+        );
+        let recv = |wire: Vec<u8>, buf: &mut Vec<u8>| recv_at(wire, 5, buf);
+        let mut wire: Vec<u8> = Vec::new();
+        write_frame(&mut wire, 3, FrameKind::State, &state).unwrap(); // stale
+        write_frame(&mut wire, 4, FrameKind::State, &state).unwrap(); // stale
+        let live = fda_core::wire::encode_vector_coded(&[9.0], &Dense32);
+        write_frame(&mut wire, 5, FrameKind::FinalModel, &live).unwrap(); // current
+        let mut buf = Vec::new();
+        assert_eq!(recv(wire, &mut buf).unwrap(), FrameKind::FinalModel);
+        assert_eq!(decode_vector_coded(&buf[1..], 1, &Dense32).unwrap(), [9.0]);
+
+        // Future epoch → protocol violation.
+        let mut wire: Vec<u8> = Vec::new();
+        write_frame(&mut wire, 9, FrameKind::State, &state).unwrap();
+        assert!(matches!(recv(wire, &mut buf), Err(NetError::Protocol(_))));
+
+        // A flood of stale frames → protocol violation, not an endless
+        // discard loop.
+        let mut wire: Vec<u8> = Vec::new();
+        for _ in 0..(MAX_STALE_FRAMES + 2) {
+            write_frame(&mut wire, 1, FrameKind::State, &state).unwrap();
+        }
+        assert!(matches!(recv(wire, &mut buf), Err(NetError::Protocol(_))));
     }
 }

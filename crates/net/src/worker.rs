@@ -29,9 +29,9 @@
 //! given the coordinator's admission schedule, though not a continuation
 //! of the dropped session's local trajectory.
 
-use crate::frame::{FrameHead, Link, NetError};
+use crate::frame::{FrameHead, FrameKind, Hello, Link, NetError, PROTOCOL_VERSION};
 use crate::machine::{Input, Output, WorkerMachine};
-use crate::protocol::Msg;
+use fda_tensor::Rng;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -53,8 +53,6 @@ pub struct WorkerOptions {
     /// Deadline for each session's connect loop (the coordinator may
     /// still be binding when a spawned worker starts).
     pub connect_timeout: Duration,
-    /// Per-read/per-write socket timeout (the hang guard).
-    pub io_timeout: Duration,
     /// Reconnect attempts after a retryable session failure; each is a
     /// backoff-paced connect loop under `connect_timeout`. With 0 the first
     /// failure is final.
@@ -65,7 +63,6 @@ impl Default for WorkerOptions {
     fn default() -> WorkerOptions {
         WorkerOptions {
             connect_timeout: Duration::from_secs(20),
-            io_timeout: Duration::from_secs(60),
             rejoin: 0,
         }
     }
@@ -98,8 +95,17 @@ fn connect<A: ToSocketAddrs + ?Sized>(
         }
     };
     backoff.reset();
-    let mut link = Link::new(stream, opts.io_timeout)?;
-    Msg::hello(id, last_epoch).send(&mut link.stream, last_epoch)?;
+    let mut link = Link::new(stream)?;
+    let hello = Hello {
+        version: PROTOCOL_VERSION,
+        worker_id: id,
+        last_epoch,
+    }
+    .encode();
+    link.write(
+        &FrameHead::new(last_epoch, FrameKind::Hello, &hello)?,
+        &hello,
+    )?;
     Ok(link)
 }
 
@@ -183,7 +189,7 @@ struct Backoff {
     base: Duration,
     cap: Duration,
     attempt: u32,
-    rng: SplitMix64,
+    rng: Rng,
 }
 
 impl Backoff {
@@ -193,7 +199,7 @@ impl Backoff {
             base,
             cap,
             attempt: 0,
-            rng: SplitMix64::new(seed),
+            rng: Rng::new(seed),
         }
     }
 
@@ -206,7 +212,7 @@ impl Backoff {
             .saturating_mul(1u32 << exp)
             .min(self.cap)
             .as_micros() as u64;
-        let jittered = full / 2 + self.rng.next() % (full / 2 + 1);
+        let jittered = full / 2 + self.rng.next_u64() % (full / 2 + 1);
         Duration::from_micros(jittered)
     }
 
@@ -216,39 +222,16 @@ impl Backoff {
     }
 }
 
-/// SplitMix64 — tiny, dependency-free PRNG for backoff jitter.
-/// Not used anywhere numerics-bearing.
-#[derive(Debug, Clone)]
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// Seeds the generator.
-    fn new(seed: u64) -> SplitMix64 {
-        SplitMix64 { state: seed }
-    }
-
-    /// Next 64-bit value.
-    #[allow(clippy::should_implement_trait)] // not an Iterator; infinite stream
-    fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{read_frame_into, write_frame, FrameKind};
+    use crate::frame::{read_frame_into, write_frame};
     use fda_comm::Dense32;
     use fda_core::cluster::ClusterConfig;
     use fda_core::fda::FdaConfig;
     use fda_core::monitor::LocalState;
-    use fda_core::wire::JobSpec;
+    use fda_core::round::Server;
+    use fda_core::wire::{encode_job, JobSpec};
     use fda_data::synth::SynthSpec;
     use std::net::TcpListener;
 
@@ -291,9 +274,12 @@ mod tests {
         let w0 = spec.cluster.model.build(spec.cluster.seed, 0).params_flat();
         let coordinator = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().expect("accept");
-            Msg::recv(&mut stream).expect("hello");
-            Msg::Config(Box::new(spec)).send(&mut stream, 1).unwrap();
-            let resume = crate::protocol::encode_resume(round, &w0, None);
+            let mut buf = Vec::new();
+            let (kind, _) = read_frame_into(&mut stream, &mut buf).expect("hello");
+            Hello::decode(kind, &buf[1..]).expect("hello");
+            write_frame(&mut stream, 1, FrameKind::Config, &encode_job(&spec)).unwrap();
+            let mut resume = Vec::new();
+            Server::new(spec.fda, w0).resume_payload(round, &mut resume);
             // The worker may hang up before the handoff arrives.
             let _ = write_frame(&mut stream, 1, FrameKind::Resume, &resume);
             let next = read_frame_into(&mut stream, &mut Vec::new());
@@ -312,7 +298,7 @@ mod tests {
                 }
                 Reply::Shutdown => {
                     if let Ok((FrameKind::FinalModel, _)) = next {
-                        Msg::Shutdown.send(&mut stream, 1).unwrap();
+                        write_frame(&mut stream, 1, FrameKind::Shutdown, &[]).unwrap();
                     }
                 }
             }

@@ -188,7 +188,6 @@ fn main() {
             let opts = WorkerOptions {
                 connect_timeout: timeout,
                 rejoin: parse(&args, "--rejoin", 0u32),
-                ..WorkerOptions::default()
             };
             match run_worker(addr.as_str(), id, &opts) {
                 Ok(summary) => {

@@ -341,18 +341,19 @@ fn mixed_arm_run(tag: &str, spec: &JobSpec) {
 /// v4 is turned away at the handshake with the version-mismatch error.
 #[test]
 fn v4_hello_is_rejected_at_the_handshake() {
-    use fda::net::{Coordinator, Msg, NetError};
+    use fda::net::frame::write_frame;
+    use fda::net::{Coordinator, FrameKind, Hello, NetError};
 
     let coordinator = Coordinator::bind("127.0.0.1:0").expect("bind");
     let addr = coordinator.local_addr().expect("addr");
     let peer = std::thread::spawn(move || {
         let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-        let hello = Msg::Hello {
+        let hello = Hello {
             version: 4,
             worker_id: 0,
             last_epoch: 0,
         };
-        hello.send(&mut stream, 0).expect("send hello");
+        write_frame(&mut stream, 0, FrameKind::Hello, &hello.encode()).expect("send hello");
         // Hold the socket open until the coordinator has answered by
         // closing it.
         let _ = std::io::Read::read(&mut stream, &mut [0u8; 1]);

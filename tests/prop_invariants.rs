@@ -470,7 +470,7 @@ fn wire_decoders_are_total_under_fuzz() {
 /// encoded job with an out-of-range value must decode to `Err`.
 #[test]
 fn degenerate_jobs_are_refused_at_every_entrance() {
-    use fda::net::{Coordinator, Msg, NetError};
+    use fda::net::{Coordinator, NetError};
     let job = wire::JobSpec {
         cluster: fda::core::cluster::ClusterConfig::small_test(3),
         fda: fda::core::fda::FdaConfig::linear(0.01),
@@ -485,7 +485,7 @@ fn degenerate_jobs_are_refused_at_every_entrance() {
         task_name: "degenerate".to_string(),
     };
     let bytes = wire::encode_job(&job);
-    assert!(Msg::decode(FrameKind::Config, &bytes).is_ok());
+    assert!(wire::decode_job(&bytes).is_ok());
     // Where a u32 field sits in the frame: the first byte that moves when
     // every bit of the field is inverted.
     let offset_of = |invert: fn(&mut wire::JobSpec)| {
@@ -507,10 +507,7 @@ fn degenerate_jobs_are_refused_at_every_entrance() {
         let mut buf = bytes.clone();
         buf[at..at + 4].copy_from_slice(&value.to_le_bytes());
         assert!(
-            matches!(
-                Msg::decode(FrameKind::Config, &buf),
-                Err(NetError::Decode(wire::DecodeError::Malformed(_)))
-            ),
+            matches!(wire::decode_job(&buf), Err(wire::DecodeError::Malformed(_))),
             "config frame with {value} at byte {at} must be refused"
         );
     }
@@ -522,7 +519,7 @@ fn degenerate_jobs_are_refused_at_every_entrance() {
         theta: 0.01,
     };
     let sketch_bytes = wire::encode_job(&sketch_job);
-    assert!(Msg::decode(FrameKind::Config, &sketch_bytes).is_ok());
+    assert!(wire::decode_job(&sketch_bytes).is_ok());
     let dims_at = (0..sketch_bytes.len())
         .find(|&i| sketch_bytes[i..].starts_with(&[5, 0, 250, 0]))
         .unwrap();
@@ -532,10 +529,7 @@ fn degenerate_jobs_are_refused_at_every_entrance() {
         buf[dims_at..dims_at + 2].copy_from_slice(&rows.to_le_bytes());
         buf[dims_at + 2..dims_at + 4].copy_from_slice(&cols.to_le_bytes());
         assert!(
-            matches!(
-                Msg::decode(FrameKind::Config, &buf),
-                Err(NetError::Decode(wire::DecodeError::Malformed(_)))
-            ),
+            matches!(wire::decode_job(&buf), Err(wire::DecodeError::Malformed(_))),
             "config frame asking for a {rows}x{cols} sketch must be refused"
         );
     }
@@ -564,15 +558,15 @@ fn degenerate_jobs_are_refused_at_every_entrance() {
         });
         assert!(
             matches!(
-                Msg::decode(FrameKind::Config, &bytes),
-                Err(NetError::Decode(wire::DecodeError::Malformed(_)))
+                wire::decode_job(&bytes),
+                Err(wire::DecodeError::Malformed(_))
             ),
             "a LeNet job on {synth:?} must be refused"
         );
     }
     let mut transfer = job.clone();
     (transfer.cluster.model, transfer.synth) = (fda::nn::zoo::ModelId::TransferHead, transfer_task);
-    assert!(Msg::decode(FrameKind::Config, &wire::encode_job(&transfer)).is_ok());
+    assert!(wire::decode_job(&wire::encode_job(&transfer)).is_ok());
 
     // The coordinator API refuses before it waits for anyone.
     for degenerate in [
@@ -614,13 +608,13 @@ fn degenerate_jobs_are_refused_at_every_entrance() {
 // ---------------------------------------------------------------------------
 
 /// A random frame covering every frame kind the transport ships: the
-/// typed messages (extended hello, shutdown) and the raw payloads that
+/// control frames (extended hello, shutdown) and the raw payloads that
 /// carry `f32` runs (a state deposit, the averaged state + decision, a
 /// model upload, a dense consensus broadcast, the final model, the
 /// versioned `Resume` handoff with and without a previous model).
 fn random_frame(rng: &mut Rng) -> (FrameKind, Vec<u8>) {
     use fda::comm::Dense32;
-    use fda::net::Msg;
+    use fda::net::{Hello, PROTOCOL_VERSION};
     let vector = |rng: &mut Rng, len: usize, out: &mut Vec<u8>| {
         let mut v = vec![0.0f32; len];
         rng.fill_uniform(&mut v, -4.0, 4.0);
@@ -630,8 +624,12 @@ fn random_frame(rng: &mut Rng) -> (FrameKind, Vec<u8>) {
     let len = (rng.next_u64() % 60) as usize;
     let kind = match rng.next_u64() % 8 {
         0 => {
-            return Msg::hello((rng.next_u64() % 64) as u32, (rng.next_u64() % 1000) as u32)
-                .encode()
+            let hello = Hello {
+                version: PROTOCOL_VERSION,
+                worker_id: (rng.next_u64() % 64) as u32,
+                last_epoch: (rng.next_u64() % 1000) as u32,
+            };
+            return (FrameKind::Hello, hello.encode().to_vec());
         }
         1 => {
             wire::encode_state_coded_into(&random_state(rng), &Dense32, &mut p);
@@ -663,7 +661,7 @@ fn random_frame(rng: &mut Rng) -> (FrameKind, Vec<u8>) {
             }
             FrameKind::Resume
         }
-        _ => return Msg::Shutdown.encode(),
+        _ => return (FrameKind::Shutdown, Vec::new()),
     };
     (kind, p)
 }
@@ -677,14 +675,14 @@ fn read_frame(bytes: &[u8]) -> Result<(FrameKind, u32, Vec<u8>), fda::net::NetEr
 }
 
 /// Every frame — extended hello and `Resume` included — must survive
-/// `write → read` with its kind, epoch stamp and payload intact, and every
-/// typed message must re-encode to the exact same frame bytes (the
-/// transport's framing invariant, over the epoch-stamped checksummed
-/// header).
+/// `write → read` with its kind, epoch stamp and payload intact; a hello
+/// must re-encode to the exact same frame bytes (the transport's framing
+/// invariant, over the epoch-stamped checksummed header), and every frame
+/// goes through the hello and job decoders, which refuse all but a hello.
 #[test]
 fn frame_msg_roundtrip_preserves_epoch_and_bytes() {
     use fda::net::frame::write_frame;
-    use fda::net::Msg;
+    use fda::net::Hello;
     for case in 0..CASES {
         let mut rng = Rng::new(0xD1_0000 + case);
         let (kind, payload) = random_frame(&mut rng);
@@ -695,27 +693,24 @@ fn frame_msg_roundtrip_preserves_epoch_and_bytes() {
         assert_eq!(back_epoch, epoch, "case {case}: epoch stamp changed");
         assert_eq!(back_kind, kind, "case {case}: kind changed");
         assert_eq!(back, payload, "case {case}: payload changed");
-        // Typed messages re-encode to the same frame; frames carrying
-        // `f32` runs are not messages.
-        match Msg::recv(&mut std::io::Cursor::new(&bytes)) {
-            Ok((msg, _)) => {
+        // A hello re-encodes to the same frame; no other frame is one,
+        // and none is a job.
+        match Hello::decode(back_kind, &back) {
+            Ok(hello) => {
                 let mut re: Vec<u8> = Vec::new();
-                msg.send(&mut re, epoch).expect("re-encode");
+                write_frame(&mut re, epoch, kind, &hello.encode()).expect("re-encode");
                 assert_eq!(re, bytes, "case {case}: re-encode not byte-identical");
             }
-            Err(_) => assert!(
-                matches!(
-                    kind,
-                    FrameKind::State
-                        | FrameKind::AvgState
-                        | FrameKind::Model
-                        | FrameKind::AvgModel
-                        | FrameKind::FinalModel
-                        | FrameKind::Resume
-                ),
-                "case {case}: a {kind:?} message did not decode"
+            Err(_) => assert_ne!(
+                kind,
+                FrameKind::Hello,
+                "case {case}: a hello did not decode"
             ),
         }
+        assert!(
+            wire::decode_job(&back).is_err(),
+            "case {case}: a {kind:?} payload decoded as a job"
+        );
         // Any strict truncation of the stream must fail cleanly, and a
         // truncation that cuts the payload (past the checksummed header's
         // length field) must look like a disconnect, never decode.
@@ -786,8 +781,8 @@ fn spliced_stale_epoch_frames_are_rejected() {
     use fda::comm::Dense32;
     use fda::net::frame::read_frame_into;
     use fda::net::frame::write_frame;
-    use fda::net::protocol::check_epoch;
-    use fda::net::{Msg, NetError, MAX_STALE_FRAMES};
+    use fda::net::machine::check_epoch;
+    use fda::net::{NetError, MAX_STALE_FRAMES};
     // The coordinator machine's epoch rule over one stream: the first
     // frame it delivers.
     let recv = |stream: &[u8], epoch: u32| {
@@ -837,9 +832,9 @@ fn spliced_stale_epoch_frames_are_rejected() {
     // The flood bound: one more stale frame than the filter tolerates.
     let mut stream: Vec<u8> = Vec::new();
     for _ in 0..(MAX_STALE_FRAMES + 1) {
-        Msg::Shutdown.send(&mut stream, 1).expect("encode");
+        write_frame(&mut stream, 1, FrameKind::Shutdown, &[]).expect("encode");
     }
-    Msg::Shutdown.send(&mut stream, 5).expect("encode");
+    write_frame(&mut stream, 5, FrameKind::Shutdown, &[]).expect("encode");
     assert!(
         matches!(recv(&stream, 5), Err(NetError::Protocol(_))),
         "a stale flood must not be skipped forever"

@@ -25,7 +25,7 @@
 use crate::in_memory::{Action, Fault};
 use fda::core::wire::JobSpec;
 use fda::net::frame::{encode_frame, read_frame_into, write_frame};
-use fda::net::{Coordinator, FrameKind, Msg, NetError, NetReport, RoundPolicy, SpawnedWorkers};
+use fda::net::{Coordinator, FrameKind, Hello, NetError, NetReport, RoundPolicy, SpawnedWorkers};
 use std::io::Write as _;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
@@ -43,18 +43,19 @@ pub fn run_relayed(
     faults: &[Fault],
     telemetry: Option<&Path>,
 ) -> Result<NetReport, NetError> {
-    run(spec, policy, faults, telemetry, false)
+    run(spec, policy, faults, telemetry, 0)
 }
 
-/// Runs `spec` like [`run_relayed`] without faults, behind one relayed
-/// connection that reaches the coordinator ahead of every worker and then
-/// sends nothing until the run ends.
+/// Runs `spec` like [`run_relayed`] without faults, behind `silent`
+/// relayed connections that reach the coordinator ahead of every worker
+/// and then send nothing until the run ends.
 #[allow(dead_code)] // obs_telemetry.rs shares this module and runs none
-pub fn run_relayed_behind_silent_peer(
+pub fn run_relayed_behind_silent_peers(
     spec: &JobSpec,
     policy: &RoundPolicy,
+    silent: usize,
 ) -> Result<NetReport, NetError> {
-    run(spec, policy, &[], None, true)
+    run(spec, policy, &[], None, silent)
 }
 
 fn run(
@@ -62,7 +63,7 @@ fn run(
     policy: &RoundPolicy,
     faults: &[Fault],
     telemetry: Option<&Path>,
-    silent_peer: bool,
+    silent: usize,
 ) -> Result<NetReport, NetError> {
     let mut coordinator = Coordinator::bind("127.0.0.1:0")?;
     if let Some(path) = telemetry {
@@ -70,11 +71,11 @@ fn run(
     }
     coordinator.set_policy(policy.clone());
     let relay = Relay::start(coordinator.local_addr()?, faults, policy.deposit_timeout)?;
-    // The relay accepts in arrival order, so this connection reaches the
+    // The relay accepts in arrival order, so these connections reach the
     // coordinator's backlog before any spawned worker's.
-    let _silent = silent_peer
-        .then(|| TcpStream::connect(relay.addr))
-        .transpose()?;
+    let _silent = (0..silent)
+        .map(|_| TcpStream::connect(relay.addr))
+        .collect::<Result<Vec<_>, _>>()?;
     let node_bin = Path::new(env!("CARGO_BIN_EXE_fda_node"));
     let workers = SpawnedWorkers::spawn(spec, node_bin, relay.addr, policy)?;
     let report = workers.run(coordinator, spec, |id| {
@@ -169,9 +170,7 @@ fn forward(
 ) -> Result<(), NetError> {
     let mut buf = Vec::new();
     let (kind, epoch) = read_frame_into(worker, &mut buf)?;
-    let Msg::Hello { worker_id, .. } = Msg::decode(kind, &buf[1..])? else {
-        return Err(NetError::Protocol("a session opens with its hello".into()));
-    };
+    let Hello { worker_id, .. } = Hello::decode(kind, &buf[1..])?;
     write_frame(coordinator, epoch, kind, &buf[1..])?;
     let id = worker_id as usize;
     let first = {
