@@ -1204,4 +1204,32 @@ mod tests {
         }
         assert!(matches!(recv(wire, &mut buf), Err(NetError::Protocol(_))));
     }
+
+    /// A `Config` frame whose job asks for a sketch big enough to exhaust
+    /// memory ends the worker's session with a decode error before any
+    /// model or monitor is built.
+    #[test]
+    fn config_frame_asking_for_a_huge_sketch_is_refused() {
+        let job = job(FdaConfig {
+            variant: fda_core::fda::FdaVariant::Sketch(SketchConfig::new(65_535, 65_535, 7)),
+            theta: 0.1,
+        });
+        let mut wire: Vec<u8> = Vec::new();
+        write_frame(&mut wire, 1, FrameKind::Config, &encode_job(&job)).unwrap();
+        let mut buf = Vec::new();
+        assert_eq!(recv_at(wire, 1, &mut buf).unwrap(), FrameKind::Config);
+        let mut m = WorkerMachine::new(0, 0);
+        m.handle(Input::Frame {
+            from: 0,
+            kind: FrameKind::Config,
+            epoch: 1,
+            payload: &buf[1..],
+        });
+        assert!(matches!(
+            m.poll(),
+            Some(Output::Done(Err(NetError::Decode(
+                fda_core::wire::DecodeError::Malformed(_)
+            ))))
+        ));
+    }
 }
