@@ -425,12 +425,6 @@ impl TopK {
         TopK { k }
     }
 
-    /// Keeps a fixed fraction of the entries (at least 1).
-    pub fn fraction(n: usize, frac: f64) -> TopK {
-        assert!((0.0..=1.0).contains(&frac), "top-k: fraction in [0, 1]");
-        TopK::new(((n as f64 * frac) as usize).max(1))
-    }
-
     /// Entries kept.
     pub fn k(&self) -> usize {
         self.k
@@ -512,11 +506,6 @@ impl DriftMask {
             "drift-mask: threshold must be finite and non-negative"
         );
         DriftMask { threshold }
-    }
-
-    /// The magnitude threshold.
-    pub fn threshold(&self) -> f32 {
-        self.threshold
     }
 }
 
@@ -1122,7 +1111,7 @@ mod tests {
 
     #[test]
     fn topk_fraction_and_bytes() {
-        let codec = TopK::fraction(10_000, 0.01);
+        let codec = TopK::new(10_000 / 100); // 1 % of the entries
         let v = sample(10_000, 11);
         assert_eq!(codec.encode(&v).len(), 100 * 8);
         let full = TopK::new(20);

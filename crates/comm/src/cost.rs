@@ -30,7 +30,7 @@ impl Environment {
     }
 
     /// Balanced regime: communication and computation comparable.
-    pub fn balanced() -> Environment {
+    fn balanced() -> Environment {
         Environment {
             name: "Balanced",
             bandwidth: 5e9 / 8.0,
@@ -41,7 +41,7 @@ impl Environment {
 
     /// The paper's ARIS-HPC regime: InfiniBand FDR14 (~56 Gbps), compute
     /// dominates.
-    pub fn hpc() -> Environment {
+    fn hpc() -> Environment {
         Environment {
             name: "ARIS-HPC",
             bandwidth: 56e9 / 8.0,

@@ -6,9 +6,13 @@
 //! transmitted by all workers" (§4.1), explicitly agnostic to the cluster
 //! fabric. This crate therefore provides:
 //!
+//! * [`sim::per_worker_bytes`] — the paper's per-worker-payload
+//!   convention, which the round engine (`fda_core::round::Server`) charges
+//!   every reduce by.
 //! * [`sim::SimNetwork`] — an in-process AllReduce over worker buffers with
-//!   exact byte accounting under the paper's per-worker-payload convention
-//!   ([`sim::per_worker_bytes`]).
+//!   exact byte accounting under that convention. No driver runs it any
+//!   more: it is the arithmetic oracle of the round's tests and a
+//!   benchmark stand-in.
 //! * [`cost::Environment`] — wall-time models for the three deployment
 //!   regimes of Figure 12 (FL at 0.5 Gbps, Balanced, ARIS-HPC InfiniBand),
 //!   used to translate (bytes, steps) into time and pick Θ.

@@ -40,11 +40,6 @@ impl SimNetwork {
         SimNetwork { k, bytes: 0 }
     }
 
-    /// Number of workers.
-    pub fn workers(&self) -> usize {
-        self.k
-    }
-
     /// AllReduce-average over one equal-length `f32` buffer per worker:
     /// every buffer is replaced by the element-wise mean.
     ///
@@ -103,7 +98,7 @@ impl SimNetwork {
     ///
     /// # Panics
     /// Panics if `payloads.len() != K`.
-    pub fn charge_per_worker(&mut self, payloads: &[u64]) {
+    fn charge_per_worker(&mut self, payloads: &[u64]) {
         assert_eq!(payloads.len(), self.k, "charge: payload count != K");
         for &payload in payloads {
             self.bytes += per_worker_bytes(payload, self.k);

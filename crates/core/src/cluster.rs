@@ -1,16 +1,17 @@
 //! The simulated worker cluster.
 //!
 //! A [`Cluster`] holds `K` workers — each with its own model replica,
-//! optimizer state and data-shard sampler — plus the byte-accounted
-//! network. Every strategy in this crate (FDA and all baselines) drives the
-//! same cluster API, so their communication/computation costs are measured
-//! on identical footing. A synchronization has one model-reduce path: each
-//! worker lends its parameter arena, round-tripped through the uplink codec
-//! when there is one, to the round's model mean ([`crate::round`]).
+//! optimizer state and data-shard sampler. Every strategy in this crate
+//! (FDA and all baselines) drives the same cluster API, so their
+//! computation costs are measured on identical footing; what they
+//! transmit is charged by the round's server ([`crate::round::Server`]).
+//! A synchronization has one model-reduce path: each worker lends its
+//! parameter arena, round-tripped through the uplink codec when there is
+//! one, to the round's model mean ([`crate::round`]).
 
 use crate::pool::{SendPtr, WorkerPool};
 use crate::round;
-use fda_comm::{Codec, SimNetwork};
+use fda_comm::Codec;
 use fda_data::batch::BatchSampler;
 use fda_data::{Dataset, Partition, TaskData};
 use fda_nn::zoo::ModelId;
@@ -226,12 +227,14 @@ pub struct StepStats {
     pub batch_accuracy: f32,
 }
 
-/// `K` workers and the fabric that connects them.
+/// `K` workers.
 pub struct Cluster {
     config: ClusterConfig,
     dataset: Arc<Dataset>,
     workers: Vec<Worker>,
-    net: SimNetwork,
+    /// Bytes charged by [`Cluster::allreduce_models`] and
+    /// [`Cluster::allreduce_models_coded`].
+    bytes: u64,
     dim: usize,
     steps: u64,
     /// The persistent rendezvous pool (`Some` iff `config.parallel` and
@@ -247,10 +250,9 @@ pub struct Cluster {
 }
 
 /// The model uploads of one synchronization, lent by [`Cluster::upload_models`]
-/// together with the fabric that reduces and charges them.
+/// together with the pool that reduces them.
 pub(crate) struct Uploads<'a> {
     pub pool: Option<&'a mut WorkerPool>,
-    pub net: &'a mut SimNetwork,
     /// Each worker's parameter arena, in worker order.
     pub models: Vec<&'a [f32]>,
     /// Each worker's encoded upload size; empty on a dense uplink.
@@ -279,7 +281,7 @@ impl Cluster {
             .collect();
         let pool = (config.parallel && config.workers > 1).then(|| WorkerPool::new(config.workers));
         Cluster {
-            net: SimNetwork::new(config.workers),
+            bytes: 0,
             step_results: vec![(0.0, 0, 0); config.workers],
             enc: Vec::new(),
             payloads: Vec::new(),
@@ -292,10 +294,10 @@ impl Cluster {
         }
     }
 
-    /// Split borrows of the pool (if pooled), the workers and the charged
-    /// fabric, for a strategy that runs its own phases over them.
-    pub(crate) fn parts(&mut self) -> (Option<&mut WorkerPool>, &mut [Worker], &mut SimNetwork) {
-        (self.pool.as_mut(), &mut self.workers, &mut self.net)
+    /// Split borrows of the pool (if pooled) and the workers, for a
+    /// strategy that runs its own phases over them.
+    pub(crate) fn parts(&mut self) -> (Option<&mut WorkerPool>, &mut [Worker]) {
+        (self.pool.as_mut(), &mut self.workers)
     }
 
     /// The configuration this cluster was built with.
@@ -319,10 +321,12 @@ impl Cluster {
         self.steps
     }
 
-    /// Total bytes transmitted by all workers (the paper's communication
-    /// metric).
+    /// Bytes the workers transmitted in this cluster's own
+    /// [`Cluster::allreduce_models`] and [`Cluster::allreduce_models_coded`]
+    /// calls. A strategy's traffic is charged by its server instead
+    /// ([`crate::strategy::Strategy::comm_bytes`]).
     pub fn comm_bytes(&self) -> u64 {
-        self.net.total_bytes()
+        self.bytes
     }
 
     /// Worker accessor.
@@ -417,7 +421,7 @@ impl Cluster {
         let mut mean = Vec::new();
         let up = self.upload_models(codec);
         let coded = codec.map(|_| up.payloads);
-        round::model_mean_into(up.pool, up.net, &up.models, coded, &mut mean);
+        self.bytes += round::model_mean_into(up.pool, &up.models, coded, &mut mean);
         self.load_global(&mean);
         mean
     }
@@ -439,7 +443,6 @@ impl Cluster {
         }
         Uploads {
             pool: self.pool.as_mut(),
-            net: &mut self.net,
             models: self.workers.iter().map(|w| w.model.params()).collect(),
             payloads: &self.payloads,
         }
@@ -450,17 +453,12 @@ impl Cluster {
     /// paper's convention that accuracy is measured on the (conceptual)
     /// global model and is not part of the training traffic.
     ///
-    /// Copy-first, then the other workers added in id order and one scale
-    /// by 1/K: the association of every other cross-worker mean
-    /// (`vector::mean_range_into`).
+    /// Worker 0 copied, the others added in id order, one scale by 1/K:
+    /// the association of every cross-worker mean
+    /// ([`fda_tensor::vector::mean`]).
     pub fn average_params(&self) -> Vec<f32> {
-        let (first, rest) = self.workers.split_first().expect("k >= 1");
-        let mut avg = first.model.params_flat();
-        for w in rest {
-            fda_tensor::vector::add_assign(&mut avg, w.model.params());
-        }
-        fda_tensor::vector::scale(&mut avg, 1.0 / self.workers.len() as f32);
-        avg
+        let params: Vec<&[f32]> = self.workers.iter().map(|w| w.model.params()).collect();
+        fda_tensor::vector::mean(&params)
     }
 
     /// True iff every worker currently holds exactly the same parameters,
@@ -539,8 +537,7 @@ mod tests {
         let before = cluster.comm_bytes();
         let avg = cluster.average_params();
         assert_eq!(cluster.comm_bytes(), before, "evaluation must be free");
-        // Bit for bit the explicit mean: copy-first and zero-first agree
-        // everywhere except where every replica holds −0.0.
+        // Bit for bit the explicit mean.
         let expect = {
             let ps: Vec<Vec<f32>> = (0..3).map(|k| cluster.worker(k).params()).collect();
             let refs: Vec<&[f32]> = ps.iter().map(|p| p.as_slice()).collect();
@@ -595,8 +592,8 @@ mod tests {
     }
 
     /// The pooled chunk-parallel model AllReduce must be bit-identical to
-    /// the sequential `SimNetwork::allreduce_mean` path — same consensus
-    /// model, same replica states, same byte accounting.
+    /// the sequential mean — same consensus model, same replica states,
+    /// same byte accounting.
     #[test]
     fn pooled_allreduce_is_bit_identical_to_sequential() {
         let task = tiny_task();

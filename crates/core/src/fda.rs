@@ -230,7 +230,7 @@ impl Fda {
     /// the simulator's measured total *is* its charged total (there is no
     /// socket to measure).
     fn emit_round_event(&mut self, charged_before: u64, charged_mid: u64, synced: bool) {
-        let charged = self.cluster.comm_bytes();
+        let charged = self.server.charged_bytes();
         let ledger = RoundLedger {
             source: "sim",
             epoch: 1,
@@ -254,7 +254,7 @@ impl Fda {
     /// the server's state reduce and decision.
     fn reduce_states(&mut self) -> (f32, bool) {
         if let Some(monitor) = self.server.monitor() {
-            let (pool, workers, _) = self.cluster.parts();
+            let (pool, workers) = self.cluster.parts();
             each_worker(pool, workers, &mut self.lanes, |_, (drift, state)| {
                 monitor.summary_into(drift, state);
             });
@@ -267,14 +267,14 @@ impl Fda {
             }
         }
         let states: Vec<&LocalState> = self.lanes.iter().map(|(_, s)| s).collect();
-        let (pool, _, net) = self.cluster.parts();
-        self.server.decide(net, pool, &states, &self.payloads)
+        let (pool, _) = self.cluster.parts();
+        self.server.decide(pool, &states, &self.payloads)
     }
 
     /// Writes the end-of-run summary and closes the stream (called when
     /// telemetry is detached or replaced).
     fn emit_run_event(&mut self, mut sess: TelemetrySession) {
-        let charged = self.cluster.comm_bytes();
+        let charged = self.server.charged_bytes();
         let workers = self.cluster.workers() as u32;
         let event = round::run_event(RunLedger {
             source: "sim",
@@ -307,7 +307,7 @@ impl Strategy for Fda {
     }
 
     fn step(&mut self) -> StepOutcome {
-        let charged_before = self.cluster.comm_bytes();
+        let charged_before = self.server.charged_bytes();
 
         // (1) Local training on every worker.
         let stats = {
@@ -329,13 +329,12 @@ impl Strategy for Fda {
             let _span = fda_obs::histogram!(HIST_MONITOR_US).span();
             let settled = if self.server.monitor().is_some() {
                 let w_t0 = self.server.consensus();
-                let (pool, workers, _) = self.cluster.parts();
+                let (pool, workers) = self.cluster.parts();
                 each_worker(pool, workers, &mut self.lanes, |w, (drift, state)| {
                     round::drift_into(w.model().params(), w_t0, drift, state);
                 });
                 let scalars = self.lanes.iter().map(|(_, s)| s.drift_sq_norm);
-                let (_, _, net) = self.cluster.parts();
-                self.server.settle(net, scalars)
+                self.server.settle(scalars)
             } else {
                 None
             };
@@ -344,7 +343,7 @@ impl Strategy for Fda {
                 None => self.reduce_states(),
             }
         };
-        let charged_mid = self.cluster.comm_bytes();
+        let charged_mid = self.server.charged_bytes();
 
         // (4) The conditional synchronization; the reduce leaves the
         //     replicas alone, so each loads the round's final consensus
@@ -353,7 +352,7 @@ impl Strategy for Fda {
             let _span = fda_obs::histogram!(HIST_ALLREDUCE_US).span();
             if synced {
                 let up = self.cluster.upload_models(self.server.coded_uplink());
-                self.server.commit(up.net, up.pool, &up.models, up.payloads);
+                self.server.commit(up.pool, &up.models, up.payloads);
                 self.cluster.load_global(self.server.consensus());
             }
         }
@@ -390,6 +389,10 @@ impl Strategy for Fda {
 
     fn syncs(&self) -> u64 {
         self.server.syncs()
+    }
+
+    fn comm_bytes(&self) -> u64 {
+        self.server.charged_bytes()
     }
 
     fn global_params(&self) -> Vec<f32> {

@@ -18,8 +18,8 @@
 //!
 //! ## Layout
 //!
-//! * [`cluster`] — K simulated workers (model, optimizer, shard sampler)
-//!   over a byte-accounted [`fda_comm::SimNetwork`].
+//! * [`cluster`] — K simulated workers (model, optimizer, shard sampler);
+//!   what they transmit is charged by the round's server.
 //! * [`pool`] — the persistent rendezvous worker pool behind
 //!   [`cluster::ClusterConfig::parallel`]: spawn-once lanes serving every
 //!   phase of the step (local training, monitor states, reductions).

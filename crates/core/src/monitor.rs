@@ -82,10 +82,9 @@ impl LocalState {
         LocalState::average_refs(&refs)
     }
 
-    /// [`LocalState::average`] over references. The summary accumulation
-    /// is *copy-first, then add in worker order* — the association of
-    /// every mean in `crate::round` — written out on its own, so it is the
-    /// sequential reference the round's state mean is tested against.
+    /// [`LocalState::average`] over references: the summaries' sequential
+    /// id-order mean ([`vector::mean_range_into`]), the reference the
+    /// round's state mean is tested against.
     ///
     /// # Panics
     /// Panics on an empty slice or mixed summary variants.
@@ -100,14 +99,10 @@ impl LocalState {
             "state average: mixed summary variants"
         );
         let drift_sq_norm = states.iter().map(|s| s.drift_sq_norm).sum::<f32>() / k;
+        let summaries: Vec<&[f32]> = states.iter().map(|s| s.summary_slice()).collect();
         let mut avg = (*states[0]).clone();
-        {
-            let out = avg.summary_slice_mut();
-            for s in &states[1..] {
-                vector::add_assign(out, s.summary_slice());
-            }
-            vector::scale(out, 1.0 / k);
-        }
+        let out = avg.summary_slice_mut();
+        vector::mean_range_into(&summaries, 0, out.len(), out);
         avg.drift_sq_norm = drift_sq_norm;
         avg
     }
@@ -241,11 +236,6 @@ impl LinearMonitor {
             xi: None,
             spare: Vec::new(),
         }
-    }
-
-    /// The current heuristic direction, if any.
-    pub fn xi(&self) -> Option<&[f32]> {
-        self.xi.as_deref()
     }
 }
 
@@ -427,11 +417,11 @@ mod tests {
         let a = vec![1.0f32, 2.0, 2.0];
         let b = vec![1.0f32, 0.0, 0.0];
         m.on_sync(&a, &b);
-        let xi = m.xi().expect("xi set").to_vec();
+        let xi = m.xi.clone().expect("xi set");
         assert!((vector::norm(&xi) - 1.0).abs() < 1e-6);
         // Degenerate sync (identical models) must not clobber ξ.
         m.on_sync(&a, &a);
-        assert_eq!(m.xi().unwrap(), xi.as_slice());
+        assert_eq!(m.xi.as_deref(), Some(xi.as_slice()));
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //!   deposited states and decides; [`Server::commit`] averages and charges
 //!   the models, forms the downlink and advances the consensus.
 //!
+//!   The server keeps the run's charged ledger
+//!   ([`Server::charged_bytes`]): each reduce charges the paper's
+//!   per-worker payload at K′ = the number of deposits it is given, so a
+//!   driver hands over its survivors and counts nothing itself.
+//!
 //!   The server holds the round's *sync policy*: when a round
 //!   synchronizes, and what the server makes of the model mean. Algorithm
 //!   1 synchronizes when a monitor's `H(S̄) > Θ` ([`Server::new`]); the
@@ -53,9 +58,9 @@ use crate::wire::{
     decode_state_coded_into, decode_vector_coded_into, encode_state_coded_into,
     encode_summary_coded_into, encode_vector_coded_into, JobSpec,
 };
+use fda_comm::sim::per_worker_bytes;
 use fda_comm::{
     apply_delta_downlink_into, delta_downlink_into, Codec, CodecSpec, Dense32, DownlinkSpec,
-    SimNetwork,
 };
 use fda_obs::{DropRecord, MembershipRecord, RoundEvent, RunEvent};
 use fda_optim::Optimizer;
@@ -78,21 +83,36 @@ fn mean_into(pool: Option<&mut WorkerPool>, srcs: &[&[f32]], out: &mut [f32]) {
     }
 }
 
+/// The bytes an AllReduce charges under the paper's convention (§4.1):
+/// each of its K′ depositors transmits its own payload once, K′ being the
+/// number of `payloads`, and a lone worker moves nothing.
+fn charge(payloads: impl ExactSizeIterator<Item = u64>) -> u64 {
+    let k = payloads.len();
+    payloads.map(|p| per_worker_bytes(p, k)).sum()
+}
+
+/// The charge of `k` deposits of `bytes` each.
+fn charge_dense(bytes: u64, k: usize) -> u64 {
+    charge(std::iter::repeat_n(bytes, k))
+}
+
 /// The model AllReduce: the worker-order mean of `models` into `mean`, and
-/// its charge — `d·4` bytes per worker, or each worker's own encoded size
-/// when the uploads were `coded`.
+/// what it charges at K′ = `models.len()` — `d·4` bytes per worker, or
+/// each worker's own encoded size when the uploads were `coded`.
 pub(crate) fn model_mean_into(
     pool: Option<&mut WorkerPool>,
-    net: &mut SimNetwork,
     models: &[&[f32]],
     coded: Option<&[u64]>,
     mean: &mut Vec<f32>,
-) {
+) -> u64 {
     mean.resize(models[0].len(), 0.0);
     mean_into(pool, models, mean);
     match coded {
-        None => net.charge_allreduce(mean.len() as u64 * 4),
-        Some(payloads) => net.charge_per_worker(payloads),
+        None => charge_dense(mean.len() as u64 * 4, models.len()),
+        Some(payloads) => {
+            assert_eq!(payloads.len(), models.len(), "round: one payload per model");
+            charge(payloads.iter().copied())
+        }
     }
 }
 
@@ -198,6 +218,8 @@ pub struct Server {
     /// charges the summaries only.
     scalars_charged: bool,
     syncs: u64,
+    /// Bytes charged so far, each reduce at K′ = its deposit count.
+    charged: u64,
 }
 
 /// What a round decided, for its broadcast and its record.
@@ -263,6 +285,7 @@ impl Server {
             },
             scalars_charged: false,
             syncs: 0,
+            charged: 0,
         }
     }
 
@@ -338,8 +361,16 @@ impl Server {
         self.syncs
     }
 
+    /// Total bytes the workers transmitted so far, the paper's
+    /// communication metric: every reduce charged at K′ = the number of
+    /// deposits it was given, so a membership change needs no bookkeeping
+    /// of its own.
+    pub fn charged_bytes(&self) -> u64 {
+        self.charged
+    }
+
     /// Phase A, which opens every round of a monitor policy: charges the
-    /// drift scalars `‖u_k‖²` (given in id order) at 4 bytes per worker
+    /// drift scalars `‖u_k‖²` (given in id order) at 4 bytes per depositor
     /// and, when their mean `m` [`certifies`], settles the round with no
     /// sync, counts it in `fda_certified_rounds` and returns `Some(m)` —
     /// the round's estimate, an upper bound on `H(S̄)`.
@@ -348,16 +379,12 @@ impl Server {
     ///
     /// # Panics
     /// Panics under a periodic policy.
-    pub fn settle(
-        &mut self,
-        net: &mut SimNetwork,
-        scalars: impl ExactSizeIterator<Item = f32>,
-    ) -> Option<f32> {
+    pub fn settle(&mut self, scalars: impl ExactSizeIterator<Item = f32>) -> Option<f32> {
         let dim = self.consensus.len();
         let Schedule::Monitor { theta, avg, .. } = &self.schedule else {
             panic!("round: a periodic policy settles no round on drift scalars");
         };
-        net.charge_allreduce(4);
+        self.charged += charge_dense(4, scalars.len());
         let m = scalar_mean(scalars);
         if !certifies(m, *theta, avg, dim) {
             self.scalars_charged = true;
@@ -372,9 +399,9 @@ impl Server {
         Some(m)
     }
 
-    /// The state AllReduce and the decision. Charges `net` the monitor's
-    /// state size per worker on a dense job or `payloads[i]` (drift scalar
-    /// plus encoded summary) per worker on a coded one — after a phase A
+    /// The state AllReduce and the decision. Charges the monitor's state
+    /// size per depositor on a dense job or `payloads[i]` (drift scalar
+    /// plus encoded summary) per depositor on a coded one — after a phase A
     /// that fell through, the summary part alone: the state size less the
     /// 4-byte scalar, or `payloads[i]` as the encoded summary — averages
     /// `states` (given in id order) into `S̄`, and returns
@@ -384,16 +411,16 @@ impl Server {
     /// `(NaN, whether this is a period's last round)`.
     ///
     /// # Panics
-    /// Panics if a monitor's `states` are empty or not all of its shape;
-    /// transports validate deposits first.
+    /// Panics if a monitor's `states` are empty or not all of its shape, or
+    /// a coded job's `payloads` are not one per state; transports validate
+    /// deposits first.
     pub fn decide(
         &mut self,
-        net: &mut SimNetwork,
         pool: Option<&mut WorkerPool>,
         states: &[&LocalState],
         payloads: &[u64],
     ) -> (f32, bool) {
-        let (estimate, sync) = self.reduce_states(net, pool, states, payloads);
+        let (estimate, sync) = self.reduce_states(pool, states, payloads);
         self.last = Outcome {
             estimate,
             sync,
@@ -404,7 +431,6 @@ impl Server {
 
     fn reduce_states(
         &mut self,
-        net: &mut SimNetwork,
         pool: Option<&mut WorkerPool>,
         states: &[&LocalState],
         payloads: &[u64],
@@ -424,16 +450,18 @@ impl Server {
                 return (f32::NAN, sync);
             }
         };
-        let scalars_charged = std::mem::take(&mut self.scalars_charged);
-        if self.coded {
-            net.charge_per_worker(payloads);
-        } else {
-            net.charge_allreduce(monitor.state_bytes() - 4 * scalars_charged as u64);
-        }
         assert!(
             !states.is_empty() && states.iter().all(|s| s.same_shape(avg)),
             "round: deposits must have the monitor's state shape"
         );
+        let scalars_charged = std::mem::take(&mut self.scalars_charged);
+        self.charged += if self.coded {
+            assert_eq!(payloads.len(), states.len(), "round: one payload per state");
+            charge(payloads.iter().copied())
+        } else {
+            let bytes = monitor.state_bytes() - 4 * scalars_charged as u64;
+            charge_dense(bytes, states.len())
+        };
         let drift_sq_norm = scalar_mean(states.iter().map(|s| s.drift_sq_norm));
         let summaries: Vec<&[f32]> = states.iter().map(|s| s.summary_slice()).collect();
         mean_into(pool, &summaries, avg.summary_slice_mut());
@@ -469,15 +497,9 @@ impl Server {
     /// downlink of the result — under a delta downlink its reconstruction
     /// is the new consensus — makes the old consensus the previous one,
     /// and runs the monitor's `on_sync` once.
-    pub fn commit(
-        &mut self,
-        net: &mut SimNetwork,
-        pool: Option<&mut WorkerPool>,
-        models: &[&[f32]],
-        payloads: &[u64],
-    ) {
+    pub fn commit(&mut self, pool: Option<&mut WorkerPool>, models: &[&[f32]], payloads: &[u64]) {
         let coded = self.coded.then_some(payloads);
-        model_mean_into(pool, net, models, coded, &mut self.mean);
+        self.charged += model_mean_into(pool, models, coded, &mut self.mean);
         if let Some(opt) = &mut self.server_opt {
             // The downlink's reconstruction buffer holds the
             // pseudo-gradient until the step has read it.
@@ -871,7 +893,7 @@ mod tests {
 
     /// `S̄` is `LocalState::average` bit for bit for every summary kind,
     /// K′ = 1..4, pooled or not, on both sides of the pooled cutoff, and a
-    /// dense state is charged the monitor's state size.
+    /// dense state is charged the monitor's state size per depositor.
     #[test]
     fn round_state_mean_equals_local_state_average() {
         let (d, mut rng) = (600, Rng::new(0x5EA7));
@@ -888,10 +910,8 @@ mod tests {
                     .collect();
                 let want = LocalState::average(&states);
                 let refs: Vec<&LocalState> = states.iter().collect();
-                let mut charged = SimNetwork::new(k);
-                charged.charge_allreduce(monitor.state_bytes());
+                let charged = (k > 1) as u64 * k as u64 * monitor.state_bytes();
                 for mut pool in [None, Some(WorkerPool::new(k))] {
-                    let mut net = SimNetwork::new(k);
                     let mut server = Server::new(
                         FdaConfig {
                             variant,
@@ -899,7 +919,7 @@ mod tests {
                         },
                         vec![0.0; d],
                     );
-                    let (estimate, _) = server.decide(&mut net, pool.as_mut(), &refs, &[]);
+                    let (estimate, _) = server.decide(pool.as_mut(), &refs, &[]);
                     let (got, case) = (server.avg_state(), (monitor.name(), k, pool.is_some()));
                     assert_eq!(
                         got.drift_sq_norm.to_bits(),
@@ -916,7 +936,7 @@ mod tests {
                         monitor.estimate(&want).to_bits(),
                         "{case:?}"
                     );
-                    assert_eq!(net.total_bytes(), charged.total_bytes(), "{case:?}");
+                    assert_eq!(server.charged_bytes(), charged, "{case:?}");
                 }
             }
         }
@@ -953,20 +973,77 @@ mod tests {
                 (None, vec![d as u64 * 4; k]),
                 (Some(&coded[..]), coded.clone()),
             ] {
-                let (mut want, mut reference) = (models.clone(), SimNetwork::new(k));
+                let (mut want, mut reference) = (models.clone(), fda_comm::SimNetwork::new(k));
                 reference.allreduce_mean_with(&mut want, &charged);
                 for mut pool in [None, Some(WorkerPool::new(k))] {
-                    let (mut net, mut mean) = (SimNetwork::new(k), Vec::new());
-                    model_mean_into(pool.as_mut(), &mut net, &refs, payloads, &mut mean);
+                    let mut mean = Vec::new();
+                    let bytes = model_mean_into(pool.as_mut(), &refs, payloads, &mut mean);
                     let case = (k, payloads.is_some(), pool.is_some());
                     assert_eq!(bits(&mean), bits(&want[0]), "{case:?}");
-                    assert_eq!(net.total_bytes(), reference.total_bytes(), "{case:?}");
-                    assert!(
-                        k > 1 || net.total_bytes() == 0,
-                        "{case:?}: K′ = 1 moves nothing"
-                    );
+                    assert_eq!(bytes, reference.total_bytes(), "{case:?}");
+                    assert!(k > 1 || bytes == 0, "{case:?}: K′ = 1 moves nothing");
                 }
             }
+        }
+    }
+
+    /// The server charges each reduce at K′ = the deposits it is given:
+    /// nothing at K′ = 1; the 4-byte drift scalar, the summary less that
+    /// scalar and the `d·4` model per depositor on a dense uplink, or each
+    /// encoded payload on a coded one; and a worker dropped between phase
+    /// A (K = 3) and phase B (K′ = 2) is charged its scalar, not its
+    /// summary or model.
+    #[test]
+    fn round_server_charges_at_the_deposit_count() {
+        let (d, mut rng) = (64, Rng::new(0x1ED6));
+        let fda = FdaConfig {
+            variant: FdaVariant::Sketch(SketchConfig::new(2, 8, 3)),
+            theta: 0.0,
+        };
+        let monitor = fda.variant.build_monitor(d);
+        let states: Vec<LocalState> = (0..3)
+            .map(|_| monitor.local_state(&random_vec(&mut rng, d)))
+            .collect();
+        let models: Vec<Vec<f32>> = (0..3).map(|_| random_vec(&mut rng, d)).collect();
+        let (summary, model, coded) = (monitor.state_bytes() - 4, d as u64 * 4, [40, 52, 47]);
+        let uniform8 = CodecSpec::Uniform8 { chunk: 64 };
+        // (uplink, phase A's K, phase B's and the sync's K′, the ledger
+        // after each of the three reduces)
+        let cases = [
+            (CodecSpec::Dense, 1, 1, [0, 0, 0]),
+            (
+                CodecSpec::Dense,
+                3,
+                3,
+                [12, 12 + 3 * summary, 12 + 3 * (summary + model)],
+            ),
+            (
+                CodecSpec::Dense,
+                3,
+                2,
+                [12, 12 + 2 * summary, 12 + 2 * (summary + model)],
+            ),
+            (uniform8, 1, 1, [0, 0, 0]),
+            (uniform8, 3, 3, [12, 12 + 139, 12 + 2 * 139]),
+            (uniform8, 3, 2, [12, 12 + 92, 12 + 2 * 92]),
+        ];
+        for (uplink, a, b, want) in cases {
+            let case = (uplink.name(), a, b);
+            let mut server = Server::new(fda, vec![0.0; d]);
+            server.set_uplink(uplink);
+            let scalars = states[..a].iter().map(|s| s.drift_sq_norm);
+            assert_eq!(
+                server.settle(scalars),
+                None,
+                "{case:?}: Θ = 0 never certifies"
+            );
+            assert_eq!(server.charged_bytes(), want[0], "{case:?}: scalars");
+            let refs: Vec<&LocalState> = states[..b].iter().collect();
+            server.decide(None, &refs, &coded[..b]);
+            assert_eq!(server.charged_bytes(), want[1], "{case:?}: summaries");
+            let refs: Vec<&[f32]> = models[..b].iter().map(Vec::as_slice).collect();
+            server.commit(None, &refs, &coded[..b]);
+            assert_eq!(server.charged_bytes(), want[2], "{case:?}: models");
         }
     }
 
@@ -983,20 +1060,19 @@ mod tests {
         let mut server = Server::periodic(2, Some(kind.build(d)), want.clone());
         server.set_downlink(DownlinkSpec::Delta { codec });
         assert!(server.monitor().is_none() && server.theta().is_nan());
-        let (mut opt, mut net, mut charged) =
-            (kind.build(d), SimNetwork::new(2), SimNetwork::new(2));
+        let (mut opt, mut charged) = (kind.build(d), 0);
         for round in 1..=5u64 {
-            let (estimate, sync) = server.decide(&mut net, None, &[], &[]);
+            let (estimate, sync) = server.decide(None, &[], &[]);
             assert!(estimate.is_nan(), "round {round}");
             assert_eq!(sync, round % 2 == 0, "round {round}");
-            assert_eq!(net.total_bytes(), charged.total_bytes(), "round {round}");
+            assert_eq!(server.charged_bytes(), charged, "round {round}");
             if !sync {
                 continue;
             }
             let models = [random_vec(&mut rng, d), random_vec(&mut rng, d)];
             let refs: Vec<&[f32]> = models.iter().map(Vec::as_slice).collect();
-            server.commit(&mut net, None, &refs, &[]);
-            charged.charge_allreduce(d as u64 * 4);
+            server.commit(None, &refs, &[]);
+            charged += 2 * d as u64 * 4;
 
             let mut mean = vec![0.0; d];
             vector::mean_range_into(&refs, 0, d, &mut mean);
@@ -1009,7 +1085,7 @@ mod tests {
             assert_eq!(server.server_model(), Some(server.consensus()));
         }
         assert_eq!(server.syncs(), 2);
-        assert_eq!(net.total_bytes(), charged.total_bytes());
+        assert_eq!(server.charged_bytes(), charged);
     }
 
     /// Known-answer bytes of the decision broadcast: the sync byte of the
@@ -1023,7 +1099,7 @@ mod tests {
         };
         for (theta, sync) in [(1.0, 1), (2.0, 0)] {
             let mut server = Server::new(FdaConfig::linear(theta), vec![0.0; 4]);
-            server.decide(&mut SimNetwork::new(1), None, &[&deposit], &[]);
+            server.decide(None, &[&deposit], &[]);
             #[rustfmt::skip]
             let want = [
                 sync,
@@ -1083,7 +1159,7 @@ mod tests {
                     })
                     .collect();
                 let refs: Vec<&LocalState> = states.iter().collect();
-                let (_, sync) = server.decide(&mut SimNetwork::new(2), None, &refs, &[]);
+                let (_, sync) = server.decide(None, &refs, &[]);
                 let payload = server.avg_state_payload().to_vec();
                 let case = (monitor.name(), scale);
                 assert_eq!(replica.check(&payload), Ok(sync), "{case:?}");
@@ -1136,7 +1212,7 @@ mod tests {
             for round in 0..3 {
                 let models = [random_vec(&mut rng, d), random_vec(&mut rng, d)];
                 let refs: Vec<&[f32]> = models.iter().map(|m| m.as_slice()).collect();
-                server.commit(&mut SimNetwork::new(2), None, &refs, &[]);
+                server.commit(None, &refs, &[]);
                 let payload = server.downlink_payload().to_vec();
                 let case = (downlink.name(), round);
 
@@ -1176,7 +1252,7 @@ mod tests {
         ];
         let spec = job(FdaConfig::linear(0.0), DownlinkSpec::Dense, 6);
         let mut synced = Server::new(spec.fda, prev.to_vec());
-        synced.commit(&mut SimNetwork::new(1), None, &[&model], &[]);
+        synced.commit(None, &[&model], &[]);
         let (mut with, mut without) = (Vec::new(), Vec::new());
         synced.resume_payload(6, &mut with);
         Server::new(spec.fda, model.to_vec()).resume_payload(6, &mut without);

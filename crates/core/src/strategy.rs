@@ -7,7 +7,8 @@
 //! equals one in-parallel mini-batch step on every worker, so computation
 //! is directly comparable across algorithms. Its one implementer is
 //! [`crate::fda::Fda`], which runs every algorithm as a sync policy of
-//! the round engine.
+//! the round engine and reads its communication bytes from that engine's
+//! charged ledger ([`crate::round::Server::charged_bytes`]).
 
 use crate::cluster::{Cluster, StepStats};
 
@@ -48,10 +49,9 @@ pub trait Strategy {
     /// flushes. Returns whether this strategy emits telemetry.
     fn set_telemetry(&mut self, sink: Option<fda_obs::JsonlWriter>) -> bool;
 
-    /// Total bytes transmitted by all workers so far.
-    fn comm_bytes(&self) -> u64 {
-        self.cluster().comm_bytes()
-    }
+    /// Total bytes transmitted by all workers so far, as the round's
+    /// server charged them.
+    fn comm_bytes(&self) -> u64;
 
     /// In-parallel steps so far.
     fn steps(&self) -> u64 {

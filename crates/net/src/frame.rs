@@ -266,7 +266,7 @@ mod crc32c {
 
     /// Portable arm: eight table lookups per 8-byte word, independent of
     /// each other, instead of eight dependent steps.
-    pub fn table(mut crc: u32, bytes: &[u8]) -> u32 {
+    pub(super) fn table(mut crc: u32, bytes: &[u8]) -> u32 {
         let mut words = bytes.chunks_exact(8);
         for w in &mut words {
             let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
@@ -340,7 +340,7 @@ mod crc32c {
     /// workspace's one kernel switch (see `fda_tensor::simd`), makes
     /// happen on any host, so CI can exercise the portable arm on runners
     /// that always have SSE4.2 — otherwise the instruction when present.
-    pub fn update() -> Update {
+    pub(super) fn update() -> Update {
         static UPDATE: OnceLock<Update> = OnceLock::new();
         *UPDATE.get_or_init(|| {
             let scalar_arm = fda_tensor::simd::kernels().isa == fda_tensor::simd::Isa::Scalar;

@@ -15,24 +15,26 @@
 //! it lands in the phase that sent it.
 //!
 //! The coordinator owns the round's server half ([`fda_core::round::Server`]),
-//! membership, epochs and the quorum, the stale/future-epoch rule, the
-//! per-id deposit slots, the measured and charged ledgers, and the
-//! trajectory. It takes a phase's frames in any order — each lands in its
-//! worker's slot, and the reduce runs over the slots in id order once every
-//! live worker has delivered or dropped — and [`CoordinatorMachine::wants`]
-//! tells a blocking driver which peer it still waits for, lowest id first.
+//! which keeps the charged ledger, and membership, epochs and the quorum,
+//! the stale/future-epoch rule, the per-id deposit slots, the measured
+//! ledger, and the trajectory. It takes a phase's frames in any order —
+//! each lands in its worker's slot, and the reduce runs over the slots in
+//! id order once every live worker has delivered or dropped — and
+//! [`CoordinatorMachine::wants`] tells a blocking driver which peer it
+//! still waits for, lowest id first.
 //!
 //! A round's state exchange collects `Drift` deposits and either settles
 //! quiet on them ([`Server::settle`]) or broadcasts `SummaryRequest`,
 //! collects every `Summary` and decides. Each phase is measured at its
-//! own K′, so a drop between the two keeps measured == charged.
+//! own K′ and the server charges it at the same K′ — the deposits it is
+//! handed — so a drop between the two keeps measured == charged.
 //!
 //! The worker owns its replica ([`fda_core::round::Replica`]), its
 //! [`Worker`] and the session's round counter; local training runs inside
 //! its frame handler, because it is compute, not I/O.
 
 use crate::frame::{FrameKind, NetError};
-use fda_comm::{sim::per_worker_bytes, Dense32, SimNetwork};
+use fda_comm::{sim::per_worker_bytes, Dense32};
 use fda_core::cluster::Worker;
 use fda_core::monitor::LocalState;
 use fda_core::round::{Replica, RoundLedger, Server};
@@ -178,9 +180,10 @@ pub struct NetReport {
     pub decisions: Vec<bool>,
     /// Per-round variance estimates `H(S̄_t)`, in step order.
     pub estimates: Vec<f32>,
-    /// Bytes charged by the embedded [`SimNetwork`] — the simulator's
-    /// convention (state payload per step, `d·4` per sync, per worker),
-    /// summed across membership eras when the worker set changed.
+    /// Bytes charged by the round's server
+    /// ([`Server::charged_bytes`]) — the simulator's convention (state
+    /// payload per step, `d·4` per sync, per worker), each reduce at the
+    /// K′ workers whose deposits it averaged.
     pub charged_bytes: u64,
     /// Bytes *measured* on the fabric under the same payload convention:
     /// every data-plane frame that was actually averaged, fed through the
@@ -355,11 +358,6 @@ pub struct CoordinatorMachine<'a> {
     admit_from: usize,
     now: Duration,
     deadline: Option<Duration>,
-    /// The charged fabric. On a membership change it is rebuilt at the new
-    /// K′ and the old era's charges are banked; a fault-free run keeps one
-    /// fabric end to end.
-    net: SimNetwork,
-    banked: u64,
     /// The trajectory and the measured bytes so far.
     report: NetReport,
     downlink_len: u64,
@@ -406,8 +404,6 @@ impl<'a> CoordinatorMachine<'a> {
             admit_from: 0,
             now: Duration::ZERO,
             deadline: None,
-            net: SimNetwork::new(k),
-            banked: 0,
             report: NetReport {
                 decisions: Vec::with_capacity(spec.steps as usize),
                 estimates: Vec::with_capacity(spec.steps as usize),
@@ -717,10 +713,6 @@ impl<'a> CoordinatorMachine<'a> {
             self.payloads.push(self.sizes[id]);
         }
         let alive = self.deposited.len();
-        if self.net.workers() != alive {
-            self.banked += self.net.total_bytes();
-            self.net = SimNetwork::new(alive);
-        }
         for &bytes in &self.payloads {
             self.report.measured_payload_bytes += per_worker_bytes(bytes, alive);
         }
@@ -737,7 +729,7 @@ impl<'a> CoordinatorMachine<'a> {
     fn settle(&mut self) {
         let slots = &self.state_slots;
         let scalars = self.deposited.iter().map(|&i| slots[i].drift_sq_norm);
-        match self.server.settle(&mut self.net, scalars) {
+        match self.server.settle(scalars) {
             Some(m) => {
                 self.marks.2 = self.report.measured_payload_bytes;
                 self.marks.3 = self.deposited.len() as u32;
@@ -766,9 +758,7 @@ impl<'a> CoordinatorMachine<'a> {
             .iter()
             .map(|&i| &self.state_slots[i])
             .collect();
-        let (estimate, sync) = self
-            .server
-            .decide(&mut self.net, None, &states, &self.payloads);
+        let (estimate, sync) = self.server.decide(None, &states, &self.payloads);
         self.report.estimates.push(estimate);
         self.report.decisions.push(sync);
         self.queue
@@ -785,8 +775,7 @@ impl<'a> CoordinatorMachine<'a> {
             .iter()
             .map(|&i| &self.model_slots[i][..])
             .collect();
-        self.server
-            .commit(&mut self.net, None, &models, &self.payloads);
+        self.server.commit(None, &models, &self.payloads);
         let kind = match self.spec.downlink.is_dense() {
             true => FrameKind::AvgModel,
             false => FrameKind::AvgModelDelta,
@@ -816,7 +805,7 @@ impl<'a> CoordinatorMachine<'a> {
                 alive,
                 state_bytes: after_state - before,
                 model_bytes: self.report.measured_payload_bytes - after_state,
-                charged_bytes: self.banked + self.net.total_bytes(),
+                charged_bytes: self.server.charged_bytes(),
                 measured_bytes: self.report.measured_payload_bytes,
                 deposit_us: Vec::new(),
                 drops: drops.collect(),
@@ -841,7 +830,7 @@ impl<'a> CoordinatorMachine<'a> {
         let refs: Vec<&[f32]> = report.worker_params.iter().map(|p| p.as_slice()).collect();
         report.final_params = vector::mean(&refs);
         report.syncs = self.server.syncs();
-        report.charged_bytes = self.banked + self.net.total_bytes();
+        report.charged_bytes = self.server.charged_bytes();
         self.queue
             .push_back(Queued::Send(To::Live, FrameKind::Shutdown));
         self.finish(Ok(report));
@@ -1124,8 +1113,7 @@ mod tests {
             let mut handoff = Vec::new();
             server.resume_payload(0, &mut handoff);
             let (_, mut replica) = Replica::resume(&job(fda), drift.len(), &handoff).unwrap();
-            let mut net = fda_comm::SimNetwork::new(1);
-            let (_, sync) = server.decide(&mut net, None, &[&state], &[]);
+            let (_, sync) = server.decide(None, &[&state], &[]);
             through_a_frame(FrameKind::AvgState, server.avg_state_payload(), &mut buf);
             assert_eq!(replica.check(&buf[1..]), Ok(sync));
             assert_eq!(

@@ -101,6 +101,8 @@ fn in_memory_driver_matches_the_sequential_simulator() {
                 let want = sim.cluster().worker(id).params();
                 assert_eq!(bits(params), bits(&want), "{case}: worker {id}");
             }
+            let global = sim.global_params();
+            assert_eq!(bits(&report.final_params), bits(&global), "{case}: final");
             assert_eq!(report.charged_bytes, sim.comm_bytes(), "{case}: charged");
             assert_eq!(
                 report.measured_payload_bytes, report.charged_bytes,

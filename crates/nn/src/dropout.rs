@@ -30,11 +30,6 @@ impl Dropout {
             mask: Vec::new(),
         }
     }
-
-    /// The configured drop probability.
-    pub fn rate(&self) -> f32 {
-        self.p
-    }
 }
 
 impl Layer for Dropout {

@@ -24,10 +24,6 @@ impl Json {
         Json::Num(v.to_string())
     }
 
-    pub fn i64(v: i64) -> Json {
-        Json::Num(v.to_string())
-    }
-
     /// Finite floats serialize via shortest round-trip formatting;
     /// non-finite values have no JSON representation and become `null`.
     pub fn f64(v: f64) -> Json {

@@ -2,8 +2,8 @@
 //!
 //! Three layers, all optional at runtime:
 //!
-//! 1. **Metrics registry** ([`Registry`]): process-global named counters,
-//!    gauges, and log₂-bucket histograms backed by relaxed atomics. Every
+//! 1. **Metrics registry** ([`Registry`]): process-global named counters
+//!    and log₂-bucket histograms backed by relaxed atomics. Every
 //!    update is gated on one relaxed [`AtomicBool`] load, so the disabled
 //!    path is a predictable branch that allocates nothing and never touches
 //!    model arithmetic — bit-identity invariants (`golden_trajectory`,
@@ -38,7 +38,7 @@ pub use event::{
     read_jsonl, DropRecord, JsonlWriter, MembershipRecord, RoundEvent, RunEvent, SCHEMA_VERSION,
 };
 pub use json::Json;
-pub use metrics::{Counter, Gauge, Histogram, Registry, HIST_BUCKETS};
+pub use metrics::{Counter, Histogram, Registry, HIST_BUCKETS};
 pub use scrape::MetricsServer;
 pub use span::Span;
 
@@ -71,15 +71,6 @@ macro_rules! counter {
         static HANDLE: ::std::sync::OnceLock<&'static $crate::Counter> =
             ::std::sync::OnceLock::new();
         *HANDLE.get_or_init(|| $crate::registry().counter($name))
-    }};
-}
-
-/// Resolve (and cache at the call site) a `&'static Gauge` by name.
-#[macro_export]
-macro_rules! gauge {
-    ($name:literal) => {{
-        static HANDLE: ::std::sync::OnceLock<&'static $crate::Gauge> = ::std::sync::OnceLock::new();
-        *HANDLE.get_or_init(|| $crate::registry().gauge($name))
     }};
 }
 

@@ -1,4 +1,4 @@
-//! Process-global metrics: counters, gauges, and log₂-bucket histograms.
+//! Process-global metrics: counters and log₂-bucket histograms.
 //!
 //! Handles are `&'static` (leaked on registration, once per name for the
 //! process lifetime) so hot paths hold a direct pointer and never take the
@@ -6,7 +6,7 @@
 //! disabled path is a relaxed load + branch and performs no stores and no
 //! allocation.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::clock::{self, Clock};
@@ -49,37 +49,6 @@ impl Counter {
     }
 
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// Last-write-wins signed gauge.
-pub struct Gauge {
-    name: &'static str,
-    value: AtomicI64,
-}
-
-impl Gauge {
-    fn new(name: &'static str) -> Self {
-        Self {
-            name,
-            value: AtomicI64::new(0),
-        }
-    }
-
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    #[inline]
-    pub fn set(&self, value: i64) {
-        if !crate::enabled() {
-            return;
-        }
-        self.value.store(value, Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -166,11 +135,10 @@ impl Histogram {
 
 enum Metric {
     Counter(&'static Counter),
-    Gauge(&'static Gauge),
     Histogram(&'static Histogram),
 }
 
-/// Named metric store. `counter`/`gauge`/`histogram` get-or-register under a
+/// Named metric store. `counter`/`histogram` get-or-register under a
 /// mutex and hand back `&'static` handles; see the [`crate::counter!`]-style
 /// macros for call-site caching.
 pub struct Registry {
@@ -182,10 +150,6 @@ pub enum MetricSnapshot {
     Counter {
         name: &'static str,
         value: u64,
-    },
-    Gauge {
-        name: &'static str,
-        value: i64,
     },
     Histogram {
         name: &'static str,
@@ -217,21 +181,6 @@ impl Registry {
         handle
     }
 
-    pub fn gauge(&self, name: &'static str) -> &'static Gauge {
-        let mut metrics = self.metrics.lock().unwrap();
-        for (n, m) in metrics.iter() {
-            if *n == name {
-                match m {
-                    Metric::Gauge(g) => return g,
-                    _ => panic!("metric {name:?} already registered with a different type"),
-                }
-            }
-        }
-        let handle: &'static Gauge = Box::leak(Box::new(Gauge::new(name)));
-        metrics.push((name, Metric::Gauge(handle)));
-        handle
-    }
-
     pub fn histogram(&self, name: &'static str) -> &'static Histogram {
         let mut metrics = self.metrics.lock().unwrap();
         for (n, m) in metrics.iter() {
@@ -256,10 +205,6 @@ impl Registry {
                 Metric::Counter(c) => MetricSnapshot::Counter {
                     name: c.name,
                     value: c.get(),
-                },
-                Metric::Gauge(g) => MetricSnapshot::Gauge {
-                    name: g.name,
-                    value: g.get(),
                 },
                 Metric::Histogram(h) => MetricSnapshot::Histogram {
                     name: h.name,

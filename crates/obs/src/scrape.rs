@@ -22,9 +22,6 @@ pub(crate) fn render_prometheus() -> String {
             MetricSnapshot::Counter { name, value } => {
                 out.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));
             }
-            MetricSnapshot::Gauge { name, value } => {
-                out.push_str(&format!("# TYPE {name} gauge\n{name} {value}\n"));
-            }
             MetricSnapshot::Histogram {
                 name,
                 buckets,

@@ -88,7 +88,7 @@ impl Isa {
     }
 
     /// True iff the running host can execute this arm.
-    pub fn supported(self) -> bool {
+    fn supported(self) -> bool {
         match self {
             Isa::Scalar => true,
             #[cfg(target_arch = "x86_64")]

@@ -13,15 +13,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Population standard deviation; `0.0` for fewer than two samples.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
 /// Median by sorting a copy; `0.0` for an empty slice.
 pub fn median(xs: &[f64]) -> f64 {
     quantile(xs, 0.5)
@@ -56,10 +47,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_std() {
+    fn mean_of_sample() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
-        assert!((std_dev(&xs) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -80,7 +70,6 @@ mod tests {
     #[test]
     fn summary_of_empty() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(std_dev(&[]), 0.0);
         assert_eq!(median(&[]), 0.0);
         assert_eq!(quantile(&[], 0.9), 0.0);
         assert_eq!(median_f32(&[]), 0.0);

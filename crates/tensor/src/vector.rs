@@ -104,7 +104,8 @@ pub fn fill(a: &mut [f32], value: f32) {
 /// Element-wise mean of several equal-length vectors, written into `out`.
 ///
 /// This is the arithmetic performed by AllReduce-average in the paper
-/// (`w̄ = (1/K) Σ_k w^(k)`).
+/// (`w̄ = (1/K) Σ_k w^(k)`), in the association of [`mean_range_into`]:
+/// input 0 copied, the others added in input order.
 ///
 /// # Panics
 /// Panics if `vs` is empty or lengths mismatch.
@@ -112,12 +113,8 @@ pub fn mean_into(vs: &[&[f32]], out: &mut [f32]) {
     assert!(!vs.is_empty(), "mean_into: need at least one vector");
     let n = vs[0].len();
     assert_eq!(out.len(), n, "mean_into: output length mismatch");
-    fill(out, 0.0);
-    for v in vs {
-        assert_eq!(v.len(), n, "mean_into: ragged input");
-        add_assign(out, v);
-    }
-    scale(out, 1.0 / vs.len() as f32);
+    assert!(vs.iter().all(|v| v.len() == n), "mean_into: ragged input");
+    mean_range_into(vs, 0, n, out);
 }
 
 /// Element-wise mean of several equal-length vectors (allocating).
@@ -150,13 +147,14 @@ pub fn chunk_range(len: usize, parts: usize, idx: usize) -> (usize, usize) {
 /// Element-wise mean of the sub-range `lo..hi` of several equal-length
 /// vectors, written into `out` (`out.len() == hi − lo`).
 ///
-/// The accumulation is *copy-first, then add in input order* — the exact
-/// association `SimNetwork::allreduce_mean` and `LocalState::average` use —
-/// so a chunked parallel reduction built from this helper is bit-identical
-/// to the sequential whole-vector mean: per element, the sum order is
-/// always input 0, 1, 2, … regardless of how the range is chunked. The
-/// adds and the final scale run on the dispatched SIMD kernels, which are
-/// element-wise and therefore preserve this property under every arm.
+/// The accumulation is *copy-first, then add in input order* — the
+/// association of every cross-worker mean, [`mean`] and [`mean_into`]
+/// included — so a chunked parallel reduction built from this helper is
+/// bit-identical to the sequential whole-vector mean: per element, the
+/// sum order is always input 0, 1, 2, … regardless of how the range is
+/// chunked. The adds and the final scale run on the dispatched SIMD
+/// kernels, which are element-wise and therefore preserve this property
+/// under every arm.
 ///
 /// # Panics
 /// Panics if `vs` is empty, any input is shorter than `hi`, or `out` has
@@ -249,6 +247,19 @@ mod tests {
         let c = vec![5.0, 6.0];
         let m = mean(&[&a, &b, &c]);
         assert_eq!(m, vec![3.0, 4.0]);
+    }
+
+    /// Copy-first keeps the sign of an all-`−0.0` column, which a
+    /// zero-filled accumulator would turn into `+0.0`.
+    #[test]
+    fn mean_of_negative_zeros_is_negative_zero() {
+        let z = [-0.0f32; 3];
+        let m = mean(&[&z, &z]);
+        let mut out = [1.0f32; 3];
+        mean_into(&[&z, &z, &z], &mut out);
+        for v in m.iter().chain(&out) {
+            assert_eq!(v.to_bits(), (-0.0f32).to_bits());
+        }
     }
 
     #[test]

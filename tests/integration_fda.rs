@@ -247,8 +247,8 @@ fn parallel_mode_preserves_sync_decision_sequence() {
             "{tag}: test should exercise at least one sync"
         );
         assert_eq!(
-            seq_fda.cluster().comm_bytes(),
-            par_fda.cluster().comm_bytes(),
+            seq_fda.comm_bytes(),
+            par_fda.comm_bytes(),
             "{tag}: byte accounting diverged"
         );
         for k in 0..4 {

@@ -25,6 +25,10 @@ use std::path::Path;
 
 const STEPS: u32 = 8;
 
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 fn spec(k: usize, fda: FdaConfig) -> JobSpec {
     JobSpec {
         cluster: ClusterConfig {
@@ -100,6 +104,11 @@ fn assert_parity(k: usize, tag: &str, fda: FdaConfig) {
         );
     }
     assert_eq!(
+        bits(&report.final_params),
+        bits(&sim.global_params()),
+        "{case}: final model != the simulator's evaluation model"
+    );
+    assert_eq!(
         report.charged_bytes,
         sim.comm_bytes(),
         "{case}: TCP charged accounting != simulator"
@@ -168,6 +177,11 @@ fn assert_downlink_parity(k: usize, tag: &str, downlink: fda::comm::DownlinkSpec
             "{case}: worker {w} final replica diverged"
         );
     }
+    assert_eq!(
+        bits(&report.final_params),
+        bits(&sim.global_params()),
+        "{case}: final model != the simulator's evaluation model"
+    );
     assert_eq!(
         report.charged_bytes,
         sim.comm_bytes(),
